@@ -17,9 +17,10 @@ use std::path::{Path, PathBuf};
 
 use solarml_fleet::{
     campaign_fingerprint, load_latest, resume_campaign, resume_campaign_verbose, run_campaign,
-    run_campaign_durable, CampaignCheckpoints, CampaignConfig, CampaignError, CheckpointError,
-    FleetReport,
+    run_campaign_cached, run_campaign_durable, CampaignCheckpoints, CampaignConfig, CampaignError,
+    CheckpointError, FleetReport, NodeDayStore,
 };
+use solarml_trace::fnv1a64;
 
 const SEED: u64 = 0xC4A5_4ED0;
 
@@ -208,6 +209,67 @@ fn completed_durable_campaign_resumes_to_the_same_report_without_rework() {
     let again = resume_campaign(&cfg, &checkpoints(&dir)).expect("resume of complete run");
     assert_eq!(again.to_json(), finished.to_json());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `(file name, fnv1a64 of its bytes)` for every file in `dir` whose name
+/// `keep` accepts, sorted by name.
+fn file_hashes(dir: &Path, keep: impl Fn(&str) -> bool) -> Vec<(String, u64)> {
+    let mut out: Vec<(String, u64)> = std::fs::read_dir(dir)
+        .expect("dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter_map(|p| {
+            let name = p.file_name()?.to_str()?.to_string();
+            keep(&name).then(|| (name, fnv1a64(&std::fs::read(&p).expect("read"))))
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// Checkpoint files of the pinned durable campaign, recorded before the
+/// snapshot and store framing moved onto the shared envelope.
+const PINNED_CHECKPOINTS: &[(&str, u64)] = &[("ckpt-000000000008.bin", 0x9D63_EEBF_5F3F_156B)];
+
+/// Store files (`store.meta` and every `nd-*.bin`) of the pinned campaign.
+const PINNED_STORE: &[(&str, u64)] = &[
+    ("nd-211a65d052c1e9dc.bin", 0xA131_33F5_2C35_8E4E),
+    ("nd-730d79e3cbb46511.bin", 0x3960_A0CE_A9F6_6296),
+    ("nd-743d887459229263.bin", 0xCCFF_B5A3_E259_D184),
+    ("nd-7aafe6f04d0e2fb4.bin", 0x9053_18F2_58FF_6295),
+    ("nd-7f7359d260b34f3c.bin", 0x6298_C449_398C_30CE),
+    ("nd-92fe33784ce42524.bin", 0x12BE_CDA8_4174_60F1),
+    ("nd-94dc55e4fa35b561.bin", 0xFA25_C865_2D5B_7629),
+    ("nd-aff9a244ae368269.bin", 0xE38E_CAE2_EF77_208B),
+    ("store.meta", 0x70F4_6CF5_06D0_C393),
+];
+
+#[test]
+fn on_disk_checkpoint_and_store_bytes_are_pinned() {
+    let mut cfg = CampaignConfig::smoke(8, 7);
+    cfg.workers = 1;
+    cfg.chunk = 2;
+
+    let ckpt_dir = scratch_dir("pin-ckpt");
+    let mut ckpt = CampaignCheckpoints::new(&ckpt_dir);
+    ckpt.every_nodes = 4;
+    ckpt.keep = usize::MAX;
+    run_campaign_durable(&cfg, &ckpt).expect("durable campaign");
+    let ckpts = file_hashes(&ckpt_dir, |n| n.starts_with("ckpt-") && n.ends_with(".bin"));
+
+    let store_dir = scratch_dir("pin-store");
+    let store = NodeDayStore::open(&store_dir).expect("open store");
+    run_campaign_cached(&cfg, &store);
+    let stored = file_hashes(&store_dir, |n| {
+        n == "store.meta" || (n.starts_with("nd-") && n.ends_with(".bin"))
+    });
+
+    let owned = |pins: &[(&str, u64)]| -> Vec<(String, u64)> {
+        pins.iter().map(|&(n, h)| (n.to_string(), h)).collect()
+    };
+    assert_eq!(ckpts, owned(PINNED_CHECKPOINTS), "checkpoint bytes moved");
+    assert_eq!(stored, owned(PINNED_STORE), "store bytes moved");
+    let _ = std::fs::remove_dir_all(&ckpt_dir);
+    let _ = std::fs::remove_dir_all(&store_dir);
 }
 
 /// Snapshot files in `dir`, oldest first.
