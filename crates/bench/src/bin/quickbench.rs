@@ -62,8 +62,7 @@ fn time_stage<F: FnMut()>(reps: usize, iters: usize, mut f: F) -> u128 {
 }
 
 fn kernel_stages(reps: usize, iters: usize) -> Vec<Stage> {
-    // KWS-scale feature map: 49 frames × 13 features, 8→16 channels —
-    // the same fixture as the criterion `hotpaths` bench.
+    // KWS-scale feature map: 49 frames × 13 features, 8→16 channels.
     let mut rng = rand::rngs::StdRng::seed_from_u64(3);
     let mut layer = Conv2d::standalone(8, 16, 3, 3, 1, Padding::Same, &mut rng);
     let input = Tensor::from_vec(

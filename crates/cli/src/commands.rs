@@ -327,12 +327,16 @@ fn open_store(opts: &Options, dir: &str) -> Result<NodeDayStore, String> {
 }
 
 /// The cache-stats line, format-stable for scripts and CI:
-/// `  cache: H hits, M misses (C corrupt), E evictions, B bytes`.
-fn print_cache_stats(stats: &CacheStats) {
+/// `  cache: H hits, M misses (C corrupt), E evictions, B bytes`, then one
+/// `  corrupt: <path>: <reason>` line per recomputed corrupt entry.
+fn print_cache_stats(stats: &CacheStats, corrupt_reasons: &[String]) {
     println!(
         "  cache: {} hits, {} misses ({} corrupt), {} evictions, {} bytes",
         stats.hits, stats.misses, stats.corrupt, stats.evictions, stats.bytes
     );
+    for reason in corrupt_reasons {
+        println!("  corrupt: {reason}");
+    }
 }
 
 /// `solarml fleet`.
@@ -420,7 +424,7 @@ pub fn fleet(opts: &Options) -> Result<(), String> {
     );
     if let Some(store) = &store {
         store.run_gc().map_err(|e| format!("fleet store gc: {e}"))?;
-        print_cache_stats(&store.stats());
+        print_cache_stats(&store.stats(), &store.corrupt_reasons());
     }
 
     if let Some(path) = &opts.out {
@@ -486,13 +490,14 @@ pub fn fleet_sweep(opts: &Options) -> Result<(), String> {
             a.dead_window_s.mean() / 3600.0,
             variant.report.failed.len()
         );
-        print_cache_stats(&variant.stats);
+        print_cache_stats(&variant.stats, &variant.corrupt_reasons);
         json.push_str(&variant.report.to_json());
         json.push('\n');
     }
     // Final line covers the whole sweep (evictions land after the last
-    // variant; the store gauge is the post-GC size).
-    print_cache_stats(&store.stats());
+    // variant; the store gauge is the post-GC size). Corrupt entries were
+    // already listed under the variant that met them.
+    print_cache_stats(&store.stats(), &[]);
     println!(
         "  throughput: {:.1} node-days/sec ({elapsed:.2} s wall)",
         (cfg.nodes * reports.len()) as f64 / elapsed.max(1e-9)

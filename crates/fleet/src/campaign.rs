@@ -4,7 +4,7 @@
 //!
 //! Each node's seed derives from the campaign seed with the same
 //! SplitMix64-finalizer splitting the NAS engine uses
-//! ([`solarml_nas::parallel::derive_seed`]) under a fleet-reserved cycle
+//! ([`solarml_trace::seed::derive_seed`]) under a fleet-reserved cycle
 //! tag, so node streams never collide with NAS training streams even when
 //! both run from the same base seed. Nothing about a node exists before
 //! its chunk is simulated — the whole fleet is derivable from
@@ -38,7 +38,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
-use solarml_nas::parallel::{derive_seed, effective_workers, panic_message, parallel_map};
+use solarml_nas::parallel::{effective_workers, panic_message, parallel_map};
+use solarml_trace::seed::derive_seed;
 
 use crate::aggregate::{FleetAggregate, MergeTree};
 use crate::checkpoint::{

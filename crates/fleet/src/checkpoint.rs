@@ -2,21 +2,17 @@
 //!
 //! A snapshot freezes the streaming engine's whole resumable state — how
 //! many node-days are folded, the [`MergeTree`] of partial aggregates, and
-//! the quarantined failures so far — behind a header that makes every
-//! trust decision explicit before any field is used:
+//! the quarantined failures so far — inside the shared
+//! [`solarml_trace::Envelope`] frame (magic `SLFLTCKP`, format version,
+//! FNV-1a trailer), which makes every trust decision before any field is
+//! used. The payload:
 //!
 //! ```text
-//! offset  size  field
-//! 0       8     magic  "SLFLTCKP"
-//! 8       4     format version (u32 LE)            — mismatch: typed error
-//! 12      ..    payload:
-//!                 campaign fingerprint (u64)       — FNV over (nodes, seed,
-//!                                                    population); foreign
-//!                                                    spec: hard error
-//!                 nodes_done (u64)
-//!                 merge tree                       — see MergeTree codec
-//!                 failed nodes (count + entries)
-//! end-8   8     FNV-1a checksum of bytes [0, end-8)
+//! campaign fingerprint (u64)      — FNV over (nodes, seed, population);
+//!                                   foreign spec: hard error
+//! nodes_done (u64)
+//! merge tree                      — see MergeTree codec
+//! failed nodes (count + entries)
 //! ```
 //!
 //! Snapshots are written via [`solarml_trace::write_atomic`]
@@ -29,7 +25,9 @@
 
 use std::path::{Path, PathBuf};
 
-use solarml_trace::bytes::{fnv1a64, write_atomic, ByteReader, ByteWriter};
+use solarml_trace::bytes::{
+    fnv1a64, write_atomic, ByteWriter, CodecError, Envelope, EnvelopeError,
+};
 
 use crate::aggregate::MergeTree;
 use crate::campaign::{CampaignConfig, FailedNode};
@@ -42,12 +40,16 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"SLFLTCKP";
 /// histogram-shape changes in [`crate::aggregate::FleetAggregate::new`].
 pub const CHECKPOINT_VERSION: u32 = 1;
 
+/// The snapshot frame.
+const ENVELOPE: Envelope = Envelope {
+    magic: CHECKPOINT_MAGIC,
+    version: CHECKPOINT_VERSION,
+};
+
 /// Snapshot filename prefix (`ckpt-<nodes_done>.bin`).
 const FILE_PREFIX: &str = "ckpt-";
 /// Snapshot filename suffix.
 const FILE_SUFFIX: &str = ".bin";
-/// Magic + version + trailing checksum: the smallest conceivable file.
-const ENVELOPE_BYTES: usize = 8 + 4 + 8;
 
 /// Everything that can go wrong touching checkpoint state. Every variant
 /// is a value the caller (CLI, resume logic, tests) can match on — decode
@@ -61,38 +63,13 @@ pub enum CheckpointError {
         /// The underlying I/O error, stringified.
         detail: String,
     },
-    /// The file does not start with [`CHECKPOINT_MAGIC`] (or is shorter
-    /// than the fixed envelope).
-    BadMagic {
+    /// The file is not a readable snapshot: foreign magic, another format
+    /// version, a failed checksum, or a payload that does not decode.
+    Envelope {
         /// Offending file.
         path: String,
-    },
-    /// The file's format version is not the supported one.
-    UnsupportedVersion {
-        /// Offending file.
-        path: String,
-        /// Version the file declares.
-        found: u32,
-        /// Version this build reads.
-        supported: u32,
-    },
-    /// The trailing FNV-1a checksum does not match the content — a
-    /// truncated, bit-flipped, or otherwise mangled snapshot.
-    ChecksumMismatch {
-        /// Offending file.
-        path: String,
-        /// Checksum the file carries.
-        expected: u64,
-        /// Checksum the content actually hashes to.
-        actual: u64,
-    },
-    /// The payload failed structural decoding despite a clean checksum
-    /// (or carried trailing bytes).
-    Malformed {
-        /// Offending file.
-        path: String,
-        /// What the decoder objected to.
-        detail: String,
+        /// What the envelope (or the payload decoder) objected to.
+        error: EnvelopeError,
     },
     /// The snapshot belongs to a different campaign: its `(nodes, seed,
     /// population)` fingerprint does not match the resuming config.
@@ -131,26 +108,7 @@ impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Io { path, detail } => write!(f, "checkpoint I/O on {path}: {detail}"),
-            Self::BadMagic { path } => {
-                write!(f, "{path} is not a fleet checkpoint (bad magic)")
-            }
-            Self::UnsupportedVersion {
-                path,
-                found,
-                supported,
-            } => write!(
-                f,
-                "{path} uses checkpoint format v{found}; this build reads v{supported}"
-            ),
-            Self::ChecksumMismatch {
-                path,
-                expected,
-                actual,
-            } => write!(
-                f,
-                "{path} is corrupt: checksum {actual:#018x} != recorded {expected:#018x}"
-            ),
-            Self::Malformed { path, detail } => write!(f, "{path} is malformed: {detail}"),
+            Self::Envelope { path, error } => write!(f, "{path}: checkpoint {error}"),
             Self::SpecMismatch {
                 path,
                 expected,
@@ -204,107 +162,57 @@ impl CampaignSnapshot {
     /// Serializes the snapshot, envelope and checksum included. Pure:
     /// identical state encodes to identical bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        for &b in &CHECKPOINT_MAGIC {
-            w.push_u8(b);
-        }
-        w.push_u32(CHECKPOINT_VERSION);
-        w.push_u64(self.fingerprint);
-        w.push_u64(self.nodes_done);
-        self.tree.encode_into(&mut w);
-        w.push_u64(self.failed.len() as u64);
-        for fail in &self.failed {
-            w.push_u64(fail.node as u64);
-            w.push_u64(fail.seed);
-            w.push_str(&fail.message);
-        }
-        let checksum = fnv1a64(w.as_slice());
-        w.push_u64(checksum);
-        w.into_bytes()
+        ENVELOPE.seal(|w| {
+            w.push_u64(self.fingerprint);
+            w.push_u64(self.nodes_done);
+            self.tree.encode_into(w);
+            w.push_u64(self.failed.len() as u64);
+            for fail in &self.failed {
+                w.push_u64(fail.node as u64);
+                w.push_u64(fail.seed);
+                w.push_str(&fail.message);
+            }
+        })
     }
 
     /// Deserializes and validates a snapshot. `path` only labels errors.
-    ///
-    /// Validation order: envelope size, magic, version, content checksum,
-    /// then structure — so by the time any field is trusted, the bytes are
-    /// known to be a complete, uncorrupted snapshot of a readable version.
+    /// The envelope is validated before any payload field is trusted (see
+    /// [`Envelope::unseal`] for the order).
     pub fn decode(bytes: &[u8], path: &str) -> Result<Self, CheckpointError> {
-        if bytes.len() < ENVELOPE_BYTES || bytes[..8] != CHECKPOINT_MAGIC {
-            return Err(CheckpointError::BadMagic {
+        ENVELOPE
+            .unseal(bytes, |r| {
+                let fingerprint = r.read_u64()?;
+                let nodes_done = r.read_u64()?;
+                let tree = MergeTree::decode_from(r)?;
+                let offset = r.position();
+                let declared = r.read_u64()?;
+                let count = usize::try_from(declared)
+                    .ok()
+                    .filter(|&n| n <= r.remaining())
+                    .ok_or(CodecError::BadLength {
+                        offset,
+                        declared,
+                        remaining: r.remaining(),
+                    })?;
+                let mut failed = Vec::with_capacity(count);
+                for _ in 0..count {
+                    failed.push(FailedNode {
+                        node: r.read_u64()? as usize,
+                        seed: r.read_u64()?,
+                        message: r.read_str()?.to_string(),
+                    });
+                }
+                Ok(Self {
+                    fingerprint,
+                    nodes_done,
+                    tree,
+                    failed,
+                })
+            })
+            .map_err(|error| CheckpointError::Envelope {
                 path: path.to_string(),
-            });
-        }
-        let content = &bytes[..bytes.len() - 8];
-        let mut tail = ByteReader::new(&bytes[bytes.len() - 8..]);
-        let expected = tail.read_u64().map_err(|e| CheckpointError::Malformed {
-            path: path.to_string(),
-            detail: e.to_string(),
-        })?;
-        let mut r = ByteReader::new(content);
-        let mut magic = [0u8; 8];
-        for b in &mut magic {
-            *b = r.read_u8().map_err(|e| CheckpointError::Malformed {
-                path: path.to_string(),
-                detail: e.to_string(),
-            })?;
-        }
-        let version = r.read_u32().map_err(|e| CheckpointError::Malformed {
-            path: path.to_string(),
-            detail: e.to_string(),
-        })?;
-        if version != CHECKPOINT_VERSION {
-            return Err(CheckpointError::UnsupportedVersion {
-                path: path.to_string(),
-                found: version,
-                supported: CHECKPOINT_VERSION,
-            });
-        }
-        let actual = fnv1a64(content);
-        if actual != expected {
-            return Err(CheckpointError::ChecksumMismatch {
-                path: path.to_string(),
-                expected,
-                actual,
-            });
-        }
-        let malformed = |detail: String| CheckpointError::Malformed {
-            path: path.to_string(),
-            detail,
-        };
-        let fingerprint = r.read_u64().map_err(|e| malformed(e.to_string()))?;
-        let nodes_done = r.read_u64().map_err(|e| malformed(e.to_string()))?;
-        let tree = MergeTree::decode_from(&mut r).map_err(|e| malformed(e.to_string()))?;
-        let count = r.read_u64().map_err(|e| malformed(e.to_string()))?;
-        let count = usize::try_from(count)
-            .ok()
-            .filter(|&n| n <= r.remaining())
-            .ok_or_else(|| malformed(format!("failed-node count {count} exceeds payload")))?;
-        let mut failed = Vec::with_capacity(count);
-        for _ in 0..count {
-            let node = r.read_u64().map_err(|e| malformed(e.to_string()))?;
-            let seed = r.read_u64().map_err(|e| malformed(e.to_string()))?;
-            let message = r
-                .read_str()
-                .map_err(|e| malformed(e.to_string()))?
-                .to_string();
-            failed.push(FailedNode {
-                node: node as usize,
-                seed,
-                message,
-            });
-        }
-        if r.remaining() != 0 {
-            return Err(malformed(format!(
-                "{} trailing bytes after payload",
-                r.remaining()
-            )));
-        }
-        Ok(Self {
-            fingerprint,
-            nodes_done,
-            tree,
-            failed,
-        })
+                error,
+            })
     }
 }
 
@@ -513,13 +421,31 @@ mod tests {
         assert_eq!(back, snap);
     }
 
+    fn envelope_error(bytes: &[u8]) -> EnvelopeError {
+        match CampaignSnapshot::decode(bytes, "t") {
+            Err(CheckpointError::Envelope { error, .. }) => error,
+            other => panic!("expected an envelope error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn foreign_bytes_are_bad_magic_not_a_panic() {
         for bytes in [&b""[..], &b"short"[..], &[0u8; 64][..]] {
-            assert!(matches!(
-                CampaignSnapshot::decode(bytes, "t"),
-                Err(CheckpointError::BadMagic { .. })
-            ));
+            assert_eq!(envelope_error(bytes), EnvelopeError::BadMagic);
+        }
+    }
+
+    #[test]
+    fn truncated_snapshot_with_its_magic_is_malformed_not_bad_magic() {
+        let bytes = sample_snapshot().encode();
+        for cut in 8..20 {
+            assert!(
+                matches!(
+                    envelope_error(&bytes[..cut]),
+                    EnvelopeError::Malformed { .. }
+                ),
+                "{cut}-byte prefix"
+            );
         }
     }
 
@@ -528,8 +454,8 @@ mod tests {
         let mut bytes = sample_snapshot().encode();
         bytes[8] = 0xFE; // version field, little-endian low byte
         assert!(matches!(
-            CampaignSnapshot::decode(&bytes, "t"),
-            Err(CheckpointError::UnsupportedVersion { found, .. }) if found != CHECKPOINT_VERSION
+            envelope_error(&bytes),
+            EnvelopeError::UnsupportedVersion { found, .. } if found != CHECKPOINT_VERSION
         ));
     }
 

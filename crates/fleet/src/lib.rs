@@ -47,7 +47,6 @@ pub mod checkpoint;
 pub mod env;
 pub mod population;
 pub mod report;
-mod rng;
 pub mod store;
 pub mod task;
 

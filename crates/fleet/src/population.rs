@@ -17,10 +17,10 @@ use solarml_platform::{
 };
 use solarml_scenario::Scenario;
 use solarml_sim::DtPolicy;
+use solarml_trace::seed::{pick_weighted, splitmix64, uniform};
 use solarml_units::{Energy, Farads, Lux, Power, Ratio, Seconds, Volts};
 
 use crate::env::Environment;
-use crate::rng::{pick_weighted, splitmix64, uniform};
 
 /// Domain-separation tag for per-node blueprint draws: XORed into the
 /// node seed so blueprint sampling never replays another consumer of the
@@ -54,7 +54,7 @@ pub enum Dist {
 impl Dist {
     /// Draws one sample, always consuming exactly one stream advance.
     pub fn sample(&self, state: &mut u64) -> f64 {
-        let unit = (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64;
+        let unit = uniform(state, 0.0, 1.0);
         match *self {
             Dist::Constant(v) => v,
             Dist::Uniform { lo, hi } => lo + unit * (hi - lo),

@@ -10,7 +10,8 @@
 //! only the nodes whose resolved configuration actually changed.
 //!
 //! Durability follows the checkpoint layer's rules exactly
-//! ([`crate::checkpoint`]): every entry is versioned, FNV-checksummed, and
+//! ([`crate::checkpoint`]): every file is framed by the shared
+//! [`solarml_trace::Envelope`] (magic `SLNDSTOR`, version, FNV trailer) and
 //! written via [`solarml_trace::write_atomic`]; every corrupt or foreign
 //! byte sequence decodes to a typed [`StoreError`] and the engine
 //! recomputes — never panics, never silently trusts. A `store.meta` file
@@ -27,10 +28,10 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::UNIX_EPOCH;
 
-use solarml_trace::{fnv1a64, write_atomic, ByteReader, ByteWriter};
+use solarml_trace::{write_atomic, Envelope, EnvelopeError};
 
 use crate::campaign::{run_campaign_with, CampaignConfig};
 use crate::population::PopulationSpec;
@@ -41,12 +42,16 @@ use crate::task::{Context, NodeDayOutcome, NodeDayTask, Task};
 pub const STORE_MAGIC: [u8; 8] = *b"SLNDSTOR";
 
 /// Entry-format version. Bump on any layout change; `open` then refuses
-/// the old directory with [`StoreError::UnsupportedVersion`] rather than
+/// the old directory with a typed [`StoreError::Envelope`] rather than
 /// misreading it.
 pub const STORE_VERSION: u32 = 1;
 
-/// Fixed prefix of every entry: magic + version + content key.
-const ENTRY_ENVELOPE_BYTES: usize = 8 + 4 + 8;
+/// The frame of every store file: entries carry the content key and the
+/// outcome as payload, `store.meta` an empty one.
+const ENVELOPE: Envelope = Envelope {
+    magic: STORE_MAGIC,
+    version: STORE_VERSION,
+};
 
 /// Name of the per-directory version stamp.
 const META_FILE: &str = "store.meta";
@@ -68,38 +73,14 @@ pub enum StoreError {
         /// Path involved.
         path: String,
     },
-    /// The file does not start with [`STORE_MAGIC`] — not ours.
-    BadMagic {
+    /// The file (an entry or the store's meta stamp) is not readable:
+    /// foreign magic, another format version, bit rot or a torn write, or
+    /// a payload that does not decode.
+    Envelope {
         /// Path involved.
         path: String,
-    },
-    /// The file (or the store's meta stamp) was written by a different
-    /// entry-format version.
-    UnsupportedVersion {
-        /// Path involved.
-        path: String,
-        /// Version found in the file.
-        found: u32,
-        /// Version this build reads and writes.
-        supported: u32,
-    },
-    /// The trailing FNV checksum does not match the content — bit rot,
-    /// torn write, or tampering.
-    ChecksumMismatch {
-        /// Path involved.
-        path: String,
-        /// Checksum the file claims.
-        expected: u64,
-        /// Checksum of the bytes actually present.
-        actual: u64,
-    },
-    /// The file passed magic/version/checksum but its structure does not
-    /// parse (truncated payload, trailing garbage).
-    Malformed {
-        /// Path involved.
-        path: String,
-        /// What went wrong.
-        detail: String,
+        /// What the envelope (or the payload decoder) objected to.
+        error: EnvelopeError,
     },
     /// A structurally valid entry whose embedded key is not the one its
     /// filename promises — a renamed or misplaced entry.
@@ -120,26 +101,7 @@ impl std::fmt::Display for StoreError {
             Self::NotADirectory { path } => {
                 write!(f, "store path {path} exists but is not a directory")
             }
-            Self::BadMagic { path } => {
-                write!(f, "{path} is not a node-day store file (bad magic)")
-            }
-            Self::UnsupportedVersion {
-                path,
-                found,
-                supported,
-            } => write!(
-                f,
-                "{path} uses store format v{found}, this build supports v{supported}"
-            ),
-            Self::ChecksumMismatch {
-                path,
-                expected,
-                actual,
-            } => write!(
-                f,
-                "{path} failed its checksum (claimed {expected:#018x}, computed {actual:#018x})"
-            ),
-            Self::Malformed { path, detail } => write!(f, "{path} is malformed: {detail}"),
+            Self::Envelope { path, error } => write!(f, "{path}: store {error}"),
             Self::KeyMismatch {
                 path,
                 expected,
@@ -158,6 +120,13 @@ fn io_err(path: &Path, e: &std::io::Error) -> StoreError {
     StoreError::Io {
         path: path.display().to_string(),
         detail: e.to_string(),
+    }
+}
+
+fn envelope_err(path: &Path, error: EnvelopeError) -> StoreError {
+    StoreError::Envelope {
+        path: path.display().to_string(),
+        error,
     }
 }
 
@@ -215,6 +184,16 @@ pub struct NodeDayStore {
     /// key → last session access sequence; BTreeMap for deterministic
     /// iteration (the fleet crate bans the randomized std hash maps).
     ledger: Mutex<std::collections::BTreeMap<u64, u64>>,
+    /// `path: reason` for every corrupt entry `require` recomputed since
+    /// the last [`NodeDayStore::reset_stats`].
+    corrupt_reasons: Mutex<Vec<String>>,
+}
+
+/// Locks `m`, recovering the guard from a panicked holder: every update
+/// under these locks is a single insert, remove, push or clear, so the data is
+/// valid at every step.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl NodeDayStore {
@@ -240,16 +219,11 @@ impl NodeDayStore {
         let meta = dir.join(META_FILE);
         if meta.exists() {
             let bytes = std::fs::read(&meta).map_err(|e| io_err(&meta, &e))?;
-            validate_meta(&bytes, &meta)?;
+            ENVELOPE
+                .unseal(&bytes, |_| Ok(()))
+                .map_err(|error| envelope_err(&meta, error))?;
         } else {
-            let mut w = ByteWriter::new();
-            for &b in &STORE_MAGIC {
-                w.push_u8(b);
-            }
-            w.push_u32(STORE_VERSION);
-            let checksum = fnv1a64(w.as_slice());
-            w.push_u64(checksum);
-            write_atomic(&meta, w.as_slice()).map_err(|e| io_err(&meta, &e))?;
+            write_atomic(&meta, &ENVELOPE.seal(|_| {})).map_err(|e| io_err(&meta, &e))?;
         }
 
         let store = Self {
@@ -262,6 +236,7 @@ impl NodeDayStore {
             bytes: AtomicU64::new(0),
             access_seq: AtomicU64::new(0),
             ledger: Mutex::new(std::collections::BTreeMap::new()),
+            corrupt_reasons: Mutex::new(Vec::new()),
         };
         let mut on_disk = 0u64;
         for entry in store.list_entries()? {
@@ -278,7 +253,8 @@ impl NodeDayStore {
 
     /// Returns `task`'s outcome — replayed from disk when a valid entry
     /// exists, recomputed (and persisted) otherwise. Corrupt entries are
-    /// counted, overwritten, and recomputed; persist failures degrade to
+    /// counted, their reasons kept (see [`Self::corrupt_reasons`]), and
+    /// overwritten with the recomputed outcome; persist failures degrade to
     /// cache misses on the next run. This function never panics on store
     /// trouble and never returns a stale result: the key *is* the proof
     /// of currency.
@@ -294,14 +270,22 @@ impl NodeDayStore {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 self.execute_and_persist(task, key)
             }
-            Err(_typed) => {
-                // The typed reason is observable via `load`; require's
-                // contract is transparent recovery.
+            Err(reason) => {
                 self.corrupt.fetch_add(1, Ordering::Relaxed);
                 self.misses.fetch_add(1, Ordering::Relaxed);
+                lock(&self.corrupt_reasons).push(reason.to_string());
                 self.execute_and_persist(task, key)
             }
         }
+    }
+
+    /// `path: reason` for each corrupt entry recomputed since the last
+    /// [`Self::reset_stats`], sorted so the listing does not depend on
+    /// worker scheduling.
+    pub fn corrupt_reasons(&self) -> Vec<String> {
+        let mut reasons = lock(&self.corrupt_reasons).clone();
+        reasons.sort();
+        reasons
     }
 
     fn execute_and_persist(&self, task: &NodeDayTask, key: u64) -> NodeDayOutcome {
@@ -322,37 +306,39 @@ impl NodeDayStore {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(io_err(&path, &e)),
         };
-        decode_entry(&bytes, key, &path).map(Some)
+        let (found, outcome) = ENVELOPE
+            .unseal(&bytes, |r| {
+                Ok((r.read_u64()?, NodeDayOutcome::decode_from(r)?))
+            })
+            .map_err(|error| envelope_err(&path, error))?;
+        if found != key {
+            return Err(StoreError::KeyMismatch {
+                path: path.display().to_string(),
+                expected: key,
+                found,
+            });
+        }
+        Ok(Some(outcome))
     }
 
     /// Encodes and atomically writes the entry for `key`.
     pub fn persist(&self, key: u64, outcome: &NodeDayOutcome) -> Result<(), StoreError> {
         let path = self.entry_path(key);
         let had = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-        let mut w = ByteWriter::new();
-        for &b in &STORE_MAGIC {
-            w.push_u8(b);
-        }
-        w.push_u32(STORE_VERSION);
-        w.push_u64(key);
-        outcome.encode_into(&mut w);
-        let checksum = fnv1a64(w.as_slice());
-        w.push_u64(checksum);
-        let len = w.len() as u64;
-        write_atomic(&path, w.as_slice()).map_err(|e| io_err(&path, &e))?;
+        let bytes = ENVELOPE.seal(|w| {
+            w.push_u64(key);
+            outcome.encode_into(w);
+        });
+        write_atomic(&path, &bytes).map_err(|e| io_err(&path, &e))?;
         self.bytes
-            .fetch_add(len.saturating_sub(had), Ordering::Relaxed);
+            .fetch_add((bytes.len() as u64).saturating_sub(had), Ordering::Relaxed);
         Ok(())
     }
 
     /// Marks `key` as used now (session-logical time) for LRU ranking.
     fn touch(&self, key: u64) {
         let seq = self.access_seq.fetch_add(1, Ordering::Relaxed);
-        let mut ledger = match self.ledger.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        ledger.insert(key, seq);
+        lock(&self.ledger).insert(key, seq);
     }
 
     /// Current session counters plus on-disk size.
@@ -366,14 +352,16 @@ impl NodeDayStore {
         }
     }
 
-    /// Zeroes the per-run counters (hits/misses/corrupt/evictions),
-    /// keeping the on-disk byte gauge and the LRU ledger — sweep drivers
-    /// call this between variants to get per-variant counts.
+    /// Zeroes the per-run counters (hits/misses/corrupt/evictions) and
+    /// clears the corrupt-entry reasons, keeping the on-disk byte gauge and
+    /// the LRU ledger — sweep drivers call this between variants to get
+    /// per-variant counts.
     pub fn reset_stats(&self) {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.corrupt.store(0, Ordering::Relaxed);
         self.evictions.store(0, Ordering::Relaxed);
+        lock(&self.corrupt_reasons).clear();
     }
 
     /// Number of entries currently on disk.
@@ -397,10 +385,7 @@ impl NodeDayStore {
             return Ok(0);
         }
         {
-            let ledger = match self.ledger.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            let ledger = lock(&self.ledger);
             for e in &mut entries {
                 e.session_seq = ledger.get(&e.key).copied();
             }
@@ -428,11 +413,7 @@ impl NodeDayStore {
             count -= 1;
             bytes = bytes.saturating_sub(entry.len);
             evicted += 1;
-            let mut ledger = match self.ledger.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            ledger.remove(&entry.key);
+            lock(&self.ledger).remove(&entry.key);
         }
         self.bytes.store(bytes, Ordering::Relaxed);
         self.evictions.fetch_add(evicted as u64, Ordering::Relaxed);
@@ -492,107 +473,6 @@ fn parse_entry_name(name: &str) -> Option<u64> {
     u64::from_str_radix(hex, 16).ok()
 }
 
-/// Validates the `store.meta` stamp: magic, version, checksum.
-fn validate_meta(bytes: &[u8], path: &Path) -> Result<(), StoreError> {
-    let display = path.display().to_string();
-    if bytes.len() != 8 + 4 + 8 {
-        return Err(StoreError::Malformed {
-            path: display,
-            detail: format!("meta stamp is {} bytes, expected 20", bytes.len()),
-        });
-    }
-    if bytes[..8] != STORE_MAGIC {
-        return Err(StoreError::BadMagic { path: display });
-    }
-    let mut version_arr = [0u8; 4];
-    version_arr.copy_from_slice(&bytes[8..12]);
-    let version = u32::from_le_bytes(version_arr);
-    if version != STORE_VERSION {
-        return Err(StoreError::UnsupportedVersion {
-            path: display,
-            found: version,
-            supported: STORE_VERSION,
-        });
-    }
-    let mut sum_arr = [0u8; 8];
-    sum_arr.copy_from_slice(&bytes[12..20]);
-    let expected = u64::from_le_bytes(sum_arr);
-    let actual = fnv1a64(&bytes[..12]);
-    if expected != actual {
-        return Err(StoreError::ChecksumMismatch {
-            path: display,
-            expected,
-            actual,
-        });
-    }
-    Ok(())
-}
-
-/// Decodes one entry file, validating in trust order: envelope length,
-/// magic, version, checksum over everything before the trailer, then
-/// structure, embedded key, and absence of trailing bytes.
-fn decode_entry(
-    bytes: &[u8],
-    expected_key: u64,
-    path: &Path,
-) -> Result<NodeDayOutcome, StoreError> {
-    let display = path.display().to_string();
-    if bytes.len() < ENTRY_ENVELOPE_BYTES + 8 {
-        return Err(StoreError::Malformed {
-            path: display,
-            detail: format!("{} bytes is too short for an entry envelope", bytes.len()),
-        });
-    }
-    if bytes[..8] != STORE_MAGIC {
-        return Err(StoreError::BadMagic { path: display });
-    }
-    let mut version_arr = [0u8; 4];
-    version_arr.copy_from_slice(&bytes[8..12]);
-    let version = u32::from_le_bytes(version_arr);
-    if version != STORE_VERSION {
-        return Err(StoreError::UnsupportedVersion {
-            path: display,
-            found: version,
-            supported: STORE_VERSION,
-        });
-    }
-    let (content, trailer) = bytes.split_at(bytes.len() - 8);
-    let mut sum_arr = [0u8; 8];
-    sum_arr.copy_from_slice(trailer);
-    let expected_sum = u64::from_le_bytes(sum_arr);
-    let actual_sum = fnv1a64(content);
-    if expected_sum != actual_sum {
-        return Err(StoreError::ChecksumMismatch {
-            path: display,
-            expected: expected_sum,
-            actual: actual_sum,
-        });
-    }
-    let mut r = ByteReader::new(&content[12..]);
-    let embedded_key = r.read_u64().map_err(|e| StoreError::Malformed {
-        path: display.clone(),
-        detail: e.to_string(),
-    })?;
-    let outcome = NodeDayOutcome::decode_from(&mut r).map_err(|e| StoreError::Malformed {
-        path: display.clone(),
-        detail: e.to_string(),
-    })?;
-    if r.remaining() != 0 {
-        return Err(StoreError::Malformed {
-            path: display,
-            detail: format!("{} trailing bytes after payload", r.remaining()),
-        });
-    }
-    if embedded_key != expected_key {
-        return Err(StoreError::KeyMismatch {
-            path: display,
-            expected: expected_key,
-            found: embedded_key,
-        });
-    }
-    Ok(outcome)
-}
-
 /// A [`Context`] that answers `require_task` from a [`NodeDayStore`] —
 /// the incremental twin of [`crate::task::NonIncrementalContext`].
 #[derive(Debug, Clone, Copy)]
@@ -645,6 +525,8 @@ pub struct SweepVariantReport {
     pub report: FleetReport,
     /// Hits/misses/recomputes for exactly this variant.
     pub stats: CacheStats,
+    /// `path: reason` for each corrupt entry this variant recomputed.
+    pub corrupt_reasons: Vec<String>,
 }
 
 /// Runs each variant against one shared store, in order, resetting the
@@ -666,6 +548,7 @@ pub fn run_sweep(
             name: variant.name.clone(),
             report,
             stats: store.stats(),
+            corrupt_reasons: store.corrupt_reasons(),
         });
     }
     store.run_gc()?;
@@ -742,9 +625,16 @@ mod tests {
         let s = store.stats();
         assert_eq!(s.corrupt, 4, "every flipped entry was detected");
         assert_eq!(s.hits, 0);
+        let reasons = store.corrupt_reasons();
+        assert_eq!(reasons.len(), 4, "{reasons:?}");
+        for reason in &reasons {
+            assert!(reason.contains("nd-"), "names the entry: {reason}");
+            assert!(reason.contains("checksum mismatch"), "{reason}");
+        }
 
         // And the rewrite healed the store.
         store.reset_stats();
+        assert!(store.corrupt_reasons().is_empty());
         run_campaign_cached(&cfg, &store);
         assert_eq!(store.stats().hits, 4);
         let _ = std::fs::remove_dir_all(&dir);
@@ -754,19 +644,16 @@ mod tests {
     fn foreign_version_store_is_a_typed_open_error() {
         let dir = tmp_dir("foreign");
         drop(NodeDayStore::open(&dir).expect("open"));
-        let meta = dir.join(META_FILE);
-        let mut w = ByteWriter::new();
-        for &b in &STORE_MAGIC {
-            w.push_u8(b);
-        }
-        w.push_u32(STORE_VERSION + 9);
-        let checksum = fnv1a64(w.as_slice());
-        w.push_u64(checksum);
-        std::fs::write(&meta, w.as_slice()).expect("write meta");
+        let foreign = Envelope {
+            magic: STORE_MAGIC,
+            version: STORE_VERSION + 9,
+        };
+        std::fs::write(dir.join(META_FILE), foreign.seal(|_| {})).expect("write meta");
 
         match NodeDayStore::open(&dir) {
-            Err(StoreError::UnsupportedVersion {
-                found, supported, ..
+            Err(StoreError::Envelope {
+                error: EnvelopeError::UnsupportedVersion { found, supported },
+                ..
             }) => {
                 assert_eq!(found, STORE_VERSION + 9);
                 assert_eq!(supported, STORE_VERSION);
@@ -804,7 +691,7 @@ mod tests {
         let keys: Vec<u64> = [1usize, 4, 6]
             .iter()
             .map(|&node| {
-                let seed = solarml_nas::parallel::derive_seed(
+                let seed = solarml_trace::seed::derive_seed(
                     cfg.seed,
                     crate::campaign::FLEET_SEED_CYCLE,
                     node,

@@ -186,13 +186,7 @@ proptest! {
         std::fs::write(&path, &bytes).expect("rewrite");
 
         match store.load(key) {
-            Err(
-                StoreError::Malformed { .. }
-                | StoreError::BadMagic { .. }
-                | StoreError::ChecksumMismatch { .. }
-                | StoreError::UnsupportedVersion { .. }
-                | StoreError::KeyMismatch { .. },
-            ) => {}
+            Err(StoreError::Envelope { .. } | StoreError::KeyMismatch { .. }) => {}
             other => prop_assert!(false, "expected a typed decode error, got {other:?}"),
         }
         let _ = std::fs::remove_dir_all(&dir);

@@ -124,20 +124,11 @@ pub fn effective_workers(configured: usize) -> usize {
     }
 }
 
-/// SplitMix64 finalizer: a cheap, high-quality 64-bit mixer.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Derives the training seed for one evaluation from the run seed, the
-/// search cycle and the candidate's index within its batch. Stable across
-/// worker counts by construction (none of the inputs depend on scheduling).
-pub fn derive_seed(base_seed: u64, cycle: usize, index: usize) -> u64 {
-    mix64(mix64(base_seed ^ mix64(cycle as u64)) ^ mix64((index as u64) ^ 0xA5A5_A5A5_A5A5_A5A5))
-}
+/// search cycle and the candidate's index within its batch — the
+/// workspace's one seed splitter, re-exported from its home in
+/// `solarml_trace::seed`.
+pub use solarml_trace::seed::derive_seed;
 
 /// A panic caught inside a worker while evaluating one item.
 ///

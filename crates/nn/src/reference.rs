@@ -4,7 +4,8 @@
 //! kernels in [`crate::layers`] replaced: per-element bounds checks and flat
 //! index arithmetic, no hoisting, no slice stripes. They exist as the
 //! independent oracle — golden tests assert the optimized kernels agree
-//! with them, and the `hotpaths` bench measures the speedup against them.
+//! with them, and the quickbench conv stages measure the speedup against
+//! them.
 //! Keep them dumb; their only virtue is obviousness.
 
 use crate::arch::Padding;

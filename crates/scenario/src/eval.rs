@@ -20,16 +20,16 @@
 //!   [`FaultPlan::seeded_cloudy_day`], which owns the `FAULT_STREAM_TAG`
 //!   stream — byte parity with the hard-coded cloudy-day example.
 //!
-//! No clocks, no OS entropy, no hashed-container iteration — enforced by
-//! the `scenario-hygiene` lint family on top of the determinism family.
+//! No clocks, no OS entropy, no hashed-container iteration, no ad-hoc seed
+//! arithmetic — enforced by the `determinism` and `seed-discipline` lint
+//! families.
 
 use solarml_circuit::{CloudTransient, FaultPlan, OutageWindow, SupercapDegradation};
-use solarml_nas::parallel::derive_seed;
 use solarml_platform::{DayProfile, DaySimConfig};
+use solarml_trace::seed::{derive_seed, pick_weighted, uniform};
 use solarml_units::{Energy, Farads, Power, Ratio, Seconds, Volts};
 
 use crate::ast::{Call, TimeOfDay, UnitSuffix, Value};
-use crate::rng::{pick_weighted, uniform};
 use crate::sig::{bind, spec, Kind};
 
 /// Cycle tag for scenario-combinator streams: every randomized combinator

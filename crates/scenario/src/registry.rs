@@ -2,7 +2,7 @@
 //!
 //! Every `.scn` script under `crates/scenario/scenarios/` is embedded at
 //! compile time and parsed once, lazily. Each script's first line is a
-//! `# name: description` header; the `scenario-hygiene` lint checks that
+//! `# name: description` header; the `scenario-registry` lint checks that
 //! the header name matches the file stem and that names are unique, and
 //! the registry self-test checks that every script parses.
 

@@ -12,6 +12,10 @@
 //!   and [`fnv1a64`] gives callers a cheap content checksum so a flipped
 //!   bit anywhere in a snapshot is detected before any field is trusted.
 //!
+//! [`Envelope`] combines the two into the one frame every persisted fleet
+//! file uses (magic, version, payload, FNV trailer), with one validation
+//! order and one error type.
+//!
 //! [`write_atomic`] is the single sanctioned way to persist these payloads:
 //! write to a temporary sibling, fsync, rename over the target. A crash at
 //! any instant leaves either the old file or the new file, never a torn
@@ -324,6 +328,146 @@ impl<'a> ByteReader<'a> {
     }
 }
 
+/// Bytes an [`Envelope`] adds around its payload: magic, version, trailer.
+const ENVELOPE_OVERHEAD: usize = 8 + 4 + 8;
+
+/// The on-disk frame shared by every persisted fleet file (campaign
+/// checkpoints, node-day store entries, the store's `store.meta` stamp):
+///
+/// ```text
+/// offset  size  field
+/// 0       8     magic                      — foreign file: BadMagic
+/// 8       4     format version (u32 LE)    — mismatch: UnsupportedVersion
+/// 12      ..    payload (owner-defined)
+/// end-8   8     FNV-1a-64 of bytes [0, end-8)
+/// ```
+///
+/// [`Envelope::unseal`] validates in trust order — magic prefix, length
+/// ≥ 20 bytes, version, checksum, then that the payload decoder consumed
+/// every byte — so by the time a payload field is trusted the bytes are a
+/// complete, uncorrupted file of a readable version.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Envelope {
+    /// Leading bytes identifying the file kind.
+    pub magic: [u8; 8],
+    /// The format version this build writes and reads.
+    pub version: u32,
+}
+
+/// Why bytes failed to unseal. Every variant is a data problem the caller
+/// can match on — foreign or mangled input never panics.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum EnvelopeError {
+    /// The bytes do not start with the envelope's magic.
+    BadMagic,
+    /// The file declares a format version this build does not read.
+    UnsupportedVersion {
+        /// Version the file declares.
+        found: u32,
+        /// Version this build reads.
+        supported: u32,
+    },
+    /// The trailing FNV-1a checksum does not match the content — a
+    /// truncated, bit-flipped, or otherwise mangled file.
+    ChecksumMismatch {
+        /// Checksum the file carries.
+        expected: u64,
+        /// Checksum the content actually hashes to.
+        actual: u64,
+    },
+    /// Too short for the frame, or the payload failed to decode (or left
+    /// trailing bytes) despite a clean checksum.
+    Malformed {
+        /// What was wrong.
+        detail: String,
+    },
+}
+
+impl std::fmt::Display for EnvelopeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::BadMagic => write!(f, "bad magic"),
+            Self::UnsupportedVersion { found, supported } => {
+                write!(f, "format v{found}, this build reads v{supported}")
+            }
+            Self::ChecksumMismatch { expected, actual } => write!(
+                f,
+                "corrupt: checksum mismatch (recorded {expected:#018x}, computed {actual:#018x})"
+            ),
+            Self::Malformed { detail } => write!(f, "malformed: {detail}"),
+        }
+    }
+}
+
+impl std::error::Error for EnvelopeError {}
+
+impl Envelope {
+    /// Frames the payload `encode` writes: magic, version, payload,
+    /// checksum. Pure — the same payload seals to the same bytes.
+    pub fn seal(&self, encode: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.buf.extend_from_slice(&self.magic);
+        w.push_u32(self.version);
+        encode(&mut w);
+        let checksum = fnv1a64(w.as_slice());
+        w.push_u64(checksum);
+        w.into_bytes()
+    }
+
+    /// Validates the frame around `bytes` and decodes its payload with
+    /// `decode`, which reads straight from `bytes` (no copy). The decoder
+    /// must consume the whole payload; leftovers are
+    /// [`EnvelopeError::Malformed`].
+    pub fn unseal<'a, T>(
+        &self,
+        bytes: &'a [u8],
+        decode: impl FnOnce(&mut ByteReader<'a>) -> Result<T, CodecError>,
+    ) -> Result<T, EnvelopeError> {
+        if !bytes.starts_with(&self.magic) {
+            return Err(EnvelopeError::BadMagic);
+        }
+        if bytes.len() < ENVELOPE_OVERHEAD {
+            return Err(EnvelopeError::Malformed {
+                detail: format!(
+                    "{} bytes is shorter than the {ENVELOPE_OVERHEAD}-byte envelope",
+                    bytes.len()
+                ),
+            });
+        }
+        let (content, trailer) = bytes.split_at(bytes.len() - 8);
+        // Offsets in decode errors stay absolute file offsets.
+        let mut r = ByteReader {
+            buf: content,
+            pos: self.magic.len(),
+        };
+        let found = r.read_u32().map_err(malformed)?;
+        if found != self.version {
+            return Err(EnvelopeError::UnsupportedVersion {
+                found,
+                supported: self.version,
+            });
+        }
+        let expected = ByteReader::new(trailer).read_u64().map_err(malformed)?;
+        let actual = fnv1a64(content);
+        if expected != actual {
+            return Err(EnvelopeError::ChecksumMismatch { expected, actual });
+        }
+        let value = decode(&mut r).map_err(malformed)?;
+        match r.remaining() {
+            0 => Ok(value),
+            n => Err(EnvelopeError::Malformed {
+                detail: format!("{n} trailing bytes after payload"),
+            }),
+        }
+    }
+}
+
+fn malformed(e: CodecError) -> EnvelopeError {
+    EnvelopeError::Malformed {
+        detail: e.to_string(),
+    }
+}
+
 /// Atomically replaces `path` with `bytes`: write a temporary sibling in
 /// the same directory, fsync it, then rename over the target (and fsync
 /// the directory, best-effort). A crash at any point leaves either the
@@ -471,6 +615,79 @@ mod tests {
                 mangled[byte] ^= 1 << bit;
                 assert_ne!(fnv1a64(&mangled), clean, "flip at {byte}:{bit} undetected");
             }
+        }
+    }
+
+    const TEST_ENVELOPE: Envelope = Envelope {
+        magic: *b"SLTESTEN",
+        version: 3,
+    };
+
+    fn sealed() -> Vec<u8> {
+        TEST_ENVELOPE.seal(|w| {
+            w.push_u64(7);
+            w.push_str("payload");
+        })
+    }
+
+    fn unseal(bytes: &[u8]) -> Result<(u64, &str), EnvelopeError> {
+        TEST_ENVELOPE.unseal(bytes, |r| Ok((r.read_u64()?, r.read_str()?)))
+    }
+
+    #[test]
+    fn envelope_round_trips_and_frames_as_documented() {
+        let bytes = sealed();
+        assert_eq!(&bytes[..8], b"SLTESTEN");
+        assert_eq!(&bytes[8..12], &3u32.to_le_bytes());
+        let n = bytes.len();
+        assert_eq!(&bytes[n - 8..], &fnv1a64(&bytes[..n - 8]).to_le_bytes());
+        assert_eq!(unseal(&bytes), Ok((7, "payload")));
+        // An empty payload is exactly the 20-byte frame.
+        let stamp = TEST_ENVELOPE.seal(|_| {});
+        assert_eq!(stamp.len(), ENVELOPE_OVERHEAD);
+        assert_eq!(TEST_ENVELOPE.unseal(&stamp, |_| Ok(())), Ok(()));
+    }
+
+    #[test]
+    fn envelope_validates_in_trust_order() {
+        let bytes = sealed();
+        // Foreign bytes — including too-short ones — are bad magic.
+        for foreign in [&b""[..], &b"SLTEST"[..], &[0u8; 64][..]] {
+            assert_eq!(unseal(foreign), Err(EnvelopeError::BadMagic));
+        }
+        // A magic-bearing prefix too short for the frame is malformed.
+        for cut in 8..ENVELOPE_OVERHEAD {
+            assert!(matches!(
+                unseal(&bytes[..cut]),
+                Err(EnvelopeError::Malformed { .. })
+            ));
+        }
+        // Version is checked before the checksum.
+        let mut bumped = bytes.clone();
+        bumped[8] = 9;
+        assert_eq!(
+            unseal(&bumped),
+            Err(EnvelopeError::UnsupportedVersion {
+                found: 9,
+                supported: 3
+            })
+        );
+        let mut flipped = bytes.clone();
+        flipped[14] ^= 0x10;
+        assert!(matches!(
+            unseal(&flipped),
+            Err(EnvelopeError::ChecksumMismatch { .. })
+        ));
+        // A clean checksum over a payload the decoder does not fully
+        // consume is malformed.
+        let padded = TEST_ENVELOPE.seal(|w| {
+            w.push_u64(7);
+            w.push_str("payload");
+            w.push_u8(0);
+        });
+        match unseal(&padded) {
+            Err(EnvelopeError::Malformed { detail }) => assert!(detail.contains("1 trailing")),
+            other => panic!("expected trailing-bytes error, got {other:?}"),
         }
     }
 

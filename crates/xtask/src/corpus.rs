@@ -64,8 +64,7 @@ pub fn parse_expectations(src: &str) -> Vec<Expectation> {
 /// Parses the fixture's `// lint-rules: <family …>` header line into a
 /// [`RuleSet`]. Family names match the [`RuleSet`] fields: `signatures`,
 /// `strict`, `sendsync`, `sim-loops`, `determinism`, `seed-discipline`,
-/// `ledger-coverage`, `atomic-persist`, `stable-store-key`,
-/// `scenario-hygiene`, `fault-path`.
+/// `ledger-coverage`, `atomic-persist`, `stable-store-key`, `fault-path`.
 pub fn rules_from_header(src: &str) -> Result<RuleSet, String> {
     let header = src
         .lines()
@@ -83,7 +82,6 @@ pub fn rules_from_header(src: &str) -> Result<RuleSet, String> {
             "ledger-coverage" => rules.ledger_coverage = true,
             "atomic-persist" => rules.atomic_persist = true,
             "stable-store-key" => rules.stable_store_key = true,
-            "scenario-hygiene" => rules.scenario_hygiene = true,
             "fault-path" => rules.fault_path = true,
             other => return Err(format!("unknown lint-rules family `{other}`")),
         }

@@ -95,16 +95,10 @@ pub enum ViolationKind {
     /// through the registered stable hasher (`solarml_trace::FnvHasher`,
     /// FNV-1a, byte-identical across processes, builds, and platforms).
     StableStoreKey,
-    /// A breach of the scenario-language determinism contract: scenario
-    /// evaluation must be a pure function of `(script, seed)`, so its code
-    /// may not read clocks, draw ambient entropy, iterate hashed
-    /// containers, or do seed arithmetic outside `derive_seed` with the
-    /// registered `SCENARIO_STREAM_TAG` — and every shipped `.scn` script
-    /// must carry a `# name:` header matching its file stem, unique across
-    /// the registry and actually included by `registry.rs`. A scenario
-    /// that drifts from these rules silently invalidates every golden
-    /// FleetReport keyed on its resolved content.
-    ScenarioHygiene,
+    /// A shipped `.scn` script without a `# name:` header matching its file
+    /// stem, with a name another script already declares, or not included
+    /// by `registry.rs` — a scenario the CLI can no longer find by name.
+    ScenarioRegistry,
     /// A `physics-lint: allow(…)` escape with no `: reason` trailer, or
     /// naming a rule that does not exist. Escapes are reviewed decisions;
     /// an unexplained one is indistinguishable from a stale one.
@@ -131,7 +125,7 @@ impl ViolationKind {
             ViolationKind::LedgerCoverage => "ledger-coverage",
             ViolationKind::AtomicPersist => "atomic-persist",
             ViolationKind::StableStoreKey => "stable-store-key",
-            ViolationKind::ScenarioHygiene => "scenario-hygiene",
+            ViolationKind::ScenarioRegistry => "scenario-registry",
             ViolationKind::AllowWithoutReason => "allow-without-reason",
             ViolationKind::MissingLintsTable => "missing-lints-table",
             ViolationKind::MissingWorkspaceLints => "missing-workspace-lints",

@@ -28,11 +28,6 @@
 //!   code. SipHash is seeded per process, so a content key minted by one
 //!   run would never be found by the next; keys go through the registered
 //!   stable hasher (`solarml_trace::FnvHasher`);
-//! * [`scenario-hygiene`](ViolationKind::ScenarioHygiene) — the
-//!   determinism and seed-discipline checks applied to the scenario
-//!   language under one scenario-scoped name (evaluation must be a pure
-//!   function of `(script, seed)`), plus the shipped-`.scn` registry audit
-//!   in [`crate::scan::scan_scenario_scripts`].
 //!
 //! All three are lexical like the rest of the lint: they reason over the
 //! token stream from [`crate::lexer`], so a `HashMap` in a doc comment or a
@@ -63,7 +58,6 @@ pub const KNOWN_RULES: &[&str] = &[
     "ledger-coverage",
     "atomic-persist",
     "stable-store-key",
-    "scenario-hygiene",
 ];
 
 /// Methods whose receiver order is the hasher's iteration order.
@@ -103,8 +97,7 @@ pub fn scan_new_families(
         || rules.seed_discipline
         || rules.ledger_coverage
         || rules.atomic_persist
-        || rules.stable_store_key
-        || rules.scenario_hygiene)
+        || rules.stable_store_key)
     {
         return out;
     }
@@ -127,45 +120,8 @@ pub fn scan_new_families(
     if rules.stable_store_key {
         scan_stable_store_key(rel, src, &tokens, &code, &tests, &mut out);
     }
-    if rules.scenario_hygiene {
-        scan_scenario_hygiene(rel, src, &tokens, &code, &tests, config, &mut out);
-    }
     out.sort_by_key(|v| v.line);
     out
-}
-
-/// The scenario-hygiene rule: scenario evaluation must be a pure function
-/// of `(script, seed)` — the node-day store and every golden FleetReport
-/// replay it under that assumption — so the determinism and
-/// seed-discipline checks both apply to scenario code, surfaced under one
-/// scenario-scoped rule name. A `physics-lint:
-/// allow(scenario-hygiene): <reason>` escape suppresses the composite on
-/// its statement (the underlying per-family escapes keep working too,
-/// since the inner scans honor them).
-fn scan_scenario_hygiene(
-    rel: &Path,
-    src: &str,
-    tokens: &[Token],
-    code: &[Token],
-    tests: &[(usize, usize)],
-    config: &ScanConfig,
-    out: &mut Vec<Violation>,
-) {
-    let allowed = lexer::allow_spans(src, tokens, "scenario-hygiene");
-    let allowed_lines: HashSet<usize> = allowed
-        .iter()
-        .flat_map(|&(a, b)| line_of(src, a)..=line_of(src, b.min(src.len())))
-        .collect();
-    let mut found = Vec::new();
-    scan_determinism(rel, src, tokens, code, tests, &mut found);
-    scan_seed_discipline(rel, src, tokens, code, tests, config, &mut found);
-    for mut v in found {
-        if allowed_lines.contains(&v.line) {
-            continue;
-        }
-        v.kind = ViolationKind::ScenarioHygiene;
-        out.push(v);
-    }
 }
 
 fn text<'s>(src: &'s str, t: &Token) -> &'s str {
@@ -892,17 +848,12 @@ fn f() -> &'static str { \"Instant::now() and thread_rng in a string\" }
 
     #[test]
     fn mixer_fn_bodies_are_exempt() {
-        let src = "\
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let seed_z = *state ^ (*state >> 31);
-    seed_z
-}
-fn derive_seed(base_seed: u64, cycle: usize, index: usize) -> u64 {
-    base_seed ^ (cycle as u64) ^ (index as u64)
-}
-";
+        // The workspace's one seed module: `derive_seed` XORs `base_seed`,
+        // which fires anywhere outside a registered mixer body.
+        let src = include_str!("../../trace/src/seed.rs");
         assert!(kinds(src).is_empty(), "{:?}", kinds(src));
+        let outside = "fn g(base_seed: u64, cycle: usize) -> u64 { base_seed ^ (cycle as u64) }";
+        assert_eq!(kinds(outside), vec![ViolationKind::SeedDiscipline]);
     }
 
     #[test]
@@ -1046,43 +997,6 @@ mod tests {
         assert!(kinds(src).is_empty(), "{:?}", kinds(src));
         let unannotated = "fn k() -> u64 { DefaultHasher::new().finish() }";
         assert_eq!(kinds(unannotated), vec![ViolationKind::StableStoreKey]);
-    }
-
-    #[test]
-    fn scenario_hygiene_relabels_both_families_and_honors_its_own_escape() {
-        let rules = RuleSet {
-            scenario_hygiene: true,
-            ..RuleSet::default()
-        };
-        let src = "\
-fn eval(seed: u64, i: u64) -> u64 {
-    let t = Instant::now();
-    drop(t);
-    seed + i
-}
-fn stream(seed: u64, n: usize) -> u64 {
-    derive_seed(seed, SCENARIO_STREAM_TAG, n)
-}
-fn folded(seed: u64) -> u64 {
-    // physics-lint: allow(scenario-hygiene): legacy parity fold, documented
-    seed ^ 0x9E37_79B9
-}
-";
-        let vs = scan_new_families(Path::new("crates/scenario/src/eval.rs"), src, rules, &cfg());
-        let kinds: Vec<ViolationKind> = vs.iter().map(|v| v.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                ViolationKind::ScenarioHygiene,
-                ViolationKind::ScenarioHygiene
-            ],
-            "{vs:?}"
-        );
-        assert_eq!(vs[0].line, 2, "the clock read fires under the composite");
-        assert_eq!(
-            vs[1].line, 4,
-            "raw seed arithmetic fires under the composite"
-        );
     }
 
     #[test]
