@@ -22,8 +22,9 @@ use std::time::Instant;
 
 use rand::SeedableRng;
 use solarml::fleet::{
-    resume_campaign, run_campaign, run_campaign_cached, run_campaign_durable, CampaignCheckpoints,
-    CampaignConfig, CampaignError, FleetReport, NodeDayStore, NodeDayTask, Task, FLEET_SEED_CYCLE,
+    resume_campaign_with, run_campaign, run_campaign_cached, run_campaign_durable_with,
+    simulate_node, CampaignCheckpoints, CampaignConfig, CampaignError, FleetReport, NodeDayStore,
+    NodeDayTask, FLEET_SEED_CYCLE,
 };
 use solarml::nas::parallel::{available_workers, derive_seed};
 use solarml::nn::layers::Conv2d;
@@ -245,8 +246,8 @@ fn timed_stream(nodes: usize) -> (u128, f64, bool) {
     let durable_dir = scratch.join("durable");
     std::fs::create_dir_all(&durable_dir).expect("bench scratch dir");
     let start = Instant::now();
-    let baseline =
-        run_campaign_durable(&cfg, &checkpoints(&durable_dir)).expect("uninterrupted durable run");
+    let baseline = run_campaign_durable_with(&cfg, &checkpoints(&durable_dir), &simulate_node)
+        .expect("uninterrupted durable run");
     let elapsed_ns = start.elapsed().as_nanos();
     let node_days_per_sec = nodes as f64 / (elapsed_ns as f64 / 1e9).max(1e-9);
 
@@ -255,13 +256,13 @@ fn timed_stream(nodes: usize) -> (u128, f64, bool) {
     let mut kill = checkpoints(&kill_dir);
     kill.abort_after_nodes = Some(nodes as u64 / 2);
     let aborted = matches!(
-        run_campaign_durable(&cfg, &kill),
+        run_campaign_durable_with(&cfg, &kill, &simulate_node),
         Err(CampaignError::Aborted { .. })
     );
     let mut resumed_cfg = cfg.clone();
     resumed_cfg.workers = 4;
     let resume_identical = aborted
-        && resume_campaign(&resumed_cfg, &checkpoints(&kill_dir))
+        && resume_campaign_with(&resumed_cfg, &checkpoints(&kill_dir), &simulate_node)
             .is_ok_and(|r| r.to_json() == baseline.to_json());
 
     let _ = std::fs::remove_dir_all(&scratch);
@@ -303,8 +304,8 @@ fn timed_sweep(nodes: usize, workers: usize) -> SweepBench {
     let affected = (0..nodes)
         .filter(|&node| {
             let seed = derive_seed(cfg.seed, FLEET_SEED_CYCLE, node);
-            NodeDayTask::resolve(&cfg.population, node, seed).content_key()
-                != NodeDayTask::resolve(&warm_cfg.population, node, seed).content_key()
+            NodeDayTask::resolve(&cfg.population, node, seed).key()
+                != NodeDayTask::resolve(&warm_cfg.population, node, seed).key()
         })
         .count();
 

@@ -7,7 +7,6 @@
 //! drop, threshold-switched MOSFETs, and resistor dividers (the sensing taps
 //! and the event-detection bias network).
 
-use serde::{Deserialize, Serialize};
 use solarml_units::{Amps, Energy, Farads, Lux, Ohms, Power, Ratio, Seconds, Volts};
 
 /// An amorphous-silicon solar cell (AM1606C-like, 13 mm × 13 mm).
@@ -22,7 +21,7 @@ use solarml_units::{Amps, Energy, Farads, Lux, Ohms, Power, Ratio, Seconds, Volt
 /// The default constants are calibrated so a 25-cell array harvests ≈215 µW
 /// at 500 lux and ≈350 µW at 1000 lux — matching the paper's reported 31 s /
 /// 19 s harvesting times for a 6660 µJ budget (§V-D).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolarCell {
     /// Short-circuit current at 1 lux, in amps (before the sub-linear exponent).
     pub isc_per_lux: f64,
@@ -104,7 +103,7 @@ impl SolarCell {
 
 /// A supercapacitor with leakage and equivalent series resistance (the
 /// paper uses 1 F).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Supercap {
     capacitance: Farads,
     voltage: Volts,
@@ -269,7 +268,7 @@ impl From<CapStepEnergy> for solarml_sim::EnergyFlows {
 
 /// A Schottky blocking diode (the event-detection cells connect to the
 /// supercap through two of these to prevent reverse flow).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchottkyDiode {
     /// Forward voltage drop when conducting.
     pub forward_drop: Volts,
@@ -297,7 +296,7 @@ impl SchottkyDiode {
 }
 
 /// MOSFET channel polarity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MosfetPolarity {
     /// N-channel: conducts when `V_gs > threshold` (threshold positive).
     NChannel,
@@ -306,7 +305,7 @@ pub enum MosfetPolarity {
 }
 
 /// A MOSFET modelled as a threshold-controlled switch (SI2309 / SI2304-like).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mosfet {
     /// Channel polarity.
     pub polarity: MosfetPolarity,
@@ -345,7 +344,7 @@ impl Mosfet {
 }
 
 /// A two-resistor voltage divider with a tap between `r_top` and `r_bottom`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResistorDivider {
     /// Resistance from the source to the tap.
     pub r_top: Ohms,

@@ -5,12 +5,11 @@
 //! when/where a user's hand hovers over cells (the event-detection and
 //! gesture-sensing stimulus).
 
-use serde::{Deserialize, Serialize};
 use solarml_units::{Lux, Ratio, Seconds};
 
 /// Instantaneous illumination of the array: ambient level plus per-use
 /// shading of the event-detection cells.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Illumination {
     /// Ambient illuminance falling on un-shaded cells.
     pub ambient: Lux,
@@ -24,7 +23,7 @@ pub struct Illumination {
 /// Each entry is `(start, duration)`; during a hover the event cells are
 /// fully shaded. Hovers are how a user starts and ends an interaction
 /// (paper §III-B2).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HoverSchedule {
     hovers: Vec<(Seconds, Seconds)>,
 }
@@ -93,7 +92,7 @@ impl HoverSchedule {
 /// A scripted ambient-light change: from `t`, the ambient ramps linearly to
 /// `level` over `ramp` seconds (zero ramp = a step, e.g. lights switched
 /// off; seconds-scale ramps model passing clouds).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LightChange {
     /// When the change starts.
     pub at: Seconds,
@@ -104,7 +103,7 @@ pub struct LightChange {
 }
 
 /// Ambient light plus scripted hover events and ambient changes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LightEnvironment {
     ambient: Lux,
     hovers: HoverSchedule,

@@ -26,14 +26,13 @@
 //!   near-darkness `N2` blocks the supply path so the supercap cannot be
 //!   drained by spurious wake-ups.
 
-use serde::{Deserialize, Serialize};
 use solarml_units::{Farads, Lux, Ohms, Power, Ratio, Seconds, Volts};
 
 use crate::components::{Mosfet, ResistorDivider, SolarCell};
 use crate::env::Illumination;
 
 /// Gross lifecycle state, derived from the electrical state each step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DetectorState {
     /// `P1` open, MCU unpowered, only the bias divider leaks.
     Standby,
@@ -46,7 +45,7 @@ pub enum DetectorState {
 }
 
 /// Electrical outputs of one detector timestep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectorOutput {
     /// Gate-node voltage of `P1`.
     pub v2: Volts,
@@ -79,7 +78,7 @@ pub struct DetectorOutput {
 /// let out = det.step(Seconds::from_millis(1.0), lit, Volts::ZERO, false, Volts::new(3.0));
 /// assert!(!out.mcu_connected, "lit cell keeps the platform off");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EventDetector {
     /// The wake cell driving `V2`.
     pub wake_cell: SolarCell,

@@ -22,7 +22,6 @@
 //! [`PowerEvent::Brownout`], and voltage chatter smaller than the
 //! hysteresis band cannot re-emit events.
 
-use serde::{Deserialize, Serialize};
 use solarml_trace::seed::{splitmix64, uniform};
 use solarml_units::{Farads, Ratio, Seconds, Volts};
 
@@ -37,7 +36,7 @@ pub const FAULT_STREAM_TAG: u64 = 0xC10D_DA7A_5EED_F00D;
 /// A passing cloud (or hand, or switched-off lamp): illuminance is
 /// attenuated by up to `depth` over a trapezoidal envelope — linear ramp
 /// in, flat hold, linear ramp out.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CloudTransient {
     /// Start of the ramp-in.
     pub at: Seconds,
@@ -74,7 +73,7 @@ impl CloudTransient {
 
 /// A harvester disconnect window: no charging current reaches the supercap
 /// while the platform's loads keep discharging it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OutageWindow {
     /// Start of the disconnect.
     pub at: Seconds,
@@ -94,7 +93,7 @@ impl OutageWindow {
 /// charge cycles. The *runtime does not know this* — its energy gate keeps
 /// planning with the nominal capacitance, which is exactly how a degraded
 /// cell produces mid-task brownouts the plan said could not happen.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SupercapDegradation {
     /// Remaining fraction of nominal capacitance (1.0 = fresh cell).
     pub capacity_factor: Ratio,
@@ -134,7 +133,7 @@ impl SupercapDegradation {
 /// A deterministic schedule of environmental and component faults for one
 /// simulated day. Construct directly, with [`FaultPlan::none`], or with the
 /// seeded generator [`FaultPlan::seeded_cloudy_day`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Illuminance dips, applied multiplicatively when overlapping.
     pub clouds: Vec<CloudTransient>,
@@ -227,7 +226,7 @@ impl FaultPlan {
 /// only reports recovery once the voltage climbs back above
 /// `warn + hysteresis` — the band that keeps ripple from re-emitting
 /// events.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BrownoutThresholds {
     /// Early-warning threshold (checkpoint-now level).
     pub warn: Volts,
@@ -258,7 +257,7 @@ impl BrownoutThresholds {
 }
 
 /// An event emitted by the [`BrownoutComparator`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PowerEvent {
     /// Voltage crossed below the warn threshold: save state now.
     BrownoutWarn,
@@ -269,7 +268,7 @@ pub enum PowerEvent {
 }
 
 /// Internal (and observable) state of the comparator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ComparatorState {
     /// Voltage healthy; armed for a warning.
     Nominal,
@@ -286,7 +285,7 @@ pub enum ComparatorState {
 /// [`PowerEvent::BrownoutWarn`]; the brownout fires on the *next*
 /// observation — so a warning always strictly precedes a brownout, giving
 /// the runtime one observation interval to checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BrownoutComparator {
     thresholds: BrownoutThresholds,
     state: ComparatorState,

@@ -8,13 +8,12 @@
 //! Schottky blocking diodes (they still contribute harvest current, minus
 //! the diode drop).
 
-use serde::{Deserialize, Serialize};
 use solarml_units::{Amps, Lux, Ohms, Power, Ratio, Volts};
 
 use crate::components::{ResistorDivider, SchottkyDiode, SolarCell};
 
 /// What a given cell in the array is wired to do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CellRole {
     /// Directly wired to the harvester (14 cells in the prototype).
     HarvestOnly,
@@ -25,7 +24,7 @@ pub enum CellRole {
 }
 
 /// Whether the sensing block is currently harvesting or sensing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HarvestMode {
     /// All SPDT switches on the harvesting branch.
     Harvesting,
@@ -34,7 +33,7 @@ pub enum HarvestMode {
 }
 
 /// Geometric/electrical layout of the array.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrayLayout {
     /// Role of each cell, row-major over the 5×5 grid.
     pub roles: Vec<CellRole>,
@@ -90,7 +89,7 @@ impl ArrayLayout {
 /// quiescent losses dominate): `η(P) = η_max · (1 − e^(−P/P_knee))`. With the
 /// defaults the 25-cell array nets ≈225 µW at 500 lux, ≈390 µW at 1000 lux
 /// and ≈103 µW at 250 lux — reproducing the paper's harvesting times.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Harvester {
     /// Peak conversion efficiency.
     pub eta_max: f64,
@@ -123,7 +122,7 @@ impl Harvester {
 }
 
 /// The complete Fig.-4 network: layout + harvester + sensing dividers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HarvestingArray {
     /// Cell roles and model.
     pub layout: ArrayLayout,

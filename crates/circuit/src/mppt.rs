@@ -7,13 +7,12 @@
 //! close a real controller gets to it (and feed the harvester-efficiency
 //! discussion in DESIGN.md).
 
-use serde::{Deserialize, Serialize};
 use solarml_units::{Amps, Lux, Power, Ratio, Volts};
 
 use crate::components::SolarCell;
 
 /// One point of an I–V sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IvPoint {
     /// Operating voltage.
     pub voltage: Volts,
@@ -74,7 +73,7 @@ fn knee_for_fill_factor(ff: f64) -> f64 {
 }
 
 /// A perturb-and-observe MPPT controller operating on a cell's I–V curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerturbObserve {
     /// Current operating voltage.
     pub voltage: Volts,
@@ -123,7 +122,7 @@ impl PerturbObserve {
 
 /// A fractional-open-circuit-voltage controller (the SPV1050's strategy):
 /// periodically samples `V_oc` and regulates the cell at `k · V_oc`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FractionalVoc {
     /// The V_oc fraction (SPV1050 default ≈ 0.75 for amorphous cells).
     pub fraction: f64,

@@ -6,7 +6,6 @@
 //! power and hold-pin state as inputs each step and returns everything the
 //! platform layer needs (rail state, sensing taps, supercap voltage).
 
-use serde::{Deserialize, Serialize};
 use solarml_sim::{Clocked, DtPolicy, Scheduler, SimBus, SimEvent, StepControl, StepOutcome};
 use solarml_units::{Farads, Power, Ratio, Seconds, Volts};
 
@@ -27,7 +26,7 @@ pub const ADAPTIVE_EPS_V: Volts = Volts::new(2e-3);
 const RAMP_DT_CAP: Seconds = Seconds::new(0.05);
 
 /// Configuration of the front-end simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Supercapacitor capacitance (paper: 1 F).
     pub capacitance: Farads,
@@ -51,7 +50,7 @@ impl Default for SimConfig {
 }
 
 /// Observables produced by one simulation step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimStep {
     /// Time at the *end* of this step.
     pub time: Seconds,

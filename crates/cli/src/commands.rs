@@ -2,8 +2,9 @@
 
 use solarml::dsp::{AudioFrontendParams, GestureSensingParams, Resolution};
 use solarml::fleet::{
-    resume_campaign_verbose, run_campaign, run_campaign_cached, run_campaign_durable, run_sweep,
-    CacheStats, CampaignCheckpoints, CampaignConfig, NodeDayStore, StoreGc, SweepVariant,
+    resume_campaign_verbose, run_campaign_durable_with, run_campaign_with, run_sweep,
+    simulate_node, CacheStats, CampaignCheckpoints, CampaignConfig, NodeDayStore, PopulationSpec,
+    StoreGc, SweepVariant,
 };
 use solarml::mcu::McuPowerModel;
 use solarml::nas::{run_enas, EnasConfig, TaskContext};
@@ -50,7 +51,7 @@ pub fn help() {
     println!("      --checkpoint-dir <d> crash-safe snapshots into <d>");
     println!("      --checkpoint-every <n> snapshot cadence, node-days [4096]");
     println!("      --resume            continue the campaign checkpointed in <d>");
-    println!("      --store-dir <d>     replay cached node-days from <d>, compute the rest");
+    println!("      --store-dir <d>     replay cached node-days from <d> (also on --resume)");
     println!("      --store-max-entries <n> / --store-max-bytes <n>  GC bounds on the store");
     println!("      --param <p> --value <v>  edit one population parameter before running");
     println!("      --scenario <s>      conditions from a named scenario or .scn path");
@@ -58,7 +59,7 @@ pub fn help() {
     println!("      --store-dir <d>     required: shared outcome store");
     println!("      --param <p>         population parameter to sweep");
     println!("      --values <v1,v2,..> one campaign per value, warm after the first");
-    println!("      --nodes/--seed/--workers/--out as for fleet");
+    println!("      --nodes/--seed/--workers/--out as for fleet; no checkpoint flags");
     println!("      --out <file>        newline-delimited FleetReport JSON, variant order");
     println!("  scenario list           shipped scenario scripts (name + description)");
     println!("  scenario show <s>       a scenario's source and canonical form");
@@ -356,16 +357,18 @@ pub fn fleet(opts: &Options) -> Result<(), String> {
         }
         ckpt
     });
+    let sim = |spec: &PopulationSpec, node: usize, seed: u64| match &store {
+        Some(store) => store.simulate_node(spec, node, seed),
+        None => simulate_node(spec, node, seed),
+    };
     let start = std::time::Instant::now();
-    let report = match (&store, &checkpoints, opts.resume) {
-        (Some(store), _, _) => run_campaign_cached(&cfg, store),
-        (None, None, _) => run_campaign(&cfg),
-        (None, Some(ckpt), false) => {
-            run_campaign_durable(&cfg, ckpt).map_err(|e| format!("fleet campaign: {e}"))?
-        }
-        (None, Some(ckpt), true) => {
-            let (report, resumed) =
-                resume_campaign_verbose(&cfg, ckpt).map_err(|e| format!("fleet resume: {e}"))?;
+    let report = match (&checkpoints, opts.resume) {
+        (None, _) => run_campaign_with(&cfg, &sim),
+        (Some(ckpt), false) => run_campaign_durable_with(&cfg, ckpt, &sim)
+            .map_err(|e| format!("fleet campaign: {e}"))?,
+        (Some(ckpt), true) => {
+            let (report, resumed) = resume_campaign_verbose(&cfg, ckpt, &sim)
+                .map_err(|e| format!("fleet resume: {e}"))?;
             println!(
                 "resumed from {} node-days checkpointed in {}",
                 resumed.snapshot.nodes_done,
@@ -440,6 +443,9 @@ pub fn fleet(opts: &Options) -> Result<(), String> {
 /// variants recompute only the nodes their parameter edit actually
 /// reaches.
 pub fn fleet_sweep(opts: &Options) -> Result<(), String> {
+    if opts.checkpoint_dir.is_some() || opts.checkpoint_every.is_some() || opts.resume {
+        return Err("fleet sweep takes no --checkpoint-dir/--checkpoint-every/--resume".into());
+    }
     let dir = opts
         .store_dir
         .as_ref()
@@ -647,6 +653,26 @@ mod tests {
         })
         .expect_err("no values");
         assert!(err.contains("--values"), "{err}");
+    }
+
+    #[test]
+    fn fleet_sweep_refuses_checkpoint_flags() {
+        let edits: [fn(&mut Options); 3] = [
+            |o| o.checkpoint_dir = Some("ckpt".into()),
+            |o| o.checkpoint_every = Some(8),
+            |o| o.resume = true,
+        ];
+        for edit in edits {
+            let mut opts = Options {
+                store_dir: Some("somewhere".into()),
+                param: Some("ladder-share".into()),
+                values: Some(vec![0.5]),
+                ..Options::default()
+            };
+            edit(&mut opts);
+            let err = fleet_sweep(&opts).expect_err("checkpoint flag on a sweep");
+            assert!(err.starts_with("fleet sweep takes no"), "{err}");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! solarml harvest [--budget-uj E]       harvesting times at 250/500/1000 lux
 //! solarml day [--budget-mj E]           24-hour interaction simulation
 //! solarml fleet [--nodes N] [--seed S] [--workers W] [--out FILE]
-//!               [--store-dir D] [--param P --value V]
+//!               [--store-dir D] [--checkpoint-dir C [--resume]] [--param P --value V]
 //!                                       population campaign with aggregate report
 //! solarml fleet sweep --store-dir D --param P --values V1,V2,..
 //!                                       spec variants against one node-day store

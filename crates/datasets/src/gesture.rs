@@ -7,7 +7,6 @@
 //! sensor noise) makes the classes realistically overlapping.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use solarml_dsp::{preprocess_gesture, GestureSensingParams};
 use solarml_nn::{ClassDataset, Tensor};
 
@@ -136,7 +135,7 @@ pub fn canonical_shading(digit: usize, t01: f64, hand_radius: f64) -> [f64; 9] {
 }
 
 /// Configuration for generating a gesture corpus.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GestureDatasetBuilder {
     /// Recordings generated per digit class.
     pub samples_per_class: usize,

@@ -8,7 +8,6 @@
 //! PCM → framing → MFCC → CNN.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use solarml_dsp::{AudioFrontendParams, MfccExtractor};
 use solarml_nn::{ClassDataset, Tensor};
 
@@ -46,7 +45,7 @@ fn keyword_formants(class: usize) -> [(f64, f64); 2] {
 }
 
 /// Configuration for generating a KWS corpus.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KwsDatasetBuilder {
     /// Utterances generated per keyword.
     pub samples_per_class: usize,

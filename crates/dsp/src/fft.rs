@@ -1,9 +1,7 @@
 //! Iterative radix-2 FFT, sized for microcontroller-scale windows.
 
-use serde::{Deserialize, Serialize};
-
 /// A complex number in rectangular form.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Complex {
     /// Real part.
     pub re: f32,

@@ -2,8 +2,6 @@
 //! log → DCT-II. The KWS front-end searched by eNAS (stripe `s`, duration
 //! `d`, features `f`, Table II).
 
-use serde::{Deserialize, Serialize};
-
 use crate::fft::{fft_cycles, power_spectrum};
 use crate::params::AudioFrontendParams;
 use crate::window::{frame_signal, hamming, FrameSpec};
@@ -19,7 +17,7 @@ fn mel_to_hz(mel: f64) -> f64 {
 }
 
 /// A triangular mel filterbank over one-sided FFT bins.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MelFilterbank {
     filters: Vec<Vec<(usize, f32)>>,
     n_bins: usize,
@@ -118,7 +116,7 @@ fn dct_ii(input: &[f32], n_out: usize) -> Vec<f32> {
 }
 
 /// Optional MFCC front-end stages beyond the searchable Table II knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MfccOptions {
     /// Pre-emphasis coefficient (`0.0` disables; speech standard ≈ 0.97).
     pub pre_emphasis: f32,

@@ -6,12 +6,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use solarml_units::Hertz;
 
 /// Sample resolution class: integer (`q ∈ [1,8]` bits) or floating point
 /// (`q ∈ [9,32]` bits of effective precision), per Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Resolution {
     /// Integer samples; quantization depth 1–8 bits.
     Int,
@@ -41,7 +40,7 @@ impl fmt::Display for Resolution {
 /// Gesture sensing parameters (Table II, gesture recognition rows):
 /// `n ∈ [1,9]` channels, `r ∈ [10,200]` Hz, resolution `b ∈ {int,float}`,
 /// quantization `q` within the class range.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GestureSensingParams {
     channels: u8,
     rate_hz: u16,
@@ -137,7 +136,7 @@ impl fmt::Display for GestureSensingParams {
 /// KWS audio front-end parameters (Table II, KWS rows): window stripe
 /// `s ∈ [10,30]` ms, window duration `d ∈ [18,30]` ms, feature count
 /// `f ∈ [10,40]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AudioFrontendParams {
     stripe_ms: u8,
     duration_ms: u8,

@@ -1,9 +1,7 @@
 //! Framing and windowing of 1-D signals.
 
-use serde::{Deserialize, Serialize};
-
 /// Frame extraction specification: window length and hop, in samples.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FrameSpec {
     /// Samples per frame.
     pub window: usize,

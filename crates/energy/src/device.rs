@@ -7,7 +7,6 @@
 //! estimators carry realistic error.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use solarml_mcu::{AdcConfig, McuPowerModel, PdmConfig};
 use solarml_units::{Cycles, Energy, Seconds};
 
@@ -48,7 +47,7 @@ pub(crate) fn structure_factor(key: &str, amplitude: f64) -> f64 {
 }
 
 /// Ground-truth inference energy of the simulated MCU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InferenceGround {
     /// Fixed per-inference overhead (interpreter setup, tensor arena init).
     pub overhead: Energy,
@@ -97,7 +96,7 @@ impl InferenceGround {
 
 /// Ground-truth gesture acquisition energy: tickless ADC sampling over the
 /// gesture window plus the normalization/quantization pass.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GestureSensingGround {
     /// Gesture window length in seconds (the platform samples until the
     /// end-of-gesture hover, nominally 2 s).
@@ -151,7 +150,7 @@ impl GestureSensingGround {
 
 /// Ground-truth KWS acquisition energy: PDM capture of the clip plus MFCC
 /// extraction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AudioSensingGround {
     /// Clip length in milliseconds.
     pub clip_ms: u32,

@@ -8,7 +8,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use solarml_nn::{LayerClass, MacSummary, ModelSpec};
 use solarml_units::Energy;
 
@@ -30,7 +29,7 @@ fn bucket_of(macs: u64) -> u32 {
 /// Queries sum bucket means; unseen buckets fall back to the nearest seen
 /// bucket of the same class (scaled linearly in MACs), and classes never
 /// seen at all fall back to a global per-MAC average.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LookupTableModel {
     /// Mean energy (µJ) per (class index in `LayerClass::ALL`, bucket).
     /// Ordered so that serialization bytes and the nearest-bucket fallback's

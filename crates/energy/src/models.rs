@@ -6,7 +6,6 @@
 //! Conv MAC and a Dense MAC cost very different energy. The two sensing
 //! models cover the Table II parameter spaces.
 
-use serde::{Deserialize, Serialize};
 use solarml_dsp::{AudioFrontendParams, GestureSensingParams};
 use solarml_nn::ModelSpec;
 use solarml_units::Energy;
@@ -15,7 +14,7 @@ use crate::corpus::{audio_features, gesture_features, Corpus};
 use crate::regress::{LinearRegression, Regressor};
 
 /// The eNAS inference energy model: linear in the six per-class MAC counts.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LayerwiseMacModel {
     regression: LinearRegression,
     fitted: bool,
@@ -52,7 +51,7 @@ impl LayerwiseMacModel {
 }
 
 /// The µNAS/HarvNet baseline: `E = a · total_MACs + b`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TotalMacModel {
     regression: LinearRegression,
     fitted: bool,
@@ -89,7 +88,7 @@ impl TotalMacModel {
 }
 
 /// The eNAS gesture sensing-energy model (linear in the Table II features).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GestureSensingModel {
     regression: LinearRegression,
     fitted: bool,
@@ -119,7 +118,7 @@ impl GestureSensingModel {
 }
 
 /// The eNAS audio sensing-energy model (linear in the Table II features).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AudioSensingModel {
     regression: LinearRegression,
     clip_ms: u32,

@@ -1,7 +1,5 @@
 //! The three regression methods Table I compares: linear, logistic, neural.
 
-use serde::{Deserialize, Serialize};
-
 /// A regression model mapping feature vectors to a scalar target.
 pub trait Regressor {
     /// Fits the model to `(features, targets)`.
@@ -80,7 +78,7 @@ fn check_data(features: &[Vec<f64>], targets: &[f64]) -> usize {
 }
 
 /// Ordinary least squares with a small ridge term for stability.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LinearRegression {
     /// Learned weights, one per feature.
     pub weights: Vec<f64>,
@@ -183,7 +181,7 @@ fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Vec<f64> {
 /// The sigmoid saturates, so it fits the unbounded, essentially linear
 /// energy targets poorly — exactly the failure Table I reports (R² 0.018 on
 /// layer-wise MACs).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LogisticRegression {
     weights: Vec<f64>,
     bias: f64,
@@ -259,7 +257,7 @@ impl Regressor for LogisticRegression {
 
 /// A tiny one-hidden-layer neural regressor (8 tanh units), trained by
 /// full-batch gradient descent on standardized features/targets.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NeuralRegression {
     w1: Vec<Vec<f64>>,
     b1: Vec<f64>,

@@ -24,7 +24,7 @@
 //! * **Checkpoint/resume.** With [`CampaignCheckpoints`], the engine
 //!   periodically snapshots `(nodes_done, tree, failed)` via the
 //!   versioned, checksummed, atomically-written format in
-//!   [`crate::checkpoint`]. [`resume_campaign`] reloads the newest valid
+//!   [`crate::checkpoint`]. [`resume_campaign_with`] reloads the newest valid
 //!   snapshot — skipping corrupt ones, hard-erroring on a foreign spec —
 //!   and continues from node `nodes_done` as if nothing happened. The
 //!   `abort_after_nodes` hook turns any node count into a deterministic
@@ -48,7 +48,7 @@ use crate::checkpoint::{
 };
 use crate::population::PopulationSpec;
 use crate::report::FleetReport;
-use crate::task::{NodeDayTask, NonIncrementalContext, Task};
+use crate::task::NodeDayTask;
 
 /// Cycle tag reserved for fleet node-seed derivation, keeping fleet
 /// streams disjoint from NAS evaluation streams at the same base seed.
@@ -223,16 +223,13 @@ pub struct NodeSummary {
     pub mean_accuracy: f64,
 }
 
-/// Simulates one node's day and collapses it to a summary.
-///
-/// Routed through the task layer: resolve the node into a
-/// [`NodeDayTask`], execute it under the always-recompute
-/// [`NonIncrementalContext`], and rehydrate the summary. The incremental
-/// engine ([`crate::store`]) differs only in the context it supplies.
+/// Simulates one node's day and collapses it to a summary: resolve the
+/// node into a [`NodeDayTask`], execute it, and rehydrate the summary.
+/// [`crate::NodeDayStore::simulate_node`] has the same signature and
+/// replays the outcome from disk when it can.
 pub fn simulate_node(spec: &PopulationSpec, node: usize, seed: u64) -> NodeSummary {
     let task = NodeDayTask::resolve(spec, node, seed);
-    let outcome = task.execute(&mut NonIncrementalContext);
-    task.summary(&outcome)
+    task.summary(&task.execute())
 }
 
 /// One chunk's outcome: its partial aggregate plus any quarantined nodes
@@ -363,9 +360,9 @@ pub fn run_campaign(cfg: &CampaignConfig) -> FleetReport {
     run_campaign_with(cfg, &simulate_node)
 }
 
-/// [`run_campaign`] with the node simulation injected — the fault
-/// harness's seam for forcing per-node panics; production callers pass
-/// (or default to) [`simulate_node`].
+/// [`run_campaign`] with the node simulation injected: [`simulate_node`],
+/// the store-backed [`crate::NodeDayStore::simulate_node`], or a fault
+/// harness's closure that forces per-node panics.
 pub fn run_campaign_with<F>(cfg: &CampaignConfig, sim: &F) -> FleetReport
 where
     F: Fn(&PopulationSpec, usize, u64) -> NodeSummary + Sync,
@@ -377,19 +374,11 @@ where
     }
 }
 
-/// Runs a fresh campaign with durable checkpoints.
+/// Runs a fresh campaign of `sim` with durable checkpoints.
 ///
 /// Refuses (with [`CheckpointError::DirNotEmpty`]) to start over a
 /// directory that already holds snapshots — resuming and clobbering must
 /// both be explicit.
-pub fn run_campaign_durable(
-    cfg: &CampaignConfig,
-    ckpt: &CampaignCheckpoints,
-) -> Result<FleetReport, CampaignError> {
-    run_campaign_durable_with(cfg, ckpt, &simulate_node)
-}
-
-/// [`run_campaign_durable`] with the node simulation injected.
 pub fn run_campaign_durable_with<F>(
     cfg: &CampaignConfig,
     ckpt: &CampaignCheckpoints,
@@ -408,7 +397,7 @@ where
 }
 
 /// Resumes an interrupted campaign from the newest valid snapshot in
-/// `ckpt.dir` and runs it to completion.
+/// `ckpt.dir` and runs it to completion with `sim`.
 ///
 /// The final report is byte-identical to an uninterrupted run of the same
 /// config at any worker count or chunk size: the snapshot holds the
@@ -416,14 +405,6 @@ where
 /// associativity does the rest. Corrupt snapshots are skipped (their
 /// range is recomputed); a snapshot from a different `(nodes, seed,
 /// population)` is a hard error.
-pub fn resume_campaign(
-    cfg: &CampaignConfig,
-    ckpt: &CampaignCheckpoints,
-) -> Result<FleetReport, CampaignError> {
-    resume_campaign_with(cfg, ckpt, &simulate_node)
-}
-
-/// [`resume_campaign`] with the node simulation injected.
 pub fn resume_campaign_with<F>(
     cfg: &CampaignConfig,
     ckpt: &CampaignCheckpoints,
@@ -432,18 +413,21 @@ pub fn resume_campaign_with<F>(
 where
     F: Fn(&PopulationSpec, usize, u64) -> NodeSummary + Sync,
 {
-    let Resumed { snapshot, .. } = load_latest(&ckpt.dir, campaign_fingerprint(cfg))?;
-    run_streaming(cfg, sim, Some(ckpt), snapshot)
+    resume_campaign_verbose(cfg, ckpt, sim).map(|(report, _)| report)
 }
 
-/// [`resume_campaign`] that also reports which corrupt snapshots were
-/// skipped on the way to the resume point (for operator-facing output).
-pub fn resume_campaign_verbose(
+/// [`resume_campaign_with`] that also returns the [`Resumed`] snapshot and
+/// the corrupt ones it skipped, for operator-facing output.
+pub fn resume_campaign_verbose<F>(
     cfg: &CampaignConfig,
     ckpt: &CampaignCheckpoints,
-) -> Result<(FleetReport, Resumed), CampaignError> {
+    sim: &F,
+) -> Result<(FleetReport, Resumed), CampaignError>
+where
+    F: Fn(&PopulationSpec, usize, u64) -> NodeSummary + Sync,
+{
     let resumed = load_latest(&ckpt.dir, campaign_fingerprint(cfg))?;
-    let report = run_streaming(cfg, &simulate_node, Some(ckpt), resumed.snapshot.clone())?;
+    let report = run_streaming(cfg, sim, Some(ckpt), resumed.snapshot.clone())?;
     Ok((report, resumed))
 }
 

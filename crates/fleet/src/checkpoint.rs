@@ -319,7 +319,7 @@ fn list_snapshots(dir: &Path) -> Result<Vec<(u64, PathBuf)>, CheckpointError> {
 }
 
 /// True when `dir` exists and already holds snapshot files.
-pub fn has_snapshots(dir: &Path) -> Result<bool, CheckpointError> {
+pub(crate) fn has_snapshots(dir: &Path) -> Result<bool, CheckpointError> {
     if !dir.is_dir() {
         return Ok(false);
     }

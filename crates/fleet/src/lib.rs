@@ -26,12 +26,11 @@
 //!    fixed-point sums, `u64` histograms) folded through an O(log n)
 //!    [`MergeTree`], so parallel merge equals sequential fold bit for bit
 //!    at O(log nodes) memory;
-//! 5. [`task`] — node-days as pure, content-keyed tasks: the
-//!    `Task`/`Context` seam the campaign engine executes through, so the
-//!    same fold runs always-recompute or incrementally;
-//! 6. [`store`] — the content-addressed on-disk outcome store behind
-//!    [`IncrementalContext`]: warm parameter sweeps replay unchanged
-//!    node-days and recompute only what a spec edit actually touched;
+//! 5. [`task`] — node-days as pure, content-keyed tasks: resolve a node
+//!    once, execute its day, key the outcome;
+//! 6. [`store`] — the content-addressed on-disk outcome store:
+//!    [`NodeDayStore::simulate_node`] replays unchanged node-days, and as
+//!    one more node simulation it composes with checkpoints and resume;
 //! 7. [`checkpoint`] — versioned, checksummed, atomically-written
 //!    snapshots of the fold, so a killed campaign resumes byte-identically;
 //! 8. [`report`] — the byte-stable JSON [`FleetReport`].
@@ -52,9 +51,9 @@ pub mod task;
 
 pub use aggregate::{FleetAggregate, Histogram, MergeTree, StreamStat, RESIDUAL_TOLERANCE_NJ};
 pub use campaign::{
-    resume_campaign, resume_campaign_verbose, resume_campaign_with, run_campaign,
-    run_campaign_durable, run_campaign_durable_with, run_campaign_with, simulate_node,
-    CampaignCheckpoints, CampaignConfig, CampaignError, FailedNode, NodeSummary, FLEET_SEED_CYCLE,
+    resume_campaign_verbose, resume_campaign_with, run_campaign, run_campaign_durable_with,
+    run_campaign_with, simulate_node, CampaignCheckpoints, CampaignConfig, CampaignError,
+    FailedNode, NodeSummary, FLEET_SEED_CYCLE,
 };
 pub use checkpoint::{
     campaign_fingerprint, load_latest, write_snapshot, CampaignSnapshot, CheckpointError, Resumed,
@@ -64,9 +63,7 @@ pub use env::Environment;
 pub use population::{Dist, NodeBlueprint, PopulationSpec};
 pub use report::{FleetReport, FLEET_REPORT_SCHEMA};
 pub use store::{
-    run_campaign_cached, run_sweep, CacheStats, IncrementalContext, NodeDayStore, StoreError,
-    StoreGc, SweepVariant, SweepVariantReport, STORE_MAGIC, STORE_VERSION,
+    run_campaign_cached, run_sweep, CacheStats, NodeDayStore, StoreError, StoreGc, SweepVariant,
+    SweepVariantReport, STORE_MAGIC, STORE_VERSION,
 };
-pub use task::{
-    Context, NodeDayOutcome, NodeDayTask, NonIncrementalContext, Task, SIM_FINGERPRINT,
-};
+pub use task::{NodeDayOutcome, NodeDayTask, SIM_FINGERPRINT};

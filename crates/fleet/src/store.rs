@@ -1,5 +1,4 @@
-//! Content-addressed on-disk store of node-day outcomes, and the
-//! [`IncrementalContext`] that replays from it.
+//! Content-addressed on-disk store of node-day outcomes.
 //!
 //! The store maps a [`NodeDayTask`]'s content key to its persisted
 //! [`NodeDayOutcome`], one file per entry, named by the key. Because the
@@ -33,10 +32,10 @@ use std::time::UNIX_EPOCH;
 
 use solarml_trace::{write_atomic, Envelope, EnvelopeError};
 
-use crate::campaign::{run_campaign_with, CampaignConfig};
+use crate::campaign::{run_campaign_with, CampaignConfig, NodeSummary};
 use crate::population::PopulationSpec;
 use crate::report::FleetReport;
-use crate::task::{Context, NodeDayOutcome, NodeDayTask, Task};
+use crate::task::{NodeDayOutcome, NodeDayTask};
 
 /// Magic prefix of every store file (entries and `store.meta`).
 pub const STORE_MAGIC: [u8; 8] = *b"SLNDSTOR";
@@ -259,7 +258,7 @@ impl NodeDayStore {
     /// trouble and never returns a stale result: the key *is* the proof
     /// of currency.
     pub fn require(&self, task: &NodeDayTask) -> NodeDayOutcome {
-        let key = task.content_key();
+        let key = task.key();
         match self.load(key) {
             Ok(Some(outcome)) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -279,6 +278,13 @@ impl NodeDayStore {
         }
     }
 
+    /// [`crate::simulate_node`] through [`Self::require`]: same signature,
+    /// same result, so it is the `sim` of any campaign entry point.
+    pub fn simulate_node(&self, spec: &PopulationSpec, node: usize, seed: u64) -> NodeSummary {
+        let task = NodeDayTask::resolve(spec, node, seed);
+        task.summary(&self.require(&task))
+    }
+
     /// `path: reason` for each corrupt entry recomputed since the last
     /// [`Self::reset_stats`], sorted so the listing does not depend on
     /// worker scheduling.
@@ -289,7 +295,7 @@ impl NodeDayStore {
     }
 
     fn execute_and_persist(&self, task: &NodeDayTask, key: u64) -> NodeDayOutcome {
-        let outcome = task.execute(&mut crate::task::NonIncrementalContext);
+        let outcome = task.execute();
         // Best-effort: a failed persist costs a recompute next session,
         // never correctness.
         let _ = self.persist(key, &outcome);
@@ -473,36 +479,14 @@ fn parse_entry_name(name: &str) -> Option<u64> {
     u64::from_str_radix(hex, 16).ok()
 }
 
-/// A [`Context`] that answers `require_task` from a [`NodeDayStore`] —
-/// the incremental twin of [`crate::task::NonIncrementalContext`].
-#[derive(Debug, Clone, Copy)]
-pub struct IncrementalContext<'a> {
-    store: &'a NodeDayStore,
-}
-
-impl<'a> IncrementalContext<'a> {
-    /// A context replaying from (and persisting into) `store`.
-    pub fn new(store: &'a NodeDayStore) -> Self {
-        Self { store }
-    }
-}
-
-impl Context<NodeDayTask> for IncrementalContext<'_> {
-    fn require_task(&mut self, task: &NodeDayTask) -> NodeDayOutcome {
-        self.store.require(task)
-    }
-}
-
 /// Runs a campaign with node-days required through `store` instead of
 /// always executed. The report is byte-identical to [`crate::run_campaign`]
 /// of the same config at any hit pattern, worker count, or chunk size:
 /// replayed outcomes are bit-equal to recomputed ones, and the merge tree
 /// is exactly associative.
 pub fn run_campaign_cached(cfg: &CampaignConfig, store: &NodeDayStore) -> FleetReport {
-    run_campaign_with(cfg, &|spec: &PopulationSpec, node: usize, seed: u64| {
-        let task = NodeDayTask::resolve(spec, node, seed);
-        let outcome = IncrementalContext::new(store).require_task(&task);
-        task.summary(&outcome)
+    run_campaign_with(cfg, &|spec, node, seed| {
+        store.simulate_node(spec, node, seed)
     })
 }
 
@@ -698,7 +682,7 @@ mod tests {
                 );
                 let task = NodeDayTask::resolve(&cfg.population, node, seed);
                 store.require(&task);
-                task.content_key()
+                task.key()
             })
             .collect();
         let evicted = store.run_gc().expect("gc");

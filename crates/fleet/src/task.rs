@@ -1,16 +1,11 @@
-//! The incremental-build seam: node-days as pure, content-keyed tasks.
+//! Node-days as pure, content-keyed units of work.
 //!
-//! This module adopts the `Task`/`Context` pattern of PIE-style
-//! incremental build systems: a [`Task`] is a pure unit of work whose
-//! output depends only on its own state, and a [`Context`] decides — per
-//! `require_task` call — whether to *execute* the task or *replay* a
-//! previously persisted output. The campaign engine is written against
-//! the trait pair, so the same streaming fold runs cold (every task
-//! executes) or warm (unchanged tasks replay from the content-addressed
-//! store in [`crate::store`]) without either side knowing which happened.
+//! A [`NodeDayTask`] is one node's day, resolved out of the population
+//! once: [`NodeDayTask::execute`] simulates it from scratch and
+//! [`NodeDayTask::key`] names it, so the store in [`crate::store`] can
+//! replay a persisted outcome in place of an execution.
 //!
-//! The one task the fleet needs is [`NodeDayTask`]: simulate one node's
-//! day. Its identity is a **content key** — a stable FNV-1a hash
+//! A task's identity is its **content key** — a stable FNV-1a hash
 //! ([`solarml_trace::FnvHasher`], never `DefaultHasher`/`RandomState`,
 //! enforced by the `stable-store-key` lint) over every input that can
 //! change the outcome:
@@ -47,45 +42,6 @@ use crate::population::{NodeBlueprint, PopulationSpec};
 /// every existing store entry then misses and recomputes, which is the
 /// *only* correct response to new semantics.
 pub const SIM_FINGERPRINT: &str = "solarml-node-day-sim/v1";
-
-/// A pure unit of work with a stable content identity.
-///
-/// `execute` may only depend on the task's own state (and, transitively,
-/// other tasks it `require`s through the context) — never on ambient
-/// state — and `content_key` must cover all of it. Those two properties
-/// are what let a [`Context`] replay a persisted output in place of a
-/// re-execution without changing any downstream byte.
-pub trait Task: Clone + std::fmt::Debug {
-    /// What executing the task produces.
-    type Output;
-
-    /// Computes the output from scratch. Pure: two executions of equal
-    /// tasks yield equal outputs, bit for bit.
-    fn execute<C: Context<Self>>(&self, context: &mut C) -> Self::Output;
-
-    /// Stable hash of every execute-affecting input. Equal keys ⇒ equal
-    /// outputs; any input change ⇒ (with FNV's 64-bit spread) a new key.
-    fn content_key(&self) -> u64;
-}
-
-/// A task-execution strategy: how `require`d tasks get their outputs.
-pub trait Context<T: Task> {
-    /// Returns `task`'s output — by executing it, or by replaying a
-    /// cached output proven (via [`Task::content_key`]) to be current.
-    fn require_task(&mut self, task: &T) -> T::Output;
-}
-
-/// The cold strategy: always execute, never cache. [`crate::run_campaign`]
-/// runs through this context; the incremental twin lives in
-/// [`crate::store::IncrementalContext`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NonIncrementalContext;
-
-impl<T: Task> Context<T> for NonIncrementalContext {
-    fn require_task(&mut self, task: &T) -> T::Output {
-        task.execute(self)
-    }
-}
 
 /// One node's simulated day, as a task: resolve the node out of the
 /// population once, then carry everything `execute` needs.
@@ -124,6 +80,25 @@ impl NodeDayTask {
         self.key
     }
 
+    /// Simulates the day from scratch. Pure: equal tasks yield equal
+    /// outcomes, bit for bit.
+    pub fn execute(&self) -> NodeDayOutcome {
+        let report = simulate_faulted_day(&self.blueprint.config);
+        NodeDayOutcome {
+            attempted: report.attempted,
+            completed: report.completed,
+            abandoned: report.abandoned,
+            degraded: report.degraded,
+            brownouts: report.brownouts,
+            dead_window_s: report.dead_window.as_seconds(),
+            harvested_j: report.harvested.as_joules(),
+            consumed_j: report.consumed.as_joules(),
+            wasted_j: report.wasted.as_joules(),
+            residual_j: report.audit.discrepancy.as_joules(),
+            mean_accuracy: report.mean_accuracy.get(),
+        }
+    }
+
     /// Rehydrates a full [`NodeSummary`] from a (cached or fresh) outcome
     /// plus the task's own identity fields.
     pub fn summary(&self, outcome: &NodeDayOutcome) -> NodeSummary {
@@ -144,31 +119,6 @@ impl NodeDayTask {
             residual_j: outcome.residual_j,
             mean_accuracy: outcome.mean_accuracy,
         }
-    }
-}
-
-impl Task for NodeDayTask {
-    type Output = NodeDayOutcome;
-
-    fn execute<C: Context<Self>>(&self, _context: &mut C) -> NodeDayOutcome {
-        let report = simulate_faulted_day(&self.blueprint.config);
-        NodeDayOutcome {
-            attempted: report.attempted,
-            completed: report.completed,
-            abandoned: report.abandoned,
-            degraded: report.degraded,
-            brownouts: report.brownouts,
-            dead_window_s: report.dead_window.as_seconds(),
-            harvested_j: report.harvested.as_joules(),
-            consumed_j: report.consumed.as_joules(),
-            wasted_j: report.wasted.as_joules(),
-            residual_j: report.audit.discrepancy.as_joules(),
-            mean_accuracy: report.mean_accuracy.get(),
-        }
-    }
-
-    fn content_key(&self) -> u64 {
-        self.key
     }
 }
 
@@ -353,17 +303,16 @@ mod tests {
     #[test]
     fn content_keys_are_pure_and_distinct_per_node() {
         let spec = PopulationSpec::smoke();
-        assert_eq!(task(&spec, 0).content_key(), task(&spec, 0).content_key());
-        assert_ne!(task(&spec, 0).content_key(), task(&spec, 1).content_key());
+        assert_eq!(task(&spec, 0).key(), task(&spec, 0).key());
+        assert_ne!(task(&spec, 0).key(), task(&spec, 1).key());
     }
 
     #[test]
     fn execute_matches_simulate_node_bit_for_bit() {
         let spec = PopulationSpec::smoke();
         let t = task(&spec, 3);
-        let outcome = t.execute(&mut NonIncrementalContext);
         assert_eq!(
-            t.summary(&outcome),
+            t.summary(&t.execute()),
             crate::campaign::simulate_node(&spec, 3, t.seed)
         );
     }
@@ -383,11 +332,11 @@ mod tests {
             let b = task(&edited, node);
             let is_office = spec.node_blueprint(a.seed).env_index == 1;
             office += usize::from(is_office);
-            moved += usize::from(a.content_key() != b.content_key());
+            moved += usize::from(a.key() != b.key());
             if !is_office {
                 assert_eq!(
-                    a.content_key(),
-                    b.content_key(),
+                    a.key(),
+                    b.key(),
                     "node {node} does not use office_peak_lux; its key must survive"
                 );
             }

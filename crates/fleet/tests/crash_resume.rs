@@ -16,9 +16,10 @@
 use std::path::{Path, PathBuf};
 
 use solarml_fleet::{
-    campaign_fingerprint, load_latest, resume_campaign, resume_campaign_verbose, run_campaign,
-    run_campaign_cached, run_campaign_durable, CampaignCheckpoints, CampaignConfig, CampaignError,
-    CheckpointError, FleetReport, NodeDayStore,
+    campaign_fingerprint, load_latest, resume_campaign_verbose, resume_campaign_with, run_campaign,
+    run_campaign_cached, run_campaign_durable_with, simulate_node, CampaignCheckpoints,
+    CampaignConfig, CampaignError, CheckpointError, FleetReport, NodeDayStore, NodeSummary,
+    PopulationSpec,
 };
 use solarml_trace::fnv1a64;
 
@@ -58,11 +59,14 @@ fn checkpoints(dir: &Path) -> CampaignCheckpoints {
     ckpt
 }
 
-/// Kills a durable run at exactly `kill` node-days via the harness hook.
-fn kill_at(cfg: &CampaignConfig, dir: &Path, kill: u64) {
+/// Kills a durable run of `sim` at exactly `kill` node-days via the harness hook.
+fn kill_at<F>(cfg: &CampaignConfig, dir: &Path, kill: u64, sim: &F)
+where
+    F: Fn(&PopulationSpec, usize, u64) -> NodeSummary + Sync,
+{
     let mut ckpt = checkpoints(dir);
     ckpt.abort_after_nodes = Some(kill);
-    match run_campaign_durable(cfg, &ckpt) {
+    match run_campaign_durable_with(cfg, &ckpt, sim) {
         Err(CampaignError::Aborted { nodes_done }) => {
             assert_eq!(nodes_done, kill, "kill point must land exactly");
         }
@@ -77,23 +81,36 @@ fn kill_at_any_point_resumes_byte_identically_at_worker_counts_1_and_4() {
     let baseline_json = baseline.to_json();
 
     // Chunk is 3 and the wave is a multiple of it, so 1 and N-1 are both
-    // mid-chunk kill points; N/2 lands mid-wave.
-    let kill_points = [1u64, (N / 2) as u64, (N - 1) as u64];
-    for kill in kill_points {
+    // mid-chunk kill points; N/2 lands mid-wave. The last case simulates
+    // through a node-day store, killed and resumed through the same store.
+    let cases = [(1, false), (N / 2, false), (N - 1, false), (N / 2, true)];
+    for (kill, with_store) in cases {
         for resume_workers in [1usize, 4] {
-            let dir = scratch_dir(&format!("kill{kill}w{resume_workers}"));
-            kill_at(&cfg, &dir, kill);
+            let dir = scratch_dir(&format!("kill{kill}w{resume_workers}s{with_store}"));
+            let store = with_store.then(|| NodeDayStore::open(dir.join("nd")).expect("store"));
+            let sim = |spec: &PopulationSpec, node: usize, seed: u64| match &store {
+                Some(store) => store.simulate_node(spec, node, seed),
+                None => simulate_node(spec, node, seed),
+            };
+            kill_at(&cfg, &dir, kill as u64, &sim);
 
             let mut resumed_cfg = cfg.clone();
             resumed_cfg.workers = resume_workers;
-            let report = resume_campaign(&resumed_cfg, &checkpoints(&dir))
+            let report = resume_campaign_with(&resumed_cfg, &checkpoints(&dir), &sim)
                 .expect("resume after harness kill");
             assert_eq!(
                 report.to_json(),
                 baseline_json,
-                "kill at {kill}, resumed on {resume_workers} workers"
+                "kill at {kill}, resumed on {resume_workers} workers, store {with_store}"
             );
             assert_eq!(report, baseline);
+            if let Some(store) = &store {
+                assert_eq!(store.entry_count().expect("count"), N);
+                // Uninterrupted through the now-warm store: all hits.
+                let whole = run_campaign_durable_with(&cfg, &checkpoints(&dir.join("whole")), &sim)
+                    .expect("uninterrupted store-backed durable run");
+                assert_eq!(whole.to_json(), baseline_json, "store-backed durable run");
+            }
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
@@ -104,7 +121,7 @@ fn corrupt_newest_snapshot_is_skipped_and_its_range_recomputed() {
     let cfg = sweep_cfg();
     let baseline_json = run_campaign(&cfg).to_json();
     let dir = scratch_dir("corrupt-newest");
-    kill_at(&cfg, &dir, (N - 4) as u64);
+    kill_at(&cfg, &dir, (N - 4) as u64, &simulate_node);
 
     let mut snapshots = snapshot_files(&dir);
     assert!(
@@ -118,8 +135,8 @@ fn corrupt_newest_snapshot_is_skipped_and_its_range_recomputed() {
     bytes[mid] ^= 0x40;
     std::fs::write(&newest, &bytes).expect("re-write corrupted snapshot");
 
-    let (report, resumed) =
-        resume_campaign_verbose(&cfg, &checkpoints(&dir)).expect("resume past corruption");
+    let (report, resumed) = resume_campaign_verbose(&cfg, &checkpoints(&dir), &simulate_node)
+        .expect("resume past corruption");
     assert_eq!(resumed.skipped.len(), 1, "exactly the mangled file skipped");
     assert!(
         resumed.skipped[0].contains("corrupt") || resumed.skipped[0].contains("malformed"),
@@ -138,14 +155,14 @@ fn corrupt_newest_snapshot_is_skipped_and_its_range_recomputed() {
 fn all_snapshots_corrupt_is_a_typed_error_listing_the_rejects() {
     let cfg = sweep_cfg();
     let dir = scratch_dir("all-corrupt");
-    kill_at(&cfg, &dir, (N / 2) as u64);
+    kill_at(&cfg, &dir, (N / 2) as u64, &simulate_node);
 
     let snapshots = snapshot_files(&dir);
     assert!(!snapshots.is_empty());
     for path in &snapshots {
         std::fs::write(path, b"not a checkpoint at all").expect("clobber snapshot");
     }
-    match resume_campaign(&cfg, &checkpoints(&dir)) {
+    match resume_campaign_with(&cfg, &checkpoints(&dir), &simulate_node) {
         Err(CampaignError::Checkpoint(CheckpointError::NoCheckpoint { corrupt, .. })) => {
             assert_eq!(corrupt.len(), snapshots.len(), "every reject is listed");
         }
@@ -158,11 +175,11 @@ fn all_snapshots_corrupt_is_a_typed_error_listing_the_rejects() {
 fn foreign_spec_snapshot_is_a_hard_spec_mismatch() {
     let cfg = sweep_cfg();
     let dir = scratch_dir("foreign");
-    kill_at(&cfg, &dir, (N / 2) as u64);
+    kill_at(&cfg, &dir, (N / 2) as u64, &simulate_node);
 
     let mut foreign = cfg.clone();
     foreign.seed ^= 0xDEAD_BEEF;
-    match resume_campaign(&foreign, &checkpoints(&dir)) {
+    match resume_campaign_with(&foreign, &checkpoints(&dir), &simulate_node) {
         Err(CampaignError::Checkpoint(CheckpointError::SpecMismatch {
             expected, found, ..
         })) => {
@@ -175,7 +192,7 @@ fn foreign_spec_snapshot_is_a_hard_spec_mismatch() {
     let mut reshaped = cfg.clone();
     reshaped.workers = 7;
     reshaped.chunk = 1;
-    assert!(resume_campaign(&reshaped, &checkpoints(&dir)).is_ok());
+    assert!(resume_campaign_with(&reshaped, &checkpoints(&dir), &simulate_node).is_ok());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -183,15 +200,15 @@ fn foreign_spec_snapshot_is_a_hard_spec_mismatch() {
 fn fresh_durable_run_refuses_an_occupied_dir_and_resume_refuses_a_missing_one() {
     let cfg = sweep_cfg();
     let dir = scratch_dir("occupied");
-    kill_at(&cfg, &dir, 8);
-    match run_campaign_durable(&cfg, &checkpoints(&dir)) {
+    kill_at(&cfg, &dir, 8, &simulate_node);
+    match run_campaign_durable_with(&cfg, &checkpoints(&dir), &simulate_node) {
         Err(CampaignError::Checkpoint(CheckpointError::DirNotEmpty { .. })) => {}
         other => panic!("expected DirNotEmpty, got {other:?}"),
     }
     let _ = std::fs::remove_dir_all(&dir);
 
     let missing = dir.join("never-created");
-    match resume_campaign(&cfg, &checkpoints(&missing)) {
+    match resume_campaign_with(&cfg, &checkpoints(&missing), &simulate_node) {
         Err(CampaignError::Checkpoint(CheckpointError::MissingDir { .. })) => {}
         other => panic!("expected MissingDir, got {other:?}"),
     }
@@ -201,12 +218,14 @@ fn fresh_durable_run_refuses_an_occupied_dir_and_resume_refuses_a_missing_one() 
 fn completed_durable_campaign_resumes_to_the_same_report_without_rework() {
     let cfg = sweep_cfg();
     let dir = scratch_dir("completed");
-    let finished = run_campaign_durable(&cfg, &checkpoints(&dir)).expect("uninterrupted");
+    let finished =
+        run_campaign_durable_with(&cfg, &checkpoints(&dir), &simulate_node).expect("uninterrupted");
     // The final snapshot records full coverage…
     let resumed = load_latest(&dir, campaign_fingerprint(&cfg)).expect("final snapshot");
     assert_eq!(resumed.snapshot.nodes_done, N as u64);
     // …so resuming is a pure reload.
-    let again = resume_campaign(&cfg, &checkpoints(&dir)).expect("resume of complete run");
+    let again = resume_campaign_with(&cfg, &checkpoints(&dir), &simulate_node)
+        .expect("resume of complete run");
     assert_eq!(again.to_json(), finished.to_json());
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -253,7 +272,7 @@ fn on_disk_checkpoint_and_store_bytes_are_pinned() {
     let mut ckpt = CampaignCheckpoints::new(&ckpt_dir);
     ckpt.every_nodes = 4;
     ckpt.keep = usize::MAX;
-    run_campaign_durable(&cfg, &ckpt).expect("durable campaign");
+    run_campaign_durable_with(&cfg, &ckpt, &simulate_node).expect("durable campaign");
     let ckpts = file_hashes(&ckpt_dir, |n| n.starts_with("ckpt-") && n.ends_with(".bin"));
 
     let store_dir = scratch_dir("pin-store");
@@ -306,7 +325,7 @@ fn sigkill_child_campaign_worker() {
     ckpt.every_nodes = 1; // checkpoint every wave so the parent sees progress fast
                           // The parent SIGKILLs us mid-run; if we finish first the test still
                           // passes (resume of a complete campaign reloads the final snapshot).
-    let _ = run_campaign_durable(&sigkill_cfg(), &ckpt);
+    let _ = run_campaign_durable_with(&sigkill_cfg(), &ckpt, &simulate_node);
 }
 
 #[test]
@@ -349,8 +368,9 @@ fn a_real_sigkill_mid_campaign_resumes_byte_identically() {
     // Resume on a different worker count than the child ran with.
     let mut resumed_cfg = cfg.clone();
     resumed_cfg.workers = 4;
+    let ckpt = CampaignCheckpoints::new(&dir);
     let report =
-        resume_campaign(&resumed_cfg, &CampaignCheckpoints::new(&dir)).expect("resume after kill");
+        resume_campaign_with(&resumed_cfg, &ckpt, &simulate_node).expect("resume after kill");
     assert_eq!(
         report.to_json(),
         baseline.to_json(),

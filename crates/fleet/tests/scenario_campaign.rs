@@ -17,9 +17,9 @@
 use std::path::PathBuf;
 
 use solarml_fleet::{
-    resume_campaign, run_campaign, run_campaign_cached, run_campaign_durable, CampaignCheckpoints,
-    CampaignConfig, CampaignError, Dist, NodeDayStore, NodeDayTask, PopulationSpec,
-    FLEET_SEED_CYCLE,
+    resume_campaign_with, run_campaign, run_campaign_cached, run_campaign_durable_with,
+    simulate_node, CampaignCheckpoints, CampaignConfig, CampaignError, Dist, NodeDayStore,
+    NodeDayTask, PopulationSpec, FLEET_SEED_CYCLE,
 };
 use solarml_nas::parallel::derive_seed;
 use solarml_scenario::{registry, Scenario};
@@ -121,12 +121,12 @@ fn scripted_campaigns_are_worker_count_and_resume_invariant() {
     let mut ckpt = CampaignCheckpoints::new(&dir);
     ckpt.every_nodes = 3;
     ckpt.abort_after_nodes = Some(5);
-    match run_campaign_durable(&cfg, &ckpt) {
+    match run_campaign_durable_with(&cfg, &ckpt, &simulate_node) {
         Err(CampaignError::Aborted { nodes_done }) => assert_eq!(nodes_done, 5),
         other => panic!("expected the harness abort, got {other:?}"),
     }
     ckpt.abort_after_nodes = None;
-    let resumed = resume_campaign(&cfg, &ckpt).expect("resume");
+    let resumed = resume_campaign_with(&cfg, &ckpt, &simulate_node).expect("resume");
     assert_eq!(reference, resumed.to_json(), "resume boundary moved bytes");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -15,7 +15,6 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use solarml_fleet::campaign::FLEET_SEED_CYCLE;
-use solarml_fleet::task::Task;
 use solarml_fleet::{
     run_campaign, run_campaign_cached, CampaignConfig, Dist, NodeDayOutcome, NodeDayStore,
     NodeDayTask, PopulationSpec, StoreError,
@@ -58,7 +57,7 @@ fn master_store() -> &'static (PathBuf, Vec<u64>, String) {
         let store = NodeDayStore::open(&dir).expect("open master store");
         let cold = run_campaign_cached(&cfg, &store);
         let keys = (0..PROP_NODES)
-            .map(|node| node_task(&cfg.population, cfg.seed, node).content_key())
+            .map(|node| node_task(&cfg.population, cfg.seed, node).key())
             .collect();
         (dir, keys, cold.to_json())
     })
@@ -119,7 +118,7 @@ fn env_of(spec: &PopulationSpec, seed: u64, nodes: usize) -> Vec<usize> {
 
 fn keys_of(spec: &PopulationSpec, seed: u64, nodes: usize) -> Vec<u64> {
     (0..nodes)
-        .map(|node| node_task(spec, seed, node).content_key())
+        .map(|node| node_task(spec, seed, node).key())
         .collect()
 }
 

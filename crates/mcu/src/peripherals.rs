@@ -1,7 +1,6 @@
 //! Acquisition peripheral power models: the SAADC (gesture channels) and the
 //! PDM microphone interface (KWS audio).
 
-use serde::{Deserialize, Serialize};
 use solarml_units::{Hertz, Power, Seconds};
 
 /// Per-conversion energy constants for the successive-approximation ADC.
@@ -17,7 +16,7 @@ const STORE_PER_BYTE_NJ: f64 = 84.0;
 /// These are exactly the sensing parameters eNAS searches over for the
 /// gesture task (paper Table II: `n`, `r`, `q`); the float-vs-int choice `b`
 /// shows up as bit widths above 8.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AdcConfig {
     channels: u8,
     rate_hz: u32,
@@ -84,7 +83,7 @@ impl AdcConfig {
 }
 
 /// PDM microphone interface configuration for KWS audio capture.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PdmConfig {
     rate_hz: u32,
 }

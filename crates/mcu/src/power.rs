@@ -1,6 +1,5 @@
 //! The calibrated per-state power model.
 
-use serde::{Deserialize, Serialize};
 use solarml_units::{Cycles, Energy, Frequency, Power, Seconds, Volts};
 
 use crate::peripherals::{AdcConfig, PdmConfig};
@@ -11,7 +10,7 @@ use crate::peripherals::{AdcConfig, PdmConfig};
 /// Defaults are calibrated so a one-minute-sleep inference cycle decomposes
 /// into the paper's Fig. 2 proportions (`E_E` ≈ 38 %/29 %, `E_S` ≈ 47 %/53 %,
 /// `E_M` ≈ 15 %/18 % for gesture/KWS).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct McuPowerModel {
     /// Rail voltage after the boost converter.
     pub rail_voltage: Volts,

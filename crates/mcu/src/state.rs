@@ -2,14 +2,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use solarml_sim::{Clocked, SimBus, StepOutcome};
 use solarml_units::{Energy, Power, Seconds, Volts};
 
 use crate::power::McuPowerModel;
 
 /// The MCU's power states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PowerState {
     /// Rail disconnected; draws nothing.
     Off,

@@ -13,7 +13,6 @@
 //! differences are attributable to the search strategy alone.
 
 use rand::seq::SliceRandom;
-use serde::{Deserialize, Serialize};
 use solarml_units::Energy;
 
 use crate::candidate::Evaluated;
@@ -21,7 +20,7 @@ use crate::parallel::{EvalEngine, EvalRequest};
 use crate::task::{SearchOutcome, TaskContext};
 
 /// Configuration shared by the extra baselines.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BaselineConfig {
     /// Population size (HarvNet-style) / irrelevant for random search.
     pub population: usize,
@@ -33,7 +32,6 @@ pub struct BaselineConfig {
     /// RNG seed.
     pub seed: u64,
     /// Worker threads for candidate evaluation (0 = available parallelism).
-    #[serde(default)]
     pub workers: usize,
 }
 

@@ -2,13 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use solarml_dsp::{AudioFrontendParams, GestureSensingParams};
 use solarml_nn::ModelSpec;
 use solarml_units::Energy;
 
 /// A task-specific sensing configuration (the Table II half of a candidate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SensingConfig {
     /// Gesture task: `(n, r, b, q)`.
     Gesture(GestureSensingParams),
@@ -26,7 +25,7 @@ impl fmt::Display for SensingConfig {
 }
 
 /// One point in the joint search space.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Candidate {
     /// The sensing half.
     pub sensing: SensingConfig,
@@ -41,7 +40,7 @@ impl fmt::Display for Candidate {
 }
 
 /// A candidate with its measured quality and estimated/true energies.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Evaluated {
     /// The candidate.
     pub candidate: Candidate,

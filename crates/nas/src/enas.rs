@@ -11,7 +11,6 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use solarml_units::Energy;
 
 use crate::candidate::{Candidate, Evaluated};
@@ -20,7 +19,7 @@ use crate::task::{SearchOutcome, TaskContext};
 
 /// Which energy estimator the search consults — the paper's layer-wise
 /// model, or (as an ablation) the µNAS-style total-MACs proxy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EnergyProxy {
     /// The paper's layer-wise-MACs linear model plus the sensing model.
     #[default]
@@ -31,7 +30,7 @@ pub enum EnergyProxy {
 
 /// eNAS hyperparameters. Paper defaults: population 50, sample 20,
 /// 150 cycles, `R` = 20.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnasConfig {
     /// Phase-1 population size `P`.
     pub population: usize,
@@ -50,7 +49,6 @@ pub struct EnasConfig {
     pub energy_proxy: EnergyProxy,
     /// Worker threads for candidate evaluation (0 = available parallelism).
     /// Results are identical at any worker count.
-    #[serde(default)]
     pub workers: usize,
 }
 

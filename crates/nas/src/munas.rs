@@ -8,14 +8,13 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::candidate::{Candidate, Evaluated, SensingConfig};
 use crate::parallel::{EvalEngine, EvalRequest};
 use crate::task::{SearchOutcome, TaskContext};
 
 /// µNAS hyperparameters (matched to the eNAS run for fairness, §V-D).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MunasConfig {
     /// Population size.
     pub population: usize,
@@ -26,7 +25,6 @@ pub struct MunasConfig {
     /// RNG seed.
     pub seed: u64,
     /// Worker threads for candidate evaluation (0 = available parallelism).
-    #[serde(default)]
     pub workers: usize,
 }
 

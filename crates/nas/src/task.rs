@@ -3,7 +3,6 @@
 use std::sync::Arc;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use solarml_datasets::{GestureDataset, GestureDatasetBuilder, KwsDataset, KwsDatasetBuilder};
 use solarml_dsp::{AudioFrontendParams, GestureSensingParams, Resolution};
 use solarml_energy::corpus::{
@@ -21,7 +20,7 @@ use crate::candidate::{Candidate, Evaluated, SensingConfig};
 use crate::parallel::ShardedMap;
 
 /// The two applications the paper evaluates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskKind {
     /// Digit recognition via the solar-cell array.
     GestureDigits,
@@ -31,7 +30,7 @@ pub enum TaskKind {
 
 /// The search constraints (§V-D: 100 KB memory, 30 M MACs, task error
 /// bounds of 0.25/0.3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Constraints {
     /// Maximum model memory footprint in bytes.
     pub max_memory_bytes: usize,
@@ -67,7 +66,7 @@ impl Constraints {
 }
 
 /// The result of a search run: every trained candidate plus the incumbent.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchOutcome {
     /// Every evaluated candidate, in evaluation order.
     pub history: Vec<Evaluated>,

@@ -7,12 +7,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Workload class of a layer, as seen by the energy model. The paper's
 /// layer-wise inference energy model (§IV-A1) regresses one coefficient per
 /// class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum LayerClass {
     /// Standard convolution.
     Conv,
@@ -59,7 +57,7 @@ impl fmt::Display for LayerClass {
 }
 
 /// Convolution/pooling padding mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Padding {
     /// No padding; output shrinks by `kernel − 1`.
     Valid,
@@ -68,7 +66,7 @@ pub enum Padding {
 }
 
 /// Pooling flavour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PoolKind {
     /// Maximum over the window.
     Max,
@@ -77,7 +75,7 @@ pub enum PoolKind {
 }
 
 /// One layer of a [`ModelSpec`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayerSpec {
     /// 2-D convolution with square `kernel`, `filters` outputs.
     Conv {
@@ -275,7 +273,7 @@ impl fmt::Display for ArchError {
 impl std::error::Error for ArchError {}
 
 /// Per-class MAC totals for a model.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MacSummary {
     macs: [u64; 6],
 }
@@ -324,7 +322,7 @@ impl MacSummary {
 }
 
 /// A validated architecture: input shape plus layer sequence.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ModelSpec {
     input_shape: [usize; 3],
     layers: Vec<LayerSpec>,

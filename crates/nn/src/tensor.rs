@@ -1,13 +1,11 @@
 //! A minimal row-major dense tensor.
 
-use serde::{Deserialize, Serialize};
-
 /// A dense, row-major `f32` tensor.
 ///
 /// Feature maps use `[height, width, channels]` layout; flattened vectors
 /// use `[n]`. The engine only needs these two ranks, but arbitrary ranks are
 /// supported.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,

@@ -4,13 +4,12 @@
 //! SolarGest) carry the paper's published numbers; SolarML's row is
 //! *measured* from the circuit simulation in [`solarml_detector_spec`].
 
-use serde::{Deserialize, Serialize};
 use solarml_circuit::env::Illumination;
 use solarml_circuit::event::EventDetector;
 use solarml_units::{Energy, Lux, Power, Ratio, Seconds, Volts};
 
 /// One detector's Table III row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DetectorSpec {
     /// Approach name.
     pub name: &'static str,

@@ -5,7 +5,6 @@
 //! 12 746 µJ — 27 %/48 % less than a PS + µNAS baseline — and harvests that
 //! energy in 31 s/57 s at 500 lux office light.
 
-use serde::{Deserialize, Serialize};
 use solarml_circuit::components::Supercap;
 use solarml_circuit::harvest::HarvestingArray;
 use solarml_circuit::sim::ADAPTIVE_EPS_V;
@@ -17,7 +16,7 @@ use crate::detectors::{solarml_detector_spec, DetectorSpec, REFERENCE_DETECTORS}
 use crate::lifecycle::EnergyBreakdown;
 
 /// An end-to-end per-inference energy budget.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EndToEndBudget {
     /// Wait time before the event.
     pub wait: Seconds,
@@ -81,7 +80,7 @@ impl EndToEndBudget {
 }
 
 /// A lighting scenario for harvesting-time analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HarvestScenario {
     /// Ambient illuminance.
     pub lux: Lux,
@@ -123,7 +122,7 @@ pub fn harvesting_time(budget: Energy, scenario: &HarvestScenario) -> Seconds {
 }
 
 /// A 24-hour illuminance profile (lux per hour, linearly interpolated).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DayProfile {
     /// Illuminance at the top of each hour.
     pub lux_by_hour: [f64; 24],
@@ -159,7 +158,7 @@ impl DayProfile {
 }
 
 /// Configuration of a day-scale energy simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DaySimConfig {
     /// The lighting profile.
     pub profile: DayProfile,
@@ -198,7 +197,7 @@ impl DaySimConfig {
 }
 
 /// Outcome of a simulated day.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DayReport {
     /// Interactions the user attempted.
     pub attempted: usize,

@@ -11,7 +11,6 @@
 //!   hover, infers, lingers in standby for a possible second interaction,
 //!   and powers down.
 
-use serde::{Deserialize, Serialize};
 use solarml_circuit::env::{HoverSchedule, LightEnvironment};
 use solarml_circuit::harvest::HarvestMode;
 use solarml_circuit::{CircuitSim, SimConfig};
@@ -25,7 +24,7 @@ use solarml_units::{Energy, Frequency, Lux, Power, Ratio, Seconds};
 use std::fmt;
 
 /// Which application drives the sampling/inference phases.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TaskProfile {
     /// Gesture recognition with the given front-end and model.
     Gesture {
@@ -101,7 +100,7 @@ impl TaskProfile {
 }
 
 /// `E_E`/`E_S`/`E_M` decomposition of a run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyBreakdown {
     /// Event-detection energy (sleep/standby + wake).
     pub event: Energy,
@@ -130,7 +129,7 @@ impl EnergyBreakdown {
 
 /// One phase of a sensing→inference task, the granularity at which the
 /// intermittency runtime (see [`crate::intermittent`]) checkpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskPhase {
     /// Tickless sampling of the sensor front-end.
     Sense,
@@ -214,7 +213,7 @@ impl From<TransitionError> for LifecycleError {
 }
 
 /// Configuration of a conventional duty-cycled run (Fig. 2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DutyCycleConfig {
     /// Sleep period before the wake-up.
     pub sleep: Seconds,
@@ -336,7 +335,7 @@ fn run_segment(
 }
 
 /// Configuration of a SolarML event-driven interaction (Fig. 6).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InteractionConfig {
     /// Ambient light.
     pub ambient: Lux,

@@ -13,7 +13,6 @@
 //! [`SimBus`], and the [`CircuitSim`] consumes it as an ordinary clocked
 //! component.
 
-use serde::{Deserialize, Serialize};
 use solarml_circuit::env::LightEnvironment;
 use solarml_circuit::harvest::{CellRole, HarvestMode};
 use solarml_circuit::{CircuitSim, SimConfig};
@@ -22,7 +21,7 @@ use solarml_sim::{Clocked, DtPolicy, Scheduler, SimBus, StepControl, StepOutcome
 use solarml_units::{Lux, Power, Ratio, Seconds, Volts};
 
 /// Configuration of an analog gesture replay.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GestureReplay {
     /// The digit (0–9) to trace.
     pub digit: usize,
@@ -50,7 +49,7 @@ impl GestureReplay {
 }
 
 /// Output of a replay: the sensed tap voltages.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplayOutput {
     /// Tap voltages, `[channel][sample]`, in volts.
     pub channels: Vec<Vec<f32>>,

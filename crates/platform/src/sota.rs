@@ -6,14 +6,13 @@
 //! models with a conventional wait strategy. Fig. 1 plots each system's
 //! `E_E`/`E_S`/`E_M` split for a 3-second event wait.
 
-use serde::{Deserialize, Serialize};
 use solarml_mcu::McuPowerModel;
 use solarml_units::{Energy, Power, Seconds};
 
 use crate::lifecycle::{EnergyBreakdown, TaskProfile};
 
 /// How a system waits for events.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WaitStrategy {
     /// The MCU keeps monitoring the sensor stream (e.g. PROS, FabToys).
     ContinuousMonitoring {
@@ -50,7 +49,7 @@ impl WaitStrategy {
 }
 
 /// One Fig. 1 system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SotaSystem {
     /// Display name (`#n label`).
     pub name: String,

@@ -9,13 +9,12 @@
 //! stretches cost no inference), posteriors are averaged over consecutive
 //! windows, and a refractory period suppresses duplicate detections.
 
-use serde::{Deserialize, Serialize};
 use solarml_dsp::{AudioFrontendParams, MfccExtractor};
 use solarml_nn::{Model, Tensor};
 use solarml_units::Seconds;
 
 /// Configuration of the streaming detector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamingKwsConfig {
     /// The MFCC front-end (must match the classifier's training front-end).
     pub frontend: AudioFrontendParams,
@@ -52,7 +51,7 @@ impl StreamingKwsConfig {
 }
 
 /// One fired detection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Detection {
     /// Predicted keyword class.
     pub class: usize,
@@ -63,7 +62,7 @@ pub struct Detection {
 }
 
 /// Statistics of one streaming pass.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamingReport {
     /// Detections fired, in time order.
     pub detections: Vec<Detection>,

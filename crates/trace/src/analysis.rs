@@ -8,13 +8,12 @@
 //! can be decomposed *without* using its labels — and the result
 //! cross-checked against them (see the integration tests).
 
-use serde::{Deserialize, Serialize};
 use solarml_units::{Energy, Frequency, Power, Seconds};
 
 use crate::trace::PowerTrace;
 
 /// A detected constant-power phase.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Phase {
     /// Index of the first sample.
     pub start_index: usize,

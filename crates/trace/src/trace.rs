@@ -1,10 +1,9 @@
 //! The [`PowerTrace`] recorder.
 
-use serde::{Deserialize, Serialize};
 use solarml_units::{Energy, Frequency, Power, Ratio, Seconds};
 
 /// One timestamped power sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sample {
     /// Time since the start of the recording.
     pub at: Seconds,
@@ -13,7 +12,7 @@ pub struct Sample {
 }
 
 /// A labelled, contiguous span of samples within a [`PowerTrace`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Segment {
     /// Human-readable label, e.g. `"deep-sleep"` or `"inference"`.
     pub label: String,
@@ -24,7 +23,7 @@ pub struct Segment {
 }
 
 /// Aggregated description of a segment: duration, energy, average power.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SegmentSummary {
     /// Wall-clock duration covered by the segment.
     pub duration: Seconds,
@@ -42,7 +41,7 @@ pub struct SegmentSummary {
 /// Segments partition the trace: starting a new segment closes the previous
 /// one. Energy is integrated with the rectangle rule (each sample holds for
 /// one period), which matches how a real sampling power analyzer reports it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerTrace {
     sample_period: Seconds,
     powers: Vec<Power>,

@@ -4,8 +4,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 use crate::display::SiValue;
 use crate::error::UnitError;
 
@@ -25,8 +23,7 @@ macro_rules! quantity {
     };
     (@impl $(#[$meta:meta])* $name:ident, $unit:literal, $base_new:ident, $base_get:ident, $min:expr) => {
         $(#[$meta])*
-        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-        #[serde(transparent)]
+        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
         pub struct $name(f64);
 
         impl $name {
@@ -275,8 +272,7 @@ quantity!(
 /// different in kind: a ratio times a ratio is still a ratio, and every
 /// quantity may be scaled by one (`Power * Ratio -> Power`, generated in
 /// the `quantity!` macro).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Ratio(f64);
 
 impl Ratio {
