@@ -8,8 +8,9 @@
 //!    driven by the script instead of the legacy environment enums.
 //! 2. **Determinism** — a scripted campaign's report is identical across
 //!    runs, worker counts 1–4, and a kill/resume boundary.
-//! 3. **Goldens** — every shipped registry scenario matches its committed
-//!    golden `FleetReport` byte for byte (bless with `SOLARML_BLESS=1`).
+//! 3. **Goldens** — every shipped registry scenario, and the CLI-default
+//!    scenario-free fleet, matches its committed golden `FleetReport` byte
+//!    for byte (bless with `SOLARML_BLESS=1`).
 //! 4. **Incremental precision** — a one-token script edit
 //!    (`p: 0.3` → `p: 0.35`) re-runs exactly the node-days whose content
 //!    keys the edit moved: store misses == key-diffed affected count.
@@ -44,7 +45,28 @@ fn golden_cfg(scenario: Scenario) -> CampaignConfig {
 }
 
 fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/scenarios")
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden")
+}
+
+/// Compares `report` (a `to_json()` rendering) against the golden at
+/// `golden_dir()/rel`, or writes it there when `SOLARML_BLESS` is set.
+/// A trailing newline is appended to match the CLI's `--out` writer, so CI
+/// can `cmp` CLI output directly against the fixture.
+fn check_golden(rel: &str, report: String) {
+    let path = golden_dir().join(rel);
+    let report = report + "\n";
+    if std::env::var_os("SOLARML_BLESS").is_some() {
+        std::fs::create_dir_all(path.parent().expect("golden parent")).expect("golden dir");
+        std::fs::write(&path, &report).expect("write golden");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden `{rel}` ({e}); regenerate with \
+             SOLARML_BLESS=1 cargo test -p solarml-fleet --test scenario_campaign"
+        )
+    });
+    assert_eq!(golden, report, "`{rel}` drifted from its golden FleetReport");
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -133,33 +155,22 @@ fn scripted_campaigns_are_worker_count_and_resume_invariant() {
 
 #[test]
 fn shipped_scenarios_match_their_golden_reports() {
-    let bless = std::env::var_os("SOLARML_BLESS").is_some();
-    let dir = golden_dir();
-    if bless {
-        std::fs::create_dir_all(&dir).expect("golden dir");
-    }
     for entry in registry::all() {
-        // Trailing newline matches the CLI's `--out` writer, so CI can
-        // `cmp` a `scenario run` report directly against the fixture.
-        let report = run_campaign(&golden_cfg(entry.scenario.clone())).to_json() + "\n";
-        let path = dir.join(format!("{}.json", entry.name));
-        if bless {
-            std::fs::write(&path, &report).expect("write golden");
-            continue;
-        }
-        let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing golden for `{}` ({e}); regenerate with \
-                 SOLARML_BLESS=1 cargo test -p solarml-fleet --test scenario_campaign",
-                entry.name
-            )
-        });
-        assert_eq!(
-            golden, report,
-            "`{}` drifted from its golden FleetReport",
-            entry.name
-        );
+        let report = run_campaign(&golden_cfg(entry.scenario.clone())).to_json();
+        check_golden(&format!("scenarios/{}.json", entry.name), report);
     }
+}
+
+#[test]
+fn cli_default_fleet_matches_its_golden_report() {
+    // `solarml-cli fleet --nodes 64 --seed 7`: the representative
+    // population with no scenario, the campaign CI compares against.
+    let mut cfg = CampaignConfig::new(64, GOLDEN_SEED);
+    cfg.workers = 2;
+    check_golden(
+        "fleet/representative_64n_seed7.json",
+        run_campaign(&cfg).to_json(),
+    );
 }
 
 #[test]
