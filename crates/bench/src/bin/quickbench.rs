@@ -6,7 +6,9 @@
 //! adaptive timestep (verifying identical interaction outcomes and a
 //! sub-nanojoule energy-ledger residual), and a 64-node fleet campaign at
 //! 1 vs. 4 workers (verifying byte-identical reports and per-node ledger
-//! closure), and writes the medians to
+//! closure), and one `HarvestingArray::charging_current` call on the
+//! unshaded 25-cell array (the day simulator's per-step harvest cost), and
+//! writes the medians to
 //! `BENCH_hotpaths.json` so future PRs have a trajectory to beat.
 //! Wall-clock timing with `std::time`; the JSON is hand-rendered because
 //! the workspace vendors no JSON crate.
@@ -21,6 +23,7 @@
 use std::time::Instant;
 
 use rand::SeedableRng;
+use solarml::circuit::HarvestingArray;
 use solarml::fleet::{
     resume_campaign_with, run_campaign, run_campaign_cached, run_campaign_durable_with,
     simulate_node, CampaignCheckpoints, CampaignConfig, CampaignError, FleetReport, NodeDayStore,
@@ -33,7 +36,7 @@ use solarml::nn::{Padding, Tensor, TrainConfig};
 use solarml::platform::{simulate_day_with, DayReport, DaySimConfig};
 use solarml::scenario::{registry, Scenario};
 use solarml::sim::DtPolicy;
-use solarml::units::Seconds;
+use solarml::units::{Lux, Ratio, Seconds, Volts};
 use solarml::{run_enas, EnasConfig, Energy, TaskContext};
 
 struct Stage {
@@ -148,6 +151,19 @@ fn timed_day_sim(policy: DtPolicy, reps: usize) -> (u128, DayReport) {
         median_ns(&mut samples),
         report.expect("at least one day rep"),
     )
+}
+
+/// Times one `charging_current` call on the paper's unshaded 25-cell
+/// array, as every fleet rail step makes it; returns ns per call.
+fn timed_charging_current(reps: usize, iters: usize) -> u128 {
+    let array = HarvestingArray::new();
+    time_stage(reps, iters, || {
+        std::hint::black_box(array.charging_current(
+            std::hint::black_box(Lux::new(500.0)),
+            std::hint::black_box(Volts::new(3.0)),
+            |_| Ratio::ZERO,
+        ));
+    })
 }
 
 fn search_context() -> TaskContext {
@@ -404,6 +420,13 @@ fn main() {
         name: "day_sim_adaptive_dt",
         median_ns: adaptive_day_ns,
         iters: 1,
+    });
+    let harvest_iters = kernel_iters * 100;
+    eprintln!("quickbench: harvest charging current ({kernel_reps} reps × {harvest_iters} iters)…");
+    stages.push(Stage {
+        name: "harvest_charging_current",
+        median_ns: timed_charging_current(kernel_reps, harvest_iters),
+        iters: harvest_iters,
     });
     let day_outcomes_identical = fixed_day.completed == adaptive_day.completed
         && fixed_day.attempted == adaptive_day.attempted
