@@ -81,7 +81,11 @@ impl SolarCell {
 
     /// Power at the maximum power point under the given conditions.
     pub fn mpp_power(&self, lux: Lux, shading: Ratio) -> Power {
-        let isc = self.short_circuit_current(lux, shading);
+        self.mpp_power_at(self.short_circuit_current(lux, shading))
+    }
+
+    /// Power at the maximum power point for a known short-circuit current.
+    pub(crate) fn mpp_power_at(&self, isc: Amps) -> Power {
         let voc = self.open_circuit_voltage(isc);
         voc * isc * self.fill_factor
     }

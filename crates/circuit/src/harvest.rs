@@ -160,31 +160,50 @@ impl HarvestingArray {
     }
 
     /// Net charging current into the supercap at `v_cap`, under ambient
-    /// `lux` with per-cell shading given by `shading(cell_index) ∈ [0,1]`.
+    /// `lux` with per-cell shading `shading(cell_index)` clamped to `[0,1]`.
     ///
-    /// Cells whose MPP voltage cannot overcome `v_cap` (plus the diode drop
-    /// for event cells) contribute nothing; the harvester's boost stage
-    /// otherwise decouples cell voltage from supercap voltage, so we convert
-    /// power: `I = η·P_raw / V_cap`.
+    /// Every cell not diverted onto the sensing dividers adds its MPP power;
+    /// event cells first lose `I_sc·V_f` to their blocking diode (floored at
+    /// zero). No cell is cut off by `v_cap`: the harvester's boost stage
+    /// decouples cell voltage from supercap voltage, so the summed power is
+    /// converted, `I = η·P_raw / V_cap`, with `V_cap` floored at 0.5 V.
+    ///
+    /// The cell model is evaluated once per run of equal clamped shading
+    /// values rather than once per cell. Each cell still adds its own term
+    /// in layout order, and equal inputs give equal bits, so the sum is
+    /// bit-identical to evaluating every cell.
     pub fn charging_current(
         &self,
         lux: Lux,
         v_cap: Volts,
         shading: impl Fn(usize) -> Ratio,
     ) -> Amps {
+        let cell = &self.layout.cell;
+        // The last shading value's bits, plain-cell and event-cell power.
+        let mut memo: Option<(u64, Power, Power)> = None;
         let mut raw = Power::ZERO;
         for (i, &role) in self.layout.roles.iter().enumerate() {
             if role == CellRole::Sensing && self.mode == HarvestMode::Sensing {
                 continue; // diverted onto the sensing dividers
             }
             let s = shading(i).clamp01();
-            let mut p = self.layout.cell.mpp_power(lux, s);
-            if role == CellRole::EventDetection {
-                // The Schottky diode eats its forward drop's share of power.
-                let isc = self.layout.cell.short_circuit_current(lux, s);
-                p = (p - isc * self.blocking_diode.forward_drop).max(Power::ZERO);
-            }
-            raw += p;
+            let key = s.get().to_bits();
+            let (plain, event) = match memo {
+                Some((k, plain, event)) if k == key => (plain, event),
+                _ => {
+                    let isc = cell.short_circuit_current(lux, s);
+                    let plain = cell.mpp_power_at(isc);
+                    // The Schottky diode eats its forward drop's share of power.
+                    let event = (plain - isc * self.blocking_diode.forward_drop).max(Power::ZERO);
+                    memo = Some((key, plain, event));
+                    (plain, event)
+                }
+            };
+            raw += if role == CellRole::EventDetection {
+                event
+            } else {
+                plain
+            };
         }
         let out = self.harvester.output(raw);
         let v = v_cap.as_volts().max(0.5);
@@ -348,7 +367,59 @@ mod tests {
         assert!(with_diode < without);
     }
 
+    /// The per-cell loop `charging_current` replaced, kept as its oracle:
+    /// the cell model evaluated afresh for every cell.
+    fn per_cell_charging_current(
+        array: &HarvestingArray,
+        lux: Lux,
+        v_cap: Volts,
+        shading: impl Fn(usize) -> Ratio,
+    ) -> Amps {
+        let mut raw = Power::ZERO;
+        for (i, &role) in array.layout.roles.iter().enumerate() {
+            if role == CellRole::Sensing && array.mode == HarvestMode::Sensing {
+                continue;
+            }
+            let s = shading(i).clamp01();
+            let mut p = array.layout.cell.mpp_power(lux, s);
+            if role == CellRole::EventDetection {
+                let isc = array.layout.cell.short_circuit_current(lux, s);
+                p = (p - isc * array.blocking_diode.forward_drop).max(Power::ZERO);
+            }
+            raw += p;
+        }
+        let out = array.harvester.output(raw);
+        Amps::new(out.as_watts() / v_cap.as_volts().max(0.5))
+    }
+
     proptest! {
+        #[test]
+        fn charging_current_matches_per_cell_oracle_bitwise(
+            pattern in proptest::collection::vec(0usize..6, 25),
+            distinct in 1usize..7,
+            lux in 0.0f64..3000.0,
+            v in 0.0f64..6.0,
+            sensing in 0u8..2,
+        ) {
+            // A few values, so repeats, alternations and runs all occur;
+            // -0.2 and 1.5 clamp onto 0.0 and 1.0 but arrive as other bits.
+            const VALUES: [f64; 6] = [0.0, -0.0, 1.0, 0.35, -0.2, 1.5];
+            let shade = |i: usize| Ratio::new(VALUES[pattern[i] % distinct]);
+            let mut array = HarvestingArray::new();
+            if sensing == 1 {
+                array.set_mode(HarvestMode::Sensing);
+            }
+            let calls = std::cell::Cell::new(0usize);
+            let got = array.charging_current(Lux::new(lux), Volts::new(v), |i| {
+                calls.set(calls.get() + 1);
+                shade(i)
+            });
+            let want = per_cell_charging_current(&array, Lux::new(lux), Volts::new(v), shade);
+            prop_assert_eq!(got.as_amps().to_bits(), want.as_amps().to_bits());
+            let live = if sensing == 1 { 25 - 9 } else { 25 };
+            prop_assert_eq!(calls.get(), live);
+        }
+
         #[test]
         fn charging_current_nonnegative_and_monotone_in_lux(
             lux in 1.0f64..2000.0,
