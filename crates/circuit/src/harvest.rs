@@ -402,7 +402,7 @@ mod tests {
             sensing in 0u8..2,
         ) {
             // A few values, so repeats, alternations and runs all occur;
-            // -0.2 and 1.5 clamp onto 0.0 and 1.0 but arrive as other bits.
+            // -0.2 and 1.5 only equal 0.0 and 1.0 once clamped.
             const VALUES: [f64; 6] = [0.0, -0.0, 1.0, 0.35, -0.2, 1.5];
             let shade = |i: usize| Ratio::new(VALUES[pattern[i] % distinct]);
             let mut array = HarvestingArray::new();

@@ -66,7 +66,10 @@ fn check_golden(rel: &str, report: String) {
              SOLARML_BLESS=1 cargo test -p solarml-fleet --test scenario_campaign"
         )
     });
-    assert_eq!(golden, report, "`{rel}` drifted from its golden FleetReport");
+    assert_eq!(
+        golden, report,
+        "`{rel}` drifted from its golden FleetReport"
+    );
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {
