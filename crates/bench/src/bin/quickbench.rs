@@ -7,7 +7,8 @@
 //! sub-nanojoule energy-ledger residual), and a 64-node fleet campaign at
 //! 1 vs. 4 workers (verifying byte-identical reports and per-node ledger
 //! closure), and one `HarvestingArray::charging_current` call on the
-//! unshaded 25-cell array (the day simulator's per-step harvest cost), and
+//! unshaded 25-cell array (the day simulator's per-step harvest cost),
+//! counts the rail steps of the CLI-default 64-node campaign, and
 //! writes the medians to
 //! `BENCH_hotpaths.json` so future PRs have a trajectory to beat.
 //! Wall-clock timing with `std::time`; the JSON is hand-rendered because
@@ -33,7 +34,7 @@ use solarml::nas::parallel::{available_workers, derive_seed};
 use solarml::nn::layers::Conv2d;
 use solarml::nn::reference;
 use solarml::nn::{Padding, Tensor, TrainConfig};
-use solarml::platform::{simulate_day_with, DayReport, DaySimConfig};
+use solarml::platform::{simulate_day_with, simulate_faulted_day, DayReport, DaySimConfig};
 use solarml::scenario::{registry, Scenario};
 use solarml::sim::DtPolicy;
 use solarml::units::{Lux, Ratio, Seconds, Volts};
@@ -164,6 +165,19 @@ fn timed_charging_current(reps: usize, iters: usize) -> u128 {
             |_| Ratio::ZERO,
         ));
     })
+}
+
+/// Total rail steps of the CLI-default fleet campaign (representative
+/// population, 64 nodes, seed 7). A deterministic count, pinned by the
+/// fleet's `production_dt` test; node-day host time is steps × ns/step.
+fn fleet_rail_steps_64n() -> usize {
+    let spec = CampaignConfig::new(64, 7).population;
+    (0..64)
+        .map(|node| {
+            let seed = derive_seed(7, FLEET_SEED_CYCLE, node);
+            simulate_faulted_day(&spec.node_blueprint(seed).config).steps
+        })
+        .sum()
 }
 
 fn search_context() -> TaskContext {
@@ -450,6 +464,7 @@ fn main() {
     let fleet_reports_identical = fleet_1w.to_json() == fleet_4w.to_json();
     let fleet_nodes_per_sec = 64.0 / (fleet_4w_ns.min(fleet_1w_ns) as f64 / 1e9).max(1e-9);
     let fleet_max_residual_nj = fleet_1w.aggregate.residual_nj_stat.max_or_zero();
+    let fleet_rail_steps = fleet_rail_steps_64n();
 
     // The streaming stage stands in for the million-node campaign the
     // engine is built for, scaled to bench time: same code path
@@ -563,6 +578,9 @@ fn main() {
     ));
     json.push_str(&format!(
         "    \"fleet_reports_identical\": {fleet_reports_identical},\n"
+    ));
+    json.push_str(&format!(
+        "    \"fleet_rail_steps_64n\": {fleet_rail_steps},\n"
     ));
     json.push_str(&format!("    \"fleet_stream_nodes\": {stream_nodes},\n"));
     json.push_str(&format!(

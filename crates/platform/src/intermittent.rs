@@ -376,6 +376,9 @@ pub struct DayFaultReport {
     pub min_voltage: Volts,
     /// The conservation ledger for the whole day.
     pub audit: EnergyAudit,
+    /// Rail steps the day's scheduler took: a deterministic cost count,
+    /// not an outcome, so [`DayFaultReport::to_json`] leaves it out.
+    pub steps: usize,
 }
 
 impl DayFaultReport {
@@ -453,10 +456,12 @@ struct Rail<'a> {
     warns: usize,
     brownouts: usize,
     recoveries: usize,
+    steps: usize,
 }
 
 impl Clocked for Rail<'_> {
     fn step(&mut self, t: Seconds, dt: Seconds, bus: &mut SimBus) -> StepOutcome {
+        self.steps += 1;
         let lux = self.cfg.base.profile.lux_at(t) * self.cfg.faults.lux_factor(t);
         let charge = if self.cfg.faults.harvester_connected(t) {
             self.array
@@ -560,6 +565,7 @@ impl<'a> Engine<'a> {
                 warns: 0,
                 brownouts: 0,
                 recoveries: 0,
+                steps: 0,
             },
             attempted: 0,
             completed: 0,
@@ -1013,6 +1019,7 @@ impl<'a> Engine<'a> {
             final_voltage: self.rail.cap.voltage(),
             min_voltage: self.rail.min_voltage,
             audit,
+            steps: self.rail.steps,
         }
     }
 }
