@@ -1,15 +1,21 @@
 //! The fleet's production timestep policy, pinned.
 //!
 //! Every fleet node runs its day at `DtPolicy::adaptive(50 ms, 3600 s)`
-//! (`PopulationSpec::node_blueprint`). This suite pins what that policy
-//! costs: the total rail step count of the CLI-default campaign
-//! (`solarml-cli fleet --nodes 64 --seed 7`), a pure function of the
-//! inputs. Node-day host time is steps × ns per step, so a change that
-//! moves the step count shows up here as an exact number.
+//! (`PopulationSpec::node_blueprint`). This suite pins two things:
+//!
+//! * what that policy costs: the total rail step count of the CLI-default
+//!   campaign (`solarml-cli fleet --nodes 64 --seed 7`), a pure function
+//!   of the inputs. Node-day host time is steps × ns per step, so a change
+//!   that moves the step count shows up here as an exact number;
+//! * what it gives up: sampled nodes from every env × policy bucket and
+//!   from four stress scenarios run at both the production policy and
+//!   `DtPolicy::fixed()`, with per-node bounds on the difference.
 
-use solarml_fleet::{CampaignConfig, FLEET_SEED_CYCLE};
+use solarml_fleet::{CampaignConfig, PopulationSpec, FLEET_SEED_CYCLE};
 use solarml_nas::parallel::derive_seed;
-use solarml_platform::simulate_faulted_day;
+use solarml_platform::{simulate_faulted_day, IntermittentConfig};
+use solarml_scenario::registry;
+use solarml_sim::DtPolicy;
 
 /// Total rail steps of the representative 64-node, seed-7 campaign.
 const REPRESENTATIVE_64N_SEED7_STEPS: usize = 1_114_533;
@@ -24,4 +30,107 @@ fn representative_campaign_rail_step_count_is_pinned() {
         })
         .sum();
     assert_eq!(steps, REPRESENTATIVE_64N_SEED7_STEPS);
+}
+
+// Per-node bounds on the production policy's deviation from the fixed-dt
+// reference (1 s idle, 10 ms active). Set from the worst node of the
+// sample below with headroom (measured: 3 completions, 3.04 % harvested,
+// 23.6 mV); published in DESIGN.md §4e. The circuit-level 10 mV parity
+// bound holds at a 1 ms floor, not at the fleet's 50 ms one.
+const MAX_COMPLETED_DELTA: usize = 4;
+const MAX_HARVESTED_REL: f64 = 0.04;
+const MAX_MIN_VOLTAGE_DELTA_V: f64 = 0.030;
+
+/// Nodes sampled per representative env × policy bucket and per scenario.
+const PER_BUCKET: usize = 2;
+const PER_SCENARIO: usize = 3;
+const SAMPLE_SEED: u64 = 0xD1FF;
+
+/// The first `PER_BUCKET` nodes of every env × policy bucket of the
+/// representative population.
+fn representative_sample() -> Vec<(String, IntermittentConfig)> {
+    let spec = PopulationSpec::representative();
+    let mut taken = [[0usize; 3]; 3];
+    let mut out = Vec::new();
+    for node in 0.. {
+        if taken.iter().flatten().all(|&n| n == PER_BUCKET) {
+            break;
+        }
+        let bp = spec.node_blueprint(derive_seed(SAMPLE_SEED, FLEET_SEED_CYCLE, node));
+        let slot = &mut taken[bp.env_index][bp.policy_index];
+        if *slot < PER_BUCKET {
+            *slot += 1;
+            let label = format!("env{}/policy{} node {node}", bp.env_index, bp.policy_index);
+            out.push((label, bp.config));
+        }
+    }
+    out
+}
+
+/// The first `PER_SCENARIO` nodes of a registry scenario.
+fn scenario_sample(name: &str) -> Vec<(String, IntermittentConfig)> {
+    let entry = registry::find(name).unwrap_or_else(|| panic!("scenario {name} is registered"));
+    let mut spec = PopulationSpec::representative();
+    spec.scenario = Some(entry.scenario.clone());
+    (0..PER_SCENARIO)
+        .map(|node| {
+            let seed = derive_seed(SAMPLE_SEED, FLEET_SEED_CYCLE, node);
+            (
+                format!("{name} node {node}"),
+                spec.node_blueprint(seed).config,
+            )
+        })
+        .collect()
+}
+
+/// Runs every node at its production policy and at fixed dt, and checks
+/// the four per-node bounds.
+fn check_against_fixed(sample: Vec<(String, IntermittentConfig)>) {
+    for (label, adaptive) in sample {
+        assert!(
+            adaptive.dt_policy.adaptive,
+            "{label}: fleet nodes step adaptively"
+        );
+        let mut fixed = adaptive.clone();
+        fixed.dt_policy = DtPolicy::fixed();
+        let a = simulate_faulted_day(&adaptive);
+        let f = simulate_faulted_day(&fixed);
+        let completed = a.completed.abs_diff(f.completed);
+        let harvested = (a.harvested.as_joules() - f.harvested.as_joules()).abs()
+            / f.harvested.as_joules().max(1e-12);
+        let min_v = (a.min_voltage.as_volts() - f.min_voltage.as_volts()).abs();
+        assert_eq!(a.attempted, f.attempted, "{label}: attempted");
+        assert!(
+            completed <= MAX_COMPLETED_DELTA,
+            "{label}: |Δcompleted| = {completed}"
+        );
+        assert!(
+            harvested <= MAX_HARVESTED_REL,
+            "{label}: harvested off by {harvested:.4}"
+        );
+        assert!(
+            min_v <= MAX_MIN_VOLTAGE_DELTA_V,
+            "{label}: min voltage off by {min_v:.4} V"
+        );
+    }
+}
+
+#[test]
+fn production_policy_tracks_fixed_dt_across_representative_buckets() {
+    check_against_fixed(representative_sample());
+}
+
+#[test]
+fn production_policy_tracks_fixed_dt_on_stress_scenarios() {
+    check_against_fixed(
+        [
+            "stressed_office_day",
+            "brownout_gauntlet",
+            "cloudy_day",
+            "flaky_harvester",
+        ]
+        .into_iter()
+        .flat_map(scenario_sample)
+        .collect(),
+    );
 }
