@@ -178,9 +178,7 @@ impl Supercap {
     /// floating-point round-off (the basis of [`crate::sim::EnergyAudit`]).
     pub fn step(&mut self, dt: Seconds, charge_in: Amps, power_out: Power) -> CapStepEnergy {
         let v0 = self.voltage.as_volts();
-        let v = v0.max(1e-3);
-        let i_out = power_out.as_watts() / v;
-        let i_leak = v0 / self.leakage.as_ohms();
+        let (i_out, i_leak) = self.drain_currents(power_out);
         let net = charge_in.as_amps() - i_out - i_leak;
         let dv = net * dt.as_seconds() / self.capacitance.as_farads();
         let next = (v0 + dv).clamp(0.0, self.max_voltage.as_volts());
@@ -212,9 +210,7 @@ impl Supercap {
     /// construction); this bound limits the trajectory error of the voltage
     /// itself. Capped at one hour so a fully quiescent hint stays finite.
     pub fn stable_dt(&self, charge_in: Amps, power_out: Power, eps_v: Volts) -> Seconds {
-        let v = self.voltage.as_volts().max(1e-3);
-        let i_out = power_out.as_watts() / v;
-        let i_leak = self.voltage.as_volts() / self.leakage.as_ohms();
+        let (i_out, i_leak) = self.drain_currents(power_out);
         let net = (charge_in.as_amps() - i_out - i_leak).abs();
         let cap = 3600.0;
         if net <= 0.0 {
@@ -222,6 +218,25 @@ impl Supercap {
         }
         let dt = eps_v.as_volts().max(0.0) * self.capacitance.as_farads() / net;
         Seconds::new(dt.min(cap))
+    }
+
+    /// Whether the cell is **pinned**: at `max_voltage` with a net current
+    /// `≥ 0` under these charge/load conditions. Every [`Supercap::step`]
+    /// then clamps back to exactly `max_voltage` whatever its `dt`, so the
+    /// ε·C/|I| bound of [`Supercap::stable_dt`] protects nothing.
+    pub fn is_pinned(&self, charge_in: Amps, power_out: Power) -> bool {
+        let (i_out, i_leak) = self.drain_currents(power_out);
+        self.voltage == self.max_voltage && charge_in.as_amps() - i_out - i_leak >= 0.0
+    }
+
+    /// Load current (`power_out` at the present voltage, floored at 1 mV)
+    /// and leakage current: the two drains every step integrates.
+    fn drain_currents(&self, power_out: Power) -> (f64, f64) {
+        let v0 = self.voltage.as_volts();
+        (
+            power_out.as_watts() / v0.max(1e-3),
+            v0 / self.leakage.as_ohms(),
+        )
     }
 
     /// Directly removes an energy quantum (used for discrete inference costs).
@@ -484,6 +499,21 @@ mod tests {
             cap.step(Seconds::new(1.0), Amps::from_milli_amps(10.0), Power::ZERO);
         }
         assert!(cap.voltage() <= cap.max_voltage);
+    }
+
+    #[test]
+    fn pinned_cap_holds_its_rating_at_any_dt() {
+        let mut cap = Supercap::new(Farads::new(0.047), Volts::new(5.5));
+        let load = Power::from_micro_watts(2.4);
+        // Leakage alone at 5.5 V is 2.75 µA: 1 µA in cannot hold the rail.
+        assert!(!cap.is_pinned(Amps::from_micro_amps(1.0), load));
+        let charge = Amps::from_micro_amps(40.0);
+        assert!(cap.is_pinned(charge, load));
+        let flows = cap.step(Seconds::new(3600.0), charge, load);
+        assert_eq!(cap.voltage(), cap.max_voltage);
+        assert!(flows.clamped > Energy::ZERO);
+        let below = Supercap::new(Farads::new(0.047), Volts::new(5.4));
+        assert!(!below.is_pinned(charge, load), "only the rating pins");
     }
 
     #[test]

@@ -69,6 +69,12 @@ impl CloudTransient {
         };
         Ratio::new(self.depth.get().clamp(0.0, 1.0) * envelope)
     }
+
+    /// Whether `t` falls inside the window `[at, at + duration)`.
+    pub fn covers(&self, t: Seconds) -> bool {
+        let rel = t.as_seconds() - self.at.as_seconds();
+        rel >= 0.0 && rel < self.duration.as_seconds().max(0.0)
+    }
 }
 
 /// A harvester disconnect window: no charging current reaches the supercap
@@ -212,6 +218,25 @@ impl FaultPlan {
     /// Whether the harvester is electrically connected at `t`.
     pub fn harvester_connected(&self, t: Seconds) -> bool {
         !self.outages.iter().any(|o| o.covers(t))
+    }
+
+    /// Whether no cloud or outage window covers `t`: the light is the
+    /// profile's own (`lux_factor` is exactly 1) and the harvester is
+    /// connected. Until [`FaultPlan::next_edge_after`] it stays that way.
+    pub fn quiet_at(&self, t: Seconds) -> bool {
+        !self.clouds.iter().any(|c| c.covers(t)) && self.harvester_connected(t)
+    }
+
+    /// The first cloud or outage window edge (a start or an end) strictly
+    /// after `t`, `None` when no window opens or closes later.
+    pub fn next_edge_after(&self, t: Seconds) -> Option<Seconds> {
+        let clouds = self.clouds.iter().map(|c| (c.at, c.duration));
+        let outages = self.outages.iter().map(|o| (o.at, o.duration));
+        clouds
+            .chain(outages)
+            .flat_map(|(at, duration)| [at, at + duration])
+            .filter(|&edge| edge > t)
+            .min_by(|a, b| a.as_seconds().total_cmp(&b.as_seconds()))
     }
 
     /// Builds the physical (possibly degraded) supercap for this plan.
@@ -488,6 +513,41 @@ mod tests {
         let _ = deg.build(Farads::new(1.0), Volts::new(3.0));
     }
 
+    #[test]
+    fn quiet_spans_end_on_the_next_window_edge() {
+        let plan = FaultPlan {
+            clouds: vec![CloudTransient {
+                at: Seconds::new(100.0),
+                duration: Seconds::new(50.0),
+                depth: Ratio::new(0.5),
+                ramp: Seconds::new(10.0),
+            }],
+            outages: vec![OutageWindow {
+                at: Seconds::new(300.0),
+                duration: Seconds::new(20.0),
+            }],
+            degradation: SupercapDegradation::fresh(),
+        };
+        let edge = |t: f64| {
+            plan.next_edge_after(Seconds::new(t))
+                .map(|e| e.as_seconds())
+        };
+        assert_eq!(edge(0.0), Some(100.0));
+        assert_eq!(edge(100.0), Some(150.0), "strictly after");
+        assert_eq!(edge(200.0), Some(300.0));
+        assert_eq!(edge(310.0), Some(320.0));
+        assert_eq!(edge(320.0), None);
+        assert!(plan.quiet_at(Seconds::new(99.0)));
+        assert!(
+            !plan.quiet_at(Seconds::new(100.0)),
+            "a window covers its start"
+        );
+        assert!(plan.quiet_at(Seconds::new(150.0)));
+        assert!(!plan.quiet_at(Seconds::new(300.0)));
+        assert!(FaultPlan::none().quiet_at(Seconds::new(5.0)));
+        assert_eq!(FaultPlan::none().next_edge_after(Seconds::ZERO), None);
+    }
+
     proptest! {
         /// For any monotonically falling voltage staircase crossing both
         /// thresholds, the warn event fires strictly before the brownout,
@@ -546,6 +606,22 @@ mod tests {
         }
 
         /// The lux factor stays inside [0, 1] for any seeded plan and time.
+        #[test]
+        fn quiet_means_clear_sky_until_the_next_edge(
+            seed in 0u64..1000,
+            t in 0.0f64..86_400.0,
+            frac in 0.0f64..1.0,
+        ) {
+            let plan = FaultPlan::seeded_cloudy_day(seed);
+            let t = Seconds::new(t);
+            let end = plan.next_edge_after(t).unwrap_or(Seconds::new(86_400.0));
+            let s = t + (end - t) * frac;
+            if plan.quiet_at(t) && s < end {
+                prop_assert_eq!(plan.lux_factor(s).get(), 1.0);
+                prop_assert!(plan.harvester_connected(s));
+            }
+        }
+
         #[test]
         fn lux_factor_bounded(seed in 0u64..1000, t in 0.0f64..86_400.0) {
             let plan = FaultPlan::seeded_cloudy_day(seed);

@@ -432,6 +432,31 @@ mod tests {
             prop_assert!(i2 >= i1);
         }
 
+        /// The premise of the pinned-supercap stride: at a fixed `v_cap`
+        /// the charging current never falls as lux rises — checked for the
+        /// whole array in both modes and for the two diode-fed event cells
+        /// alone, whose power is floored at zero below the diode drop.
+        #[test]
+        fn charging_current_is_non_decreasing_in_lux(
+            a in 0.0f64..3000.0,
+            b in 0.0f64..3000.0,
+            v in 0.0f64..6.0,
+            sensing in 0u8..2,
+        ) {
+            let (lo, hi) = (Lux::new(a.min(b)), Lux::new(a.max(b)));
+            let mut array = HarvestingArray::new();
+            if sensing == 1 {
+                array.set_mode(HarvestMode::Sensing);
+            }
+            let mut event_only = HarvestingArray::new();
+            event_only.layout.roles = vec![CellRole::EventDetection; 2];
+            for arr in [&array, &event_only] {
+                let i_lo = arr.charging_current(lo, Volts::new(v), no_shade);
+                let i_hi = arr.charging_current(hi, Volts::new(v), no_shade);
+                prop_assert!(i_lo <= i_hi, "{:?} -> {:?} at {} lux", i_lo, i_hi, hi.as_lux());
+            }
+        }
+
         #[test]
         fn full_shade_kills_sensing_voltage(lux in 50.0f64..2000.0) {
             let mut array = HarvestingArray::new();

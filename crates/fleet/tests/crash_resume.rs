@@ -245,20 +245,21 @@ fn file_hashes(dir: &Path, keep: impl Fn(&str) -> bool) -> Vec<(String, u64)> {
     out
 }
 
-/// Checkpoint files of the pinned durable campaign, recorded before the
-/// snapshot and store framing moved onto the shared envelope.
-const PINNED_CHECKPOINTS: &[(&str, u64)] = &[("ckpt-000000000008.bin", 0x9D63_EEBF_5F3F_156B)];
+/// Checkpoint files of the pinned durable campaign. The framing has not
+/// moved since the snapshots went onto the shared envelope; the bytes were
+/// re-pinned when `SIM_FINGERPRINT` went to `v2` (new outcomes, new keys).
+const PINNED_CHECKPOINTS: &[(&str, u64)] = &[("ckpt-000000000008.bin", 0xA80F_9ED4_2403_61C6)];
 
 /// Store files (`store.meta` and every `nd-*.bin`) of the pinned campaign.
 const PINNED_STORE: &[(&str, u64)] = &[
-    ("nd-211a65d052c1e9dc.bin", 0xA131_33F5_2C35_8E4E),
-    ("nd-730d79e3cbb46511.bin", 0x3960_A0CE_A9F6_6296),
-    ("nd-743d887459229263.bin", 0xCCFF_B5A3_E259_D184),
-    ("nd-7aafe6f04d0e2fb4.bin", 0x9053_18F2_58FF_6295),
-    ("nd-7f7359d260b34f3c.bin", 0x6298_C449_398C_30CE),
-    ("nd-92fe33784ce42524.bin", 0x12BE_CDA8_4174_60F1),
-    ("nd-94dc55e4fa35b561.bin", 0xFA25_C865_2D5B_7629),
-    ("nd-aff9a244ae368269.bin", 0xE38E_CAE2_EF77_208B),
+    ("nd-2f177f643930cc56.bin", 0xF1E7_08BC_432E_A143),
+    ("nd-8812856b2e3a9555.bin", 0xEE7A_E6B8_F1C7_9274),
+    ("nd-8edc0e95df79cad0.bin", 0x0087_1136_DF93_0ECF),
+    ("nd-8f086c30090601bc.bin", 0x9F52_BAA6_38BF_7D7D),
+    ("nd-99b3d281974ecc1d.bin", 0x960D_07A1_20DA_B7E8),
+    ("nd-d8e9fefbccb10649.bin", 0xC3AB_35E3_9FF8_5CA1),
+    ("nd-e3db588baa6f0411.bin", 0x32E6_3C8A_CE4B_926D),
+    ("nd-fd891e094344c78c.bin", 0x2030_659E_2117_E292),
     ("store.meta", 0x70F4_6CF5_06D0_C393),
 ];
 

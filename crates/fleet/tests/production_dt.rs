@@ -18,7 +18,7 @@ use solarml_scenario::registry;
 use solarml_sim::DtPolicy;
 
 /// Total rail steps of the representative 64-node, seed-7 campaign.
-const REPRESENTATIVE_64N_SEED7_STEPS: usize = 1_114_533;
+const REPRESENTATIVE_64N_SEED7_STEPS: usize = 509_693;
 
 #[test]
 fn representative_campaign_rail_step_count_is_pinned() {

@@ -147,6 +147,12 @@ impl DayProfile {
         Self { lux_by_hour: lux }
     }
 
+    /// The first knot of the profile strictly after `t`: the next top of
+    /// the hour. Between two knots [`DayProfile::lux_at`] is linear in `t`.
+    pub fn next_knot_after(&self, t: Seconds) -> Seconds {
+        Seconds::new(((t.as_seconds() / 3600.0).floor() + 1.0) * 3600.0)
+    }
+
     /// Interpolated illuminance at a time-of-day offset.
     pub fn lux_at(&self, t: Seconds) -> Lux {
         let hours = (t.as_seconds() / 3600.0).rem_euclid(24.0);
@@ -250,7 +256,7 @@ impl Clocked for DayHarvester<'_> {
         let stable = self
             .cap
             .stable_dt(i, self.config.standby_power, ADAPTIVE_EPS_V);
-        let hour_end = Seconds::new(((t.as_seconds() / 3600.0).floor() + 1.0) * 3600.0);
+        let hour_end = self.config.profile.next_knot_after(t);
         StepOutcome::hint(stable.min(hour_end - t))
     }
 }
@@ -418,6 +424,22 @@ mod tests {
         assert!(t_kws > t_gesture);
         let ratio = t_kws / t_gesture;
         assert!((1.7..2.1).contains(&ratio));
+    }
+
+    #[test]
+    fn lux_is_linear_between_consecutive_knots() {
+        let profile = DayProfile::office();
+        for t in [0.0, 1799.5, 3600.0, 8.0 * 3600.0 + 17.25, 86_399.0] {
+            let t = Seconds::new(t);
+            let knot = profile.next_knot_after(t);
+            assert!(knot > t && knot - t <= Seconds::new(3600.0));
+            assert_eq!(knot.as_seconds() % 3600.0, 0.0, "knots sit on the hour");
+            let prev = knot - Seconds::new(3600.0);
+            let mid = prev + Seconds::new(1800.0);
+            let (a, b) = (profile.lux_at(prev), profile.lux_at(knot));
+            let halfway = (a.as_lux() + b.as_lux()) / 2.0;
+            assert!((profile.lux_at(mid).as_lux() - halfway).abs() < 1e-9);
+        }
     }
 
     #[test]

@@ -457,13 +457,65 @@ struct Rail<'a> {
     brownouts: usize,
     recoveries: usize,
     steps: usize,
+    /// The pinned stride granted by the previous step, if any.
+    stride: Option<PinnedStride>,
+}
+
+/// A stride the rail granted itself while pinned at `max_voltage`: the
+/// step starting at `from` may run up to the light knot `from + len`, and
+/// integrates the charging current by the trapezoid of its endpoints.
+#[derive(Debug, Clone, Copy)]
+struct PinnedStride {
+    from: Seconds,
+    /// The hinted step width, `knot - from`.
+    len: Seconds,
+    /// Charging current at the knot, under the profile's light alone.
+    charge_at_knot: Amps,
+}
+
+impl Rail<'_> {
+    /// Charging current at `t` into the cell at its rating, under the
+    /// profile's light with no fault window active.
+    fn clear_sky_charge(&self, t: Seconds) -> Amps {
+        let lux = self.cfg.base.profile.lux_at(t);
+        self.array
+            .charging_current(lux, self.cap.max_voltage, |_| Ratio::ZERO)
+    }
+
+    /// The pinned stride from `t` under `load`, if one holds: the policy is
+    /// adaptive, the cell is pinned now, no fault window is active, and
+    /// the cell is still pinned under the light at the next knot (the
+    /// next profile hour or fault-window edge). Lux is linear between
+    /// knots and the charging current monotone in lux, so the net current
+    /// stays `≥ 0` and the voltage at `max_voltage` across the stride.
+    fn pinned_stride(&self, t: Seconds, load: Power) -> Option<PinnedStride> {
+        let faults = &self.cfg.faults;
+        if !self.cfg.dt_policy.adaptive
+            || self.cap.voltage() != self.cap.max_voltage
+            || !faults.quiet_at(t)
+        {
+            return None;
+        }
+        let hour = self.cfg.base.profile.next_knot_after(t);
+        let knot = faults
+            .next_edge_after(t)
+            .map_or(hour, |edge| edge.min(hour));
+        let charge_at_knot = self.clear_sky_charge(knot);
+        let pinned = self.cap.is_pinned(self.clear_sky_charge(t), load)
+            && self.cap.is_pinned(charge_at_knot, load);
+        pinned.then(|| PinnedStride {
+            from: t,
+            len: knot - t,
+            charge_at_knot,
+        })
+    }
 }
 
 impl Clocked for Rail<'_> {
     fn step(&mut self, t: Seconds, dt: Seconds, bus: &mut SimBus) -> StepOutcome {
         self.steps += 1;
         let lux = self.cfg.base.profile.lux_at(t) * self.cfg.faults.lux_factor(t);
-        let charge = if self.cfg.faults.harvester_connected(t) {
+        let mut charge = if self.cfg.faults.harvester_connected(t) {
             self.array
                 .charging_current(lux, self.cap.voltage(), |_| Ratio::ZERO)
         } else {
@@ -485,6 +537,19 @@ impl Clocked for Rail<'_> {
             Power::ZERO
         };
         let load = bus.mcu_load + standby + retention + self.extra;
+        // Inside a granted stride the voltage cannot leave the rating, so
+        // only the ledger's quadrature changes: the trapezoid of the two
+        // endpoint currents, provided this step's load keeps both pinned.
+        if let Some(stride) = self.stride.take().filter(|s| s.from == t && dt <= s.len) {
+            let end = if dt == stride.len {
+                stride.charge_at_knot
+            } else {
+                self.clear_sky_charge(t + dt)
+            };
+            if self.cap.is_pinned(charge, load) && self.cap.is_pinned(end, load) {
+                charge = (charge + end) * 0.5;
+            }
+        }
         let flows = self.cap.step(dt, charge, load);
         bus.record(flows.into());
         // physics-lint: allow(ledger-coverage): unsaved-work meter, not an energy ledger — the joules themselves flow through bus.record above
@@ -512,7 +577,11 @@ impl Clocked for Rail<'_> {
         bus.rail_voltage = self.cap.voltage();
         bus.rail_connected = rail_up;
         bus.load_power = load;
-        let hint = self.cap.stable_dt(charge, load, ADAPTIVE_EPS_V);
+        self.stride = self.pinned_stride(t + dt, load);
+        let hint = match self.stride {
+            Some(stride) => stride.len,
+            None => self.cap.stable_dt(charge, load, ADAPTIVE_EPS_V),
+        };
         StepOutcome::hint(hint).with_edge(event.is_some())
     }
 }
@@ -566,6 +635,7 @@ impl<'a> Engine<'a> {
                 brownouts: 0,
                 recoveries: 0,
                 steps: 0,
+                stride: None,
             },
             attempted: 0,
             completed: 0,
@@ -1174,6 +1244,66 @@ mod tests {
             "lost-progress energy must shrink: {} vs {}",
             resilient.wasted,
             naive.wasted
+        );
+    }
+
+    #[test]
+    fn pinned_cap_strides_knot_to_knot() {
+        let mut base = DaySimConfig::office_day(Energy::from_milli_joules(30.0));
+        base.interactions.clear();
+        base.capacitance = Farads::new(0.047);
+        base.initial_voltage = Volts::new(5.5);
+        // A brightening morning, so every hour is a sloped segment.
+        base.profile.lux_by_hour[8..=12].copy_from_slice(&[300.0, 500.0, 700.0, 900.0, 1100.0]);
+        let mut cfg =
+            IntermittentConfig::naive(base, FaultPlan::none(), PhasePlan::representative_gesture());
+        cfg.dt_policy = DtPolicy::adaptive(Seconds::from_millis(50.0), Seconds::new(3600.0));
+        let mut engine = Engine::new(&cfg);
+        let start = Seconds::new(8.0 * 3600.0);
+        engine.sched = Scheduler::starting_at(start, cfg.dt_policy);
+        let Engine {
+            sched,
+            bus,
+            mcu,
+            rail,
+            ..
+        } = &mut engine;
+        let max = rail.cap.max_voltage;
+        let mut ends = Vec::new();
+        sched.run_until(
+            Seconds::new(12.0 * 3600.0),
+            Seconds::new(1.0),
+            &mut [&mut *mcu as &mut dyn Clocked, &mut *rail],
+            bus,
+            |t, _, bus| {
+                assert_eq!(bus.rail_voltage, max, "pinned at {t}");
+                ends.push(t.as_seconds());
+                StepControl::Continue
+            },
+        );
+        // One warm-up step at the 50 ms floor, then one stride per hour,
+        // each landing exactly on the knot.
+        let hours: Vec<f64> = (9..=12).map(|h| f64::from(h) * 3600.0).collect();
+        assert_eq!(ends[1..], hours[..], "steps ended at {ends:?}");
+        let audit = engine.bus.audit();
+        assert!(audit.discrepancy.as_joules() <= 1e-9, "ledger: {audit:?}");
+        // Each stride books the trapezoid of its endpoint currents.
+        let charge = |t: f64| {
+            let lux = cfg.base.profile.lux_at(Seconds::new(t));
+            engine
+                .rail
+                .array
+                .charging_current(lux, max, |_| Ratio::ZERO)
+                .as_amps()
+        };
+        let mut expected = charge(ends[0] - 0.05) * 0.05;
+        for (&from, &to) in ends.iter().zip(&ends[1..]) {
+            expected += 0.5 * (charge(from) + charge(to)) * (to - from);
+        }
+        let booked = audit.harvested.as_joules() / max.as_volts();
+        assert!(
+            (booked / expected - 1.0).abs() < 1e-12,
+            "{booked} vs {expected} C"
         );
     }
 
