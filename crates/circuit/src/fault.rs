@@ -72,9 +72,15 @@ impl CloudTransient {
 
     /// Whether `t` falls inside the window `[at, at + duration)`.
     pub fn covers(&self, t: Seconds) -> bool {
-        let rel = t.as_seconds() - self.at.as_seconds();
-        rel >= 0.0 && rel < self.duration.as_seconds().max(0.0)
+        window_covers(self.at, self.duration, t)
     }
+}
+
+/// Whether `t` falls inside `[at, at + duration)` (empty when `duration`
+/// is not positive).
+fn window_covers(at: Seconds, duration: Seconds, t: Seconds) -> bool {
+    let rel = t.as_seconds() - at.as_seconds();
+    rel >= 0.0 && rel < duration.as_seconds().max(0.0)
 }
 
 /// A harvester disconnect window: no charging current reaches the supercap
@@ -90,8 +96,7 @@ pub struct OutageWindow {
 impl OutageWindow {
     /// Whether `t` falls inside the disconnect window.
     pub fn covers(&self, t: Seconds) -> bool {
-        let rel = t.as_seconds() - self.at.as_seconds();
-        rel >= 0.0 && rel < self.duration.as_seconds().max(0.0)
+        window_covers(self.at, self.duration, t)
     }
 }
 
