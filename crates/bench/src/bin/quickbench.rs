@@ -70,6 +70,7 @@ fn kernel_stages(reps: usize, iters: usize) -> Vec<Stage> {
     // KWS-scale feature map: 49 frames × 13 features, 8→16 channels.
     let mut rng = rand::rngs::StdRng::seed_from_u64(3);
     let mut layer = Conv2d::standalone(8, 16, 3, 3, 1, Padding::Same, &mut rng);
+    let mut grad_in = Tensor::zeros([1]);
     let input = Tensor::from_vec(
         [49, 13, 8],
         (0..49 * 13 * 8)
@@ -78,7 +79,8 @@ fn kernel_stages(reps: usize, iters: usize) -> Vec<Stage> {
     );
     let weights = layer.weights().to_vec();
     let bias = layer.bias().to_vec();
-    let out = layer.forward(&input);
+    let mut out = Tensor::zeros([1]);
+    layer.forward_into(&input, &mut out);
     let grad = Tensor::from_vec(
         out.shape().to_vec(),
         (0..out.len()).map(|i| ((i as f32) * 0.11).cos()).collect(),
@@ -88,7 +90,8 @@ fn kernel_stages(reps: usize, iters: usize) -> Vec<Stage> {
         Stage {
             name: "conv_forward_opt",
             median_ns: time_stage(reps, iters, || {
-                std::hint::black_box(layer.forward(&input));
+                layer.forward_into(&input, &mut out);
+                std::hint::black_box(&out);
             }),
             iters,
         },
@@ -112,7 +115,8 @@ fn kernel_stages(reps: usize, iters: usize) -> Vec<Stage> {
         Stage {
             name: "conv_backward_opt",
             median_ns: time_stage(reps, iters, || {
-                std::hint::black_box(layer.backward(&grad));
+                layer.backward_into(&input, &grad, Some(&mut grad_in));
+                std::hint::black_box(&grad_in);
             }),
             iters,
         },

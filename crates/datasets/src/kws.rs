@@ -8,7 +8,7 @@
 //! PCM → framing → MFCC → CNN.
 
 use rand::Rng;
-use solarml_dsp::{AudioFrontendParams, MfccExtractor};
+use solarml_dsp::{standardize, AudioFrontendParams, MfccExtractor, MfccScratch};
 use solarml_nn::{ClassDataset, Tensor};
 
 use crate::gesture::split_by_class;
@@ -164,22 +164,17 @@ impl KwsDataset {
     /// `[frames, features, 1]`.
     pub fn to_class_dataset(&self, params: &AudioFrontendParams) -> ClassDataset {
         let extractor = MfccExtractor::new(*params, AUDIO_RATE_HZ);
+        let mut scratch = MfccScratch::default();
+        let f = params.features() as usize;
         let inputs: Vec<Tensor> = self
             .clips
             .iter()
             .map(|clip| {
-                let feats = extractor.extract(clip);
-                let frames = feats.len();
-                let f = params.features() as usize;
-                let mut flat: Vec<f32> = feats.into_iter().flatten().collect();
+                let mut flat = Vec::new();
+                extractor.extract_into(clip, &mut scratch, &mut flat);
                 // Per-clip standardization keeps training well-conditioned.
-                let mean = flat.iter().sum::<f32>() / flat.len() as f32;
-                let var = flat.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / flat.len() as f32;
-                let std = var.sqrt().max(1e-6);
-                for v in flat.iter_mut() {
-                    *v = (*v - mean) / std;
-                }
-                Tensor::from_vec([frames, f, 1], flat)
+                standardize(&mut flat);
+                Tensor::from_vec([flat.len() / f, f, 1], flat)
             })
             .collect();
         ClassDataset::new(inputs, self.labels.clone(), KEYWORDS.len())

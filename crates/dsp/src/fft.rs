@@ -42,44 +42,145 @@ impl Complex {
     }
 }
 
+/// A precomputed radix-2 FFT of one power-of-two length: the bit-reversal
+/// permutation and every stage's twiddle sequence, built once and reused
+/// for every transform of that length.
+///
+/// Each stage's twiddles come from the same f32 recurrence
+/// (`w ← w·w_len`, starting at 1) the butterflies would otherwise run per
+/// block, so a planned transform is bit-identical to recomputing them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FftPlan {
+    /// Index pairs `(i, j)`, `i < j`, swapped by the bit-reversal.
+    swaps: Vec<(usize, usize)>,
+    /// Stage twiddles, concatenated: the stage of block length `len` keeps
+    /// its `len/2` factors at offset `len/2 − 1`.
+    twiddles: Vec<Complex>,
+}
+
+impl FftPlan {
+    /// Plans an `n`-point transform.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is not a power of two (or is zero).
+    pub fn new(n: usize) -> Self {
+        assert!(
+            n.is_power_of_two() && n > 0,
+            "FFT length must be a power of two, got {n}"
+        );
+        let bits = n.trailing_zeros();
+        let swaps = (0..n)
+            .filter_map(|i| {
+                let j = (i as u32)
+                    .reverse_bits()
+                    .checked_shr(32 - bits)
+                    .unwrap_or(0) as usize;
+                (i < j).then_some((i, j))
+            })
+            .collect();
+        let mut twiddles = Vec::with_capacity(n.saturating_sub(1));
+        let mut len = 2;
+        while len <= n {
+            let ang = -2.0 * std::f64::consts::PI / len as f64;
+            let wlen = Complex::new(ang.cos() as f32, ang.sin() as f32);
+            let mut w = Complex::new(1.0, 0.0);
+            for _ in 0..len / 2 {
+                twiddles.push(w);
+                w = w.mul(wlen);
+            }
+            len <<= 1;
+        }
+        Self { swaps, twiddles }
+    }
+
+    /// The transform length.
+    pub fn len(&self) -> usize {
+        self.twiddles.len() + 1
+    }
+
+    /// Whether the plan is for a single point (a no-op transform).
+    pub fn is_empty(&self) -> bool {
+        self.twiddles.is_empty()
+    }
+
+    /// In-place iterative radix-2 Cooley–Tukey FFT.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `buf.len()` differs from the planned length.
+    pub fn transform(&self, buf: &mut [Complex]) {
+        let n = self.len();
+        assert_eq!(buf.len(), n, "buffer length must match the planned FFT");
+        for &(i, j) in &self.swaps {
+            buf.swap(i, j);
+        }
+        let mut half = 1;
+        while half < n {
+            let tw = &self.twiddles[half - 1..2 * half - 1];
+            for chunk in buf.chunks_exact_mut(2 * half) {
+                let (lo, hi) = chunk.split_at_mut(half);
+                for ((u, v), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
+                    let t = v.mul(w);
+                    let a = *u;
+                    *u = a.add(t);
+                    *v = a.sub(t);
+                }
+            }
+            half <<= 1;
+        }
+    }
+
+    /// One-sided power spectrum of a real signal, zero-padded to the
+    /// planned length: `n/2 + 1` bins written to `out`, with `buf` as the
+    /// transform's scratch. Samples are multiplied by `window` on the way
+    /// in (pass `None` for a rectangular window).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `signal` is longer than the plan, `window` is shorter than
+    /// `signal`, or `out` does not hold `n/2 + 1` bins.
+    pub fn power_spectrum_into(
+        &self,
+        signal: &[f32],
+        window: Option<&[f32]>,
+        buf: &mut Vec<Complex>,
+        out: &mut [f32],
+    ) {
+        let n = self.len();
+        assert!(signal.len() <= n, "signal longer than the planned FFT");
+        assert_eq!(out.len(), n / 2 + 1, "spectrum size mismatch");
+        buf.clear();
+        match window {
+            Some(win) => {
+                assert!(win.len() >= signal.len(), "window shorter than signal");
+                buf.extend(
+                    signal
+                        .iter()
+                        .zip(win)
+                        .map(|(&s, &w)| Complex::new(s * w, 0.0)),
+                );
+            }
+            None => buf.extend(signal.iter().map(|&s| Complex::new(s, 0.0))),
+        }
+        buf.resize(n, Complex::default());
+        self.transform(buf);
+        for (o, c) in out.iter_mut().zip(buf.iter()) {
+            *o = c.norm_sq() / n as f32;
+        }
+    }
+}
+
 /// In-place iterative radix-2 Cooley–Tukey FFT.
+///
+/// Plans the transform on every call; hold an [`FftPlan`] to transform
+/// many buffers of one length.
 ///
 /// # Panics
 ///
 /// Panics if the length is not a power of two (or is zero).
 pub fn fft_in_place(buf: &mut [Complex]) {
-    let n = buf.len();
-    assert!(
-        n.is_power_of_two() && n > 0,
-        "FFT length must be a power of two, got {n}"
-    );
-    // Bit-reversal permutation.
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = (i as u32).reverse_bits() >> (32 - bits);
-        let j = j as usize;
-        if i < j {
-            buf.swap(i, j);
-        }
-    }
-    // Butterflies.
-    let mut len = 2;
-    while len <= n {
-        let ang = -2.0 * std::f64::consts::PI / len as f64;
-        let wlen = Complex::new(ang.cos() as f32, ang.sin() as f32);
-        for chunk in buf.chunks_mut(len) {
-            let mut w = Complex::new(1.0, 0.0);
-            let half = len / 2;
-            for k in 0..half {
-                let u = chunk[k];
-                let v = chunk[k + half].mul(w);
-                chunk[k] = u.add(v);
-                chunk[k + half] = u.sub(v);
-                w = w.mul(wlen);
-            }
-        }
-        len <<= 1;
-    }
+    FftPlan::new(buf.len()).transform(buf);
 }
 
 /// One-sided power spectrum of a real signal, zero-padded to the next power
@@ -90,18 +191,10 @@ pub fn fft_in_place(buf: &mut [Complex]) {
 /// Panics if `signal` is empty.
 pub fn power_spectrum(signal: &[f32]) -> Vec<f32> {
     assert!(!signal.is_empty(), "power spectrum of empty signal");
-    let n = signal.len().next_power_of_two();
-    let mut buf: Vec<Complex> = signal
-        .iter()
-        .map(|&s| Complex::new(s, 0.0))
-        .chain(std::iter::repeat(Complex::default()))
-        .take(n)
-        .collect();
-    fft_in_place(&mut buf);
-    buf[..n / 2 + 1]
-        .iter()
-        .map(|c| c.norm_sq() / n as f32)
-        .collect()
+    let plan = FftPlan::new(signal.len().next_power_of_two());
+    let mut out = vec![0.0; plan.len() / 2 + 1];
+    plan.power_spectrum_into(signal, None, &mut Vec::new(), &mut out);
+    out
 }
 
 /// Cycle estimate for one `n`-point FFT on a Cortex-M4-class core:
@@ -131,6 +224,60 @@ mod tests {
                 acc
             })
             .collect()
+    }
+
+    /// The unplanned transform: twiddles recomputed by the recurrence in
+    /// every block of every stage.
+    fn fft_recurrence(buf: &mut [Complex]) {
+        let n = buf.len();
+        let bits = n.trailing_zeros();
+        for i in 0..n {
+            let j = ((i as u32)
+                .reverse_bits()
+                .checked_shr(32 - bits)
+                .unwrap_or(0)) as usize;
+            if i < j {
+                buf.swap(i, j);
+            }
+        }
+        let mut len = 2;
+        while len <= n {
+            let ang = -2.0 * std::f64::consts::PI / len as f64;
+            let wlen = Complex::new(ang.cos() as f32, ang.sin() as f32);
+            for chunk in buf.chunks_mut(len) {
+                let mut w = Complex::new(1.0, 0.0);
+                let half = len / 2;
+                for k in 0..half {
+                    let u = chunk[k];
+                    let v = chunk[k + half].mul(w);
+                    chunk[k] = u.add(v);
+                    chunk[k + half] = u.sub(v);
+                    w = w.mul(wlen);
+                }
+            }
+            len <<= 1;
+        }
+    }
+
+    #[test]
+    fn planned_transform_is_bit_identical_to_the_recurrence() {
+        for bits in 0..=10 {
+            let n = 1usize << bits;
+            let signal: Vec<Complex> = (0..n)
+                .map(|i| Complex::new((i as f32 * 0.37).sin(), (i as f32 * 0.11).cos()))
+                .collect();
+            let mut planned = signal.clone();
+            FftPlan::new(n).transform(&mut planned);
+            let mut oracle = signal;
+            fft_recurrence(&mut oracle);
+            for (k, (a, b)) in planned.iter().zip(&oracle).enumerate() {
+                assert_eq!(
+                    (a.re.to_bits(), a.im.to_bits()),
+                    (b.re.to_bits(), b.im.to_bits()),
+                    "n = {n}, bin {k}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! log → DCT-II. The KWS front-end searched by eNAS (stripe `s`, duration
 //! `d`, features `f`, Table II).
 
-use crate::fft::{fft_cycles, power_spectrum};
+use crate::fft::{fft_cycles, Complex, FftPlan};
 use crate::params::AudioFrontendParams;
-use crate::window::{frame_signal, hamming, FrameSpec};
+use crate::window::{hamming, FrameSpec};
 
 /// Converts hertz to mel.
 fn hz_to_mel(hz: f64) -> f64 {
@@ -92,27 +92,79 @@ impl MelFilterbank {
     ///
     /// Panics if `spectrum.len()` differs from the bank's bin count.
     pub fn apply(&self, spectrum: &[f32]) -> Vec<f32> {
+        let mut out = Vec::with_capacity(self.len());
+        self.apply_into(spectrum, &mut out);
+        out
+    }
+
+    /// [`MelFilterbank::apply`] into a reused buffer (its contents are
+    /// replaced).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `spectrum.len()` differs from the bank's bin count.
+    pub fn apply_into(&self, spectrum: &[f32], out: &mut Vec<f32>) {
         assert_eq!(spectrum.len(), self.n_bins, "spectrum size mismatch");
-        self.filters
-            .iter()
-            .map(|taps| taps.iter().map(|&(b, w)| spectrum[b] * w).sum())
-            .collect()
+        out.clear();
+        out.extend(
+            self.filters
+                .iter()
+                .map(|taps| taps.iter().map(|&(b, w)| spectrum[b] * w).sum::<f32>()),
+        );
     }
 }
 
-/// DCT-II of `input`, keeping `n_out` coefficients.
-fn dct_ii(input: &[f32], n_out: usize) -> Vec<f32> {
-    let n = input.len();
-    (0..n_out.min(n))
-        .map(|k| {
+/// A DCT-II of fixed length with its cosine basis tabulated once:
+/// `cos(π/n · (i + ½) · k)` in f64 for every kept coefficient `k` and input
+/// `i`. The values are the ones a per-call `f64::cos` would produce, and
+/// each coefficient sums its terms in the same ascending-`i` order, so the
+/// table changes speed only.
+#[derive(Debug, Clone, PartialEq)]
+struct DctTable {
+    n: usize,
+    /// Row `k` holds the `n` basis values of coefficient `k`.
+    cos: Vec<f64>,
+}
+
+impl DctTable {
+    /// Tabulates an `n`-point DCT-II keeping `n_out` coefficients (at most
+    /// `n`).
+    fn new(n: usize, n_out: usize) -> Self {
+        let cos = (0..n_out.min(n))
+            .flat_map(|k| {
+                (0..n).map(move |i| {
+                    let ang = std::f64::consts::PI / n as f64 * (i as f64 + 0.5) * k as f64;
+                    ang.cos()
+                })
+            })
+            .collect();
+        Self { n, cos }
+    }
+
+    /// Appends the kept coefficients of `input` (`n` values) to `out`.
+    fn apply(&self, input: &[f32], out: &mut Vec<f32>) {
+        debug_assert_eq!(input.len(), self.n, "DCT input length");
+        for basis in self.cos.chunks_exact(self.n) {
             let mut acc = 0.0f64;
-            for (i, &x) in input.iter().enumerate() {
-                let ang = std::f64::consts::PI / n as f64 * (i as f64 + 0.5) * k as f64;
-                acc += x as f64 * ang.cos();
+            for (&x, &c) in input.iter().zip(basis) {
+                acc += x as f64 * c;
             }
-            acc as f32
-        })
-        .collect()
+            out.push(acc as f32);
+        }
+    }
+}
+
+/// Standardizes a clip's features in place to zero mean and unit variance
+/// (the standard deviation floored at 1e-6) — the per-clip normalization
+/// shared by the training datasets and streaming inference.
+pub fn standardize(features: &mut [f32]) {
+    let n = features.len() as f32;
+    let mean = features.iter().sum::<f32>() / n;
+    let var = features.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / n;
+    let std = var.sqrt().max(1e-6);
+    for v in features.iter_mut() {
+        *v = (*v - mean) / std;
+    }
 }
 
 /// Optional MFCC front-end stages beyond the searchable Table II knobs.
@@ -156,8 +208,21 @@ pub struct MfccExtractor {
     sample_rate: f64,
     window_fn: Vec<f32>,
     spec: FrameSpec,
+    fft: FftPlan,
     bank: MelFilterbank,
+    dct: DctTable,
     options: MfccOptions,
+}
+
+/// Reusable buffers for [`MfccExtractor::extract_into`]: one set serves
+/// every frame of every clip an extractor processes.
+#[derive(Debug, Clone, Default)]
+pub struct MfccScratch {
+    emphasized: Vec<f32>,
+    fft: Vec<Complex>,
+    spectrum: Vec<f32>,
+    mel: Vec<f32>,
+    plain: Vec<f32>,
 }
 
 impl MfccExtractor {
@@ -174,11 +239,14 @@ impl MfccExtractor {
             20.0,
             sample_rate / 2.0,
         );
+        let features = params.features() as usize;
         Self {
             params,
             sample_rate,
             window_fn: hamming(window),
             spec,
+            fft: FftPlan::new(n_fft),
+            dct: DctTable::new(bank.len(), features),
             bank,
             options: MfccOptions::default(),
         }
@@ -211,51 +279,75 @@ impl MfccExtractor {
         self.sample_rate
     }
 
+    /// Coefficients per frame: `f`, or `2f` with delta features.
+    pub fn feature_width(&self) -> usize {
+        let f = self.dct.cos.len() / self.dct.n;
+        if self.options.deltas {
+            2 * f
+        } else {
+            f
+        }
+    }
+
     /// Extracts MFCC features: one row of `f` coefficients per frame
     /// (`2f` when delta features are enabled).
     pub fn extract(&self, clip: &[f32]) -> Vec<Vec<f32>> {
+        let mut flat = Vec::new();
+        self.extract_into(clip, &mut MfccScratch::default(), &mut flat);
+        flat.chunks_exact(self.feature_width())
+            .map(<[f32]>::to_vec)
+            .collect()
+    }
+
+    /// [`MfccExtractor::extract`] into one flat row-major buffer (its
+    /// contents are replaced: [`MfccExtractor::feature_width`] values per
+    /// frame), with every intermediate buffer taken from `scratch`.
+    pub fn extract_into(&self, clip: &[f32], scratch: &mut MfccScratch, out: &mut Vec<f32>) {
+        let MfccScratch {
+            emphasized,
+            fft,
+            spectrum,
+            mel,
+            plain,
+        } = scratch;
         // Pre-emphasis: y[t] = x[t] − α·x[t−1].
-        let owned;
         let signal: &[f32] = if self.options.pre_emphasis > 0.0 {
             let a = self.options.pre_emphasis;
-            owned = std::iter::once(clip.first().copied().unwrap_or(0.0))
-                .chain(clip.windows(2).map(|w| w[1] - a * w[0]))
-                .collect::<Vec<f32>>();
-            &owned
+            emphasized.clear();
+            emphasized.extend(
+                std::iter::once(clip.first().copied().unwrap_or(0.0))
+                    .chain(clip.windows(2).map(|w| w[1] - a * w[0])),
+            );
+            emphasized
         } else {
             clip
         };
-        let frames = frame_signal(signal, self.spec, &self.window_fn);
-        let mut coeffs: Vec<Vec<f32>> = frames
-            .iter()
-            .map(|frame| {
-                let spectrum = power_spectrum(frame);
-                let mel: Vec<f32> = self
-                    .bank
-                    .apply(&spectrum)
-                    .into_iter()
-                    .map(|e| (e.max(1e-10)).ln())
-                    .collect();
-                dct_ii(&mel, self.params.features() as usize)
-            })
-            .collect();
-        if self.options.deltas && !coeffs.is_empty() {
-            // First-order deltas via central differences (clamped ends).
-            let n = coeffs.len();
-            let f = coeffs[0].len();
-            let mut with_deltas = Vec::with_capacity(n);
-            for t in 0..n {
-                let prev = &coeffs[t.saturating_sub(1)];
-                let next = &coeffs[(t + 1).min(n - 1)];
-                let mut row = coeffs[t].clone();
-                for j in 0..f {
-                    row.push((next[j] - prev[j]) * 0.5);
-                }
-                with_deltas.push(row);
+        let frames = self.spec.frame_count(signal.len());
+        out.clear();
+        out.reserve(frames * self.feature_width());
+        spectrum.resize(self.fft.len() / 2 + 1, 0.0);
+        for k in 0..frames {
+            let frame = &signal[k * self.spec.hop..][..self.spec.window];
+            self.fft
+                .power_spectrum_into(frame, Some(&self.window_fn), fft, spectrum);
+            self.bank.apply_into(spectrum, mel);
+            for e in mel.iter_mut() {
+                *e = e.max(1e-10).ln();
             }
-            coeffs = with_deltas;
+            self.dct.apply(mel, out);
         }
-        coeffs
+        if self.options.deltas && frames > 0 {
+            // First-order deltas via central differences (clamped ends).
+            let f = out.len() / frames;
+            plain.clear();
+            plain.append(out);
+            let row = |t: usize| &plain[t * f..][..f];
+            for t in 0..frames {
+                let (prev, next) = (row(t.saturating_sub(1)), row((t + 1).min(frames - 1)));
+                out.extend_from_slice(row(t));
+                out.extend(next.iter().zip(prev).map(|(n, p)| (n - p) * 0.5));
+            }
+        }
     }
 
     /// CPU cycle estimate for extracting features from a clip of
@@ -322,12 +414,45 @@ mod tests {
         let _ = bank.apply(&[0.0; 100]);
     }
 
+    /// The per-call-cosine DCT-II the table replaced.
+    fn dct_ii(input: &[f32], n_out: usize) -> Vec<f32> {
+        let n = input.len();
+        (0..n_out.min(n))
+            .map(|k| {
+                let mut acc = 0.0f64;
+                for (i, &x) in input.iter().enumerate() {
+                    let ang = std::f64::consts::PI / n as f64 * (i as f64 + 0.5) * k as f64;
+                    acc += x as f64 * ang.cos();
+                }
+                acc as f32
+            })
+            .collect()
+    }
+
+    fn table_dct(input: &[f32], n_out: usize) -> Vec<f32> {
+        let mut out = Vec::new();
+        DctTable::new(input.len(), n_out).apply(input, &mut out);
+        out
+    }
+
     #[test]
     fn dct_of_constant_concentrates_in_dc() {
-        let out = dct_ii(&[1.0; 16], 4);
+        let out = table_dct(&[1.0; 16], 4);
         assert!(out[0].abs() > 10.0);
         for &c in &out[1..] {
             assert!(c.abs() < 1e-4);
+        }
+    }
+
+    #[test]
+    fn table_dct_is_bit_identical_to_per_call_cosines() {
+        for f in 10..=40usize {
+            let input: Vec<f32> = (0..f)
+                .map(|i| ((i * 7 + f) as f32 * 0.31).sin() * 4.0 - 9.0)
+                .collect();
+            let want: Vec<u32> = dct_ii(&input, f).iter().map(|v| v.to_bits()).collect();
+            let got: Vec<u32> = table_dct(&input, f).iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "{f} features");
         }
     }
 

@@ -1,9 +1,18 @@
 //! Instantiated layers with forward and backward passes.
 //!
-//! Each layer caches whatever it needs from the forward pass (inputs, masks)
-//! and produces input gradients plus parameter gradients on the backward
-//! pass. Gradients accumulate across samples until the optimizer consumes
-//! them, enabling simple minibatch training.
+//! Layers read their input from, and write their output into, buffers the
+//! caller owns ([`crate::Model`] keeps one per activation and reuses them
+//! across samples), so a training step allocates nothing once the buffers
+//! have seen their shapes. Backward receives the same input (and output)
+//! the forward saw instead of a cached copy. It accumulates parameter
+//! gradients internally and writes the input gradient only when the caller
+//! asks for it. Gradients accumulate across samples until the optimizer
+//! consumes them, enabling simple minibatch training.
+//!
+//! Every kernel keeps the per-element floating-point order of the naive
+//! loops in [`crate::reference`]: each output element receives its terms in
+//! the same sequence, so loop interchanges and skipped zero terms change
+//! speed, never bits (DESIGN.md §4b).
 
 use rand::Rng;
 
@@ -83,8 +92,8 @@ impl Layer {
                 };
                 Layer::Norm(ChannelNorm::new(channels))
             }
-            (LayerSpec::Relu, _) => Layer::Relu(Relu::default()),
-            (LayerSpec::Flatten, _) => Layer::Flatten(Flatten::default()),
+            (LayerSpec::Relu, _) => Layer::Relu(Relu),
+            (LayerSpec::Flatten, _) => Layer::Flatten(Flatten),
             (LayerSpec::Dense { units }, Shape::Flat(n)) => {
                 Layer::Dense(Dense::new(n, *units, rng))
             }
@@ -95,32 +104,41 @@ impl Layer {
         }
     }
 
-    /// Forward pass, caching state for backward.
-    pub fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
+    /// Forward pass from `input` into `out` (reshaped as needed), keeping
+    /// whatever backward needs beyond its input and output (pooling
+    /// argmaxes, dropout masks) and, in training, updating norm statistics.
+    pub fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, training: bool) {
         match self {
-            Layer::Conv(l) => l.forward(input),
-            Layer::DwConv(l) => l.forward(input),
-            Layer::Pool(l) => l.forward(input),
-            Layer::Norm(l) => l.forward(input, training),
-            Layer::Relu(l) => l.forward(input),
-            Layer::Flatten(l) => l.forward(input),
-            Layer::Dense(l) => l.forward(input),
-            Layer::Dropout(l) => l.forward(input, training),
+            Layer::Conv(l) => l.forward_into(input, out),
+            Layer::DwConv(l) => l.forward_into(input, out),
+            Layer::Pool(l) => l.forward_into(input, out),
+            Layer::Norm(l) => l.forward_into(input, out, training),
+            Layer::Relu(l) => l.forward_into(input, out),
+            Layer::Flatten(l) => l.forward_into(input, out),
+            Layer::Dense(l) => l.forward_into(input, out),
+            Layer::Dropout(l) => l.forward_into(input, out, training),
         }
     }
 
-    /// Backward pass: gradient w.r.t. the layer input, accumulating
-    /// parameter gradients internally.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    /// Backward pass for the most recent forward, which read `input` and
+    /// wrote `output`. Accumulates parameter gradients internally and, when
+    /// `grad_in` is given, overwrites it with the gradient w.r.t. `input`.
+    pub fn backward_into(
+        &mut self,
+        input: &Tensor,
+        output: &Tensor,
+        grad_out: &Tensor,
+        grad_in: Option<&mut Tensor>,
+    ) {
         match self {
-            Layer::Conv(l) => l.backward(grad_out),
-            Layer::DwConv(l) => l.backward(grad_out),
-            Layer::Pool(l) => l.backward(grad_out),
-            Layer::Norm(l) => l.backward(grad_out),
-            Layer::Relu(l) => l.backward(grad_out),
-            Layer::Flatten(l) => l.backward(grad_out),
-            Layer::Dense(l) => l.backward(grad_out),
-            Layer::Dropout(l) => l.backward(grad_out),
+            Layer::Conv(l) => l.backward_into(input, grad_out, grad_in),
+            Layer::DwConv(l) => l.backward_into(input, grad_out, grad_in),
+            Layer::Pool(l) => l.backward_into(input, grad_out, grad_in),
+            Layer::Norm(l) => l.backward_into(input, grad_out, grad_in),
+            Layer::Relu(l) => l.backward_into(output, grad_out, grad_in),
+            Layer::Flatten(l) => l.backward_into(input, grad_out, grad_in),
+            Layer::Dense(l) => l.backward_into(input, grad_out, grad_in),
+            Layer::Dropout(l) => l.backward_into(grad_out, grad_in),
         }
     }
 
@@ -167,22 +185,158 @@ fn init_weights(rng: &mut impl Rng, n: usize, fan_in: usize) -> Vec<f32> {
         .collect()
 }
 
+fn dims3(t: &Tensor) -> [usize; 3] {
+    t.shape().try_into().expect("feature map is rank 3")
+}
+
+/// Sets `live[p]` for every `width`-long row of `grad` holding a bit other
+/// than +0. A row of +0 contributes nothing to any accumulator (DESIGN.md
+/// §4b), so the backward kernels skip it; the test is on bit patterns, so
+/// it is exact and float-eq-free.
+fn mark_live_rows(live: &mut Vec<bool>, grad: &[f32], width: usize) {
+    live.clear();
+    live.extend(
+        grad.chunks_exact(width)
+            .map(|row| row.iter().any(|g| g.to_bits() != 0)),
+    );
+}
+
+/// Emits `(r, Σₖ g[k]·rows[r·n + k])` for each `n = g.len()`-long row `r`.
+/// Each sum starts from +0 and adds its terms in ascending `k`, as a plain
+/// loop would; four rows run as independent chains so their adds overlap.
+fn row_dots(g: &[f32], rows: &[f32], mut emit: impl FnMut(usize, f32)) {
+    let n = g.len();
+    let mut quads = rows.chunks_exact(4 * n);
+    for (q, quad) in quads.by_ref().enumerate() {
+        let (r0, rest) = quad.split_at(n);
+        let (r1, rest) = rest.split_at(n);
+        let (r2, r3) = rest.split_at(n);
+        let mut acc = [0.0f32; 4];
+        for k in 0..n {
+            let gk = g[k];
+            acc[0] += gk * r0[k];
+            acc[1] += gk * r1[k];
+            acc[2] += gk * r2[k];
+            acc[3] += gk * r3[k];
+        }
+        for (m, a) in acc.into_iter().enumerate() {
+            emit(4 * q + m, a);
+        }
+    }
+    let done = rows.len() / n - quads.remainder().len() / n;
+    for (m, row) in quads.remainder().chunks_exact(n).enumerate() {
+        let mut acc = 0.0f32;
+        for (&gk, &wk) in g.iter().zip(row) {
+            acc += gk * wk;
+        }
+        emit(done + m, acc);
+    }
+}
+
+/// Kernel geometry shared by the full and depthwise convolutions.
+#[derive(Debug, Clone, Copy)]
+struct Window {
+    kh: usize,
+    kw: usize,
+    stride: usize,
+    padding: Padding,
+}
+
+/// Where a kernel sits on one `[h, w]` input: output dims and the
+/// top/left padding.
+#[derive(Debug, Clone, Copy)]
+struct Placement {
+    oh: usize,
+    ow: usize,
+    ph: usize,
+    pw: usize,
+}
+
+impl Window {
+    fn place(&self, h: usize, w: usize) -> Placement {
+        match self.padding {
+            Padding::Valid => Placement {
+                oh: (h - self.kh) / self.stride + 1,
+                ow: (w - self.kw) / self.stride + 1,
+                ph: 0,
+                pw: 0,
+            },
+            Padding::Same => {
+                let oh = h.div_ceil(self.stride);
+                let ow = w.div_ceil(self.stride);
+                Placement {
+                    oh,
+                    ow,
+                    ph: (((oh - 1) * self.stride + self.kh).saturating_sub(h)) / 2,
+                    pw: (((ow - 1) * self.stride + self.kw).saturating_sub(w)) / 2,
+                }
+            }
+        }
+    }
+
+    /// Output positions `lo..hi` along one axis whose input position
+    /// `o·stride + tap − pad` lands inside `0..len`.
+    fn span(&self, tap: usize, pad: usize, len: usize, out_len: usize) -> std::ops::Range<usize> {
+        let s = self.stride;
+        let lo = pad.saturating_sub(tap).div_ceil(s);
+        let hi = (len + pad).saturating_sub(tap).div_ceil(s).min(out_len);
+        lo..hi.max(lo)
+    }
+
+    /// For every kernel tap `(i, j)` in row-major order (or its reverse),
+    /// the output rows and columns the tap reaches and the input offset
+    /// `(dy, dx)` with `iy = oy·stride + dy`, `ix = ox·stride + dx`.
+    fn taps(self, at: Placement, h: usize, w: usize, reverse: bool) -> impl Iterator<Item = Tap> {
+        let n = self.kh * self.kw;
+        (0..n).map(move |t| {
+            let t = if reverse { n - 1 - t } else { t };
+            let (i, j) = (t / self.kw, t % self.kw);
+            Tap {
+                index: t,
+                rows: self.span(i, at.ph, h, at.oh),
+                cols: self.span(j, at.pw, w, at.ow),
+                dy: i as isize - at.ph as isize,
+                dx: j as isize - at.pw as isize,
+            }
+        })
+    }
+}
+
+/// One kernel tap's reach over the output map.
+struct Tap {
+    /// Row-major tap index `i·kw + j`.
+    index: usize,
+    rows: std::ops::Range<usize>,
+    cols: std::ops::Range<usize>,
+    dy: isize,
+    dx: isize,
+}
+
+impl Tap {
+    /// Input pixel under output pixel `(oy, ox)`; only valid inside
+    /// `rows × cols`.
+    fn input(&self, oy: usize, ox: usize, stride: usize) -> (usize, usize) {
+        (
+            ((oy * stride) as isize + self.dy) as usize,
+            ((ox * stride) as isize + self.dx) as usize,
+        )
+    }
+}
+
 /// 2-D convolution over `[h, w, c]` maps. Kernels may be rectangular when
 /// the input is narrower than the requested square kernel.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     in_channels: usize,
     filters: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    padding: Padding,
+    window: Window,
     /// `[kh][kw][cin][cout]`, flattened row-major.
     pub(crate) weights: Vec<f32>,
     pub(crate) bias: Vec<f32>,
     pub(crate) grad_weights: Vec<f32>,
     pub(crate) grad_bias: Vec<f32>,
-    cached_input: Option<Tensor>,
+    /// Backward scratch: which output pixels carry a nonzero gradient.
+    live: Vec<bool>,
 }
 
 impl Conv2d {
@@ -199,15 +353,17 @@ impl Conv2d {
         Self {
             in_channels,
             filters,
-            kh,
-            kw,
-            stride,
-            padding,
+            window: Window {
+                kh,
+                kw,
+                stride,
+                padding,
+            },
             weights: init_weights(rng, n, kh * kw * in_channels),
             bias: vec![0.0; filters],
             grad_weights: vec![0.0; n],
             grad_bias: vec![0.0; filters],
-            cached_input: None,
+            live: Vec::new(),
         }
     }
 
@@ -245,126 +401,94 @@ impl Conv2d {
         &self.grad_bias
     }
 
-    fn out_dims(&self, h: usize, w: usize) -> (usize, usize, isize, isize) {
-        match self.padding {
-            Padding::Valid => (
-                (h - self.kh) / self.stride + 1,
-                (w - self.kw) / self.stride + 1,
-                0,
-                0,
-            ),
-            Padding::Same => {
-                let oh = h.div_ceil(self.stride);
-                let ow = w.div_ceil(self.stride);
-                let pad_h = (((oh - 1) * self.stride + self.kh).saturating_sub(h)) / 2;
-                let pad_w = (((ow - 1) * self.stride + self.kw).saturating_sub(w)) / 2;
-                (oh, ow, pad_h as isize, pad_w as isize)
-            }
+    /// Forward pass, tap-outer and pixel-inner: each kernel tap's
+    /// `cin × cout` weight block stays hot while the tap sweeps the output
+    /// pixels it reaches, and the innermost loop walks the contiguous
+    /// `cout` stripes of weights and output. Each output element still
+    /// receives its `(i, j, ci)` terms in row-major order after the bias,
+    /// so the result is bit-exact against
+    /// [`crate::reference::conv2d_forward`].
+    pub fn forward_into(&self, input: &Tensor, out: &mut Tensor) {
+        let [h, w, _] = dims3(input);
+        let at = self.window.place(h, w);
+        let (cin, cout, s) = (self.in_channels, self.filters, self.window.stride);
+        out.reset(&[at.oh, at.ow, cout]);
+        let o = out.data_mut();
+        for orow in o.chunks_exact_mut(cout) {
+            orow.copy_from_slice(&self.bias);
         }
-    }
-
-    /// Forward pass. The hot loop: kernel-row/column validity is hoisted to
-    /// per-output-pixel ranges (`i_lo..i_hi`, `j_lo..j_hi`), and the inner
-    /// loop walks the contiguous `cout` stripes of both the weight block and
-    /// the output row, so there is no per-element index arithmetic or bounds
-    /// branch left for the compiler to chew on. Accumulation order per
-    /// output element matches the naive reference
-    /// ([`crate::reference::conv2d_forward`]) bit for bit.
-    pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        let [h, w, _c]: [usize; 3] = input.shape().try_into().expect("conv input is rank 3");
-        let (oh, ow, ph, pw) = self.out_dims(h, w);
-        let (cin, co_n, kw) = (self.in_channels, self.filters, self.kw);
-        let mut out = Tensor::zeros([oh, ow, co_n]);
         let x = input.data();
-        let out_data = out.data_mut();
-        for oy in 0..oh {
-            let iy_base = (oy * self.stride) as isize - ph;
-            let i_lo = (-iy_base).max(0) as usize;
-            let i_hi = ((h as isize - iy_base).clamp(0, self.kh as isize)) as usize;
-            for ox in 0..ow {
-                let ix_base = (ox * self.stride) as isize - pw;
-                let j_lo = (-ix_base).max(0) as usize;
-                let j_hi = ((w as isize - ix_base).clamp(0, kw as isize)) as usize;
-                let o_off = (oy * ow + ox) * co_n;
-                let orow = &mut out_data[o_off..o_off + co_n];
-                orow.copy_from_slice(&self.bias);
-                for i in i_lo..i_hi {
-                    let iy = (iy_base + i as isize) as usize;
-                    for j in j_lo..j_hi {
-                        let ix = (ix_base + j as isize) as usize;
-                        let x_off = (iy * w + ix) * cin;
-                        let w_off = (i * kw + j) * cin * co_n;
-                        for ci in 0..cin {
-                            let xv = x[x_off + ci];
-                            let w_base = w_off + ci * co_n;
-                            let wrow = &self.weights[w_base..w_base + co_n];
-                            for (o, &wv) in orow.iter_mut().zip(wrow) {
-                                *o += xv * wv;
-                            }
+        for tap in self.window.taps(at, h, w, false) {
+            let block = &self.weights[tap.index * cin * cout..][..cin * cout];
+            for oy in tap.rows.clone() {
+                for ox in tap.cols.clone() {
+                    let (iy, ix) = tap.input(oy, ox, s);
+                    let xpix = &x[(iy * w + ix) * cin..][..cin];
+                    let orow = &mut o[(oy * at.ow + ox) * cout..][..cout];
+                    for (&xv, wrow) in xpix.iter().zip(block.chunks_exact(cout)) {
+                        for (ov, &wv) in orow.iter_mut().zip(wrow) {
+                            *ov += xv * wv;
                         }
                     }
                 }
             }
         }
-        self.cached_input = Some(input.clone());
-        out
     }
 
-    /// Backward pass with the same hoisted-bounds structure as the forward.
-    /// All-zero gradient rows (common under ReLU) are skipped wholesale; the
-    /// zero test is on the bit pattern, so it is exact and float-eq-free.
-    /// `grad_in` uses a register dot-product over `cout`, which reorders the
-    /// floating-point sums relative to the naive reference — values agree to
-    /// rounding, not bit-exactly.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self.cached_input.as_ref().expect("forward before backward");
-        let [h, w, _]: [usize; 3] = input.shape().try_into().expect("rank 3");
-        let [oh, ow, _]: [usize; 3] = grad_out.shape().try_into().expect("rank 3");
-        let (_, _, ph, pw) = self.out_dims(h, w);
-        let (cin, co_n, kw) = (self.in_channels, self.filters, self.kw);
-        let mut grad_in = Tensor::zeros([h, w, cin]);
-        let x = input.data();
-        let go = grad_out.data();
-        let gi = grad_in.data_mut();
-        for oy in 0..oh {
-            let iy_base = (oy * self.stride) as isize - ph;
-            let i_lo = (-iy_base).max(0) as usize;
-            let i_hi = ((h as isize - iy_base).clamp(0, self.kh as isize)) as usize;
-            for ox in 0..ow {
-                let g_off = (oy * ow + ox) * co_n;
-                let grow = &go[g_off..g_off + co_n];
-                if grow.iter().all(|g| g.to_bits() == 0) {
-                    continue;
-                }
-                for (gb, &g) in self.grad_bias.iter_mut().zip(grow) {
-                    *gb += g;
-                }
-                let ix_base = (ox * self.stride) as isize - pw;
-                let j_lo = (-ix_base).max(0) as usize;
-                let j_hi = ((w as isize - ix_base).clamp(0, kw as isize)) as usize;
-                for i in i_lo..i_hi {
-                    let iy = (iy_base + i as isize) as usize;
-                    for j in j_lo..j_hi {
-                        let ix = (ix_base + j as isize) as usize;
-                        let x_off = (iy * w + ix) * cin;
-                        let w_off = (i * kw + j) * cin * co_n;
-                        for ci in 0..cin {
-                            let xv = x[x_off + ci];
-                            let w_base = w_off + ci * co_n;
-                            let wrow = &self.weights[w_base..w_base + co_n];
-                            let gwrow = &mut self.grad_weights[w_base..w_base + co_n];
-                            let mut acc = 0.0f32;
-                            for ((gw, &wv), &g) in gwrow.iter_mut().zip(wrow).zip(grow) {
-                                *gw += g * xv;
-                                acc += g * wv;
-                            }
-                            gi[x_off + ci] += acc;
+    /// Backward pass. Weight and bias gradients take their per-pixel terms
+    /// in output-pixel order, as the naive loop does. The input gradient is
+    /// a register dot product over `cout` per `(pixel, tap, ci)`, added in
+    /// output-pixel order; walking the taps in reverse row-major order
+    /// while the pixels run forward is what delivers that order to every
+    /// input element ([`crate::reference::conv2d_backward`]). All-zero
+    /// gradient rows are skipped, and with `grad_in` absent (the first
+    /// layer) the dot products are not computed at all.
+    pub fn backward_into(
+        &mut self,
+        input: &Tensor,
+        grad_out: &Tensor,
+        grad_in: Option<&mut Tensor>,
+    ) {
+        let [h, w, _] = dims3(input);
+        let at = self.window.place(h, w);
+        let (cin, cout, s) = (self.in_channels, self.filters, self.window.stride);
+        let (x, go) = (input.data(), grad_out.data());
+        mark_live_rows(&mut self.live, go, cout);
+        for (grow, _) in go.chunks_exact(cout).zip(&self.live).filter(|(_, &l)| l) {
+            for (gb, &g) in self.grad_bias.iter_mut().zip(grow) {
+                *gb += g;
+            }
+        }
+        let mut gi = grad_in.map(|t| {
+            t.reset(&[h, w, cin]);
+            t.fill_zero();
+            t
+        });
+        for tap in self.window.taps(at, h, w, true) {
+            let block = tap.index * cin * cout..(tap.index + 1) * cin * cout;
+            let (wblock, gwblock) = (&self.weights[block.clone()], &mut self.grad_weights[block]);
+            for oy in tap.rows.clone() {
+                for ox in tap.cols.clone() {
+                    let p = oy * at.ow + ox;
+                    if !self.live[p] {
+                        continue;
+                    }
+                    let grow = &go[p * cout..][..cout];
+                    let (iy, ix) = tap.input(oy, ox, s);
+                    let x_off = (iy * w + ix) * cin;
+                    for (&xv, gwrow) in x[x_off..][..cin].iter().zip(gwblock.chunks_exact_mut(cout))
+                    {
+                        for (gw, &g) in gwrow.iter_mut().zip(grow) {
+                            *gw += g * xv;
                         }
+                    }
+                    if let Some(gi) = gi.as_deref_mut() {
+                        let gipix = &mut gi.data_mut()[x_off..][..cin];
+                        row_dots(grow, wblock, |ci, acc| gipix[ci] += acc);
                     }
                 }
             }
         }
-        grad_in
     }
 }
 
@@ -372,16 +496,14 @@ impl Conv2d {
 #[derive(Debug, Clone)]
 pub struct DwConv2d {
     channels: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    padding: Padding,
+    window: Window,
     /// `[kh][kw][c]`, flattened.
     pub(crate) weights: Vec<f32>,
     pub(crate) bias: Vec<f32>,
     pub(crate) grad_weights: Vec<f32>,
     pub(crate) grad_bias: Vec<f32>,
-    cached_input: Option<Tensor>,
+    /// Backward scratch: which output pixels carry a nonzero gradient.
+    live: Vec<bool>,
 }
 
 impl DwConv2d {
@@ -396,15 +518,17 @@ impl DwConv2d {
         let n = kh * kw * channels;
         Self {
             channels,
-            kh,
-            kw,
-            stride,
-            padding,
+            window: Window {
+                kh,
+                kw,
+                stride,
+                padding,
+            },
             weights: init_weights(rng, n, kh * kw),
             bias: vec![0.0; channels],
             grad_weights: vec![0.0; n],
             grad_bias: vec![0.0; channels],
-            cached_input: None,
+            live: Vec::new(),
         }
     }
 
@@ -441,112 +565,98 @@ impl DwConv2d {
         &self.grad_bias
     }
 
-    fn out_dims(&self, h: usize, w: usize) -> (usize, usize, isize, isize) {
-        match self.padding {
-            Padding::Valid => (
-                (h - self.kh) / self.stride + 1,
-                (w - self.kw) / self.stride + 1,
-                0,
-                0,
-            ),
-            Padding::Same => {
-                let oh = h.div_ceil(self.stride);
-                let ow = w.div_ceil(self.stride);
-                let pad_h = (((oh - 1) * self.stride + self.kh).saturating_sub(h)) / 2;
-                let pad_w = (((ow - 1) * self.stride + self.kw).saturating_sub(w)) / 2;
-                (oh, ow, pad_h as isize, pad_w as isize)
-            }
+    /// Forward pass, tap-outer and pixel-inner: for one tap and one output
+    /// row, the reached pixels form a run of output and (at stride 1) a
+    /// contiguous run of input, so a single-channel map is one flat
+    /// multiply-add over the run. Each output element receives its `(i, j)`
+    /// terms in row-major order after the bias: bit-exact against
+    /// [`crate::reference::dwconv2d_forward`].
+    pub fn forward_into(&self, input: &Tensor, out: &mut Tensor) {
+        let [h, w, _] = dims3(input);
+        let at = self.window.place(h, w);
+        let (c_n, s) = (self.channels, self.window.stride);
+        out.reset(&[at.oh, at.ow, c_n]);
+        let o = out.data_mut();
+        for orow in o.chunks_exact_mut(c_n) {
+            orow.copy_from_slice(&self.bias);
         }
-    }
-
-    /// Forward pass: hoisted bounds plus contiguous channel stripes — the
-    /// input row, weight row and output row all advance channel-by-channel
-    /// in lockstep. Bit-exact against [`crate::reference::dwconv2d_forward`].
-    pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        let [h, w, _]: [usize; 3] = input.shape().try_into().expect("rank 3");
-        let (oh, ow, ph, pw) = self.out_dims(h, w);
-        let (c_n, kw) = (self.channels, self.kw);
-        let mut out = Tensor::zeros([oh, ow, c_n]);
         let x = input.data();
-        let out_data = out.data_mut();
-        for oy in 0..oh {
-            let iy_base = (oy * self.stride) as isize - ph;
-            let i_lo = (-iy_base).max(0) as usize;
-            let i_hi = ((h as isize - iy_base).clamp(0, self.kh as isize)) as usize;
-            for ox in 0..ow {
-                let ix_base = (ox * self.stride) as isize - pw;
-                let j_lo = (-ix_base).max(0) as usize;
-                let j_hi = ((w as isize - ix_base).clamp(0, kw as isize)) as usize;
-                let o_off = (oy * ow + ox) * c_n;
-                let orow = &mut out_data[o_off..o_off + c_n];
-                orow.copy_from_slice(&self.bias);
-                for i in i_lo..i_hi {
-                    let iy = (iy_base + i as isize) as usize;
-                    for j in j_lo..j_hi {
-                        let ix = (ix_base + j as isize) as usize;
-                        let x_off = (iy * w + ix) * c_n;
-                        let w_off = (i * kw + j) * c_n;
-                        let xrow = &x[x_off..x_off + c_n];
-                        let wrow = &self.weights[w_off..w_off + c_n];
-                        for ((o, &xv), &wv) in orow.iter_mut().zip(xrow).zip(wrow) {
-                            *o += xv * wv;
+        for tap in self.window.taps(at, h, w, false) {
+            let wrow = &self.weights[tap.index * c_n..][..c_n];
+            let run = tap.cols.len();
+            if run == 0 {
+                continue;
+            }
+            for oy in tap.rows.clone() {
+                let (iy, ix) = tap.input(oy, tap.cols.start, s);
+                let orun = &mut o[(oy * at.ow + tap.cols.start) * c_n..][..run * c_n];
+                let xrun = &x[(iy * w + ix) * c_n..];
+                if c_n == 1 && s == 1 {
+                    let wv = wrow[0];
+                    for (ov, &xv) in orun.iter_mut().zip(xrun) {
+                        *ov += xv * wv;
+                    }
+                } else {
+                    let xpixels = xrun.chunks(c_n).step_by(s);
+                    for (opix, xpix) in orun.chunks_exact_mut(c_n).zip(xpixels) {
+                        for ((ov, &xv), &wv) in opix.iter_mut().zip(xpix).zip(wrow) {
+                            *ov += xv * wv;
                         }
                     }
                 }
             }
         }
-        self.cached_input = Some(input.clone());
-        out
     }
 
-    /// Backward pass, mirroring the forward's structure. All-zero gradient
-    /// rows are skipped via an exact bit-pattern test.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self.cached_input.as_ref().expect("forward before backward");
-        let [h, w, _]: [usize; 3] = input.shape().try_into().expect("rank 3");
-        let [oh, ow, _]: [usize; 3] = grad_out.shape().try_into().expect("rank 3");
-        let (_, _, ph, pw) = self.out_dims(h, w);
-        let (c_n, kw) = (self.channels, self.kw);
-        let mut grad_in = Tensor::zeros([h, w, c_n]);
-        let x = input.data();
-        let go = grad_out.data();
-        let gi = grad_in.data_mut();
-        for oy in 0..oh {
-            let iy_base = (oy * self.stride) as isize - ph;
-            let i_lo = (-iy_base).max(0) as usize;
-            let i_hi = ((h as isize - iy_base).clamp(0, self.kh as isize)) as usize;
-            for ox in 0..ow {
-                let g_off = (oy * ow + ox) * c_n;
-                let grow = &go[g_off..g_off + c_n];
-                if grow.iter().all(|g| g.to_bits() == 0) {
-                    continue;
-                }
-                for (gb, &g) in self.grad_bias.iter_mut().zip(grow) {
-                    *gb += g;
-                }
-                let ix_base = (ox * self.stride) as isize - pw;
-                let j_lo = (-ix_base).max(0) as usize;
-                let j_hi = ((w as isize - ix_base).clamp(0, kw as isize)) as usize;
-                for i in i_lo..i_hi {
-                    let iy = (iy_base + i as isize) as usize;
-                    for j in j_lo..j_hi {
-                        let ix = (ix_base + j as isize) as usize;
-                        let x_off = (iy * w + ix) * c_n;
-                        let w_off = (i * kw + j) * c_n;
-                        let xrow = &x[x_off..x_off + c_n];
-                        let wrow = &self.weights[w_off..w_off + c_n];
-                        let gwrow = &mut self.grad_weights[w_off..w_off + c_n];
-                        let girow = &mut gi[x_off..x_off + c_n];
-                        for i_c in 0..c_n {
-                            let g = grow[i_c];
-                            gwrow[i_c] += g * xrow[i_c];
-                            girow[i_c] += g * wrow[i_c];
+    /// Backward pass: per element the same terms in the same order as
+    /// [`crate::reference::dwconv2d_backward`] — weight and bias gradients
+    /// in output-pixel order, input gradients in output-pixel order by
+    /// walking the taps in reverse. All-zero gradient rows are skipped.
+    pub fn backward_into(
+        &mut self,
+        input: &Tensor,
+        grad_out: &Tensor,
+        grad_in: Option<&mut Tensor>,
+    ) {
+        let [h, w, _] = dims3(input);
+        let at = self.window.place(h, w);
+        let (c_n, s) = (self.channels, self.window.stride);
+        let (x, go) = (input.data(), grad_out.data());
+        mark_live_rows(&mut self.live, go, c_n);
+        for (grow, _) in go.chunks_exact(c_n).zip(&self.live).filter(|(_, &l)| l) {
+            for (gb, &g) in self.grad_bias.iter_mut().zip(grow) {
+                *gb += g;
+            }
+        }
+        let mut gi = grad_in.map(|t| {
+            t.reset(&[h, w, c_n]);
+            t.fill_zero();
+            t
+        });
+        for tap in self.window.taps(at, h, w, true) {
+            let wrow = &self.weights[tap.index * c_n..][..c_n];
+            let gwrow = &mut self.grad_weights[tap.index * c_n..][..c_n];
+            for oy in tap.rows.clone() {
+                for ox in tap.cols.clone() {
+                    let p = oy * at.ow + ox;
+                    if !self.live[p] {
+                        continue;
+                    }
+                    let grow = &go[p * c_n..][..c_n];
+                    let (iy, ix) = tap.input(oy, ox, s);
+                    let x_off = (iy * w + ix) * c_n;
+                    for ((gw, &g), &xv) in gwrow.iter_mut().zip(grow).zip(&x[x_off..][..c_n]) {
+                        *gw += g * xv;
+                    }
+                    if let Some(gi) = gi.as_deref_mut() {
+                        let gipix = &mut gi.data_mut()[x_off..][..c_n];
+                        for ((giv, &g), &wv) in gipix.iter_mut().zip(grow).zip(wrow) {
+                            *giv += g * wv;
                         }
                     }
                 }
             }
         }
-        grad_in
     }
 }
 
@@ -556,9 +666,22 @@ pub struct Pool2d {
     kind: PoolKind,
     sh: usize,
     sw: usize,
-    cached_input_shape: Vec<usize>,
     /// For max pooling: flat input index chosen per output element.
     argmax: Vec<usize>,
+}
+
+/// One pooling window: its output pixel and the input rows and columns it
+/// covers (clipped to the map).
+struct PoolWindow {
+    out_pixel: usize,
+    rows: std::ops::Range<usize>,
+    cols: std::ops::Range<usize>,
+}
+
+impl PoolWindow {
+    fn cells(&self) -> usize {
+        self.rows.len() * self.cols.len()
+    }
 }
 
 impl Pool2d {
@@ -567,99 +690,119 @@ impl Pool2d {
             kind,
             sh,
             sw,
-            cached_input_shape: Vec::new(),
             argmax: Vec::new(),
         }
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        let [h, w, c]: [usize; 3] = input.shape().try_into().expect("rank 3");
-        let oh = h / self.sh;
-        let ow = (w / self.sw).max(1);
-        let sw = self.sw.min(w);
-        let mut out = Tensor::zeros([oh, ow, c]);
-        self.cached_input_shape = input.shape().to_vec();
-        self.argmax = vec![0; oh * ow * c];
-        for oy in 0..oh {
-            for ox in 0..ow {
-                for ch in 0..c {
-                    match self.kind {
-                        PoolKind::Max => {
-                            let mut best = f32::NEG_INFINITY;
-                            let mut best_idx = 0;
-                            for i in 0..self.sh {
-                                for j in 0..sw {
-                                    let (iy, ix) = (oy * self.sh + i, ox * sw + j);
-                                    if iy >= h || ix >= w {
-                                        continue;
-                                    }
-                                    let v = input.at3(iy, ix, ch);
-                                    if v > best {
-                                        best = v;
-                                        best_idx = (iy * w + ix) * c + ch;
-                                    }
-                                }
-                            }
-                            *out.at3_mut(oy, ox, ch) = best;
-                            self.argmax[(oy * ow + ox) * c + ch] = best_idx;
-                        }
-                        PoolKind::Avg => {
-                            let mut acc = 0.0;
-                            let mut n = 0;
-                            for i in 0..self.sh {
-                                for j in 0..sw {
-                                    let (iy, ix) = (oy * self.sh + i, ox * sw + j);
-                                    if iy >= h || ix >= w {
-                                        continue;
-                                    }
-                                    acc += input.at3(iy, ix, ch);
-                                    n += 1;
-                                }
-                            }
-                            *out.at3_mut(oy, ox, ch) = acc / n.max(1) as f32;
-                        }
-                    }
-                }
+    /// Output dims for a `[h, w]` input and the windows in output order.
+    fn windows(&self, h: usize, w: usize) -> ([usize; 2], impl Iterator<Item = PoolWindow>) {
+        let (oh, ow) = (h / self.sh, (w / self.sw).max(1));
+        let (sh, sw) = (self.sh, self.sw.min(w));
+        let windows = (0..oh * ow).map(move |p| {
+            let (oy, ox) = (p / ow, p % ow);
+            PoolWindow {
+                out_pixel: p,
+                rows: oy * sh..(oy * sh + sh).min(h),
+                cols: ox * sw..(ox * sw + sw).min(w),
             }
-        }
-        out
+        });
+        ([oh, ow], windows)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let shape = self.cached_input_shape.clone();
-        let [h, w, c]: [usize; 3] = shape.as_slice().try_into().expect("rank 3");
-        let [oh, ow, _]: [usize; 3] = grad_out.shape().try_into().expect("rank 3");
-        let sw = self.sw.min(w);
-        let mut grad_in = Tensor::zeros([h, w, c]);
-        for oy in 0..oh {
-            for ox in 0..ow {
-                for ch in 0..c {
-                    let g = grad_out.at3(oy, ox, ch);
-                    match self.kind {
-                        PoolKind::Max => {
-                            let idx = self.argmax[(oy * ow + ox) * c + ch];
-                            grad_in.data_mut()[idx] += g;
-                        }
-                        PoolKind::Avg => {
-                            let mut cells = Vec::new();
-                            for i in 0..self.sh {
-                                for j in 0..sw {
-                                    let (iy, ix) = (oy * self.sh + i, ox * sw + j);
-                                    if iy < h && ix < w {
-                                        cells.push((iy, ix));
-                                    }
+    /// Forward pass over contiguous channel stripes: each window's cells
+    /// are visited in row-major order and every channel of a cell at once.
+    /// Max pooling keeps the first strict maximum per channel and starts
+    /// from the window's first cell, so a window without a finite maximum
+    /// (all NaN or −∞) still routes its gradient inside itself.
+    /// Bit-exact against [`crate::reference::pool2d_forward`].
+    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor) {
+        let [h, w, c] = dims3(input);
+        let ([oh, ow], windows) = self.windows(h, w);
+        out.reset(&[oh, ow, c]);
+        let (x, o) = (input.data(), out.data_mut());
+        match self.kind {
+            PoolKind::Max => {
+                self.argmax.clear();
+                self.argmax.resize(oh * ow * c, 0);
+                for win in windows {
+                    let orow = &mut o[win.out_pixel * c..][..c];
+                    let arow = &mut self.argmax[win.out_pixel * c..][..c];
+                    orow.fill(f32::NEG_INFINITY);
+                    let first = (win.rows.start * w + win.cols.start) * c;
+                    for (ch, a) in arow.iter_mut().enumerate() {
+                        *a = first + ch;
+                    }
+                    for iy in win.rows.clone() {
+                        for ix in win.cols.clone() {
+                            let off = (iy * w + ix) * c;
+                            for (ch, ((best, a), &v)) in orow
+                                .iter_mut()
+                                .zip(arow.iter_mut())
+                                .zip(&x[off..][..c])
+                                .enumerate()
+                            {
+                                if v > *best {
+                                    *best = v;
+                                    *a = off + ch;
                                 }
                             }
-                            let share = g / cells.len().max(1) as f32;
-                            for (iy, ix) in cells {
-                                *grad_in.at3_mut(iy, ix, ch) += share;
+                        }
+                    }
+                }
+            }
+            PoolKind::Avg => {
+                for win in windows {
+                    let orow = &mut o[win.out_pixel * c..][..c];
+                    orow.fill(0.0);
+                    for iy in win.rows.clone() {
+                        for ix in win.cols.clone() {
+                            for (acc, &v) in orow.iter_mut().zip(&x[(iy * w + ix) * c..][..c]) {
+                                *acc += v;
+                            }
+                        }
+                    }
+                    let n = win.cells().max(1) as f32;
+                    for acc in orow.iter_mut() {
+                        *acc /= n;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Backward pass: max pooling adds each gradient at its window's
+    /// argmax, avg pooling adds `g / cells` to every cell of the window.
+    /// Bit-exact against [`crate::reference::pool2d_backward`].
+    fn backward_into(&mut self, input: &Tensor, grad_out: &Tensor, grad_in: Option<&mut Tensor>) {
+        let Some(gi) = grad_in else {
+            return;
+        };
+        let [h, w, c] = dims3(input);
+        gi.reset(&[h, w, c]);
+        gi.fill_zero();
+        let (gi, go) = (gi.data_mut(), grad_out.data());
+        match self.kind {
+            PoolKind::Max => {
+                for (&idx, &g) in self.argmax.iter().zip(go) {
+                    gi[idx] += g;
+                }
+            }
+            PoolKind::Avg => {
+                let (_, windows) = self.windows(h, w);
+                for win in windows {
+                    let grow = &go[win.out_pixel * c..][..c];
+                    let n = win.cells().max(1) as f32;
+                    for iy in win.rows.clone() {
+                        for ix in win.cols.clone() {
+                            let girow = &mut gi[(iy * w + ix) * c..][..c];
+                            for (giv, &g) in girow.iter_mut().zip(grow) {
+                                *giv += g / n;
                             }
                         }
                     }
                 }
             }
         }
-        grad_in
     }
 }
 
@@ -675,7 +818,6 @@ pub struct ChannelNorm {
     pub(crate) grad_shift: Vec<f32>,
     running_mean: Vec<f32>,
     running_var: Vec<f32>,
-    cached_xhat: Option<Tensor>,
 }
 
 impl ChannelNorm {
@@ -691,117 +833,138 @@ impl ChannelNorm {
             grad_shift: vec![0.0; channels],
             running_mean: vec![0.0; channels],
             running_var: vec![1.0; channels],
-            cached_xhat: None,
         }
     }
 
-    fn channel_of(&self, flat_idx: usize, shape: &[usize]) -> usize {
-        if shape.len() == 3 {
-            flat_idx % shape[2]
-        } else {
-            flat_idx % self.channels
+    /// Elements per channel stripe: the trailing dim of a map, the whole
+    /// vector for a flat input.
+    fn stripe(&self, t: &Tensor) -> usize {
+        match t.shape() {
+            [_, _, c] => *c,
+            _ => self.channels,
         }
     }
 
-    fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
+    fn std(&self, c: usize) -> f32 {
+        (self.running_var[c] + Self::EPS).sqrt()
+    }
+
+    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, training: bool) {
+        let stripe = self.stripe(input);
         if training {
-            // Update running stats from this sample.
-            let mut sums = vec![0.0f64; self.channels];
-            let mut sqs = vec![0.0f64; self.channels];
-            let mut counts = vec![0usize; self.channels];
-            for (i, &v) in input.data().iter().enumerate() {
-                let c = self.channel_of(i, input.shape());
-                sums[c] += v as f64;
-                sqs[c] += (v * v) as f64;
-                counts[c] += 1;
-            }
-            for c in 0..self.channels {
-                if counts[c] == 0 {
-                    continue;
+            // Update running stats from this sample, each channel summed
+            // in element order.
+            let mut sums = vec![0.0f64; stripe];
+            let mut sqs = vec![0.0f64; stripe];
+            for row in input.data().chunks_exact(stripe) {
+                for ((s, q), &v) in sums.iter_mut().zip(sqs.iter_mut()).zip(row) {
+                    *s += v as f64;
+                    *q += (v * v) as f64;
                 }
-                let mean = (sums[c] / counts[c] as f64) as f32;
-                let var = (sqs[c] / counts[c] as f64) as f32 - mean * mean;
-                self.running_mean[c] =
-                    (1.0 - Self::MOMENTUM) * self.running_mean[c] + Self::MOMENTUM * mean;
-                self.running_var[c] =
-                    (1.0 - Self::MOMENTUM) * self.running_var[c] + Self::MOMENTUM * var.max(0.0);
+            }
+            let count = (input.len() / stripe) as f64;
+            if count > 0.0 {
+                for c in 0..stripe {
+                    let mean = (sums[c] / count) as f32;
+                    let var = (sqs[c] / count) as f32 - mean * mean;
+                    self.running_mean[c] =
+                        (1.0 - Self::MOMENTUM) * self.running_mean[c] + Self::MOMENTUM * mean;
+                    self.running_var[c] = (1.0 - Self::MOMENTUM) * self.running_var[c]
+                        + Self::MOMENTUM * var.max(0.0);
+                }
             }
         }
-        let mut xhat = input.clone();
-        let shape = input.shape().to_vec();
-        for (i, v) in xhat.data_mut().iter_mut().enumerate() {
-            let c = self.channel_of(i, &shape);
-            *v = (*v - self.running_mean[c]) / (self.running_var[c] + Self::EPS).sqrt();
+        out.reset(input.shape());
+        let std: Vec<f32> = (0..stripe).map(|c| self.std(c)).collect();
+        for (orow, xrow) in out
+            .data_mut()
+            .chunks_exact_mut(stripe)
+            .zip(input.data().chunks_exact(stripe))
+        {
+            for (c, (ov, &v)) in orow.iter_mut().zip(xrow).enumerate() {
+                let xhat = (v - self.running_mean[c]) / std[c];
+                *ov = xhat * self.scale[c] + self.shift[c];
+            }
         }
-        let mut out = xhat.clone();
-        for (i, v) in out.data_mut().iter_mut().enumerate() {
-            let c = self.channel_of(i, &shape);
-            *v = *v * self.scale[c] + self.shift[c];
-        }
-        self.cached_xhat = Some(xhat);
-        out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let xhat = self.cached_xhat.as_ref().expect("forward before backward");
-        let shape = grad_out.shape().to_vec();
-        let mut grad_in = grad_out.clone();
-        for (i, g) in grad_out.data().iter().enumerate() {
-            let c = self.channel_of(i, &shape);
-            self.grad_scale[c] += g * xhat.data()[i];
-            self.grad_shift[c] += g;
+    /// Backward pass; the normalized input is recomputed from `input` with
+    /// the statistics the forward used, which is the same f32 value the
+    /// forward produced.
+    fn backward_into(&mut self, input: &Tensor, grad_out: &Tensor, grad_in: Option<&mut Tensor>) {
+        let stripe = self.stripe(grad_out);
+        let std: Vec<f32> = (0..stripe).map(|c| self.std(c)).collect();
+        for (grow, xrow) in grad_out
+            .data()
+            .chunks_exact(stripe)
+            .zip(input.data().chunks_exact(stripe))
+        {
+            for (c, (&g, &v)) in grow.iter().zip(xrow).enumerate() {
+                let xhat = (v - self.running_mean[c]) / std[c];
+                self.grad_scale[c] += g * xhat;
+                self.grad_shift[c] += g;
+            }
         }
-        for (i, v) in grad_in.data_mut().iter_mut().enumerate() {
-            let c = self.channel_of(i, &shape);
-            *v *= self.scale[c] / (self.running_var[c] + Self::EPS).sqrt();
+        if let Some(gi) = grad_in {
+            gi.reset(grad_out.shape());
+            let factor: Vec<f32> = (0..stripe).map(|c| self.scale[c] / std[c]).collect();
+            for (girow, grow) in gi
+                .data_mut()
+                .chunks_exact_mut(stripe)
+                .zip(grad_out.data().chunks_exact(stripe))
+            {
+                for ((giv, &g), &k) in girow.iter_mut().zip(grow).zip(&factor) {
+                    *giv = g * k;
+                }
+            }
         }
-        grad_in
     }
 }
 
-/// ReLU activation.
-#[derive(Debug, Clone, Default)]
-pub struct Relu {
-    mask: Vec<bool>,
-}
+/// ReLU activation. Stateless: backward reads the forward's output, which
+/// is positive exactly where the input was.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Relu;
 
 impl Relu {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        self.mask = input.data().iter().map(|&v| v > 0.0).collect();
-        let mut out = input.clone();
-        for v in out.data_mut() {
-            if *v < 0.0 {
-                *v = 0.0;
-            }
+    fn forward_into(&self, input: &Tensor, out: &mut Tensor) {
+        out.reset(input.shape());
+        for (o, &v) in out.data_mut().iter_mut().zip(input.data()) {
+            *o = if v < 0.0 { 0.0 } else { v };
         }
-        out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut grad_in = grad_out.clone();
-        for (v, &keep) in grad_in.data_mut().iter_mut().zip(&self.mask) {
-            if !keep {
-                *v = 0.0;
-            }
+    fn backward_into(&self, output: &Tensor, grad_out: &Tensor, grad_in: Option<&mut Tensor>) {
+        let Some(gi) = grad_in else {
+            return;
+        };
+        gi.reset(grad_out.shape());
+        for ((giv, &g), &y) in gi
+            .data_mut()
+            .iter_mut()
+            .zip(grad_out.data())
+            .zip(output.data())
+        {
+            *giv = if y > 0.0 { g } else { 0.0 };
         }
-        grad_in
     }
 }
 
 /// Flattens a feature map to a vector.
-#[derive(Debug, Clone, Default)]
-pub struct Flatten {
-    cached_shape: Vec<usize>,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Flatten;
 
 impl Flatten {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        self.cached_shape = input.shape().to_vec();
-        input.reshaped([input.len()])
+    fn forward_into(&self, input: &Tensor, out: &mut Tensor) {
+        out.reset(&[input.len()]);
+        out.data_mut().copy_from_slice(input.data());
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        grad_out.reshaped(self.cached_shape.clone())
+    fn backward_into(&self, input: &Tensor, grad_out: &Tensor, grad_in: Option<&mut Tensor>) {
+        if let Some(gi) = grad_in {
+            gi.reset(input.shape());
+            gi.data_mut().copy_from_slice(grad_out.data());
+        }
     }
 }
 
@@ -832,29 +995,40 @@ impl Dropout {
         (self.state >> 11) as f32 / (1u64 << 53) as f32
     }
 
-    fn forward(&mut self, input: &Tensor, training: bool) -> Tensor {
+    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, training: bool) {
+        self.mask.clear();
         if !training || self.rate <= 0.0 {
-            self.mask = vec![true; input.len()];
-            return input.clone();
+            self.mask.resize(input.len(), true);
+            out.copy_from(input);
+            return;
         }
         let keep = 1.0 - self.rate;
         let scale = 1.0 / keep;
-        self.mask = (0..input.len()).map(|_| self.next_unit() < keep).collect();
-        let mut out = input.clone();
-        for (v, &k) in out.data_mut().iter_mut().zip(&self.mask) {
-            *v = if k { *v * scale } else { 0.0 };
+        for _ in 0..input.len() {
+            let kept = self.next_unit() < keep;
+            self.mask.push(kept);
         }
-        out
+        out.reset(input.shape());
+        for ((o, &v), &k) in out.data_mut().iter_mut().zip(input.data()).zip(&self.mask) {
+            *o = if k { v * scale } else { 0.0 };
+        }
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward_into(&self, grad_out: &Tensor, grad_in: Option<&mut Tensor>) {
+        let Some(gi) = grad_in else {
+            return;
+        };
         let keep = 1.0 - self.rate;
         let scale = if self.rate > 0.0 { 1.0 / keep } else { 1.0 };
-        let mut grad_in = grad_out.clone();
-        for (v, &k) in grad_in.data_mut().iter_mut().zip(&self.mask) {
-            *v = if k { *v * scale } else { 0.0 };
+        gi.reset(grad_out.shape());
+        for ((giv, &g), &k) in gi
+            .data_mut()
+            .iter_mut()
+            .zip(grad_out.data())
+            .zip(&self.mask)
+        {
+            *giv = if k { g * scale } else { 0.0 };
         }
-        grad_in
     }
 }
 
@@ -868,7 +1042,6 @@ pub struct Dense {
     pub(crate) bias: Vec<f32>,
     pub(crate) grad_weights: Vec<f32>,
     pub(crate) grad_bias: Vec<f32>,
-    cached_input: Option<Tensor>,
 }
 
 impl Dense {
@@ -880,45 +1053,53 @@ impl Dense {
             bias: vec![0.0; units],
             grad_weights: vec![0.0; inputs * units],
             grad_bias: vec![0.0; units],
-            cached_input: None,
         }
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    fn forward_into(&self, input: &Tensor, out: &mut Tensor) {
         debug_assert_eq!(input.len(), self.inputs, "dense input size mismatch");
-        let mut out = Tensor::zeros([self.units]);
-        let out_data = out.data_mut();
-        out_data.copy_from_slice(&self.bias);
-        for (i, &x) in input.data().iter().enumerate() {
+        out.reset(&[self.units]);
+        let o = out.data_mut();
+        o.copy_from_slice(&self.bias);
+        for (&x, row) in input
+            .data()
+            .iter()
+            .zip(self.weights.chunks_exact(self.units))
+        {
             if x == 0.0 {
                 continue;
             }
-            let row = &self.weights[i * self.units..(i + 1) * self.units];
-            for (o, &w) in out_data.iter_mut().zip(row) {
-                *o += x * w;
+            for (ov, &w) in o.iter_mut().zip(row) {
+                *ov += x * w;
             }
         }
-        self.cached_input = Some(input.clone());
-        out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self.cached_input.as_ref().expect("forward before backward");
-        let mut grad_in = Tensor::zeros([self.inputs]);
-        for (j, &g) in grad_out.data().iter().enumerate() {
-            self.grad_bias[j] += g;
+    /// Backward pass. A zero input's weight-gradient terms are all ±0 and
+    /// the accumulators start at +0, so skipping them is exact (DESIGN.md
+    /// §4b). The input gradient is a dot product per input over `units`.
+    fn backward_into(&mut self, input: &Tensor, grad_out: &Tensor, grad_in: Option<&mut Tensor>) {
+        let go = grad_out.data();
+        for (gb, &g) in self.grad_bias.iter_mut().zip(go) {
+            *gb += g;
         }
-        let grad_in_data = grad_in.data_mut();
-        for (i, &x) in input.data().iter().enumerate() {
-            let row_start = i * self.units;
-            let mut acc = 0.0;
-            for (j, &g) in grad_out.data().iter().enumerate() {
-                self.grad_weights[row_start + j] += g * x;
-                acc += g * self.weights[row_start + j];
+        for (&x, gwrow) in input
+            .data()
+            .iter()
+            .zip(self.grad_weights.chunks_exact_mut(self.units))
+        {
+            if x == 0.0 {
+                continue;
             }
-            grad_in_data[i] = acc;
+            for (gw, &g) in gwrow.iter_mut().zip(go) {
+                *gw += g * x;
+            }
         }
-        grad_in
+        if let Some(gi) = grad_in {
+            gi.reset(&[self.inputs]);
+            let gi = gi.data_mut();
+            row_dots(go, &self.weights, |i, acc| gi[i] = acc);
+        }
     }
 }
 
@@ -942,23 +1123,35 @@ mod tests {
         Layer::instantiate(&full.layers()[0], full.shape_before(0), &mut rng())
     }
 
+    fn forward(layer: &mut Layer, x: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros([1]);
+        layer.forward_into(x, &mut out, true);
+        out
+    }
+
+    /// Forward then backward; returns the input gradient.
+    fn backward(layer: &mut Layer, x: &Tensor, grad_out: &Tensor) -> Tensor {
+        let y = forward(layer, x);
+        let mut grad_in = Tensor::zeros([1]);
+        layer.backward_into(x, &y, grad_out, Some(&mut grad_in));
+        grad_in
+    }
+
     #[test]
     fn relu_clamps_and_masks() {
-        let mut relu = Relu::default();
+        let mut relu = Layer::Relu(Relu);
         let x = Tensor::from_vec([4], vec![-1.0, 0.5, -0.2, 2.0]);
-        let y = relu.forward(&x);
-        assert_eq!(y.data(), &[0.0, 0.5, 0.0, 2.0]);
-        let g = relu.backward(&Tensor::from_vec([4], vec![1.0; 4]));
+        assert_eq!(forward(&mut relu, &x).data(), &[0.0, 0.5, 0.0, 2.0]);
+        let g = backward(&mut relu, &x, &Tensor::from_vec([4], vec![1.0; 4]));
         assert_eq!(g.data(), &[0.0, 1.0, 0.0, 1.0]);
     }
 
     #[test]
     fn flatten_roundtrips_shape() {
-        let mut f = Flatten::default();
+        let mut f = Layer::Flatten(Flatten);
         let x = Tensor::zeros([2, 3, 4]);
-        let y = f.forward(&x);
-        assert_eq!(y.shape(), &[24]);
-        let g = f.backward(&Tensor::zeros([24]));
+        assert_eq!(forward(&mut f, &x).shape(), &[24]);
+        let g = backward(&mut f, &x, &Tensor::zeros([24]));
         assert_eq!(g.shape(), &[2, 3, 4]);
     }
 
@@ -967,7 +1160,7 @@ mod tests {
         let mut d = Dense::new(2, 2, &mut rng());
         d.weights = vec![1.0, 2.0, 3.0, 4.0]; // [in][out]
         d.bias = vec![0.5, -0.5];
-        let y = d.forward(&Tensor::from_vec([2], vec![1.0, 1.0]));
+        let y = forward(&mut Layer::Dense(d), &Tensor::from_vec([2], vec![1.0, 1.0]));
         assert_eq!(y.data(), &[1.0 + 3.0 + 0.5, 2.0 + 4.0 - 0.5]);
     }
 
@@ -976,33 +1169,67 @@ mod tests {
         let mut d = Dense::new(2, 1, &mut rng());
         d.weights = vec![2.0, -3.0];
         d.bias = vec![0.0];
+        let mut layer = Layer::Dense(d);
         let x = Tensor::from_vec([2], vec![0.5, 1.5]);
-        let _ = d.forward(&x);
-        let gin = d.backward(&Tensor::from_vec([1], vec![2.0]));
+        let gin = backward(&mut layer, &x, &Tensor::from_vec([1], vec![2.0]));
         // dL/dx = g * W
         assert_eq!(gin.data(), &[4.0, -6.0]);
+        let Layer::Dense(d) = &layer else {
+            unreachable!()
+        };
         // dL/dW = g * x
         assert_eq!(d.grad_weights, vec![1.0, 3.0]);
         assert_eq!(d.grad_bias, vec![2.0]);
     }
 
     #[test]
+    fn dense_input_gradient_covers_every_row_chunk() {
+        // Nine inputs: two four-row chains plus a remainder row.
+        let mut d = Dense::new(9, 3, &mut rng());
+        d.weights = (0..27).map(|i| i as f32 * 0.25 - 3.0).collect();
+        let mut layer = Layer::Dense(d.clone());
+        let x = Tensor::from_vec([9], vec![1.0; 9]);
+        let g = [0.5f32, -1.0, 2.0];
+        let gin = backward(&mut layer, &x, &Tensor::from_vec([3], g.to_vec()));
+        for (i, row) in d.weights.chunks_exact(3).enumerate() {
+            let want = row.iter().zip(&g).fold(0.0f32, |acc, (&w, &g)| acc + g * w);
+            assert_eq!(gin.data()[i].to_bits(), want.to_bits(), "row {i}");
+        }
+    }
+
+    #[test]
     fn maxpool_routes_gradient_to_argmax() {
-        let mut p = Pool2d::new(PoolKind::Max, 2, 2);
+        let mut p = Layer::Pool(Pool2d::new(PoolKind::Max, 2, 2));
         let x = Tensor::from_vec([2, 2, 1], vec![1.0, 5.0, 2.0, 3.0]);
-        let y = p.forward(&x);
-        assert_eq!(y.data(), &[5.0]);
-        let g = p.backward(&Tensor::from_vec([1, 1, 1], vec![7.0]));
+        assert_eq!(forward(&mut p, &x).data(), &[5.0]);
+        let g = backward(&mut p, &x, &Tensor::from_vec([1, 1, 1], vec![7.0]));
         assert_eq!(g.data(), &[0.0, 7.0, 0.0, 0.0]);
     }
 
     #[test]
+    fn maxpool_without_a_finite_maximum_keeps_gradient_in_its_window() {
+        // The second window (columns 2..4) is all NaN and −∞: no cell beats
+        // the −∞ start, so the gradient goes to the window's first cell,
+        // not to the tensor's first element.
+        let mut p = Layer::Pool(Pool2d::new(PoolKind::Max, 2, 2));
+        let ninf = f32::NEG_INFINITY;
+        let x = Tensor::from_vec(
+            [2, 4, 1],
+            vec![1.0, 2.0, f32::NAN, ninf, 3.0, 4.0, ninf, f32::NAN],
+        );
+        let y = forward(&mut p, &x);
+        assert_eq!(y.data()[0], 4.0);
+        assert_eq!(y.data()[1], ninf);
+        let g = backward(&mut p, &x, &Tensor::from_vec([1, 2, 1], vec![1.0, 10.0]));
+        assert_eq!(g.data(), &[0.0, 0.0, 10.0, 0.0, 0.0, 1.0, 0.0, 0.0]);
+    }
+
+    #[test]
     fn avgpool_distributes_gradient() {
-        let mut p = Pool2d::new(PoolKind::Avg, 2, 2);
+        let mut p = Layer::Pool(Pool2d::new(PoolKind::Avg, 2, 2));
         let x = Tensor::from_vec([2, 2, 1], vec![1.0, 2.0, 3.0, 4.0]);
-        let y = p.forward(&x);
-        assert_eq!(y.data(), &[2.5]);
-        let g = p.backward(&Tensor::from_vec([1, 1, 1], vec![4.0]));
+        assert_eq!(forward(&mut p, &x).data(), &[2.5]);
+        let g = backward(&mut p, &x, &Tensor::from_vec([1, 1, 1], vec![4.0]));
         assert_eq!(g.data(), &[1.0, 1.0, 1.0, 1.0]);
     }
 
@@ -1014,99 +1241,171 @@ mod tests {
             c.bias = vec![0.0];
         }
         let x = Tensor::from_vec([3, 3, 1], (0..9).map(|i| i as f32).collect());
-        let y = layer.forward(&x, true);
-        assert_eq!(y.data(), x.data());
+        assert_eq!(forward(&mut layer, &x).data(), x.data());
     }
 
-    #[test]
-    fn conv_gradient_check() {
-        // Numerical gradient check on a small conv.
-        let mut layer = make(LayerSpec::conv(2, 2, 1, Padding::Valid), [3, 3, 1]);
-        let x = Tensor::from_vec([3, 3, 1], (0..9).map(|i| (i as f32) / 9.0 - 0.4).collect());
-        let y = layer.forward(&x, true);
+    /// Central-difference check of the input gradient of `sum(layer(x))`.
+    fn gradient_check(mut layer: Layer, x: &Tensor, what: &str) {
+        let y = forward(&mut layer, x);
         // Loss = sum of outputs → grad_out = ones.
         let ones = Tensor::from_vec(y.shape().to_vec(), vec![1.0; y.len()]);
-        let gin = layer.backward(&ones);
-        // Numerically perturb each input element.
+        let gin = backward(&mut layer, x, &ones);
         let eps = 1e-3;
         for idx in 0..x.len() {
             let mut xp = x.clone();
             xp.data_mut()[idx] += eps;
             let mut xm = x.clone();
             xm.data_mut()[idx] -= eps;
-            let yp: f32 = layer.forward(&xp, true).data().iter().sum();
-            let ym: f32 = layer.forward(&xm, true).data().iter().sum();
+            let yp: f32 = forward(&mut layer, &xp).data().iter().sum();
+            let ym: f32 = forward(&mut layer, &xm).data().iter().sum();
             let num = (yp - ym) / (2.0 * eps);
             let ana = gin.data()[idx];
             assert!(
                 (num - ana).abs() < 1e-2,
-                "conv grad mismatch at {idx}: numeric {num}, analytic {ana}"
+                "{what} grad mismatch at {idx}: numeric {num}, analytic {ana}"
             );
         }
     }
 
     #[test]
+    fn conv_gradient_check() {
+        let layer = make(LayerSpec::conv(2, 2, 1, Padding::Valid), [3, 3, 1]);
+        let x = Tensor::from_vec([3, 3, 1], (0..9).map(|i| (i as f32) / 9.0 - 0.4).collect());
+        gradient_check(layer, &x, "conv");
+    }
+
+    #[test]
     fn dwconv_gradient_check() {
-        let mut layer = make(LayerSpec::dw_conv(2, 1, Padding::Valid), [3, 3, 2]);
+        let layer = make(LayerSpec::dw_conv(2, 1, Padding::Valid), [3, 3, 2]);
         let x = Tensor::from_vec(
             [3, 3, 2],
             (0..18).map(|i| (i as f32) / 18.0 - 0.3).collect(),
         );
-        let y = layer.forward(&x, true);
-        let ones = Tensor::from_vec(y.shape().to_vec(), vec![1.0; y.len()]);
-        let gin = layer.backward(&ones);
-        let eps = 1e-3;
-        for idx in 0..x.len() {
-            let mut xp = x.clone();
-            xp.data_mut()[idx] += eps;
-            let mut xm = x.clone();
-            xm.data_mut()[idx] -= eps;
-            let yp: f32 = layer.forward(&xp, true).data().iter().sum();
-            let ym: f32 = layer.forward(&xm, true).data().iter().sum();
-            let num = (yp - ym) / (2.0 * eps);
-            assert!(
-                (num - gin.data()[idx]).abs() < 1e-2,
-                "dwconv grad mismatch at {idx}"
-            );
-        }
+        gradient_check(layer, &x, "dwconv");
     }
 
     #[test]
     fn same_padding_conv_keeps_spatial_dims() {
         let mut layer = make(LayerSpec::conv(3, 3, 1, Padding::Same), [5, 4, 2]);
-        let x = Tensor::zeros([5, 4, 2]);
-        let y = layer.forward(&x, true);
+        let y = forward(&mut layer, &Tensor::zeros([5, 4, 2]));
         assert_eq!(y.shape(), &[5, 4, 3]);
     }
 
     #[test]
     fn norm_standardizes_and_learns_affine() {
-        let mut n = ChannelNorm::new(1);
+        let mut n = Layer::Norm(ChannelNorm::new(1));
         let x = Tensor::from_vec([4, 1, 1], vec![1.0, 2.0, 3.0, 4.0]);
         // Train a few passes so running stats adapt.
         for _ in 0..200 {
-            let _ = n.forward(&x, true);
+            let _ = forward(&mut n, &x);
         }
-        let y = n.forward(&x, false);
+        let mut y = Tensor::zeros([1]);
+        n.forward_into(&x, &mut y, false);
         let mean: f32 = y.data().iter().sum::<f32>() / 4.0;
         assert!(mean.abs() < 0.2, "normalized mean near zero, got {mean}");
         // Backward accumulates affine gradients.
-        let _ = n.forward(&x, true);
-        let _ = n.backward(&Tensor::from_vec([4, 1, 1], vec![1.0; 4]));
+        let _ = backward(&mut n, &x, &Tensor::from_vec([4, 1, 1], vec![1.0; 4]));
+        let Layer::Norm(n) = &n else { unreachable!() };
         assert!(n.grad_shift[0] == 4.0);
     }
 
     #[test]
+    fn first_layer_backward_skips_only_the_input_gradient() {
+        // With and without an input gradient requested, parameter
+        // gradients come out bit-identical.
+        let x = Tensor::from_vec([5, 4, 2], (0..40).map(|i| (i as f32 * 0.3).sin()).collect());
+        for spec in [
+            LayerSpec::conv(3, 3, 1, Padding::Same),
+            LayerSpec::dw_conv(3, 2, Padding::Valid),
+        ] {
+            let mut a = make(spec.clone(), [5, 4, 2]);
+            let mut b = a.clone();
+            let y = forward(&mut a, &x);
+            let _ = forward(&mut b, &x);
+            let g = Tensor::from_vec(
+                y.shape().to_vec(),
+                (0..y.len()).map(|i| i as f32 - 3.0).collect(),
+            );
+            let mut gi = Tensor::zeros([1]);
+            a.backward_into(&x, &y, &g, Some(&mut gi));
+            b.backward_into(&x, &y, &g, None);
+            let bits = |l: &mut Layer| -> Vec<u32> {
+                l.params_and_grads()
+                    .iter()
+                    .flat_map(|(_, g)| g.iter().map(|v| v.to_bits()))
+                    .collect()
+            };
+            assert_eq!(bits(&mut a), bits(&mut b), "{spec}");
+        }
+    }
+
+    #[test]
     fn zero_grads_clears_accumulation() {
-        let mut d = Dense::new(4, 3, &mut rng());
+        let mut d = Layer::Dense(Dense::new(4, 3, &mut rng()));
         let x = Tensor::from_vec([4], vec![1.0; 4]);
-        let _ = d.forward(&x);
-        let _ = d.backward(&Tensor::from_vec([3], vec![1.0; 3]));
-        assert!(d.grad_weights.iter().any(|&g| g != 0.0));
-        let mut wrapped = Layer::Dense(d);
-        wrapped.zero_grads();
-        if let Layer::Dense(d) = &wrapped {
-            assert!(d.grad_weights.iter().all(|&g| g == 0.0));
+        let _ = backward(&mut d, &x, &Tensor::from_vec([3], vec![1.0; 3]));
+        let Layer::Dense(dense) = &d else {
+            unreachable!()
+        };
+        assert!(dense.grad_weights.iter().any(|&g| g != 0.0));
+        d.zero_grads();
+        let Layer::Dense(dense) = &d else {
+            unreachable!()
+        };
+        assert!(dense.grad_weights.iter().all(|&g| g == 0.0));
+    }
+    /// Inputs drawn from a small value set so ties, zeros and the
+    /// occasional NaN and −∞ occur.
+    fn pool_input(shape: [usize; 3], picks: &[u8]) -> Tensor {
+        const VALUES: [f32; 8] = [
+            -1.5,
+            -0.0,
+            0.0,
+            0.25,
+            0.25,
+            2.0,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        let n: usize = shape.iter().product();
+        Tensor::from_vec(
+            shape,
+            (0..n)
+                .map(|k| VALUES[picks[k % picks.len()] as usize % 8])
+                .collect(),
+        )
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn pooling_matches_the_naive_reference_bit_for_bit(
+            h in 1usize..9,
+            w in 1usize..9,
+            c in 1usize..5,
+            size in 1usize..5,
+            kind in 0u8..2,
+            picks in proptest::collection::vec(0u8..8, 1..64),
+            grads in proptest::collection::vec(-2.0f32..2.0, 1..32),
+        ) {
+            let size = size.min(h);
+            let kind = if kind == 0 { PoolKind::Max } else { PoolKind::Avg };
+            let x = pool_input([h, w, c], &picks);
+            let mut layer = Layer::Pool(Pool2d::new(kind, size, size.min(w)));
+            let y = forward(&mut layer, &x);
+            let (want_y, argmax) = crate::reference::pool2d_forward(&x, kind, size, size.min(w));
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(y.shape(), want_y.shape());
+            proptest::prop_assert_eq!(bits(&y), bits(&want_y));
+            let g = Tensor::from_vec(
+                y.shape().to_vec(),
+                (0..y.len()).map(|k| grads[k % grads.len()]).collect(),
+            );
+            let mut gi = Tensor::zeros([1]);
+            layer.backward_into(&x, &y, &g, Some(&mut gi));
+            let want_gi = crate::reference::pool2d_backward(
+                [h, w, c], &g, kind, size, size.min(w), &argmax,
+            );
+            proptest::prop_assert_eq!(bits(&gi), bits(&want_gi));
         }
     }
 }

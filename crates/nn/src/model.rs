@@ -30,6 +30,13 @@ use crate::tensor::Tensor;
 pub struct Model {
     spec: ModelSpec,
     layers: Vec<Layer>,
+    /// Activation buffers, reused across samples: `acts[0]` holds a copy of
+    /// the last input, `acts[i + 1]` layer `i`'s output.
+    acts: Vec<Tensor>,
+    /// Gradient buffers: `grads[i]` holds the loss gradient w.r.t.
+    /// `acts[i]`. `grads[0]` stays unused — nothing reads the gradient
+    /// w.r.t. the input, so backward never computes it.
+    grads: Vec<Tensor>,
 }
 
 impl Model {
@@ -41,9 +48,16 @@ impl Model {
             .enumerate()
             .map(|(i, l)| Layer::instantiate(l, spec.shape_before(i), rng))
             .collect();
+        let buffers = || {
+            (0..=spec.layers().len())
+                .map(|_| Tensor::zeros([1]))
+                .collect()
+        };
         Self {
             spec: spec.clone(),
             layers,
+            acts: buffers(),
+            grads: buffers(),
         }
     }
 
@@ -52,32 +66,36 @@ impl Model {
         &self.spec
     }
 
-    /// Forward pass in training mode (caches activations, updates norm
-    /// statistics).
-    pub fn forward(&mut self, input: &Tensor) -> Tensor {
+    /// Forward pass in training mode (keeps activations for
+    /// [`Model::backward`], updates norm statistics).
+    pub fn forward(&mut self, input: &Tensor) -> &Tensor {
         self.pass(input, true)
     }
 
     /// Forward pass in inference mode (class scores, no caching effects on
     /// statistics).
-    pub fn infer(&mut self, input: &Tensor) -> Tensor {
+    pub fn infer(&mut self, input: &Tensor) -> &Tensor {
         self.pass(input, false)
     }
 
-    fn pass(&mut self, input: &Tensor, training: bool) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x, training);
+    fn pass(&mut self, input: &Tensor, training: bool) -> &Tensor {
+        self.acts[0].copy_from(input);
+        for (i, layer) in self.layers.iter_mut().enumerate() {
+            let (done, next) = self.acts.split_at_mut(i + 1);
+            layer.forward_into(&done[i], &mut next[0], training);
         }
-        x
+        &self.acts[self.layers.len()]
     }
 
-    /// Backpropagates `grad_out` through the whole network, accumulating
-    /// parameter gradients.
+    /// Backpropagates `grad_out` through the whole network after a
+    /// training-mode [`Model::forward`], accumulating parameter gradients.
     pub fn backward(&mut self, grad_out: &Tensor) {
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
+        let n = self.layers.len();
+        for i in (0..n).rev() {
+            let (head, tail) = self.grads.split_at_mut(i + 1);
+            let grad_out = if i + 1 == n { grad_out } else { &tail[0] };
+            let grad_in = (i > 0).then_some(&mut head[i]);
+            self.layers[i].backward_into(&self.acts[i], &self.acts[i + 1], grad_out, grad_in);
         }
     }
 
@@ -190,14 +208,13 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let mut model = Model::from_spec(&s, &mut rng);
         let x = Tensor::from_vec([6, 6, 1], (0..36).map(|i| i as f32 / 36.0).collect());
-        let y = model.forward(&x);
+        assert_eq!(model.forward(&x).len(), 3);
         model.backward(&Tensor::from_vec([3], vec![1.0; 3]));
         let has_grads = model
             .params_and_grads()
             .iter()
             .any(|(_, g)| g.iter().any(|&v| v != 0.0));
         assert!(has_grads);
-        let _ = y;
         model.zero_grads();
         let all_zero = model
             .params_and_grads()
@@ -213,10 +230,10 @@ mod tests {
         let mut a = Model::from_spec(&s, &mut rng);
         let mut b = Model::from_spec(&s, &mut rng);
         let x = Tensor::from_vec([6, 6, 1], (0..36).map(|i| i as f32 / 36.0).collect());
-        assert_ne!(a.infer(&x).data(), b.infer(&x).data());
+        assert_ne!(a.infer(&x).clone(), *b.infer(&x));
         let snap = a.export_weights();
         b.import_weights(&snap).expect("shapes match");
-        assert_eq!(a.infer(&x).data(), b.infer(&x).data());
+        assert_eq!(a.infer(&x).clone(), *b.infer(&x));
     }
 
     #[test]
@@ -242,6 +259,6 @@ mod tests {
         let mut m1 = Model::from_spec(&s, &mut r1);
         let mut m2 = Model::from_spec(&s, &mut r2);
         let x = Tensor::from_vec([6, 6, 1], (0..36).map(|i| i as f32 / 36.0).collect());
-        assert_ne!(m1.infer(&x).data(), m2.infer(&x).data());
+        assert_ne!(m1.infer(&x).clone(), *m2.infer(&x));
     }
 }

@@ -177,20 +177,21 @@ impl MultiExitModel {
             "threshold must be in (0,1], got {threshold}"
         );
         let mut x = input.clone();
+        let mut scratch = Tensor::zeros([1]);
         let mut layer_idx = 0usize;
         let mut macs = 0u64;
         let cumulative = self.cumulative_backbone_macs();
         for (exit_index, (pos, head)) in self.heads.iter_mut().enumerate() {
             // Advance the backbone to this exit's position.
             while layer_idx < *pos {
-                x = self.backbone[layer_idx].forward(&x, false);
+                advance(&mut self.backbone[layer_idx], &mut x, &mut scratch);
                 layer_idx += 1;
             }
             macs = cumulative[*pos];
             // Evaluate the head.
             let mut h = x.clone();
             for layer in head.iter_mut() {
-                h = layer.forward(&h, false);
+                advance(layer, &mut h, &mut scratch);
             }
             let confidence = softmax_peak(&h);
             if confidence >= threshold {
@@ -205,7 +206,7 @@ impl MultiExitModel {
         }
         // Fall through to the final output.
         while layer_idx < self.backbone.len() {
-            x = self.backbone[layer_idx].forward(&x, false);
+            advance(&mut self.backbone[layer_idx], &mut x, &mut scratch);
             layer_idx += 1;
         }
         let confidence = softmax_peak(&x);
@@ -244,23 +245,16 @@ impl MultiExitModel {
     }
 
     fn train_step(&mut self, input: &Tensor, label: usize) {
-        // Forward through the backbone, caching activations at exit points.
-        let mut x = input.clone();
-        let mut taps: Vec<Tensor> = Vec::new();
-        let mut next_exit = 0usize;
-        for (i, layer) in self.backbone.iter_mut().enumerate() {
-            x = layer.forward(&x, true);
-            while next_exit < self.heads.len() && self.heads[next_exit].0 == i + 1 {
-                taps.push(x.clone());
-                next_exit += 1;
-            }
-        }
+        // Forward through the backbone, keeping every activation: the
+        // heads tap them, and backward reads them.
+        let acts = forward_chain(&mut self.backbone, input);
         // Final-exit loss gradient through the whole backbone; head losses
         // join the backbone gradient at their tap points.
-        let (_, grad) = softmax_cross_entropy(&x, label);
-        let mut g = grad;
+        let (_, mut g) = softmax_cross_entropy(acts.last().expect("input activation"), label);
         for i in (0..self.backbone.len()).rev() {
-            g = self.backbone[i].backward(&g);
+            let mut grad_in = Tensor::zeros([1]);
+            self.backbone[i].backward_into(&acts[i], &acts[i + 1], &g, Some(&mut grad_in));
+            g = grad_in;
             let head_indices: Vec<usize> = self
                 .heads
                 .iter()
@@ -269,8 +263,7 @@ impl MultiExitModel {
                 .map(|(idx, _)| idx)
                 .collect();
             for exit_index in head_indices {
-                let tap = taps[exit_index].clone();
-                let head_grad = self.head_backward(exit_index, &tap, label);
+                let head_grad = self.head_backward(exit_index, &acts[i], label);
                 g.add_scaled(&head_grad, 1.0);
             }
         }
@@ -278,14 +271,12 @@ impl MultiExitModel {
 
     fn head_backward(&mut self, exit_index: usize, tap: &Tensor, label: usize) -> Tensor {
         let head = &mut self.heads[exit_index].1;
-        let mut h = tap.clone();
-        for layer in head.iter_mut() {
-            h = layer.forward(&h, true);
-        }
-        let (_, grad) = softmax_cross_entropy(&h, label);
-        let mut g = grad;
-        for layer in head.iter_mut().rev() {
-            g = layer.backward(&g);
+        let acts = forward_chain(head, tap);
+        let (_, mut g) = softmax_cross_entropy(acts.last().expect("input activation"), label);
+        for (i, layer) in head.iter_mut().enumerate().rev() {
+            let mut grad_in = Tensor::zeros([1]);
+            layer.backward_into(&acts[i], &acts[i + 1], &g, Some(&mut grad_in));
+            g = grad_in;
         }
         g
     }
@@ -380,6 +371,24 @@ fn dense_cap_macs(spec: &ModelSpec, pos: usize) -> u64 {
 /// MACs of the dense head (flatten + dense(classes)) at `pos`.
 fn head_macs_static(spec: &ModelSpec, pos: usize, classes: usize) -> u64 {
     dense_cap_macs(spec, pos) * classes as u64
+}
+
+/// Inference-mode step: replaces `x` with `layer`'s output, using
+/// `scratch` as the output buffer.
+fn advance(layer: &mut Layer, x: &mut Tensor, scratch: &mut Tensor) {
+    layer.forward_into(x, scratch, false);
+    std::mem::swap(x, scratch);
+}
+
+/// Training-mode forward through `layers`: every activation, input first.
+fn forward_chain(layers: &mut [Layer], input: &Tensor) -> Vec<Tensor> {
+    let mut acts = vec![input.clone()];
+    for layer in layers {
+        let mut out = Tensor::zeros([1]);
+        layer.forward_into(acts.last().expect("input activation"), &mut out, true);
+        acts.push(out);
+    }
+    acts
 }
 
 fn softmax_peak(scores: &Tensor) -> f32 {

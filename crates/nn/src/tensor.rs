@@ -145,6 +145,22 @@ impl Tensor {
     pub fn fill_zero(&mut self) {
         self.data.fill(0.0);
     }
+
+    /// Reshapes a reusable buffer to `shape` for overwriting: capacity is
+    /// kept, so a buffer that has seen the shape before does not allocate.
+    /// Elements keep stale values; callers either overwrite every element
+    /// or call [`Tensor::fill_zero`] first.
+    pub(crate) fn reset(&mut self, shape: &[usize]) {
+        self.shape.clear();
+        self.shape.extend_from_slice(shape);
+        self.data.resize(shape.iter().product(), 0.0);
+    }
+
+    /// Makes this buffer a copy of `other` without giving up its capacity.
+    pub(crate) fn copy_from(&mut self, other: &Tensor) {
+        self.reset(&other.shape);
+        self.data.copy_from_slice(&other.data);
+    }
 }
 
 #[cfg(test)]

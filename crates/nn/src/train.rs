@@ -61,8 +61,7 @@ pub fn fit(
             model.zero_grads();
             for &i in batch {
                 let (x, label) = data.sample(i);
-                let scores = model.forward(x);
-                let (loss, grad) = softmax_cross_entropy(&scores, label);
+                let (loss, grad) = softmax_cross_entropy(model.forward(x), label);
                 epoch_loss += loss as f64;
                 model.backward(&grad);
             }
@@ -232,7 +231,8 @@ mod tests {
         assert!(report.train_accuracy > 0.9, "acc={}", report.train_accuracy);
         // Inference mode disables dropout: repeated inference is identical.
         let (x, _) = data.sample(0);
-        assert_eq!(model.infer(x).data(), model.infer(x).data());
+        let first = model.infer(x).clone();
+        assert_eq!(first, *model.infer(x));
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! Golden tests: the optimized conv kernels must agree with the naive
-//! reference implementations (`solarml_nn::reference`) across random
-//! rectangular-kernel / padded / strided cases.
-//!
-//! Forward passes preserve the reference's accumulation order and must be
-//! bit-exact. The full-conv backward uses a register dot-product over the
-//! filter axis, which reorders float sums — `grad_in` is compared with a
-//! tolerance there; weight/bias gradients keep the reference order.
+//! Golden tests: the optimized conv kernels must agree bit for bit with the
+//! naive reference implementations (`solarml_nn::reference`) across random
+//! rectangular-kernel / padded / strided cases and the edge cases of the
+//! tap-outer loop order (one input channel, one filter, stride 2 with Same
+//! padding, a kernel wider than the input). Both sides keep the same
+//! per-element summation order, so every forward and backward output —
+//! including the input gradient — must match exactly.
 
 use rand::{Rng, SeedableRng};
 use solarml_nn::layers::{Conv2d, DwConv2d};
@@ -37,90 +36,192 @@ fn random_grad(rng: &mut impl Rng, shape: &[usize]) -> Tensor {
     )
 }
 
-fn assert_close(a: &[f32], b: &[f32], tol: f32, what: &str) {
-    assert_eq!(a.len(), b.len(), "{what}: length");
-    for (i, (x, y)) in a.iter().zip(b).enumerate() {
-        assert!(
-            (x - y).abs() <= tol * (1.0 + x.abs().max(y.abs())),
-            "{what}[{i}]: {x} vs {y}"
-        );
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// One conv case: `[h, w, cin]` input, `kh × kw` kernel, `cout` filters.
+struct ConvCase {
+    h: usize,
+    w: usize,
+    cin: usize,
+    cout: usize,
+    kh: usize,
+    kw: usize,
+    stride: usize,
+    padding: Padding,
+}
+
+fn check_conv(case: &ConvCase, rng: &mut impl Rng, label: &str) {
+    let ConvCase {
+        h,
+        w,
+        cin,
+        cout,
+        kh,
+        kw,
+        stride,
+        padding,
+    } = *case;
+    let mut layer = Conv2d::standalone(cin, cout, kh, kw, stride, padding, rng);
+    let input = random_input(rng, h, w, cin);
+    let weights = layer.weights().to_vec();
+    let bias = layer.bias().to_vec();
+
+    let mut got = Tensor::zeros([1]);
+    layer.forward_into(&input, &mut got);
+    let want =
+        reference::conv2d_forward(&input, &weights, &bias, kh, kw, cin, cout, stride, padding);
+    assert_eq!(got.shape(), want.shape(), "{label}: forward shape");
+    assert_eq!(bits(got.data()), bits(want.data()), "{label}: forward");
+
+    let grad_out = random_grad(rng, got.shape());
+    let mut grad_in = Tensor::zeros([1]);
+    layer.backward_into(&input, &grad_out, Some(&mut grad_in));
+    let (want_gi, want_gw, want_gb) = reference::conv2d_backward(
+        &input, &grad_out, &weights, kh, kw, cin, cout, stride, padding,
+    );
+    assert_eq!(
+        bits(grad_in.data()),
+        bits(want_gi.data()),
+        "{label}: grad_in"
+    );
+    assert_eq!(
+        bits(layer.grad_weights()),
+        bits(&want_gw),
+        "{label}: grad_weights"
+    );
+    assert_eq!(
+        bits(layer.grad_bias()),
+        bits(&want_gb),
+        "{label}: grad_bias"
+    );
+}
+
+fn check_dwconv(case: &ConvCase, rng: &mut impl Rng, label: &str) {
+    let ConvCase {
+        h,
+        w,
+        cin: c,
+        kh,
+        kw,
+        stride,
+        padding,
+        ..
+    } = *case;
+    let mut layer = DwConv2d::standalone(c, kh, kw, stride, padding, rng);
+    let input = random_input(rng, h, w, c);
+    let weights = layer.weights().to_vec();
+    let bias = layer.bias().to_vec();
+
+    let mut got = Tensor::zeros([1]);
+    layer.forward_into(&input, &mut got);
+    let want = reference::dwconv2d_forward(&input, &weights, &bias, kh, kw, c, stride, padding);
+    assert_eq!(got.shape(), want.shape(), "{label}: forward shape");
+    assert_eq!(bits(got.data()), bits(want.data()), "{label}: forward");
+
+    let grad_out = random_grad(rng, got.shape());
+    let mut grad_in = Tensor::zeros([1]);
+    layer.backward_into(&input, &grad_out, Some(&mut grad_in));
+    let (want_gi, want_gw, want_gb) =
+        reference::dwconv2d_backward(&input, &grad_out, &weights, kh, kw, c, stride, padding);
+    assert_eq!(
+        bits(grad_in.data()),
+        bits(want_gi.data()),
+        "{label}: grad_in"
+    );
+    assert_eq!(
+        bits(layer.grad_weights()),
+        bits(&want_gw),
+        "{label}: grad_weights"
+    );
+    assert_eq!(
+        bits(layer.grad_bias()),
+        bits(&want_gb),
+        "{label}: grad_bias"
+    );
+}
+
+fn random_case(rng: &mut impl Rng) -> ConvCase {
+    let h: usize = rng.gen_range(3..10);
+    let w: usize = rng.gen_range(2..9);
+    ConvCase {
+        h,
+        w,
+        cin: rng.gen_range(1..5),
+        cout: rng.gen_range(1..7),
+        kh: rng.gen_range(1..=h.min(4)),
+        kw: rng.gen_range(1..=w.min(4)),
+        stride: rng.gen_range(1..3),
+        padding: if rng.gen_bool(0.5) {
+            Padding::Same
+        } else {
+            Padding::Valid
+        },
     }
+}
+
+/// Edge cases of the tap-outer loops: cin = 1, cout = 1, stride 2 with
+/// Same padding, and Same-padded kernels wider (and taller) than the input,
+/// where some taps reach no output pixel at all.
+fn edge_cases() -> Vec<ConvCase> {
+    let case = |h, w, cin, cout, kh, kw, stride, padding| ConvCase {
+        h,
+        w,
+        cin,
+        cout,
+        kh,
+        kw,
+        stride,
+        padding,
+    };
+    vec![
+        case(6, 5, 1, 4, 3, 3, 1, Padding::Same),
+        case(6, 5, 3, 1, 3, 2, 1, Padding::Valid),
+        case(5, 4, 1, 1, 2, 2, 1, Padding::Valid),
+        case(7, 6, 2, 3, 3, 3, 2, Padding::Same),
+        case(8, 5, 1, 2, 4, 3, 2, Padding::Same),
+        case(4, 2, 2, 3, 3, 5, 1, Padding::Same),
+        case(3, 3, 1, 1, 5, 7, 2, Padding::Same),
+        case(9, 1, 3, 2, 3, 3, 2, Padding::Same),
+    ]
 }
 
 #[test]
 fn conv2d_matches_naive_reference_on_random_cases() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0);
-    for case in 0..25 {
-        let h: usize = rng.gen_range(3..10);
-        let w: usize = rng.gen_range(2..9);
-        let cin = rng.gen_range(1..5);
-        let cout = rng.gen_range(1..7);
-        let kh = rng.gen_range(1..=h.min(4));
-        let kw = rng.gen_range(1..=w.min(4));
-        let stride = rng.gen_range(1..3);
-        let padding = if rng.gen_bool(0.5) {
-            Padding::Same
-        } else {
-            Padding::Valid
-        };
-        let label =
-            format!("case {case}: in [{h},{w},{cin}] k {kh}x{kw} f{cout} s{stride} {padding:?}");
-
-        let mut layer = Conv2d::standalone(cin, cout, kh, kw, stride, padding, &mut rng);
-        let input = random_input(&mut rng, h, w, cin);
-        let weights = layer.weights().to_vec();
-        let bias = layer.bias().to_vec();
-
-        let got = layer.forward(&input);
-        let want =
-            reference::conv2d_forward(&input, &weights, &bias, kh, kw, cin, cout, stride, padding);
-        assert_eq!(got.shape(), want.shape(), "{label}: forward shape");
-        assert_eq!(got.data(), want.data(), "{label}: forward is bit-exact");
-
-        let grad_out = random_grad(&mut rng, got.shape());
-        let grad_in = layer.backward(&grad_out);
-        let (want_gi, want_gw, want_gb) = reference::conv2d_backward(
-            &input, &grad_out, &weights, kh, kw, cin, cout, stride, padding,
+    for i in 0..25 {
+        let case = random_case(&mut rng);
+        let label = format!(
+            "case {i}: in [{},{},{}] k {}x{} f{} s{} {:?}",
+            case.h, case.w, case.cin, case.kh, case.kw, case.cout, case.stride, case.padding
         );
-        assert_close(grad_in.data(), want_gi.data(), 1e-5, &label);
-        assert_close(layer.grad_weights(), &want_gw, 1e-5, &label);
-        assert_eq!(layer.grad_bias(), &want_gb[..], "{label}: grad_bias");
+        check_conv(&case, &mut rng, &label);
     }
 }
 
 #[test]
 fn dwconv2d_matches_naive_reference_on_random_cases() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xD1);
-    for case in 0..25 {
-        let h: usize = rng.gen_range(3..10);
-        let w: usize = rng.gen_range(2..9);
-        let c = rng.gen_range(1..6);
-        let kh = rng.gen_range(1..=h.min(4));
-        let kw = rng.gen_range(1..=w.min(4));
-        let stride = rng.gen_range(1..3);
-        let padding = if rng.gen_bool(0.5) {
-            Padding::Same
-        } else {
-            Padding::Valid
-        };
-        let label = format!("case {case}: in [{h},{w},{c}] k {kh}x{kw} s{stride} {padding:?}");
+    for i in 0..25 {
+        let case = random_case(&mut rng);
+        let label = format!(
+            "case {i}: in [{},{},{}] k {}x{} s{} {:?}",
+            case.h, case.w, case.cin, case.kh, case.kw, case.stride, case.padding
+        );
+        check_dwconv(&case, &mut rng, &label);
+    }
+}
 
-        let mut layer = DwConv2d::standalone(c, kh, kw, stride, padding, &mut rng);
-        let input = random_input(&mut rng, h, w, c);
-        let weights = layer.weights().to_vec();
-        let bias = layer.bias().to_vec();
-
-        let got = layer.forward(&input);
-        let want = reference::dwconv2d_forward(&input, &weights, &bias, kh, kw, c, stride, padding);
-        assert_eq!(got.shape(), want.shape(), "{label}: forward shape");
-        assert_eq!(got.data(), want.data(), "{label}: forward is bit-exact");
-
-        let grad_out = random_grad(&mut rng, got.shape());
-        let grad_in = layer.backward(&grad_out);
-        let (want_gi, want_gw, want_gb) =
-            reference::dwconv2d_backward(&input, &grad_out, &weights, kh, kw, c, stride, padding);
-        assert_eq!(grad_in.data(), want_gi.data(), "{label}: grad_in bit-exact");
-        assert_eq!(layer.grad_weights(), &want_gw[..], "{label}: grad_weights");
-        assert_eq!(layer.grad_bias(), &want_gb[..], "{label}: grad_bias");
+#[test]
+fn conv_kernels_match_naive_reference_on_edge_cases() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xE6);
+    for (i, case) in edge_cases().iter().enumerate() {
+        let label = format!(
+            "edge {i}: in [{},{},{}] k {}x{} f{} s{} {:?}",
+            case.h, case.w, case.cin, case.kh, case.kw, case.cout, case.stride, case.padding
+        );
+        check_conv(case, &mut rng, &label);
+        check_dwconv(case, &mut rng, &label);
     }
 }

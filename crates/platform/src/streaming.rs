@@ -9,7 +9,7 @@
 //! stretches cost no inference), posteriors are averaged over consecutive
 //! windows, and a refractory period suppresses duplicate detections.
 
-use solarml_dsp::{AudioFrontendParams, MfccExtractor};
+use solarml_dsp::{standardize, AudioFrontendParams, MfccExtractor, MfccScratch};
 use solarml_nn::{Model, Tensor};
 use solarml_units::Seconds;
 
@@ -118,6 +118,7 @@ impl StreamingKws {
         let hop = (cfg.sample_rate * cfg.hop_ms as f64 / 1000.0) as usize;
         let mut detections: Vec<Detection> = Vec::new();
         let mut posterior_history: Vec<Vec<f32>> = Vec::new();
+        let mut scratch = MfccScratch::default();
         let mut windows = 0usize;
         let mut gated = 0usize;
         let mut inferences = 0usize;
@@ -136,18 +137,12 @@ impl StreamingKws {
                 gated += 1;
                 posterior_history.clear();
             } else {
-                let feats = self.extractor.extract(slice);
-                let frames = feats.len();
-                let f = cfg.frontend.features() as usize;
-                let mut flat: Vec<f32> = feats.into_iter().flatten().collect();
+                let mut flat = Vec::new();
+                self.extractor.extract_into(slice, &mut scratch, &mut flat);
                 // Same per-clip standardization as the training pipeline.
-                let mean = flat.iter().sum::<f32>() / flat.len() as f32;
-                let var = flat.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / flat.len() as f32;
-                let std = var.sqrt().max(1e-6);
-                for v in flat.iter_mut() {
-                    *v = (*v - mean) / std;
-                }
-                let x = Tensor::from_vec([frames, f, 1], flat);
+                standardize(&mut flat);
+                let f = cfg.frontend.features() as usize;
+                let x = Tensor::from_vec([flat.len() / f, f, 1], flat);
                 let scores = self.model.infer(&x);
                 inferences += 1;
                 posterior_history.push(softmax(scores.data()));
