@@ -144,20 +144,30 @@ impl Layer {
 
     /// Mutable views of `(parameter, gradient)` vectors, empty for
     /// parameterless layers.
+    ///
+    /// Handing out the weights may change them, so the layers' transposed
+    /// weight copies are dropped here and rebuilt by the next backward that
+    /// needs them.
     pub fn params_and_grads(&mut self) -> Vec<(&mut Vec<f32>, &mut Vec<f32>)> {
         match self {
-            Layer::Conv(l) => vec![
-                (&mut l.weights, &mut l.grad_weights),
-                (&mut l.bias, &mut l.grad_bias),
-            ],
+            Layer::Conv(l) => {
+                l.weights_t.clear();
+                vec![
+                    (&mut l.weights, &mut l.grad_weights),
+                    (&mut l.bias, &mut l.grad_bias),
+                ]
+            }
             Layer::DwConv(l) => vec![
                 (&mut l.weights, &mut l.grad_weights),
                 (&mut l.bias, &mut l.grad_bias),
             ],
-            Layer::Dense(l) => vec![
-                (&mut l.weights, &mut l.grad_weights),
-                (&mut l.bias, &mut l.grad_bias),
-            ],
+            Layer::Dense(l) => {
+                l.weights_t.clear();
+                vec![
+                    (&mut l.weights, &mut l.grad_weights),
+                    (&mut l.bias, &mut l.grad_bias),
+                ]
+            }
             Layer::Norm(l) => vec![
                 (&mut l.scale, &mut l.grad_scale),
                 (&mut l.shift, &mut l.grad_shift),
@@ -201,35 +211,123 @@ fn mark_live_rows(live: &mut Vec<bool>, grad: &[f32], width: usize) {
     );
 }
 
-/// Emits `(r, Σₖ g[k]·rows[r·n + k])` for each `n = g.len()`-long row `r`.
-/// Each sum starts from +0 and adds its terms in ascending `k`, as a plain
-/// loop would; four rows run as independent chains so their adds overlap.
-fn row_dots(g: &[f32], rows: &[f32], mut emit: impl FnMut(usize, f32)) {
-    let n = g.len();
-    let mut quads = rows.chunks_exact(4 * n);
-    for (q, quad) in quads.by_ref().enumerate() {
-        let (r0, rest) = quad.split_at(n);
-        let (r1, rest) = rest.split_at(n);
-        let (r2, r3) = rest.split_at(n);
-        let mut acc = [0.0f32; 4];
-        for k in 0..n {
-            let gk = g[k];
-            acc[0] += gk * r0[k];
-            acc[1] += gk * r1[k];
-            acc[2] += gk * r2[k];
-            acc[3] += gk * r3[k];
+/// Calls `$kernel::<N>($args)` with `N` = `$width` as a compile-time
+/// constant when `$width` is 1 (a single-channel input) or a filter count
+/// the architecture sampler draws, so a stripe of that width lives in
+/// registers; any other width runs the same kernel as `$kernel::<0>`,
+/// which reads the width at run time. Both compute the same bits.
+macro_rules! by_width {
+    ($width:expr, $kernel:ident($($arg:expr),* $(,)?)) => {
+        match $width {
+            1 => $kernel::<1>($($arg),*),
+            4 => $kernel::<4>($($arg),*),
+            6 => $kernel::<6>($($arg),*),
+            8 => $kernel::<8>($($arg),*),
+            12 => $kernel::<12>($($arg),*),
+            16 => $kernel::<16>($($arg),*),
+            24 => $kernel::<24>($($arg),*),
+            32 => $kernel::<32>($($arg),*),
+            _ => $kernel::<0>($($arg),*),
         }
-        for (m, a) in acc.into_iter().enumerate() {
-            emit(4 * q + m, a);
+    };
+}
+
+/// `out[k] += Σ_r xs[r] · rows[r][k]` for the `out.len()`-wide rows of
+/// `rows`, every `out[k]` taking its terms in ascending `r`. On a zeroed
+/// `out` this is a set of dot products `xs · column k`, each summed from +0
+/// in ascending `r` — the input-gradient form, over transposed weights.
+#[inline(always)]
+fn mac_rows<const N: usize>(out: &mut [f32], xs: &[f32], rows: &[f32]) {
+    let n = if N == 0 { out.len() } else { N };
+    let out = &mut out[..n];
+    for (&xv, row) in xs.iter().zip(rows.chunks_exact(n)) {
+        let row = &row[..n];
+        for k in 0..n {
+            out[k] += xv * row[k];
         }
     }
-    let done = rows.len() / n - quads.remainder().len() / n;
-    for (m, row) in quads.remainder().chunks_exact(n).enumerate() {
-        let mut acc = 0.0f32;
-        for (&gk, &wk) in g.iter().zip(row) {
-            acc += gk * wk;
+}
+
+/// `out[r] += g · cols[·][r]`: each dot product over the `g.len()` rows
+/// of `cols` is summed from +0 in ascending row order ([`mac_rows`] on a
+/// zeroed accumulator), then added to `out[r]` as one term. With a
+/// compile-time width the accumulator is a register array, so successive
+/// calls do not queue behind one another through memory; other widths use
+/// `scratch`.
+#[inline(always)]
+fn add_dots<const N: usize>(out: &mut [f32], g: &[f32], cols: &[f32], scratch: &mut Vec<f32>) {
+    let mut acc = [0.0f32; N];
+    let dots: &mut [f32] = if N == 0 {
+        scratch.clear();
+        scratch.resize(out.len(), 0.0);
+        scratch
+    } else {
+        &mut acc
+    };
+    mac_rows::<N>(dots, g, cols);
+    for (o, &d) in out.iter_mut().zip(dots.iter()) {
+        *o += d;
+    }
+}
+
+/// `out[c] += g[c] · x[c]` for each `(g, x)` pair in order: one term per
+/// pair for every element. With a compile-time width `out` is held in a
+/// register array for the whole sequence.
+#[inline(always)]
+fn add_products<'a, const N: usize>(
+    out: &mut [f32],
+    pairs: impl Iterator<Item = (&'a [f32], &'a [f32])>,
+) {
+    let mut acc = [0.0f32; N];
+    let sums: &mut [f32] = if N == 0 {
+        out
+    } else {
+        acc.copy_from_slice(out);
+        &mut acc
+    };
+    for (g, x) in pairs {
+        for ((s, &gv), &xv) in sums.iter_mut().zip(g).zip(x) {
+            *s += gv * xv;
         }
-        emit(done + m, acc);
+    }
+    if N != 0 {
+        out.copy_from_slice(&acc);
+    }
+}
+
+/// Outer-product update `rows[r][k] += g[k] · xs[r]` over the
+/// `g.len()`-wide rows of `rows`: one term per element.
+#[inline(always)]
+fn add_outer<const N: usize>(rows: &mut [f32], xs: &[f32], g: &[f32]) {
+    let n = if N == 0 { g.len() } else { N };
+    let g = &g[..n];
+    for (&xv, row) in xs.iter().zip(rows.chunks_exact_mut(n)) {
+        let row = &mut row[..n];
+        for k in 0..n {
+            row[k] += g[k] * xv;
+        }
+    }
+}
+
+/// Fills an empty `out` with the transpose of each `rows × cols` block of
+/// `blocks`; a filled `out` is kept as it is. Layers empty their transposed
+/// copy whenever their weights may have changed
+/// ([`Layer::params_and_grads`]), so one transpose serves every backward
+/// of a minibatch.
+fn transpose_blocks(blocks: &[f32], rows: usize, cols: usize, out: &mut Vec<f32>) {
+    if !out.is_empty() {
+        return;
+    }
+    out.resize(blocks.len(), 0.0);
+    for (src, dst) in blocks
+        .chunks_exact(rows * cols)
+        .zip(out.chunks_exact_mut(rows * cols))
+    {
+        for (r, row) in src.chunks_exact(cols).enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                dst[c * rows + r] = v;
+            }
+        }
     }
 }
 
@@ -313,13 +411,20 @@ struct Tap {
 }
 
 impl Tap {
-    /// Input pixel under output pixel `(oy, ox)`; only valid inside
-    /// `rows × cols`.
-    fn input(&self, oy: usize, ox: usize, stride: usize) -> (usize, usize) {
-        (
-            ((oy * stride) as isize + self.dy) as usize,
-            ((ox * stride) as isize + self.dx) as usize,
-        )
+    /// The tap's reach one output row at a time: the first output pixel of
+    /// the row's run and the input pixel under it. The run's `k`-th output
+    /// pixel (`k < cols.len()`) lies over input pixel `first + k·stride`.
+    fn runs(
+        &self,
+        out_w: usize,
+        in_w: usize,
+        stride: usize,
+    ) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let ix = ((self.cols.start * stride) as isize + self.dx) as usize;
+        self.rows.clone().map(move |oy| {
+            let iy = ((oy * stride) as isize + self.dy) as usize;
+            (oy * out_w + self.cols.start, iy * in_w + ix)
+        })
     }
 }
 
@@ -337,6 +442,11 @@ pub struct Conv2d {
     pub(crate) grad_bias: Vec<f32>,
     /// Backward scratch: which output pixels carry a nonzero gradient.
     live: Vec<bool>,
+    /// Each tap's weight block transposed to `[cout][cin]`, for the
+    /// input-gradient dot products; empty until a backward needs it.
+    weights_t: Vec<f32>,
+    /// Backward scratch for input-gradient dot products of unusual widths.
+    dots: Vec<f32>,
 }
 
 impl Conv2d {
@@ -364,6 +474,8 @@ impl Conv2d {
             grad_weights: vec![0.0; n],
             grad_bias: vec![0.0; filters],
             live: Vec::new(),
+            weights_t: Vec::new(),
+            dots: Vec::new(),
         }
     }
 
@@ -403,11 +515,10 @@ impl Conv2d {
 
     /// Forward pass, tap-outer and pixel-inner: each kernel tap's
     /// `cin × cout` weight block stays hot while the tap sweeps the output
-    /// pixels it reaches, and the innermost loop walks the contiguous
-    /// `cout` stripes of weights and output. Each output element still
-    /// receives its `(i, j, ci)` terms in row-major order after the bias,
-    /// so the result is bit-exact against
-    /// [`crate::reference::conv2d_forward`].
+    /// pixels it reaches, and a pixel's `cout` stripe stays in registers
+    /// across its `cin` terms. Each output element still receives its
+    /// `(i, j, ci)` terms in row-major order after the bias, so the result
+    /// is bit-exact against [`crate::reference::conv2d_forward`].
     pub fn forward_into(&self, input: &Tensor, out: &mut Tensor) {
         let [h, w, _] = dims3(input);
         let at = self.window.place(h, w);
@@ -420,16 +531,12 @@ impl Conv2d {
         let x = input.data();
         for tap in self.window.taps(at, h, w, false) {
             let block = &self.weights[tap.index * cin * cout..][..cin * cout];
-            for oy in tap.rows.clone() {
-                for ox in tap.cols.clone() {
-                    let (iy, ix) = tap.input(oy, ox, s);
-                    let xpix = &x[(iy * w + ix) * cin..][..cin];
-                    let orow = &mut o[(oy * at.ow + ox) * cout..][..cout];
-                    for (&xv, wrow) in xpix.iter().zip(block.chunks_exact(cout)) {
-                        for (ov, &wv) in orow.iter_mut().zip(wrow) {
-                            *ov += xv * wv;
-                        }
-                    }
+            let n = tap.cols.len();
+            for (p0, q0) in tap.runs(at.ow, w, s) {
+                let orun = o[p0 * cout..][..n * cout].chunks_exact_mut(cout);
+                let xpixels = x[q0 * cin..].chunks_exact(cin).step_by(s);
+                for (orow, xpix) in orun.zip(xpixels) {
+                    by_width!(cout, mac_rows(orow, xpix, block));
                 }
             }
         }
@@ -437,7 +544,7 @@ impl Conv2d {
 
     /// Backward pass. Weight and bias gradients take their per-pixel terms
     /// in output-pixel order, as the naive loop does. The input gradient is
-    /// a register dot product over `cout` per `(pixel, tap, ci)`, added in
+    /// a dot product over `cout` per `(pixel, tap, ci)`, added in
     /// output-pixel order; walking the taps in reverse row-major order
     /// while the pixels run forward is what delivers that order to every
     /// input element ([`crate::reference::conv2d_backward`]). All-zero
@@ -462,29 +569,34 @@ impl Conv2d {
         let mut gi = grad_in.map(|t| {
             t.reset(&[h, w, cin]);
             t.fill_zero();
-            t
+            transpose_blocks(&self.weights, cin, cout, &mut self.weights_t);
+            t.data_mut()
         });
+        let block_len = cin * cout;
         for tap in self.window.taps(at, h, w, true) {
-            let block = tap.index * cin * cout..(tap.index + 1) * cin * cout;
-            let (wblock, gwblock) = (&self.weights[block.clone()], &mut self.grad_weights[block]);
-            for oy in tap.rows.clone() {
-                for ox in tap.cols.clone() {
-                    let p = oy * at.ow + ox;
-                    if !self.live[p] {
-                        continue;
-                    }
-                    let grow = &go[p * cout..][..cout];
-                    let (iy, ix) = tap.input(oy, ox, s);
-                    let x_off = (iy * w + ix) * cin;
-                    for (&xv, gwrow) in x[x_off..][..cin].iter().zip(gwblock.chunks_exact_mut(cout))
-                    {
-                        for (gw, &g) in gwrow.iter_mut().zip(grow) {
-                            *gw += g * xv;
+            let block = tap.index * block_len..(tap.index + 1) * block_len;
+            let gwblock = &mut self.grad_weights[block.clone()];
+            let wt = &self.weights_t.get(block).unwrap_or_default();
+            let n = tap.cols.len();
+            for (p0, q0) in tap.runs(at.ow, w, s) {
+                let grows = go[p0 * cout..][..n * cout].chunks_exact(cout);
+                let pixels = grows
+                    .zip(&self.live[p0..][..n])
+                    .zip(x[q0 * cin..].chunks_exact(cin).step_by(s));
+                match gi.as_deref_mut() {
+                    None => {
+                        for ((grow, _), xpix) in pixels.filter(|((_, &live), _)| live) {
+                            by_width!(cout, add_outer(gwblock, xpix, grow));
                         }
                     }
-                    if let Some(gi) = gi.as_deref_mut() {
-                        let gipix = &mut gi.data_mut()[x_off..][..cin];
-                        row_dots(grow, wblock, |ci, acc| gipix[ci] += acc);
+                    Some(gi) => {
+                        let gipixels = gi[q0 * cin..].chunks_exact_mut(cin).step_by(s);
+                        for (((grow, _), xpix), gipix) in
+                            pixels.zip(gipixels).filter(|(((_, &live), _), _)| live)
+                        {
+                            by_width!(cout, add_outer(gwblock, xpix, grow));
+                            by_width!(cin, add_dots(gipix, grow, wt, &mut self.dots));
+                        }
                     }
                 }
             }
@@ -587,10 +699,9 @@ impl DwConv2d {
             if run == 0 {
                 continue;
             }
-            for oy in tap.rows.clone() {
-                let (iy, ix) = tap.input(oy, tap.cols.start, s);
-                let orun = &mut o[(oy * at.ow + tap.cols.start) * c_n..][..run * c_n];
-                let xrun = &x[(iy * w + ix) * c_n..];
+            for (p0, q0) in tap.runs(at.ow, w, s) {
+                let orun = &mut o[p0 * c_n..][..run * c_n];
+                let xrun = &x[q0 * c_n..];
                 if c_n == 1 && s == 1 {
                     let wv = wrow[0];
                     for (ov, &xv) in orun.iter_mut().zip(xrun) {
@@ -631,25 +742,26 @@ impl DwConv2d {
         let mut gi = grad_in.map(|t| {
             t.reset(&[h, w, c_n]);
             t.fill_zero();
-            t
+            t.data_mut()
         });
         for tap in self.window.taps(at, h, w, true) {
             let wrow = &self.weights[tap.index * c_n..][..c_n];
             let gwrow = &mut self.grad_weights[tap.index * c_n..][..c_n];
-            for oy in tap.rows.clone() {
-                for ox in tap.cols.clone() {
-                    let p = oy * at.ow + ox;
-                    if !self.live[p] {
-                        continue;
-                    }
-                    let grow = &go[p * c_n..][..c_n];
-                    let (iy, ix) = tap.input(oy, ox, s);
-                    let x_off = (iy * w + ix) * c_n;
-                    for ((gw, &g), &xv) in gwrow.iter_mut().zip(grow).zip(&x[x_off..][..c_n]) {
-                        *gw += g * xv;
-                    }
-                    if let Some(gi) = gi.as_deref_mut() {
-                        let gipix = &mut gi.data_mut()[x_off..][..c_n];
+            let n = tap.cols.len();
+            for (p0, q0) in tap.runs(at.ow, w, s) {
+                let grows = go[p0 * c_n..][..n * c_n].chunks_exact(c_n);
+                let xpixels = x[q0 * c_n..].chunks_exact(c_n).step_by(s);
+                let pixels = grows.zip(&self.live[p0..][..n]).zip(xpixels);
+                let live_pixels = pixels.clone().filter(|((_, &live), _)| live);
+                by_width!(
+                    c_n,
+                    add_products(gwrow, live_pixels.map(|((g, _), x)| (g, x)))
+                );
+                if let Some(gi) = gi.as_deref_mut() {
+                    let gipixels = gi[q0 * c_n..].chunks_exact_mut(c_n).step_by(s);
+                    for (((grow, _), _), gipix) in
+                        pixels.zip(gipixels).filter(|(((_, &live), _), _)| live)
+                    {
                         for ((giv, &g), &wv) in gipix.iter_mut().zip(grow).zip(wrow) {
                             *giv += g * wv;
                         }
@@ -698,13 +810,12 @@ impl Pool2d {
     fn windows(&self, h: usize, w: usize) -> ([usize; 2], impl Iterator<Item = PoolWindow>) {
         let (oh, ow) = (h / self.sh, (w / self.sw).max(1));
         let (sh, sw) = (self.sh, self.sw.min(w));
-        let windows = (0..oh * ow).map(move |p| {
-            let (oy, ox) = (p / ow, p % ow);
-            PoolWindow {
-                out_pixel: p,
+        let windows = (0..oh).flat_map(move |oy| {
+            (0..ow).map(move |ox| PoolWindow {
+                out_pixel: oy * ow + ox,
                 rows: oy * sh..(oy * sh + sh).min(h),
                 cols: ox * sw..(ox * sw + sw).min(w),
-            }
+            })
         });
         ([oh, ow], windows)
     }
@@ -741,10 +852,11 @@ impl Pool2d {
                                 .zip(&x[off..][..c])
                                 .enumerate()
                             {
-                                if v > *best {
-                                    *best = v;
-                                    *a = off + ch;
-                                }
+                                // Selects rather than branches: which
+                                // cell wins is data-dependent.
+                                let wins = v > *best;
+                                *best = if wins { v } else { *best };
+                                *a = if wins { off + ch } else { *a };
                             }
                         }
                     }
@@ -1042,6 +1154,9 @@ pub struct Dense {
     pub(crate) bias: Vec<f32>,
     pub(crate) grad_weights: Vec<f32>,
     pub(crate) grad_bias: Vec<f32>,
+    /// The weights transposed to `[units][inputs]`, for the input-gradient
+    /// dot products; empty until a backward needs it.
+    weights_t: Vec<f32>,
 }
 
 impl Dense {
@@ -1053,6 +1168,7 @@ impl Dense {
             bias: vec![0.0; units],
             grad_weights: vec![0.0; inputs * units],
             grad_bias: vec![0.0; units],
+            weights_t: Vec::new(),
         }
     }
 
@@ -1077,7 +1193,8 @@ impl Dense {
 
     /// Backward pass. A zero input's weight-gradient terms are all ±0 and
     /// the accumulators start at +0, so skipping them is exact (DESIGN.md
-    /// §4b). The input gradient is a dot product per input over `units`.
+    /// §4b). The input gradient is a dot product per input over `units`,
+    /// taken over the transposed weights so all inputs advance together.
     fn backward_into(&mut self, input: &Tensor, grad_out: &Tensor, grad_in: Option<&mut Tensor>) {
         let go = grad_out.data();
         for (gb, &g) in self.grad_bias.iter_mut().zip(go) {
@@ -1097,8 +1214,9 @@ impl Dense {
         }
         if let Some(gi) = grad_in {
             gi.reset(&[self.inputs]);
-            let gi = gi.data_mut();
-            row_dots(go, &self.weights, |i, acc| gi[i] = acc);
+            gi.fill_zero();
+            transpose_blocks(&self.weights, self.inputs, self.units, &mut self.weights_t);
+            mac_rows::<0>(gi.data_mut(), go, &self.weights_t);
         }
     }
 }
