@@ -26,4 +26,4 @@ pub use gesture::{preprocess_gesture, GesturePreprocessOutput};
 pub use mfcc::{mfcc_cycles, standardize, MelFilterbank, MfccExtractor, MfccOptions, MfccScratch};
 pub use params::{AudioFrontendParams, GestureSensingParams, Resolution};
 pub use quantize::{dequantize, quantization_levels, quantize_signal, quantize_value};
-pub use window::{frame_signal, hamming, FrameSpec};
+pub use window::{hamming, FrameSpec};

@@ -49,35 +49,6 @@ pub fn hamming(n: usize) -> Vec<f32> {
         .collect()
 }
 
-/// Splits `signal` into overlapping frames, each multiplied by `window_fn`
-/// (pass a slice of ones for a rectangular window).
-///
-/// Returns a vector of frames; partial trailing data is dropped, matching
-/// embedded implementations that only process complete windows.
-///
-/// # Panics
-///
-/// Panics if `window_fn.len() != spec.window`.
-pub fn frame_signal(signal: &[f32], spec: FrameSpec, window_fn: &[f32]) -> Vec<Vec<f32>> {
-    assert_eq!(
-        window_fn.len(),
-        spec.window,
-        "window function length must match frame length"
-    );
-    let count = spec.frame_count(signal.len());
-    let mut frames = Vec::with_capacity(count);
-    for k in 0..count {
-        let start = k * spec.hop;
-        let frame: Vec<f32> = signal[start..start + spec.window]
-            .iter()
-            .zip(window_fn)
-            .map(|(s, w)| s * w)
-            .collect();
-        frames.push(frame);
-    }
-    frames
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,35 +82,6 @@ mod tests {
         assert_eq!(spec.frame_count(399), 0);
         assert_eq!(spec.frame_count(400), 1);
         assert_eq!(spec.frame_count(720), 2);
-    }
-
-    #[test]
-    fn frames_apply_window() {
-        let signal = vec![1.0f32; 10];
-        let spec = FrameSpec::new(4, 2);
-        let win = vec![0.5f32; 4];
-        let frames = frame_signal(&signal, spec, &win);
-        assert_eq!(frames.len(), 4);
-        for f in &frames {
-            assert!(f.iter().all(|&v| (v - 0.5).abs() < 1e-6));
-        }
-    }
-
-    #[test]
-    fn frames_overlap_correctly() {
-        let signal: Vec<f32> = (0..8).map(|i| i as f32).collect();
-        let spec = FrameSpec::new(4, 2);
-        let ones = vec![1.0f32; 4];
-        let frames = frame_signal(&signal, spec, &ones);
-        assert_eq!(frames[0], vec![0.0, 1.0, 2.0, 3.0]);
-        assert_eq!(frames[1], vec![2.0, 3.0, 4.0, 5.0]);
-        assert_eq!(frames[2], vec![4.0, 5.0, 6.0, 7.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "window function length")]
-    fn mismatched_window_panics() {
-        let _ = frame_signal(&[0.0; 10], FrameSpec::new(4, 2), &[1.0; 3]);
     }
 
     proptest! {

@@ -381,22 +381,27 @@ impl Window {
         lo..hi.max(lo)
     }
 
-    /// For every kernel tap `(i, j)` in row-major order (or its reverse),
-    /// the output rows and columns the tap reaches and the input offset
-    /// `(dy, dx)` with `iy = oy·stride + dy`, `ix = ox·stride + dx`.
+    /// For every kernel tap `(i, j)` that reaches the output, in row-major
+    /// order (or its reverse): the output rows and columns it reaches and
+    /// the input offset `(dy, dx)` with `iy = oy·stride + dy`,
+    /// `ix = ox·stride + dx`. A tap that only ever lands in the padding
+    /// (a Same-padded kernel wider than its input) contributes nothing and
+    /// is left out.
     fn taps(self, at: Placement, h: usize, w: usize, reverse: bool) -> impl Iterator<Item = Tap> {
         let n = self.kh * self.kw;
-        (0..n).map(move |t| {
-            let t = if reverse { n - 1 - t } else { t };
-            let (i, j) = (t / self.kw, t % self.kw);
-            Tap {
-                index: t,
-                rows: self.span(i, at.ph, h, at.oh),
-                cols: self.span(j, at.pw, w, at.ow),
-                dy: i as isize - at.ph as isize,
-                dx: j as isize - at.pw as isize,
-            }
-        })
+        (0..n)
+            .map(move |t| {
+                let t = if reverse { n - 1 - t } else { t };
+                let (i, j) = (t / self.kw, t % self.kw);
+                Tap {
+                    index: t,
+                    rows: self.span(i, at.ph, h, at.oh),
+                    cols: self.span(j, at.pw, w, at.ow),
+                    dy: i as isize - at.ph as isize,
+                    dx: j as isize - at.pw as isize,
+                }
+            })
+            .filter(|tap| !tap.rows.is_empty() && !tap.cols.is_empty())
     }
 }
 
@@ -569,14 +574,16 @@ impl Conv2d {
         let mut gi = grad_in.map(|t| {
             t.reset(&[h, w, cin]);
             t.fill_zero();
-            transpose_blocks(&self.weights, cin, cout, &mut self.weights_t);
             t.data_mut()
         });
+        if gi.is_some() {
+            transpose_blocks(&self.weights, cin, cout, &mut self.weights_t);
+        }
         let block_len = cin * cout;
         for tap in self.window.taps(at, h, w, true) {
             let block = tap.index * block_len..(tap.index + 1) * block_len;
             let gwblock = &mut self.grad_weights[block.clone()];
-            let wt = &self.weights_t.get(block).unwrap_or_default();
+            let wt = self.weights_t.get(block).unwrap_or_default();
             let n = tap.cols.len();
             for (p0, q0) in tap.runs(at.ow, w, s) {
                 let grows = go[p0 * cout..][..n * cout].chunks_exact(cout);
@@ -696,9 +703,6 @@ impl DwConv2d {
         for tap in self.window.taps(at, h, w, false) {
             let wrow = &self.weights[tap.index * c_n..][..c_n];
             let run = tap.cols.len();
-            if run == 0 {
-                continue;
-            }
             for (p0, q0) in tap.runs(at.ow, w, s) {
                 let orun = &mut o[p0 * c_n..][..run * c_n];
                 let xrun = &x[q0 * c_n..];

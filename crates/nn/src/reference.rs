@@ -102,8 +102,8 @@ pub fn conv2d_backward(
     let mut grad_bias = vec![0.0f32; cout];
     for oy in 0..oh {
         for ox in 0..ow {
-            for co in 0..cout {
-                grad_bias[co] += grad_out.at3(oy, ox, co);
+            for (co, gb) in grad_bias.iter_mut().enumerate() {
+                *gb += grad_out.at3(oy, ox, co);
             }
             for i in 0..kh {
                 for j in 0..kw {

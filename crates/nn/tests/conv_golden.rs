@@ -163,7 +163,8 @@ fn random_case(rng: &mut impl Rng) -> ConvCase {
 
 /// Edge cases of the tap-outer loops: cin = 1, cout = 1, stride 2 with
 /// Same padding, and Same-padded kernels wider (and taller) than the input,
-/// where some taps reach no output pixel at all.
+/// where some taps reach no output pixel at all — the last one so much
+/// wider that its outer taps land past the end of the map.
 fn edge_cases() -> Vec<ConvCase> {
     let case = |h, w, cin, cout, kh, kw, stride, padding| ConvCase {
         h,
@@ -184,6 +185,7 @@ fn edge_cases() -> Vec<ConvCase> {
         case(4, 2, 2, 3, 3, 5, 1, Padding::Same),
         case(3, 3, 1, 1, 5, 7, 2, Padding::Same),
         case(9, 1, 3, 2, 3, 3, 2, Padding::Same),
+        case(3, 2, 2, 3, 3, 9, 1, Padding::Same),
     ]
 }
 
