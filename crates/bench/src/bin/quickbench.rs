@@ -8,7 +8,9 @@
 //! 1 vs. 4 workers (verifying byte-identical reports and per-node ledger
 //! closure), and one `HarvestingArray::charging_current` call on the
 //! unshaded 25-cell array (the day simulator's per-step harvest cost),
-//! counts the rail steps of the CLI-default 64-node campaign, and
+//! counts the rail steps of the CLI-default 64-node campaign, trains one
+//! fixed KWS-shaped candidate (verifying its pinned bit-identity digest),
+//! builds one KWS MFCC dataset, and
 //! writes the medians to
 //! `BENCH_hotpaths.json` so future PRs have a trajectory to beat.
 //! Wall-clock timing with `std::time`; the JSON is hand-rendered because
@@ -25,6 +27,8 @@ use std::time::Instant;
 
 use rand::SeedableRng;
 use solarml::circuit::HarvestingArray;
+use solarml::datasets::KwsDatasetBuilder;
+use solarml::dsp::AudioFrontendParams;
 use solarml::fleet::{
     resume_campaign_with, run_campaign, run_campaign_cached, run_campaign_durable_with,
     simulate_node, CampaignCheckpoints, CampaignConfig, CampaignError, FleetReport, NodeDayStore,
@@ -33,12 +37,12 @@ use solarml::fleet::{
 use solarml::nas::parallel::{available_workers, derive_seed};
 use solarml::nn::layers::Conv2d;
 use solarml::nn::reference;
-use solarml::nn::{Padding, Tensor, TrainConfig};
+use solarml::nn::{fit, LayerSpec, Model, ModelSpec, Padding, Tensor, TrainConfig, TrainReport};
 use solarml::platform::{simulate_day_with, simulate_faulted_day, DayReport, DaySimConfig};
 use solarml::scenario::{registry, Scenario};
 use solarml::sim::DtPolicy;
 use solarml::units::{Lux, Ratio, Seconds, Volts};
-use solarml::{run_enas, EnasConfig, Energy, TaskContext};
+use solarml::{run_enas, EnasConfig, Energy, Pipeline, SensingConfig, TaskContext, TaskSelection};
 
 struct Stage {
     name: &'static str,
@@ -182,6 +186,90 @@ fn fleet_rail_steps_64n() -> usize {
             simulate_faulted_day(&spec.node_blueprint(seed).config).steps
         })
         .sum()
+}
+
+/// Digest of the `nn_fit_candidate` stage's training run, pinned from the
+/// kernels before the bit-identical rewrites of the training loop; any
+/// change to what training computes moves it.
+const NN_FIT_DIGEST: u64 = 0xf854_1757_1caa_97e1;
+
+/// The fixed candidate of the `nn_fit_candidate` stage: a KWS-shaped conv
+/// stack over the standard front end's `[49, 13, 1]` MFCC map.
+fn kws_candidate() -> ModelSpec {
+    ModelSpec::new(
+        [49, 13, 1],
+        vec![
+            LayerSpec::conv(4, 5, 1, Padding::Same),
+            LayerSpec::relu(),
+            LayerSpec::conv(4, 5, 1, Padding::Same),
+            LayerSpec::relu(),
+            LayerSpec::avg_pool(2),
+            LayerSpec::flatten(),
+            LayerSpec::dense(48),
+            LayerSpec::relu(),
+            LayerSpec::dense(10),
+        ],
+    )
+    .expect("valid candidate")
+}
+
+/// FNV-1a over the bits of a trained model's weights, its epoch losses and
+/// its train accuracy.
+fn fit_digest(model: &mut Model, report: &TrainReport) -> u64 {
+    let weights = model.export_weights();
+    let bits = weights
+        .iter()
+        .flatten()
+        .flat_map(|w| w.to_bits().to_le_bytes())
+        .chain(
+            report
+                .epoch_losses
+                .iter()
+                .flat_map(|l| l.to_bits().to_le_bytes()),
+        )
+        .chain(report.train_accuracy.to_bits().to_le_bytes());
+    bits.fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Trains the fixed KWS candidate from a fixed seed for the `Pipeline`'s 10
+/// epochs on its default KWS train split at the standard front end, `reps`
+/// times; returns the median wall-clock and the training digest. Context
+/// and dataset construction are excluded from the timing.
+fn timed_fit(reps: usize) -> (u128, u64) {
+    let ctx = Pipeline::new(TaskSelection::Kws).context();
+    let data = ctx.datasets(SensingConfig::Audio(AudioFrontendParams::standard()));
+    let spec = kws_candidate();
+    let mut samples = Vec::with_capacity(reps);
+    let mut digest = None;
+    for _ in 0..reps {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xF17);
+        let mut model = Model::from_spec(&spec, &mut rng);
+        let start = Instant::now();
+        let report = fit(&mut model, &data.0, &ctx.train_config, &mut rng);
+        samples.push(start.elapsed().as_nanos());
+        digest = Some(fit_digest(&mut model, &report));
+    }
+    (
+        median_ns(&mut samples),
+        digest.expect("at least one fit rep"),
+    )
+}
+
+/// Times one MFCC `to_class_dataset` of the `Pipeline`'s default KWS corpus
+/// (12 clips per keyword, seed 0x50AA) at the standard front end.
+fn timed_kws_dataset(reps: usize) -> u128 {
+    let corpus = KwsDatasetBuilder {
+        samples_per_class: 12,
+        seed: 0x50AA,
+        ..KwsDatasetBuilder::default()
+    }
+    .build();
+    let params = AudioFrontendParams::standard();
+    time_stage(reps, 1, || {
+        std::hint::black_box(corpus.to_class_dataset(&params));
+    })
 }
 
 fn search_context() -> TaskContext {
@@ -511,6 +599,26 @@ fn main() {
     let sweep_warm_speedup = sweep.cold_ns as f64 / (sweep.warm_ns as f64).max(1.0);
     let sweep_miss_matches_affected = sweep.misses as usize == sweep.affected;
 
+    // Last: run before the fleet stages, these training stages slowed the
+    // warm sweep several-fold (12–37× over cold instead of ~80× on a
+    // 2-vCPU box), so they run after them.
+    let fit_reps = if quick { 3 } else { 5 };
+    eprintln!("quickbench: fixed KWS candidate, 10 epochs ({fit_reps} reps)…");
+    let (fit_ns, fit_digest) = timed_fit(fit_reps);
+    stages.push(Stage {
+        name: "nn_fit_candidate",
+        median_ns: fit_ns,
+        iters: 1,
+    });
+    let fit_digest_identical = fit_digest == NN_FIT_DIGEST;
+    let dataset_reps = if quick { 3 } else { 7 };
+    eprintln!("quickbench: KWS MFCC dataset build ({dataset_reps} reps)…");
+    stages.push(Stage {
+        name: "kws_dataset_build",
+        median_ns: timed_kws_dataset(dataset_reps),
+        iters: 1,
+    });
+
     let histories_identical = serial_outcome == parallel_outcome;
     let ratio = |num: &str, den: &str| -> f64 {
         let get = |n: &str| {
@@ -561,6 +669,9 @@ fn main() {
     ));
     json.push_str(&format!(
         "    \"parallel_histories_identical\": {histories_identical},\n"
+    ));
+    json.push_str(&format!(
+        "    \"nn_fit_digest_identical\": {fit_digest_identical},\n"
     ));
     json.push_str(&format!(
         "    \"day_sim_speedup\": {day_wallclock_speedup:.2},\n"
@@ -629,6 +740,13 @@ fn main() {
     eprintln!("quickbench: wrote {out_path}");
     if !histories_identical {
         eprintln!("quickbench: ERROR — 1-worker and 4-worker histories diverge");
+        std::process::exit(1);
+    }
+    if !fit_digest_identical {
+        eprintln!(
+            "quickbench: ERROR — fixed-candidate training digest {fit_digest:#018x} differs \
+             from the pinned {NN_FIT_DIGEST:#018x}"
+        );
         std::process::exit(1);
     }
     if !day_outcomes_identical {
