@@ -34,8 +34,9 @@ pub struct Model {
     /// the last input, `acts[i + 1]` layer `i`'s output.
     acts: Vec<Tensor>,
     /// Gradient buffers: `grads[i]` holds the loss gradient w.r.t.
-    /// `acts[i]`. `grads[0]` stays unused — nothing reads the gradient
-    /// w.r.t. the input, so backward never computes it.
+    /// `acts[i]` (the last layer's comes from the caller). `grads[0]` stays
+    /// unused — nothing reads the gradient w.r.t. the input, so backward
+    /// never computes it.
     grads: Vec<Tensor>,
 }
 
@@ -48,16 +49,13 @@ impl Model {
             .enumerate()
             .map(|(i, l)| Layer::instantiate(l, spec.shape_before(i), rng))
             .collect();
-        let buffers = || {
-            (0..=spec.layers().len())
-                .map(|_| Tensor::zeros([1]))
-                .collect()
-        };
+        let buffers = |n| (0..n).map(|_| Tensor::zeros([1])).collect();
+        let n = spec.layers().len();
         Self {
             spec: spec.clone(),
             layers,
-            acts: buffers(),
-            grads: buffers(),
+            acts: buffers(n + 1),
+            grads: buffers(n),
         }
     }
 
