@@ -27,7 +27,8 @@
 
 use std::path::Path;
 
-use crate::scan::{scan_file, AllowList, RuleSet, ScanConfig};
+use crate::rules::{family, Family};
+use crate::scan::{scan_file, AllowList};
 use crate::Violation;
 
 /// One expected finding: the 1-based line and the rule name.
@@ -61,41 +62,25 @@ pub fn parse_expectations(src: &str) -> Vec<Expectation> {
     out
 }
 
-/// Parses the fixture's `// lint-rules: <family …>` header line into a
-/// [`RuleSet`]. Family names match the [`RuleSet`] fields: `signatures`,
-/// `strict`, `sendsync`, `sim-loops`, `determinism`, `seed-discipline`,
-/// `ledger-coverage`, `atomic-persist`, `stable-store-key`, `fault-path`.
-pub fn rules_from_header(src: &str) -> Result<RuleSet, String> {
+/// Parses the fixture's `// lint-rules: <family …>` header line into the
+/// [`crate::rules::FAMILIES`] rows its words name.
+pub fn rules_from_header(src: &str) -> Result<Vec<&'static Family>, String> {
     let header = src
         .lines()
         .find_map(|l| l.trim().strip_prefix("// lint-rules:"))
         .ok_or_else(|| "fixture has no `// lint-rules:` header".to_string())?;
-    let mut rules = RuleSet::default();
-    for word in header.split_whitespace() {
-        match word {
-            "signatures" => rules.signatures = true,
-            "strict" => rules.strict = true,
-            "sendsync" => rules.sendsync = true,
-            "sim-loops" => rules.sim_loops = true,
-            "determinism" => rules.determinism = true,
-            "seed-discipline" => rules.seed_discipline = true,
-            "ledger-coverage" => rules.ledger_coverage = true,
-            "atomic-persist" => rules.atomic_persist = true,
-            "stable-store-key" => rules.stable_store_key = true,
-            "fault-path" => rules.fault_path = true,
-            other => return Err(format!("unknown lint-rules family `{other}`")),
-        }
-    }
-    Ok(rules)
+    header
+        .split_whitespace()
+        .map(|word| family(word).ok_or_else(|| format!("unknown lint-rules family `{word}`")))
+        .collect()
 }
 
 /// Runs the scanner over one fixture and diffs findings against the
 /// fixture's expectations. `Ok(())` when they agree exactly; otherwise the
 /// error lists every missing and unexpected finding, golden-diff style.
 pub fn check_fixture(rel: &Path, src: &str) -> Result<(), String> {
-    let rules = rules_from_header(src)?;
-    let config = ScanConfig::default_policy(AllowList::default());
-    let actual = scan_file(rel, src, rules, &config);
+    let families = rules_from_header(src)?;
+    let actual = scan_file(rel, src, &families, &AllowList::default());
     diff(rel, &parse_expectations(src), &actual)
 }
 

@@ -7,11 +7,12 @@
 //! `f64` to the type system unless the code says otherwise. This crate is
 //! the "says otherwise" enforcement:
 //!
-//! * [`scan`] — the **physics lint**: a lexical scanner that rejects raw
-//!   `f64`/`f32` in public signatures of the physics crates (forcing
-//!   `solarml-units` newtypes), float `==`/`!=` against literals,
-//!   `unwrap()`/`expect()` in non-test library code, and manual
-//!   time-stepping loops that bypass the co-simulation scheduler.
+//! * [`rules`] — the **physics lint** policy: the [`rules::FAMILIES`]
+//!   table, one row per rule family with its scope and scanner (raw
+//!   `f64`/`f32` in public physics signatures, `unwrap`/`expect` and float
+//!   `==`, hand-rolled stepping loops, and the determinism families), and
+//!   [`scan`] — the engine that lexes each file once and runs every family
+//!   whose scope covers it.
 //! * [`manifest`] — the **workspace lint gate**: every crate must opt into
 //!   the `[workspace.lints]` table so the curated clippy deny-set applies
 //!   tree-wide.

@@ -23,7 +23,7 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
-use xtask::scan::{scan_workspace, AllowList, ScanConfig};
+use xtask::scan::{scan_workspace, AllowList};
 use xtask::{json_report, manifest, Violation};
 
 fn main() -> ExitCode {
@@ -118,16 +118,13 @@ fn run_lint(fast: bool, json: bool, out: Option<&Path>) -> ExitCode {
     let mut driver_failed = false;
 
     match load_allow_list(&root) {
-        Ok(allow) => {
-            let config = ScanConfig::default_policy(allow);
-            match scan_workspace(&root, &config) {
-                Ok(vs) => violations.extend(vs),
-                Err(e) => {
-                    eprintln!("xtask: physics lint failed: {e}");
-                    driver_failed = true;
-                }
+        Ok(allow) => match scan_workspace(&root, &allow) {
+            Ok(vs) => violations.extend(vs),
+            Err(e) => {
+                eprintln!("xtask: physics lint failed: {e}");
+                driver_failed = true;
             }
-        }
+        },
         Err(e) => {
             eprintln!("xtask: cannot read allow-list: {e}");
             driver_failed = true;

@@ -1,64 +1,477 @@
-//! The determinism rule families: token-aware passes that statically guard
-//! the "bit-identical everywhere" promise.
+//! The lint policy and its scanners.
 //!
-//! PR 2 and PR 5 pinned `SearchOutcome` and `FleetReport` byte-identical
-//! across worker counts; the incremental-campaign roadmap items are only
-//! sound if every cached result is recomputable from `(spec, seed, index)`.
-//! These rules reject, at lint time, the three ways that promise has
-//! historically been broken:
+//! [`FAMILIES`] is the policy: one row per rule family, naming the
+//! `// lint-rules:` header word the corpus uses, the rules the family
+//! reports (see [`ViolationKind`] for what each one catches and why), the
+//! crates or files it covers, whether the usual exemptions apply, its
+//! registries, and its scanner. It is the one place scopes live;
+//! [`crate::scan`] reads it to decide what runs where.
 //!
-//! * [`determinism`](ViolationKind::Determinism) — iteration over
-//!   `HashMap`/`HashSet` (RandomState makes the order — and therefore any
-//!   float accumulation over it — run-dependent), wall-clock reads, and
-//!   ambient OS entropy;
-//! * [`seed-discipline`](ViolationKind::SeedDiscipline) — raw seed
-//!   arithmetic outside the sanctioned mixer functions, and `derive_seed`
-//!   calls whose cycle tag is not a registered named constant (two call
-//!   sites inventing `seed + i` and `seed ^ i` is how streams collide);
-//! * [`ledger-coverage`](ViolationKind::LedgerCoverage) — `+= … * dt`
-//!   side-channel integration outside `SimBus`/`EnergyAudit`, the exact
-//!   double-counting pattern the unified-scheduler refactor removed;
-//! * [`atomic-persist`](ViolationKind::AtomicPersist) — bare `fs::write` /
-//!   `File::create` in the persistence crates outside a registered
-//!   atomic-write helper (a crash mid-write leaves a torn checkpoint;
-//!   durable bytes go through `write_atomic`'s temp-sibling + fsync +
-//!   rename protocol);
-//! * [`stable-store-key`](ViolationKind::StableStoreKey) — randomized std
-//!   hashers (`DefaultHasher`/`RandomState`/`SipHasher…`) in store-key
-//!   code. SipHash is seeded per process, so a content key minted by one
-//!   run would never be found by the next; keys go through the registered
-//!   stable hasher (`solarml_trace::FnvHasher`);
-//!
-//! All three are lexical like the rest of the lint: they reason over the
-//! token stream from [`crate::lexer`], so a `HashMap` in a doc comment or a
-//! `seed + i` inside a string literal never fires. Escapes use the same
-//! statement-scoped `physics-lint: allow(<rule>): <reason>` comments as the
-//! classic families — and [`scan_allow_hygiene`] makes the reason
-//! mandatory.
+//! Every scanner reads the same per-file token stream ([`FileCtx`]) through
+//! a [`Cx`], so a `HashMap` in a doc comment, a `.unwrap()` in a string
+//! literal or a `seed + i` in a raw string never fires. Escapes use
+//! statement-scoped `physics-lint: allow(<rule>): <reason>` comments, and
+//! the allow-hygiene check makes the reason mandatory.
 
-use std::collections::HashSet;
-use std::path::Path;
-
-use crate::lexer::{self, Token, TokenKind};
-use crate::scan::{in_regions, line_of, test_regions, RuleSet, ScanConfig};
+use crate::lexer::{Token, TokenKind};
+use crate::scan::{escape_markers, Cx, FileCtx};
+use crate::ViolationKind as K;
 use crate::{Violation, ViolationKind};
 
-/// Every inline-escapable rule name the scanner knows. `allow(…)` naming
-/// anything else is flagged by [`scan_allow_hygiene`].
-pub const KNOWN_RULES: &[&str] = &[
-    "raw-float-signature",
-    "float-eq",
-    "unwrap",
-    "expect",
-    "rc-refcell",
-    "fault-path",
-    "adhoc-sim-loop",
-    "determinism",
-    "seed-discipline",
-    "ledger-coverage",
-    "atomic-persist",
-    "stable-store-key",
+/// One rule family: a row of the lint policy.
+pub struct Family {
+    /// The word naming the family in a corpus fixture's `// lint-rules:`
+    /// header.
+    pub word: &'static str,
+    /// The rules the family reports. Their names are the rule names an
+    /// inline escape may carry.
+    pub kinds: &'static [ViolationKind],
+    /// What the family scans in the shipped tree.
+    pub scope: Scope,
+    /// Whether `#[cfg(test)]` items, inline escapes and the allow-list's
+    /// `file::*` wildcard exempt the family's findings.
+    pub exemptible: bool,
+    /// Registered functions whose bodies are exempt: the sanctioned home of
+    /// what the rule bans elsewhere (the mixing or the raw syscalls have to
+    /// live *somewhere*, and the registry pins where).
+    pub exempt_fns: &'static [&'static str],
+    /// Registered names the rule sanctions as operands (seed cycle tags).
+    /// Registering a tag is the reviewed act that reserves its stream.
+    pub tags: &'static [&'static str],
+    /// The scanner.
+    pub scan: fn(&mut Cx),
+}
+
+/// Where a family applies in the shipped tree.
+pub enum Scope {
+    /// Every `.rs` file under `crates/<name>/src` of the named crates.
+    Crates(&'static [&'static str]),
+    /// Workspace-relative files.
+    Files(&'static [&'static str]),
+}
+
+/// The five crates whose public APIs carry physical quantities.
+const PHYSICS: &[&str] = &["circuit", "mcu", "energy", "platform", "trace"];
+
+/// The lint policy: one row per family.
+pub static FAMILIES: &[Family] = &[
+    Family {
+        word: "signatures",
+        kinds: &[K::RawFloatSignature],
+        scope: Scope::Crates(PHYSICS),
+        exemptible: true,
+        exempt_fns: &[],
+        tags: &[],
+        scan: scan_signatures,
+    },
+    // `fleet` is strict but not signature-checked: its sampling
+    // distributions legitimately traffic in raw `f64` parameters.
+    Family {
+        word: "strict",
+        kinds: &[K::Unwrap, K::Expect, K::FloatEq],
+        scope: Scope::Crates(&[
+            "circuit", "mcu", "energy", "platform", "trace", "units", "cli", "fleet",
+        ]),
+        exemptible: true,
+        exempt_fns: &[],
+        tags: &[],
+        scan: scan_strict,
+    },
+    // State shared across the worker threads of the parallel evaluation
+    // engine and the fleet campaign must stay `Send + Sync`.
+    Family {
+        word: "sendsync",
+        kinds: &[K::RcRefCell],
+        scope: Scope::Crates(&["nas", "nn", "fleet"]),
+        exemptible: true,
+        exempt_fns: &[],
+        tags: &[],
+        scan: scan_rc_refcell,
+    },
+    // The scheduler crate `sim` is exempt by omission; campaigns in `fleet`
+    // must drive days through it too.
+    Family {
+        word: "sim-loops",
+        kinds: &[K::AdhocSimLoop],
+        scope: Scope::Crates(&["circuit", "mcu", "energy", "platform", "trace", "fleet"]),
+        exemptible: true,
+        exempt_fns: &[],
+        tags: &[],
+        scan: scan_sim_loops,
+    },
+    // Everything that feeds a published result: the engine crates plus
+    // `energy` (its lookup tables are cached and serialized, so iteration
+    // order reaches bytes on disk) and `scenario` (evaluation must be a pure
+    // function of `(script, seed)`: golden reports and store keys replay it).
+    Family {
+        word: "determinism",
+        kinds: &[K::Determinism],
+        scope: Scope::Crates(&[
+            "sim", "circuit", "mcu", "energy", "platform", "fleet", "nas", "scenario",
+        ]),
+        exemptible: true,
+        exempt_fns: &[],
+        tags: &[],
+        scan: scan_determinism,
+    },
+    // `energy` is deliberately absent: its xorshift lives in local
+    // regression-bootstrap helpers that never share streams. `trace` holds
+    // the one seed module every other crate draws from.
+    Family {
+        word: "seed-discipline",
+        kinds: &[K::SeedDiscipline],
+        scope: Scope::Crates(&[
+            "sim", "circuit", "mcu", "platform", "fleet", "nas", "scenario", "trace",
+        ]),
+        exemptible: true,
+        exempt_fns: &["derive_seed", "mix64", "splitmix64"],
+        tags: &[
+            "FLEET_SEED_CYCLE",
+            "FAULT_STREAM_TAG",
+            "POPULATION_STREAM_TAG",
+            "ENV_STREAM_TAG",
+            "SCENARIO_STREAM_TAG",
+        ],
+        scan: scan_seed_discipline,
+    },
+    // The `sim` crate is exempt by omission: it is where `SimBus` and
+    // `EnergyAudit` live.
+    Family {
+        word: "ledger-coverage",
+        kinds: &[K::LedgerCoverage],
+        scope: Scope::Crates(&["circuit", "mcu", "platform", "fleet"]),
+        exemptible: true,
+        exempt_fns: &[],
+        tags: &[],
+        scan: scan_ledger_coverage,
+    },
+    // The crates that own checkpoint bytes: `trace` holds the codec and
+    // `write_atomic`, `fleet` holds the campaign snapshots.
+    Family {
+        word: "atomic-persist",
+        kinds: &[K::AtomicPersist],
+        scope: Scope::Crates(&["fleet", "trace"]),
+        exemptible: true,
+        exempt_fns: &["write_atomic"],
+        tags: &[],
+        scan: scan_atomic_persist,
+    },
+    // The crates that derive node-day store keys: `fleet` owns the task/key
+    // layer, `trace` owns the FNV codec the keys hash with.
+    Family {
+        word: "stable-store-key",
+        kinds: &[K::StableStoreKey],
+        scope: Scope::Crates(&["fleet", "trace"]),
+        exemptible: true,
+        exempt_fns: &[],
+        tags: &[],
+        scan: scan_stable_store_key,
+    },
+    // A panic in fault-handling code is indistinguishable from the fault it
+    // was supposed to model, so nothing here is exempt: a panicking helper
+    // inside a brownout test aborts the run exactly like a product bug.
+    Family {
+        word: "fault-path",
+        kinds: &[K::FaultPathUnwrap],
+        scope: Scope::Files(&[
+            "crates/circuit/src/fault.rs",
+            "crates/platform/src/intermittent.rs",
+        ]),
+        exemptible: false,
+        exempt_fns: &[],
+        tags: &[],
+        scan: scan_fault_path,
+    },
 ];
+
+/// The family a `// lint-rules:` header word names.
+pub fn family(word: &str) -> Option<&'static Family> {
+    FAMILIES.iter().find(|f| f.word == word)
+}
+
+/// Every rule name an inline escape may carry.
+fn known_rules() -> impl Iterator<Item = &'static str> {
+    FAMILIES.iter().flat_map(|f| f.kinds).map(|k| k.name())
+}
+
+fn is_punct(src: &str, t: Option<&Token>, p: &str) -> bool {
+    t.is_some_and(|t| t.kind == TokenKind::Punct && t.text(src) == p)
+}
+
+fn ident_text<'s>(src: &'s str, t: Option<&Token>) -> Option<&'s str> {
+    t.filter(|t| t.kind == TokenKind::Ident)
+        .map(|t| t.text(src))
+}
+
+/// The signature rule: a `pub fn` (not `pub(crate)`) whose signature, up to
+/// the body's `{` or the `;`, names `f64`/`f32`. The allow-list exempts a
+/// function by name.
+fn scan_signatures(cx: &mut Cx) {
+    let f = cx.file;
+    let (src, code) = (f.src, &f.code);
+    let mut i = 0;
+    while i < code.len() {
+        let at = i;
+        i += 1;
+        if !f.spells(at, &["pub"]) || f.spells(at + 1, &["("]) {
+            continue;
+        }
+        let qualifiers = code[at + 1..]
+            .iter()
+            .take(3)
+            .take_while(|t| matches!(t.text(src), "const" | "async" | "unsafe" | "extern"));
+        let j = at + 1 + qualifiers.count();
+        if !f.spells(j, &["fn"]) {
+            continue;
+        }
+        let name = ident_text(src, code.get(j + 1)).unwrap_or_default();
+        let sig_start = if name.is_empty() { j + 1 } else { j + 2 };
+        let sig_end = code[sig_start..]
+            .iter()
+            .position(|t| t.kind == TokenKind::Punct && matches!(t.text(src), "{" | ";"))
+            .map_or(code.len(), |n| sig_start + n);
+        i = sig_end;
+        let raw_float = code[sig_start..sig_end]
+            .iter()
+            .any(|t| matches!(ident_text(src, Some(t)), Some("f64" | "f32")));
+        if !raw_float || cx.allow.allows(f.rel, name) {
+            continue;
+        }
+        cx.report(
+            K::RawFloatSignature,
+            code[at].start,
+            format!(
+                "`pub fn {name}` exposes raw f64/f32 — use a solarml-units newtype \
+                 or add `{}::{name}` to the allow-list",
+                f.rel.display()
+            ),
+        );
+    }
+}
+
+/// `.unwrap()` / `.expect(` call sites: the `.`'s byte offset, the call
+/// as written, and the rule it breaks under the strict family.
+fn panicking_calls<'f>(f: &'f FileCtx) -> impl Iterator<Item = (usize, &'static str, K)> + 'f {
+    (0..f.code.len()).filter_map(|i| {
+        let pos = f.code[i].start;
+        if f.spells(i, &[".", "unwrap", "(", ")"]) {
+            Some((pos, ".unwrap()", K::Unwrap))
+        } else {
+            f.spells(i, &[".", "expect", "("])
+                .then_some((pos, ".expect(", K::Expect))
+        }
+    })
+}
+
+/// The strict family: `.unwrap()`/`.expect(` in non-test library code, and
+/// float `==`/`!=` against a literal.
+fn scan_strict(cx: &mut Cx) {
+    for (pos, needle, kind) in panicking_calls(cx.file) {
+        cx.report(
+            kind,
+            pos,
+            format!(
+                "`{needle}…` in library code — thread a Result or use \
+                 `// physics-lint: allow({})` with a reason",
+                kind.name()
+            ),
+        );
+    }
+    scan_float_eq(cx);
+}
+
+/// The fault-path rule: every `.unwrap()` and `.expect(`; the family is
+/// not exemptible, so test regions, escapes and the allow-list do not
+/// count. Fault-handling code must thread errors, full stop.
+fn scan_fault_path(cx: &mut Cx) {
+    for (pos, needle, _) in panicking_calls(cx.file) {
+        cx.report(
+            K::FaultPathUnwrap,
+            pos,
+            format!(
+                "`{needle}…` on the fault path — a panic here masquerades as the \
+                 injected fault; match or propagate instead (no escapes honored)"
+            ),
+        );
+    }
+}
+
+/// Does this token text look like a float literal (`1.0`, `1e-9`, `2f64`)?
+pub(crate) fn is_float_literal(tok: &str) -> bool {
+    let t = tok
+        .trim_end_matches("f64")
+        .trim_end_matches("f32")
+        .trim_end_matches('_');
+    if t.is_empty() {
+        // Bare `f64`/`f32` suffix means the original was e.g. `2f64`… but an
+        // empty remainder means the token was just the suffix text: not a
+        // literal unless digits preceded, which trim would have kept.
+        return tok != "f64" && tok != "f32" && !tok.is_empty();
+    }
+    if !t.starts_with(|c: char| c.is_ascii_digit()) {
+        return false;
+    }
+    let has_dot = t.contains('.');
+    let has_exp =
+        t.chars().any(|c| c == 'e' || c == 'E') && !t.starts_with("0x") && !t.starts_with("0b");
+    let had_suffix = tok.ends_with("f64") || tok.ends_with("f32");
+    (has_dot || has_exp || had_suffix)
+        && t.chars()
+            .all(|c| c.is_ascii_digit() || "._eE+-".contains(c))
+}
+
+/// Whether `t` can be part of a path-like operand (`self.v`, `1.5e-3`).
+fn is_operand_part(src: &str, t: &Token) -> bool {
+    matches!(t.kind, TokenKind::Ident | TokenKind::Number) || t.text(src) == "."
+}
+
+/// Float `==`/`!=` where either operand is a float literal. Lexical: the
+/// operands are the glued ident/number/`.` runs beside the operator.
+fn scan_float_eq(cx: &mut Cx) {
+    let f = cx.file;
+    let (src, code) = (f.src, &f.code);
+    let glued = |a: usize, b: usize| code[a].end == code[b].start;
+    // The text of `code[a..b]`.
+    let span = |a: usize, b: usize| (a < b).then(|| &src[code[a].start..code[b - 1].end]);
+    for i in 0..code.len() {
+        let op = if f.spells(i, &["=", "="]) {
+            // Not the tail of `<==`, `>==`, `===`, `!==`.
+            if i > 0
+                && ["<", ">", "=", "!"]
+                    .iter()
+                    .any(|p| f.spells(i - 1, &[p, "="]))
+            {
+                continue;
+            }
+            "=="
+        } else if f.spells(i, &["!", "="]) {
+            "!="
+        } else {
+            continue;
+        };
+        if f.spells(i + 1, &["=", "="]) {
+            continue;
+        }
+        let mut s = i;
+        while s > 0 && is_operand_part(src, &code[s - 1]) && (s == i || glued(s - 1, s)) {
+            s -= 1;
+        }
+        let mut a = i + 2;
+        if f.spells(a, &["-"]) && a + 1 < code.len() && glued(a, a + 1) {
+            a += 1;
+        }
+        let mut e = a;
+        while e < code.len() && is_operand_part(src, &code[e]) && (e == a || glued(e - 1, e)) {
+            e += 1;
+        }
+        if [span(s, i), span(a, e)]
+            .into_iter()
+            .flatten()
+            .any(is_float_literal)
+        {
+            cx.report(
+                K::FloatEq,
+                code[i].start,
+                format!(
+                    "float literal compared with `{op}` — use a tolerance or \
+                     `// physics-lint: allow(float-eq)` with a reason"
+                ),
+            );
+        }
+    }
+}
+
+/// Flags `Rc<` and `RefCell<` in non-test library code. Single-threaded
+/// shared state in `nas`/`nn` would make `TaskContext` `!Send`/`!Sync`
+/// again and silently break the parallel evaluation engine; use
+/// `Arc`/`RwLock`/`Mutex` (or the `ShardedMap` in `nas::parallel`) instead.
+fn scan_rc_refcell(cx: &mut Cx) {
+    let f = cx.file;
+    for (i, t) in f.code.iter().enumerate() {
+        let Some(name) = ["Rc", "RefCell"]
+            .into_iter()
+            .find(|&n| f.spells(i, &[n, "<"]))
+        else {
+            continue;
+        };
+        cx.report(
+            K::RcRefCell,
+            t.start,
+            format!(
+                "`{name}<…` is not Send/Sync — use Arc/RwLock (or \
+                 nas::parallel::ShardedMap), or add \
+                 `// physics-lint: allow(rc-refcell)` with a reason"
+            ),
+        );
+    }
+}
+
+/// The co-simulation rule: flags a manual time-stepping loop in non-test
+/// library code. A loop header opens its line and is either a `while` whose
+/// condition compares (`<`/`>`) a time-like ident (`t`, `…time…`,
+/// `…elapsed…`, `…deadline…`, `…clock…`, `…remaining…`) or a
+/// `for … in 0..` counter — the two shapes the legacy per-module loops
+/// used — and it drives a `.step(` call on its own line or the six after.
+/// All stepping must go through the `solarml_sim::Scheduler` so the
+/// workspace keeps one clock and one bus-owned energy ledger. An escape on
+/// either the loop statement or the `.step(` statement suppresses it.
+fn scan_sim_loops(cx: &mut Cx) {
+    let f = cx.file;
+    let (src, code) = (f.src, &f.code);
+    let time_like = |id: &str| {
+        id == "t"
+            || ["time", "elapsed", "deadline", "clock", "remaining"]
+                .iter()
+                .any(|w| id.contains(w))
+    };
+    let lines: Vec<usize> = code.iter().map(|t| f.line(t.start)).collect();
+    for (i, head) in code.iter().enumerate() {
+        let keyword = head.text(src);
+        if !matches!(keyword, "while" | "for") || (i > 0 && lines[i - 1] == lines[i]) {
+            continue;
+        }
+        // The rest of the header's line.
+        let n = lines[i + 1..]
+            .iter()
+            .take_while(|&&l| l == lines[i])
+            .count();
+        let rest = &code[i + 1..i + 1 + n];
+        let is_loop = if keyword == "while" {
+            rest.iter().any(|t| matches!(t.text(src), "<" | ">"))
+                && rest.iter().any(|t| {
+                    matches!(t.kind, TokenKind::Ident | TokenKind::Lifetime)
+                        && time_like(t.text(src).trim_start_matches('\''))
+                })
+        } else {
+            (i + 1..i + 1 + n).any(|j| f.spells(j, &["in"]) && f.spells(j + 1, &["0", ".", "."]))
+        };
+        if !is_loop {
+            continue;
+        }
+        // Six lines of lookahead covers a rustfmt-wrapped call without
+        // reaching into a sibling loop.
+        let step = (i..code.len())
+            .take_while(|&j| lines[j] <= lines[i] + 6)
+            .find(|&j| f.spells(j, &[".", "step", "("]));
+        let Some(step) = step else {
+            continue;
+        };
+        if cx.exempt(K::AdhocSimLoop, code[step].start) {
+            continue;
+        }
+        cx.report(
+            K::AdhocSimLoop,
+            head.start,
+            format!(
+                "manual stepping loop drives `.step(` (line {}) outside the \
+                 co-simulation scheduler — use `solarml_sim::Scheduler` \
+                 (run_until/run_span/run_steps) or add \
+                 `// physics-lint: allow(adhoc-sim-loop)` with a reason",
+                lines[step]
+            ),
+        );
+    }
+}
 
 /// Methods whose receiver order is the hasher's iteration order.
 const ITER_METHODS: &[&str] = &[
@@ -84,66 +497,13 @@ const WRAPPING_METHODS: &[&str] = &[
     "rotate_right",
 ];
 
-/// Runs whichever of the three determinism families `rules` enables.
-/// Shares one lex / one blanked view / one test-region mask across them.
-pub fn scan_new_families(
-    rel: &Path,
-    src: &str,
-    rules: RuleSet,
-    config: &ScanConfig,
-) -> Vec<Violation> {
-    let mut out = Vec::new();
-    if !(rules.determinism
-        || rules.seed_discipline
-        || rules.ledger_coverage
-        || rules.atomic_persist
-        || rules.stable_store_key)
-    {
-        return out;
-    }
-    let tokens = lexer::lex(src);
-    let blanked = lexer::blank_with_tokens(src, &tokens);
-    let tests = test_regions(&blanked);
-    let code: Vec<Token> = tokens.iter().filter(|t| t.is_code()).copied().collect();
-    if rules.determinism {
-        scan_determinism(rel, src, &tokens, &code, &tests, &mut out);
-    }
-    if rules.seed_discipline {
-        scan_seed_discipline(rel, src, &tokens, &code, &tests, config, &mut out);
-    }
-    if rules.ledger_coverage {
-        scan_ledger_coverage(rel, src, &tokens, &code, &tests, &mut out);
-    }
-    if rules.atomic_persist {
-        scan_atomic_persist(rel, src, &tokens, &code, &tests, config, &mut out);
-    }
-    if rules.stable_store_key {
-        scan_stable_store_key(rel, src, &tokens, &code, &tests, &mut out);
-    }
-    out.sort_by_key(|v| v.line);
-    out
-}
-
-fn text<'s>(src: &'s str, t: &Token) -> &'s str {
-    &src[t.start..t.end]
-}
-
-fn is_punct(src: &str, t: Option<&Token>, p: &str) -> bool {
-    t.is_some_and(|t| t.kind == TokenKind::Punct && text(src, t) == p)
-}
-
-fn ident_text<'s>(src: &'s str, t: Option<&Token>) -> Option<&'s str> {
-    t.filter(|t| t.kind == TokenKind::Ident)
-        .map(|t| text(src, t))
-}
-
 /// Idents *declared* as `HashMap`/`HashSet` in this file: `name: HashMap<…>`
 /// (fields, params, typed lets) and `let [mut] name = HashMap::new()`-style
 /// initializers. Declaration-driven rather than type-driven keeps the rule
 /// lexical; a hashed container smuggled in through a type alias is clippy's
 /// `disallowed_types` job.
-fn hashed_idents(src: &str, code: &[Token]) -> HashSet<String> {
-    let mut out = HashSet::new();
+fn hashed_idents<'s>(src: &'s str, code: &[Token]) -> Vec<&'s str> {
+    let mut out = Vec::new();
     for i in 0..code.len() {
         let Some(name) = ident_text(src, code.get(i)) else {
             continue;
@@ -154,22 +514,15 @@ fn hashed_idents(src: &str, code: &[Token]) -> HashSet<String> {
             && !is_punct(src, code.get(i + 2), ":")
             && !is_punct(src, code.get(i.wrapping_sub(1)), ":")
         {
-            let mut j = i + 2;
-            while j < code.len() && j < i + 10 {
-                let t = &code[j];
-                let skip = match t.kind {
-                    TokenKind::Punct => matches!(text(src, t), ":" | "&"),
-                    TokenKind::Lifetime => true,
-                    TokenKind::Ident => matches!(text(src, t), "mut" | "std" | "collections"),
-                    _ => false,
-                };
-                if !skip {
-                    break;
-                }
-                j += 1;
-            }
+            let skipped = code[i + 2..].iter().take(8).take_while(|t| match t.kind {
+                TokenKind::Punct => matches!(t.text(src), ":" | "&"),
+                TokenKind::Lifetime => true,
+                TokenKind::Ident => matches!(t.text(src), "mut" | "std" | "collections"),
+                _ => false,
+            });
+            let j = i + 2 + skipped.count();
             if matches!(ident_text(src, code.get(j)), Some("HashMap" | "HashSet")) {
-                out.insert(name.to_string());
+                out.push(name);
             }
         }
         // `let [mut] bound = … HashMap::new() …` up to the closing `;`.
@@ -189,7 +542,7 @@ fn hashed_idents(src: &str, code: &[Token]) -> HashSet<String> {
                 if matches!(ident_text(src, code.get(k)), Some("HashMap" | "HashSet"))
                     && is_punct(src, code.get(k + 1), ":")
                 {
-                    out.insert(bound.to_string());
+                    out.push(bound);
                     break;
                 }
                 k += 1;
@@ -201,45 +554,34 @@ fn hashed_idents(src: &str, code: &[Token]) -> HashSet<String> {
 
 /// The determinism rule: flags iteration over hashed containers, wall-clock
 /// reads, and ambient OS entropy in non-test library code.
-fn scan_determinism(
-    rel: &Path,
-    src: &str,
-    tokens: &[Token],
-    code: &[Token],
-    tests: &[(usize, usize)],
-    out: &mut Vec<Violation>,
-) {
-    let allowed = lexer::allow_spans(src, tokens, "determinism");
+fn scan_determinism(cx: &mut Cx) {
+    let f = cx.file;
+    let (src, code) = (f.src, &f.code);
     let hashed = hashed_idents(src, code);
-    let exempt = |pos: usize| -> bool { in_regions(tests, pos) || lexer::in_spans(&allowed, pos) };
+    let kind = K::Determinism;
     for i in 0..code.len() {
         let t = &code[i];
         let Some(name) = ident_text(src, Some(t)) else {
             continue;
         };
-        if exempt(t.start) {
-            continue;
-        }
         // `recv.iter()` / `recv.values()` / … where recv was declared hashed.
         if ITER_METHODS.contains(&name)
             && is_punct(src, code.get(i + 1), "(")
             && is_punct(src, code.get(i.wrapping_sub(1)), ".")
         {
-            if let Some(recv) = ident_text(src, code.get(i.wrapping_sub(2))) {
-                if hashed.contains(recv) {
-                    out.push(Violation {
-                        file: rel.to_path_buf(),
-                        line: t.line,
-                        kind: ViolationKind::Determinism,
-                        detail: format!(
-                            "`{recv}.{name}(…)` iterates a hashed container — \
-                             RandomState order is run-dependent (and poisons any \
-                             float accumulation over it); use BTreeMap/BTreeSet or \
-                             sorted keys, or add \
-                             `// physics-lint: allow(determinism): <reason>`"
-                        ),
-                    });
-                }
+            let recv = ident_text(src, code.get(i.wrapping_sub(2)));
+            if let Some(recv) = recv.filter(|r| hashed.contains(r)) {
+                cx.report(
+                    kind,
+                    t.start,
+                    format!(
+                        "`{recv}.{name}(…)` iterates a hashed container — \
+                         RandomState order is run-dependent (and poisons any \
+                         float accumulation over it); use BTreeMap/BTreeSet or \
+                         sorted keys, or add \
+                         `// physics-lint: allow(determinism): <reason>`"
+                    ),
+                );
             }
         }
         // `for … in <hashed> {` — direct IntoIterator over the container.
@@ -248,13 +590,13 @@ fn scan_determinism(
                 .iter()
                 .take(60)
                 .position(|c| {
-                    c.kind == TokenKind::Punct && text(src, c) == "{" && c.depth == t.depth
+                    c.kind == TokenKind::Punct && c.text(src) == "{" && c.depth == t.depth
                 })
                 .map(|off| i + 1 + off);
             if let Some(end) = header_end {
                 let over_hashed = code[i + 1..end]
                     .iter()
-                    .any(|c| c.kind == TokenKind::Ident && hashed.contains(text(src, c)));
+                    .any(|c| c.kind == TokenKind::Ident && hashed.contains(&c.text(src)));
                 // `.iter()`-style headers are already flagged above; only
                 // report the bare `for k in map` shape here to avoid
                 // double-counting one loop.
@@ -262,16 +604,15 @@ fn scan_determinism(
                     .iter()
                     .any(|c| ident_text(src, Some(c)).is_some_and(|n| ITER_METHODS.contains(&n)));
                 if over_hashed && !has_method {
-                    out.push(Violation {
-                        file: rel.to_path_buf(),
-                        line: t.line,
-                        kind: ViolationKind::Determinism,
-                        detail: "`for … in` over a hashed container — RandomState \
-                                 order is run-dependent; use BTreeMap/BTreeSet or \
-                                 sorted keys, or add \
-                                 `// physics-lint: allow(determinism): <reason>`"
+                    cx.report(
+                        kind,
+                        t.start,
+                        "`for … in` over a hashed container — RandomState \
+                         order is run-dependent; use BTreeMap/BTreeSet or \
+                         sorted keys, or add \
+                         `// physics-lint: allow(determinism): <reason>`"
                             .to_string(),
-                    });
+                    );
                 }
             }
         }
@@ -281,29 +622,27 @@ fn scan_determinism(
             && is_punct(src, code.get(i + 2), ":")
             && ident_text(src, code.get(i + 3)) == Some("now")
         {
-            out.push(Violation {
-                file: rel.to_path_buf(),
-                line: t.line,
-                kind: ViolationKind::Determinism,
-                detail: format!(
+            cx.report(
+                kind,
+                t.start,
+                format!(
                     "`{name}::now()` reads the wall clock — simulated time comes \
                      from the Scheduler's SimBus; host time may not influence \
                      results (benchmarking lives in solarml-bench)"
                 ),
-            });
+            );
         }
         // Ambient OS entropy.
         if matches!(name, "thread_rng" | "from_entropy") {
-            out.push(Violation {
-                file: rel.to_path_buf(),
-                line: t.line,
-                kind: ViolationKind::Determinism,
-                detail: format!(
+            cx.report(
+                kind,
+                t.start,
+                format!(
                     "`{name}` draws ambient OS entropy — all randomness must be \
                      derived from the run seed via `derive_seed(seed, CYCLE_TAG, \
                      index)` so results replay bit-identically"
                 ),
-            });
+            );
         }
     }
 }
@@ -312,57 +651,39 @@ fn scan_determinism(
 /// legal inside the sanctioned mixer functions or against a registered
 /// cycle-tag constant, and `derive_seed`'s cycle argument must be one of
 /// those registered names.
-fn scan_seed_discipline(
-    rel: &Path,
-    src: &str,
-    tokens: &[Token],
-    code: &[Token],
-    tests: &[(usize, usize)],
-    config: &ScanConfig,
-    out: &mut Vec<Violation>,
-) {
-    let allowed = lexer::allow_spans(src, tokens, "seed-discipline");
-    let mixer_bodies: Vec<(usize, usize)> = lexer::fn_items(src, tokens)
-        .into_iter()
-        .filter(|f| config.seed_mixer_fns.iter().any(|m| m == &f.name))
-        .map(|f| f.body)
-        .collect();
-    let is_tag = |name: &str| config.seed_tags.iter().any(|t| t == name);
+fn scan_seed_discipline(cx: &mut Cx) {
+    let f = cx.file;
+    let (src, code) = (f.src, &f.code);
+    let tags = cx.family.tags;
+    let is_tag = |name: &str| tags.contains(&name);
     let seedish = |t: Option<&Token>| {
         ident_text(src, t).is_some_and(|n| n.to_ascii_lowercase().contains("seed"))
     };
-    let exempt = |pos: usize| {
-        in_regions(tests, pos) || in_regions(&mixer_bodies, pos) || lexer::in_spans(&allowed, pos)
-    };
+    let kind = K::SeedDiscipline;
     for i in 0..code.len() {
         let t = &code[i];
-        if exempt(t.start) {
-            continue;
-        }
         if t.kind == TokenKind::Ident {
-            let name = text(src, t);
+            let name = t.text(src);
             // `seed.wrapping_mul(…)`-style mixing.
-            if seedish(Some(t))
-                && is_punct(src, code.get(i + 1), ".")
-                && ident_text(src, code.get(i + 2)).is_some_and(|m| WRAPPING_METHODS.contains(&m))
+            let method = ident_text(src, code.get(i + 2)).filter(|m| WRAPPING_METHODS.contains(m));
+            if let Some(method) =
+                method.filter(|_| seedish(Some(t)) && is_punct(src, code.get(i + 1), "."))
             {
-                let method = ident_text(src, code.get(i + 2)).unwrap_or_default();
-                out.push(Violation {
-                    file: rel.to_path_buf(),
-                    line: t.line,
-                    kind: ViolationKind::SeedDiscipline,
-                    detail: format!(
+                cx.report(
+                    kind,
+                    t.start,
+                    format!(
                         "`{name}.{method}(…)` mixes a seed by hand — route through \
                          `derive_seed(seed, CYCLE_TAG, index)` (or a registered \
                          mixer fn), or add \
                          `// physics-lint: allow(seed-discipline): <reason>`"
                     ),
-                });
+                );
             }
             // `derive_seed(seed, <tag>, index)`: the cycle tag must be a
             // registered constant, not a bare literal or an ad-hoc const.
             if name == "derive_seed" && is_punct(src, code.get(i + 1), "(") {
-                check_derive_seed_tag(rel, src, code, i, &is_tag, out);
+                check_derive_seed_tag(cx, i);
             }
             continue;
         }
@@ -370,15 +691,12 @@ fn scan_seed_discipline(
         if t.kind != TokenKind::Punct {
             continue;
         }
-        let op = text(src, t);
-        let (op_disp, right_idx) = match op {
+        let op = t.text(src);
+        let (op_disp, mut right_idx) = match op {
             "+" | "-" | "*" | "%" | "^" => (op.to_string(), i + 1),
             "<" | ">" => {
-                let next = code.get(i + 1);
-                let prev = code.get(i.wrapping_sub(1));
-                let doubles_next = next.is_some_and(|n| n.start == t.end && text(src, n) == op);
-                let doubles_prev =
-                    i > 0 && prev.is_some_and(|p| p.end == t.start && text(src, p) == op);
+                let doubles_next = f.spells(i, &[op, op]);
+                let doubles_prev = i > 0 && f.spells(i - 1, &[op, op]);
                 if doubles_prev || !doubles_next {
                     continue; // second half of a shift, or a comparison
                 }
@@ -389,7 +707,6 @@ fn scan_seed_discipline(
         // `->` return arrows and `=>` match arms never have ident operands
         // adjacent on both sides, so no special-casing needed; compound
         // assignment (`^=`, `+=`…) shifts the RHS right by one.
-        let mut right_idx = right_idx;
         if is_punct(src, code.get(right_idx), "=") {
             right_idx += 1;
         }
@@ -405,175 +722,119 @@ fn scan_seed_discipline(
             && matches!(op, "-" | "*")
             && !left.is_some_and(|l| {
                 matches!(l.kind, TokenKind::Ident | TokenKind::Number)
-                    || matches!(text(src, l), ")" | "]")
+                    || matches!(l.text(src), ")" | "]")
             })
         {
             continue;
         }
         // Sanctioned: the other operand is a registered cycle-tag constant.
         let other = if left_seed { right } else { left };
-        if ident_text(src, other).is_some_and(&is_tag) {
+        if ident_text(src, other).is_some_and(is_tag) {
             continue;
         }
-        let lhs = left.map(|l| text(src, l)).unwrap_or_default();
-        let rhs = right.map(|r| text(src, r)).unwrap_or_default();
-        out.push(Violation {
-            file: rel.to_path_buf(),
-            line: t.line,
-            kind: ViolationKind::SeedDiscipline,
-            detail: format!(
+        let lhs = left.map(|l| l.text(src)).unwrap_or_default();
+        let rhs = right.map(|r| r.text(src)).unwrap_or_default();
+        cx.report(
+            kind,
+            t.start,
+            format!(
                 "raw seed arithmetic `{lhs} {op_disp} {rhs}` — derive per-stream \
                  seeds via `derive_seed(seed, CYCLE_TAG, index)` with a tag \
-                 registered in ScanConfig::seed_tags, or add \
+                 registered in the seed-discipline row of FAMILIES, or add \
                  `// physics-lint: allow(seed-discipline): <reason>`"
             ),
-        });
+        );
     }
 }
 
 /// Checks the second argument of a `derive_seed(…)` call at `code[at]`.
-fn check_derive_seed_tag(
-    rel: &Path,
-    src: &str,
-    code: &[Token],
-    at: usize,
-    is_tag: &dyn Fn(&str) -> bool,
-    out: &mut Vec<Violation>,
-) {
-    // Split top-level commas between the parens.
-    let mut depth = 1i32;
-    let mut args: Vec<Vec<&Token>> = vec![Vec::new()];
-    let mut j = at + 2;
-    while j < code.len() && depth > 0 {
-        let t = &code[j];
-        if t.kind == TokenKind::Punct {
-            match text(src, t) {
-                "(" | "[" => depth += 1,
-                ")" | "]" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                "," if depth == 1 => {
-                    args.push(Vec::new());
-                    j += 1;
-                    continue;
-                }
-                _ => {}
+fn check_derive_seed_tag(cx: &mut Cx, at: usize) {
+    let f = cx.file;
+    let (src, code) = (f.src, &f.code);
+    // The tokens of the second top-level argument.
+    let (mut depth, mut arg, mut cycle) = (0, 0, Vec::new());
+    for t in &code[at + 2..] {
+        match t.text(src) {
+            ")" | "]" if depth == 0 => break,
+            "(" | "[" => depth += 1,
+            ")" | "]" => depth -= 1,
+            "," if depth == 0 => {
+                arg += 1;
+                continue;
             }
+            _ => {}
         }
-        if let Some(last) = args.last_mut() {
-            last.push(t);
+        if arg == 1 {
+            cycle.push(t);
         }
-        j += 1;
     }
-    let Some(cycle_arg) = args.get(1) else { return };
-    let [only] = cycle_arg.as_slice() else {
+    let [only] = cycle.as_slice() else {
         return; // an expression (e.g. `req.cycle`) carries its own provenance
     };
-    let line = code[at].line;
-    match only.kind {
-        TokenKind::Number => out.push(Violation {
-            file: rel.to_path_buf(),
-            line,
-            kind: ViolationKind::SeedDiscipline,
-            detail: format!(
-                "`derive_seed` cycle tag is the bare literal `{}` — use a named \
-                 constant registered in ScanConfig::seed_tags so the stream is \
-                 reserved exactly once",
-                text(src, only)
-            ),
-        }),
-        TokenKind::Ident => {
-            let name = text(src, only);
-            let screaming = name
+    let name = only.text(src);
+    let detail = match only.kind {
+        TokenKind::Number => format!(
+            "`derive_seed` cycle tag is the bare literal `{name}` — use a named \
+             constant registered in the seed-discipline row of FAMILIES so the \
+             stream is reserved exactly once"
+        ),
+        TokenKind::Ident
+            if name
                 .chars()
                 .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
-                && name.chars().any(|c| c.is_ascii_uppercase());
-            if screaming && !is_tag(name) {
-                out.push(Violation {
-                    file: rel.to_path_buf(),
-                    line,
-                    kind: ViolationKind::SeedDiscipline,
-                    detail: format!(
-                        "`derive_seed` cycle tag `{name}` is not registered — add it \
-                         to ScanConfig::seed_tags (reserving the stream is a \
-                         reviewed decision)"
-                    ),
-                });
-            }
+                && name.chars().any(|c| c.is_ascii_uppercase())
+                && !cx.family.tags.contains(&name) =>
+        {
+            format!(
+                "`derive_seed` cycle tag `{name}` is not registered — add it to \
+                 the seed-discipline row of FAMILIES (reserving the stream is a \
+                 reviewed decision)"
+            )
         }
-        _ => {}
-    }
+        _ => return,
+    };
+    cx.report(K::SeedDiscipline, code[at].start, detail);
 }
 
 /// The ledger-coverage rule: a compound assignment whose right-hand side
 /// multiplies by `dt` is an energy/charge integral happening outside the
 /// bus ledger. Everything integrated over simulated time must flow through
 /// `SimBus::record` / `EnergyAudit` so conservation checks see it.
-fn scan_ledger_coverage(
-    rel: &Path,
-    src: &str,
-    tokens: &[Token],
-    code: &[Token],
-    tests: &[(usize, usize)],
-    out: &mut Vec<Violation>,
-) {
-    let allowed = lexer::allow_spans(src, tokens, "ledger-coverage");
+fn scan_ledger_coverage(cx: &mut Cx) {
+    let f = cx.file;
+    let (src, code) = (f.src, &f.code);
     for i in 0..code.len() {
         let t = &code[i];
-        if t.kind != TokenKind::Punct || !matches!(text(src, t), "+" | "-") {
-            continue;
-        }
-        let Some(next) = code.get(i + 1) else {
-            continue;
-        };
-        if !(next.start == t.end && text(src, next) == "=") {
-            continue; // not `+=` / `-=`
-        }
-        if in_regions(tests, t.start) || lexer::in_spans(&allowed, t.start) {
+        if !(f.spells(i, &["+", "="]) || f.spells(i, &["-", "="])) {
             continue;
         }
         // RHS runs to the statement's `;`; look for `… * dt` / `dt * …`.
-        let mut integrates = false;
-        let mut j = i + 2;
-        while j < code.len() && !is_punct(src, code.get(j), ";") {
-            if ident_text(src, code.get(j)) == Some("dt")
-                && (is_punct(src, code.get(j.wrapping_sub(1)), "*")
-                    || is_punct(src, code.get(j + 1), "*"))
-            {
-                integrates = true;
-                break;
-            }
-            j += 1;
-        }
+        let integrates = (i + 2..code.len())
+            .take_while(|&j| !is_punct(src, code.get(j), ";"))
+            .any(|j| {
+                ident_text(src, code.get(j)) == Some("dt")
+                    && (is_punct(src, code.get(j - 1), "*") || is_punct(src, code.get(j + 1), "*"))
+            });
         if !integrates {
             continue;
         }
+        let name = |k: usize| code.get(k).map(|t| t.text(src)).unwrap_or_default();
         let target = if i >= 3 && is_punct(src, code.get(i - 2), ".") {
-            format!(
-                "{}.{}",
-                code.get(i - 3).map(|t| text(src, t)).unwrap_or_default(),
-                code.get(i - 1).map(|t| text(src, t)).unwrap_or_default()
-            )
+            format!("{}.{}", name(i - 3), name(i - 1))
         } else {
-            code.get(i.wrapping_sub(1))
-                .map(|t| text(src, t).to_string())
-                .unwrap_or_default()
+            name(i.wrapping_sub(1)).to_string()
         };
-        out.push(Violation {
-            file: rel.to_path_buf(),
-            line: t.line,
-            kind: ViolationKind::LedgerCoverage,
-            detail: format!(
+        cx.report(
+            K::LedgerCoverage,
+            t.start,
+            format!(
                 "`{target} {}= … * dt` integrates energy outside the ledger — \
                  route the flow through SimBus::record / EnergyAudit so \
                  conservation checks see it, or add \
                  `// physics-lint: allow(ledger-coverage): <reason>`",
-                text(src, t)
+                t.text(src)
             ),
-        });
+        );
     }
 }
 
@@ -582,37 +843,17 @@ fn scan_ledger_coverage(
 /// create and the final flush leaves a half-written file that checkpoint
 /// recovery must then treat as corruption. All durable bytes go through a
 /// registered atomic-write helper (`write_atomic`: temp sibling + fsync +
-/// rename), whose own body is exempt — the bare syscalls have to live
-/// *somewhere*, and the registry pins where.
-fn scan_atomic_persist(
-    rel: &Path,
-    src: &str,
-    tokens: &[Token],
-    code: &[Token],
-    tests: &[(usize, usize)],
-    config: &ScanConfig,
-    out: &mut Vec<Violation>,
-) {
-    let allowed = lexer::allow_spans(src, tokens, "atomic-persist");
-    let helper_bodies: Vec<(usize, usize)> = lexer::fn_items(src, tokens)
-        .into_iter()
-        .filter(|f| config.atomic_write_fns.iter().any(|m| m == &f.name))
-        .map(|f| f.body)
-        .collect();
-    let exempt = |pos: usize| {
-        in_regions(tests, pos) || in_regions(&helper_bodies, pos) || lexer::in_spans(&allowed, pos)
-    };
-    for i in 0..code.len() {
-        let t = &code[i];
-        let Some(name) = ident_text(src, Some(t)) else {
-            continue;
-        };
+/// rename), whose own body is exempt.
+fn scan_atomic_persist(cx: &mut Cx) {
+    let f = cx.file;
+    let (src, code) = (f.src, &f.code);
+    for (i, t) in code.iter().enumerate() {
         // `fs :: write (` / `File :: create (` — `::` lexes as two `:`
         // puncts; the qualifier ident sits three tokens back either way
         // (`std::fs::write` still has `fs` at i-3).
-        let qualifier = match name {
-            "write" => "fs",
-            "create" => "File",
+        let qualifier = match ident_text(src, Some(t)) {
+            Some("write") => "fs",
+            Some("create") => "File",
             _ => continue,
         };
         if !is_punct(src, code.get(i + 1), "(")
@@ -622,21 +863,18 @@ fn scan_atomic_persist(
         {
             continue;
         }
-        if exempt(t.start) {
-            continue;
-        }
-        out.push(Violation {
-            file: rel.to_path_buf(),
-            line: t.line,
-            kind: ViolationKind::AtomicPersist,
-            detail: format!(
-                "`{qualifier}::{name}(…)` writes durable bytes non-atomically — a \
+        cx.report(
+            K::AtomicPersist,
+            t.start,
+            format!(
+                "`{qualifier}::{}(…)` writes durable bytes non-atomically — a \
                  crash mid-write leaves a torn file; route through \
                  `solarml_trace::bytes::write_atomic` (temp sibling + fsync + \
                  rename), or add \
-                 `// physics-lint: allow(atomic-persist): <reason>`"
+                 `// physics-lint: allow(atomic-persist): <reason>`",
+                t.text(src)
             ),
-        });
+        );
     }
 }
 
@@ -657,36 +895,22 @@ const UNSTABLE_HASHERS: &[&str] = &["DefaultHasher", "RandomState", "SipHasher",
 /// than a call shape is deliberate: the `use` line, the construction, and
 /// a type ascription are each independently a finding, so the import alone
 /// fails fast.
-fn scan_stable_store_key(
-    rel: &Path,
-    src: &str,
-    tokens: &[Token],
-    code: &[Token],
-    tests: &[(usize, usize)],
-    out: &mut Vec<Violation>,
-) {
-    let allowed = lexer::allow_spans(src, tokens, "stable-store-key");
-    for t in code {
-        let Some(name) = ident_text(src, Some(t)) else {
+fn scan_stable_store_key(cx: &mut Cx) {
+    let f = cx.file;
+    for t in &f.code {
+        let Some(name) = ident_text(f.src, Some(t)).filter(|n| UNSTABLE_HASHERS.contains(n)) else {
             continue;
         };
-        if !UNSTABLE_HASHERS.contains(&name) {
-            continue;
-        }
-        if in_regions(tests, t.start) || lexer::in_spans(&allowed, t.start) {
-            continue;
-        }
-        out.push(Violation {
-            file: rel.to_path_buf(),
-            line: t.line,
-            kind: ViolationKind::StableStoreKey,
-            detail: format!(
+        cx.report(
+            K::StableStoreKey,
+            t.start,
+            format!(
                 "`{name}` is seeded per process / unstable across std releases — \
                  a content key minted with it is unfindable by the next run; use \
                  the registered stable hasher `solarml_trace::FnvHasher`, or add \
                  `// physics-lint: allow(stable-store-key): <reason>`"
             ),
-        });
+        );
     }
 }
 
@@ -695,84 +919,67 @@ fn scan_stable_store_key(
 /// scanned file regardless of which families apply — CI fails on any
 /// violation lacking a reasoned escape, so an unreasoned escape must itself
 /// be a violation.
-pub fn scan_allow_hygiene(rel: &Path, src: &str) -> Vec<Violation> {
+pub(crate) fn scan_allow_hygiene(f: &FileCtx) -> Vec<Violation> {
     let mut out = Vec::new();
-    let tokens = lexer::lex(src);
-    for t in tokens.iter().filter(|t| t.is_comment()) {
-        let body = text(src, t);
-        for (off, _) in body.match_indices("physics-lint: allow(") {
-            let line = line_of(src, t.start + off);
-            let after = &body[off + "physics-lint: allow(".len()..];
-            let Some(close) = after.find(')') else {
-                out.push(Violation {
-                    file: rel.to_path_buf(),
-                    line,
-                    kind: ViolationKind::AllowWithoutReason,
-                    detail: "malformed escape: missing `)` after the rule name".to_string(),
-                });
-                continue;
-            };
-            let rule = &after[..close];
-            if !KNOWN_RULES.contains(&rule) {
-                out.push(Violation {
-                    file: rel.to_path_buf(),
-                    line,
-                    kind: ViolationKind::AllowWithoutReason,
-                    detail: format!(
-                        "escape names unknown rule `{rule}` — known rules: {}",
-                        KNOWN_RULES.join(", ")
-                    ),
-                });
-                continue;
+    for (pos, after) in escape_markers(f.src, &f.tokens) {
+        let detail = match after.split_once(')') {
+            None => "malformed escape: missing `)` after the rule name".to_string(),
+            Some((rule, _)) if !known_rules().any(|k| k == rule) => format!(
+                "escape names unknown rule `{rule}` — known rules: {}",
+                known_rules().collect::<Vec<_>>().join(", ")
+            ),
+            Some((rule, rest)) => {
+                let rest = rest.trim_start();
+                if rest.starts_with(':') && !rest.trim_start_matches(':').trim().is_empty() {
+                    continue;
+                }
+                format!(
+                    "`allow({rule})` has no reason — escapes are reviewed \
+                     decisions; spell it \
+                     `physics-lint: allow({rule}): <why this is sound>`"
+                )
             }
-            let trailer = after[close + 1..]
-                .trim_start()
-                .trim_start_matches(':')
-                .trim();
-            let has_reason =
-                after[close + 1..].trim_start().starts_with(':') && !trailer.is_empty();
-            if !has_reason {
-                out.push(Violation {
-                    file: rel.to_path_buf(),
-                    line,
-                    kind: ViolationKind::AllowWithoutReason,
-                    detail: format!(
-                        "`allow({rule})` has no reason — escapes are reviewed \
-                         decisions; spell it \
-                         `physics-lint: allow({rule}): <why this is sound>`"
-                    ),
-                });
-            }
-        }
+        };
+        out.push(f.violation(K::AllowWithoutReason, f.line(pos), detail));
     }
     out
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::scan::AllowList;
+    use std::path::Path;
 
-    fn cfg() -> ScanConfig {
-        ScanConfig::default_policy(AllowList::default())
+    use super::*;
+    use crate::scan::{scan_file, AllowList};
+
+    /// Scans `src` as `crates/t/src/lib.rs` under the named families.
+    fn scan(words: &[&str], src: &str) -> Vec<Violation> {
+        let families: Vec<&Family> = words
+            .iter()
+            .map(|w| family(w).expect("known family"))
+            .collect();
+        scan_file(
+            Path::new("crates/t/src/lib.rs"),
+            src,
+            &families,
+            &AllowList::default(),
+        )
     }
 
-    fn all_rules() -> RuleSet {
-        RuleSet {
-            determinism: true,
-            seed_discipline: true,
-            ledger_coverage: true,
-            atomic_persist: true,
-            stable_store_key: true,
-            ..RuleSet::default()
-        }
+    /// The determinism families, together.
+    fn scan_new_families(src: &str) -> Vec<Violation> {
+        let words = [
+            "determinism",
+            "seed-discipline",
+            "ledger-coverage",
+            "atomic-persist",
+            "stable-store-key",
+        ];
+        scan(&words, src)
     }
 
     fn kinds(src: &str) -> Vec<ViolationKind> {
-        scan_new_families(Path::new("crates/t/src/lib.rs"), src, all_rules(), &cfg())
-            .iter()
-            .map(|v| v.kind)
-            .collect()
+        scan_new_families(src).iter().map(|v| v.kind).collect()
     }
 
     #[test]
@@ -913,7 +1120,7 @@ impl C {
     }
 }
 ";
-        let vs = scan_new_families(Path::new("crates/t/src/lib.rs"), src, all_rules(), &cfg());
+        let vs = scan_new_families(src);
         assert_eq!(vs.len(), 1, "{vs:?}");
         assert_eq!(vs[0].line, 5, "only the un-annotated statement fires");
     }
@@ -944,7 +1151,7 @@ fn write_atomic(p: &Path, b: &[u8]) -> io::Result<()> {
 }
 fn sneaky(p: &Path, b: &[u8]) -> io::Result<()> { fs::write(p, b) }
 ";
-        let vs = scan_new_families(Path::new("crates/t/src/lib.rs"), src, all_rules(), &cfg());
+        let vs = scan_new_families(src);
         assert_eq!(vs.len(), 1, "{vs:?}");
         assert_eq!(vs[0].line, 8, "only the write outside the helper fires");
     }
@@ -1006,7 +1213,7 @@ fn a() {} // physics-lint: allow(unwrap)
 fn b() {} // physics-lint: allow(made-up-rule): whatever
 fn c() {} // physics-lint: allow(determinism): cache is rebuilt before read
 ";
-        let vs = scan_allow_hygiene(Path::new("crates/t/src/lib.rs"), src);
+        let vs = scan(&[], src);
         assert_eq!(vs.len(), 2, "{vs:?}");
         assert_eq!(vs[0].line, 1);
         assert!(vs[0].detail.contains("no reason"));

@@ -1,151 +1,29 @@
-//! The physics lint: a token-aware scanner over workspace sources.
+//! The physics lint engine: one table, one token pass per file.
 //!
-//! No `syn` is available in the offline build environment, so the pass is
-//! built on the hand-rolled lexer in [`crate::lexer`]: sources are lexed
-//! once, comments/strings are blanked from the token spans, `#[cfg(test)]`
-//! regions are masked, and the remaining code is scanned for the rule
-//! families. Lexical rather than type-aware means the rules are
-//! deliberately conservative in what they match (a float *literal* next to
-//! `==`, a textual `f64` inside a `pub fn` signature, an ident *declared*
-//! as a `HashMap`) — everything type-aware is delegated to the clippy gate.
-//!
-//! This module owns the classic families (signatures, unwrap/expect,
-//! float-eq, Rc/RefCell, fault-path, ad-hoc sim loops) plus the policy
-//! plumbing; the determinism families live in [`crate::rules`].
+//! No `syn` is available in the offline build environment, so the lint is
+//! built on the hand-rolled lexer in [`crate::lexer`]. [`scan_workspace`]
+//! reads each family's scope from [`FAMILIES`], lexes every file in any
+//! scope exactly once into a [`FileCtx`], and runs each family that covers
+//! the file through a [`Cx`], which applies the family's exemptions and
+//! collects its findings. Lexical rather than type-aware means the rules
+//! are deliberately conservative in what they match (a float *literal*
+//! next to `==`, a textual `f64` inside a `pub fn` signature, an ident
+//! *declared* as a `HashMap`) — everything type-aware is delegated to the
+//! clippy gate.
 
-use std::collections::HashSet;
+use std::cell::OnceCell;
+use std::collections::{BTreeMap, HashSet};
+use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::lexer;
-pub use crate::lexer::blank_noncode;
+use crate::lexer::{self, FnItem, Token};
+use crate::rules::{scan_allow_hygiene, Family, Scope, FAMILIES};
 use crate::{Violation, ViolationKind};
 
-/// Which rule families to run over which crates.
-#[derive(Debug, Clone)]
-pub struct ScanConfig {
-    /// Crates (by `crates/<name>` directory name) whose public signatures
-    /// must use `solarml-units` newtypes instead of raw floats.
-    pub signature_crates: Vec<String>,
-    /// Crates whose non-test library code may not call `unwrap`/`expect`
-    /// or compare floats with `==`.
-    pub strict_crates: Vec<String>,
-    /// Crates whose non-test library code may not introduce `Rc<` or
-    /// `RefCell<`: their state is shared across the worker threads of the
-    /// parallel evaluation engine and must stay `Send + Sync`.
-    pub sendsync_crates: Vec<String>,
-    /// Workspace-relative files on the brownout/fault path where
-    /// `unwrap`/`expect` are forbidden *everywhere* — tests included, no
-    /// inline escapes, no allow-list. A panic in fault-handling code is
-    /// indistinguishable from the fault it was supposed to model.
-    pub fault_path_files: Vec<PathBuf>,
-    /// Crates whose non-test library code may not hand-roll a time-stepping
-    /// loop around `.step(…)`: all stepping goes through the
-    /// `solarml_sim::Scheduler` so the workspace keeps one clock and one
-    /// energy ledger. The scheduler crate itself is exempt by omission.
-    pub sim_loop_crates: Vec<String>,
-    /// Crates whose non-test library code may not iterate hashed containers,
-    /// read the wall clock, or draw ambient OS entropy (rule `determinism`).
-    pub determinism_crates: Vec<String>,
-    /// Crates whose non-test library code may not do raw seed arithmetic
-    /// outside a sanctioned mixer function (rule `seed-discipline`).
-    pub seed_crates: Vec<String>,
-    /// Crates whose non-test library code may not grow `+= … * dt`
-    /// side-channel accumulators (rule `ledger-coverage`). The `sim` crate
-    /// is exempt by omission: it is where `SimBus`/`EnergyAudit` live.
-    pub ledger_crates: Vec<String>,
-    /// Crates holding persistence code (checkpoints, durable snapshots):
-    /// their non-test library code may not call `fs::write`/`File::create`
-    /// outside a registered atomic-write helper (rule `atomic-persist`).
-    /// A crash mid-write would leave a torn file that resume has to treat
-    /// as corruption.
-    pub persist_crates: Vec<String>,
-    /// Crates that mint or look up content-addressed store keys: their
-    /// non-test library code may not mention a randomized/unstable std
-    /// hasher (`DefaultHasher`/`RandomState`/`SipHasher…`, rule
-    /// `stable-store-key`). A per-process-salted hash makes every cache
-    /// lookup a silent permanent miss; keys go through the registered
-    /// stable hasher (`solarml_trace::FnvHasher`).
-    pub store_key_crates: Vec<String>,
-    /// Sanctioned atomic-write helper functions; their bodies are exempt
-    /// from the atomic-persist rule (the bare syscalls have to live
-    /// *somewhere*, and this registry pins where).
-    pub atomic_write_fns: Vec<String>,
-    /// Registered cycle-tag constants: the only names whose use in seed
-    /// arithmetic (and as `derive_seed` cycle arguments) is sanctioned.
-    /// Registering a tag here is the reviewed act that reserves its stream.
-    pub seed_tags: Vec<String>,
-    /// Sanctioned seed-mixer functions; their bodies are exempt from the
-    /// seed-discipline rule (the mixing has to happen *somewhere*).
-    pub seed_mixer_fns: Vec<String>,
-    /// Parsed allow-list (see [`AllowList`]).
-    pub allow: AllowList,
-}
-
-impl ScanConfig {
-    /// The shipped policy: the five physics crates get both rule families;
-    /// `units`, `fleet` and the user-facing `cli` get the strict rules;
-    /// `nas`, `nn` and `fleet` get the `Send + Sync` rule (fleet state
-    /// crosses the campaign worker threads); `fleet` also gets the
-    /// sim-loop rule (campaigns must drive days through the scheduler) but
-    /// not the signature rule — its sampling distributions legitimately
-    /// traffic in raw `f64` parameters.
-    pub fn default_policy(allow: AllowList) -> Self {
-        let physics = ["circuit", "mcu", "energy", "platform", "trace"];
-        let mut strict: Vec<String> = physics.iter().map(|s| s.to_string()).collect();
-        strict.push("units".to_string());
-        strict.push("cli".to_string());
-        strict.push("fleet".to_string());
-        let mut sim_loop: Vec<String> = physics.iter().map(|s| s.to_string()).collect();
-        sim_loop.push("fleet".to_string());
-        let to_vec = |names: &[&str]| names.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        Self {
-            signature_crates: physics.iter().map(|s| s.to_string()).collect(),
-            strict_crates: strict,
-            sendsync_crates: vec!["nas".to_string(), "nn".to_string(), "fleet".to_string()],
-            fault_path_files: vec![
-                PathBuf::from("crates/circuit/src/fault.rs"),
-                PathBuf::from("crates/platform/src/intermittent.rs"),
-            ],
-            sim_loop_crates: sim_loop,
-            // Everything that feeds a published result: the engine crates
-            // plus `energy` (its lookup tables are cached and serialized,
-            // so iteration order reaches bytes on disk) and `scenario`
-            // (evaluation must be a pure function of `(script, seed)`:
-            // golden reports and store keys replay it).
-            determinism_crates: to_vec(&[
-                "sim", "circuit", "mcu", "energy", "platform", "fleet", "nas", "scenario",
-            ]),
-            // `energy` is deliberately absent: its xorshift lives in local
-            // regression-bootstrap helpers that never share streams.
-            // `trace` holds the one seed module every other crate draws from.
-            seed_crates: to_vec(&[
-                "sim", "circuit", "mcu", "platform", "fleet", "nas", "scenario", "trace",
-            ]),
-            ledger_crates: to_vec(&["circuit", "mcu", "platform", "fleet"]),
-            // The crates that own checkpoint bytes: `trace` holds the codec
-            // + `write_atomic`, `fleet` holds the campaign snapshots.
-            persist_crates: to_vec(&["fleet", "trace"]),
-            // The crates that derive node-day store keys: `fleet` owns the
-            // task/key layer, `trace` owns the FNV codec the keys hash with.
-            store_key_crates: to_vec(&["fleet", "trace"]),
-            atomic_write_fns: to_vec(&["write_atomic"]),
-            seed_tags: to_vec(&[
-                "FLEET_SEED_CYCLE",
-                "FAULT_STREAM_TAG",
-                "POPULATION_STREAM_TAG",
-                "ENV_STREAM_TAG",
-                "SCENARIO_STREAM_TAG",
-            ]),
-            seed_mixer_fns: to_vec(&["derive_seed", "mix64", "splitmix64"]),
-            allow,
-        }
-    }
-}
-
 /// The allow-list: one entry per line, `path/to/file.rs::item`, where `item`
-/// is a function name (for `raw-float-signature`) or `*` (whole file, any
-/// rule). `#` starts a comment. Inline escapes are spelled in the source
-/// itself: a comment containing `physics-lint: allow(<rule>): <reason>`
+/// is a function name (for `raw-float-signature`) or `*` (whole file, every
+/// exemptible rule). `#` starts a comment. Inline escapes are spelled in the
+/// source itself: a comment containing `physics-lint: allow(<rule>): <reason>`
 /// suppresses that rule on the statement it is attached to — the statement
 /// it trails, or (for a comment on its own line) the next statement,
 /// brace body included. See [`crate::lexer::allow_spans`]. The reason is
@@ -179,626 +57,270 @@ impl AllowList {
     }
 }
 
-/// Byte ranges of `#[cfg(test)]`-gated items (the brace-delimited item that
-/// follows the attribute), so test modules are exempt from the strict rules.
-pub fn test_regions(blanked: &str) -> Vec<(usize, usize)> {
-    let mut regions = Vec::new();
-    let mut from = 0;
-    while let Some(pos) = find_cfg_test(blanked, from) {
-        let Some(open_rel) = blanked[pos..].find('{') else {
-            break;
-        };
-        let open = pos + open_rel;
-        let mut depth = 0usize;
-        let mut end = blanked.len();
-        for (off, c) in blanked[open..].char_indices() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = open + off + 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        regions.push((pos, end));
-        from = end;
-    }
-    regions
+const MARKER: &str = "physics-lint: allow(";
+
+/// Every escape marker in the comments of a lexed file: the marker's byte
+/// offset and the comment text after `allow(`.
+pub(crate) fn escape_markers<'s: 't, 't>(
+    src: &'s str,
+    tokens: &'t [Token],
+) -> impl Iterator<Item = (usize, &'s str)> + 't {
+    tokens.iter().filter(|t| t.is_comment()).flat_map(move |t| {
+        let body = t.text(src);
+        body.match_indices(MARKER)
+            .map(move |(off, _)| (t.start + off, &body[off + MARKER.len()..]))
+    })
 }
 
-/// Finds `#[cfg(test)]` allowing arbitrary internal whitespace.
-fn find_cfg_test(s: &str, from: usize) -> Option<usize> {
-    let compact: &[u8] = b"#[cfg(test)]";
-    let b = s.as_bytes();
-    let mut i = from;
-    while i < b.len() {
-        if b[i] == b'#' {
-            let mut j = i;
-            let mut k = 0;
-            while j < b.len() && k < compact.len() {
-                if b[j].is_ascii_whitespace() && compact[k] != b' ' {
-                    j += 1;
-                    continue;
-                }
-                if b[j] == compact[k] {
-                    j += 1;
-                    k += 1;
-                } else {
-                    break;
-                }
-            }
-            if k == compact.len() {
-                return Some(i);
-            }
+/// One source file, lexed once: what every scanner reads.
+pub struct FileCtx<'a> {
+    /// Path relative to the workspace root, for reports and the allow-list.
+    pub(crate) rel: &'a Path,
+    /// The source text.
+    pub(crate) src: &'a str,
+    /// Every token, comments and literals included.
+    pub(crate) tokens: Vec<Token>,
+    /// The code tokens: no comments, strings or char literals.
+    pub(crate) code: Vec<Token>,
+    /// Byte offset of each line's first byte. Findings take their line from
+    /// here: a token's own `line` does not count the newline after a `\`
+    /// string continuation.
+    line_starts: Vec<usize>,
+    /// Byte ranges of `#[cfg(test)]` items.
+    tests: Vec<(usize, usize)>,
+    /// The byte ranges each rule's inline escapes cover.
+    escapes: Vec<(&'a str, Vec<(usize, usize)>)>,
+    /// `fn` items, extracted the first time a family registers exempt fns.
+    fns: OnceCell<Vec<FnItem>>,
+}
+
+impl<'a> FileCtx<'a> {
+    /// Lexes `src` and derives its test regions and escape spans.
+    fn new(rel: &'a Path, src: &'a str) -> Self {
+        let tokens = lexer::lex(src);
+        let code: Vec<Token> = tokens.iter().filter(|t| t.is_code()).copied().collect();
+        let mut rules: Vec<&str> = escape_markers(src, &tokens)
+            .filter_map(|(_, after)| after.split_once(')').map(|(rule, _)| rule))
+            .collect();
+        rules.sort_unstable();
+        rules.dedup();
+        let escapes = rules
+            .into_iter()
+            .map(|rule| (rule, lexer::allow_spans(src, &tokens, rule)))
+            .collect();
+        Self {
+            rel,
+            src,
+            tests: test_regions(src, &code),
+            line_starts: std::iter::once(0)
+                .chain(src.match_indices('\n').map(|(i, _)| i + 1))
+                .collect(),
+            tokens,
+            code,
+            escapes,
+            fns: OnceCell::new(),
+        }
+    }
+
+    /// Whether the code tokens from `code[i]` on spell `parts`, one token
+    /// each, with no whitespace between them.
+    pub(crate) fn spells(&self, i: usize, parts: &[&str]) -> bool {
+        let Some(toks) = self.code.get(i..i + parts.len()) else {
+            return false;
+        };
+        toks.iter().zip(parts).all(|(t, p)| t.text(self.src) == *p)
+            && toks.windows(2).all(|w| w[0].end == w[1].start)
+    }
+
+    /// The 1-based line holding byte `pos`.
+    pub(crate) fn line(&self, pos: usize) -> usize {
+        self.line_starts.partition_point(|&start| start <= pos)
+    }
+
+    /// A finding in this file.
+    pub(crate) fn violation(&self, kind: ViolationKind, line: usize, detail: String) -> Violation {
+        Violation {
+            file: self.rel.to_path_buf(),
+            line,
+            kind,
+            detail,
+        }
+    }
+}
+
+/// Byte ranges of `#[cfg(test)]` items, attribute included.
+fn test_regions(src: &str, code: &[Token]) -> Vec<(usize, usize)> {
+    const ATTR: [&str; 7] = ["#", "[", "cfg", "(", "test", ")", "]"];
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i + ATTR.len() <= code.len() {
+        if ATTR.iter().zip(&code[i..]).all(|(a, t)| t.text(src) == *a) {
+            let end = item_end(src, code, i + ATTR.len(), code[i].depth);
+            out.push((code[i].start, code[end].end));
+            i = end;
         }
         i += 1;
     }
-    None
+    out
 }
 
-pub(crate) fn line_of(src: &str, byte: usize) -> usize {
-    src[..byte].bytes().filter(|&c| c == b'\n').count() + 1
+/// Index of the last code token of the item starting at `code[from]`: its
+/// own `;`, the `}` closing its first brace body, or the token before the
+/// `}` that closes the enclosing block. Parens and brackets nest, so the
+/// `;` in `[u8; 2]` does not end an item.
+fn item_end(src: &str, code: &[Token], from: usize, depth: u32) -> usize {
+    let mut nest = 0i32;
+    for (j, t) in code.iter().enumerate().skip(from) {
+        match t.text(src) {
+            "(" | "[" => nest += 1,
+            ")" | "]" => nest -= 1,
+            "}" if t.depth < depth => return j - 1,
+            ";" if nest == 0 && t.depth == depth => return j,
+            "{" if nest == 0 && t.depth == depth => {
+                let close = code[j + 1..]
+                    .iter()
+                    .position(|c| c.depth == depth && c.text(src) == "}");
+                return close.map_or(code.len() - 1, |off| j + 1 + off);
+            }
+            _ => {}
+        }
+    }
+    code.len() - 1
 }
 
-pub(crate) fn in_regions(regions: &[(usize, usize)], byte: usize) -> bool {
-    regions.iter().any(|&(a, b)| byte >= a && byte < b)
+/// One family's pass over one file: the shared lex, the family's
+/// exemptions, and the findings it reports.
+pub struct Cx<'f> {
+    /// The lexed file.
+    pub(crate) file: &'f FileCtx<'f>,
+    /// The family being run.
+    pub(crate) family: &'static Family,
+    /// The allow-list (the signature rule exempts functions by name).
+    pub(crate) allow: &'f AllowList,
+    /// Bodies of the family's registered exempt fns.
+    bodies: Vec<(usize, usize)>,
+    out: Vec<Violation>,
 }
 
-fn is_ident_byte(c: u8) -> bool {
-    c.is_ascii_alphanumeric() || c == b'_'
+impl<'f> Cx<'f> {
+    fn new(file: &'f FileCtx<'f>, family: &'static Family, allow: &'f AllowList) -> Self {
+        let bodies = if family.exempt_fns.is_empty() {
+            Vec::new()
+        } else {
+            let fns = file
+                .fns
+                .get_or_init(|| lexer::fn_items(file.src, &file.tokens));
+            fns.iter()
+                .filter(|f| family.exempt_fns.contains(&f.name.as_str()))
+                .map(|f| f.body)
+                .collect()
+        };
+        Self {
+            file,
+            family,
+            allow,
+            bodies,
+            out: Vec::new(),
+        }
+    }
+
+    /// Whether a `kind` finding at byte `pos` is exempt: inside a
+    /// `#[cfg(test)]` item, an inline escape naming `kind`, or a registered
+    /// fn body — never, for a family that honours no exemptions.
+    pub(crate) fn exempt(&self, kind: ViolationKind, pos: usize) -> bool {
+        let f = self.file;
+        self.family.exemptible
+            && (lexer::in_spans(&f.tests, pos)
+                || lexer::in_spans(&self.bodies, pos)
+                || f.escapes
+                    .iter()
+                    .any(|(rule, spans)| *rule == kind.name() && lexer::in_spans(spans, pos)))
+    }
+
+    /// Records a `kind` finding at byte `pos`, unless it is exempt there.
+    pub(crate) fn report(&mut self, kind: ViolationKind, pos: usize, detail: String) {
+        if !self.exempt(kind, pos) {
+            let v = self.file.violation(kind, self.file.line(pos), detail);
+            self.out.push(v);
+        }
+    }
 }
 
-/// Scans one source file. `rel` is the path relative to the workspace root
-/// (used for reporting and allow-list matching); rule families are chosen by
-/// the booleans so callers can apply the per-crate policy.
-pub fn scan_source(
+/// Scans one file under `families`, then runs the allow-hygiene check,
+/// which applies to every scanned file: an unexplained escape is a finding
+/// whichever rule it names. The allow-list's `file::*` wildcard silences
+/// the hygiene check and every exemptible family.
+pub fn scan_file(
     rel: &Path,
     src: &str,
-    check_signatures: bool,
-    check_strict: bool,
-    check_sendsync: bool,
+    families: &[&'static Family],
     allow: &AllowList,
 ) -> Vec<Violation> {
+    let file = FileCtx::new(rel, src);
+    let wildcard = allow.allows(rel, "*");
     let mut out = Vec::new();
-    if allow.allows(rel, "*") {
-        return out;
+    for &family in families.iter().filter(|f| !(wildcard && f.exemptible)) {
+        let mut cx = Cx::new(&file, family, allow);
+        (family.scan)(&mut cx);
+        out.append(&mut cx.out);
     }
-    let tokens = lexer::lex(src);
-    let blanked = lexer::blank_with_tokens(src, &tokens);
-    let tests = test_regions(&blanked);
-
-    if check_signatures {
-        scan_pub_fn_signatures(rel, src, &blanked, &tests, allow, &mut out);
-    }
-    if check_strict {
-        scan_unwraps(rel, src, &tokens, &blanked, &tests, &mut out);
-        scan_float_eq(rel, src, &tokens, &blanked, &tests, &mut out);
-    }
-    if check_sendsync {
-        scan_rc_refcell(rel, src, &tokens, &blanked, &tests, &mut out);
+    if !wildcard {
+        out.extend(scan_allow_hygiene(&file));
     }
     out.sort_by_key(|v| v.line);
     out
 }
 
-/// Flags `Rc<` and `RefCell<` in non-test library code. Single-threaded
-/// shared state in `nas`/`nn` would make `TaskContext` `!Send`/`!Sync`
-/// again and silently break the parallel evaluation engine; use
-/// `Arc`/`RwLock`/`Mutex` (or the `ShardedMap` in `nas::parallel`) instead.
-/// The ident-boundary check keeps `Arc<` from matching `Rc<`.
-fn scan_rc_refcell(
-    rel: &Path,
-    src: &str,
-    tokens: &[lexer::Token],
-    blanked: &str,
-    tests: &[(usize, usize)],
-    out: &mut Vec<Violation>,
-) {
-    let allowed = lexer::allow_spans(src, tokens, "rc-refcell");
-    let b = blanked.as_bytes();
-    for needle in ["Rc<", "RefCell<"] {
-        for (pos, _) in blanked.match_indices(needle) {
-            if pos > 0 && is_ident_byte(b[pos - 1]) {
-                continue;
-            }
-            if in_regions(tests, pos) || lexer::in_spans(&allowed, pos) {
-                continue;
-            }
-            let line = line_of(src, pos);
-            out.push(Violation {
-                file: rel.to_path_buf(),
-                line,
-                kind: ViolationKind::RcRefCell,
-                detail: format!(
-                    "`{needle}…` is not Send/Sync — use Arc/RwLock (or \
-                     nas::parallel::ShardedMap), or add \
-                     `// physics-lint: allow(rc-refcell)` with a reason"
-                ),
-            });
-        }
-    }
-}
-
-fn scan_pub_fn_signatures(
-    rel: &Path,
-    src: &str,
-    blanked: &str,
-    tests: &[(usize, usize)],
-    allow: &AllowList,
-    out: &mut Vec<Violation>,
-) {
-    let b = blanked.as_bytes();
-    let mut i = 0;
-    while let Some(rel_pos) = blanked[i..].find("pub") {
-        let pos = i + rel_pos;
-        i = pos + 3;
-        // Token boundary on both sides.
-        if pos > 0 && is_ident_byte(b[pos - 1]) {
-            continue;
-        }
-        if pos + 3 < b.len() && is_ident_byte(b[pos + 3]) {
-            continue;
-        }
-        // `pub(crate)` / `pub(super)` are not public API.
-        let mut j = pos + 3;
-        while j < b.len() && b[j].is_ascii_whitespace() {
-            j += 1;
-        }
-        if j < b.len() && b[j] == b'(' {
-            continue;
-        }
-        // Skip qualifier keywords until `fn` (or bail on non-fn items).
-        let mut fn_at = None;
-        for _ in 0..4 {
-            let word_end = {
-                let mut e = j;
-                while e < b.len() && is_ident_byte(b[e]) {
-                    e += 1;
-                }
-                e
-            };
-            match &blanked[j..word_end] {
-                "fn" => {
-                    fn_at = Some(word_end);
-                    break;
-                }
-                "const" | "async" | "unsafe" | "extern" => {
-                    j = word_end;
-                    while j < b.len() && (b[j].is_ascii_whitespace() || b[j] == b'"') {
-                        j += 1;
-                    }
-                }
-                _ => break,
-            }
-        }
-        let Some(after_fn) = fn_at else { continue };
-        if in_regions(tests, pos) {
-            continue;
-        }
-        // Function name.
-        let mut k = after_fn;
-        while k < b.len() && b[k].is_ascii_whitespace() {
-            k += 1;
-        }
-        let name_start = k;
-        while k < b.len() && is_ident_byte(b[k]) {
-            k += 1;
-        }
-        let fn_name = &blanked[name_start..k];
-        // Signature runs to the first `{` or `;` (brace bodies of const
-        // generic expressions do not occur in this workspace).
-        let sig_end = blanked[k..]
-            .find(['{', ';'])
-            .map_or(blanked.len(), |n| k + n);
-        let sig = &blanked[k..sig_end];
-        let has_raw_float = ["f64", "f32"].iter().any(|t| {
-            sig.match_indices(t).any(|(p, _)| {
-                let before_ok = p == 0 || !is_ident_byte(sig.as_bytes()[p - 1]);
-                let after = p + t.len();
-                let after_ok = after >= sig.len() || !is_ident_byte(sig.as_bytes()[after]);
-                before_ok && after_ok
-            })
-        });
-        if has_raw_float && !allow.allows(rel, fn_name) {
-            out.push(Violation {
-                file: rel.to_path_buf(),
-                line: line_of(src, pos),
-                kind: ViolationKind::RawFloatSignature,
-                detail: format!(
-                    "`pub fn {fn_name}` exposes raw f64/f32 — use a solarml-units newtype \
-                     or add `{}::{fn_name}` to the allow-list",
-                    rel.display()
-                ),
-            });
-        }
-        i = sig_end;
-    }
-}
-
-fn scan_unwraps(
-    rel: &Path,
-    src: &str,
-    tokens: &[lexer::Token],
-    blanked: &str,
-    tests: &[(usize, usize)],
-    out: &mut Vec<Violation>,
-) {
-    for (needle, kind, rule) in [
-        (".unwrap()", ViolationKind::Unwrap, "unwrap"),
-        (".expect(", ViolationKind::Expect, "expect"),
-    ] {
-        let allowed = lexer::allow_spans(src, tokens, rule);
-        for (pos, _) in blanked.match_indices(needle) {
-            if in_regions(tests, pos) || lexer::in_spans(&allowed, pos) {
-                continue;
-            }
-            let line = line_of(src, pos);
-            out.push(Violation {
-                file: rel.to_path_buf(),
-                line,
-                kind,
-                detail: format!(
-                    "`{needle}…` in library code — thread a Result or use \
-                     `// physics-lint: allow({rule})` with a reason"
-                ),
-            });
-        }
-    }
-}
-
-/// Does this token text look like a float literal (`1.0`, `1e-9`, `2f64`)?
-fn is_float_literal(tok: &str) -> bool {
-    let t = tok
-        .trim_end_matches("f64")
-        .trim_end_matches("f32")
-        .trim_end_matches('_');
-    if t.is_empty() {
-        // Bare `f64`/`f32` suffix means the original was e.g. `2f64`… but an
-        // empty remainder means the token was just the suffix text: not a
-        // literal unless digits preceded, which trim would have kept.
-        return tok != "f64" && tok != "f32" && !tok.is_empty();
-    }
-    if !t.starts_with(|c: char| c.is_ascii_digit()) {
-        return false;
-    }
-    let has_dot = t.contains('.');
-    let has_exp =
-        t.chars().any(|c| c == 'e' || c == 'E') && !t.starts_with("0x") && !t.starts_with("0b");
-    let had_suffix = tok.ends_with("f64") || tok.ends_with("f32");
-    (has_dot || has_exp || had_suffix)
-        && t.chars().all(|c| {
-            c.is_ascii_digit()
-                || c == '.'
-                || c == 'e'
-                || c == 'E'
-                || c == '-'
-                || c == '+'
-                || c == '_'
-        })
-}
-
-fn scan_float_eq(
-    rel: &Path,
-    src: &str,
-    tokens: &[lexer::Token],
-    blanked: &str,
-    tests: &[(usize, usize)],
-    out: &mut Vec<Violation>,
-) {
-    let allowed = lexer::allow_spans(src, tokens, "float-eq");
-    let b = blanked.as_bytes();
-    let eqs = blanked.match_indices("==").map(|(p, _)| (p, false));
-    let neqs = blanked.match_indices("!=").map(|(p, _)| (p, true));
-    for (pos, is_neq) in eqs.chain(neqs) {
-        // Skip `<=`, `>=`, `=>`-adjacent noise: the operator must stand
-        // alone (not preceded by another comparison/assignment byte, not
-        // followed by `=`).
-        if !is_neq && pos > 0 && matches!(b[pos - 1], b'<' | b'>' | b'=' | b'!') {
-            continue;
-        }
-        if pos + 2 < b.len() && b[pos + 2] == b'=' {
-            continue;
-        }
-        if in_regions(tests, pos) || lexer::in_spans(&allowed, pos) {
-            continue;
-        }
-        let line = line_of(src, pos);
-        // Token immediately before (skipping whitespace and a closing paren
-        // is NOT attempted: lexical rule, literals only).
-        let before = {
-            let mut e = pos;
-            while e > 0 && b[e - 1].is_ascii_whitespace() {
-                e -= 1;
-            }
-            let mut s = e;
-            while s > 0
-                && (is_ident_byte(b[s - 1])
-                    || b[s - 1] == b'.'
-                    // exponent sign: the `-`/`+` inside `1.5e-3`
-                    || (matches!(b[s - 1], b'-' | b'+')
-                        && s >= 2
-                        && matches!(b[s - 2], b'e' | b'E')))
-            {
-                s -= 1;
-            }
-            &blanked[s..e]
+/// Scans every file in any family's scope, each lexed once, plus the
+/// shipped scenario scripts. `root` is the workspace root. A scope entry
+/// whose crate or file is missing is a `NotFound` error naming the path:
+/// renaming a file must not switch its rule off without a word.
+pub fn scan_workspace(root: &Path, allow: &AllowList) -> io::Result<Vec<Violation>> {
+    let mut plan: BTreeMap<PathBuf, Vec<&'static Family>> = BTreeMap::new();
+    for family in FAMILIES {
+        let files: Vec<PathBuf> = match family.scope {
+            Scope::Crates(crates) => crates
+                .iter()
+                .map(|name| rs_files(existing(root.join("crates").join(name).join("src"))?))
+                .collect::<io::Result<Vec<_>>>()?
+                .concat(),
+            Scope::Files(files) => files
+                .iter()
+                .map(|f| existing(root.join(f)))
+                .collect::<io::Result<_>>()?,
         };
-        let after = {
-            let mut s = pos + 2;
-            while s < b.len() && b[s].is_ascii_whitespace() {
-                s += 1;
-            }
-            let mut e = s;
-            // Allow a leading sign on the literal.
-            if e < b.len() && b[e] == b'-' {
-                e += 1;
-            }
-            while e < b.len()
-                && (is_ident_byte(b[e])
-                    || b[e] == b'.'
-                    || (matches!(b[e], b'-' | b'+') && e >= 1 && matches!(b[e - 1], b'e' | b'E')))
-            {
-                e += 1;
-            }
-            blanked[s..e].trim_start_matches('-')
-        };
-        if is_float_literal(before) || is_float_literal(after) {
-            out.push(Violation {
-                file: rel.to_path_buf(),
-                line,
-                kind: ViolationKind::FloatEq,
-                detail: format!(
-                    "float literal compared with `{}` — use a tolerance or \
-                     `// physics-lint: allow(float-eq)` with a reason",
-                    if is_neq { "!=" } else { "==" }
-                ),
-            });
+        for file in files {
+            plan.entry(file).or_default().push(family);
         }
     }
-}
-
-/// The fault-path rule: flags every `.unwrap()` and `.expect(` in `src`,
-/// with *no* exemptions — test regions count (a panicking assertion helper
-/// inside a brownout test aborts the run exactly like a product bug would),
-/// and neither the allow-list nor `physics-lint: allow(...)` markers are
-/// honored. Fault-handling code must thread errors, full stop.
-pub fn scan_fault_path(rel: &Path, src: &str) -> Vec<Violation> {
-    let blanked = blank_noncode(src);
     let mut out = Vec::new();
-    for needle in [".unwrap()", ".expect("] {
-        for (pos, _) in blanked.match_indices(needle) {
-            out.push(Violation {
-                file: rel.to_path_buf(),
-                line: line_of(src, pos),
-                kind: ViolationKind::FaultPathUnwrap,
-                detail: format!(
-                    "`{needle}…` on the fault path — a panic here masquerades as the \
-                     injected fault; match or propagate instead (no escapes honored)"
-                ),
-            });
-        }
-    }
-    out.sort_by_key(|v| v.line);
-    out
-}
-
-/// Does this (blanked) line open a time-stepping loop? Either a `while`
-/// whose condition compares a time-like variable (`t`, `…time…`,
-/// `…elapsed…`, `…deadline…`, `…clock…`, `…remaining…`) with `<`/`>`, or a
-/// `for … in 0..n` counter loop — the two shapes the legacy per-module
-/// simulation loops used.
-fn is_time_loop_header(line: &str) -> bool {
-    let t = line.trim_start();
-    if let Some(cond) = t.strip_prefix("while ") {
-        if !(cond.contains('<') || cond.contains('>')) {
-            return false;
-        }
-        let mut ident = String::new();
-        let mut idents = Vec::new();
-        for c in cond.chars() {
-            if c.is_ascii_alphanumeric() || c == '_' {
-                ident.push(c);
-            } else if !ident.is_empty() {
-                idents.push(std::mem::take(&mut ident));
-            }
-        }
-        if !ident.is_empty() {
-            idents.push(ident);
-        }
-        idents.iter().any(|id| {
-            id == "t"
-                || id.contains("time")
-                || id.contains("elapsed")
-                || id.contains("deadline")
-                || id.contains("clock")
-                || id.contains("remaining")
-        })
-    } else if let Some(rest) = t.strip_prefix("for ") {
-        rest.contains(" in 0..")
-    } else {
-        false
-    }
-}
-
-/// The co-simulation rule: flags a manual time-stepping loop — a loop
-/// header matched by [`is_time_loop_header`] whose header or following few
-/// lines call `.step(` — in non-test library code. All stepping must go
-/// through the `solarml_sim::Scheduler` so the workspace keeps one clock
-/// and one bus-owned energy ledger; ad-hoc loops re-grow the per-module dt
-/// drift and side-channel accounting the scheduler refactor removed.
-/// Honors the file-wildcard allow-list and a
-/// `// physics-lint: allow(adhoc-sim-loop)` escape attached to either the
-/// loop statement or the statement containing the `.step(` call;
-/// `#[cfg(test)]` regions are exempt (a hand-rolled reference loop is
-/// exactly how the scheduler itself gets checked).
-pub fn scan_sim_loops(rel: &Path, src: &str, allow: &AllowList) -> Vec<Violation> {
-    let mut out = Vec::new();
-    if allow.allows(rel, "*") {
-        return out;
-    }
-    let tokens = lexer::lex(src);
-    let blanked = lexer::blank_with_tokens(src, &tokens);
-    let tests = test_regions(&blanked);
-    let allowed = lexer::allow_spans(src, &tokens, "adhoc-sim-loop");
-    let lines: Vec<&str> = blanked.lines().collect();
-    let mut offsets = Vec::with_capacity(lines.len());
-    let mut off = 0usize;
-    for l in &lines {
-        offsets.push(off);
-        off += l.len() + 1;
-    }
-    for (i, header) in lines.iter().enumerate() {
-        if !is_time_loop_header(header) || in_regions(&tests, offsets[i]) {
-            continue;
-        }
-        // The stepped component call sits in the header or shortly after it
-        // in every loop shape this workspace has had; six lines of lookahead
-        // covers a rustfmt-wrapped call without reaching into a sibling loop.
-        let window_end = (i + 7).min(lines.len());
-        let Some(step_at) = (i..window_end).find(|&j| lines[j].contains(".step(")) else {
-            continue;
-        };
-        let line = i + 1;
-        let header_pos = offsets[i] + (header.len() - header.trim_start().len());
-        let step_pos = offsets[step_at] + lines[step_at].find(".step(").unwrap_or(0);
-        if lexer::in_spans(&allowed, header_pos) || lexer::in_spans(&allowed, step_pos) {
-            continue;
-        }
-        out.push(Violation {
-            file: rel.to_path_buf(),
-            line,
-            kind: ViolationKind::AdhocSimLoop,
-            detail: format!(
-                "manual stepping loop drives `.step(` (line {}) outside the \
-                 co-simulation scheduler — use `solarml_sim::Scheduler` \
-                 (run_until/run_span/run_steps) or add \
-                 `// physics-lint: allow(adhoc-sim-loop)` with a reason",
-                step_at + 1
-            ),
-        });
-    }
-    out
-}
-
-/// Which rule families apply to one file. Derived from [`ScanConfig`] per
-/// crate by [`scan_workspace`]; the corpus harness builds one directly from
-/// a fixture's `// lint-rules:` header.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RuleSet {
-    /// raw-float-signature
-    pub signatures: bool,
-    /// unwrap / expect / float-eq
-    pub strict: bool,
-    /// rc-refcell
-    pub sendsync: bool,
-    /// adhoc-sim-loop
-    pub sim_loops: bool,
-    /// determinism
-    pub determinism: bool,
-    /// seed-discipline
-    pub seed_discipline: bool,
-    /// ledger-coverage
-    pub ledger_coverage: bool,
-    /// atomic-persist
-    pub atomic_persist: bool,
-    /// stable-store-key
-    pub stable_store_key: bool,
-    /// fault-path (unwrap/expect everywhere, no escapes)
-    pub fault_path: bool,
-}
-
-/// Scans one file under an explicit rule set: the classic families from
-/// this module plus the determinism families from [`crate::rules`], plus
-/// the allow-hygiene check (which runs whenever *any* family does — an
-/// unexplained escape is a finding regardless of which rule it names).
-pub fn scan_file(rel: &Path, src: &str, rules: RuleSet, config: &ScanConfig) -> Vec<Violation> {
-    let mut out = scan_source(
-        rel,
-        src,
-        rules.signatures,
-        rules.strict,
-        rules.sendsync,
-        &config.allow,
-    );
-    if !config.allow.allows(rel, "*") {
-        if rules.sim_loops {
-            out.extend(scan_sim_loops(rel, src, &config.allow));
-        }
-        out.extend(crate::rules::scan_new_families(rel, src, rules, config));
-        out.extend(crate::rules::scan_allow_hygiene(rel, src));
-    }
-    if rules.fault_path {
-        out.extend(scan_fault_path(rel, src));
-    }
-    out.sort_by_key(|v| v.line);
-    out
-}
-
-/// Walks `crates/<name>/src` for every crate in the policy and scans each
-/// `.rs` file. `root` is the workspace root.
-pub fn scan_workspace(root: &Path, config: &ScanConfig) -> std::io::Result<Vec<Violation>> {
-    let mut out = Vec::new();
-    let mut crates: Vec<&String> = config
-        .signature_crates
-        .iter()
-        .chain(config.strict_crates.iter())
-        .chain(config.sendsync_crates.iter())
-        .chain(config.sim_loop_crates.iter())
-        .chain(config.determinism_crates.iter())
-        .chain(config.seed_crates.iter())
-        .chain(config.ledger_crates.iter())
-        .chain(config.persist_crates.iter())
-        .chain(config.store_key_crates.iter())
-        .collect();
-    crates.sort();
-    crates.dedup();
-    for name in crates {
-        let has = |list: &[String]| list.iter().any(|c| c == name);
-        let rules = RuleSet {
-            signatures: has(&config.signature_crates),
-            strict: has(&config.strict_crates),
-            sendsync: has(&config.sendsync_crates),
-            sim_loops: has(&config.sim_loop_crates),
-            determinism: has(&config.determinism_crates),
-            seed_discipline: has(&config.seed_crates),
-            ledger_coverage: has(&config.ledger_crates),
-            atomic_persist: has(&config.persist_crates),
-            stable_store_key: has(&config.store_key_crates),
-            fault_path: false, // fault-path scoping is per file, below
-        };
-        let src_dir = root.join("crates").join(name).join("src");
-        for file in rs_files(&src_dir)? {
-            let rel = file.strip_prefix(root).unwrap_or(&file).to_path_buf();
-            let text = std::fs::read_to_string(&file)?;
-            out.extend(scan_file(&rel, &text, rules, config));
-        }
-    }
-    for rel in &config.fault_path_files {
-        let path = root.join(rel);
-        if !path.exists() {
-            continue;
-        }
-        let text = std::fs::read_to_string(&path)?;
-        out.extend(scan_fault_path(rel, &text));
+    for (path, families) in &plan {
+        let rel = path.strip_prefix(root).unwrap_or(path);
+        let src = std::fs::read_to_string(path)?;
+        out.extend(scan_file(rel, &src, families, allow));
     }
     out.extend(scan_scenario_scripts(root)?);
     out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(out)
 }
 
+fn existing(path: PathBuf) -> io::Result<PathBuf> {
+    if path.exists() {
+        return Ok(path);
+    }
+    let msg = format!("lint scope path `{}` does not exist", path.display());
+    Err(io::Error::new(io::ErrorKind::NotFound, msg))
+}
+
 /// The `scenario-registry` check: audits the shipped `.scn` scripts under
-/// `crates/scenario/scenarios/`. Each script must
-/// open with a `# <name>: <description>` header whose name equals the file
-/// stem (the registry resolves scripts by that name, and `scenario show`
-/// prints the header as documentation), names must be unique across the
-/// directory, and every script must actually be included by `registry.rs`
-/// — a script on disk that the registry does not ship is a silently dead
-/// scenario the CLI can no longer find by name.
-pub fn scan_scenario_scripts(root: &Path) -> std::io::Result<Vec<Violation>> {
+/// `crates/scenario/scenarios/`. Each script must open with a
+/// `# <name>: <description>` header whose name equals the file stem (the
+/// registry resolves scripts by that name, and `scenario show` prints the
+/// header as documentation), names must be unique across the directory,
+/// and `registry.rs` must include every script by its full path — a script
+/// on disk that the registry does not ship is a silently dead scenario the
+/// CLI can no longer find by name.
+pub fn scan_scenario_scripts(root: &Path) -> io::Result<Vec<Violation>> {
     let dir = root.join("crates/scenario/scenarios");
     let mut out = Vec::new();
     if !dir.exists() {
@@ -808,12 +330,20 @@ pub fn scan_scenario_scripts(root: &Path) -> std::io::Result<Vec<Violation>> {
         std::fs::read_to_string(root.join("crates/scenario/src/registry.rs")).unwrap_or_default();
     let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)?
         .map(|e| e.map(|e| e.path()))
-        .collect::<std::io::Result<Vec<_>>>()?;
+        .collect::<io::Result<Vec<_>>>()?;
     files.retain(|p| p.extension().is_some_and(|e| e == "scn"));
     files.sort();
     let mut seen: HashSet<String> = HashSet::new();
     for file in &files {
-        let rel = file.strip_prefix(root).unwrap_or(file).to_path_buf();
+        let rel = file.strip_prefix(root).unwrap_or(file);
+        let mut flag = |detail: String| {
+            out.push(Violation {
+                file: rel.to_path_buf(),
+                line: 1,
+                kind: ViolationKind::ScenarioRegistry,
+                detail,
+            })
+        };
         let stem = file
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
@@ -825,63 +355,42 @@ pub fn scan_scenario_scripts(root: &Path) -> std::io::Result<Vec<Violation>> {
             (!desc.trim().is_empty()).then(|| name.trim().to_string())
         });
         match header_name {
-            None => out.push(Violation {
-                file: rel.clone(),
-                line: 1,
-                kind: ViolationKind::ScenarioRegistry,
-                detail: "shipped script must open with a `# <name>: <description>` \
-                         header — `scenario show` prints it as the scenario's \
-                         documentation"
+            None => flag(
+                "shipped script must open with a `# <name>: <description>` \
+                 header — `scenario show` prints it as the scenario's \
+                 documentation"
                     .to_string(),
-            }),
+            ),
             Some(name) => {
                 if name != stem {
-                    out.push(Violation {
-                        file: rel.clone(),
-                        line: 1,
-                        kind: ViolationKind::ScenarioRegistry,
-                        detail: format!(
-                            "header names `{name}` but the file stem is `{stem}` — \
-                             the registry resolves scripts by stem, so the two must \
-                             agree"
-                        ),
-                    });
+                    flag(format!(
+                        "header names `{name}` but the file stem is `{stem}` — \
+                         the registry resolves scripts by stem, so the two must \
+                         agree"
+                    ));
                 }
                 if !seen.insert(name.clone()) {
-                    out.push(Violation {
-                        file: rel.clone(),
-                        line: 1,
-                        kind: ViolationKind::ScenarioRegistry,
-                        detail: format!(
-                            "scenario name `{name}` is declared by more than one \
-                             shipped script — registry names must be unique"
-                        ),
-                    });
+                    flag(format!(
+                        "scenario name `{name}` is declared by more than one \
+                         shipped script — registry names must be unique"
+                    ));
                 }
             }
         }
-        if !registry_src.contains(&format!("{stem}.scn")) {
-            out.push(Violation {
-                file: rel,
-                line: 1,
-                kind: ViolationKind::ScenarioRegistry,
-                detail: format!(
-                    "`{stem}.scn` is not included by `registry.rs` — a script on \
-                     disk the registry does not ship is a dead scenario the CLI \
-                     cannot find by name"
-                ),
-            });
+        if !registry_src.contains(&format!("\"../scenarios/{stem}.scn\"")) {
+            flag(format!(
+                "`{stem}.scn` is not included by `registry.rs` — a script on \
+                 disk the registry does not ship is a dead scenario the CLI \
+                 cannot find by name"
+            ));
         }
     }
     Ok(out)
 }
 
-fn rs_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+fn rs_files(dir: PathBuf) -> io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
-    if !dir.exists() {
-        return Ok(out);
-    }
-    let mut stack = vec![dir.to_path_buf()];
+    let mut stack = vec![dir];
     while let Some(d) = stack.pop() {
         for entry in std::fs::read_dir(&d)? {
             let path = entry?.path();
@@ -899,6 +408,17 @@ fn rs_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::blank_noncode;
+    use crate::rules::{family, is_float_literal};
+
+    /// Scans `src` as `rel` under the families named by `words`.
+    fn scan(rel: &str, src: &str, words: &[&str], allow: &AllowList) -> Vec<Violation> {
+        let families: Vec<&Family> = words
+            .iter()
+            .map(|w| family(w).expect("known family"))
+            .collect();
+        scan_file(Path::new(rel), src, &families, allow)
+    }
 
     fn kinds(vs: &[Violation]) -> Vec<ViolationKind> {
         vs.iter().map(|v| v.kind).collect()
@@ -926,22 +446,18 @@ mod tests {
     #[test]
     fn detects_raw_float_in_pub_signature() {
         let src = "pub fn power(&self, lux: f64) -> Power { todo!() }";
-        let vs = scan_source(
-            Path::new("crates/x/src/lib.rs"),
+        let vs = scan(
+            "crates/x/src/lib.rs",
             src,
-            true,
-            false,
-            false,
+            &["signatures"],
             &AllowList::default(),
         );
         assert_eq!(kinds(&vs), vec![ViolationKind::RawFloatSignature]);
         // Same file, strict-only policy: no signature finding.
-        let vs = scan_source(
-            Path::new("crates/x/src/lib.rs"),
+        let vs = scan(
+            "crates/x/src/lib.rs",
             src,
-            false,
-            true,
-            false,
+            &["strict"],
             &AllowList::default(),
         );
         assert!(vs.is_empty());
@@ -950,28 +466,14 @@ mod tests {
     #[test]
     fn detects_float_return_type() {
         let src = "pub fn efficiency(&self) -> f64 { 0.0 }";
-        let vs = scan_source(
-            Path::new("a.rs"),
-            src,
-            true,
-            false,
-            false,
-            &AllowList::default(),
-        );
+        let vs = scan("a.rs", src, &["signatures"], &AllowList::default());
         assert_eq!(kinds(&vs), vec![ViolationKind::RawFloatSignature]);
     }
 
     #[test]
     fn closure_param_floats_are_flagged() {
         let src = "pub fn step(&mut self, shading: impl Fn(usize) -> f64) -> SimStep { todo!() }";
-        let vs = scan_source(
-            Path::new("a.rs"),
-            src,
-            true,
-            false,
-            false,
-            &AllowList::default(),
-        );
+        let vs = scan("a.rs", src, &["signatures"], &AllowList::default());
         assert_eq!(kinds(&vs), vec![ViolationKind::RawFloatSignature]);
     }
 
@@ -979,12 +481,10 @@ mod tests {
     fn units_newtype_signature_is_clean() {
         let src = "pub fn power(&self, lux: Lux, shading: Ratio) -> Power { todo!() }\n\
                    pub fn raw(&self) -> Vec<u64> { vec![] }";
-        let vs = scan_source(
-            Path::new("a.rs"),
+        let vs = scan(
+            "a.rs",
             src,
-            true,
-            true,
-            false,
+            &["signatures", "strict"],
             &AllowList::default(),
         );
         assert!(vs.is_empty(), "{vs:?}");
@@ -993,28 +493,14 @@ mod tests {
     #[test]
     fn pub_crate_fns_are_exempt() {
         let src = "pub(crate) fn helper(x: f64) -> f64 { x }";
-        let vs = scan_source(
-            Path::new("a.rs"),
-            src,
-            true,
-            false,
-            false,
-            &AllowList::default(),
-        );
+        let vs = scan("a.rs", src, &["signatures"], &AllowList::default());
         assert!(vs.is_empty());
     }
 
     #[test]
     fn body_floats_do_not_trip_signature_rule() {
         let src = "pub fn tidy(&self) -> Power {\n    let x: f64 = 1.0;\n    Power::new(x)\n}";
-        let vs = scan_source(
-            Path::new("a.rs"),
-            src,
-            true,
-            false,
-            false,
-            &AllowList::default(),
-        );
+        let vs = scan("a.rs", src, &["signatures"], &AllowList::default());
         assert!(vs.is_empty());
     }
 
@@ -1023,26 +509,19 @@ mod tests {
         let src =
             "pub fn mean(xs: &[f64]) -> f64 { 0.0 }\npub fn median(xs: &[f64]) -> f64 { 0.0 }";
         let allow = AllowList::parse("crates/trace/src/stats.rs::mean\n# comment\n");
-        let rel = Path::new("crates/trace/src/stats.rs");
-        let vs = scan_source(rel, src, true, false, false, &allow);
+        let rel = "crates/trace/src/stats.rs";
+        let vs = scan(rel, src, &["signatures"], &allow);
         assert_eq!(vs.len(), 1);
         assert!(vs[0].detail.contains("median"));
         let allow_all = AllowList::parse("crates/trace/src/stats.rs::*");
-        assert!(scan_source(rel, src, true, false, false, &allow_all).is_empty());
+        assert!(scan(rel, src, &["signatures"], &allow_all).is_empty());
     }
 
     #[test]
     fn detects_unwrap_and_expect_outside_tests() {
         let src = "fn go() { let x = maybe().unwrap(); let y = other().expect(\"boom\"); }\n\
                    #[cfg(test)]\nmod tests {\n    fn t() { let _ = maybe().unwrap(); }\n}";
-        let vs = scan_source(
-            Path::new("a.rs"),
-            src,
-            false,
-            true,
-            false,
-            &AllowList::default(),
-        );
+        let vs = scan("a.rs", src, &["strict"], &AllowList::default());
         assert_eq!(
             kinds(&vs),
             vec![ViolationKind::Unwrap, ViolationKind::Expect]
@@ -1052,66 +531,31 @@ mod tests {
     #[test]
     fn inline_marker_suppresses_unwrap() {
         let src = "fn go() { let x = lock().unwrap(); } // physics-lint: allow(unwrap): poisoned lock is fatal";
-        let vs = scan_source(
-            Path::new("a.rs"),
-            src,
-            false,
-            true,
-            false,
-            &AllowList::default(),
-        );
+        let vs = scan("a.rs", src, &["strict"], &AllowList::default());
         assert!(vs.is_empty());
     }
 
     #[test]
     fn detects_float_eq_against_literal() {
         let src = "fn go(x: f64) -> bool { x == 0.0 }";
-        let vs = scan_source(
-            Path::new("a.rs"),
-            src,
-            false,
-            true,
-            false,
-            &AllowList::default(),
-        );
+        let vs = scan("a.rs", src, &["strict"], &AllowList::default());
         assert_eq!(kinds(&vs), vec![ViolationKind::FloatEq]);
         let src_neq = "fn go(x: f64) -> bool { 1.5e-3 != x }";
-        let vs = scan_source(
-            Path::new("a.rs"),
-            src_neq,
-            false,
-            true,
-            false,
-            &AllowList::default(),
-        );
+        let vs = scan("a.rs", src_neq, &["strict"], &AllowList::default());
         assert_eq!(kinds(&vs), vec![ViolationKind::FloatEq]);
     }
 
     #[test]
     fn integer_eq_and_comparisons_are_fine() {
         let src = "fn go(x: usize, y: f64) -> bool { x == 3 && y >= 0.0 && y <= 1.0 }";
-        let vs = scan_source(
-            Path::new("a.rs"),
-            src,
-            false,
-            true,
-            false,
-            &AllowList::default(),
-        );
+        let vs = scan("a.rs", src, &["strict"], &AllowList::default());
         assert!(vs.is_empty(), "{vs:?}");
     }
 
     #[test]
     fn float_eq_in_doc_comment_is_ignored() {
         let src = "/// Returns true when `x == 0.0`.\nfn go(x: u64) -> bool { x == 0 }";
-        let vs = scan_source(
-            Path::new("a.rs"),
-            src,
-            false,
-            true,
-            false,
-            &AllowList::default(),
-        );
+        let vs = scan("a.rs", src, &["strict"], &AllowList::default());
         assert!(vs.is_empty());
     }
 
@@ -1119,14 +563,7 @@ mod tests {
     fn test_region_masking_handles_nested_braces() {
         let src = "#[cfg(test)]\nmod tests {\n    fn deep() { if true { x.unwrap(); } }\n}\n\
                    fn live() { y.unwrap(); }";
-        let vs = scan_source(
-            Path::new("a.rs"),
-            src,
-            false,
-            true,
-            false,
-            &AllowList::default(),
-        );
+        let vs = scan("a.rs", src, &["strict"], &AllowList::default());
         assert_eq!(vs.len(), 1);
         assert_eq!(vs[0].line, 5);
     }
@@ -1135,12 +572,10 @@ mod tests {
     fn detects_rc_and_refcell_outside_tests() {
         let src = "use std::rc::Rc;\nstruct S { cache: Rc<RefCell<Vec<u8>>> }\n\
                    #[cfg(test)]\nmod tests {\n    fn t() { let _: Rc<u8> = todo!(); }\n}";
-        let vs = scan_source(
-            Path::new("crates/nas/src/task.rs"),
+        let vs = scan(
+            "crates/nas/src/task.rs",
             src,
-            false,
-            false,
-            true,
+            &["sendsync"],
             &AllowList::default(),
         );
         assert_eq!(
@@ -1149,12 +584,10 @@ mod tests {
         );
         assert_eq!(vs[0].line, 2);
         // Rule family off: the same source is clean.
-        let vs = scan_source(
-            Path::new("crates/nas/src/task.rs"),
+        let vs = scan(
+            "crates/nas/src/task.rs",
             src,
-            false,
-            true,
-            false,
+            &["strict"],
             &AllowList::default(),
         );
         assert!(vs.is_empty(), "{vs:?}");
@@ -1163,14 +596,7 @@ mod tests {
     #[test]
     fn arc_and_rwlock_do_not_trip_rc_rule() {
         let src = "struct S { cache: Arc<RwLock<Vec<u8>>>, weak: std::sync::Weak<u8> }";
-        let vs = scan_source(
-            Path::new("a.rs"),
-            src,
-            false,
-            false,
-            true,
-            &AllowList::default(),
-        );
+        let vs = scan("a.rs", src, &["sendsync"], &AllowList::default());
         assert!(vs.is_empty(), "{vs:?}");
     }
 
@@ -1178,14 +604,7 @@ mod tests {
     fn inline_marker_suppresses_rc_refcell() {
         let src =
             "type Scratch = RefCell<Vec<u8>>; // physics-lint: allow(rc-refcell): thread-local";
-        let vs = scan_source(
-            Path::new("a.rs"),
-            src,
-            false,
-            false,
-            true,
-            &AllowList::default(),
-        );
+        let vs = scan("a.rs", src, &["sendsync"], &AllowList::default());
         assert!(vs.is_empty(), "{vs:?}");
     }
 
@@ -1194,7 +613,12 @@ mod tests {
         let src = "\
 fn live() { let x = maybe().unwrap(); } // physics-lint: allow(unwrap): nope\n\
 #[cfg(test)]\nmod tests {\n    fn t() { other().expect(\"boom\"); }\n}\n";
-        let vs = scan_fault_path(Path::new("crates/circuit/src/fault.rs"), src);
+        let vs = scan(
+            "crates/circuit/src/fault.rs",
+            src,
+            &["fault-path"],
+            &AllowList::default(),
+        );
         assert_eq!(
             kinds(&vs),
             vec![
@@ -1210,7 +634,12 @@ fn live() { let x = maybe().unwrap(); } // physics-lint: allow(unwrap): nope\n\
     #[test]
     fn fault_path_rule_ignores_comments_and_strings() {
         let src = "/// Never call `.unwrap()` here.\nfn go() { log(\".expect(\"); }\n";
-        let vs = scan_fault_path(Path::new("crates/circuit/src/fault.rs"), src);
+        let vs = scan(
+            "crates/circuit/src/fault.rs",
+            src,
+            &["fault-path"],
+            &AllowList::default(),
+        );
         assert!(vs.is_empty(), "{vs:?}");
     }
 
@@ -1224,9 +653,10 @@ fn run(sim: &mut Sim) {\n\
         time += 0.001;\n\
     }\n\
 }\n";
-        let vs = scan_sim_loops(
-            Path::new("crates/circuit/src/sim.rs"),
+        let vs = scan(
+            "crates/circuit/src/sim.rs",
             src,
+            &["sim-loops"],
             &AllowList::default(),
         );
         assert_eq!(kinds(&vs), vec![ViolationKind::AdhocSimLoop]);
@@ -1236,7 +666,7 @@ fn run(sim: &mut Sim) {\n\
     #[test]
     fn detects_counter_loop_around_step() {
         let src = "fn run(sim: &mut Sim, n: usize) {\n    for _ in 0..n {\n        sim.step();\n    }\n}\n";
-        let vs = scan_sim_loops(Path::new("a.rs"), src, &AllowList::default());
+        let vs = scan("a.rs", src, &["sim-loops"], &AllowList::default());
         assert_eq!(kinds(&vs), vec![ViolationKind::AdhocSimLoop]);
     }
 
@@ -1248,7 +678,7 @@ fn run(sim: &mut Sim) {\n\
 fn a(mut elapsed: f64) { while elapsed < 9.0 { elapsed += 1.0; } }\n\
 fn b(q: &mut Vec<Sim>) { while let Some(mut s) = q.pop() { s.step(); } }\n\
 fn c(xs: &[u8]) { for x in xs { step_count(*x); } }\n";
-        let vs = scan_sim_loops(Path::new("a.rs"), src, &AllowList::default());
+        let vs = scan("a.rs", src, &["sim-loops"], &AllowList::default());
         assert!(vs.is_empty(), "{vs:?}");
     }
 
@@ -1260,7 +690,7 @@ fn c(xs: &[u8]) { for x in xs { step_count(*x); } }\n";
 mod tests {\n\
     fn reference() { let mut t = 0.0; while t < 1.0 { sim.step(); t += 0.1; } }\n\
 }\n";
-        let vs = scan_sim_loops(Path::new("a.rs"), src, &AllowList::default());
+        let vs = scan("a.rs", src, &["sim-loops"], &AllowList::default());
         assert!(vs.is_empty(), "{vs:?}");
     }
 
@@ -1275,15 +705,16 @@ fn run(sim: &mut Sim) {\n\
         time += 0.001;\n\
     }\n\
 }\n";
-        let vs = scan_sim_loops(Path::new("a.rs"), src, &AllowList::default());
+        let vs = scan("a.rs", src, &["sim-loops"], &AllowList::default());
         assert!(vs.is_empty(), "{vs:?}");
         let flagged = "fn r(sim: &mut Sim) {\n    let mut t = 0.0;\n    while t < 1.0 {\n        sim.step();\n        t += 0.1;\n    }\n}\n";
         let allow = AllowList::parse("crates/x/src/lib.rs::*");
-        let vs = scan_sim_loops(Path::new("crates/x/src/lib.rs"), flagged, &allow);
+        let vs = scan("crates/x/src/lib.rs", flagged, &["sim-loops"], &allow);
         assert!(vs.is_empty(), "{vs:?}");
-        let vs = scan_sim_loops(
-            Path::new("crates/x/src/lib.rs"),
+        let vs = scan(
+            "crates/x/src/lib.rs",
             flagged,
+            &["sim-loops"],
             &AllowList::default(),
         );
         assert_eq!(kinds(&vs), vec![ViolationKind::AdhocSimLoop]);

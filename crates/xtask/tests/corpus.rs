@@ -5,7 +5,8 @@
 
 use std::path::{Path, PathBuf};
 
-use xtask::corpus::check_fixture;
+use xtask::corpus::{check_fixture, parse_expectations, rules_from_header};
+use xtask::rules::FAMILIES;
 
 fn fixture_paths() -> Vec<PathBuf> {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
@@ -38,6 +39,26 @@ fn corpus_fixtures_match_expectations() {
         }
     }
     assert!(failures.is_empty(), "\n{failures}");
+}
+
+#[test]
+fn every_family_has_a_fixture() {
+    // A family is exercised when some fixture runs it and expects one of
+    // its rules to fire.
+    let fixtures: Vec<String> = fixture_paths()
+        .iter()
+        .map(|p| std::fs::read_to_string(p).expect("fixture readable"))
+        .collect();
+    for family in FAMILIES {
+        let exercised = fixtures.iter().any(|src| {
+            let runs =
+                rules_from_header(src).is_ok_and(|fs| fs.iter().any(|f| std::ptr::eq(*f, family)));
+            runs && parse_expectations(src)
+                .iter()
+                .any(|e| family.kinds.iter().any(|k| k.name() == e.rule))
+        });
+        assert!(exercised, "no corpus fixture exercises `{}`", family.word);
+    }
 }
 
 #[test]
