@@ -4,7 +4,7 @@
 //! A [`PopulationSpec`] declares *distributions* over everything that
 //! varies across a deployed fleet — environment mix, supercap sizing and
 //! aging, panel area, interaction load, runtime policy — and
-//! [`PopulationSpec::node_config`] collapses one node out of it from a
+//! [`PopulationSpec::node_blueprint`] collapses one node out of it from a
 //! per-node seed. Draws happen in one fixed program order from a private
 //! SplitMix64 stream, and every [`Dist`] variant (including
 //! [`Dist::Constant`]) consumes exactly one draw, so editing a spec field
@@ -15,12 +15,10 @@ use solarml_circuit::{CloudTransient, FaultPlan, OutageWindow, SupercapDegradati
 use solarml_platform::{
     CheckpointPolicy, DaySimConfig, DegradationLadder, IntermittentConfig, PhasePlan,
 };
-use solarml_scenario::Scenario;
+use solarml_scenario::{home, office, sky_markov, Scenario};
 use solarml_sim::DtPolicy;
 use solarml_trace::seed::{pick_weighted, splitmix64, uniform};
-use solarml_units::{Energy, Farads, Lux, Power, Ratio, Seconds, Volts};
-
-use crate::env::Environment;
+use solarml_units::{Energy, Farads, Power, Ratio, Seconds, Volts};
 
 /// Domain-separation tag for per-node blueprint draws: XORed into the
 /// node seed so blueprint sampling never replays another consumer of the
@@ -238,12 +236,6 @@ impl PopulationSpec {
         Ok(())
     }
 
-    /// Collapses one node's configuration from its per-node seed. See
-    /// [`Self::node_blueprint`] for the determinism contract.
-    pub fn node_config(&self, node_seed: u64) -> IntermittentConfig {
-        self.node_blueprint(node_seed).config
-    }
-
     /// Collapses one node out of the spec from its per-node seed,
     /// including which environment and policy buckets it landed in.
     ///
@@ -252,25 +244,16 @@ impl PopulationSpec {
     /// unconditionally in a fixed order before any branch, so every node
     /// consumes the same prefix of its stream regardless of which
     /// environment or policy it lands in.
-    pub fn node_blueprint(&self, node_seed: u64) -> NodeBlueprint {
-        self.node_blueprint_with(node_seed, self.scenario.as_ref())
-    }
-
-    /// [`Self::node_blueprint`] with an optional scenario override.
     ///
-    /// The full legacy draw program runs **unconditionally and
-    /// identically** whether or not a scenario is supplied — the scenario
-    /// replaces *values* (profile, faults, workload, capacitance) after
-    /// the draws, never the draws themselves. That keeps every other
-    /// per-node quantity (panel scale, voltage, policy, ladder) on the
-    /// same stream positions, so switching a campaign between scripted
-    /// and sampled conditions perturbs exactly the fields the script
-    /// declares.
-    pub fn node_blueprint_with(
-        &self,
-        node_seed: u64,
-        scenario: Option<&Scenario>,
-    ) -> NodeBlueprint {
+    /// The draw program runs identically whether or not
+    /// [`Self::scenario`] is set — the scenario replaces *values*
+    /// (profile, faults, workload, capacitance) after the draws, never the
+    /// draws themselves. That keeps every other per-node quantity (panel
+    /// scale, voltage, policy, ladder) on the same stream positions, so
+    /// switching a campaign between scripted and sampled conditions
+    /// perturbs exactly the fields the script declares.
+    pub fn node_blueprint(&self, node_seed: u64) -> NodeBlueprint {
+        let scenario = self.scenario.as_ref();
         let mut state = node_seed ^ POPULATION_STREAM_TAG;
 
         // Fixed draw program: every node consumes these in this order.
@@ -302,21 +285,13 @@ impl PopulationSpec {
         let day = scenario.map(|s| s.eval(profile_seed));
         let mut profile = match &day {
             Some(day) => day.profile.clone(),
-            None => {
-                let environment = match env_pick {
-                    0 => Environment::OutdoorWindow {
-                        latitude_deg: latitude,
-                        day_of_year: self.day_of_year,
-                    },
-                    1 => Environment::Office {
-                        peak: Lux::new(office_peak),
-                    },
-                    _ => Environment::Home {
-                        peak: Lux::new(home_peak),
-                    },
-                };
-                environment.day_profile(profile_seed)
-            }
+            None => match env_pick {
+                // A latitude drawn past a pole gets the pole's light: the
+                // solar formula is meaningless beyond ±90°.
+                0 => sky_markov(latitude.clamp(-90.0, 90.0), self.day_of_year, profile_seed),
+                1 => office(office_peak, profile_seed),
+                _ => home(home_peak, profile_seed),
+            },
         };
         for lux in &mut profile.lux_by_hour {
             *lux *= panel_scale;
@@ -464,15 +439,21 @@ mod tests {
     #[test]
     fn node_configs_are_deterministic_per_seed() {
         let spec = PopulationSpec::representative();
-        assert_eq!(spec.node_config(17), spec.node_config(17));
-        assert_ne!(spec.node_config(17), spec.node_config(18));
+        assert_eq!(
+            spec.node_blueprint(17).config,
+            spec.node_blueprint(17).config
+        );
+        assert_ne!(
+            spec.node_blueprint(17).config,
+            spec.node_blueprint(18).config
+        );
     }
 
     #[test]
     fn sampled_nodes_satisfy_physical_invariants() {
         let spec = PopulationSpec::representative();
         for seed in 0..100 {
-            let cfg = spec.node_config(seed);
+            let cfg = spec.node_blueprint(seed).config;
             let cf = cfg.faults.degradation.capacity_factor.get();
             assert!(cf > 0.0 && cf <= 1.0, "seed {seed}: capacity {cf}");
             assert!(
@@ -526,7 +507,7 @@ mod tests {
             ..PopulationSpec::representative()
         };
         for seed in 0..30 {
-            assert!(spec.node_config(seed).faults.clouds.is_empty());
+            assert!(spec.node_blueprint(seed).config.faults.clouds.is_empty());
         }
     }
 }

@@ -3,13 +3,13 @@
 //!
 //! Determinism contract, the crate's load-bearing invariant:
 //!
-//! * The **legacy environment primitives** (`office`, `home`,
-//!   `sky_markov`) walk the single SplitMix64 stream seeded
-//!   `seed ^ ENV_STREAM_TAG`, in exactly the draw order the
-//!   `fleet::env::Environment` enums always used — that is what keeps the
-//!   enum wrappers byte-identical through the script path. A scenario has
-//!   exactly one light source (checked at load), so this stream has
-//!   exactly one walker.
+//! * The **environment generators** ([`sky_markov`], [`office`],
+//!   [`home`]) each walk the SplitMix64 stream seeded
+//!   `seed ^ ENV_STREAM_TAG`. The light primitives of the same names and
+//!   the fleet's sampled population both call them, so a script and a
+//!   sampled node with the same parameters and seed see the same light.
+//!   A scenario has exactly one light source (checked at load), so this
+//!   stream has exactly one walker.
 //! * Every **new randomized combinator** instance gets its own private
 //!   stream, `derive_seed(seed, SCENARIO_STREAM_TAG, instance)`, with
 //!   instances numbered in source order. Streams never interleave, so
@@ -37,11 +37,10 @@ use crate::sig::{bind, spec, Kind};
 /// Registered with the seed-discipline lint.
 pub const SCENARIO_STREAM_TAG: usize = 0x5CE2_AA10;
 
-/// Domain-separation tag for the legacy environment stream: XORed into
-/// the caller's seed so weather draws never replay another consumer of
-/// the same seed. Moved here from `fleet::env` (which re-exports it) when
-/// the environment generators became scenario primitives. Registered with
-/// the seed-discipline lint.
+/// Domain-separation tag for the environment stream: XORed into the
+/// caller's seed so weather and placement-jitter draws never replay
+/// another consumer of the same seed. Registered with the seed-discipline
+/// lint.
 pub const ENV_STREAM_TAG: u64 = 0xF1EE_7DAE_11F0_0D5E;
 
 /// Peak direct solar illuminance at normal incidence (lux). The standard
@@ -131,7 +130,6 @@ pub fn eval(root: &Call, seed: u64) -> ScenarioDay {
     let members = members_of(root);
     let mut ctx = EvalCtx {
         seed,
-        env_state: seed ^ ENV_STREAM_TAG,
         next_instance: 0,
     };
     let mut day = ScenarioDay {
@@ -155,7 +153,7 @@ pub fn eval(root: &Call, seed: u64) -> ScenarioDay {
     for member in &members {
         let kind = spec(&member.name).map(|s| s.kind);
         match kind {
-            Some(Kind::Light) => day.profile = eval_light(member, &mut ctx),
+            Some(Kind::Light) => day.profile = eval_light(member, seed),
             Some(Kind::Modifier) => {
                 let stream = if member.name == "markov_clouds" {
                     ctx.claim_stream()
@@ -216,8 +214,6 @@ fn members_of(root: &Call) -> Vec<&Call> {
 
 struct EvalCtx {
     seed: u64,
-    /// The legacy environment stream — one walker per scenario.
-    env_state: u64,
     /// Next scenario-combinator instance index.
     next_instance: usize,
 }
@@ -288,50 +284,28 @@ fn span_value(value: &Value) -> Option<(TimeOfDay, TimeOfDay)> {
 
 // --- light sources ---------------------------------------------------
 
-fn eval_light(call: &Call, ctx: &mut EvalCtx) -> DayProfile {
+fn eval_light(call: &Call, seed: u64) -> DayProfile {
     let b = bound(call);
-    let mut lux = [0.0_f64; 24];
+    let lat = || quantity(&b, "lat", UnitSuffix::Deg, 47.6);
+    let doy = || num(&b, "doy", 172.0).max(0.0) as u32;
     match call.name.as_str() {
         "clear_sky" => {
-            let lat = quantity(&b, "lat", UnitSuffix::Deg, 47.6);
-            let doy = num(&b, "doy", 172.0).max(0.0) as u32;
+            let (lat, doy) = (lat(), doy());
+            let mut lux = [0.0_f64; 24];
             for (h, v) in lux.iter_mut().enumerate() {
                 *v = clear_sky_desk_lux(lat, doy, h as f64 + 0.5);
             }
+            DayProfile { lux_by_hour: lux }
         }
-        "sky_markov" => {
-            let lat = quantity(&b, "lat", UnitSuffix::Deg, 47.6);
-            let doy = num(&b, "doy", 172.0).max(0.0) as u32;
-            let mut sky = pick_weighted(&mut ctx.env_state, &SKY_INITIAL);
-            for (h, v) in lux.iter_mut().enumerate() {
-                // Advance the weather chain every hour, including dark
-                // ones, so the same seed carries the same weather
-                // regardless of latitude-dependent day length.
-                sky = pick_weighted(&mut ctx.env_state, &SKY_TRANSITIONS[sky]);
-                let clear = clear_sky_desk_lux(lat, doy, h as f64 + 0.5);
-                *v = (clear * SKY_FACTORS[sky]).max(0.05);
-            }
-        }
-        "office" => {
-            let peak = quantity(&b, "peak", UnitSuffix::Lux, 800.0);
-            let base = DayProfile::office();
-            let scale = peak / 800.0;
-            for (h, v) in lux.iter_mut().enumerate() {
-                let jitter = uniform(&mut ctx.env_state, 0.85, 1.15);
-                let nominal = base.lux_by_hour[h];
-                *v = if nominal > 1.0 {
-                    nominal * scale * jitter
-                } else {
-                    nominal
-                };
-            }
-        }
+        "sky_markov" => sky_markov(lat(), doy(), seed),
+        "office" => office(quantity(&b, "peak", UnitSuffix::Lux, 800.0), seed),
         "office_table" => {
             // The deterministic office schedule `stressed_office_day`
             // scales: lit hours move with `peak`, dark hours stay put.
             let peak = quantity(&b, "peak", UnitSuffix::Lux, 800.0);
             let base = DayProfile::office();
             let scale = peak / 800.0;
+            let mut lux = [0.0_f64; 24];
             for (h, v) in lux.iter_mut().enumerate() {
                 let nominal = base.lux_by_hour[h];
                 *v = if nominal > 1.0 {
@@ -340,31 +314,77 @@ fn eval_light(call: &Call, ctx: &mut EvalCtx) -> DayProfile {
                     nominal
                 };
             }
+            DayProfile { lux_by_hour: lux }
         }
-        "home" => {
-            let p = quantity(&b, "peak", UnitSuffix::Lux, 300.0);
-            for (h, v) in lux.iter_mut().enumerate() {
-                let jitter = uniform(&mut ctx.env_state, 0.85, 1.15);
-                let nominal = match h {
-                    7..=8 => 0.6 * p,
-                    9..=16 => 0.15 * p,
-                    17 => 0.5 * p,
-                    18..=21 => p,
-                    22 => 0.4 * p,
-                    _ => 1.0,
-                };
-                *v = if nominal > 1.0 {
-                    nominal * jitter
-                } else {
-                    nominal
-                };
-            }
-        }
-        "constant" => {
-            let level = quantity(&b, "level", UnitSuffix::Lux, 0.0);
-            lux = [level; 24];
-        }
-        _ => {}
+        "home" => home(quantity(&b, "peak", UnitSuffix::Lux, 300.0), seed),
+        "constant" => DayProfile {
+            lux_by_hour: [quantity(&b, "level", UnitSuffix::Lux, 0.0); 24],
+        },
+        _ => DayProfile {
+            lux_by_hour: [0.0; 24],
+        },
+    }
+}
+
+/// A desk by a window: clear-sky geometry at `latitude_deg` on
+/// `day_of_year` × an hourly three-state Markov sky, floored at 0.05 lux.
+/// The weather chain walks `seed ^ ENV_STREAM_TAG`.
+pub fn sky_markov(latitude_deg: f64, day_of_year: u32, seed: u64) -> DayProfile {
+    let mut state = seed ^ ENV_STREAM_TAG;
+    let mut lux = [0.0_f64; 24];
+    let mut sky = pick_weighted(&mut state, &SKY_INITIAL);
+    for (h, v) in lux.iter_mut().enumerate() {
+        // Advance the weather chain every hour, including dark ones, so
+        // the same seed carries the same weather regardless of
+        // latitude-dependent day length.
+        sky = pick_weighted(&mut state, &SKY_TRANSITIONS[sky]);
+        let clear = clear_sky_desk_lux(latitude_deg, day_of_year, h as f64 + 0.5);
+        *v = (clear * SKY_FACTORS[sky]).max(0.05);
+    }
+    DayProfile { lux_by_hour: lux }
+}
+
+/// Office lighting: the paper's lit-hours schedule scaled to a midday
+/// `peak_lux`, each lit hour jittered ±15% for desk placement. Dark hours
+/// keep their nominal level. The jitter walks `seed ^ ENV_STREAM_TAG`.
+pub fn office(peak_lux: f64, seed: u64) -> DayProfile {
+    let mut state = seed ^ ENV_STREAM_TAG;
+    let base = DayProfile::office();
+    let scale = peak_lux / 800.0;
+    let mut lux = [0.0_f64; 24];
+    for (h, v) in lux.iter_mut().enumerate() {
+        let jitter = uniform(&mut state, 0.85, 1.15);
+        let nominal = base.lux_by_hour[h];
+        *v = if nominal > 1.0 {
+            nominal * scale * jitter
+        } else {
+            nominal
+        };
+    }
+    DayProfile { lux_by_hour: lux }
+}
+
+/// Home occupancy: a morning bump, a dim daytime and an evening peak of
+/// `peak_lux`, each lit hour jittered ±15%. The jitter walks
+/// `seed ^ ENV_STREAM_TAG`.
+pub fn home(peak_lux: f64, seed: u64) -> DayProfile {
+    let mut state = seed ^ ENV_STREAM_TAG;
+    let mut lux = [0.0_f64; 24];
+    for (h, v) in lux.iter_mut().enumerate() {
+        let jitter = uniform(&mut state, 0.85, 1.15);
+        let nominal = match h {
+            7..=8 => 0.6 * peak_lux,
+            9..=16 => 0.15 * peak_lux,
+            17 => 0.5 * peak_lux,
+            18..=21 => peak_lux,
+            22 => 0.4 * peak_lux,
+            _ => 1.0,
+        };
+        *v = if nominal > 1.0 {
+            nominal * jitter
+        } else {
+            nominal
+        };
     }
     DayProfile { lux_by_hour: lux }
 }

@@ -21,10 +21,11 @@
 //!    [`solarml_circuit::FaultPlan`] / interaction-schedule types. All
 //!    randomness is routed through `derive_seed` under the registered
 //!    [`SCENARIO_STREAM_TAG`], so a script plus a seed is bit-reproducible
-//!    across runs, platforms, and worker counts. The legacy environment
-//!    primitives (`office`, `home`, `sky_markov`) walk the same
-//!    [`ENV_STREAM_TAG`] stream the `fleet::env` enums always walked, so
-//!    the enum wrappers stay byte-identical through the script path.
+//!    across runs, platforms, and worker counts. The environment light
+//!    primitives (`office`, `home`, `sky_markov`) are the plain generator
+//!    functions [`office`], [`home`] and [`sky_markov`], each walking its
+//!    own [`ENV_STREAM_TAG`] stream; the fleet's sampled population calls
+//!    the same functions directly.
 //! 3. **Registry** ([`registry`]) — named scenarios shipped as `.scn`
 //!    scripts embedded in the crate, each carrying a `# name: description`
 //!    header and a golden `FleetReport` fixture pinned in CI.
@@ -45,7 +46,9 @@ pub mod registry;
 mod sig;
 
 pub use ast::{render, Arg, Call, TimeOfDay, UnitSuffix, Value};
-pub use eval::{clear_sky_desk_lux, ScenarioDay, ENV_STREAM_TAG, SCENARIO_STREAM_TAG};
+pub use eval::{
+    clear_sky_desk_lux, home, office, sky_markov, ScenarioDay, ENV_STREAM_TAG, SCENARIO_STREAM_TAG,
+};
 pub use registry::RegistryEntry;
 
 /// A parse- or type-stage error, pinned to a 1-based source position.
