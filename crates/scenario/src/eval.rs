@@ -583,6 +583,66 @@ mod tests {
         let src = "overlay(sky_markov(lat: 48 deg), markov_clouds(p: 0.4), random_outages(n: 2))";
         assert_eq!(eval_src(src, 7), eval_src(src, 7));
         assert_ne!(eval_src(src, 7).profile, eval_src(src, 8).profile);
+        let generators: [fn(u64) -> DayProfile; 3] = [
+            |seed| sky_markov(48.0, 172, seed),
+            |seed| office(400.0, seed),
+            |seed| home(300.0, seed),
+        ];
+        for generate in generators {
+            assert_eq!(generate(5), generate(5));
+            assert_ne!(generate(5).lux_by_hour, generate(6).lux_by_hour);
+        }
+    }
+
+    #[test]
+    fn light_primitives_are_the_generators() {
+        assert_eq!(
+            eval_src("sky_markov(lat: -33.9 deg, doy: 10)", 4).profile,
+            sky_markov(-33.9, 10, 4)
+        );
+        assert_eq!(
+            eval_src("office(peak: 400 lux)", 4).profile,
+            office(400.0, 4)
+        );
+        assert_eq!(eval_src("home(peak: 300 lux)", 4).profile, home(300.0, 4));
+    }
+
+    #[test]
+    fn outdoor_midday_beats_night_and_stays_nonnegative() {
+        for seed in 0..20 {
+            let p = sky_markov(48.0, 172, seed);
+            let midday = p.lux_by_hour[12];
+            let midnight = p.lux_by_hour[0];
+            assert!(midday > midnight, "seed {seed}: {midday} <= {midnight}");
+            assert!(p.lux_by_hour.iter().all(|&v| v >= 0.0));
+        }
+    }
+
+    #[test]
+    fn solar_geometry_scales_with_latitude_and_season() {
+        let summer = clear_sky_desk_lux(48.0, 172, 12.5);
+        let winter = clear_sky_desk_lux(48.0, 355, 12.5);
+        assert!(summer > winter, "summer {summer} vs winter {winter}");
+        // Midsummer noon at mid-latitude lands in the few-hundred-lux
+        // indoor regime the platform is calibrated against.
+        assert!((200.0..1200.0).contains(&summer), "{summer}");
+        // Polar winter: no sun at all.
+        assert_eq!(clear_sky_desk_lux(80.0, 355, 12.5), 0.0);
+    }
+
+    #[test]
+    fn office_profile_scales_to_peak_and_keeps_dark_hours() {
+        let p = office(400.0, 3);
+        let peak = p.lux_by_hour.iter().cloned().fold(0.0, f64::max);
+        assert!((300.0..520.0).contains(&peak), "{peak}");
+        assert!(p.lux_by_hour[2] <= 1.0, "night stays dark");
+    }
+
+    #[test]
+    fn home_profile_peaks_in_the_evening() {
+        let p = home(300.0, 11);
+        assert!(p.lux_by_hour[19] > p.lux_by_hour[12]);
+        assert!(p.lux_by_hour[19] > p.lux_by_hour[3]);
     }
 
     #[test]
