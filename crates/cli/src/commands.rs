@@ -637,6 +637,21 @@ mod tests {
     }
 
     #[test]
+    fn fleet_refuses_out_of_domain_population_parameters() {
+        let out = tmp("negative-peak.json");
+        let opts = Options {
+            nodes: Some(64),
+            param: Some("office-peak-lo".into()),
+            value: Some(-100.0),
+            out: Some(out.display().to_string()),
+            ..Options::default()
+        };
+        let err = fleet(&opts).expect_err("negative office peak");
+        assert!(err.contains("office-peak-lo"), "{err}");
+        assert!(!out.exists(), "a refused campaign writes no report");
+    }
+
+    #[test]
     fn fleet_sweep_requires_its_flags() {
         let err = fleet_sweep(&Options::default()).expect_err("no store");
         assert!(err.contains("--store-dir"), "{err}");

@@ -176,6 +176,9 @@ impl PopulationSpec {
     /// other bound and the variant untouched (a `Constant` becomes a
     /// `Uniform` over the implied range). Unknown names return `Err` with
     /// the full parameter list, so the CLI error is self-documenting.
+    /// Values outside a parameter's domain also return `Err` naming the
+    /// parameter: any non-finite value, a negative illuminance peak, and a
+    /// non-positive bound of the log-uniform panel scale or capacitance.
     pub fn set_param(&mut self, name: &str, value: f64) -> Result<(), String> {
         fn set_lo(d: &mut Dist, value: f64) {
             *d = match *d {
@@ -191,6 +194,18 @@ impl PopulationSpec {
                 Dist::LogUniform { lo, .. } => Dist::LogUniform { lo, hi: value },
             };
         }
+        let within = |ok: bool, need: &str| {
+            if ok {
+                Ok(value)
+            } else {
+                Err(format!(
+                    "population parameter `{name}` must be {need}, got {value}"
+                ))
+            }
+        };
+        within(value.is_finite(), "finite")?;
+        let non_negative = within(value >= 0.0, "non-negative");
+        let positive = within(value > 0.0, "positive");
         match name {
             "outdoor-share" => self.outdoor_share = value,
             "office-share" => self.office_share = value,
@@ -202,14 +217,14 @@ impl PopulationSpec {
             "day-of-year" => self.day_of_year = value.max(0.0) as u32,
             "latitude-lo" => set_lo(&mut self.latitude_deg, value),
             "latitude-hi" => set_hi(&mut self.latitude_deg, value),
-            "office-peak-lo" => set_lo(&mut self.office_peak_lux, value),
-            "office-peak-hi" => set_hi(&mut self.office_peak_lux, value),
-            "home-peak-lo" => set_lo(&mut self.home_peak_lux, value),
-            "home-peak-hi" => set_hi(&mut self.home_peak_lux, value),
-            "panel-scale-lo" => set_lo(&mut self.panel_scale, value),
-            "panel-scale-hi" => set_hi(&mut self.panel_scale, value),
-            "capacitance-lo" => set_lo(&mut self.capacitance_f, value),
-            "capacitance-hi" => set_hi(&mut self.capacitance_f, value),
+            "office-peak-lo" => set_lo(&mut self.office_peak_lux, non_negative?),
+            "office-peak-hi" => set_hi(&mut self.office_peak_lux, non_negative?),
+            "home-peak-lo" => set_lo(&mut self.home_peak_lux, non_negative?),
+            "home-peak-hi" => set_hi(&mut self.home_peak_lux, non_negative?),
+            "panel-scale-lo" => set_lo(&mut self.panel_scale, positive?),
+            "panel-scale-hi" => set_hi(&mut self.panel_scale, positive?),
+            "capacitance-lo" => set_lo(&mut self.capacitance_f, positive?),
+            "capacitance-hi" => set_hi(&mut self.capacitance_f, positive?),
             "initial-voltage-lo" => set_lo(&mut self.initial_voltage_v, value),
             "initial-voltage-hi" => set_hi(&mut self.initial_voltage_v, value),
             "capacity-factor-lo" => set_lo(&mut self.capacity_factor, value),
@@ -496,6 +511,30 @@ mod tests {
             .set_param("flux-capacitor", 1.21)
             .expect_err("unknown");
         assert!(err.contains("flux-capacitor") && err.contains("office-peak"));
+    }
+
+    #[test]
+    fn set_param_refuses_out_of_domain_values() {
+        let base = PopulationSpec::representative();
+        let refused = [
+            ("latitude-lo", f64::NAN),
+            ("ladder-share", f64::INFINITY),
+            ("office-peak-lo", -100.0),
+            ("home-peak-hi", -1.0),
+            ("panel-scale-lo", 0.0),
+            ("capacitance-lo", 0.0),
+            ("capacitance-hi", -0.1),
+        ];
+        for (name, value) in refused {
+            let mut edited = base.clone();
+            let err = edited.set_param(name, value).expect_err("out of domain");
+            assert!(err.contains(name), "{err}");
+            assert_eq!(edited, base, "a refused edit leaves the spec untouched");
+        }
+        let mut dark = base.clone();
+        dark.set_param("office-peak-lo", 0.0)
+            .expect("zero lux is a peak");
+        assert_eq!(dark.office_peak_lux, Dist::Uniform { lo: 0.0, hi: 800.0 });
     }
 
     #[test]
