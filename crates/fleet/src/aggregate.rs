@@ -402,7 +402,8 @@ impl FleetAggregate {
             node.completed as f64 / node.attempted as f64
         };
         let residual_nj = node.residual_j.abs() * 1e9;
-        if residual_nj > RESIDUAL_TOLERANCE_NJ {
+        // A NaN residual is a ledger that never closed.
+        if residual_nj.is_nan() || residual_nj > RESIDUAL_TOLERANCE_NJ {
             self.residual_violations += 1;
         }
         self.completion_rate.record(rate);
@@ -720,6 +721,18 @@ mod tests {
         let mut ba = b.clone();
         ba.merge(&a);
         assert_eq!(ab, ba);
+    }
+
+    #[test]
+    fn residuals_past_tolerance_or_nan_are_violations() {
+        let mut agg = FleetAggregate::new();
+        for residual_j in [0.5e-9, 2e-9, f64::NAN] {
+            agg.record(&NodeSummary {
+                residual_j,
+                ..sample_node(1)
+            });
+        }
+        assert_eq!(agg.residual_violations, 2);
     }
 
     #[test]
