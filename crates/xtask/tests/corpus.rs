@@ -3,25 +3,28 @@
 //! directions — a finding with no expectation and an expectation with no
 //! finding must each break the build.
 
+use std::io;
 use std::path::{Path, PathBuf};
 
 use xtask::corpus::{check_fixture, parse_expectations, rules_from_header};
 use xtask::rules::FAMILIES;
 
-fn fixture_paths() -> Vec<PathBuf> {
+fn fixture_paths() -> io::Result<Vec<PathBuf>> {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .expect("tests/corpus exists")
-        .map(|e| e.expect("readable dir entry").path())
-        .filter(|p| p.extension().is_some_and(|e| e == "rs"))
-        .collect();
+    let mut paths = Vec::new();
+    for entry in std::fs::read_dir(&dir)? {
+        let path = entry?.path();
+        if path.extension().is_some_and(|e| e == "rs") {
+            paths.push(path);
+        }
+    }
     paths.sort();
-    paths
+    Ok(paths)
 }
 
 #[test]
-fn corpus_fixtures_match_expectations() {
-    let paths = fixture_paths();
+fn corpus_fixtures_match_expectations() -> io::Result<()> {
+    let paths = fixture_paths()?;
     assert!(
         paths.len() >= 6,
         "corpus shrank to {} fixtures — every rule family needs coverage",
@@ -29,7 +32,7 @@ fn corpus_fixtures_match_expectations() {
     );
     let mut failures = String::new();
     for path in &paths {
-        let src = std::fs::read_to_string(path).expect("fixture readable");
+        let src = std::fs::read_to_string(path)?;
         let name = path.file_name().expect("fixture has a name");
         // Fixtures are scanned as if they were library sources of a policy
         // crate; the path only labels diagnostics.
@@ -39,16 +42,17 @@ fn corpus_fixtures_match_expectations() {
         }
     }
     assert!(failures.is_empty(), "\n{failures}");
+    Ok(())
 }
 
 #[test]
-fn every_family_has_a_fixture() {
+fn every_family_has_a_fixture() -> io::Result<()> {
     // A family is exercised when some fixture runs it and expects one of
     // its rules to fire.
-    let fixtures: Vec<String> = fixture_paths()
+    let fixtures = fixture_paths()?
         .iter()
-        .map(|p| std::fs::read_to_string(p).expect("fixture readable"))
-        .collect();
+        .map(std::fs::read_to_string)
+        .collect::<io::Result<Vec<String>>>()?;
     for family in FAMILIES {
         let exercised = fixtures.iter().any(|src| {
             let runs =
@@ -59,6 +63,7 @@ fn every_family_has_a_fixture() {
         });
         assert!(exercised, "no corpus fixture exercises `{}`", family.word);
     }
+    Ok(())
 }
 
 #[test]

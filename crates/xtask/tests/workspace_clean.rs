@@ -14,31 +14,33 @@ use xtask::rules::{Family, Scope, FAMILIES};
 use xtask::scan::{scan_file, scan_scenario_scripts, scan_workspace, AllowList};
 use xtask::{Violation, ViolationKind};
 
-fn workspace_root() -> &'static Path {
+fn workspace_root() -> io::Result<&'static Path> {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(Path::parent)
-        .expect("crates/xtask sits two levels below the workspace root")
+        .ok_or_else(|| {
+            io::Error::other("crates/xtask must sit two levels below the workspace root")
+        })
 }
 
-fn shipped_allow_list() -> AllowList {
-    let path = workspace_root().join("crates/xtask/physics-lint.allow");
-    AllowList::parse(&std::fs::read_to_string(path).expect("allow-list exists"))
+fn shipped_allow_list() -> io::Result<AllowList> {
+    let path = workspace_root()?.join("crates/xtask/physics-lint.allow");
+    Ok(AllowList::parse(&std::fs::read_to_string(path)?))
 }
 
 /// Scans `src` as a `circuit` source under the signature, strict and
 /// send/sync families, with the shipped allow-list.
-fn scan_classic(src: &str) -> Vec<Violation> {
+fn scan_classic(src: &str) -> io::Result<Vec<Violation>> {
     let families: Vec<&Family> = FAMILIES
         .iter()
         .filter(|f| ["signatures", "strict", "sendsync"].contains(&f.word))
         .collect();
-    scan_file(
+    Ok(scan_file(
         Path::new("crates/circuit/src/seeded_fixture.rs"),
         src,
         &families,
-        &shipped_allow_list(),
-    )
+        &shipped_allow_list()?,
+    ))
 }
 
 /// A fresh, empty directory under the system temp dir, unique to `name`
@@ -58,9 +60,8 @@ fn write(root: &Path, rel: &str, text: &str) -> io::Result<()> {
 }
 
 #[test]
-fn shipped_tree_is_lint_clean() {
-    let violations =
-        scan_workspace(workspace_root(), &shipped_allow_list()).expect("workspace scans");
+fn shipped_tree_is_lint_clean() -> io::Result<()> {
+    let violations = scan_workspace(workspace_root()?, &shipped_allow_list()?)?;
     assert!(
         violations.is_empty(),
         "physics lint must be clean on the shipped tree:\n{}",
@@ -70,11 +71,12 @@ fn shipped_tree_is_lint_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
+    Ok(())
 }
 
 #[test]
-fn shipped_manifests_opt_into_workspace_lints() {
-    let violations = check_manifests(workspace_root()).expect("manifests scan");
+fn shipped_manifests_opt_into_workspace_lints() -> io::Result<()> {
+    let violations = check_manifests(workspace_root()?)?;
     assert!(
         violations.is_empty(),
         "every crate must set `[lints] workspace = true`:\n{}",
@@ -84,10 +86,11 @@ fn shipped_manifests_opt_into_workspace_lints() {
             .collect::<Vec<_>>()
             .join("\n")
     );
+    Ok(())
 }
 
 #[test]
-fn seeded_violations_are_caught() {
+fn seeded_violations_are_caught() -> io::Result<()> {
     // One of each rule family, in a file that matches no allow-list entry.
     let fixture = "\
 pub fn leaky(&self, lux: f64) -> f64 { lux }\n\
@@ -95,7 +98,7 @@ pub fn check(&self) -> bool { self.v == 3.3 }\n\
 fn helper(&self) { let v = self.cell.lock().unwrap(); drop(v); }\n\
 fn other(&self) { let v = self.opt.expect(\"set\"); drop(v); }\n\
 struct Shared { cache: Rc<RefCell<Vec<u8>>> }\n";
-    let violations = scan_classic(fixture);
+    let violations = scan_classic(fixture)?;
     let kinds: Vec<ViolationKind> = violations.iter().map(|v| v.kind).collect();
     assert!(
         kinds.contains(&ViolationKind::RawFloatSignature),
@@ -105,10 +108,11 @@ struct Shared { cache: Rc<RefCell<Vec<u8>>> }\n";
     assert!(kinds.contains(&ViolationKind::Unwrap), "{kinds:?}");
     assert!(kinds.contains(&ViolationKind::Expect), "{kinds:?}");
     assert!(kinds.contains(&ViolationKind::RcRefCell), "{kinds:?}");
+    Ok(())
 }
 
 #[test]
-fn inline_escape_is_statement_scoped() {
+fn inline_escape_is_statement_scoped() -> io::Result<()> {
     // rustfmt keeps a standalone escape comment directly above the
     // statement it annotates; that placement must cover the statement —
     // and ONLY that statement. The old line-adjacency slop let an escape
@@ -120,7 +124,7 @@ fn pick(&self) {\n\
     let v = self.opt.expect(\"set\");\n\
     drop(v);\n\
 }\n";
-    let violations = scan_classic(covered);
+    let violations = scan_classic(covered)?;
     assert!(violations.is_empty(), "{violations:?}");
 
     // The same escape placed after the statement covers nothing before it.
@@ -130,10 +134,11 @@ fn pick(&self) {\n\
     // physics-lint: allow(expect): invariant established at construction\n\
     drop(v);\n\
 }\n";
-    let violations = scan_classic(trailing_line);
+    let violations = scan_classic(trailing_line)?;
     assert_eq!(violations.len(), 1, "{violations:?}");
     assert_eq!(violations[0].kind, ViolationKind::Expect);
     assert_eq!(violations[0].line, 2);
+    Ok(())
 }
 
 #[test]
