@@ -268,7 +268,6 @@ impl PopulationSpec {
     /// switching a campaign between scripted and sampled conditions
     /// perturbs exactly the fields the script declares.
     pub fn node_blueprint(&self, node_seed: u64) -> NodeBlueprint {
-        let scenario = self.scenario.as_ref();
         let mut state = node_seed ^ POPULATION_STREAM_TAG;
 
         // Fixed draw program: every node consumes these in this order.
@@ -297,7 +296,7 @@ impl PopulationSpec {
         // The scenario (when present) is evaluated on the same profile
         // seed the sampled environment would have used, then hardware
         // diversity (panel scale) applies on top either way.
-        let day = scenario.map(|s| s.eval(profile_seed));
+        let day = self.scenario.as_ref().map(|s| s.eval(profile_seed));
         let mut profile = match &day {
             Some(day) => day.profile.clone(),
             None => match env_pick {
@@ -374,9 +373,9 @@ impl PopulationSpec {
             .as_ref()
             .and_then(|d| d.capacitance)
             .unwrap_or(Farads::new(capacitance));
-        let env_index = match (&day, scenario) {
-            (Some(_), Some(s)) => s.env_bucket(),
-            _ => env_pick,
+        let env_index = match &self.scenario {
+            Some(s) => s.env_bucket(),
+            None => env_pick,
         };
 
         let base = DaySimConfig {

@@ -286,26 +286,30 @@ fn span_value(value: &Value) -> Option<(TimeOfDay, TimeOfDay)> {
 
 fn eval_light(call: &Call, seed: u64) -> DayProfile {
     let b = bound(call);
-    let lat = || quantity(&b, "lat", UnitSuffix::Deg, 47.6);
-    let doy = || num(&b, "doy", 172.0).max(0.0) as u32;
+    let mut lux = [0.0_f64; 24];
     match call.name.as_str() {
         "clear_sky" => {
-            let (lat, doy) = (lat(), doy());
-            let mut lux = [0.0_f64; 24];
+            let lat = quantity(&b, "lat", UnitSuffix::Deg, 47.6);
+            let doy = num(&b, "doy", 172.0).max(0.0) as u32;
             for (h, v) in lux.iter_mut().enumerate() {
                 *v = clear_sky_desk_lux(lat, doy, h as f64 + 0.5);
             }
-            DayProfile { lux_by_hour: lux }
         }
-        "sky_markov" => sky_markov(lat(), doy(), seed),
-        "office" => office(quantity(&b, "peak", UnitSuffix::Lux, 800.0), seed),
+        "sky_markov" => {
+            let lat = quantity(&b, "lat", UnitSuffix::Deg, 47.6);
+            let doy = num(&b, "doy", 172.0).max(0.0) as u32;
+            lux = sky_markov(lat, doy, seed).lux_by_hour;
+        }
+        "office" => {
+            let peak = quantity(&b, "peak", UnitSuffix::Lux, 800.0);
+            lux = office(peak, seed).lux_by_hour;
+        }
         "office_table" => {
             // The deterministic office schedule `stressed_office_day`
             // scales: lit hours move with `peak`, dark hours stay put.
             let peak = quantity(&b, "peak", UnitSuffix::Lux, 800.0);
             let base = DayProfile::office();
             let scale = peak / 800.0;
-            let mut lux = [0.0_f64; 24];
             for (h, v) in lux.iter_mut().enumerate() {
                 let nominal = base.lux_by_hour[h];
                 *v = if nominal > 1.0 {
@@ -314,16 +318,18 @@ fn eval_light(call: &Call, seed: u64) -> DayProfile {
                     nominal
                 };
             }
-            DayProfile { lux_by_hour: lux }
         }
-        "home" => home(quantity(&b, "peak", UnitSuffix::Lux, 300.0), seed),
-        "constant" => DayProfile {
-            lux_by_hour: [quantity(&b, "level", UnitSuffix::Lux, 0.0); 24],
-        },
-        _ => DayProfile {
-            lux_by_hour: [0.0; 24],
-        },
+        "home" => {
+            let peak = quantity(&b, "peak", UnitSuffix::Lux, 300.0);
+            lux = home(peak, seed).lux_by_hour;
+        }
+        "constant" => {
+            let level = quantity(&b, "level", UnitSuffix::Lux, 0.0);
+            lux = [level; 24];
+        }
+        _ => {}
     }
+    DayProfile { lux_by_hour: lux }
 }
 
 /// A desk by a window: clear-sky geometry at `latitude_deg` on
