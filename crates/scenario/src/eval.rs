@@ -589,6 +589,10 @@ mod tests {
         let src = "overlay(sky_markov(lat: 48 deg), markov_clouds(p: 0.4), random_outages(n: 2))";
         assert_eq!(eval_src(src, 7), eval_src(src, 7));
         assert_ne!(eval_src(src, 7).profile, eval_src(src, 8).profile);
+    }
+
+    #[test]
+    fn profiles_are_deterministic_per_seed() {
         let generators: [fn(u64) -> DayProfile; 3] = [
             |seed| sky_markov(48.0, 172, seed),
             |seed| office(400.0, seed),
