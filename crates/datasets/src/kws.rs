@@ -7,6 +7,8 @@
 //! exercises exactly the code path the paper's KWS pipeline exercises:
 //! PCM → framing → MFCC → CNN.
 
+use std::ops::Range;
+
 use rand::Rng;
 use solarml_dsp::{standardize, AudioFrontendParams, MfccExtractor, MfccScratch};
 use solarml_nn::{ClassDataset, Tensor};
@@ -72,6 +74,11 @@ impl KwsDatasetBuilder {
     ///
     /// Panics if `samples_per_class` is zero.
     pub fn build(&self) -> KwsDataset {
+        self.build_with(render_phoneme)
+    }
+
+    /// Draws the corpus, adding each phoneme to its clip with `render`.
+    fn build_with(&self, render: PhonemeRenderer) -> KwsDataset {
         assert!(
             self.samples_per_class > 0,
             "need at least one sample per class"
@@ -94,27 +101,7 @@ impl KwsDatasetBuilder {
                     let end = (start + phoneme_len).min(0.98);
                     let s0 = (start * total as f64) as usize;
                     let s1 = (end * total as f64) as usize;
-                    let (f1, f2) = (f1 * drift, f2 * drift);
-                    for s in s0..s1.min(total) {
-                        let t = s as f64 / AUDIO_RATE_HZ;
-                        // Raised-cosine envelope over the phoneme.
-                        let u = (s - s0) as f64 / (s1 - s0).max(1) as f64;
-                        let env = 0.5 * (1.0 - (2.0 * std::f64::consts::PI * u).cos());
-                        // Harmonic stack weighted by proximity to formants.
-                        let mut v = 0.0;
-                        let mut h = 1.0;
-                        while h * pitch < 4000.0 {
-                            let f = h * pitch;
-                            let w1 = (-(f - f1).powi(2) / (2.0 * 120.0f64.powi(2))).exp();
-                            let w2 = 0.7 * (-(f - f2).powi(2) / (2.0 * 180.0f64.powi(2))).exp();
-                            let amp = (w1 + w2) / h.sqrt();
-                            if amp > 1e-3 {
-                                v += amp * (2.0 * std::f64::consts::PI * f * t).sin();
-                            }
-                            h += 1.0;
-                        }
-                        clip[s] += (0.4 * env * v) as f32;
-                    }
+                    render(&mut clip, s0..s1, pitch, (f1 * drift, f2 * drift));
                 }
                 // Background noise over the whole clip.
                 for s in clip.iter_mut() {
@@ -125,6 +112,48 @@ impl KwsDatasetBuilder {
             }
         }
         KwsDataset { clips, labels }
+    }
+}
+
+/// Adds one phoneme to a clip: the span of samples it covers, its pitch `f0`,
+/// and its (drifted) formants `(f1, f2)`.
+type PhonemeRenderer = fn(&mut [f32], Range<usize>, f64, (f64, f64));
+
+/// The harmonics of `pitch` below 4 kHz that carry weight, as
+/// `(frequency, amplitude)` in ascending harmonic order: each harmonic is
+/// weighted by its proximity to the formants `f1` and `f2`, and those at or
+/// below `1e-3` are dropped.
+fn harmonic_partials(pitch: f64, f1: f64, f2: f64) -> Vec<(f64, f64)> {
+    let mut partials = Vec::new();
+    let mut h = 1.0;
+    while h * pitch < 4000.0 {
+        let f = h * pitch;
+        let w1 = (-(f - f1).powi(2) / (2.0 * 120.0f64.powi(2))).exp();
+        let w2 = 0.7 * (-(f - f2).powi(2) / (2.0 * 180.0f64.powi(2))).exp();
+        let amp = (w1 + w2) / h.sqrt();
+        if amp > 1e-3 {
+            partials.push((f, amp));
+        }
+        h += 1.0;
+    }
+    partials
+}
+
+/// Adds a harmonic stack under a raised-cosine envelope over `span`. The
+/// partials are weighted once per phoneme; each sample then sums the same
+/// terms, in the same order, that a per-sample weighting would keep.
+fn render_phoneme(clip: &mut [f32], span: Range<usize>, pitch: f64, (f1, f2): (f64, f64)) {
+    let partials = harmonic_partials(pitch, f1, f2);
+    let (s0, s1) = (span.start, span.end);
+    for s in s0..s1.min(clip.len()) {
+        let t = s as f64 / AUDIO_RATE_HZ;
+        // Raised-cosine envelope over the phoneme.
+        let u = (s - s0) as f64 / (s1 - s0).max(1) as f64;
+        let env = 0.5 * (1.0 - (2.0 * std::f64::consts::PI * u).cos());
+        let v = partials.iter().fold(0.0, |v, &(f, amp)| {
+            v + amp * (2.0 * std::f64::consts::PI * f * t).sin()
+        });
+        clip[s] += (0.4 * env * v) as f32;
     }
 }
 
@@ -223,6 +252,65 @@ impl KwsDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-sample renderer the partial table replaced: every sample
+    /// re-weights every harmonic below 4 kHz.
+    fn render_phoneme_per_sample(
+        clip: &mut [f32],
+        span: Range<usize>,
+        pitch: f64,
+        (f1, f2): (f64, f64),
+    ) {
+        let (s0, s1) = (span.start, span.end);
+        for s in s0..s1.min(clip.len()) {
+            let t = s as f64 / AUDIO_RATE_HZ;
+            let u = (s - s0) as f64 / (s1 - s0).max(1) as f64;
+            let env = 0.5 * (1.0 - (2.0 * std::f64::consts::PI * u).cos());
+            let mut v = 0.0;
+            let mut h = 1.0;
+            while h * pitch < 4000.0 {
+                let f = h * pitch;
+                let w1 = (-(f - f1).powi(2) / (2.0 * 120.0f64.powi(2))).exp();
+                let w2 = 0.7 * (-(f - f2).powi(2) / (2.0 * 180.0f64.powi(2))).exp();
+                let amp = (w1 + w2) / h.sqrt();
+                if amp > 1e-3 {
+                    v += amp * (2.0 * std::f64::consts::PI * f * t).sin();
+                }
+                h += 1.0;
+            }
+            clip[s] += (0.4 * env * v) as f32;
+        }
+    }
+
+    #[test]
+    fn partial_table_is_bit_identical_to_per_sample_weights() {
+        let builders = [
+            (1, 0x50AA, 0.12),
+            (3, 0xA0D10, 0.12),
+            (1, 7, 0.0),
+            (3, 0xDEAD_BEEF, 0.3),
+            (1, 42, 0.05),
+        ];
+        for (samples_per_class, seed, noise) in builders {
+            let builder = KwsDatasetBuilder {
+                samples_per_class,
+                seed,
+                noise,
+            };
+            let got = builder.build();
+            let want = builder.build_with(render_phoneme_per_sample);
+            assert_eq!(got.labels(), want.labels());
+            for i in 0..want.len() {
+                let bits = |c: &KwsDataset| -> Vec<u32> {
+                    c.clip(i).0.iter().map(|v| v.to_bits()).collect()
+                };
+                assert!(
+                    bits(&got) == bits(&want),
+                    "{samples_per_class} per class, seed {seed:#x}, noise {noise}: clip {i}"
+                );
+            }
+        }
+    }
 
     fn small_corpus() -> KwsDataset {
         KwsDatasetBuilder {
