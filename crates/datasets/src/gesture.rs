@@ -256,14 +256,15 @@ impl GestureDataset {
     }
 
     /// Splits into train/test corpora with `test_fraction` of each class's
-    /// samples held out (samples are grouped by class in generation order).
+    /// samples held out (samples are grouped by class in generation order),
+    /// moving every recording into one of the halves.
     ///
     /// # Panics
     ///
     /// Panics if the fraction does not leave at least one sample on each
     /// side per class.
-    pub fn split(&self, test_fraction: f64) -> (GestureDataset, GestureDataset) {
-        split_by_class(&self.recordings, &self.labels, NUM_DIGITS, test_fraction).map_tuple(
+    pub fn split(self, test_fraction: f64) -> (GestureDataset, GestureDataset) {
+        split_by_class(self.recordings, self.labels, NUM_DIGITS, test_fraction).map_tuple(
             |(r, l)| GestureDataset {
                 recordings: r,
                 labels: l,
@@ -284,9 +285,9 @@ impl<T> SplitResult<T> {
     }
 }
 
-pub(crate) fn split_by_class<T: Clone>(
-    samples: &[T],
-    labels: &[usize],
+pub(crate) fn split_by_class<T>(
+    samples: Vec<T>,
+    labels: Vec<usize>,
     num_classes: usize,
     test_fraction: f64,
 ) -> SplitResult<T> {
@@ -294,30 +295,26 @@ pub(crate) fn split_by_class<T: Clone>(
         (0.0..1.0).contains(&test_fraction) && test_fraction > 0.0,
         "test fraction must be in (0,1)"
     );
+    let mut by_class: Vec<Vec<T>> = (0..num_classes).map(|_| Vec::new()).collect();
+    for (sample, label) in samples.into_iter().zip(labels) {
+        if let Some(members) = by_class.get_mut(label) {
+            members.push(sample);
+        }
+    }
     let mut train = (Vec::new(), Vec::new());
     let mut test = (Vec::new(), Vec::new());
-    for class in 0..num_classes {
-        let idx: Vec<usize> = labels
-            .iter()
-            .enumerate()
-            .filter(|(_, &l)| l == class)
-            .map(|(i, _)| i)
-            .collect();
-        let n_test = ((idx.len() as f64 * test_fraction).round() as usize)
-            .clamp(1, idx.len().saturating_sub(1).max(1));
-        assert!(
-            idx.len() >= 2,
-            "class {class} needs at least 2 samples to split"
-        );
-        for (k, &i) in idx.iter().enumerate() {
-            if k < idx.len() - n_test {
-                train.0.push(samples[i].clone());
-                train.1.push(labels[i]);
-            } else {
-                test.0.push(samples[i].clone());
-                test.1.push(labels[i]);
-            }
-        }
+    for (class, mut members) in by_class.into_iter().enumerate() {
+        let n = members.len();
+        let n_test =
+            ((n as f64 * test_fraction).round() as usize).clamp(1, n.saturating_sub(1).max(1));
+        assert!(n >= 2, "class {class} needs at least 2 samples to split");
+        // Each class keeps its generation order; its last `n_test` samples
+        // are held out.
+        let held_out = members.split_off(n - n_test);
+        train.1.extend(std::iter::repeat(class).take(members.len()));
+        train.0.extend(members);
+        test.1.extend(std::iter::repeat(class).take(held_out.len()));
+        test.0.extend(held_out);
     }
     SplitResult { train, test }
 }

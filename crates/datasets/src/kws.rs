@@ -238,13 +238,14 @@ impl KwsDataset {
         (stream, truth)
     }
 
-    /// Splits into train/test corpora per class.
+    /// Splits into train/test corpora per class, moving every clip into one
+    /// of the halves.
     ///
     /// # Panics
     ///
     /// Panics if the fraction does not leave both halves non-empty per class.
-    pub fn split(&self, test_fraction: f64) -> (KwsDataset, KwsDataset) {
-        split_by_class(&self.clips, &self.labels, KEYWORDS.len(), test_fraction)
+    pub fn split(self, test_fraction: f64) -> (KwsDataset, KwsDataset) {
+        split_by_class(self.clips, self.labels, KEYWORDS.len(), test_fraction)
             .map_tuple(|(clips, labels)| KwsDataset { clips, labels })
     }
 }
