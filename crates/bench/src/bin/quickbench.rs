@@ -10,8 +10,8 @@
 //! unshaded 25-cell array (the day simulator's per-step harvest cost),
 //! counts the rail steps of the CLI-default 64-node campaign, trains one
 //! fixed KWS-shaped candidate (verifying its pinned bit-identity digest),
-//! builds one KWS MFCC dataset, and
-//! writes the medians to
+//! builds one KWS MFCC dataset (verifying the pinned digest of the corpus
+//! under it), builds the default KWS task context, and writes the medians to
 //! `BENCH_hotpaths.json` so future PRs have a trajectory to beat.
 //! Wall-clock timing with `std::time`; the JSON is hand-rendered because
 //! the workspace vendors no JSON crate.
@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use rand::SeedableRng;
 use solarml::circuit::HarvestingArray;
-use solarml::datasets::KwsDatasetBuilder;
+use solarml::datasets::{KwsDataset, KwsDatasetBuilder};
 use solarml::dsp::AudioFrontendParams;
 use solarml::fleet::{
     resume_campaign_with, run_campaign, run_campaign_cached, run_campaign_durable_with,
@@ -213,6 +213,30 @@ fn kws_candidate() -> ModelSpec {
     .expect("valid candidate")
 }
 
+/// Digest of the `Pipeline`'s default KWS corpus (12 clips per keyword, seed
+/// 0x50AA), the value `crates/datasets/tests/kws_corpus_golden.rs` pins; any
+/// change to what corpus synthesis computes moves it.
+const KWS_CORPUS_DIGEST: u64 = 0xd5f8_0370_1ce4_5bd7;
+
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// FNV-1a over every clip's f32 bits, then the labels.
+fn corpus_digest(corpus: &KwsDataset) -> u64 {
+    let clips = (0..corpus.len()).flat_map(|i| corpus.clip(i).0);
+    fnv1a(
+        clips.flat_map(|v| v.to_bits().to_le_bytes()).chain(
+            corpus
+                .labels()
+                .iter()
+                .flat_map(|&l| (l as u64).to_le_bytes()),
+        ),
+    )
+}
+
 /// FNV-1a over the bits of a trained model's weights, its epoch losses and
 /// its train accuracy.
 fn fit_digest(model: &mut Model, report: &TrainReport) -> u64 {
@@ -228,9 +252,7 @@ fn fit_digest(model: &mut Model, report: &TrainReport) -> u64 {
                 .flat_map(|l| l.to_bits().to_le_bytes()),
         )
         .chain(report.train_accuracy.to_bits().to_le_bytes());
-    bits.fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+    fnv1a(bits)
 }
 
 /// Trains the fixed KWS candidate from a fixed seed for the `Pipeline`'s 10
@@ -258,8 +280,9 @@ fn timed_fit(reps: usize) -> (u128, u64) {
 }
 
 /// Times one MFCC `to_class_dataset` of the `Pipeline`'s default KWS corpus
-/// (12 clips per keyword, seed 0x50AA) at the standard front end.
-fn timed_kws_dataset(reps: usize) -> u128 {
+/// (12 clips per keyword, seed 0x50AA) at the standard front end; returns
+/// the median and the corpus digest.
+fn timed_kws_dataset(reps: usize) -> (u128, u64) {
     let corpus = KwsDatasetBuilder {
         samples_per_class: 12,
         seed: 0x50AA,
@@ -267,8 +290,17 @@ fn timed_kws_dataset(reps: usize) -> u128 {
     }
     .build();
     let params = AudioFrontendParams::standard();
-    time_stage(reps, 1, || {
+    let ns = time_stage(reps, 1, || {
         std::hint::black_box(corpus.to_class_dataset(&params));
+    });
+    (ns, corpus_digest(&corpus))
+}
+
+/// Times building the `Pipeline`'s default KWS task context: corpus
+/// synthesis, the train/test split and the energy-model fits.
+fn timed_kws_context(reps: usize) -> u128 {
+    time_stage(reps, 1, || {
+        std::hint::black_box(TaskContext::kws(12, 0x50AA));
     })
 }
 
@@ -613,9 +645,17 @@ fn main() {
     let fit_digest_identical = fit_digest == NN_FIT_DIGEST;
     let dataset_reps = if quick { 3 } else { 7 };
     eprintln!("quickbench: KWS MFCC dataset build ({dataset_reps} reps)…");
+    let (dataset_ns, corpus_digest) = timed_kws_dataset(dataset_reps);
     stages.push(Stage {
         name: "kws_dataset_build",
-        median_ns: timed_kws_dataset(dataset_reps),
+        median_ns: dataset_ns,
+        iters: 1,
+    });
+    let corpus_digest_identical = corpus_digest == KWS_CORPUS_DIGEST;
+    eprintln!("quickbench: KWS task context build ({dataset_reps} reps)…");
+    stages.push(Stage {
+        name: "kws_context_build",
+        median_ns: timed_kws_context(dataset_reps),
         iters: 1,
     });
 
@@ -672,6 +712,9 @@ fn main() {
     ));
     json.push_str(&format!(
         "    \"nn_fit_digest_identical\": {fit_digest_identical},\n"
+    ));
+    json.push_str(&format!(
+        "    \"kws_corpus_digest_identical\": {corpus_digest_identical},\n"
     ));
     json.push_str(&format!(
         "    \"day_sim_speedup\": {day_wallclock_speedup:.2},\n"
@@ -746,6 +789,13 @@ fn main() {
         eprintln!(
             "quickbench: ERROR — fixed-candidate training digest {fit_digest:#018x} differs \
              from the pinned {NN_FIT_DIGEST:#018x}"
+        );
+        std::process::exit(1);
+    }
+    if !corpus_digest_identical {
+        eprintln!(
+            "quickbench: ERROR — KWS corpus digest {corpus_digest:#018x} differs from the \
+             pinned {KWS_CORPUS_DIGEST:#018x}"
         );
         std::process::exit(1);
     }
