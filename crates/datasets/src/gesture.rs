@@ -311,9 +311,9 @@ pub(crate) fn split_by_class<T>(
         // Each class keeps its generation order; its last `n_test` samples
         // are held out.
         let held_out = members.split_off(n - n_test);
-        train.1.extend(std::iter::repeat(class).take(members.len()));
+        train.1.extend(std::iter::repeat_n(class, members.len()));
         train.0.extend(members);
-        test.1.extend(std::iter::repeat(class).take(held_out.len()));
+        test.1.extend(std::iter::repeat_n(class, held_out.len()));
         test.0.extend(held_out);
     }
     SplitResult { train, test }
