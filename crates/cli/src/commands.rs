@@ -317,8 +317,9 @@ fn fleet_config(opts: &Options) -> Result<CampaignConfig, String> {
 }
 
 /// Opens the `--store-dir` store with the requested GC bounds; store
-/// trouble (foreign version, corrupt meta, file in the way) surfaces as
-/// the typed error's message before any simulation starts.
+/// trouble (foreign version, corrupt meta, file in the way, unreadable
+/// pack) surfaces as the typed error's message before any simulation
+/// starts.
 fn open_store(opts: &Options, dir: &str) -> Result<NodeDayStore, String> {
     let gc = StoreGc {
         max_entries: opts.store_max_entries.unwrap_or(usize::MAX),
@@ -426,7 +427,9 @@ pub fn fleet(opts: &Options) -> Result<(), String> {
         report.nodes as f64 / elapsed.max(1e-9)
     );
     if let Some(store) = &store {
-        store.run_gc().map_err(|e| format!("fleet store gc: {e}"))?;
+        // GC also writes the session's entries: a failed write is an error,
+        // not a silently lost session.
+        store.run_gc().map_err(|e| format!("fleet store: {e}"))?;
         print_cache_stats(&store.stats(), &store.corrupt_reasons());
     }
 
@@ -483,7 +486,7 @@ pub fn fleet_sweep(opts: &Options) -> Result<(), String> {
         cfg.seed
     );
     let start = std::time::Instant::now();
-    let reports = run_sweep(&cfg, &variants, &store).map_err(|e| format!("fleet sweep: {e}"))?;
+    let reports = run_sweep(&cfg, &variants, &store).map_err(|e| format!("fleet store: {e}"))?;
     let elapsed = start.elapsed().as_secs_f64();
 
     let mut json = String::new();

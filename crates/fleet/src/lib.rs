@@ -25,9 +25,11 @@
 //!    at O(log nodes) memory;
 //! 4. [`task`] — node-days as pure, content-keyed tasks: resolve a node
 //!    once, execute its day, key the outcome;
-//! 5. [`store`] — the content-addressed on-disk outcome store:
-//!    [`NodeDayStore::simulate_node`] replays unchanged node-days, and as
-//!    one more node simulation it composes with checkpoints and resume;
+//! 5. [`store`] — the content-addressed on-disk outcome store, one
+//!    key-sorted pack file read once at open and rewritten whole when
+//!    entries change: [`NodeDayStore::simulate_node`] replays unchanged
+//!    node-days, and as one more node simulation it composes with
+//!    checkpoints and resume;
 //! 6. [`checkpoint`] — versioned, checksummed, atomically-written
 //!    snapshots of the fold, so a killed campaign resumes byte-identically;
 //! 7. [`report`] — the byte-stable JSON [`FleetReport`].

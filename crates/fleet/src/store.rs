@@ -1,34 +1,35 @@
 //! Content-addressed on-disk store of node-day outcomes.
 //!
 //! The store maps a [`NodeDayTask`]'s content key to its persisted
-//! [`NodeDayOutcome`], one file per entry, named by the key. Because the
-//! key covers every result-affecting input (see [`crate::task`]), a
-//! present entry is *proof* the cached outcome is current — there is no
-//! invalidation protocol, no timestamps to compare, nothing to go stale.
-//! A warm parameter sweep touches the store once per node and recomputes
-//! only the nodes whose resolved configuration actually changed.
+//! [`NodeDayOutcome`]. Because the key covers every result-affecting input
+//! (see [`crate::task`]), a present entry is *proof* the cached outcome is
+//! current — there is no invalidation protocol, no timestamps to compare,
+//! nothing to go stale. A warm parameter sweep touches the store once per
+//! node and recomputes only the nodes whose resolved configuration
+//! actually changed.
 //!
-//! Durability follows the checkpoint layer's rules exactly
-//! ([`crate::checkpoint`]): every file is framed by the shared
-//! [`solarml_trace::Envelope`] (magic `SLNDSTOR`, version, FNV trailer) and
-//! written via [`solarml_trace::write_atomic`]; every corrupt or foreign
-//! byte sequence decodes to a typed [`StoreError`] and the engine
-//! recomputes — never panics, never silently trusts. A `store.meta` file
-//! stamps the directory with the entry-format version so `open` can
-//! reject a foreign-version store up front with a typed error instead of
-//! treating every entry as corrupt.
+//! A store directory holds two files, both framed by the shared
+//! [`solarml_trace::Envelope`] (magic `SLNDSTOR`, version, FNV trailer):
+//! `store.meta`, an empty payload that stamps the format version so `open`
+//! can reject a foreign store up front, and `store.pack`, one 116-byte frame
+//! per entry (content key, then outcome) in ascending key order. `open`
+//! reads the pack once; lookups and persists work in memory, and changed
+//! entries become durable when the whole sorted pack is rewritten through
+//! [`solarml_trace::write_atomic`] — at the end of [`run_campaign_cached`],
+//! in [`NodeDayStore::run_gc`] and [`NodeDayStore::flush`], and on drop.
+//! The pack's bytes therefore never depend on worker scheduling, and a
+//! crash loses at most the unwritten entries of one session, never the
+//! pack. Every corrupt or foreign frame decodes to a typed [`StoreError`]
+//! and the engine recomputes — never panics, never silently trusts.
 //!
 //! Garbage collection is keep-LRU and size-bounded ([`StoreGc`]): entries
-//! touched this session rank by access order; untouched entries rank by
-//! file modification time (read from metadata — the fleet crate's
-//! determinism lint bans wall-clock *sampling*, and ranking needs no
-//! clock, only an order). Eviction is safe at any point: a missing entry
-//! is just a cache miss.
+//! touched this session rank by access order above untouched ones, which
+//! rank by key. Eviction is safe at any point: a missing entry is just a
+//! cache miss.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::time::UNIX_EPOCH;
 
 use solarml_trace::{write_atomic, Envelope, EnvelopeError};
 
@@ -37,16 +38,17 @@ use crate::population::PopulationSpec;
 use crate::report::FleetReport;
 use crate::task::{NodeDayOutcome, NodeDayTask};
 
-/// Magic prefix of every store file (entries and `store.meta`).
+/// Magic prefix of `store.meta` and of every pack frame.
 pub const STORE_MAGIC: [u8; 8] = *b"SLNDSTOR";
 
-/// Entry-format version. Bump on any layout change; `open` then refuses
+/// Store-format version. Bump on any layout change; `open` then refuses
 /// the old directory with a typed [`StoreError::Envelope`] rather than
-/// misreading it.
-pub const STORE_VERSION: u32 = 1;
+/// misreading it. Version 1 kept one file per entry; version 2 keeps
+/// every entry in one sorted pack.
+pub const STORE_VERSION: u32 = 2;
 
-/// The frame of every store file: entries carry the content key and the
-/// outcome as payload, `store.meta` an empty one.
+/// The frame of `store.meta` (empty payload) and of every pack entry
+/// (content key and outcome).
 const ENVELOPE: Envelope = Envelope {
     magic: STORE_MAGIC,
     version: STORE_VERSION,
@@ -54,6 +56,16 @@ const ENVELOPE: Envelope = Envelope {
 
 /// Name of the per-directory version stamp.
 const META_FILE: &str = "store.meta";
+
+/// Name of the file holding every entry.
+const PACK_FILE: &str = "store.pack";
+
+/// Bytes of one pack frame: magic (8), version (4), key (8), outcome (88),
+/// checksum (8). The version fixes it, so the pack needs no index.
+const FRAME_LEN: usize = 116;
+
+/// Offset of the content key inside a frame, after magic and version.
+const KEY_AT: usize = 12;
 
 /// Why a store operation failed. Every variant carries enough context to
 /// print a one-line diagnosis; none of them is ever promoted to a panic —
@@ -72,43 +84,25 @@ pub enum StoreError {
         /// Path involved.
         path: String,
     },
-    /// The file (an entry or the store's meta stamp) is not readable:
-    /// foreign magic, another format version, bit rot or a torn write, or
-    /// a payload that does not decode.
+    /// The meta stamp or a pack frame is not readable: foreign magic,
+    /// another format version, bit rot, a torn frame, a payload that does
+    /// not decode, or a key out of order.
     Envelope {
-        /// Path involved.
+        /// Path involved; for a frame, `<pack> frame <index from 0>`.
         path: String,
         /// What the envelope (or the payload decoder) objected to.
         error: EnvelopeError,
-    },
-    /// A structurally valid entry whose embedded key is not the one its
-    /// filename promises — a renamed or misplaced entry.
-    KeyMismatch {
-        /// Path involved.
-        path: String,
-        /// Key the filename (and the lookup) expected.
-        expected: u64,
-        /// Key embedded in the entry.
-        found: u64,
     },
 }
 
 impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::Io { path, detail } => write!(f, "store I/O error at {path}: {detail}"),
+            Self::Io { path, detail } => write!(f, "{path}: store I/O error: {detail}"),
             Self::NotADirectory { path } => {
                 write!(f, "store path {path} exists but is not a directory")
             }
             Self::Envelope { path, error } => write!(f, "{path}: store {error}"),
-            Self::KeyMismatch {
-                path,
-                expected,
-                found,
-            } => write!(
-                f,
-                "{path} holds key {found:#018x}, expected {expected:#018x}"
-            ),
         }
     }
 }
@@ -135,8 +129,7 @@ fn envelope_err(path: &Path, error: EnvelopeError) -> StoreError {
 pub struct StoreGc {
     /// Keep at most this many entries (`usize::MAX` = unbounded).
     pub max_entries: usize,
-    /// Keep at most this many payload bytes on disk (`u64::MAX` =
-    /// unbounded).
+    /// Keep at most this many entry bytes (`u64::MAX` = unbounded).
     pub max_bytes: u64,
 }
 
@@ -153,46 +146,135 @@ impl Default for StoreGc {
 /// [`NodeDayStore::reset_stats`], one sweep variant).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Lookups answered from disk.
+    /// Lookups answered from the store.
     pub hits: u64,
     /// Lookups with no entry present (computed and persisted).
     pub misses: u64,
     /// Entries present but undecodable — typed error, recomputed, and
-    /// rewritten. A subset of the work counted in `misses`' recompute
+    /// replaced. A subset of the work counted in `misses`' recompute
     /// cost, tracked separately because it signals disk trouble.
     pub corrupt: u64,
     /// Entries removed by [`NodeDayStore::run_gc`].
     pub evictions: u64,
-    /// Payload bytes currently on disk (entries only, not `store.meta`).
+    /// Bytes the store's entries take in the pack (116 per entry,
+    /// counting entries not yet written; `store.meta` excluded).
     pub bytes: u64,
 }
 
 /// The content-addressed node-day store. All mutation goes through
-/// `&self` (atomics plus a mutex-guarded access ledger), so a store
-/// shared across campaign worker threads needs no external locking.
+/// `&self` under one mutex, so a store shared across campaign worker
+/// threads needs no external locking.
 #[derive(Debug)]
 pub struct NodeDayStore {
     dir: PathBuf,
     gc: StoreGc,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    corrupt: AtomicU64,
-    evictions: AtomicU64,
-    bytes: AtomicU64,
-    access_seq: AtomicU64,
-    /// key → last session access sequence; BTreeMap for deterministic
-    /// iteration (the fleet crate bans the randomized std hash maps).
-    ledger: Mutex<std::collections::BTreeMap<u64, u64>>,
+    state: Mutex<State>,
+}
+
+/// What a session reads and changes, under the store's one lock.
+#[derive(Debug, Default)]
+struct State {
+    /// Every entry by key; a BTreeMap, so a pack write walks keys in
+    /// order (the fleet crate bans the randomized std hash maps).
+    entries: BTreeMap<u64, Entry>,
+    /// Entries changed since the pack was read or last written.
+    dirty: bool,
+    /// The next session access sequence number.
+    next_seq: u64,
+    /// Session counters; `bytes` is derived in [`NodeDayStore::stats`].
+    stats: CacheStats,
     /// `path: reason` for every corrupt entry `require` recomputed since
     /// the last [`NodeDayStore::reset_stats`].
-    corrupt_reasons: Mutex<Vec<String>>,
+    corrupt_reasons: Vec<String>,
+}
+
+impl State {
+    /// A fresh session access sequence number for LRU ranking.
+    fn tick(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.next_seq
+    }
+}
+
+/// One entry: its outcome, or why its frame could not be trusted.
+#[derive(Debug)]
+struct Entry {
+    outcome: Result<NodeDayOutcome, StoreError>,
+    /// Access sequence of the last `require` or persist this session;
+    /// `None` while untouched.
+    seq: Option<u64>,
 }
 
 /// Locks `m`, recovering the guard from a panicked holder: every update
-/// under these locks is a single insert, remove, push or clear, so the data is
-/// valid at every step.
+/// under the lock is a single insert, remove, push, clear or counter bump,
+/// so the data is valid at every step.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Seals one pack frame.
+fn seal_frame(key: u64, outcome: &NodeDayOutcome) -> Vec<u8> {
+    ENVELOPE.seal(|w| {
+        w.push_u64(key);
+        outcome.encode_into(w);
+    })
+}
+
+/// Unseals one pack frame to its key and outcome; a short (torn) frame is
+/// [`EnvelopeError::Malformed`].
+fn unseal_frame(frame: &[u8]) -> Result<(u64, NodeDayOutcome), EnvelopeError> {
+    if frame.len() < FRAME_LEN {
+        return Err(EnvelopeError::Malformed {
+            detail: format!("torn frame: {} of {FRAME_LEN} bytes", frame.len()),
+        });
+    }
+    ENVELOPE.unseal(frame, |r| {
+        Ok((r.read_u64()?, NodeDayOutcome::decode_from(r)?))
+    })
+}
+
+/// Reads every frame of the pack at `path`. A frame that fails — a bad
+/// envelope, a torn tail, or a key not above the last valid frame's — is
+/// kept as its typed error under the key its unverified key field names,
+/// and outranks a valid frame of the same key. A torn tail too short to
+/// name a key is dropped: its node is a plain miss.
+fn read_pack(path: &Path, bytes: &[u8]) -> BTreeMap<u64, Entry> {
+    let mut entries = BTreeMap::new();
+    let mut last_valid: Option<u64> = None;
+    for (index, frame) in bytes.chunks(FRAME_LEN).enumerate() {
+        let Some(named) = frame
+            .get(KEY_AT..KEY_AT + 8)
+            .and_then(|b| <[u8; 8]>::try_from(b).ok())
+            .map(u64::from_le_bytes)
+        else {
+            continue;
+        };
+        let checked = unseal_frame(frame).and_then(|(key, outcome)| match last_valid {
+            Some(previous) if key <= previous => Err(EnvelopeError::Malformed {
+                detail: format!("key {key:#018x} is not above the previous {previous:#018x}"),
+            }),
+            _ => {
+                last_valid = Some(key);
+                Ok(outcome)
+            }
+        });
+        match checked {
+            Ok(outcome) => {
+                entries.entry(named).or_insert(Entry {
+                    outcome: Ok(outcome),
+                    seq: None,
+                });
+            }
+            Err(error) => {
+                let outcome = Err(StoreError::Envelope {
+                    path: format!("{} frame {index}", path.display()),
+                    error,
+                });
+                entries.insert(named, Entry { outcome, seq: None });
+            }
+        }
+    }
+    entries
 }
 
 impl NodeDayStore {
@@ -201,48 +283,49 @@ impl NodeDayStore {
         Self::open_with(dir, StoreGc::default())
     }
 
-    /// Opens (creating if absent) the store at `dir`.
+    /// Opens (creating if absent) the store at `dir` and reads its pack.
     ///
-    /// Refuses — with a typed error, before any entry is touched — a path
+    /// Refuses — with a typed error, before any entry is read — a path
     /// that is not a directory, a directory stamped by a different store
-    /// version, or a meta stamp that fails validation.
+    /// version (version 1 included), or a meta stamp that fails validation.
+    /// A corrupt frame does not fail the open: `require` recomputes it.
     pub fn open_with(dir: impl Into<PathBuf>, gc: StoreGc) -> Result<Self, StoreError> {
         let dir = dir.into();
-        if dir.exists() && !dir.is_dir() {
-            return Err(StoreError::NotADirectory {
-                path: dir.display().to_string(),
+        if let Err(e) = std::fs::create_dir_all(&dir) {
+            return Err(if dir.exists() && !dir.is_dir() {
+                StoreError::NotADirectory {
+                    path: dir.display().to_string(),
+                }
+            } else {
+                io_err(&dir, &e)
             });
         }
-        std::fs::create_dir_all(&dir).map_err(|e| io_err(&dir, &e))?;
 
         let meta = dir.join(META_FILE);
-        if meta.exists() {
-            let bytes = std::fs::read(&meta).map_err(|e| io_err(&meta, &e))?;
-            ENVELOPE
+        match std::fs::read(&meta) {
+            Ok(bytes) => ENVELOPE
                 .unseal(&bytes, |_| Ok(()))
-                .map_err(|error| envelope_err(&meta, error))?;
-        } else {
-            write_atomic(&meta, &ENVELOPE.seal(|_| {})).map_err(|e| io_err(&meta, &e))?;
+                .map_err(|error| envelope_err(&meta, error))?,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                write_atomic(&meta, &ENVELOPE.seal(|_| {})).map_err(|e| io_err(&meta, &e))?;
+            }
+            Err(e) => return Err(io_err(&meta, &e)),
         }
 
-        let store = Self {
+        let pack = dir.join(PACK_FILE);
+        let entries = match std::fs::read(&pack) {
+            Ok(bytes) => read_pack(&pack, &bytes),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => BTreeMap::new(),
+            Err(e) => return Err(io_err(&pack, &e)),
+        };
+        Ok(Self {
             dir,
             gc,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            corrupt: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            access_seq: AtomicU64::new(0),
-            ledger: Mutex::new(std::collections::BTreeMap::new()),
-            corrupt_reasons: Mutex::new(Vec::new()),
-        };
-        let mut on_disk = 0u64;
-        for entry in store.list_entries()? {
-            on_disk = on_disk.saturating_add(entry.len);
-        }
-        store.bytes.store(on_disk, Ordering::Relaxed);
-        Ok(store)
+            state: Mutex::new(State {
+                entries,
+                ..State::default()
+            }),
+        })
     }
 
     /// The directory this store lives in.
@@ -250,32 +333,42 @@ impl NodeDayStore {
         &self.dir
     }
 
-    /// Returns `task`'s outcome — replayed from disk when a valid entry
-    /// exists, recomputed (and persisted) otherwise. Corrupt entries are
-    /// counted, their reasons kept (see [`Self::corrupt_reasons`]), and
-    /// overwritten with the recomputed outcome; persist failures degrade to
-    /// cache misses on the next run. This function never panics on store
+    /// Returns `task`'s outcome — replayed when a valid entry exists,
+    /// recomputed (and persisted) otherwise. Corrupt entries are counted,
+    /// their reasons kept (see [`Self::corrupt_reasons`]), and replaced
+    /// with the recomputed outcome. This function never panics on store
     /// trouble and never returns a stale result: the key *is* the proof
     /// of currency.
     pub fn require(&self, task: &NodeDayTask) -> NodeDayOutcome {
         let key = task.key();
-        match self.load(key) {
-            Ok(Some(outcome)) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.touch(key);
-                outcome
+        {
+            let mut guard = lock(&self.state);
+            let state = &mut *guard;
+            let now = state.tick();
+            match state.entries.get_mut(&key) {
+                Some(Entry {
+                    outcome: Ok(outcome),
+                    seq,
+                }) => {
+                    *seq = Some(now);
+                    state.stats.hits += 1;
+                    return outcome.clone();
+                }
+                Some(Entry {
+                    outcome: Err(reason),
+                    ..
+                }) => {
+                    state.stats.corrupt += 1;
+                    state.corrupt_reasons.push(reason.to_string());
+                }
+                None => {}
             }
-            Ok(None) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.execute_and_persist(task, key)
-            }
-            Err(reason) => {
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                lock(&self.corrupt_reasons).push(reason.to_string());
-                self.execute_and_persist(task, key)
-            }
+            state.stats.misses += 1;
         }
+        let outcome = task.execute();
+        // Never fails: the write happens at the next flush.
+        let _ = self.persist(key, &outcome);
+        outcome
     }
 
     /// [`crate::simulate_node`] through [`Self::require`]: same signature,
@@ -289,205 +382,140 @@ impl NodeDayStore {
     /// [`Self::reset_stats`], sorted so the listing does not depend on
     /// worker scheduling.
     pub fn corrupt_reasons(&self) -> Vec<String> {
-        let mut reasons = lock(&self.corrupt_reasons).clone();
+        let mut reasons = lock(&self.state).corrupt_reasons.clone();
         reasons.sort();
         reasons
     }
 
-    fn execute_and_persist(&self, task: &NodeDayTask, key: u64) -> NodeDayOutcome {
-        let outcome = task.execute();
-        // Best-effort: a failed persist costs a recompute next session,
-        // never correctness.
-        let _ = self.persist(key, &outcome);
-        self.touch(key);
-        outcome
-    }
-
-    /// Loads the entry for `key`: `Ok(None)` when absent, a typed
-    /// [`StoreError`] when present but invalid.
+    /// Looks up the entry for `key`: `Ok(None)` when absent, a typed
+    /// [`StoreError`] when its frame was present but invalid.
     pub fn load(&self, key: u64) -> Result<Option<NodeDayOutcome>, StoreError> {
-        let path = self.entry_path(key);
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(io_err(&path, &e)),
-        };
-        let (found, outcome) = ENVELOPE
-            .unseal(&bytes, |r| {
-                Ok((r.read_u64()?, NodeDayOutcome::decode_from(r)?))
-            })
-            .map_err(|error| envelope_err(&path, error))?;
-        if found != key {
-            return Err(StoreError::KeyMismatch {
-                path: path.display().to_string(),
-                expected: key,
-                found,
-            });
+        match lock(&self.state).entries.get(&key) {
+            None => Ok(None),
+            Some(entry) => entry.outcome.clone().map(Some),
         }
-        Ok(Some(outcome))
     }
 
-    /// Encodes and atomically writes the entry for `key`.
+    /// Records `outcome` as the entry for `key`, replacing any corrupt
+    /// frame, and marks the store for writing. It never fails: the entry
+    /// reaches disk at the next [`Self::flush`], GC, cached campaign end or
+    /// drop.
     pub fn persist(&self, key: u64, outcome: &NodeDayOutcome) -> Result<(), StoreError> {
-        let path = self.entry_path(key);
-        let had = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-        let bytes = ENVELOPE.seal(|w| {
-            w.push_u64(key);
-            outcome.encode_into(w);
-        });
-        write_atomic(&path, &bytes).map_err(|e| io_err(&path, &e))?;
-        self.bytes
-            .fetch_add((bytes.len() as u64).saturating_sub(had), Ordering::Relaxed);
+        let mut state = lock(&self.state);
+        let seq = Some(state.tick());
+        state.entries.insert(
+            key,
+            Entry {
+                outcome: Ok(outcome.clone()),
+                seq,
+            },
+        );
+        state.dirty = true;
         Ok(())
     }
 
-    /// Marks `key` as used now (session-logical time) for LRU ranking.
-    fn touch(&self, key: u64) {
-        let seq = self.access_seq.fetch_add(1, Ordering::Relaxed);
-        lock(&self.ledger).insert(key, seq);
+    /// Writes the pack if any entry changed since it was read or last
+    /// written: every valid entry, in key order, in one atomic replace.
+    /// Corrupt frames nobody recomputed are left out, so their nodes are
+    /// plain misses in later sessions. On failure the changes stay pending
+    /// and the next flush retries them.
+    pub fn flush(&self) -> Result<(), StoreError> {
+        self.write_pending(&mut lock(&self.state))
     }
 
-    /// Current session counters plus on-disk size.
+    fn write_pending(&self, state: &mut State) -> Result<(), StoreError> {
+        if !state.dirty {
+            return Ok(());
+        }
+        let mut pack = Vec::with_capacity(state.entries.len() * FRAME_LEN);
+        for (&key, entry) in &state.entries {
+            if let Ok(outcome) = &entry.outcome {
+                pack.extend_from_slice(&seal_frame(key, outcome));
+            }
+        }
+        let path = self.dir.join(PACK_FILE);
+        write_atomic(&path, &pack).map_err(|e| io_err(&path, &e))?;
+        state.dirty = false;
+        Ok(())
+    }
+
+    /// Current session counters plus the entries' pack size.
     pub fn stats(&self) -> CacheStats {
+        let state = lock(&self.state);
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            corrupt: self.corrupt.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
+            bytes: (state.entries.len() * FRAME_LEN) as u64,
+            ..state.stats
         }
     }
 
     /// Zeroes the per-run counters (hits/misses/corrupt/evictions) and
-    /// clears the corrupt-entry reasons, keeping the on-disk byte gauge and
-    /// the LRU ledger — sweep drivers call this between variants to get
+    /// clears the corrupt-entry reasons, keeping the entries and the LRU
+    /// ledger — sweep drivers call this between variants to get
     /// per-variant counts.
     pub fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.corrupt.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-        lock(&self.corrupt_reasons).clear();
+        let mut state = lock(&self.state);
+        state.stats = CacheStats::default();
+        state.corrupt_reasons.clear();
     }
 
-    /// Number of entries currently on disk.
+    /// Number of entries in the store, corrupt ones and ones not yet
+    /// written included.
     pub fn entry_count(&self) -> Result<usize, StoreError> {
-        Ok(self.list_entries()?.len())
+        Ok(lock(&self.state).entries.len())
     }
 
     /// Enforces the [`StoreGc`] bounds, evicting least-recently-used
-    /// entries first, and returns how many were removed.
+    /// entries first, writes the pack if anything changed, and returns how
+    /// many entries were removed.
     ///
-    /// Recency is the session access ledger where available (anything
-    /// `require`d this session), file modification time otherwise —
-    /// session-touched entries always outrank untouched ones. Ties break
-    /// on file name, so eviction order is deterministic given the same
-    /// on-disk state.
+    /// Entries touched this session (required or persisted) outrank
+    /// untouched ones and rank among themselves by access order; untouched
+    /// entries rank by key. Eviction order is thus deterministic given the
+    /// same pack and the same session.
     pub fn run_gc(&self) -> Result<usize, StoreError> {
-        let mut entries = self.list_entries()?;
-        if entries.len() <= self.gc.max_entries
-            && self.bytes.load(Ordering::Relaxed) <= self.gc.max_bytes
-        {
-            return Ok(0);
-        }
-        {
-            let ledger = lock(&self.ledger);
-            for e in &mut entries {
-                e.session_seq = ledger.get(&e.key).copied();
+        let mut state = lock(&self.state);
+        let by_bytes = usize::try_from(self.gc.max_bytes / FRAME_LEN as u64).unwrap_or(usize::MAX);
+        let keep = self.gc.max_entries.min(by_bytes);
+        let evict = state.entries.len().saturating_sub(keep);
+        if evict > 0 {
+            // Oldest first: `None` (untouched) sorts before any sequence.
+            let mut ranked: Vec<(Option<u64>, u64)> =
+                state.entries.iter().map(|(&key, e)| (e.seq, key)).collect();
+            ranked.sort_unstable();
+            for &(_, key) in &ranked[..evict] {
+                state.entries.remove(&key);
             }
+            state.stats.evictions += evict as u64;
+            state.dirty = true;
         }
-        // Oldest first: untouched entries (class 0, by mtime then name),
-        // then session-touched entries (class 1, by access sequence).
-        entries.sort_by(|a, b| {
-            let class = |e: &StoredEntry| u8::from(e.session_seq.is_some());
-            class(a)
-                .cmp(&class(b))
-                .then(a.session_seq.cmp(&b.session_seq))
-                .then(a.mtime_ns.cmp(&b.mtime_ns))
-                .then(a.name.cmp(&b.name))
-        });
-
-        let mut count = entries.len();
-        let mut bytes = self.bytes.load(Ordering::Relaxed);
-        let mut evicted = 0usize;
-        for entry in &entries {
-            if count <= self.gc.max_entries && bytes <= self.gc.max_bytes {
-                break;
-            }
-            let path = self.dir.join(&entry.name);
-            std::fs::remove_file(&path).map_err(|e| io_err(&path, &e))?;
-            count -= 1;
-            bytes = bytes.saturating_sub(entry.len);
-            evicted += 1;
-            lock(&self.ledger).remove(&entry.key);
-        }
-        self.bytes.store(bytes, Ordering::Relaxed);
-        self.evictions.fetch_add(evicted as u64, Ordering::Relaxed);
-        Ok(evicted)
-    }
-
-    fn entry_path(&self, key: u64) -> PathBuf {
-        self.dir.join(format!("nd-{key:016x}.bin"))
-    }
-
-    fn list_entries(&self) -> Result<Vec<StoredEntry>, StoreError> {
-        let mut out = Vec::new();
-        let dir = std::fs::read_dir(&self.dir).map_err(|e| io_err(&self.dir, &e))?;
-        for item in dir {
-            let item = item.map_err(|e| io_err(&self.dir, &e))?;
-            let name = item.file_name().to_string_lossy().into_owned();
-            let Some(key) = parse_entry_name(&name) else {
-                continue;
-            };
-            let meta = item.metadata().map_err(|e| io_err(&item.path(), &e))?;
-            // Modification time as an *ordering*, not a clock read: the
-            // determinism lint bans sampling now(), not comparing stamps
-            // the filesystem already recorded.
-            let mtime_ns = meta
-                .modified()
-                .ok()
-                .and_then(|t| t.duration_since(UNIX_EPOCH).ok())
-                .map_or(0, |d| d.as_nanos());
-            out.push(StoredEntry {
-                key,
-                name,
-                len: meta.len(),
-                mtime_ns,
-                session_seq: None,
-            });
-        }
-        out.sort_by(|a, b| a.name.cmp(&b.name));
-        Ok(out)
+        self.write_pending(&mut state)?;
+        Ok(evict)
     }
 }
 
-#[derive(Debug, Clone)]
-struct StoredEntry {
-    key: u64,
-    name: String,
-    len: u64,
-    mtime_ns: u128,
-    session_seq: Option<u64>,
-}
-
-/// Parses `nd-<16 hex digits>.bin` back to its key.
-fn parse_entry_name(name: &str) -> Option<u64> {
-    let hex = name.strip_prefix("nd-")?.strip_suffix(".bin")?;
-    if hex.len() != 16 {
-        return None;
+impl Drop for NodeDayStore {
+    /// Writes pending entries, best-effort: a failed write costs the next
+    /// session recomputes, never correctness. Callers that must know call
+    /// [`NodeDayStore::flush`] first.
+    fn drop(&mut self) {
+        let _ = self.flush();
     }
-    u64::from_str_radix(hex, 16).ok()
 }
 
 /// Runs a campaign with node-days required through `store` instead of
 /// always executed. The report is byte-identical to [`crate::run_campaign`]
 /// of the same config at any hit pattern, worker count, or chunk size:
 /// replayed outcomes are bit-equal to recomputed ones, and the merge tree
-/// is exactly associative.
+/// is exactly associative. It returns with the campaign's entries written
+/// to the pack.
 pub fn run_campaign_cached(cfg: &CampaignConfig, store: &NodeDayStore) -> FleetReport {
-    run_campaign_with(cfg, &|spec, node, seed| {
+    let report = run_campaign_with(cfg, &|spec, node, seed| {
         store.simulate_node(spec, node, seed)
-    })
+    });
+    // Best-effort, like every write inside a campaign: a failed write
+    // stays pending for the caller's `flush` to report.
+    let _ = store.flush();
+    report
 }
 
 /// One spec variant of a sweep: a display name plus the population to run.
@@ -516,7 +544,8 @@ pub struct SweepVariantReport {
 /// Runs each variant against one shared store, in order, resetting the
 /// per-run counters between variants so each report carries its own
 /// hit/miss/recompute tally. GC runs once after the last variant, so a
-/// sweep never evicts entries a later variant is about to hit.
+/// sweep never evicts entries a later variant is about to hit; its pack
+/// write is where a failed write surfaces as the error.
 pub fn run_sweep(
     cfg: &CampaignConfig,
     variants: &[SweepVariant],
@@ -578,32 +607,157 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A synthetic outcome; only its round trip matters here.
+    fn outcome(n: usize) -> NodeDayOutcome {
+        NodeDayOutcome {
+            attempted: n,
+            completed: n / 2,
+            abandoned: 1,
+            degraded: 0,
+            brownouts: n % 3,
+            dead_window_s: n as f64 * 60.0,
+            harvested_j: 1.5,
+            consumed_j: 1.25,
+            wasted_j: 0.125,
+            residual_j: -0.0,
+            mean_accuracy: 0.875,
+        }
+    }
+
+    fn frames(keys: &[u64]) -> Vec<u8> {
+        keys.iter()
+            .flat_map(|&key| seal_frame(key, &outcome(key as usize)))
+            .collect()
+    }
+
+    #[test]
+    fn a_frame_is_its_fixed_length() {
+        assert_eq!(seal_frame(7, &outcome(7)).len(), FRAME_LEN);
+        assert_eq!(
+            u64::from_le_bytes(
+                seal_frame(0x0102_0304_0506_0708, &outcome(1))[KEY_AT..KEY_AT + 8]
+                    .try_into()
+                    .unwrap()
+            ),
+            0x0102_0304_0506_0708
+        );
+    }
+
+    #[test]
+    fn the_pack_is_sorted_frames_written_only_on_change() {
+        let dir = tmp_dir("pack");
+        let cfg = smoke_cfg(6);
+        let store = NodeDayStore::open(&dir).expect("open");
+        run_campaign_cached(&cfg, &store);
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .expect("read_dir")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        assert_eq!(
+            names,
+            [META_FILE, PACK_FILE],
+            "written before the store drops"
+        );
+
+        let pack = std::fs::read(dir.join(PACK_FILE)).expect("pack");
+        assert_eq!(pack.len(), 6 * FRAME_LEN);
+        let keys: Vec<u64> = pack
+            .chunks(FRAME_LEN)
+            .map(|frame| unseal_frame(frame).expect("valid frame").0)
+            .collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "ascending: {keys:?}");
+        for (frame, &key) in pack.chunks(FRAME_LEN).zip(&keys) {
+            let stored = store.load(key).expect("load").expect("present");
+            assert_eq!(frame, seal_frame(key, &stored).as_slice());
+        }
+        drop(store);
+
+        // A session that only replays writes nothing: with the pack gone
+        // from under it, a warm session must not bring it back.
+        let store = NodeDayStore::open(&dir).expect("reopen");
+        std::fs::remove_file(dir.join(PACK_FILE)).expect("remove pack");
+        run_campaign_cached(&cfg, &store);
+        assert_eq!(store.stats().hits, 6);
+        drop(store);
+        assert!(!dir.join(PACK_FILE).exists(), "an unchanged session wrote");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn frame_trouble_is_a_typed_error_under_the_key_it_names() {
+        let dir = tmp_dir("frames");
+        drop(NodeDayStore::open(&dir).expect("open"));
+        let pack = dir.join(PACK_FILE);
+        let reopen = |bytes: &[u8]| {
+            std::fs::write(&pack, bytes).expect("write pack");
+            NodeDayStore::open(&dir).expect("open")
+        };
+        let malformed =
+            |store: &NodeDayStore, key: u64, frame: usize, what: &str| match store.load(key) {
+                Err(StoreError::Envelope {
+                    path,
+                    error: EnvelopeError::Malformed { detail },
+                }) => {
+                    assert!(
+                        path.ends_with(&format!("store.pack frame {frame}")),
+                        "{path}"
+                    );
+                    assert!(detail.contains(what), "{detail}");
+                }
+                other => panic!("key {key}: expected a malformed frame, got {other:?}"),
+            };
+        let valid = |store: &NodeDayStore, key: u64| {
+            assert_eq!(store.load(key).expect("load"), Some(outcome(key as usize)));
+        };
+
+        // A torn tail that still names its key.
+        let mut bytes = frames(&[10, 20, 30]);
+        bytes.extend_from_slice(&frames(&[40])[..KEY_AT + 8 + 5]);
+        let store = reopen(&bytes);
+        malformed(&store, 40, 3, "torn frame");
+        [10, 20, 30].map(|k| valid(&store, k));
+        assert_eq!(store.entry_count().expect("count"), 4);
+
+        // A torn tail too short to name one is no entry at all.
+        let mut bytes = frames(&[10, 20, 30]);
+        bytes.extend_from_slice(&frames(&[40])[..KEY_AT + 3]);
+        let store = reopen(&bytes);
+        assert_eq!(store.entry_count().expect("count"), 3);
+        assert_eq!(store.load(40).expect("load"), None);
+
+        // A duplicate key, and a key below its predecessor.
+        let store = reopen(&frames(&[10, 20, 20, 30]));
+        malformed(&store, 20, 2, "not above");
+        [10, 30].map(|k| valid(&store, k));
+        let store = reopen(&frames(&[10, 30, 20]));
+        malformed(&store, 20, 2, "not above");
+        [10, 30].map(|k| valid(&store, k));
+
+        // Recomputing replaces the bad frame; the write drops none of the
+        // valid ones.
+        store.persist(20, &outcome(20)).expect("persist");
+        drop(store);
+        assert_eq!(std::fs::read(&pack).expect("pack"), frames(&[10, 20, 30]));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn corrupt_entries_yield_typed_errors_and_transparent_recompute() {
         let dir = tmp_dir("corrupt");
         let cfg = smoke_cfg(4);
-        let store = NodeDayStore::open(&dir).expect("open");
-        let cold = run_campaign_cached(&cfg, &store);
+        let cold = run_campaign_cached(&cfg, &NodeDayStore::open(&dir).expect("open"));
 
-        // Flip one payload byte in every entry.
-        let mut flipped = 0;
-        for item in std::fs::read_dir(&dir).expect("read_dir") {
-            let path = item.expect("entry").path();
-            if !path
-                .file_name()
-                .is_some_and(|n| n.to_string_lossy().starts_with("nd-"))
-            {
-                continue;
-            }
-            let mut bytes = std::fs::read(&path).expect("read");
-            let mid = bytes.len() / 2;
-            bytes[mid] ^= 0x40;
-            std::fs::write(&path, &bytes).expect("write");
-            flipped += 1;
+        // Flip one outcome byte in every frame.
+        let pack = dir.join(PACK_FILE);
+        let mut bytes = std::fs::read(&pack).expect("read");
+        assert_eq!(bytes.len(), 4 * FRAME_LEN);
+        for frame in bytes.chunks_mut(FRAME_LEN) {
+            frame[FRAME_LEN / 2] ^= 0x40;
         }
-        assert_eq!(flipped, 4);
+        std::fs::write(&pack, &bytes).expect("write");
 
-        store.reset_stats();
+        let store = NodeDayStore::open(&dir).expect("reopen");
         let warm = run_campaign_cached(&cfg, &store);
         assert_eq!(warm, cold, "corruption never changes the report");
         let s = store.stats();
@@ -612,15 +766,57 @@ mod tests {
         let reasons = store.corrupt_reasons();
         assert_eq!(reasons.len(), 4, "{reasons:?}");
         for reason in &reasons {
-            assert!(reason.contains("nd-"), "names the entry: {reason}");
+            assert!(
+                reason.contains("store.pack frame "),
+                "names the frame: {reason}"
+            );
             assert!(reason.contains("checksum mismatch"), "{reason}");
         }
+        drop(store);
 
         // And the rewrite healed the store.
-        store.reset_stats();
-        assert!(store.corrupt_reasons().is_empty());
+        let store = NodeDayStore::open(&dir).expect("reopen healed");
         run_campaign_cached(&cfg, &store);
-        assert_eq!(store.stats().hits, 4);
+        assert_eq!((store.stats().hits, store.stats().corrupt), (4, 0));
+        assert!(store.corrupt_reasons().is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_write_stays_pending_and_is_reported() {
+        let dir = tmp_dir("blocked");
+        let store = NodeDayStore::open(&dir).expect("open");
+        store.persist(5, &outcome(5)).expect("persist");
+        // A non-empty directory where the pack goes: the rename fails.
+        std::fs::create_dir_all(dir.join(PACK_FILE).join("occupied")).expect("mkdir");
+        match store.flush() {
+            Err(StoreError::Io { path, .. }) => assert!(path.ends_with(PACK_FILE), "{path}"),
+            other => panic!("expected an I/O error naming the pack, got {other:?}"),
+        }
+        std::fs::remove_dir_all(dir.join(PACK_FILE)).expect("unblock");
+        store.flush().expect("the retry writes");
+        drop(store);
+        let store = NodeDayStore::open(&dir).expect("reopen");
+        assert_eq!(store.load(5).expect("load"), Some(outcome(5)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_version_one_directory_is_refused() {
+        let dir = tmp_dir("v1");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let v1 = Envelope {
+            magic: STORE_MAGIC,
+            version: 1,
+        };
+        std::fs::write(dir.join(META_FILE), v1.seal(|_| {})).expect("write meta");
+        match NodeDayStore::open(&dir) {
+            Err(StoreError::Envelope {
+                error: EnvelopeError::UnsupportedVersion { found: 1, .. },
+                ..
+            }) => {}
+            other => panic!("expected UnsupportedVersion, got {other:?}"),
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -250,17 +250,13 @@ fn file_hashes(dir: &Path, keep: impl Fn(&str) -> bool) -> Vec<(String, u64)> {
 /// re-pinned when `SIM_FINGERPRINT` went to `v2` (new outcomes, new keys).
 const PINNED_CHECKPOINTS: &[(&str, u64)] = &[("ckpt-000000000008.bin", 0xA80F_9ED4_2403_61C6)];
 
-/// Store files (`store.meta` and every `nd-*.bin`) of the pinned campaign.
+/// Store files (`store.meta` and `store.pack`) of the pinned campaign.
+/// Re-pinned when `STORE_VERSION` went to 2 (one sorted pack instead of
+/// one file per entry): the pack is the eight v1 entry files in key order,
+/// each with its version field set to 2 and its checksum recomputed.
 const PINNED_STORE: &[(&str, u64)] = &[
-    ("nd-2f177f643930cc56.bin", 0xF1E7_08BC_432E_A143),
-    ("nd-8812856b2e3a9555.bin", 0xEE7A_E6B8_F1C7_9274),
-    ("nd-8edc0e95df79cad0.bin", 0x0087_1136_DF93_0ECF),
-    ("nd-8f086c30090601bc.bin", 0x9F52_BAA6_38BF_7D7D),
-    ("nd-99b3d281974ecc1d.bin", 0x960D_07A1_20DA_B7E8),
-    ("nd-d8e9fefbccb10649.bin", 0xC3AB_35E3_9FF8_5CA1),
-    ("nd-e3db588baa6f0411.bin", 0x32E6_3C8A_CE4B_926D),
-    ("nd-fd891e094344c78c.bin", 0x2030_659E_2117_E292),
-    ("store.meta", 0x70F4_6CF5_06D0_C393),
+    ("store.meta", 0xE32C_AA92_1D04_CD54),
+    ("store.pack", 0xC3A9_5057_820B_2515),
 ];
 
 #[test]
@@ -279,9 +275,7 @@ fn on_disk_checkpoint_and_store_bytes_are_pinned() {
     let store_dir = scratch_dir("pin-store");
     let store = NodeDayStore::open(&store_dir).expect("open store");
     run_campaign_cached(&cfg, &store);
-    let stored = file_hashes(&store_dir, |n| {
-        n == "store.meta" || (n.starts_with("nd-") && n.ends_with(".bin"))
-    });
+    let stored = file_hashes(&store_dir, |n| n.starts_with("store."));
 
     let owned = |pins: &[(&str, u64)]| -> Vec<(String, u64)> {
         pins.iter().map(|&(n, h)| (n.to_string(), h)).collect()

@@ -1,6 +1,7 @@
 //! Property suites for the incremental node-day store: any cached-prefix /
 //! recomputed-suffix split folds byte-identically to an all-cold run, any
-//! mangled entry decodes to a typed error and recomputes transparently,
+//! mangled pack frame is a miss or a typed error and recomputes
+//! transparently,
 //! and a one-`Dist` spec edit invalidates exactly the nodes whose resolved
 //! configuration it reaches — pinned by a mutation sweep over every
 //! [`PopulationSpec`] parameter.
@@ -42,24 +43,27 @@ fn cheap_cfg(nodes: usize) -> CampaignConfig {
 
 const PROP_NODES: usize = 8;
 
+/// Bytes of one pack frame: envelope (20), key (8), outcome (88).
+const FRAME_LEN: usize = 116;
+
+/// Byte range of the content key inside a frame, after magic and version.
+const KEY_BYTES: std::ops::Range<usize> = 12..20;
+
 fn node_task(spec: &PopulationSpec, seed: u64, node: usize) -> NodeDayTask {
     NodeDayTask::resolve(spec, node, derive_seed(seed, FLEET_SEED_CYCLE, node))
 }
 
 /// A master store holding all [`PROP_NODES`] outcomes, built once; cases
-/// seed their per-case store by copying a prefix of its entry files.
-fn master_store() -> &'static (PathBuf, Vec<u64>, String) {
-    static MASTER: OnceLock<(PathBuf, Vec<u64>, String)> = OnceLock::new();
+/// seed their per-case store with a prefix of its pack's frames.
+fn master_store() -> &'static (PathBuf, String) {
+    static MASTER: OnceLock<(PathBuf, String)> = OnceLock::new();
     MASTER.get_or_init(|| {
         let dir = std::env::temp_dir().join(format!("solarml-prop-master-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = cheap_cfg(PROP_NODES);
         let store = NodeDayStore::open(&dir).expect("open master store");
         let cold = run_campaign_cached(&cfg, &store);
-        let keys = (0..PROP_NODES)
-            .map(|node| node_task(&cfg.population, cfg.seed, node).key())
-            .collect();
-        (dir, keys, cold.to_json())
+        (dir, cold.to_json())
     })
 }
 
@@ -132,16 +136,17 @@ proptest! {
         workers in 1usize..4,
         chunk in 1usize..5,
     ) {
-        let (master_dir, keys, cold_json) = master_store();
+        let (master_dir, cold_json) = master_store();
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let split = ((PROP_NODES as f64) * split_frac) as usize % (PROP_NODES + 1);
 
         let dir = fresh_dir("prefix");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        std::fs::copy(master_dir.join("store.meta"), dir.join("store.meta")).expect("copy meta");
+        let pack = std::fs::read(master_dir.join("store.pack")).expect("read master pack");
+        prop_assert_eq!(pack.len(), PROP_NODES * FRAME_LEN);
+        std::fs::write(dir.join("store.pack"), &pack[..split * FRAME_LEN]).expect("write prefix");
         let store = NodeDayStore::open(&dir).expect("open");
-        for key in &keys[..split] {
-            let name = format!("nd-{key:016x}.bin");
-            std::fs::copy(master_dir.join(&name), dir.join(&name)).expect("copy entry");
-        }
 
         let mut cfg = cheap_cfg(PROP_NODES);
         cfg.workers = workers;
@@ -156,10 +161,13 @@ proptest! {
     }
 
     /// Satellite (b), decode half: every truncation and every single-byte
-    /// flip of a persisted entry is a typed [`StoreError`] — never a
-    /// panic, never a silently wrong outcome.
+    /// flip of a one-entry pack is a miss or a typed [`StoreError`] —
+    /// never a panic, never a silently wrong outcome. A flip inside the key
+    /// bytes moves the frame to another key, and a cut before the key ends
+    /// leaves a frame that names none, so the lookup misses; every other
+    /// mutation is an error under the key.
     #[test]
-    fn every_entry_mutation_is_a_typed_error(
+    fn every_pack_mutation_is_a_miss_or_a_typed_error(
         payload_seed in 0u64..=u64::MAX,
         key in 0u64..=u64::MAX,
         pos_frac in 0.0f64..1.0,
@@ -168,13 +176,17 @@ proptest! {
     ) {
         let truncate = truncate_sel == 1;
         let dir = fresh_dir("mangle");
-        let store = NodeDayStore::open(&dir).expect("open");
         let outcome = outcome_from(payload_seed);
-        store.persist(key, &outcome).expect("persist");
-        prop_assert_eq!(store.load(key).expect("load"), Some(outcome));
+        {
+            let store = NodeDayStore::open(&dir).expect("open");
+            store.persist(key, &outcome).expect("persist");
+            store.flush().expect("write the pack");
+            prop_assert_eq!(store.load(key).expect("load"), Some(outcome));
+        }
 
-        let path = dir.join(format!("nd-{key:016x}.bin"));
+        let path = dir.join("store.pack");
         let mut bytes = std::fs::read(&path).expect("read");
+        prop_assert_eq!(bytes.len(), FRAME_LEN);
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let pos = ((bytes.len() as f64) * pos_frac) as usize % bytes.len();
         if truncate {
@@ -184,9 +196,12 @@ proptest! {
         }
         std::fs::write(&path, &bytes).expect("rewrite");
 
+        let store = NodeDayStore::open(&dir).expect("a mangled pack still opens");
+        let misses = if truncate { pos < KEY_BYTES.end } else { KEY_BYTES.contains(&pos) };
         match store.load(key) {
-            Err(StoreError::Envelope { .. } | StoreError::KeyMismatch { .. }) => {}
-            other => prop_assert!(false, "expected a typed decode error, got {other:?}"),
+            Ok(None) if misses => {}
+            Err(StoreError::Envelope { .. }) if !misses => {}
+            other => prop_assert!(false, "cut {truncate} at {pos}: got {other:?}"),
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -228,43 +243,38 @@ proptest! {
     }
 }
 
-/// Satellite (b), recompute half: a campaign over a store whose entries
-/// were all bit-flipped reproduces the cold report exactly, counting each
-/// corruption, and heals the store in passing.
+/// Satellite (b), recompute half: a campaign over a store whose every
+/// frame was bit-flipped outside its key reproduces the cold report
+/// exactly, counting each corruption, and heals the store in passing.
 #[test]
 fn corrupted_store_recomputes_transparently_and_heals() {
     let dir = fresh_dir("heal");
     let cfg = cheap_cfg(6);
     let cold = run_campaign(&cfg);
-    let store = NodeDayStore::open(&dir).expect("open");
-    assert_eq!(run_campaign_cached(&cfg, &store), cold);
+    assert_eq!(
+        run_campaign_cached(&cfg, &NodeDayStore::open(&dir).expect("open")),
+        cold
+    );
 
-    let mut mangled = 0;
-    for (i, item) in std::fs::read_dir(&dir).expect("read_dir").enumerate() {
-        let path = item.expect("entry").path();
-        if !path
-            .file_name()
-            .is_some_and(|n| n.to_string_lossy().starts_with("nd-"))
-        {
-            continue;
-        }
-        let mut bytes = std::fs::read(&path).expect("read");
-        let pos = (i * 17) % bytes.len();
-        bytes[pos] ^= 1 << (i % 8);
-        std::fs::write(&path, &bytes).expect("write");
-        mangled += 1;
+    let path = dir.join("store.pack");
+    let mut bytes = std::fs::read(&path).expect("read");
+    assert_eq!(bytes.len(), 6 * FRAME_LEN);
+    let outside_key: Vec<usize> = (0..FRAME_LEN).filter(|p| !KEY_BYTES.contains(p)).collect();
+    for (i, frame) in bytes.chunks_mut(FRAME_LEN).enumerate() {
+        frame[outside_key[(i * 17) % outside_key.len()]] ^= 1 << (i % 8);
     }
-    assert_eq!(mangled, 6);
+    std::fs::write(&path, &bytes).expect("write");
 
-    store.reset_stats();
+    let store = NodeDayStore::open(&dir).expect("reopen");
     assert_eq!(
         run_campaign_cached(&cfg, &store).to_json(),
         cold.to_json(),
         "corruption is invisible in the report"
     );
     assert_eq!(store.stats().corrupt, 6);
+    drop(store);
 
-    store.reset_stats();
+    let store = NodeDayStore::open(&dir).expect("reopen healed");
     run_campaign_cached(&cfg, &store);
     let healed = store.stats();
     assert_eq!((healed.hits, healed.corrupt), (6, 0), "rewrites healed it");
