@@ -11,7 +11,8 @@
 //! counts the rail steps of the CLI-default 64-node campaign, trains one
 //! fixed KWS-shaped candidate (verifying its pinned bit-identity digest),
 //! builds one KWS MFCC dataset (verifying the pinned digest of the corpus
-//! under it), builds the default KWS task context, and writes the medians to
+//! under it), builds the default KWS task context, reopens a node-day store
+//! of 10,000 entries and loads each, and writes the medians to
 //! `BENCH_hotpaths.json` so future PRs have a trajectory to beat.
 //! Wall-clock timing with `std::time`; the JSON is hand-rendered because
 //! the workspace vendors no JSON crate.
@@ -31,8 +32,8 @@ use solarml::datasets::{KwsDataset, KwsDatasetBuilder};
 use solarml::dsp::AudioFrontendParams;
 use solarml::fleet::{
     resume_campaign_with, run_campaign, run_campaign_cached, run_campaign_durable_with,
-    simulate_node, CampaignCheckpoints, CampaignConfig, CampaignError, FleetReport, NodeDayStore,
-    NodeDayTask, FLEET_SEED_CYCLE,
+    simulate_node, CampaignCheckpoints, CampaignConfig, CampaignError, FleetReport, NodeDayOutcome,
+    NodeDayStore, NodeDayTask, FLEET_SEED_CYCLE,
 };
 use solarml::nas::parallel::{available_workers, derive_seed};
 use solarml::nn::layers::Conv2d;
@@ -483,6 +484,47 @@ fn timed_sweep(nodes: usize, workers: usize) -> SweepBench {
     }
 }
 
+/// The store-scale stage: fills a fresh node-day store with `entries`
+/// synthetic outcomes through `persist` (untimed; dropping the store
+/// writes them), then times what a warm session pays before any resolve:
+/// a reopen plus a `load` of every key.
+fn timed_store(entries: usize, reps: usize) -> u128 {
+    let dir = std::env::temp_dir().join(format!("solarml-bench-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let keys: Vec<u64> = (0..entries)
+        .map(|i| derive_seed(0x57_0BE, FLEET_SEED_CYCLE, i))
+        .collect();
+    {
+        let store = NodeDayStore::open(&dir).expect("bench store opens in temp dir");
+        for (i, &key) in keys.iter().enumerate() {
+            let outcome = NodeDayOutcome {
+                attempted: i % 97,
+                completed: i % 89,
+                abandoned: i % 7,
+                degraded: i % 5,
+                brownouts: i % 3,
+                dead_window_s: i as f64,
+                harvested_j: 0.5 * i as f64,
+                consumed_j: 0.25 * i as f64,
+                wasted_j: 0.125,
+                residual_j: 0.0,
+                mean_accuracy: 0.9,
+            };
+            store.persist(key, &outcome).expect("bench persist");
+        }
+    }
+    let ns = time_stage(reps, 1, || {
+        let store = NodeDayStore::open(&dir).expect("bench store reopens");
+        let found = keys
+            .iter()
+            .filter(|&&key| matches!(store.load(key), Ok(Some(_))))
+            .count();
+        assert_eq!(found, entries, "every persisted entry loads back");
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    ns
+}
+
 /// The scenario-language stage: times one full parse + unit-check + eval
 /// round trip of the registry's most randomized shipped script (the shape
 /// a campaign pays once per node-day resolution), and gates on the
@@ -631,6 +673,17 @@ fn main() {
     let sweep_warm_speedup = sweep.cold_ns as f64 / (sweep.warm_ns as f64).max(1.0);
     let sweep_miss_matches_affected = sweep.misses as usize == sweep.affected;
 
+    let store_entries = if quick { 2_000 } else { 10_000 };
+    let store_reps = if quick { 3 } else { 7 };
+    eprintln!(
+        "quickbench: {store_entries}-entry store reopen + load of every key ({store_reps} reps)…"
+    );
+    stages.push(Stage {
+        name: "fleet_store_10k",
+        median_ns: timed_store(store_entries, store_reps),
+        iters: 1,
+    });
+
     // Last: run before the fleet stages, these training stages slowed the
     // warm sweep several-fold (12–37× over cold instead of ~80× on a
     // 2-vCPU box), so they run after them.
@@ -770,6 +823,7 @@ fn main() {
         "    \"fleet_sweep_warm_identical\": {},\n",
         sweep.warm_identical
     ));
+    json.push_str(&format!("    \"fleet_store_entries\": {store_entries},\n"));
     json.push_str(&format!(
         "    \"scenario_eval_identical\": {scenario_identical}\n"
     ));
