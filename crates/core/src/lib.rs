@@ -48,7 +48,6 @@ pub use solarml_units::{Energy, Power, Seconds};
 
 use solarml_nas::TaskKind;
 use solarml_nn::TrainConfig;
-use solarml_units::Lux;
 
 /// Which of the paper's two applications to optimize.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,11 +197,6 @@ impl From<TaskSelection> for TaskKind {
             TaskSelection::Kws => TaskKind::Kws,
         }
     }
-}
-
-/// A 500-lux office scenario helper.
-pub fn office_light() -> Lux {
-    Lux::new(500.0)
 }
 
 #[cfg(test)]

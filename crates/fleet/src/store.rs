@@ -716,7 +716,7 @@ mod tests {
         bytes.extend_from_slice(&frames(&[40])[..KEY_AT + 8 + 5]);
         let store = reopen(&bytes);
         malformed(&store, 40, 3, "torn frame");
-        [10, 20, 30].map(|k| valid(&store, k));
+        [10, 20, 30].into_iter().for_each(|k| valid(&store, k));
         assert_eq!(store.entry_count().expect("count"), 4);
 
         // A torn tail too short to name one is no entry at all.
@@ -729,10 +729,10 @@ mod tests {
         // A duplicate key, and a key below its predecessor.
         let store = reopen(&frames(&[10, 20, 20, 30]));
         malformed(&store, 20, 2, "not above");
-        [10, 30].map(|k| valid(&store, k));
+        [10, 30].into_iter().for_each(|k| valid(&store, k));
         let store = reopen(&frames(&[10, 30, 20]));
         malformed(&store, 20, 2, "not above");
-        [10, 30].map(|k| valid(&store, k));
+        [10, 30].into_iter().for_each(|k| valid(&store, k));
 
         // Recomputing replaces the bad frame; the write drops none of the
         // valid ones.

@@ -15,7 +15,6 @@ use crate::arch::{ArchError, LayerSpec, MacSummary, ModelSpec};
 use crate::dataset::ClassDataset;
 use crate::layers::Layer;
 use crate::loss::softmax_cross_entropy;
-use crate::model::Model;
 use crate::tensor::Tensor;
 
 /// A backbone with exit heads after selected layers.
@@ -400,27 +399,6 @@ fn softmax_peak(scores: &Tensor) -> f32 {
     let exps: Vec<f32> = scores.data().iter().map(|&s| (s - max).exp()).collect();
     let sum: f32 = exps.iter().sum();
     exps.iter().copied().fold(0.0, f32::max) / sum
-}
-
-/// Convenience: the full-model accuracy of a plain [`Model`] with the same
-/// backbone, for comparing against early-exit accuracy.
-pub fn backbone_accuracy(
-    spec: &ModelSpec,
-    data: &ClassDataset,
-    epochs: usize,
-    rng: &mut impl Rng,
-) -> f64 {
-    let mut model = Model::from_spec(spec, rng);
-    crate::train::fit(
-        &mut model,
-        data,
-        &crate::train::TrainConfig {
-            epochs,
-            ..crate::train::TrainConfig::default()
-        },
-        rng,
-    );
-    crate::train::evaluate(&mut model, data)
 }
 
 #[cfg(test)]
