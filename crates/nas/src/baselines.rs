@@ -9,44 +9,19 @@
 //!   standard sanity baseline for any NAS claim (Liashchynskyi &
 //!   Liashchynskyi, the paper's grid/random/GA comparison reference).
 //!
-//! Both share eNAS's trainer, candidate space and constraint handling, so
-//! differences are attributable to the search strategy alone.
+//! Both share eNAS's trainer, candidate space and constraint handling, and
+//! take µNAS's [`MunasConfig`] (population, tournament, cycles, seed,
+//! workers). The HarvNet-style search runs the same aging-evolution loop as
+//! eNAS and µNAS, with the ratio as its score, so differences are
+//! attributable to the search strategy alone.
 
 use rand::seq::SliceRandom;
-use solarml_units::Energy;
 
 use crate::candidate::Evaluated;
-use crate::parallel::{EvalEngine, EvalRequest};
+use crate::evolution::{aging_evolution, best_by, envelope, most_accurate, random_batch, resensed};
+use crate::munas::MunasConfig;
+use crate::parallel::EvalEngine;
 use crate::task::{SearchOutcome, TaskContext};
-
-/// Configuration shared by the extra baselines.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BaselineConfig {
-    /// Population size (HarvNet-style) / irrelevant for random search.
-    pub population: usize,
-    /// Tournament size (HarvNet-style).
-    pub sample_size: usize,
-    /// Evolution cycles (HarvNet-style) / total samples (random search,
-    /// added to the initial population-worth of samples).
-    pub cycles: usize,
-    /// RNG seed.
-    pub seed: u64,
-    /// Worker threads for candidate evaluation (0 = available parallelism).
-    pub workers: usize,
-}
-
-impl BaselineConfig {
-    /// Reduced settings for tests and quick demos.
-    pub fn quick() -> Self {
-        Self {
-            population: 8,
-            sample_size: 4,
-            cycles: 12,
-            seed: 0xBA5E,
-            workers: 0,
-        }
-    }
-}
 
 /// The HarvNet-style ratio objective `A / E` (estimated energy, µJ).
 fn ratio_objective(e: &Evaluated) -> f64 {
@@ -66,7 +41,7 @@ fn ratio_objective(e: &Evaluated) -> f64 {
 /// # Panics
 ///
 /// Panics if `population` or `sample_size` is zero.
-pub fn run_harvnet_style(ctx: &TaskContext, config: &BaselineConfig) -> SearchOutcome {
+pub fn run_harvnet_style(ctx: &TaskContext, config: &MunasConfig) -> SearchOutcome {
     assert!(config.population > 0, "population must be positive");
     assert!(config.sample_size > 0, "sample size must be positive");
     use rand::SeedableRng;
@@ -74,109 +49,49 @@ pub fn run_harvnet_style(ctx: &TaskContext, config: &BaselineConfig) -> SearchOu
     let engine = EvalEngine::new(ctx, config.seed, config.workers);
 
     // Phase 1: sample sequentially (RNG order), train in parallel.
-    let requests: Vec<EvalRequest> = (0..config.population)
-        .map(|_| EvalRequest::new(ctx.random_candidate(&mut rng), 0))
-        .collect();
-    let mut population: Vec<Evaluated> = engine
-        .evaluate_batch(&requests)
-        .into_iter()
-        .flatten()
-        .collect();
-    let mut history: Vec<Evaluated> = population.clone();
+    let population = random_batch(ctx, &engine, &mut rng, vec![0; config.population]);
+    let (_, history) = aging_evolution(
+        &mut rng,
+        population,
+        config.cycles,
+        config.sample_size,
+        |_, _| ratio_objective,
+        |parent, cycle, rng| {
+            // Mostly model morphisms; occasionally step the sensing space too.
+            let neighbor = if cycle % 4 == 0 {
+                ctx.sensing_neighbors(parent.sensing).choose(rng).copied()
+            } else {
+                None
+            };
+            let child = match neighbor {
+                Some(sensing) => resensed(ctx, parent, sensing, rng),
+                None => ctx.mutate_model(parent, rng),
+            };
+            engine.evaluate_one(child, cycle)
+        },
+    );
 
-    for cycle in 1..=config.cycles {
-        let sample: Vec<&Evaluated> = population
-            .choose_multiple(&mut rng, config.sample_size.min(population.len()))
-            .collect();
-        let parent = sample
-            .iter()
-            .max_by(|a, b| ratio_objective(a).total_cmp(&ratio_objective(b)))
-            .expect("non-empty sample")
-            .candidate
-            .clone();
-        // Mostly model morphisms; occasionally step the sensing space too.
-        let child = if cycle % 4 == 0 {
-            let neighbors = ctx.sensing_neighbors(parent.sensing);
-            match neighbors.choose(&mut rng) {
-                Some(&sensing) => {
-                    let spec = match solarml_nn::ModelSpec::new(
-                        ctx.input_shape(sensing),
-                        parent.spec.layers().to_vec(),
-                    ) {
-                        Ok(spec) => spec,
-                        Err(_) => ctx.sampler(sensing).sample(&mut rng),
-                    };
-                    crate::candidate::Candidate { sensing, spec }
-                }
-                None => ctx.mutate_model(&parent, &mut rng),
-            }
-        } else {
-            ctx.mutate_model(&parent, &mut rng)
-        };
-        if let Some(eval) = engine.evaluate_one(child, cycle) {
-            history.push(eval.clone());
-            population.push(eval);
-            population.remove(0);
-        }
-    }
-
-    let best = history
-        .iter()
-        .max_by(|a, b| ratio_objective(a).total_cmp(&ratio_objective(b)))
-        .expect("history is non-empty")
-        .clone();
-    let envelope = envelope_of(&history);
     SearchOutcome {
+        best: best_by(&history, ratio_objective).clone(),
+        energy_envelope: envelope(&history),
         history,
-        best,
-        energy_envelope: envelope,
     }
 }
 
 /// Pure random search: `population + cycles` constraint-satisfying samples,
 /// best by accuracy among feasible candidates.
-pub fn run_random_search(ctx: &TaskContext, config: &BaselineConfig) -> SearchOutcome {
+pub fn run_random_search(ctx: &TaskContext, config: &MunasConfig) -> SearchOutcome {
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
     let engine = EvalEngine::new(ctx, config.seed, config.workers);
-    let budget = config.population + config.cycles;
     // One deterministic batch: sample index doubles as the recorded cycle
     // (`random_candidate` guarantees feasibility, so nothing drops out).
-    let requests: Vec<EvalRequest> = (0..budget)
-        .map(|i| EvalRequest::new(ctx.random_candidate(&mut rng), i))
-        .collect();
-    let history: Vec<Evaluated> = engine
-        .evaluate_batch(&requests)
-        .into_iter()
-        .flatten()
-        .collect();
-    let best = history
-        .iter()
-        .filter(|e| e.meets_accuracy)
-        .max_by(|a, b| a.accuracy.total_cmp(&b.accuracy))
-        .or_else(|| {
-            history
-                .iter()
-                .max_by(|a, b| a.accuracy.total_cmp(&b.accuracy))
-        })
-        .expect("history is non-empty")
-        .clone();
-    let envelope = envelope_of(&history);
+    let history = random_batch(ctx, &engine, &mut rng, 0..config.population + config.cycles);
     SearchOutcome {
+        best: most_accurate(&history),
+        energy_envelope: envelope(&history),
         history,
-        best,
-        energy_envelope: envelope,
     }
-}
-
-fn envelope_of(history: &[Evaluated]) -> (Energy, Energy) {
-    let mut lo = Energy::new(f64::INFINITY);
-    let mut hi = Energy::ZERO;
-    for e in history {
-        lo = lo.min(e.estimated_energy);
-        hi = hi.max(e.estimated_energy);
-    }
-    (lo, hi)
 }
 
 #[cfg(test)]
@@ -196,7 +111,11 @@ mod tests {
     #[test]
     fn harvnet_style_runs_and_prefers_cheap_accurate() {
         let ctx = tiny_ctx();
-        let out = run_harvnet_style(&ctx, &BaselineConfig::quick());
+        let cfg = MunasConfig {
+            seed: 0xBA5E,
+            ..MunasConfig::quick()
+        };
+        let out = run_harvnet_style(&ctx, &cfg);
         assert!(!out.history.is_empty());
         // The winner's ratio is maximal over the history.
         let best_ratio = ratio_objective(&out.best);
@@ -211,9 +130,9 @@ mod tests {
         // accurate candidate can outrank cheaper ones — so assert only that
         // the winner stays out of the most expensive quartile.
         let ctx = tiny_ctx();
-        let cfg = BaselineConfig {
+        let cfg = MunasConfig {
             seed: 7,
-            ..BaselineConfig::quick()
+            ..MunasConfig::quick()
         };
         let out = run_harvnet_style(&ctx, &cfg);
         let mut energies: Vec<f64> = out
@@ -229,7 +148,10 @@ mod tests {
     #[test]
     fn random_search_exhausts_budget() {
         let ctx = tiny_ctx();
-        let cfg = BaselineConfig::quick();
+        let cfg = MunasConfig {
+            seed: 0xBA5E,
+            ..MunasConfig::quick()
+        };
         let out = run_random_search(&ctx, &cfg);
         assert_eq!(out.history.len(), cfg.population + cfg.cycles);
     }
@@ -237,12 +159,12 @@ mod tests {
     #[test]
     fn baselines_are_deterministic() {
         let ctx = tiny_ctx();
-        let cfg = BaselineConfig {
+        let cfg = MunasConfig {
             population: 3,
             sample_size: 2,
             cycles: 3,
             seed: 5,
-            ..BaselineConfig::quick()
+            ..MunasConfig::quick()
         };
         let a = run_harvnet_style(&ctx, &cfg);
         let b = run_harvnet_style(&ctx, &cfg);

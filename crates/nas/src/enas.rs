@@ -9,11 +9,12 @@
 //! by `R` because sensing changes invalidate the trained-model cache and
 //! pay the highest evaluation cost.
 
-use rand::seq::SliceRandom;
 use rand::Rng;
-use solarml_units::Energy;
 
 use crate::candidate::{Candidate, Evaluated};
+use crate::evolution::{
+    aging_evolution, best_by, envelope, random_batch, resensed, total_mac_proxy,
+};
 use crate::parallel::{EvalEngine, EvalRequest};
 use crate::task::{SearchOutcome, TaskContext};
 
@@ -94,147 +95,74 @@ pub fn run_enas(ctx: &TaskContext, config: &EnasConfig) -> SearchOutcome {
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
     let engine = EvalEngine::new(ctx, config.seed, config.workers);
+    let proxy = |eval: Evaluated| match config.energy_proxy {
+        EnergyProxy::Layerwise => eval,
+        EnergyProxy::TotalMacs => total_mac_proxy(ctx, eval),
+    };
 
     // ---- Phase 1: broad exploration with random permutations. ----
     // Sampling is sequential (it drives the search RNG); the expensive
     // training fans out across the worker pool. `random_candidate`
     // guarantees the static constraints, so every request evaluates.
-    let requests: Vec<EvalRequest> = (0..config.population)
-        .map(|_| EvalRequest::new(ctx.random_candidate(&mut rng), 0))
-        .collect();
-    let mut population: Vec<Evaluated> = engine
-        .evaluate_batch(&requests)
-        .into_iter()
-        .flatten()
-        .map(|eval| apply_proxy(ctx, eval, config.energy_proxy))
-        .collect();
-    let mut history: Vec<Evaluated> = population.clone();
-    let (e_min, e_max) = energy_envelope(&population);
+    let population: Vec<Evaluated> =
+        random_batch(ctx, &engine, &mut rng, vec![0; config.population])
+            .into_iter()
+            .map(proxy)
+            .collect();
+    let (e_min, e_max) = envelope(&population);
+    let objective = |e: &Evaluated| e.objective(config.lambda, e_min, e_max);
 
     // ---- Phase 2: optimal exploration with mutations. ----
-    for cycle in 1..=config.cycles {
-        let sample: Vec<&Evaluated> = population
-            .choose_multiple(&mut rng, config.sample_size.min(population.len()))
-            .collect();
-        let parent = sample
-            .iter()
-            .max_by(|a, b| {
-                a.objective(config.lambda, e_min, e_max)
-                    .total_cmp(&b.objective(config.lambda, e_min, e_max))
-            })
-            .expect("non-empty sample")
-            .candidate
-            .clone();
+    let (_, history) = aging_evolution(
+        &mut rng,
+        population,
+        config.cycles,
+        config.sample_size,
+        |_, _| objective,
+        |parent, cycle, rng| {
+            if config.grid_period > 0 && cycle % config.grid_period == 0 {
+                // The best neighbour by objective, the first of equals.
+                grid_mutate(ctx, &engine, parent, cycle, rng)
+                    .into_iter()
+                    .map(proxy)
+                    .reduce(|a, b| if objective(&b) > objective(&a) { b } else { a })
+            } else {
+                let child = ctx.mutate_model(parent, rng);
+                engine.evaluate_one(child, cycle).map(proxy)
+            }
+        },
+    );
 
-        let child_eval = if config.grid_period > 0 && cycle % config.grid_period == 0 {
-            grid_mutate(
-                ctx,
-                &engine,
-                &parent,
-                config,
-                (e_min, e_max),
-                cycle,
-                &mut rng,
-            )
-        } else {
-            let child = ctx.mutate_model(&parent, &mut rng);
-            engine
-                .evaluate_one(child, cycle)
-                .map(|eval| apply_proxy(ctx, eval, config.energy_proxy))
-        };
-        if let Some(eval) = child_eval {
-            history.push(eval.clone());
-            population.push(eval);
-            population.remove(0); // aging: drop the oldest
-        }
-    }
-
-    let best = history
-        .iter()
-        .max_by(|a, b| {
-            a.objective(config.lambda, e_min, e_max)
-                .total_cmp(&b.objective(config.lambda, e_min, e_max))
-        })
-        .expect("history is non-empty")
-        .clone();
     SearchOutcome {
+        best: best_by(&history, objective).clone(),
         history,
-        best,
         energy_envelope: (e_min, e_max),
     }
 }
 
-/// The paper's `GRIDMUTATE`: evaluate every single-step sensing neighbour of
-/// the parent (model half fixed, revalidated against the new input shape)
-/// and return the best child by objective.
+/// The paper's `GRIDMUTATE`: evaluates every single-step sensing neighbour
+/// of the parent (model half fixed, revalidated against the new input
+/// shape), from which the caller keeps the best child by objective.
 ///
 /// Spec re-derivation consumes the search RNG sequentially; the neighbour
 /// evaluations then run as one parallel batch.
-#[allow(clippy::too_many_arguments)]
 fn grid_mutate(
     ctx: &TaskContext,
     engine: &EvalEngine<'_>,
     parent: &Candidate,
-    config: &EnasConfig,
-    envelope: (Energy, Energy),
     cycle: usize,
     rng: &mut impl Rng,
-) -> Option<Evaluated> {
-    let (e_min, e_max) = envelope;
+) -> Vec<Evaluated> {
     let requests: Vec<EvalRequest> = ctx
         .sensing_neighbors(parent.sensing)
         .into_iter()
-        .map(|sensing| {
-            // The model must be re-derived for the new input shape: try to
-            // keep the same layer sequence; if it no longer validates, sample
-            // a fresh model in the new shape's space.
-            let spec = match solarml_nn::ModelSpec::new(
-                ctx.input_shape(sensing),
-                parent.spec.layers().to_vec(),
-            ) {
-                Ok(spec) => spec,
-                Err(_) => ctx.sampler(sensing).sample(rng),
-            };
-            EvalRequest::new(Candidate { sensing, spec }, cycle)
-        })
+        .map(|sensing| EvalRequest::new(resensed(ctx, parent, sensing, rng), cycle))
         .collect();
-    let mut best: Option<Evaluated> = None;
-    for eval in engine.evaluate_batch(&requests).into_iter().flatten() {
-        let eval = apply_proxy(ctx, eval, config.energy_proxy);
-        let better = best
-            .as_ref()
-            .map(|b| {
-                eval.objective(config.lambda, e_min, e_max)
-                    > b.objective(config.lambda, e_min, e_max)
-            })
-            .unwrap_or(true);
-        if better {
-            best = Some(eval);
-        }
-    }
-    best
-}
-
-/// Under the [`EnergyProxy::TotalMacs`] ablation, swaps the search-facing
-/// estimate for the coarse proxy (the true energy is still recorded for
-/// reporting). Applied *after* cache retrieval — the memo cache always
-/// stores the base layer-wise estimate, and this override is a pure
-/// function of the candidate, so hits and misses agree.
-fn apply_proxy(ctx: &TaskContext, mut eval: Evaluated, proxy: EnergyProxy) -> Evaluated {
-    if proxy == EnergyProxy::TotalMacs {
-        eval.estimated_energy = ctx.munas_estimated_energy(&eval.candidate);
-    }
-    eval
-}
-
-fn energy_envelope(population: &[Evaluated]) -> (Energy, Energy) {
-    let mut e_min = Energy::new(f64::INFINITY);
-    let mut e_max = Energy::ZERO;
-    for e in population {
-        e_min = e_min.min(e.estimated_energy);
-        e_max = e_max.max(e.estimated_energy);
-    }
-    (e_min, e_max)
+    engine
+        .evaluate_batch(&requests)
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 #[cfg(test)]

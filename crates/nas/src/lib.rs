@@ -5,7 +5,10 @@
 //! The search operates on [`Candidate`]s pairing a sensing configuration
 //! (Table II) with a model architecture. A [`TaskContext`] owns everything
 //! needed to evaluate one: the synthetic corpus, the fitted energy
-//! estimators, and the constraint set. Two search drivers are provided:
+//! estimators, and the constraint set. Every GA search runs one private
+//! aging-evolution loop (`evolution::aging_evolution`: tournament, child
+//! step, drop the oldest) and differs only in its score and its child step.
+//! Four search drivers are provided:
 //!
 //! * [`run_enas`] — Algorithm 1: a broad random phase establishes
 //!   `E_min`/`E_max`, then aging evolution optimizes
@@ -14,8 +17,12 @@
 //! * [`run_munas`] — the µNAS baseline: model-only aging evolution with
 //!   random scalarization of (accuracy, energy) and the total-MACs energy
 //!   proxy, run at a fixed sensing configuration.
+//! * [`run_harvnet_style`] — aging evolution over the joint space with
+//!   HarvNet's single ratio objective `A/E`.
+//! * [`run_random_search`] — constraint-satisfying random samples, best by
+//!   feasible accuracy; no evolution.
 //!
-//! Both report every trained candidate, so Pareto fronts (Fig. 10) fall out
+//! All report every trained candidate, so Pareto fronts (Fig. 10) fall out
 //! of the history.
 
 // Panicking on violated shape/sampling invariants is the right contract for
@@ -28,13 +35,14 @@
 pub mod baselines;
 pub mod candidate;
 pub mod enas;
+mod evolution;
 pub mod munas;
 pub mod parallel;
 pub mod pareto;
 pub mod report;
 pub mod task;
 
-pub use baselines::{run_harvnet_style, run_random_search, BaselineConfig};
+pub use baselines::{run_harvnet_style, run_random_search};
 pub use candidate::{Candidate, Evaluated, SensingConfig};
 pub use enas::{run_enas, EnasConfig, EnergyProxy};
 pub use munas::{run_munas, MunasConfig};

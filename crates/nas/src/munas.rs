@@ -6,12 +6,13 @@
 //! evaluates it at 20 random sensing configurations, §V-D), and its energy
 //! signal is the coarse `E = a·MACs + b` proxy.
 
-use rand::seq::SliceRandom;
 use rand::Rng;
+use solarml_units::Energy;
 
 use crate::candidate::{Candidate, Evaluated, SensingConfig};
+use crate::evolution::{aging_evolution, envelope, most_accurate, total_mac_proxy};
 use crate::parallel::{EvalEngine, EvalRequest};
-use crate::task::{SearchOutcome, TaskContext};
+use crate::task::{SearchOutcome, TaskContext, MAX_SAMPLE_ATTEMPTS};
 
 /// µNAS hyperparameters (matched to the eNAS run for fairness, §V-D).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,7 +63,8 @@ impl MunasConfig {
 ///
 /// # Panics
 ///
-/// Panics if `population` or `sample_size` is zero.
+/// Panics if `population` or `sample_size` is zero, or if no sampled model
+/// in 500 consecutive phase-1 slots evaluates.
 pub fn run_munas(ctx: &TaskContext, sensing: SensingConfig, config: &MunasConfig) -> SearchOutcome {
     assert!(config.population > 0, "population must be positive");
     assert!(config.sample_size > 0, "sample size must be positive");
@@ -73,96 +75,76 @@ pub fn run_munas(ctx: &TaskContext, sensing: SensingConfig, config: &MunasConfig
 
     // Phase 1 in parallel rounds: sampled specs may violate the static
     // constraints (unlike `random_candidate`, the sampler does not retry),
-    // so keep batching until the population fills.
+    // so keep batching until the population fills, giving up after as many
+    // consecutive empty slots as `random_candidate` tries.
     let mut population: Vec<Evaluated> = Vec::with_capacity(config.population);
-    let mut history: Vec<Evaluated> = Vec::new();
+    let mut empty_slots = 0;
     while population.len() < config.population {
-        let needed = config.population - population.len();
-        let requests: Vec<EvalRequest> = (0..needed)
+        let requests: Vec<EvalRequest> = (population.len()..config.population)
             .map(|_| {
                 let spec = sampler.sample(&mut rng);
                 EvalRequest::new(Candidate { sensing, spec }, 0)
             })
             .collect();
-        for eval in engine.evaluate_batch(&requests).into_iter().flatten() {
-            let eval = proxy_override(ctx, eval);
-            history.push(eval.clone());
-            population.push(eval);
-        }
-    }
-
-    for cycle in 1..=config.cycles {
-        // Random scalarization: fresh weight every cycle.
-        let w: f64 = rng.gen_range(0.0..1.0);
-        let (e_lo, e_hi) = proxy_envelope(&population);
-        let score = |e: &Evaluated| -> f64 {
-            let span = (e_hi - e_lo).max(1e-12);
-            let norm = ((e.estimated_energy.as_micro_joules() - e_lo) / span).clamp(0.0, 1.0);
-            let base = w * e.accuracy - (1.0 - w) * norm;
-            if e.meets_accuracy {
-                base
+        for slot in engine.evaluate_batch(&requests) {
+            if let Some(eval) = slot {
+                empty_slots = 0;
+                population.push(total_mac_proxy(ctx, eval));
             } else {
-                base - 10.0
+                empty_slots += 1;
+                assert!(
+                    empty_slots < MAX_SAMPLE_ATTEMPTS,
+                    "constraints reject the entire candidate space"
+                );
             }
-        };
-        let sample: Vec<&Evaluated> = population
-            .choose_multiple(&mut rng, config.sample_size.min(population.len()))
-            .collect();
-        let parent = sample
-            .iter()
-            .max_by(|a, b| score(a).total_cmp(&score(b)))
-            .expect("non-empty sample")
-            .candidate
-            .clone();
-        let child = ctx.mutate_model(&parent, &mut rng);
-        if let Some(eval) = engine.evaluate_one(child, cycle) {
-            let eval = proxy_override(ctx, eval);
-            history.push(eval.clone());
-            population.push(eval);
-            population.remove(0);
         }
     }
 
-    // Report the most accurate feasible candidate.
-    let best = history
-        .iter()
-        .filter(|e| e.meets_accuracy)
-        .max_by(|a, b| a.accuracy.total_cmp(&b.accuracy))
-        .or_else(|| {
-            history
-                .iter()
-                .max_by(|a, b| a.accuracy.total_cmp(&b.accuracy))
-        })
-        .expect("history is non-empty")
-        .clone();
-    let envelope = proxy_envelope(&population);
+    let (population, history) = aging_evolution(
+        &mut rng,
+        population,
+        config.cycles,
+        config.sample_size,
+        |population, rng| {
+            // Random scalarization: fresh weight every cycle.
+            let w: f64 = rng.gen_range(0.0..1.0);
+            let (e_lo, e_hi) = proxy_envelope(population);
+            move |e: &Evaluated| {
+                let span = (e_hi - e_lo).max(1e-12);
+                let norm = ((e.estimated_energy.as_micro_joules() - e_lo) / span).clamp(0.0, 1.0);
+                let base = w * e.accuracy - (1.0 - w) * norm;
+                if e.meets_accuracy {
+                    base
+                } else {
+                    base - 10.0
+                }
+            }
+        },
+        |parent, cycle, rng| {
+            let child = ctx.mutate_model(parent, rng);
+            engine
+                .evaluate_one(child, cycle)
+                .map(|eval| total_mac_proxy(ctx, eval))
+        },
+    );
+
+    let (e_lo, e_hi) = proxy_envelope(&population);
     SearchOutcome {
+        best: most_accurate(&history),
         history,
-        best,
         energy_envelope: (
-            solarml_units::Energy::from_micro_joules(envelope.0),
-            solarml_units::Energy::from_micro_joules(envelope.1),
+            Energy::from_micro_joules(e_lo),
+            Energy::from_micro_joules(e_hi),
         ),
     }
 }
 
-/// Rewrites `estimated_energy` with the µNAS total-MACs proxy (the true
-/// energy is still recorded for reporting). Applied after cache retrieval,
-/// so memoized evaluations keep the base layer-wise estimate and this
-/// override stays a pure function of the candidate.
-fn proxy_override(ctx: &TaskContext, mut eval: Evaluated) -> Evaluated {
-    eval.estimated_energy = ctx.munas_estimated_energy(&eval.candidate);
-    eval
-}
-
+/// The population's estimated-energy envelope in µJ, the unit µNAS scores
+/// in (and reports through, so the reported bits stay those of the µJ
+/// values).
 fn proxy_envelope(population: &[Evaluated]) -> (f64, f64) {
-    let mut lo = f64::INFINITY;
-    let mut hi = 0.0f64;
-    for e in population {
-        lo = lo.min(e.estimated_energy.as_micro_joules());
-        hi = hi.max(e.estimated_energy.as_micro_joules());
-    }
-    (lo, hi)
+    let (lo, hi) = envelope(population);
+    (lo.as_micro_joules(), hi.as_micro_joules())
 }
 
 #[cfg(test)]
@@ -220,5 +202,13 @@ mod tests {
         let a = run_munas(&ctx, fixed_sensing(), &cfg);
         let b = run_munas(&ctx, fixed_sensing(), &cfg);
         assert_eq!(a.best.candidate, b.best.candidate);
+    }
+
+    #[test]
+    #[should_panic(expected = "constraints reject the entire candidate space")]
+    fn munas_panics_when_constraints_reject_every_model() {
+        let mut ctx = tiny_ctx();
+        ctx.constraints.max_macs = 0;
+        let _ = run_munas(&ctx, fixed_sensing(), &MunasConfig::quick());
     }
 }

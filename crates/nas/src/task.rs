@@ -19,6 +19,10 @@ use solarml_units::Energy;
 use crate::candidate::{Candidate, Evaluated, SensingConfig};
 use crate::parallel::ShardedMap;
 
+/// How many consecutive constraint-violating samples a search draws before
+/// concluding the constraints reject the entire candidate space.
+pub(crate) const MAX_SAMPLE_ATTEMPTS: usize = 500;
+
 /// The two applications the paper evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskKind {
@@ -264,9 +268,10 @@ impl TaskContext {
     ///
     /// # Panics
     ///
-    /// Panics if 500 consecutive samples violate the static constraints.
+    /// Panics if 500 (`MAX_SAMPLE_ATTEMPTS`) consecutive samples violate the
+    /// static constraints.
     pub fn random_candidate(&self, rng: &mut impl Rng) -> Candidate {
-        for _ in 0..500 {
+        for _ in 0..MAX_SAMPLE_ATTEMPTS {
             let sensing = self.random_sensing(rng);
             let spec = self.sampler(sensing).sample(rng);
             let cand = Candidate { sensing, spec };

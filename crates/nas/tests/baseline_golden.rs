@@ -10,8 +10,8 @@
 
 use solarml_dsp::{GestureSensingParams, Resolution};
 use solarml_nas::{
-    run_enas, run_harvnet_style, run_munas, run_random_search, BaselineConfig, EnasConfig,
-    EnergyProxy, Evaluated, MunasConfig, SearchOutcome, SensingConfig, TaskContext,
+    run_enas, run_harvnet_style, run_munas, run_random_search, EnasConfig, EnergyProxy, Evaluated,
+    MunasConfig, SearchOutcome, SensingConfig, TaskContext,
 };
 use solarml_nn::TrainConfig;
 
@@ -58,11 +58,11 @@ fn ctx() -> TaskContext {
     ctx
 }
 
-fn baseline_config() -> BaselineConfig {
-    BaselineConfig {
+fn baseline_config() -> MunasConfig {
+    MunasConfig {
         seed: 0xBA5E,
         workers: 2,
-        ..BaselineConfig::quick()
+        ..MunasConfig::quick()
     }
 }
 
