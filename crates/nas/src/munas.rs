@@ -14,7 +14,8 @@ use crate::evolution::{aging_evolution, envelope, most_accurate, total_mac_proxy
 use crate::parallel::{EvalEngine, EvalRequest};
 use crate::task::{SearchOutcome, TaskContext, MAX_SAMPLE_ATTEMPTS};
 
-/// µNAS hyperparameters (matched to the eNAS run for fairness, §V-D).
+/// µNAS hyperparameters (matched to the eNAS run for fairness, §V-D), also
+/// taken by the HarvNet-style and random-search baselines.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MunasConfig {
     /// Population size.
