@@ -8,19 +8,21 @@
 //! tag, so node streams never collide with NAS training streams even when
 //! both run from the same base seed. Nothing about a node exists before
 //! its chunk is simulated — the whole fleet is derivable from
-//! `(PopulationSpec, seed, index)` — so a million-node campaign holds
-//! one *wave* of chunk ranges plus the [`MergeTree`]'s ~⌈log₂ n⌉ partial
-//! aggregates, never an O(n) materialization.
+//! `(PopulationSpec, seed, index)` — so a million-node campaign holds at
+//! most one reorder window of chunk partials (`workers × 4` chunks) plus
+//! the [`MergeTree`]'s ~⌈log₂ n⌉ partial aggregates, never an O(n)
+//! materialization.
 //!
 //! Three robustness layers ride on the exact associativity of
 //! [`FleetAggregate::merge`]:
 //!
-//! * **Streaming fold.** Chunks are simulated via the scoped-thread
-//!   [`parallel_map`] pool (results return in input order at any worker
-//!   count) and pushed into the merge tree in stream order; any
-//!   parenthesization of an associative fold is bit-identical, so the
-//!   report is invariant to workers, chunk size, wave size — and to where
-//!   a crash split the stream.
+//! * **Streaming fold.** One [`ordered_pool`] runs the whole campaign: the
+//!   calling thread and `workers − 1` spawned ones claim chunks from an
+//!   atomic counter, and whichever finishes the lowest outstanding chunk
+//!   pushes the ready prefix into the merge tree in stream order. There is
+//!   no barrier between groups of chunks. Any parenthesization of an
+//!   associative fold is bit-identical, so the report is invariant to
+//!   workers, chunk size — and to where a crash split the stream.
 //! * **Checkpoint/resume.** With [`CampaignCheckpoints`], the engine
 //!   periodically snapshots `(nodes_done, tree, failed)` via the
 //!   versioned, checksummed, atomically-written format in
@@ -38,7 +40,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
-use solarml_nas::parallel::{effective_workers, panic_message, parallel_map};
+use solarml_nas::parallel::{effective_workers, ordered_pool, panic_message};
 use solarml_trace::seed::derive_seed;
 
 use crate::aggregate::{FleetAggregate, MergeTree};
@@ -54,10 +56,12 @@ use crate::task::NodeDayTask;
 /// streams disjoint from NAS evaluation streams at the same base seed.
 pub const FLEET_SEED_CYCLE: usize = 0xF1EE7;
 
-/// Waves per pool dispatch, in chunks per worker: each `parallel_map`
-/// call covers `workers × chunk × WAVE_CHUNKS_PER_WORKER` nodes, enough
-/// to amortize pool wakeup while keeping live range state O(workers).
-const WAVE_CHUNKS_PER_WORKER: usize = 4;
+/// The pool's reorder window, in chunks per worker: at most `workers ×
+/// WINDOW_CHUNKS_PER_WORKER` chunks are in flight or awaiting commit, so
+/// live state stays O(workers). Snapshot points are counted in windows of
+/// `chunk × workers × WINDOW_CHUNKS_PER_WORKER` nodes from the resume
+/// point.
+const WINDOW_CHUNKS_PER_WORKER: usize = 4;
 
 /// A fleet campaign: how many nodes, from which population, on how many
 /// workers.
@@ -104,9 +108,10 @@ impl CampaignConfig {
 pub struct CampaignCheckpoints {
     /// Directory snapshots are written into (created if missing).
     pub dir: PathBuf,
-    /// Checkpoint cadence in node-days. Snapshots land on the first wave
-    /// boundary at or past each multiple, so this bounds recomputation
-    /// after a crash to roughly one cadence plus one wave.
+    /// Checkpoint cadence in node-days. Snapshots land on the first
+    /// window boundary (`chunk × workers × 4` nodes, counted from the
+    /// resume point) at or past each multiple, so this bounds
+    /// recomputation after a crash to roughly one cadence plus one window.
     pub every_nodes: u64,
     /// Snapshots retained on disk (older ones are pruned best-effort).
     /// Keeping a few means a corrupted newest file only costs the range
@@ -114,7 +119,7 @@ pub struct CampaignCheckpoints {
     pub keep: usize,
     /// Fault-harness hook: checkpoint and abort (with
     /// [`CampaignError::Aborted`]) once this many node-days are folded.
-    /// The wave is clipped to land *exactly* here, so tests can exercise
+    /// The chunk holding it is cut short to land *exactly* here, so tests can exercise
     /// resume from arbitrary — including chunk-misaligned — kill points.
     pub abort_after_nodes: Option<u64>,
 }
@@ -233,8 +238,8 @@ pub fn simulate_node(spec: &PopulationSpec, node: usize, seed: u64) -> NodeSumma
 }
 
 /// One chunk's outcome: its partial aggregate plus any quarantined nodes
-/// (in node order — `parallel_map` returns chunks in input order, so the
-/// concatenation across a wave stays sorted).
+/// (in node order — the pool commits chunks in input order, so the
+/// concatenation across the campaign stays sorted).
 fn simulate_chunk<F>(
     cfg: &CampaignConfig,
     sim: &F,
@@ -261,7 +266,13 @@ where
 }
 
 /// The streaming core shared by every entry point: fold nodes
-/// `resumed.nodes_done .. cfg.nodes` wave by wave into `resumed`'s tree.
+/// `resumed.nodes_done .. cfg.nodes` into `resumed`'s tree on one
+/// [`ordered_pool`] for the whole campaign.
+///
+/// Chunks start at the resume point plus multiples of `chunk`; the chunk
+/// holding the kill point is cut short at it. The pool commits partials in
+/// chunk order, so the tree sees the same pushes at any worker count, and
+/// snapshots fire as the committed prefix reaches each snapshot point.
 fn run_streaming<F>(
     cfg: &CampaignConfig,
     sim: &F,
@@ -273,10 +284,9 @@ where
 {
     let chunk = cfg.chunk.max(1);
     let workers = effective_workers(cfg.workers);
-    let wave = chunk
-        .saturating_mul(workers)
-        .saturating_mul(WAVE_CHUNKS_PER_WORKER)
-        .max(chunk);
+    let window = workers.saturating_mul(WINDOW_CHUNKS_PER_WORKER);
+    // Snapshot points are counted in whole windows of nodes.
+    let span = chunk.saturating_mul(window);
 
     let CampaignSnapshot {
         fingerprint,
@@ -284,39 +294,37 @@ where
         mut tree,
         mut failed,
     } = resumed;
-    let mut done = usize::try_from(nodes_done)
+    let start = usize::try_from(nodes_done)
         .unwrap_or(cfg.nodes)
         .min(cfg.nodes);
+    // A kill point at or before the resume point fires at the first window
+    // boundary; one at or past the end never fires.
+    let kill = ckpt
+        .and_then(|c| c.abort_after_nodes)
+        .map(|k| match usize::try_from(k) {
+            Ok(k) if k > start => k,
+            Ok(_) => start.saturating_add(span),
+            Err(_) => usize::MAX,
+        })
+        .filter(|&k| k < cfg.nodes);
+    let stop = kill.unwrap_or(cfg.nodes);
+    let chunk_start = |j: usize| start.saturating_add(j.saturating_mul(chunk));
+    let chunk_end = |j: usize| chunk_start(j).saturating_add(chunk).min(stop);
     let every = ckpt.map_or(u64::MAX, |c| c.every_nodes.max(1));
-    let mut next_snapshot = (done as u64 / every + 1).saturating_mul(every);
+    let mut next_snapshot = (start as u64 / every + 1).saturating_mul(every);
 
-    while done < cfg.nodes {
-        let mut wave_end = done.saturating_add(wave).min(cfg.nodes);
-        if let Some(kill) = ckpt.and_then(|c| c.abort_after_nodes) {
-            // Clip the wave so the kill point lands exactly, even inside
-            // what would have been a chunk.
-            let kill = usize::try_from(kill).unwrap_or(cfg.nodes);
-            if kill > done && kill < wave_end {
-                wave_end = kill;
-            }
-        }
-        let ranges: Vec<(usize, usize)> = (done..wave_end)
-            .step_by(chunk)
-            .map(|s| (s, s.saturating_add(chunk).min(wave_end)))
-            .collect();
-        let outcomes = parallel_map(workers, &ranges, |_, &(s, e)| {
-            simulate_chunk(cfg, sim, s, e)
-        });
-        for (partial, chunk_failed) in outcomes {
+    ordered_pool(
+        workers,
+        (stop - start).div_ceil(chunk),
+        window,
+        |j| simulate_chunk(cfg, sim, chunk_start(j), chunk_end(j)),
+        |j, (partial, chunk_failed)| {
             tree.push(partial);
             failed.extend(chunk_failed);
-        }
-        done = wave_end;
-
-        if let Some(c) = ckpt {
-            let at_end = done == cfg.nodes;
-            let at_kill = !at_end && c.abort_after_nodes.is_some_and(|kill| done as u64 >= kill);
-            if at_end || at_kill || done as u64 >= next_snapshot {
+            let Some(c) = ckpt else { return Ok(()) };
+            let done = chunk_end(j);
+            let on_window = (done - start) % span == 0;
+            if done == stop || (on_window && done as u64 >= next_snapshot) {
                 let snapshot = CampaignSnapshot {
                     fingerprint,
                     nodes_done: done as u64,
@@ -326,12 +334,13 @@ where
                 write_snapshot(&c.dir, &snapshot, c.keep)?;
                 next_snapshot = (done as u64 / every + 1).saturating_mul(every);
             }
-            if at_kill {
-                return Err(CampaignError::Aborted {
-                    nodes_done: done as u64,
-                });
-            }
-        }
+            Ok::<(), CheckpointError>(())
+        },
+    )?;
+    if let Some(kill) = kill {
+        return Err(CampaignError::Aborted {
+            nodes_done: kill as u64,
+        });
     }
 
     Ok(FleetReport {

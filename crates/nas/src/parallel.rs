@@ -15,14 +15,17 @@
 //!    before the parallel fan-out — duplicates inside one batch are deduped
 //!    to the first occurrence — so memoization cannot introduce
 //!    worker-count-dependent results.
-//! 3. **No external dependencies.** The pool is `std::thread::scope` plus
-//!    an atomic work index; the workspace builds offline.
+//! 3. **No external dependencies.** The pool ([`ordered_pool`]) is one
+//!    `std::thread::scope`, an atomic work index and an in-order reorder
+//!    buffer; the workspace builds offline. The fleet campaign runs on the
+//!    same pool, and [`parallel_map`] is a thin wrapper over it.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::convert::Infallible;
 use std::hash::{Hash, Hasher};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 
 use crate::candidate::{Candidate, Evaluated};
 use crate::task::TaskContext;
@@ -171,6 +174,142 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// Why an [`ordered_pool`] stopped early.
+enum Halt<E> {
+    /// `commit` returned this error.
+    Failed(E),
+    /// `work` or `commit` panicked with this payload.
+    Panicked(Box<dyn std::any::Any + Send>),
+}
+
+/// The pool's shared state, behind its one lock.
+struct Reorder<R, E, C> {
+    /// `ready[k]` holds the result of index `committed + k`, once done.
+    ready: VecDeque<Option<R>>,
+    commit: C,
+    halt: Option<Halt<E>>,
+}
+
+/// Locks `m`, ignoring poison: a panic while the lock was held has already
+/// halted the pool, and the halt is what the other workers look at.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The workspace's one worker pool: runs `work(i)` for every `i` in
+/// `0..items` on up to `workers` threads — `workers − 1` spawned ones plus
+/// the calling thread — and hands each result to `commit` in index order.
+///
+/// Workers claim indices from an atomic counter. A finished result waits
+/// in a reorder buffer until every lower index is committed; whichever
+/// thread completes the lowest outstanding index commits the ready prefix
+/// under the pool's lock, so `commit` runs serially and in index order at
+/// any worker count. No index `window` or more past the lowest uncommitted
+/// one is started, so at most `window` results are ever live.
+///
+/// An `Err` from `commit` stops the pool: nothing more is claimed, results
+/// not yet committed are dropped, and the error is returned once every
+/// worker has exited. A panic in `work` or `commit` stops it the same way
+/// and is then re-raised on the caller. With one worker (or ≤ 1 item)
+/// everything runs inline on the caller, with no threads and no lock.
+pub fn ordered_pool<R, E, W, C>(
+    workers: usize,
+    items: usize,
+    window: usize,
+    work: W,
+    mut commit: C,
+) -> Result<(), E>
+where
+    R: Send,
+    E: Send,
+    W: Fn(usize) -> R + Sync,
+    C: FnMut(usize, R) -> Result<(), E> + Send,
+{
+    let workers = effective_workers(workers).min(items);
+    if workers <= 1 {
+        return (0..items).try_for_each(|i| commit(i, work(i)));
+    }
+    let window = window.max(1);
+    let claimed = AtomicUsize::new(0);
+    // Only written under `state`'s lock; read without it to skip the lock
+    // when a claim is inside the window.
+    let committed = AtomicUsize::new(0);
+    let halted = AtomicBool::new(false);
+    let state = Mutex::new(Reorder {
+        ready: VecDeque::new(),
+        commit,
+        halt: None,
+    });
+    let advanced = Condvar::new();
+
+    let claim_and_commit = || loop {
+        let i = claimed.fetch_add(1, Ordering::Relaxed);
+        if i >= items || halted.load(Ordering::Relaxed) {
+            return;
+        }
+        if i >= committed.load(Ordering::Acquire).saturating_add(window) {
+            let mut st = lock(&state);
+            while st.halt.is_none() && i >= committed.load(Ordering::Relaxed).saturating_add(window)
+            {
+                st = advanced.wait(st).unwrap_or_else(PoisonError::into_inner);
+            }
+            if st.halt.is_some() {
+                return;
+            }
+        }
+        let result = work(i);
+        let mut guard = lock(&state);
+        let st = &mut *guard;
+        if st.halt.is_some() {
+            return;
+        }
+        let mut next = committed.load(Ordering::Relaxed);
+        let slot = i - next;
+        if st.ready.len() <= slot {
+            st.ready.resize_with(slot + 1, || None);
+        }
+        st.ready[slot] = Some(result);
+        if slot > 0 {
+            continue;
+        }
+        while let Some(result) = st.ready.front_mut().and_then(Option::take) {
+            st.ready.pop_front();
+            let outcome = (st.commit)(next, result);
+            next += 1;
+            if let Err(e) = outcome {
+                st.halt = Some(Halt::Failed(e));
+                halted.store(true, Ordering::Relaxed);
+                break;
+            }
+        }
+        committed.store(next, Ordering::Release);
+        advanced.notify_all();
+    };
+    let run = || {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(claim_and_commit)) {
+            let mut st = lock(&state);
+            st.halt.get_or_insert(Halt::Panicked(payload));
+            halted.store(true, Ordering::Relaxed);
+            advanced.notify_all();
+        }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(run);
+        }
+        run();
+    });
+    match state
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .halt
+    {
+        None => Ok(()),
+        Some(Halt::Failed(e)) => Err(e),
+        Some(Halt::Panicked(payload)) => resume_unwind(payload),
+    }
+}
+
 /// [`parallel_map`] with per-item panic isolation: a panic inside `f`
 /// fails that item's slot with an [`EvalPanic`] instead of unwinding
 /// across the pool and killing every in-flight evaluation. The remaining
@@ -182,43 +321,25 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let run = |i: usize, item: &T| -> Result<R, EvalPanic> {
-        catch_unwind(AssertUnwindSafe(|| f(i, item))).map_err(|payload| EvalPanic {
+    let mut out = Vec::with_capacity(items.len());
+    let run = |i: usize| -> Result<R, EvalPanic> {
+        catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))).map_err(|payload| EvalPanic {
             index: i,
             message: panic_message(payload),
         })
     };
-    let workers = effective_workers(workers).min(items.len().max(1));
-    if workers <= 1 || items.len() <= 1 {
-        return items.iter().enumerate().map(|(i, t)| run(i, t)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<R, EvalPanic>>>> =
-        (0..items.len()).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let result = run(i, item);
-                *slots[i].lock().expect("result slot poisoned") = Some(result);
-            });
-        }
+    let Ok(()) = ordered_pool(workers, items.len(), items.len(), run, |_, result| {
+        out.push(result);
+        Ok::<(), Infallible>(())
     });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every slot is filled before the scope ends")
-        })
-        .collect()
+    out
 }
 
-/// Maps `f` over `items` on up to `workers` scoped threads, returning the
-/// results in input order. Falls back to a plain sequential loop for one
-/// worker or ≤ 1 item, so the single-worker path has zero threading
-/// overhead (and trivially identical results).
+/// Maps `f` over `items` on up to `workers` threads of the
+/// [`ordered_pool`], the caller among them, returning the results in input
+/// order. One worker or ≤ 1 item runs as a plain loop on the caller, so
+/// the single-worker path has zero threading overhead (and trivially
+/// identical results).
 ///
 /// A panic inside `f` no longer tears down the scope mid-flight: the other
 /// items complete, then the first panic is re-raised on the caller's
@@ -471,6 +592,83 @@ mod tests {
                     assert_eq!(*result, Ok(i * 2), "workers={workers}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn ordered_pool_commits_in_order_within_its_window() {
+        for workers in [1, 2, 4, 8] {
+            let started = AtomicUsize::new(0);
+            let mut committed = Vec::new();
+            let mut widest = 0;
+            let done: Result<(), Infallible> = ordered_pool(
+                workers,
+                100,
+                3,
+                |i| {
+                    started.fetch_add(1, Ordering::SeqCst);
+                    // Late items finish first, so the reorder buffer fills.
+                    std::thread::sleep(std::time::Duration::from_micros((100 - i as u64) * 5));
+                    i * 3
+                },
+                |i, r| {
+                    widest = widest.max(started.load(Ordering::SeqCst) - committed.len());
+                    assert_eq!(r, i * 3);
+                    committed.push(i);
+                    Ok(())
+                },
+            );
+            assert!(done.is_ok());
+            assert_eq!(committed, (0..100).collect::<Vec<_>>(), "workers={workers}");
+            assert!(
+                widest <= 3,
+                "workers={workers}: {widest} live past the window"
+            );
+        }
+    }
+
+    #[test]
+    fn ordered_pool_stops_at_the_first_commit_error() {
+        for workers in [1, 2, 4] {
+            let mut committed = Vec::new();
+            let done = ordered_pool(
+                workers,
+                1000,
+                8,
+                |i| i,
+                |i, _| {
+                    if i == 17 {
+                        return Err(format!("stop at {i}"));
+                    }
+                    committed.push(i);
+                    Ok(())
+                },
+            );
+            assert_eq!(done, Err("stop at 17".to_string()), "workers={workers}");
+            assert_eq!(committed, (0..17).collect::<Vec<_>>(), "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn ordered_pool_reraises_a_worker_panic_on_the_caller() {
+        for workers in [1, 2, 4] {
+            let caught = catch_unwind(|| {
+                let _ = ordered_pool(
+                    workers,
+                    64,
+                    4,
+                    |i| {
+                        assert!(i != 40, "item {i} exploded");
+                        i
+                    },
+                    |_, _| Ok::<(), Infallible>(()),
+                );
+            });
+            let message = panic_message(caught.expect_err("the panic reaches the caller"));
+            assert!(
+                message.contains("item 40 exploded"),
+                "workers={workers}: {message}"
+            );
         }
     }
 
