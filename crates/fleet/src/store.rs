@@ -44,8 +44,10 @@ pub const STORE_MAGIC: [u8; 8] = *b"SLNDSTOR";
 /// Store-format version. Bump on any layout change; `open` then refuses
 /// the old directory with a typed [`StoreError::Envelope`] rather than
 /// misreading it. Version 1 kept one file per entry; version 2 keeps
-/// every entry in one sorted pack.
-pub const STORE_VERSION: u32 = 2;
+/// every entry in one sorted pack; version 3 keeps that layout under
+/// word-at-a-time content keys ([`solarml_trace::KeyHasher`]), so every
+/// v2 key names a different node-day.
+pub const STORE_VERSION: u32 = 3;
 
 /// The frame of `store.meta` (empty payload) and of every pack entry
 /// (content key and outcome).

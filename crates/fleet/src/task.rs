@@ -5,10 +5,10 @@
 //! [`NodeDayTask::key`] names it, so the store in [`crate::store`] can
 //! replay a persisted outcome in place of an execution.
 //!
-//! A task's identity is its **content key** — a stable FNV-1a hash
-//! ([`solarml_trace::FnvHasher`], never `DefaultHasher`/`RandomState`,
-//! enforced by the `stable-store-key` lint) over every input that can
-//! change the outcome:
+//! A task's identity is its **content key** — a stable word-at-a-time
+//! hash ([`solarml_trace::KeyHasher`], one SplitMix64 round per 64-bit
+//! word; never `DefaultHasher`/`RandomState`, enforced by the
+//! `stable-store-key` lint) over every input that can change the outcome:
 //!
 //! * the *fully resolved* node parameters — the sampled
 //!   [`IntermittentConfig`] after all population draws, not the
@@ -30,7 +30,7 @@
 //! bit-identical to a recomputed one.
 
 use solarml_platform::{simulate_faulted_day, IntermittentConfig};
-use solarml_trace::{ByteReader, ByteWriter, CodecError, FnvHasher};
+use solarml_trace::{ByteReader, ByteWriter, CodecError, KeyHasher};
 
 use crate::campaign::NodeSummary;
 use crate::population::{NodeBlueprint, PopulationSpec};
@@ -195,8 +195,8 @@ impl NodeDayOutcome {
 /// the same config produce the same key, which is exactly the cache-hit
 /// condition a parameter sweep needs.
 fn node_day_key(blueprint: &NodeBlueprint, seed: u64) -> u64 {
-    let mut h = FnvHasher::new();
-    h.write(SIM_FINGERPRINT.as_bytes());
+    let mut h = KeyHasher::new();
+    h.write_bytes(SIM_FINGERPRINT.as_bytes());
     h.write_u64(seed);
     h.write_u64(blueprint.env_index as u64);
     h.write_u64(blueprint.policy_index as u64);
@@ -204,10 +204,11 @@ fn node_day_key(blueprint: &NodeBlueprint, seed: u64) -> u64 {
     h.finish()
 }
 
-/// Folds every field of a resolved [`IntermittentConfig`] into `h`, in
-/// declaration order, floats by bit pattern, variable-length sequences
-/// length-prefixed (so `[a] ++ [b]` never aliases `[a, b]`).
-fn hash_config(h: &mut FnvHasher, cfg: &IntermittentConfig) {
+/// Folds every field of a resolved [`IntermittentConfig`] into `h`, one
+/// word per field, in declaration order, floats by bit pattern,
+/// variable-length sequences length-prefixed (so `[a] ++ [b]` never
+/// aliases `[a, b]`).
+fn hash_config(h: &mut KeyHasher, cfg: &IntermittentConfig) {
     // base: DaySimConfig
     for lux in &cfg.base.profile.lux_by_hour {
         h.write_f64_bits(lux.to_bits());
@@ -251,18 +252,17 @@ fn hash_config(h: &mut FnvHasher, cfg: &IntermittentConfig) {
     let rungs = cfg.ladder.rungs();
     h.write_u64(rungs.len() as u64);
     for rung in rungs {
-        h.write_u64(rung.name.len() as u64);
-        h.write(rung.name.as_bytes());
+        h.write_bytes(rung.name.as_bytes());
         h.write_f64_bits(rung.sense_scale.get().to_bits());
         h.write_f64_bits(rung.infer_scale.get().to_bits());
         h.write_f64_bits(rung.accuracy_proxy.get().to_bits());
     }
     // checkpoint policy + cost model
-    h.write(&[match cfg.checkpoint {
-        solarml_platform::CheckpointPolicy::None => 0u8,
+    h.write_u64(match cfg.checkpoint {
+        solarml_platform::CheckpointPolicy::None => 0,
         solarml_platform::CheckpointPolicy::Volatile => 1,
         solarml_platform::CheckpointPolicy::Retained => 2,
-    }]);
+    });
     h.write_f64_bits(cfg.checkpoint_costs.save_energy.value().to_bits());
     h.write_f64_bits(cfg.checkpoint_costs.save_duration.value().to_bits());
     h.write_f64_bits(cfg.checkpoint_costs.restore_energy.value().to_bits());
@@ -283,7 +283,7 @@ fn hash_config(h: &mut FnvHasher, cfg: &IntermittentConfig) {
     h.write_f64_bits(cfg.retry_backoff.value().to_bits());
     h.write_f64_bits(cfg.active_dt.value().to_bits());
     // dt_policy: DtPolicy
-    h.write(&[u8::from(cfg.dt_policy.adaptive)]);
+    h.write_u64(u64::from(cfg.dt_policy.adaptive));
     h.write_f64_bits(cfg.dt_policy.min_dt.value().to_bits());
     h.write_f64_bits(cfg.dt_policy.max_dt.value().to_bits());
     h.write_f64_bits(cfg.dt_policy.edge_hold.value().to_bits());

@@ -252,11 +252,11 @@ const PINNED_CHECKPOINTS: &[(&str, u64)] = &[("ckpt-000000000008.bin", 0xA80F_9E
 
 /// Store files (`store.meta` and `store.pack`) of the pinned campaign.
 /// Re-pinned when `STORE_VERSION` went to 2 (one sorted pack instead of
-/// one file per entry): the pack is the eight v1 entry files in key order,
-/// each with its version field set to 2 and its checksum recomputed.
+/// one file per entry), and again at 3 (word-at-a-time content keys: the
+/// same eight outcomes under new keys, so in a new order).
 const PINNED_STORE: &[(&str, u64)] = &[
-    ("store.meta", 0xE32C_AA92_1D04_CD54),
-    ("store.pack", 0xC3A9_5057_820B_2515),
+    ("store.meta", 0x2510_2CF7_EF1F_D29C),
+    ("store.pack", 0x9DE3_2B45_C74A_ACD0),
 ];
 
 #[test]

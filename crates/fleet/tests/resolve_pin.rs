@@ -8,12 +8,13 @@
 
 use solarml_fleet::{NodeDayTask, PopulationSpec, FLEET_SEED_CYCLE};
 use solarml_scenario::Scenario;
+use solarml_trace::fnv1a64;
 use solarml_trace::seed::derive_seed;
-use solarml_trace::FnvHasher;
 
-/// FNV-1a over the keys of representative nodes `0..1024` at campaign
-/// seed 7, in node order.
-const REPRESENTATIVE_KEY_DIGEST: u64 = 0xd3df_d80e_be5a_a5fe;
+/// FNV-1a over the little-endian keys of representative nodes `0..1024`
+/// at campaign seed 7, in node order. Re-pinned when `STORE_VERSION` went
+/// to 3 (word-at-a-time content keys).
+const REPRESENTATIVE_KEY_DIGEST: u64 = 0x20fc_7c4a_6ded_54ed;
 
 /// Per `(script, seed)`: FNV-1a over the profile's 24 `lux_by_hour` bit
 /// patterns.
@@ -37,22 +38,21 @@ const PROFILE_DIGESTS: [(&str, u64, u64); 6] = [
 #[test]
 fn representative_content_keys_are_pinned() {
     let spec = PopulationSpec::representative();
-    let mut digest = FnvHasher::new();
+    let mut keys = Vec::new();
     let mut buckets = [0usize; 3];
     for node in 0..1024 {
         let seed = derive_seed(7, FLEET_SEED_CYCLE, node);
-        digest.write_u64(NodeDayTask::resolve(&spec, node, seed).key());
+        keys.extend(NodeDayTask::resolve(&spec, node, seed).key().to_le_bytes());
         buckets[spec.node_blueprint(seed).env_index] += 1;
     }
+    let digest = fnv1a64(&keys);
     assert!(
         buckets.iter().all(|&n| n > 0),
         "all three environments must be covered: {buckets:?}"
     );
     assert_eq!(
-        digest.finish(),
-        REPRESENTATIVE_KEY_DIGEST,
-        "representative content keys moved: {:#018x}",
-        digest.finish()
+        digest, REPRESENTATIVE_KEY_DIGEST,
+        "representative content keys moved: {digest:#018x}"
     );
 }
 
@@ -60,15 +60,15 @@ fn representative_content_keys_are_pinned() {
 fn environment_profiles_are_pinned() {
     for (src, seed, pinned) in PROFILE_DIGESTS {
         let profile = Scenario::parse(src).expect("parses").eval(seed).profile;
-        let mut digest = FnvHasher::new();
-        for lux in profile.lux_by_hour {
-            digest.write_f64_bits(lux.to_bits());
-        }
+        let bits: Vec<u8> = profile
+            .lux_by_hour
+            .iter()
+            .flat_map(|lux| lux.to_bits().to_le_bytes())
+            .collect();
+        let digest = fnv1a64(&bits);
         assert_eq!(
-            digest.finish(),
-            pinned,
-            "`{src}` at seed {seed} moved: {:#018x}",
-            digest.finish()
+            digest, pinned,
+            "`{src}` at seed {seed} moved: {digest:#018x}"
         );
     }
 }

@@ -26,6 +26,8 @@
 use std::io::Write as _;
 use std::path::Path;
 
+use crate::seed::mix64;
+
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
@@ -44,54 +46,64 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// The workspace's *registered stable hasher*: streaming FNV-1a 64-bit.
+/// The workspace's *registered stable key hasher*: one SplitMix64 round
+/// ([`mix64`]) per 64-bit word, `state = mix64(state ^ word)`.
 ///
-/// Content keys that reach disk (the fleet's node-day store, checkpoint
-/// fingerprints) must hash identically across processes, platforms, and
-/// std releases, so `std::hash`'s `DefaultHasher`/`RandomState` — whose
-/// output is salted per process and explicitly unspecified across versions
-/// — are banned in store-key code by the `stable-store-key` lint
-/// (`cargo xtask lint`). This type is the sanctioned alternative: same
-/// function as [`fnv1a64`], incremental, so key material can be folded in
-/// field by field without buffering an intermediate encoding.
+/// Content keys that reach disk (the fleet's node-day store) must hash
+/// identically across processes, platforms, and std releases, so
+/// `std::hash`'s `DefaultHasher`/`RandomState` — whose output is salted
+/// per process and explicitly unspecified across versions — are banned in
+/// store-key code by the `stable-store-key` lint (`cargo xtask lint`).
+/// This type is the sanctioned alternative. Key material is folded in
+/// field by field as whole words, without buffering an intermediate
+/// encoding: one dependent round per word instead of FNV-1a's eight, which
+/// is what keeps key derivation off the top of warm replay's profile.
+/// Each round is a bijection of the state, so two inputs of equal length
+/// that differ in one word always differ after it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FnvHasher {
+pub struct KeyHasher {
     state: u64,
 }
 
-impl FnvHasher {
-    /// A fresh hasher at the FNV-1a offset basis.
+impl KeyHasher {
+    /// A fresh hasher at state zero.
     pub const fn new() -> Self {
-        Self { state: FNV_OFFSET }
+        Self { state: 0 }
     }
 
-    /// Folds `bytes` into the running hash.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= u64::from(b);
-            self.state = self.state.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// Folds one little-endian `u64` in.
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
+    /// Folds one word in.
+    #[inline]
+    pub fn write_u64(&mut self, word: u64) {
+        self.state = mix64(self.state ^ word);
     }
 
     /// Folds one `f64` in by IEEE-754 bit pattern — `-0.0` and `0.0` hash
     /// differently, NaN payloads are preserved, no epsilon ambiguity.
+    #[inline]
     pub fn write_f64_bits(&mut self, bits: u64) {
-        self.write(&bits.to_le_bytes());
+        self.write_u64(bits);
+    }
+
+    /// Folds a byte string in: its length, then its bytes packed into
+    /// little-endian words, the last one zero-padded. The length prefix
+    /// keeps `"a" ++ "b"` from aliasing `"ab"` or a padded `"a\0"`.
+    pub fn write_bytes(&mut self, bytes: &[u8]) {
+        self.write_u64(bytes.len() as u64);
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
     }
 
     /// The current hash value. Does not consume the hasher; writing more
-    /// bytes afterwards continues from this state.
+    /// words afterwards continues from this state.
     pub const fn finish(&self) -> u64 {
         self.state
     }
 }
 
-impl Default for FnvHasher {
+impl Default for KeyHasher {
     fn default() -> Self {
         Self::new()
     }
@@ -513,32 +525,47 @@ mod tests {
     use super::*;
 
     #[test]
-    fn streaming_hasher_matches_one_shot_fnv() {
-        let payload = b"solarml-node-day/v1 \x00\xff tail";
-        let mut h = FnvHasher::new();
-        h.write(payload);
-        assert_eq!(h.finish(), fnv1a64(payload));
-        // Split writes are the same stream: chunking must not matter.
-        let mut split = FnvHasher::new();
-        for chunk in payload.chunks(3) {
-            split.write(chunk);
-        }
-        assert_eq!(split.finish(), h.finish());
+    fn key_hasher_folds_one_mix_round_per_word() {
+        let mut h = KeyHasher::new();
+        h.write_u64(0x0123_4567_89AB_CDEF);
+        h.write_u64(7);
+        assert_eq!(h.finish(), mix64(mix64(0x0123_4567_89AB_CDEF) ^ 7));
+        // Pinned: every store key depends on this exact function.
+        assert_eq!(h.finish(), 0x3A37_FDE2_7709_5A21);
     }
 
     #[test]
     fn streaming_hasher_field_helpers_are_little_endian() {
-        let mut a = FnvHasher::new();
-        a.write_u64(0x0123_4567_89AB_CDEF);
+        let mut a = KeyHasher::new();
         a.write_f64_bits((-0.0f64).to_bits());
-        let mut b = FnvHasher::new();
-        b.write(&0x0123_4567_89AB_CDEFu64.to_le_bytes());
-        b.write(&(-0.0f64).to_bits().to_le_bytes());
+        let mut b = KeyHasher::new();
+        b.write_u64((-0.0f64).to_bits());
         assert_eq!(a.finish(), b.finish());
         // Signed zeros are distinct key material.
-        let mut pos = FnvHasher::new();
+        let mut pos = KeyHasher::new();
         pos.write_f64_bits(0.0f64.to_bits());
         assert_ne!(a.finish(), pos.finish());
+        // Byte strings are a length word, then zero-padded LE words.
+        let mut bytes = KeyHasher::new();
+        bytes.write_bytes(b"solarml-node/v2");
+        let mut words = KeyHasher::new();
+        words.write_u64(15);
+        words.write_u64(u64::from_le_bytes(*b"solarml-"));
+        words.write_u64(u64::from_le_bytes(*b"node/v2\0"));
+        assert_eq!(bytes.finish(), words.finish());
+    }
+
+    #[test]
+    fn key_hasher_byte_strings_do_not_alias() {
+        let hash = |parts: &[&[u8]]| {
+            let mut h = KeyHasher::new();
+            parts.iter().for_each(|p| h.write_bytes(p));
+            h.finish()
+        };
+        assert_ne!(hash(&[b"a", b"b"]), hash(&[b"ab"]));
+        assert_ne!(hash(&[b"a"]), hash(&[b"a\0"]));
+        assert_ne!(hash(&[b""]), hash(&[]));
+        assert_ne!(hash(&[b"12345678"]), hash(&[b"1234567", b"8"]));
     }
 
     #[test]

@@ -93,8 +93,8 @@ pub enum ViolationKind {
     /// `SipHasher…`) in store-key code. SipHash keys are seeded per process,
     /// so a content key minted by one run would never be found by the next —
     /// every node-day store entry would silently miss forever. Store keys go
-    /// through the registered stable hasher (`solarml_trace::FnvHasher`,
-    /// FNV-1a, byte-identical across processes, builds, and platforms).
+    /// through the registered stable key hasher (`solarml_trace::KeyHasher`,
+    /// byte-identical across processes, builds, and platforms).
     StableStoreKey,
     /// A shipped `.scn` script without a `# name:` header matching its file
     /// stem, with a name another script already declares, or not included

@@ -157,7 +157,7 @@ pub static FAMILIES: &[Family] = &[
         scan: scan_atomic_persist,
     },
     // The crates that derive node-day store keys: `fleet` owns the task/key
-    // layer, `trace` owns the FNV codec the keys hash with.
+    // layer, `trace` owns the key hasher and the codec.
     Family {
         word: "stable-store-key",
         kinds: &[K::StableStoreKey],
@@ -890,8 +890,8 @@ const UNSTABLE_HASHERS: &[&str] = &["DefaultHasher", "RandomState", "SipHasher",
 /// that wrote them; a per-process-seeded hash turns every lookup into a
 /// silent permanent miss (the cache "works" but never hits), and an
 /// algorithm std may change re-keys the whole store on a toolchain bump.
-/// Keys go through the registered stable hasher
-/// (`solarml_trace::FnvHasher`, FNV-1a). Flagging the *type name* rather
+/// Keys go through the registered stable key hasher
+/// (`solarml_trace::KeyHasher`). Flagging the *type name* rather
 /// than a call shape is deliberate: the `use` line, the construction, and
 /// a type ascription are each independently a finding, so the import alone
 /// fails fast.
@@ -907,7 +907,7 @@ fn scan_stable_store_key(cx: &mut Cx) {
             format!(
                 "`{name}` is seeded per process / unstable across std releases — \
                  a content key minted with it is unfindable by the next run; use \
-                 the registered stable hasher `solarml_trace::FnvHasher`, or add \
+                 the registered stable key hasher `solarml_trace::KeyHasher`, or add \
                  `// physics-lint: allow(stable-store-key): <reason>`"
             ),
         );
@@ -1157,7 +1157,7 @@ fn sneaky(p: &Path, b: &[u8]) -> io::Result<()> { fs::write(p, b) }
     }
 
     #[test]
-    fn unstable_hashers_are_flagged_fnv_is_not() {
+    fn unstable_hashers_are_flagged_the_key_hasher_is_not() {
         let import = "use std::collections::hash_map::DefaultHasher;";
         assert_eq!(kinds(import), vec![ViolationKind::StableStoreKey]);
         let construct = "\
@@ -1171,7 +1171,7 @@ fn key(node: u64) -> u64 {
         assert_eq!(kinds(construct), vec![ViolationKind::StableStoreKey]);
         let stable = "\
 fn key(node: u64) -> u64 {
-    let mut h = FnvHasher::new();
+    let mut h = KeyHasher::new();
     h.write_u64(node);
     h.finish()
 }
@@ -1183,7 +1183,7 @@ fn key(node: u64) -> u64 {
     fn build_hasher_default_and_comments_do_not_trip_store_key_rule() {
         let src = "\
 /// Never key a store with `DefaultHasher` — `RandomState` salts it.
-fn f() -> BuildHasherDefault<FnvHasher> { BuildHasherDefault::default() }
+fn f<H: Default + Hasher>() -> BuildHasherDefault<H> { BuildHasherDefault::default() }
 ";
         assert!(kinds(src).is_empty(), "{:?}", kinds(src));
     }

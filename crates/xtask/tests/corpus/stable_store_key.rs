@@ -6,15 +6,15 @@
 // and platforms. std's `DefaultHasher` is SipHash behind a per-process
 // `RandomState` salt: a key minted with it is unfindable by the next run,
 // turning the cache into a silent permanent miss. All store keys go
-// through the registered stable hasher (`solarml_trace::FnvHasher`,
-// FNV-1a). The rule flags the type names themselves, so the `use` line is
-// a finding before any key is ever minted.
+// through the registered stable key hasher (`solarml_trace::KeyHasher`).
+// The rule flags the type names themselves, so the `use` line is a
+// finding before any key is ever minted.
 
 use std::collections::hash_map::DefaultHasher; //~ ERROR stable-store-key
 use std::collections::hash_map::RandomState; //~ ERROR stable-store-key
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
-use solarml_trace::FnvHasher;
+use solarml_trace::fnv1a64;
 
 pub fn salted_key(node: u64) -> u64 {
     let mut hasher = DefaultHasher::new(); //~ ERROR stable-store-key
@@ -31,12 +31,10 @@ pub fn salted_state_key(node: u64) -> u64 {
 
 /// Doc comments are inert: `DefaultHasher` and `RandomState` here never fire.
 pub fn stable_key(node: u64) -> u64 {
-    let mut hasher = FnvHasher::new();
-    hasher.write_u64(node);
-    hasher.finish()
+    fnv1a64(&node.to_le_bytes())
 }
 
-pub fn wrapped_stable_build_hasher() -> BuildHasherDefault<FnvHasher> {
+pub fn wrapped_build_hasher<H: Default + Hasher>() -> BuildHasherDefault<H> {
     // `BuildHasherDefault` is a whole-ident non-match, not a false positive.
     BuildHasherDefault::default()
 }
