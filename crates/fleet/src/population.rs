@@ -312,11 +312,18 @@ impl PopulationSpec {
         }
 
         // Interaction times: sorted uniform draws over the waking window.
-        let mut interactions: Vec<f64> = (0..n_interactions)
-            .map(|_| uniform(&mut state, 8.0 * 3600.0, 22.0 * 3600.0))
+        // Every draw is positive, and positive floats' bit patterns order
+        // exactly as `f64::total_cmp` orders the floats, so sorting the
+        // bits is the same sort; it runs branch-free, where the float
+        // comparator sort took about a third of `resolve`.
+        let mut interactions: Vec<u64> = (0..n_interactions)
+            .map(|_| uniform(&mut state, 8.0 * 3600.0, 22.0 * 3600.0).to_bits())
             .collect();
-        interactions.sort_by(f64::total_cmp);
-        let interactions: Vec<Seconds> = interactions.into_iter().map(Seconds::new).collect();
+        interactions.sort_unstable();
+        let interactions: Vec<Seconds> = interactions
+            .into_iter()
+            .map(|bits| Seconds::new(f64::from_bits(bits)))
+            .collect();
 
         // Cloud transients only darken outdoor nodes — ceiling lights have
         // no weather — but the count draw above happened for everyone.
