@@ -188,6 +188,8 @@ struct Reorder<R, E, C> {
     ready: VecDeque<Option<R>>,
     commit: C,
     halt: Option<Halt<E>>,
+    /// Workers blocked on the window; a commit wakes them only if any.
+    waiting: usize,
 }
 
 /// Locks `m`, ignoring poison: a panic while the lock was held has already
@@ -239,6 +241,7 @@ where
         ready: VecDeque::new(),
         commit,
         halt: None,
+        waiting: 0,
     });
     let advanced = Condvar::new();
 
@@ -249,10 +252,12 @@ where
         }
         if i >= committed.load(Ordering::Acquire).saturating_add(window) {
             let mut st = lock(&state);
+            st.waiting += 1;
             while st.halt.is_none() && i >= committed.load(Ordering::Relaxed).saturating_add(window)
             {
                 st = advanced.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
+            st.waiting -= 1;
             if st.halt.is_some() {
                 return;
             }
@@ -283,7 +288,9 @@ where
             }
         }
         committed.store(next, Ordering::Release);
-        advanced.notify_all();
+        if st.waiting > 0 {
+            advanced.notify_all();
+        }
     };
     let run = || {
         if let Err(payload) = catch_unwind(AssertUnwindSafe(claim_and_commit)) {
