@@ -11,8 +11,9 @@
 //! counts the rail steps of the CLI-default 64-node campaign, trains one
 //! fixed KWS-shaped candidate (verifying its pinned bit-identity digest),
 //! builds one KWS MFCC dataset (verifying the pinned digest of the corpus
-//! under it), builds the default KWS task context, reopens a node-day store
-//! of 10,000 entries and loads each, and writes the medians to
+//! under it), builds the default KWS task context, resolves and keys
+//! 10,000 representative node-days, reopens a node-day store of 10,000
+//! entries and loads each, and writes the medians to
 //! `BENCH_hotpaths.json` so future PRs have a trajectory to beat.
 //! Wall-clock timing with `std::time`; the JSON is hand-rendered because
 //! the workspace vendors no JSON crate.
@@ -33,7 +34,7 @@ use solarml::dsp::AudioFrontendParams;
 use solarml::fleet::{
     resume_campaign_with, run_campaign, run_campaign_cached, run_campaign_durable_with,
     simulate_node, CampaignCheckpoints, CampaignConfig, CampaignError, FleetReport, NodeDayOutcome,
-    NodeDayStore, NodeDayTask, FLEET_SEED_CYCLE,
+    NodeDayStore, NodeDayTask, PopulationSpec, FLEET_SEED_CYCLE,
 };
 use solarml::nas::parallel::{available_workers, derive_seed};
 use solarml::nn::layers::Conv2d;
@@ -484,6 +485,27 @@ fn timed_sweep(nodes: usize, workers: usize) -> SweepBench {
     }
 }
 
+/// Cold→warm sweep pairs per run, each on a fresh store. The warm gate
+/// reads the median ratio, so one slow pass on a shared box cannot fail it.
+const SWEEP_PAIRS: usize = 3;
+
+/// Representative nodes per `fleet_resolve` rep.
+const RESOLVE_NODES: usize = 10_000;
+
+/// The resolve stage: `NodeDayTask::resolve` plus `key()` for
+/// representative nodes `0..RESOLVE_NODES` at campaign seed 7 on one
+/// thread — what warm replay pays per node-day before the store lookup.
+/// Reports nanoseconds per node.
+fn timed_resolve(reps: usize) -> u128 {
+    let spec = PopulationSpec::representative();
+    let mut node = 0;
+    time_stage(reps, RESOLVE_NODES, || {
+        let seed = derive_seed(7, FLEET_SEED_CYCLE, node);
+        std::hint::black_box(NodeDayTask::resolve(&spec, node, seed).key());
+        node = (node + 1) % RESOLVE_NODES;
+    })
+}
+
 /// The store-scale stage: fills a fresh node-day store with `entries`
 /// synthetic outcomes through `persist` (untimed; dropping the store
 /// writes them), then times what a warm session pays before any resolve:
@@ -656,22 +678,47 @@ fn main() {
     });
 
     let sweep_nodes = 64;
-    eprintln!("quickbench: {sweep_nodes}-node cold campaign + warm one-parameter sweep…");
-    let sweep = timed_sweep(sweep_nodes, 4);
+    eprintln!(
+        "quickbench: {sweep_nodes}-node cold campaign + warm one-parameter sweep \
+         ({SWEEP_PAIRS} pairs)…"
+    );
+    let sweeps: Vec<SweepBench> = (0..SWEEP_PAIRS)
+        .map(|_| timed_sweep(sweep_nodes, 4))
+        .collect();
+    let sweep_cold_ns = median_ns(&mut sweeps.iter().map(|s| s.cold_ns).collect::<Vec<_>>());
+    let sweep_warm_ns = median_ns(&mut sweeps.iter().map(|s| s.warm_ns).collect::<Vec<_>>());
     stages.push(Stage {
         name: "fleet_sweep_cold",
-        median_ns: sweep.cold_ns,
+        median_ns: sweep_cold_ns,
         iters: 1,
     });
     stages.push(Stage {
         name: "fleet_sweep_warm",
-        median_ns: sweep.warm_ns,
+        median_ns: sweep_warm_ns,
         iters: 1,
     });
-    let sweep_cold_node_days_per_sec = sweep_nodes as f64 / (sweep.cold_ns as f64 / 1e9).max(1e-9);
+    let sweep_cold_node_days_per_sec = sweep_nodes as f64 / (sweep_cold_ns as f64 / 1e9).max(1e-9);
+    let sweep = &sweeps[0];
     let sweep_hit_rate = sweep.hits as f64 / ((sweep.hits + sweep.misses) as f64).max(1.0);
-    let sweep_warm_speedup = sweep.cold_ns as f64 / (sweep.warm_ns as f64).max(1.0);
-    let sweep_miss_matches_affected = sweep.misses as usize == sweep.affected;
+    let mut sweep_ratios: Vec<f64> = sweeps
+        .iter()
+        .map(|s| s.cold_ns as f64 / (s.warm_ns as f64).max(1.0))
+        .collect();
+    sweep_ratios.sort_by(f64::total_cmp);
+    let sweep_warm_speedup = sweep_ratios[sweep_ratios.len() / 2];
+    let sweep_miss_mismatch = sweeps.iter().find(|s| s.misses as usize != s.affected);
+    let sweep_miss_matches_affected = sweep_miss_mismatch.is_none();
+    let sweep_warm_identical = sweeps.iter().all(|s| s.warm_identical);
+
+    let resolve_reps = if quick { 3 } else { 7 };
+    eprintln!(
+        "quickbench: resolve + key of {RESOLVE_NODES} representative nodes ({resolve_reps} reps)…"
+    );
+    stages.push(Stage {
+        name: "fleet_resolve",
+        median_ns: timed_resolve(resolve_reps),
+        iters: RESOLVE_NODES,
+    });
 
     let store_entries = if quick { 2_000 } else { 10_000 };
     let store_reps = if quick { 3 } else { 7 };
@@ -820,8 +867,7 @@ fn main() {
         "    \"fleet_sweep_miss_count_matches_affected\": {sweep_miss_matches_affected},\n"
     ));
     json.push_str(&format!(
-        "    \"fleet_sweep_warm_identical\": {},\n",
-        sweep.warm_identical
+        "    \"fleet_sweep_warm_identical\": {sweep_warm_identical},\n"
     ));
     json.push_str(&format!("    \"fleet_store_entries\": {store_entries},\n"));
     json.push_str(&format!(
@@ -875,11 +921,11 @@ fn main() {
         eprintln!("quickbench: ERROR — killed-and-resumed streaming campaign diverges");
         std::process::exit(1);
     }
-    if !sweep.warm_identical {
+    if !sweep_warm_identical {
         eprintln!("quickbench: ERROR — warm sweep report diverges from from-scratch recompute");
         std::process::exit(1);
     }
-    if !sweep_miss_matches_affected {
+    if let Some(sweep) = sweep_miss_mismatch {
         eprintln!(
             "quickbench: ERROR — warm sweep recomputed {} node-days but the spec edit \
              moved {} content keys (stale or over-invalidated cache)",
@@ -890,7 +936,7 @@ fn main() {
     if sweep_warm_speedup < 50.0 {
         eprintln!(
             "quickbench: ERROR — warm sweep only {sweep_warm_speedup:.1}x faster than cold \
-             (floor: 50x)"
+             in the median of {SWEEP_PAIRS} pairs (floor: 50x)"
         );
         std::process::exit(1);
     }
