@@ -119,8 +119,9 @@ pub struct CampaignCheckpoints {
     pub keep: usize,
     /// Fault-harness hook: checkpoint and abort (with
     /// [`CampaignError::Aborted`]) once this many node-days are folded.
-    /// The chunk holding it is cut short to land *exactly* here, so tests can exercise
-    /// resume from arbitrary — including chunk-misaligned — kill points.
+    /// The chunk holding it is cut short to land *exactly* here, so tests
+    /// can exercise resume from arbitrary — including chunk-misaligned —
+    /// kill points.
     pub abort_after_nodes: Option<u64>,
 }
 

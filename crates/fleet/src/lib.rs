@@ -16,9 +16,10 @@
 //!    weather, office and home lux schedules), or from one script when
 //!    [`PopulationSpec::scenario`] drives the whole campaign;
 //! 2. [`campaign`] — the streaming engine: lazily generated nodes fanned
-//!    over the scoped-thread pool in chunks, each day simulated on the
-//!    `solarml-sim` scheduler with the EnergyAudit ledger, panicking
-//!    nodes quarantined instead of fatal;
+//!    in chunks over one worker pool per campaign (the calling thread
+//!    works too, and chunks commit in order with no barrier between
+//!    them), each day simulated on the `solarml-sim` scheduler with the
+//!    EnergyAudit ledger, panicking nodes quarantined instead of fatal;
 //! 3. [`aggregate`] — exactly-associative streaming statistics (`i128`
 //!    fixed-point sums, `u64` histograms) folded through an O(log n)
 //!    [`MergeTree`], so parallel merge equals sequential fold bit for bit

@@ -4,9 +4,10 @@
 //!
 //! Two kill mechanisms are exercised:
 //!
-//! * the deterministic `abort_after_nodes` harness hook, which clips a
-//!   wave so the abort lands on an *exact* (even chunk-misaligned) node
-//!   count — this sweeps many kill points cheaply in-process;
+//! * the deterministic `abort_after_nodes` harness hook, which cuts the
+//!   chunk holding the kill point short so the abort lands on an *exact*
+//!   (even chunk-misaligned) node count — this sweeps many kill points
+//!   cheaply in-process;
 //! * one real `SIGKILL` delivered to a child process mid-campaign, the
 //!   thing the hook is a stand-in for.
 //!
@@ -80,8 +81,8 @@ fn kill_at_any_point_resumes_byte_identically_at_worker_counts_1_and_4() {
     let baseline = run_campaign(&cfg);
     let baseline_json = baseline.to_json();
 
-    // Chunk is 3 and the wave is a multiple of it, so 1 and N-1 are both
-    // mid-chunk kill points; N/2 lands mid-wave. The last case simulates
+    // Chunk is 3 and the snapshot window is a multiple of it, so 1 and N-1
+    // are both mid-chunk kill points; N/2 lands mid-window. The last case simulates
     // through a node-day store, killed and resumed through the same store.
     let cases = [(1, false), (N / 2, false), (N - 1, false), (N / 2, true)];
     for (kill, with_store) in cases {
@@ -317,7 +318,7 @@ fn sigkill_child_campaign_worker() {
         return;
     };
     let mut ckpt = CampaignCheckpoints::new(dir);
-    ckpt.every_nodes = 1; // checkpoint every wave so the parent sees progress fast
+    ckpt.every_nodes = 1; // snapshot at every window so the parent sees progress fast
                           // The parent SIGKILLs us mid-run; if we finish first the test still
                           // passes (resume of a complete campaign reloads the final snapshot).
     let _ = run_campaign_durable_with(&sigkill_cfg(), &ckpt, &simulate_node);
