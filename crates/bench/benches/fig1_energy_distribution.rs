@@ -2,15 +2,19 @@
 //! systems, with a 3-second event wait.
 
 use solarml::platform::sota::sota_systems;
+use solarml::platform::TaskProfile;
 use solarml::Seconds;
-use solarml_bench::{header, pct, reference_gesture_task, reference_kws_task};
+use solarml_bench::{header, pct};
 
 fn main() {
     header(
         "Fig. 1",
         "Energy cost distribution for end-to-end inference (3 s event wait)",
     );
-    let systems = sota_systems(&reference_gesture_task(), &reference_kws_task());
+    let systems = sota_systems(
+        &TaskProfile::reference_gesture(),
+        &TaskProfile::reference_kws(),
+    );
     let wait = Seconds::new(3.0);
     println!(
         "{:<42} {:>8} {:>8} {:>8} {:>12}",

@@ -3,10 +3,10 @@
 //! the paper reports (gesture 38/47/15 %, KWS 29/53/18 %).
 
 use solarml::mcu::McuPowerModel;
-use solarml::platform::lifecycle::DutyCycleConfig;
+use solarml::platform::lifecycle::{DutyCycleConfig, TaskProfile};
 use solarml::units::Frequency;
 use solarml::Seconds;
-use solarml_bench::{header, pct, reference_gesture_task, reference_kws_task};
+use solarml_bench::{header, pct};
 
 fn main() {
     header(
@@ -14,8 +14,8 @@ fn main() {
         "Energy trace decomposition, 1-minute sleep duty cycle",
     );
     for (name, task) in [
-        ("gesture", reference_gesture_task()),
-        ("KWS", reference_kws_task()),
+        ("gesture", TaskProfile::reference_gesture()),
+        ("KWS", TaskProfile::reference_kws()),
     ] {
         let (trace, breakdown) = DutyCycleConfig {
             sleep: Seconds::from_minutes(1.0),

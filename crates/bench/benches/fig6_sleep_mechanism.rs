@@ -2,8 +2,8 @@
 //! event detector powers it, samples until the end-of-gesture hover, infers,
 //! lingers in standby for a possible second interaction and powers down.
 
-use solarml::platform::lifecycle::InteractionConfig;
-use solarml_bench::{header, pct, reference_gesture_task};
+use solarml::platform::lifecycle::{InteractionConfig, TaskProfile};
+use solarml_bench::{header, pct};
 
 fn main() {
     header(
@@ -17,7 +17,7 @@ fn main() {
     ] {
         let config = InteractionConfig {
             second_interaction: second,
-            ..InteractionConfig::standard(reference_gesture_task())
+            ..InteractionConfig::standard(TaskProfile::reference_gesture())
         };
         let (trace, breakdown) = config.run().expect("interaction runs");
         println!();

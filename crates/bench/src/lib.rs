@@ -6,10 +6,6 @@
 //! experiments (Fig. 10, end-to-end) at the paper's full scale instead of
 //! the quick defaults.
 
-use solarml::dsp::{AudioFrontendParams, GestureSensingParams, Resolution};
-use solarml::nn::{LayerSpec, ModelSpec, Padding};
-use solarml::platform::TaskProfile;
-
 /// Whether full-scale (paper-setting) runs were requested.
 pub fn full_scale() -> bool {
     std::env::var("SOLARML_FULL")
@@ -30,57 +26,9 @@ pub fn pct(x: f64) -> String {
     format!("{:5.1}%", 100.0 * x)
 }
 
-/// The reference µNAS-scale gesture task used by Figs. 1/2/6.
-#[allow(clippy::expect_used)] // literal reference configs are valid by inspection
-pub fn reference_gesture_task() -> TaskProfile {
-    let params = GestureSensingParams::new(9, 100, Resolution::Int, 8)
-        .expect("reference gesture params are valid");
-    let spec = ModelSpec::new(
-        [200, 9, 1],
-        vec![
-            LayerSpec::conv(8, 3, 1, Padding::Same),
-            LayerSpec::relu(),
-            LayerSpec::max_pool(2),
-            LayerSpec::conv(8, 3, 1, Padding::Same),
-            LayerSpec::relu(),
-            LayerSpec::max_pool(2),
-            LayerSpec::flatten(),
-            LayerSpec::dense(10),
-        ],
-    )
-    .expect("reference gesture model is valid");
-    TaskProfile::Gesture { params, spec }
-}
-
-/// The reference µNAS-scale KWS task used by Figs. 1/2/6.
-#[allow(clippy::expect_used)] // literal reference configs are valid by inspection
-pub fn reference_kws_task() -> TaskProfile {
-    let params = AudioFrontendParams::standard();
-    let spec = ModelSpec::new(
-        [49, 13, 1],
-        vec![
-            LayerSpec::conv(12, 3, 1, Padding::Same),
-            LayerSpec::relu(),
-            LayerSpec::max_pool(2),
-            LayerSpec::conv(16, 3, 1, Padding::Same),
-            LayerSpec::relu(),
-            LayerSpec::flatten(),
-            LayerSpec::dense(10),
-        ],
-    )
-    .expect("reference KWS model is valid");
-    TaskProfile::Kws { params, spec }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn reference_tasks_build() {
-        let _ = reference_gesture_task();
-        let _ = reference_kws_task();
-    }
 
     #[test]
     fn pct_formats() {

@@ -137,11 +137,6 @@ impl CircuitSim {
         &self.supercap
     }
 
-    /// The harvesting array (e.g. to switch sensing mode).
-    pub fn array_mut(&mut self) -> &mut HarvestingArray {
-        &mut self.array
-    }
-
     /// The harvesting array.
     pub fn array(&self) -> &HarvestingArray {
         &self.array

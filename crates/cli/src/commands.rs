@@ -1,14 +1,13 @@
 //! The CLI subcommands.
 
-use solarml::dsp::{AudioFrontendParams, GestureSensingParams, Resolution};
 use solarml::fleet::{
     resume_campaign_verbose, run_campaign_durable_with, run_campaign_with, run_sweep,
     simulate_node, CacheStats, CampaignCheckpoints, CampaignConfig, NodeDayStore, PopulationSpec,
-    StoreGc, SweepVariant,
+    StoreGc, SweepVariant, POPULATION_PARAMS,
 };
 use solarml::mcu::McuPowerModel;
 use solarml::nas::{run_enas, EnasConfig, TaskContext};
-use solarml::nn::{LayerSpec, ModelSpec, Padding, TrainConfig};
+use solarml::nn::TrainConfig;
 use solarml::platform::lifecycle::{DutyCycleConfig, TaskProfile};
 use solarml::platform::{
     harvesting_time, simulate_day, solarml_detector_spec, DaySimConfig, HarvestScenario,
@@ -19,52 +18,6 @@ use solarml::units::Frequency;
 use solarml::{Energy, Seconds};
 
 use crate::args::Options;
-
-/// Prints usage.
-pub fn help() {
-    println!("solarml — SolarML (DATE'25) reproduction toolkit");
-    println!();
-    println!("USAGE: solarml <command> [flags]");
-    println!();
-    println!("COMMANDS:");
-    println!("  detector                Table III event-detector comparison");
-    println!("  trace                   duty-cycle E_E/E_S/E_M decomposition");
-    println!("      --task gesture|kws  application profile   [gesture]");
-    println!("      --sleep <s>         sleep period          [60]");
-    println!("      --csv <file>        write the power trace as CSV");
-    println!("  search                  run eNAS on a task");
-    println!("      --task gesture|kws  application           [gesture]");
-    println!("      --lambda <0..1>     accuracy/energy knob  [0.5]");
-    println!("      --seed <n>          RNG seed              [0xE7A5]");
-    println!("      --workers <n>       eval threads, 0=auto  [auto]");
-    println!("      --full              paper-scale 50/20/150 settings");
-    println!("      --csv <file>        write the search history as CSV");
-    println!("  harvest                 harvesting time vs illuminance");
-    println!("      --budget-uj <e>     per-inference energy  [6660]");
-    println!("  day                     24-hour interaction simulation");
-    println!("      --budget-mj <e>     per-inference energy  [2.5]");
-    println!("  fleet                   population campaign: N node-days, aggregated");
-    println!("      --nodes <n>         fleet size            [64]");
-    println!("      --seed <n>          campaign seed         [0xF1EE7]");
-    println!("      --workers <n>       sim threads, 0=auto   [auto]");
-    println!("      --out <file>        write the FleetReport JSON");
-    println!("      --checkpoint-dir <d> crash-safe snapshots into <d>");
-    println!("      --checkpoint-every <n> snapshot cadence, node-days [4096]");
-    println!("      --resume            continue the campaign checkpointed in <d>");
-    println!("      --store-dir <d>     replay cached node-days from <d> (also on --resume)");
-    println!("      --store-max-entries <n> / --store-max-bytes <n>  GC bounds on the store");
-    println!("      --param <p> --value <v>  edit one population parameter before running");
-    println!("      --scenario <s>      conditions from a named scenario or .scn path");
-    println!("  fleet sweep             N spec variants against one node-day store");
-    println!("      --store-dir <d>     required: shared outcome store");
-    println!("      --param <p>         population parameter to sweep");
-    println!("      --values <v1,v2,..> one campaign per value, warm after the first");
-    println!("      --nodes/--seed/--workers/--out as for fleet; no checkpoint flags");
-    println!("      --out <file>        newline-delimited FleetReport JSON, variant order");
-    println!("  scenario list           shipped scenario scripts (name + description)");
-    println!("  scenario show <s>       a scenario's source and canonical form");
-    println!("  scenario run <s>        fleet campaign under the scenario (fleet flags apply)");
-}
 
 /// `solarml detector`.
 pub fn detector() -> Result<(), String> {
@@ -88,52 +41,16 @@ pub fn detector() -> Result<(), String> {
     Ok(())
 }
 
-fn reference_profile(task: &str) -> Result<TaskProfile, String> {
-    match task {
-        "kws" => Ok(TaskProfile::Kws {
-            params: AudioFrontendParams::standard(),
-            spec: ModelSpec::new(
-                [49, 13, 1],
-                vec![
-                    LayerSpec::conv(12, 3, 1, Padding::Same),
-                    LayerSpec::relu(),
-                    LayerSpec::max_pool(2),
-                    LayerSpec::conv(16, 3, 1, Padding::Same),
-                    LayerSpec::relu(),
-                    LayerSpec::flatten(),
-                    LayerSpec::dense(10),
-                ],
-            )
-            .map_err(|e| format!("reference KWS model is invalid: {e}"))?,
-        }),
-        _ => Ok(TaskProfile::Gesture {
-            params: GestureSensingParams::new(9, 100, Resolution::Int, 8)
-                .map_err(|e| format!("reference gesture sensing params are invalid: {e}"))?,
-            spec: ModelSpec::new(
-                [200, 9, 1],
-                vec![
-                    LayerSpec::conv(8, 3, 1, Padding::Same),
-                    LayerSpec::relu(),
-                    LayerSpec::max_pool(2),
-                    LayerSpec::conv(8, 3, 1, Padding::Same),
-                    LayerSpec::relu(),
-                    LayerSpec::max_pool(2),
-                    LayerSpec::flatten(),
-                    LayerSpec::dense(10),
-                ],
-            )
-            .map_err(|e| format!("reference gesture model is invalid: {e}"))?,
-        }),
-    }
-}
-
 /// `solarml trace`.
 pub fn trace(opts: &Options) -> Result<(), String> {
     let task = opts.task.as_deref().unwrap_or("gesture");
     let sleep = Seconds::new(opts.sleep.unwrap_or(60.0));
     let (trace, breakdown) = DutyCycleConfig {
         sleep,
-        task: reference_profile(task)?,
+        task: match task {
+            "kws" => TaskProfile::reference_kws(),
+            _ => TaskProfile::reference_gesture(),
+        },
         mcu: McuPowerModel::default(),
         trace_rate: Frequency::new(1000.0),
     }
@@ -243,30 +160,6 @@ pub fn day(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// Population parameters a scenario script owns wholesale: the script
-/// replaces the sampled environment, fault and workload conditions, so
-/// editing their distributions alongside `--scenario` is a contradiction,
-/// not a merge. Policy and hardware parameters (`retained-share`,
-/// `panel-scale-*`, …) still apply under a script and stay editable.
-const SCENARIO_OWNED_PARAMS: &[&str] = &[
-    "outdoor-share",
-    "office-share",
-    "home-share",
-    "day-of-year",
-    "latitude-lo",
-    "latitude-hi",
-    "office-peak-lo",
-    "office-peak-hi",
-    "home-peak-lo",
-    "home-peak-hi",
-    "clouds-lo",
-    "clouds-hi",
-    "outages-lo",
-    "outages-hi",
-    "interactions-lo",
-    "interactions-hi",
-];
-
 /// Resolves `--scenario <name|path>`: registry names first, then `.scn`
 /// files. Parse failures carry the file's line and column.
 fn resolve_scenario(spec: &str) -> Result<Scenario, String> {
@@ -296,7 +189,10 @@ fn fleet_config(opts: &Options) -> Result<CampaignConfig, String> {
     }
     if let Some(spec) = &opts.scenario {
         if let Some(param) = opts.param.as_deref() {
-            if SCENARIO_OWNED_PARAMS.contains(&param) {
+            if POPULATION_PARAMS
+                .iter()
+                .any(|p| p.name == param && p.scenario_owned)
+            {
                 return Err(format!(
                     "--scenario conflicts with --param {param}: the script owns the \
                      environment, fault and workload conditions (policy parameters \
@@ -446,9 +342,6 @@ pub fn fleet(opts: &Options) -> Result<(), String> {
 /// variants recompute only the nodes their parameter edit actually
 /// reaches.
 pub fn fleet_sweep(opts: &Options) -> Result<(), String> {
-    if opts.checkpoint_dir.is_some() || opts.checkpoint_every.is_some() || opts.resume {
-        return Err("fleet sweep takes no --checkpoint-dir/--checkpoint-every/--resume".into());
-    }
     let dir = opts
         .store_dir
         .as_ref()
@@ -671,26 +564,6 @@ mod tests {
         })
         .expect_err("no values");
         assert!(err.contains("--values"), "{err}");
-    }
-
-    #[test]
-    fn fleet_sweep_refuses_checkpoint_flags() {
-        let edits: [fn(&mut Options); 3] = [
-            |o| o.checkpoint_dir = Some("ckpt".into()),
-            |o| o.checkpoint_every = Some(8),
-            |o| o.resume = true,
-        ];
-        for edit in edits {
-            let mut opts = Options {
-                store_dir: Some("somewhere".into()),
-                param: Some("ladder-share".into()),
-                values: Some(vec![0.5]),
-                ..Options::default()
-            };
-            edit(&mut opts);
-            let err = fleet_sweep(&opts).expect_err("checkpoint flag on a sweep");
-            assert!(err.starts_with("fleet sweep takes no"), "{err}");
-        }
     }
 
     #[test]

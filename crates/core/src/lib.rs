@@ -122,15 +122,6 @@ impl Pipeline {
         self
     }
 
-    /// Uses the paper's full-scale search settings at the given λ.
-    pub fn paper_search(mut self, lambda: f64) -> Self {
-        self.search = EnasConfig {
-            seed: self.seed,
-            ..EnasConfig::paper(lambda)
-        };
-        self
-    }
-
     /// Sets per-candidate training epochs.
     pub fn epochs(mut self, epochs: usize) -> Self {
         self.epochs = epochs;

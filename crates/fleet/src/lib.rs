@@ -58,7 +58,7 @@ pub use checkpoint::{
     campaign_fingerprint, load_latest, write_snapshot, CampaignSnapshot, CheckpointError, Resumed,
     CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
 };
-pub use population::{Dist, NodeBlueprint, PopulationSpec};
+pub use population::{Dist, NodeBlueprint, PopulationParam, PopulationSpec, POPULATION_PARAMS};
 pub use report::{FleetReport, FLEET_REPORT_SCHEMA};
 pub use store::{
     run_campaign_cached, run_sweep, CacheStats, NodeDayStore, StoreError, StoreGc, SweepVariant,

@@ -169,83 +169,54 @@ impl PopulationSpec {
         }
     }
 
-    /// Edits one named parameter in place — the CLI's sweep surface.
+    /// Edits one named parameter in place — the CLI's sweep surface. The
+    /// names, their fields and their domains are the rows of
+    /// [`POPULATION_PARAMS`].
     ///
     /// Share and scalar parameters replace the field; `<dist>-lo` /
     /// `<dist>-hi` edit one bound of a distribution field, leaving the
     /// other bound and the variant untouched (a `Constant` becomes a
-    /// `Uniform` over the implied range). Unknown names return `Err` with
-    /// the full parameter list, so the CLI error is self-documenting.
-    /// Values outside a parameter's domain also return `Err` naming the
-    /// parameter: any non-finite value, a negative illuminance peak, and a
-    /// non-positive bound of the log-uniform panel scale or capacitance.
+    /// `Uniform` over the implied range). An unknown name, or a value
+    /// outside the parameter's domain, returns `Err` naming the parameter;
+    /// an unknown name's error lists every known one.
     pub fn set_param(&mut self, name: &str, value: f64) -> Result<(), String> {
-        fn set_lo(d: &mut Dist, value: f64) {
-            *d = match *d {
-                Dist::Constant(v) => Dist::Uniform { lo: value, hi: v },
-                Dist::Uniform { hi, .. } => Dist::Uniform { lo: value, hi },
-                Dist::LogUniform { hi, .. } => Dist::LogUniform { lo: value, hi },
-            };
-        }
-        fn set_hi(d: &mut Dist, value: f64) {
-            *d = match *d {
-                Dist::Constant(v) => Dist::Uniform { lo: v, hi: value },
-                Dist::Uniform { lo, .. } => Dist::Uniform { lo, hi: value },
-                Dist::LogUniform { lo, .. } => Dist::LogUniform { lo, hi: value },
-            };
-        }
-        let within = |ok: bool, need: &str| {
-            if ok {
-                Ok(value)
-            } else {
-                Err(format!(
-                    "population parameter `{name}` must be {need}, got {value}"
-                ))
-            }
+        let param = POPULATION_PARAMS.iter().find(|p| p.name == name);
+        let param = param.ok_or_else(|| {
+            let known: Vec<&str> = POPULATION_PARAMS.iter().map(|p| p.name).collect();
+            format!(
+                "unknown population parameter `{name}`; known: {}",
+                known.join(", ")
+            )
+        })?;
+        let need = match param.domain {
+            _ if !value.is_finite() => Some("finite"),
+            Domain::NonNegative if value < 0.0 => Some("non-negative"),
+            Domain::Positive if value <= 0.0 => Some("positive"),
+            _ => None,
         };
-        within(value.is_finite(), "finite")?;
-        let non_negative = within(value >= 0.0, "non-negative");
-        let positive = within(value > 0.0, "positive");
-        match name {
-            "outdoor-share" => self.outdoor_share = value,
-            "office-share" => self.office_share = value,
-            "home-share" => self.home_share = value,
-            "retained-share" => self.retained_share = value,
-            "volatile-share" => self.volatile_share = value,
-            "none-share" => self.none_share = value,
-            "ladder-share" => self.ladder_share = value,
-            "day-of-year" => self.day_of_year = value.max(0.0) as u32,
-            "latitude-lo" => set_lo(&mut self.latitude_deg, value),
-            "latitude-hi" => set_hi(&mut self.latitude_deg, value),
-            "office-peak-lo" => set_lo(&mut self.office_peak_lux, non_negative?),
-            "office-peak-hi" => set_hi(&mut self.office_peak_lux, non_negative?),
-            "home-peak-lo" => set_lo(&mut self.home_peak_lux, non_negative?),
-            "home-peak-hi" => set_hi(&mut self.home_peak_lux, non_negative?),
-            "panel-scale-lo" => set_lo(&mut self.panel_scale, positive?),
-            "panel-scale-hi" => set_hi(&mut self.panel_scale, positive?),
-            "capacitance-lo" => set_lo(&mut self.capacitance_f, positive?),
-            "capacitance-hi" => set_hi(&mut self.capacitance_f, positive?),
-            "initial-voltage-lo" => set_lo(&mut self.initial_voltage_v, value),
-            "initial-voltage-hi" => set_hi(&mut self.initial_voltage_v, value),
-            "capacity-factor-lo" => set_lo(&mut self.capacity_factor, value),
-            "capacity-factor-hi" => set_hi(&mut self.capacity_factor, value),
-            "esr-scale-lo" => set_lo(&mut self.esr_scale, value),
-            "esr-scale-hi" => set_hi(&mut self.esr_scale, value),
-            "interactions-lo" => set_lo(&mut self.interaction_count, value),
-            "interactions-hi" => set_hi(&mut self.interaction_count, value),
-            "clouds-lo" => set_lo(&mut self.cloud_count, value),
-            "clouds-hi" => set_hi(&mut self.cloud_count, value),
-            "outages-lo" => set_lo(&mut self.outage_count, value),
-            "outages-hi" => set_hi(&mut self.outage_count, value),
-            unknown => {
-                return Err(format!(
-                    "unknown population parameter `{unknown}`; known: \
-                     outdoor-share, office-share, home-share, retained-share, \
-                     volatile-share, none-share, ladder-share, day-of-year, \
-                     and the -lo/-hi bounds of latitude, office-peak, \
-                     home-peak, panel-scale, capacitance, initial-voltage, \
-                     capacity-factor, esr-scale, interactions, clouds, outages"
-                ));
+        if let Some(need) = need {
+            return Err(format!(
+                "population parameter `{name}` must be {need}, got {value}"
+            ));
+        }
+        match param.target {
+            Target::Scalar(field) => *field(self) = value,
+            Target::DayOfYear => self.day_of_year = value.max(0.0) as u32,
+            Target::Lo(field) => {
+                let d = field(self);
+                *d = match *d {
+                    Dist::Constant(v) => Dist::Uniform { lo: value, hi: v },
+                    Dist::Uniform { hi, .. } => Dist::Uniform { lo: value, hi },
+                    Dist::LogUniform { hi, .. } => Dist::LogUniform { lo: value, hi },
+                };
+            }
+            Target::Hi(field) => {
+                let d = field(self);
+                *d = match *d {
+                    Dist::Constant(v) => Dist::Uniform { lo: v, hi: value },
+                    Dist::Uniform { lo, .. } => Dist::Uniform { lo, hi: value },
+                    Dist::LogUniform { lo, .. } => Dist::LogUniform { lo, hi: value },
+                };
             }
         }
         Ok(())
@@ -368,7 +339,9 @@ impl PopulationSpec {
         // declared fault combinators replace the sampled plan (falling
         // back to the sampled aging when the script declares none), a
         // declared workload replaces the sampled interaction times, and a
-        // declared supercap replaces the sampled capacitance.
+        // declared supercap replaces the sampled capacitance. The
+        // parameters whose draws a script overrides are the
+        // `scenario_owned` rows of `POPULATION_PARAMS`, below.
         let faults = match &day {
             Some(day) => day.fault_plan(&sampled_faults),
             None => sampled_faults,
@@ -396,16 +369,22 @@ impl PopulationSpec {
             standby_power: Power::from_micro_watts(2.4),
         };
 
-        let mut cfg = IntermittentConfig::naive(base, faults, PhasePlan::representative_gesture());
+        let ladder = if has_ladder {
+            DegradationLadder::representative()
+        } else {
+            DegradationLadder::full_only()
+        };
+        let mut cfg = IntermittentConfig::resilient(
+            base,
+            faults,
+            PhasePlan::representative_gesture(),
+            ladder,
+        );
         cfg.checkpoint = match policy_pick {
             0 => CheckpointPolicy::Retained,
             1 => CheckpointPolicy::Volatile,
             _ => CheckpointPolicy::None,
         };
-        if has_ladder {
-            cfg.ladder = DegradationLadder::from_exit_macs(&[100_000, 400_000, 1_000_000])
-                .with_coarse_sensing(Ratio::new(0.5), Ratio::new(0.55));
-        }
         // Adaptive stepping: same physics, ~60× cheaper through dead and
         // idle windows, pinned against fixed-dt by the sim parity suites.
         // The 50 ms floor (vs the parity suites' 1 ms) keeps nodes that
@@ -419,6 +398,84 @@ impl PopulationSpec {
         }
     }
 }
+
+/// Where a population parameter's edit lands.
+#[derive(Debug, Clone, Copy)]
+enum Target {
+    /// A share or scalar field, replaced whole.
+    Scalar(fn(&mut PopulationSpec) -> &mut f64),
+    /// [`PopulationSpec::day_of_year`], truncated to a whole day.
+    DayOfYear,
+    /// The lower bound of a distribution field.
+    Lo(fn(&mut PopulationSpec) -> &mut Dist),
+    /// The upper bound of a distribution field.
+    Hi(fn(&mut PopulationSpec) -> &mut Dist),
+}
+
+/// The values a parameter accepts; every parameter must also be finite.
+#[derive(Debug, Clone, Copy)]
+enum Domain {
+    Any,
+    /// Illuminance peaks: zero lux is dark, not an error.
+    NonNegative,
+    /// Log-uniform bounds: `ln` needs a positive value.
+    Positive,
+}
+
+/// One editable population parameter: a row of [`POPULATION_PARAMS`].
+#[derive(Debug, Clone, Copy)]
+pub struct PopulationParam {
+    /// The name [`PopulationSpec::set_param`] takes, e.g. `office-peak-hi`.
+    pub name: &'static str,
+    target: Target,
+    domain: Domain,
+    /// Whether a scenario script owns the parameter: the script replaces
+    /// the sampled environment, fault and workload conditions (see
+    /// [`PopulationSpec::node_blueprint`]), so editing the parameter
+    /// alongside a script is a contradiction, not a merge. Policy and
+    /// hardware parameters (`retained-share`, `panel-scale-*`, …) still
+    /// apply under a script.
+    pub scenario_owned: bool,
+}
+
+use Domain::{Any, NonNegative, Positive};
+use Target::{DayOfYear, Hi, Lo, Scalar};
+
+/// Every parameter [`PopulationSpec::set_param`] edits, one row each: name,
+/// field and bound, domain, and whether a scenario script owns it.
+#[rustfmt::skip]
+pub const POPULATION_PARAMS: &[PopulationParam] = &[
+    PopulationParam { name: "outdoor-share", target: Scalar(|s| &mut s.outdoor_share), domain: Any, scenario_owned: true },
+    PopulationParam { name: "office-share", target: Scalar(|s| &mut s.office_share), domain: Any, scenario_owned: true },
+    PopulationParam { name: "home-share", target: Scalar(|s| &mut s.home_share), domain: Any, scenario_owned: true },
+    PopulationParam { name: "retained-share", target: Scalar(|s| &mut s.retained_share), domain: Any, scenario_owned: false },
+    PopulationParam { name: "volatile-share", target: Scalar(|s| &mut s.volatile_share), domain: Any, scenario_owned: false },
+    PopulationParam { name: "none-share", target: Scalar(|s| &mut s.none_share), domain: Any, scenario_owned: false },
+    PopulationParam { name: "ladder-share", target: Scalar(|s| &mut s.ladder_share), domain: Any, scenario_owned: false },
+    PopulationParam { name: "day-of-year", target: DayOfYear, domain: Any, scenario_owned: true },
+    PopulationParam { name: "latitude-lo", target: Lo(|s| &mut s.latitude_deg), domain: Any, scenario_owned: true },
+    PopulationParam { name: "latitude-hi", target: Hi(|s| &mut s.latitude_deg), domain: Any, scenario_owned: true },
+    PopulationParam { name: "office-peak-lo", target: Lo(|s| &mut s.office_peak_lux), domain: NonNegative, scenario_owned: true },
+    PopulationParam { name: "office-peak-hi", target: Hi(|s| &mut s.office_peak_lux), domain: NonNegative, scenario_owned: true },
+    PopulationParam { name: "home-peak-lo", target: Lo(|s| &mut s.home_peak_lux), domain: NonNegative, scenario_owned: true },
+    PopulationParam { name: "home-peak-hi", target: Hi(|s| &mut s.home_peak_lux), domain: NonNegative, scenario_owned: true },
+    PopulationParam { name: "panel-scale-lo", target: Lo(|s| &mut s.panel_scale), domain: Positive, scenario_owned: false },
+    PopulationParam { name: "panel-scale-hi", target: Hi(|s| &mut s.panel_scale), domain: Positive, scenario_owned: false },
+    PopulationParam { name: "capacitance-lo", target: Lo(|s| &mut s.capacitance_f), domain: Positive, scenario_owned: false },
+    PopulationParam { name: "capacitance-hi", target: Hi(|s| &mut s.capacitance_f), domain: Positive, scenario_owned: false },
+    PopulationParam { name: "initial-voltage-lo", target: Lo(|s| &mut s.initial_voltage_v), domain: Any, scenario_owned: false },
+    PopulationParam { name: "initial-voltage-hi", target: Hi(|s| &mut s.initial_voltage_v), domain: Any, scenario_owned: false },
+    PopulationParam { name: "capacity-factor-lo", target: Lo(|s| &mut s.capacity_factor), domain: Any, scenario_owned: false },
+    PopulationParam { name: "capacity-factor-hi", target: Hi(|s| &mut s.capacity_factor), domain: Any, scenario_owned: false },
+    PopulationParam { name: "esr-scale-lo", target: Lo(|s| &mut s.esr_scale), domain: Any, scenario_owned: false },
+    PopulationParam { name: "esr-scale-hi", target: Hi(|s| &mut s.esr_scale), domain: Any, scenario_owned: false },
+    PopulationParam { name: "interactions-lo", target: Lo(|s| &mut s.interaction_count), domain: Any, scenario_owned: true },
+    PopulationParam { name: "interactions-hi", target: Hi(|s| &mut s.interaction_count), domain: Any, scenario_owned: true },
+    PopulationParam { name: "clouds-lo", target: Lo(|s| &mut s.cloud_count), domain: Any, scenario_owned: true },
+    PopulationParam { name: "clouds-hi", target: Hi(|s| &mut s.cloud_count), domain: Any, scenario_owned: true },
+    PopulationParam { name: "outages-lo", target: Lo(|s| &mut s.outage_count), domain: Any, scenario_owned: true },
+    PopulationParam { name: "outages-hi", target: Hi(|s| &mut s.outage_count), domain: Any, scenario_owned: true },
+];
 
 /// One sampled node: its simulation config plus which population buckets
 /// it fell into (the aggregate reports fleet composition by these).

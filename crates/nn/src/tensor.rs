@@ -74,11 +74,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its backing data.
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element at `[h, w, c]` of a rank-3 tensor.
     ///
     /// # Panics

@@ -191,6 +191,15 @@ impl DegradationLadder {
         Self { rungs }
     }
 
+    /// The representative multi-exit ladder: exits at 100 k, 400 k and
+    /// 1 M MACs, then a coarse-sensing rung at half the sensing window
+    /// keeping 55 % of full accuracy. Fleet ladder nodes, the
+    /// scheduler-parity fixtures and the cloudy-day example deploy it.
+    pub fn representative() -> Self {
+        Self::from_exit_macs(&[100_000, 400_000, 1_000_000])
+            .with_coarse_sensing(Ratio::new(0.5), Ratio::new(0.55))
+    }
+
     /// Appends a coarse-sensing rung below everything else: the cheapest
     /// existing inference paired with a truncated sensing window.
     pub fn with_coarse_sensing(mut self, sense_scale: Ratio, accuracy_proxy: Ratio) -> Self {
@@ -300,18 +309,8 @@ impl IntermittentConfig {
     /// interruption loses all progress and only the full model ever runs.
     pub fn naive(base: DaySimConfig, faults: FaultPlan, plan: PhasePlan) -> Self {
         Self {
-            base,
-            faults,
-            thresholds: BrownoutThresholds::default(),
-            plan,
-            ladder: DegradationLadder::full_only(),
             checkpoint: CheckpointPolicy::None,
-            checkpoint_costs: CheckpointCostModel::default(),
-            mcu: McuPowerModel::default(),
-            max_retries: 3,
-            retry_backoff: Seconds::new(30.0),
-            active_dt: Seconds::from_millis(10.0),
-            dt_policy: DtPolicy::fixed(),
+            ..Self::resilient(base, faults, plan, DegradationLadder::full_only())
         }
     }
 
@@ -324,9 +323,18 @@ impl IntermittentConfig {
         ladder: DegradationLadder,
     ) -> Self {
         Self {
+            base,
+            faults,
+            thresholds: BrownoutThresholds::default(),
+            plan,
             ladder,
             checkpoint: CheckpointPolicy::Retained,
-            ..Self::naive(base, faults, plan)
+            checkpoint_costs: CheckpointCostModel::default(),
+            mcu: McuPowerModel::default(),
+            max_retries: 3,
+            retry_backoff: Seconds::new(30.0),
+            active_dt: Seconds::from_millis(10.0),
+            dt_policy: DtPolicy::fixed(),
         }
     }
 }
@@ -1222,8 +1230,7 @@ mod tests {
     #[test]
     fn checkpoint_and_degrade_beats_naive_restart() {
         let (base, faults, plan) = scenario(42);
-        let ladder = DegradationLadder::from_exit_macs(&[100_000, 400_000, 1_000_000])
-            .with_coarse_sensing(Ratio::new(0.5), Ratio::new(0.55));
+        let ladder = DegradationLadder::representative();
         let naive = simulate_faulted_day(&IntermittentConfig::naive(
             base.clone(),
             faults.clone(),

@@ -14,10 +14,10 @@
 use solarml_circuit::env::{HoverSchedule, LightEnvironment};
 use solarml_circuit::harvest::HarvestMode;
 use solarml_circuit::{CircuitSim, SimConfig};
-use solarml_dsp::{AudioFrontendParams, GestureSensingParams};
+use solarml_dsp::{AudioFrontendParams, GestureSensingParams, Resolution};
 use solarml_energy::device::{AudioSensingGround, GestureSensingGround, InferenceGround};
 use solarml_mcu::{AdcConfig, Mcu, McuPowerModel, PdmConfig, PowerState, TransitionError};
-use solarml_nn::ModelSpec;
+use solarml_nn::{LayerSpec, ModelSpec, Padding};
 use solarml_sim::{Clocked, DtPolicy, Scheduler, SimBus, StepControl};
 use solarml_trace::PowerTrace;
 use solarml_units::{Energy, Frequency, Lux, Power, Ratio, Seconds};
@@ -43,6 +43,53 @@ pub enum TaskProfile {
 }
 
 impl TaskProfile {
+    /// The reference µNAS-scale gesture task of Figs. 1, 2 and 6: 9
+    /// channels at 100 Hz, integer samples, and a two-stage conv model
+    /// (~370 k MACs).
+    #[allow(clippy::expect_used)]
+    pub fn reference_gesture() -> Self {
+        let params = GestureSensingParams::new(9, 100, Resolution::Int, 8)
+            .expect("reference gesture params are valid"); // physics-lint: allow(expect): a literal config, valid by inspection and built by every lifecycle test
+        let spec = ModelSpec::new(
+            [200, 9, 1],
+            vec![
+                LayerSpec::conv(8, 3, 1, Padding::Same),
+                LayerSpec::relu(),
+                LayerSpec::max_pool(2),
+                LayerSpec::conv(8, 3, 1, Padding::Same),
+                LayerSpec::relu(),
+                LayerSpec::max_pool(2),
+                LayerSpec::flatten(),
+                LayerSpec::dense(10),
+            ],
+        )
+        .expect("reference gesture model is valid"); // physics-lint: allow(expect): a literal model, valid by inspection and built by every lifecycle test
+        TaskProfile::Gesture { params, spec }
+    }
+
+    /// The reference µNAS-scale KWS task of Figs. 1, 2 and 6: the standard
+    /// audio front end and a two-stage conv model over 49×13 MFCCs.
+    #[allow(clippy::expect_used)]
+    pub fn reference_kws() -> Self {
+        let spec = ModelSpec::new(
+            [49, 13, 1],
+            vec![
+                LayerSpec::conv(12, 3, 1, Padding::Same),
+                LayerSpec::relu(),
+                LayerSpec::max_pool(2),
+                LayerSpec::conv(16, 3, 1, Padding::Same),
+                LayerSpec::relu(),
+                LayerSpec::flatten(),
+                LayerSpec::dense(10),
+            ],
+        )
+        .expect("reference KWS model is valid"); // physics-lint: allow(expect): a literal model, valid by inspection and built by every lifecycle test
+        TaskProfile::Kws {
+            params: AudioFrontendParams::standard(),
+            spec,
+        }
+    }
+
     /// Tickless sampling power for this task.
     pub fn sampling_power(&self, mcu: &McuPowerModel) -> Power {
         match self {
@@ -591,46 +638,6 @@ impl InteractionConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use solarml_dsp::Resolution;
-    use solarml_nn::{LayerSpec, Padding};
-
-    fn gesture_task() -> TaskProfile {
-        // A µNAS-scale gesture model (~370 k MACs): two conv stages.
-        let params = GestureSensingParams::new(9, 100, Resolution::Int, 8).expect("valid");
-        let spec = ModelSpec::new(
-            [200, 9, 1],
-            vec![
-                LayerSpec::conv(8, 3, 1, Padding::Same),
-                LayerSpec::relu(),
-                LayerSpec::max_pool(2),
-                LayerSpec::conv(8, 3, 1, Padding::Same),
-                LayerSpec::relu(),
-                LayerSpec::max_pool(2),
-                LayerSpec::flatten(),
-                LayerSpec::dense(10),
-            ],
-        )
-        .expect("valid");
-        TaskProfile::Gesture { params, spec }
-    }
-
-    fn kws_task() -> TaskProfile {
-        let params = AudioFrontendParams::standard();
-        let spec = ModelSpec::new(
-            [49, 13, 1],
-            vec![
-                LayerSpec::conv(12, 3, 1, Padding::Same),
-                LayerSpec::relu(),
-                LayerSpec::max_pool(2),
-                LayerSpec::conv(16, 3, 1, Padding::Same),
-                LayerSpec::relu(),
-                LayerSpec::flatten(),
-                LayerSpec::dense(10),
-            ],
-        )
-        .expect("valid");
-        TaskProfile::Kws { params, spec }
-    }
 
     #[test]
     fn fig2_duty_cycle_fractions_match_paper_shape() {
@@ -638,7 +645,7 @@ mod tests {
         // E_S 47 %/53 % for gesture/KWS.
         let (_, gesture) = DutyCycleConfig {
             sleep: Seconds::from_minutes(1.0),
-            task: gesture_task(),
+            task: TaskProfile::reference_gesture(),
             mcu: McuPowerModel::default(),
             trace_rate: Frequency::new(1000.0),
         }
@@ -652,7 +659,7 @@ mod tests {
 
         let (_, kws) = DutyCycleConfig {
             sleep: Seconds::from_minutes(1.0),
-            task: kws_task(),
+            task: TaskProfile::reference_kws(),
             mcu: McuPowerModel::default(),
             trace_rate: Frequency::new(1000.0),
         }
@@ -671,7 +678,7 @@ mod tests {
     fn duty_cycle_trace_has_all_segments() {
         let (trace, _) = DutyCycleConfig {
             sleep: Seconds::new(2.0),
-            task: gesture_task(),
+            task: TaskProfile::reference_gesture(),
             mcu: McuPowerModel::default(),
             trace_rate: Frequency::new(500.0),
         }
@@ -687,7 +694,7 @@ mod tests {
 
     #[test]
     fn fig6_interaction_runs_and_breaks_down() {
-        let config = InteractionConfig::standard(gesture_task());
+        let config = InteractionConfig::standard(TaskProfile::reference_gesture());
         let (trace, breakdown) = config.run().expect("interaction runs");
         assert!(breakdown.total().as_micro_joules() > 0.0);
         // Event-driven: waiting costs only the detector's microwatts, so
@@ -708,7 +715,7 @@ mod tests {
         // end hover rather than running the nominal 2 s window.
         let config = InteractionConfig {
             gesture: Seconds::new(1.0),
-            ..InteractionConfig::standard(gesture_task())
+            ..InteractionConfig::standard(TaskProfile::reference_gesture())
         };
         let (trace, _) = config.run().expect("interaction runs");
         let sampling = trace
@@ -723,13 +730,13 @@ mod tests {
 
     #[test]
     fn second_interaction_adds_energy() {
-        let once = InteractionConfig::standard(gesture_task())
+        let once = InteractionConfig::standard(TaskProfile::reference_gesture())
             .run()
             .expect("runs")
             .1;
         let twice = InteractionConfig {
             second_interaction: true,
-            ..InteractionConfig::standard(gesture_task())
+            ..InteractionConfig::standard(TaskProfile::reference_gesture())
         }
         .run()
         .expect("runs")
@@ -744,13 +751,13 @@ mod tests {
         // duty-cycled system's deep-sleep E_E.
         let (_, duty) = DutyCycleConfig {
             sleep: Seconds::new(5.0),
-            task: gesture_task(),
+            task: TaskProfile::reference_gesture(),
             mcu: McuPowerModel::default(),
             trace_rate: Frequency::new(1000.0),
         }
         .run()
         .expect("duty cycle runs");
-        let (_, solar) = InteractionConfig::standard(gesture_task())
+        let (_, solar) = InteractionConfig::standard(TaskProfile::reference_gesture())
             .run()
             .expect("interaction runs");
         // Compare only the waiting part: duty sleeps at 45 µW for 5 s
@@ -766,7 +773,7 @@ mod tests {
 
     #[test]
     fn breakdown_fractions_sum_to_one() {
-        let (_, b) = InteractionConfig::standard(kws_task())
+        let (_, b) = InteractionConfig::standard(TaskProfile::reference_kws())
             .run()
             .expect("interaction runs");
         let (e, s, m) = b.fractions();

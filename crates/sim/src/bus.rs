@@ -69,11 +69,6 @@ impl SimBus {
         Self::default()
     }
 
-    /// Gesture shading of cell `i`, zero when no driver wrote one.
-    pub fn shading_at(&self, i: usize) -> Ratio {
-        self.shading.get(i).copied().unwrap_or(Ratio::ZERO)
-    }
-
     /// Folds one step's flows into the run ledger, returning the step's
     /// signed conservation residual.
     pub fn record(&mut self, flows: EnergyFlows) -> Energy {

@@ -516,12 +516,6 @@ impl Seconds {
     pub fn as_millis(self) -> f64 {
         self.as_seconds() * 1e3
     }
-
-    /// Returns the duration in minutes.
-    #[inline]
-    pub fn as_minutes(self) -> f64 {
-        self.as_seconds() / 60.0
-    }
 }
 
 impl Amps {
@@ -567,12 +561,6 @@ impl Capacitance {
     #[inline]
     pub fn stored_energy(self, v: Volts) -> Energy {
         Energy::new(0.5 * self.as_farads() * v.as_volts() * v.as_volts())
-    }
-
-    /// The voltage a charge `q` produces on this capacitance: `V = Q/C`.
-    #[inline]
-    pub fn voltage_for_charge(self, q: Charge) -> Volts {
-        Volts::new(q.as_coulombs() / self.as_farads())
     }
 }
 

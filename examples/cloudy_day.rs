@@ -30,7 +30,7 @@ use solarml::platform::{
     IntermittentConfig, PhasePlan,
 };
 use solarml::trace::JsonObject;
-use solarml::units::{Lux, Ratio};
+use solarml::units::Lux;
 
 const SEED: u64 = 42;
 
@@ -40,10 +40,9 @@ fn compare_at(peak: Lux) -> (DayFaultReport, DayFaultReport) {
     let base = stressed_office_day(peak);
     let faults = FaultPlan::seeded_cloudy_day(SEED);
     let plan = PhasePlan::representative_gesture();
-    // MAC counts of a three-exit gesture backbone (earliest → final), plus
-    // a coarse-sensing rung of last resort: half the capture window.
-    let ladder = DegradationLadder::from_exit_macs(&[100_000, 400_000, 1_000_000])
-        .with_coarse_sensing(Ratio::new(0.5), Ratio::new(0.55));
+    // A three-exit gesture backbone plus a coarse-sensing rung of last
+    // resort: half the capture window.
+    let ladder = DegradationLadder::representative();
 
     let naive = simulate_faulted_day(&IntermittentConfig::naive(
         base.clone(),

@@ -17,14 +17,9 @@ use solarml::platform::{
     simulate_faulted_day, stressed_office_day, DayFaultReport, DegradationLadder,
     IntermittentConfig, PhasePlan,
 };
-use solarml::units::{Energy, Lux, Ratio};
+use solarml::units::{Energy, Lux};
 
 const SEED: u64 = 42;
-
-fn ladder() -> DegradationLadder {
-    DegradationLadder::from_exit_macs(&[100_000, 400_000, 1_000_000])
-        .with_coarse_sensing(Ratio::new(0.5), Ratio::new(0.55))
-}
 
 fn naive_config(peak: f64) -> IntermittentConfig {
     IntermittentConfig::naive(
@@ -39,7 +34,7 @@ fn resilient_config(peak: f64) -> IntermittentConfig {
         stressed_office_day(Lux::new(peak)),
         FaultPlan::seeded_cloudy_day(SEED),
         PhasePlan::representative_gesture(),
-        ladder(),
+        DegradationLadder::representative(),
     )
 }
 

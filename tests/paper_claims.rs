@@ -40,25 +40,9 @@ fn claim_detector_ten_times_cheaper() {
 /// energy; sensing dominates.
 #[test]
 fn claim_inference_is_minority_of_total_energy() {
-    let params = solarml::dsp::GestureSensingParams::new(9, 100, solarml::dsp::Resolution::Int, 8)
-        .expect("valid");
-    let spec = solarml::nn::ModelSpec::new(
-        [200, 9, 1],
-        vec![
-            solarml::nn::LayerSpec::conv(8, 3, 1, solarml::nn::Padding::Same),
-            solarml::nn::LayerSpec::relu(),
-            solarml::nn::LayerSpec::max_pool(2),
-            solarml::nn::LayerSpec::conv(8, 3, 1, solarml::nn::Padding::Same),
-            solarml::nn::LayerSpec::relu(),
-            solarml::nn::LayerSpec::max_pool(2),
-            solarml::nn::LayerSpec::flatten(),
-            solarml::nn::LayerSpec::dense(10),
-        ],
-    )
-    .expect("valid");
     let (_, b) = DutyCycleConfig {
         sleep: Seconds::from_minutes(1.0),
-        task: solarml::platform::TaskProfile::Gesture { params, spec },
+        task: solarml::platform::TaskProfile::reference_gesture(),
         mcu: McuPowerModel::default(),
         trace_rate: Frequency::new(1000.0),
     }

@@ -22,16 +22,14 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use solarml::circuit::FaultPlan;
-use solarml::dsp::{AudioFrontendParams, GestureSensingParams, Resolution};
 use solarml::mcu::McuPowerModel;
-use solarml::nn::{LayerSpec, ModelSpec, Padding};
 use solarml::platform::{
     replay_gesture, simulate_day, simulate_faulted_day, stressed_office_day, DaySimConfig,
     DegradationLadder, DutyCycleConfig, EnergyBreakdown, GestureReplay, InteractionConfig,
     IntermittentConfig, PhasePlan, TaskProfile,
 };
 use solarml::trace::PowerTrace;
-use solarml::units::{Energy, Frequency, Lux, Ratio, Seconds};
+use solarml::units::{Energy, Frequency, Lux, Seconds};
 
 const SEED: u64 = 42;
 
@@ -54,48 +52,6 @@ fn check_golden(name: &str, actual: &str) {
         expected, actual,
         "{name} diverged from the pre-port golden output"
     );
-}
-
-fn gesture_task() -> TaskProfile {
-    let params = GestureSensingParams::new(9, 100, Resolution::Int, 8).expect("valid");
-    let spec = ModelSpec::new(
-        [200, 9, 1],
-        vec![
-            LayerSpec::conv(8, 3, 1, Padding::Same),
-            LayerSpec::relu(),
-            LayerSpec::max_pool(2),
-            LayerSpec::conv(8, 3, 1, Padding::Same),
-            LayerSpec::relu(),
-            LayerSpec::max_pool(2),
-            LayerSpec::flatten(),
-            LayerSpec::dense(10),
-        ],
-    )
-    .expect("valid");
-    TaskProfile::Gesture { params, spec }
-}
-
-fn kws_task() -> TaskProfile {
-    let params = AudioFrontendParams::standard();
-    let spec = ModelSpec::new(
-        [49, 13, 1],
-        vec![
-            LayerSpec::conv(12, 3, 1, Padding::Same),
-            LayerSpec::relu(),
-            LayerSpec::max_pool(2),
-            LayerSpec::conv(16, 3, 1, Padding::Same),
-            LayerSpec::relu(),
-            LayerSpec::flatten(),
-            LayerSpec::dense(10),
-        ],
-    )
-    .expect("valid");
-    TaskProfile::Kws { params, spec }
-}
-
-fn ladder() -> DegradationLadder {
-    DegradationLadder::from_exit_macs(&[100_000, 400_000, 1_000_000])
-        .with_coarse_sensing(Ratio::new(0.5), Ratio::new(0.55))
 }
 
 /// One line per scenario: the breakdown's raw joule values plus the trace's
@@ -123,7 +79,7 @@ fn day_fault_reports_are_byte_stable() {
         stressed_office_day(Lux::new(200.0)),
         FaultPlan::seeded_cloudy_day(SEED),
         PhasePlan::representative_gesture(),
-        ladder(),
+        DegradationLadder::representative(),
     );
     check_golden(
         "day_fault_naive_200.json",
@@ -141,7 +97,7 @@ fn lifecycle_breakdowns_are_bit_exact() {
 
     let (trace, b) = DutyCycleConfig {
         sleep: Seconds::new(2.0),
-        task: gesture_task(),
+        task: TaskProfile::reference_gesture(),
         mcu: McuPowerModel::default(),
         trace_rate: Frequency::new(500.0),
     }
@@ -151,7 +107,7 @@ fn lifecycle_breakdowns_are_bit_exact() {
 
     let (trace, b) = DutyCycleConfig {
         sleep: Seconds::new(2.0),
-        task: kws_task(),
+        task: TaskProfile::reference_kws(),
         mcu: McuPowerModel::default(),
         trace_rate: Frequency::new(500.0),
     }
@@ -159,20 +115,20 @@ fn lifecycle_breakdowns_are_bit_exact() {
     .expect("duty cycle runs");
     out.push_str(&breakdown_line("duty_kws", &trace, &b));
 
-    let (trace, b) = InteractionConfig::standard(gesture_task())
+    let (trace, b) = InteractionConfig::standard(TaskProfile::reference_gesture())
         .run()
         .expect("interaction runs");
     out.push_str(&breakdown_line("interaction_gesture", &trace, &b));
 
     let (trace, b) = InteractionConfig {
         second_interaction: true,
-        ..InteractionConfig::standard(gesture_task())
+        ..InteractionConfig::standard(TaskProfile::reference_gesture())
     }
     .run()
     .expect("interaction runs");
     out.push_str(&breakdown_line("interaction_gesture_second", &trace, &b));
 
-    let (trace, b) = InteractionConfig::standard(kws_task())
+    let (trace, b) = InteractionConfig::standard(TaskProfile::reference_kws())
         .run()
         .expect("interaction runs");
     out.push_str(&breakdown_line("interaction_kws", &trace, &b));
