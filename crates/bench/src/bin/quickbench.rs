@@ -1,6 +1,7 @@
 //! `quickbench` — the tracked perf baseline behind `cargo xtask bench`.
 //!
-//! Times the conv kernels (optimized vs. naive reference), the quick
+//! Times the conv kernels (optimized vs. naive reference, plus the narrow
+//! KWS shape where loop overhead dominates), the quick
 //! eNAS search at 1 worker vs. N workers (verifying the two searches agree
 //! bit-for-bit), the 24 h end-to-end day simulation at fixed vs.
 //! adaptive timestep (verifying identical interaction outcomes and a
@@ -91,8 +92,41 @@ fn kernel_stages(reps: usize, iters: usize) -> Vec<Stage> {
         out.shape().to_vec(),
         (0..out.len()).map(|i| ((i as f32) * 0.11).cos()).collect(),
     );
+    // The KWS shape where each (pixel, tap) step is only 16 multiply-adds:
+    // a 5×5 conv from 4 to 4 channels.
+    let mut narrow = Conv2d::standalone(4, 4, 5, 5, 1, Padding::Same, &mut rng);
+    let narrow_input = Tensor::from_vec(
+        [49, 13, 4],
+        (0..49 * 13 * 4)
+            .map(|i| ((i as f32) * 0.29).sin())
+            .collect(),
+    );
+    let mut narrow_out = Tensor::zeros([1]);
+    narrow.forward_into(&narrow_input, &mut narrow_out);
+    let narrow_grad = Tensor::from_vec(
+        narrow_out.shape().to_vec(),
+        (0..narrow_out.len())
+            .map(|i| ((i as f32) * 0.13).cos())
+            .collect(),
+    );
 
     vec![
+        Stage {
+            name: "conv_forward_narrow",
+            median_ns: time_stage(reps, iters, || {
+                narrow.forward_into(&narrow_input, &mut narrow_out);
+                std::hint::black_box(&narrow_out);
+            }),
+            iters,
+        },
+        Stage {
+            name: "conv_backward_narrow",
+            median_ns: time_stage(reps, iters, || {
+                narrow.backward_into(&narrow_input, &narrow_grad, Some(&mut grad_in));
+                std::hint::black_box(&grad_in);
+            }),
+            iters,
+        },
         Stage {
             name: "conv_forward_opt",
             median_ns: time_stage(reps, iters, || {

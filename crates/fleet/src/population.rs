@@ -192,6 +192,9 @@ impl PopulationSpec {
             _ if !value.is_finite() => Some("finite"),
             Domain::NonNegative if value < 0.0 => Some("non-negative"),
             Domain::Positive if value <= 0.0 => Some("positive"),
+            Domain::Count if value > MAX_EVENTS_PER_DAY => {
+                Some("at most 86400 (one per simulated second)")
+            }
             _ => None,
         };
         if let Some(need) = need {
@@ -416,11 +419,20 @@ enum Target {
 #[derive(Debug, Clone, Copy)]
 enum Domain {
     Any,
-    /// Illuminance peaks: zero lux is dark, not an error.
+    /// Illuminance peaks (zero lux is dark, not an error) and share
+    /// weights (a zero share empties its bucket; a negative one would
+    /// corrupt the weighted pick).
     NonNegative,
     /// Log-uniform bounds: `ln` needs a positive value.
     Positive,
+    /// Per-node event counts, each drawn into a per-node list: at most
+    /// [`MAX_EVENTS_PER_DAY`].
+    Count,
 }
+
+/// The most interactions, cloud transients or outages a node's day may
+/// draw: one per simulated second.
+const MAX_EVENTS_PER_DAY: f64 = 86_400.0;
 
 /// One editable population parameter: a row of [`POPULATION_PARAMS`].
 #[derive(Debug, Clone, Copy)]
@@ -438,20 +450,20 @@ pub struct PopulationParam {
     pub scenario_owned: bool,
 }
 
-use Domain::{Any, NonNegative, Positive};
+use Domain::{Any, Count, NonNegative, Positive};
 use Target::{DayOfYear, Hi, Lo, Scalar};
 
 /// Every parameter [`PopulationSpec::set_param`] edits, one row each: name,
 /// field and bound, domain, and whether a scenario script owns it.
 #[rustfmt::skip]
 pub const POPULATION_PARAMS: &[PopulationParam] = &[
-    PopulationParam { name: "outdoor-share", target: Scalar(|s| &mut s.outdoor_share), domain: Any, scenario_owned: true },
-    PopulationParam { name: "office-share", target: Scalar(|s| &mut s.office_share), domain: Any, scenario_owned: true },
-    PopulationParam { name: "home-share", target: Scalar(|s| &mut s.home_share), domain: Any, scenario_owned: true },
-    PopulationParam { name: "retained-share", target: Scalar(|s| &mut s.retained_share), domain: Any, scenario_owned: false },
-    PopulationParam { name: "volatile-share", target: Scalar(|s| &mut s.volatile_share), domain: Any, scenario_owned: false },
-    PopulationParam { name: "none-share", target: Scalar(|s| &mut s.none_share), domain: Any, scenario_owned: false },
-    PopulationParam { name: "ladder-share", target: Scalar(|s| &mut s.ladder_share), domain: Any, scenario_owned: false },
+    PopulationParam { name: "outdoor-share", target: Scalar(|s| &mut s.outdoor_share), domain: NonNegative, scenario_owned: true },
+    PopulationParam { name: "office-share", target: Scalar(|s| &mut s.office_share), domain: NonNegative, scenario_owned: true },
+    PopulationParam { name: "home-share", target: Scalar(|s| &mut s.home_share), domain: NonNegative, scenario_owned: true },
+    PopulationParam { name: "retained-share", target: Scalar(|s| &mut s.retained_share), domain: NonNegative, scenario_owned: false },
+    PopulationParam { name: "volatile-share", target: Scalar(|s| &mut s.volatile_share), domain: NonNegative, scenario_owned: false },
+    PopulationParam { name: "none-share", target: Scalar(|s| &mut s.none_share), domain: NonNegative, scenario_owned: false },
+    PopulationParam { name: "ladder-share", target: Scalar(|s| &mut s.ladder_share), domain: NonNegative, scenario_owned: false },
     PopulationParam { name: "day-of-year", target: DayOfYear, domain: Any, scenario_owned: true },
     PopulationParam { name: "latitude-lo", target: Lo(|s| &mut s.latitude_deg), domain: Any, scenario_owned: true },
     PopulationParam { name: "latitude-hi", target: Hi(|s| &mut s.latitude_deg), domain: Any, scenario_owned: true },
@@ -469,12 +481,12 @@ pub const POPULATION_PARAMS: &[PopulationParam] = &[
     PopulationParam { name: "capacity-factor-hi", target: Hi(|s| &mut s.capacity_factor), domain: Any, scenario_owned: false },
     PopulationParam { name: "esr-scale-lo", target: Lo(|s| &mut s.esr_scale), domain: Any, scenario_owned: false },
     PopulationParam { name: "esr-scale-hi", target: Hi(|s| &mut s.esr_scale), domain: Any, scenario_owned: false },
-    PopulationParam { name: "interactions-lo", target: Lo(|s| &mut s.interaction_count), domain: Any, scenario_owned: true },
-    PopulationParam { name: "interactions-hi", target: Hi(|s| &mut s.interaction_count), domain: Any, scenario_owned: true },
-    PopulationParam { name: "clouds-lo", target: Lo(|s| &mut s.cloud_count), domain: Any, scenario_owned: true },
-    PopulationParam { name: "clouds-hi", target: Hi(|s| &mut s.cloud_count), domain: Any, scenario_owned: true },
-    PopulationParam { name: "outages-lo", target: Lo(|s| &mut s.outage_count), domain: Any, scenario_owned: true },
-    PopulationParam { name: "outages-hi", target: Hi(|s| &mut s.outage_count), domain: Any, scenario_owned: true },
+    PopulationParam { name: "interactions-lo", target: Lo(|s| &mut s.interaction_count), domain: Count, scenario_owned: true },
+    PopulationParam { name: "interactions-hi", target: Hi(|s| &mut s.interaction_count), domain: Count, scenario_owned: true },
+    PopulationParam { name: "clouds-lo", target: Lo(|s| &mut s.cloud_count), domain: Count, scenario_owned: true },
+    PopulationParam { name: "clouds-hi", target: Hi(|s| &mut s.cloud_count), domain: Count, scenario_owned: true },
+    PopulationParam { name: "outages-lo", target: Lo(|s| &mut s.outage_count), domain: Count, scenario_owned: true },
+    PopulationParam { name: "outages-hi", target: Hi(|s| &mut s.outage_count), domain: Count, scenario_owned: true },
 ];
 
 /// One sampled node: its simulation config plus which population buckets
@@ -599,6 +611,30 @@ mod tests {
         dark.set_param("office-peak-lo", 0.0)
             .expect("zero lux is a peak");
         assert_eq!(dark.office_peak_lux, Dist::Uniform { lo: 0.0, hi: 800.0 });
+    }
+
+    #[test]
+    fn set_param_refuses_negative_shares_and_unbounded_counts() {
+        let base = PopulationSpec::representative();
+        let refused = [
+            ("office-share", -5.0, "non-negative"),
+            ("ladder-share", -3.0, "non-negative"),
+            ("none-share", -0.5, "non-negative"),
+            ("interactions-lo", 1e9, "at most 86400"),
+            ("clouds-hi", 86_401.0, "at most 86400"),
+            ("outages-lo", f64::MAX, "at most 86400"),
+        ];
+        for (name, value, need) in refused {
+            let mut edited = base.clone();
+            let err = edited.set_param(name, value).expect_err("out of domain");
+            assert!(err.contains(name) && err.contains(need), "{err}");
+            assert_eq!(edited, base, "a refused edit leaves the spec untouched");
+        }
+        let mut edited = base.clone();
+        edited.set_param("home-share", 0.0).expect("a zero share");
+        edited
+            .set_param("interactions-hi", MAX_EVENTS_PER_DAY)
+            .expect("one per second");
     }
 
     #[test]

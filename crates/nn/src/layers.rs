@@ -199,114 +199,88 @@ fn dims3(t: &Tensor) -> [usize; 3] {
     t.shape().try_into().expect("feature map is rank 3")
 }
 
-/// Sets `live[p]` for every `width`-long row of `grad` holding a bit other
-/// than +0. A row of +0 contributes nothing to any accumulator (DESIGN.md
-/// §4b), so the backward kernels skip it; the test is on bit patterns, so
-/// it is exact and float-eq-free.
-fn mark_live_rows(live: &mut Vec<bool>, grad: &[f32], width: usize) {
-    live.clear();
-    live.extend(
-        grad.chunks_exact(width)
-            .map(|row| row.iter().any(|g| g.to_bits() != 0)),
-    );
-}
-
-/// Calls `$kernel::<N>($args)` with `N` = `$width` as a compile-time
-/// constant when `$width` is 1 (a single-channel input) or a filter count
-/// the architecture sampler draws, so a stripe of that width lives in
-/// registers; any other width runs the same kernel as `$kernel::<0>`,
-/// which reads the width at run time. Both compute the same bits.
-macro_rules! by_width {
-    ($width:expr, $kernel:ident($($arg:expr),* $(,)?)) => {
-        match $width {
-            1 => $kernel::<1>($($arg),*),
-            4 => $kernel::<4>($($arg),*),
-            6 => $kernel::<6>($($arg),*),
-            8 => $kernel::<8>($($arg),*),
-            12 => $kernel::<12>($($arg),*),
-            16 => $kernel::<16>($($arg),*),
-            24 => $kernel::<24>($($arg),*),
-            32 => $kernel::<32>($($arg),*),
-            _ => $kernel::<0>($($arg),*),
+/// Picks `$kernel::<C>` with `C` = `$c`, or `$kernel::<CI, CO>` with
+/// `CI` = `$ci` and `CO` = `$co`, instantiated with the widths as
+/// compile-time constants when they are widths the kernels are compiled
+/// for; otherwise `$kernel::<0>` or `$kernel::<0, 0>`, the same kernel
+/// reading its widths at run time (a convolution's fallback takes the
+/// whole input stripe as one block). Both compute the same bits. Layers
+/// pick once per pass and call the kernel once per tap or per pass.
+///
+/// A channel stripe (`C`, and a convolution's `CO` filters) is compiled
+/// for the sampler's filter counts up to 16, and `C` also for width 1 (a
+/// single-channel map); wider stripes are rare and carry enough work per
+/// step to amortize run-time loops. `CI` is the width of the blocks a
+/// convolution walks its input channels in, ascending ([`cin_block`]).
+/// Fifteen `(CI, CO)` pairs bound the copies each conv pass is compiled
+/// into; the full cross product of the sampler's widths tripled the
+/// crate's build time.
+macro_rules! by_widths {
+    ($c:expr => $kernel:ident) => {
+        by_widths!(@one ($c) $kernel [1 4 6 8 12 16])
+    };
+    ($ci:expr, $co:expr => $kernel:ident) => {
+        by_widths!(@two ($ci, $co) $kernel [
+            (1 4) (1 6) (1 8) (1 12) (1 16) (4 4) (4 6) (4 8) (4 12) (4 16)
+            (6 4) (6 6) (6 8) (6 12) (6 16)
+        ])
+    };
+    (@one ($c:expr) $kernel:ident [$($w:literal)*]) => {
+        match $c {
+            $($w => $kernel::<$w>,)*
+            _ => $kernel::<0>,
+        }
+    };
+    (@two ($ci:expr, $co:expr) $kernel:ident [$(($i:literal $o:literal))*]) => {
+        match ($ci, $co) {
+            $(($i, $o) => $kernel::<$i, $o>,)*
+            _ => $kernel::<0, 0>,
         }
     };
 }
 
-/// `out[k] += Σ_r xs[r] · rows[r][k]` for the `out.len()`-wide rows of
-/// `rows`, every `out[k]` taking its terms in ascending `r`. On a zeroed
-/// `out` this is a set of dot products `xs · column k`, each summed from +0
-/// in ascending `r` — the input-gradient form, over transposed weights.
-#[inline(always)]
-fn mac_rows<const N: usize>(out: &mut [f32], xs: &[f32], rows: &[f32]) {
-    let n = if N == 0 { out.len() } else { N };
-    let out = &mut out[..n];
-    for (&xv, row) in xs.iter().zip(rows.chunks_exact(n)) {
-        let row = &row[..n];
-        for k in 0..n {
-            out[k] += xv * row[k];
-        }
-    }
+/// A conv input-gradient tap kernel: `(gi, grad_out, transposed weights,
+/// tap, dot scratch)`.
+type InputGradKernel = fn(&mut [f32], &[f32], &[f32], &Tap, &mut [f32]);
+
+/// A depthwise backward tap kernel: `(layer, gi, grad_out, input, tap)`.
+type DwBackwardKernel = fn(&mut DwConv2d, Option<&mut [f32]>, &[f32], &[f32], &Tap);
+
+/// The width of the blocks a convolution walks its `cin` input channels
+/// in: the widest of 6, 4 and 1 that divides `cin`. Wide blocks give the
+/// input-gradient dot products independent lanes to overlap.
+fn cin_block(cin: usize) -> usize {
+    [6, 4]
+        .into_iter()
+        .find(|&b| cin.is_multiple_of(b))
+        .unwrap_or(1)
 }
 
-/// `out[r] += g · cols[·][r]`: each dot product over the `g.len()` rows
-/// of `cols` is summed from +0 in ascending row order ([`mac_rows`] on a
-/// zeroed accumulator), then added to `out[r]` as one term. With a
-/// compile-time width the accumulator is a register array, so successive
-/// calls do not queue behind one another through memory; other widths use
-/// `scratch`.
+/// `N` when it is a compile-time width, the run-time `n` when `N` is 0.
 #[inline(always)]
-fn add_dots<const N: usize>(out: &mut [f32], g: &[f32], cols: &[f32], scratch: &mut Vec<f32>) {
-    let mut acc = [0.0f32; N];
-    let dots: &mut [f32] = if N == 0 {
-        scratch.clear();
-        scratch.resize(out.len(), 0.0);
-        scratch
+fn width<const N: usize>(n: usize) -> usize {
+    if N == 0 {
+        n
     } else {
-        &mut acc
-    };
-    mac_rows::<N>(dots, g, cols);
-    for (o, &d) in out.iter_mut().zip(dots.iter()) {
-        *o += d;
+        N
     }
 }
 
-/// `out[c] += g[c] · x[c]` for each `(g, x)` pair in order: one term per
-/// pair for every element. With a compile-time width `out` is held in a
-/// register array for the whole sequence.
+/// Runs `f` over `mem` through a local `R × N` copy when both are
+/// compile-time widths and the copy fits in registers (at most 32
+/// elements), so the accumulators stay there for the whole call and are
+/// written back once; otherwise `f` works on `mem` itself. The same
+/// operations happen in the same order either way.
 #[inline(always)]
-fn add_products<'a, const N: usize>(
-    out: &mut [f32],
-    pairs: impl Iterator<Item = (&'a [f32], &'a [f32])>,
-) {
-    let mut acc = [0.0f32; N];
-    let sums: &mut [f32] = if N == 0 {
-        out
-    } else {
-        acc.copy_from_slice(out);
-        &mut acc
-    };
-    for (g, x) in pairs {
-        for ((s, &gv), &xv) in sums.iter_mut().zip(g).zip(x) {
-            *s += gv * xv;
-        }
+fn accumulate<const R: usize, const N: usize>(mem: &mut [f32], f: impl FnOnce(&mut [f32])) {
+    if R == 0 || N == 0 || R * N > 32 {
+        return f(mem);
     }
-    if N != 0 {
-        out.copy_from_slice(&acc);
-    }
-}
-
-/// Outer-product update `rows[r][k] += g[k] · xs[r]` over the
-/// `g.len()`-wide rows of `rows`: one term per element.
-#[inline(always)]
-fn add_outer<const N: usize>(rows: &mut [f32], xs: &[f32], g: &[f32]) {
-    let n = if N == 0 { g.len() } else { N };
-    let g = &g[..n];
-    for (&xv, row) in xs.iter().zip(rows.chunks_exact_mut(n)) {
-        let row = &mut row[..n];
-        for k in 0..n {
-            row[k] += g[k] * xv;
-        }
-    }
+    let mut local = [[0.0f32; N]; R];
+    let local = local.as_flattened_mut();
+    local.copy_from_slice(mem);
+    f(local);
+    mem.copy_from_slice(local);
 }
 
 /// Fills an empty `out` with the transpose of each `rows × cols` block of
@@ -399,6 +373,9 @@ impl Window {
                     cols: self.span(j, at.pw, w, at.ow),
                     dy: i as isize - at.ph as isize,
                     dx: j as isize - at.pw as isize,
+                    out_w: at.ow,
+                    in_w: w,
+                    stride: self.stride,
                 }
             })
             .filter(|tap| !tap.rows.is_empty() && !tap.cols.is_empty())
@@ -413,22 +390,20 @@ struct Tap {
     cols: std::ops::Range<usize>,
     dy: isize,
     dx: isize,
+    out_w: usize,
+    in_w: usize,
+    stride: usize,
 }
 
 impl Tap {
     /// The tap's reach one output row at a time: the first output pixel of
     /// the row's run and the input pixel under it. The run's `k`-th output
     /// pixel (`k < cols.len()`) lies over input pixel `first + k·stride`.
-    fn runs(
-        &self,
-        out_w: usize,
-        in_w: usize,
-        stride: usize,
-    ) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let ix = ((self.cols.start * stride) as isize + self.dx) as usize;
+    fn runs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let ix = ((self.cols.start * self.stride) as isize + self.dx) as usize;
         self.rows.clone().map(move |oy| {
-            let iy = ((oy * stride) as isize + self.dy) as usize;
-            (oy * out_w + self.cols.start, iy * in_w + ix)
+            let iy = ((oy * self.stride) as isize + self.dy) as usize;
+            (oy * self.out_w + self.cols.start, iy * self.in_w + ix)
         })
     }
 }
@@ -445,12 +420,10 @@ pub struct Conv2d {
     pub(crate) bias: Vec<f32>,
     pub(crate) grad_weights: Vec<f32>,
     pub(crate) grad_bias: Vec<f32>,
-    /// Backward scratch: which output pixels carry a nonzero gradient.
-    live: Vec<bool>,
     /// Each tap's weight block transposed to `[cout][cin]`, for the
     /// input-gradient dot products; empty until a backward needs it.
     weights_t: Vec<f32>,
-    /// Backward scratch for input-gradient dot products of unusual widths.
+    /// Backward scratch: one input pixel's dot products.
     dots: Vec<f32>,
 }
 
@@ -478,9 +451,8 @@ impl Conv2d {
             bias: vec![0.0; filters],
             grad_weights: vec![0.0; n],
             grad_bias: vec![0.0; filters],
-            live: Vec::new(),
             weights_t: Vec::new(),
-            dots: Vec::new(),
+            dots: vec![0.0; in_channels],
         }
     }
 
@@ -518,32 +490,25 @@ impl Conv2d {
         &self.grad_bias
     }
 
-    /// Forward pass, tap-outer and pixel-inner: each kernel tap's
-    /// `cin × cout` weight block stays hot while the tap sweeps the output
-    /// pixels it reaches, and a pixel's `cout` stripe stays in registers
-    /// across its `cin` terms. Each output element still receives its
+    /// Forward pass, tap-outer and pixel-inner: each kernel tap sweeps the
+    /// output pixels it reaches one row run at a time
+    /// ([`conv_forward_tap`]). Each output element still receives its
     /// `(i, j, ci)` terms in row-major order after the bias, so the result
     /// is bit-exact against [`crate::reference::conv2d_forward`].
     pub fn forward_into(&self, input: &Tensor, out: &mut Tensor) {
         let [h, w, _] = dims3(input);
         let at = self.window.place(h, w);
-        let (cin, cout, s) = (self.in_channels, self.filters, self.window.stride);
+        let (cin, cout) = (self.in_channels, self.filters);
         out.reset(&[at.oh, at.ow, cout]);
         let o = out.data_mut();
         for orow in o.chunks_exact_mut(cout) {
             orow.copy_from_slice(&self.bias);
         }
-        let x = input.data();
+        let kernel: fn(&mut [f32], &[f32], &[f32], &Tap, usize) =
+            by_widths!(cin_block(cin), cout => conv_forward_tap);
         for tap in self.window.taps(at, h, w, false) {
-            let block = &self.weights[tap.index * cin * cout..][..cin * cout];
-            let n = tap.cols.len();
-            for (p0, q0) in tap.runs(at.ow, w, s) {
-                let orun = o[p0 * cout..][..n * cout].chunks_exact_mut(cout);
-                let xpixels = x[q0 * cin..].chunks_exact(cin).step_by(s);
-                for (orow, xpix) in orun.zip(xpixels) {
-                    by_width!(cout, mac_rows(orow, xpix, block));
-                }
-            }
+            let wtap = &self.weights[tap.index * cin * cout..][..cin * cout];
+            kernel(o, input.data(), wtap, &tap, cin);
         }
     }
 
@@ -552,9 +517,9 @@ impl Conv2d {
     /// a dot product over `cout` per `(pixel, tap, ci)`, added in
     /// output-pixel order; walking the taps in reverse row-major order
     /// while the pixels run forward is what delivers that order to every
-    /// input element ([`crate::reference::conv2d_backward`]). All-zero
-    /// gradient rows are skipped, and with `grad_in` absent (the first
-    /// layer) the dot products are not computed at all.
+    /// input element ([`crate::reference::conv2d_backward`]). With
+    /// `grad_in` absent (the first layer) the dot products are not
+    /// computed at all.
     pub fn backward_into(
         &mut self,
         input: &Tensor,
@@ -563,14 +528,17 @@ impl Conv2d {
     ) {
         let [h, w, _] = dims3(input);
         let at = self.window.place(h, w);
-        let (cin, cout, s) = (self.in_channels, self.filters, self.window.stride);
+        let (cin, cout) = (self.in_channels, self.filters);
         let (x, go) = (input.data(), grad_out.data());
-        mark_live_rows(&mut self.live, go, cout);
-        for (grow, _) in go.chunks_exact(cout).zip(&self.live).filter(|(_, &l)| l) {
+        for grow in go.chunks_exact(cout) {
             for (gb, &g) in self.grad_bias.iter_mut().zip(grow) {
                 *gb += g;
             }
         }
+        let cb = cin_block(cin);
+        let weight_kernel: fn(&mut [f32], &[f32], &[f32], &Tap, usize) =
+            by_widths!(cb, cout => conv_weight_grads_tap);
+        let input_kernel: InputGradKernel = by_widths!(cb, cout => conv_input_grads_tap);
         let mut gi = grad_in.map(|t| {
             t.reset(&[h, w, cin]);
             t.fill_zero();
@@ -579,33 +547,111 @@ impl Conv2d {
         if gi.is_some() {
             transpose_blocks(&self.weights, cin, cout, &mut self.weights_t);
         }
-        let block_len = cin * cout;
         for tap in self.window.taps(at, h, w, true) {
-            let block = tap.index * block_len..(tap.index + 1) * block_len;
-            let gwblock = &mut self.grad_weights[block.clone()];
-            let wt = self.weights_t.get(block).unwrap_or_default();
-            let n = tap.cols.len();
-            for (p0, q0) in tap.runs(at.ow, w, s) {
-                let grows = go[p0 * cout..][..n * cout].chunks_exact(cout);
-                let pixels = grows
-                    .zip(&self.live[p0..][..n])
-                    .zip(x[q0 * cin..].chunks_exact(cin).step_by(s));
-                match gi.as_deref_mut() {
-                    None => {
-                        for ((grow, _), xpix) in pixels.filter(|((_, &live), _)| live) {
-                            by_width!(cout, add_outer(gwblock, xpix, grow));
-                        }
-                    }
-                    Some(gi) => {
-                        let gipixels = gi[q0 * cin..].chunks_exact_mut(cin).step_by(s);
-                        for (((grow, _), xpix), gipix) in
-                            pixels.zip(gipixels).filter(|(((_, &live), _), _)| live)
-                        {
-                            by_width!(cout, add_outer(gwblock, xpix, grow));
-                            by_width!(cin, add_dots(gipix, grow, wt, &mut self.dots));
+            let block = tap.index * cin * cout..(tap.index + 1) * cin * cout;
+            let gwtap = &mut self.grad_weights[block.clone()];
+            weight_kernel(gwtap, go, x, &tap, cin);
+            if let Some(gi) = gi.as_deref_mut() {
+                let wt = &self.weights_t[block];
+                input_kernel(gi, go, wt, &tap, &mut self.dots);
+            }
+        }
+    }
+}
+
+/// Adds one tap's terms to the output pixels it reaches (`CO` filters
+/// each; 0: read at run time). A pixel's output stripe is held in
+/// registers while it takes the tap's `cin` terms, walked in ascending
+/// blocks of `CI` channels.
+fn conv_forward_tap<const CI: usize, const CO: usize>(
+    o: &mut [f32],
+    x: &[f32],
+    wtap: &[f32],
+    tap: &Tap,
+    cin: usize,
+) {
+    let (cb, co) = (width::<CI>(cin), width::<CO>(wtap.len() / cin));
+    let (n, s) = (tap.cols.len(), tap.stride);
+    for (p0, q0) in tap.runs() {
+        let orun = &mut o[p0 * co..][..n * co];
+        for (k, orow) in orun.chunks_exact_mut(co).enumerate() {
+            let xpix = &x[(q0 + k * s) * cin..][..cin];
+            accumulate::<1, CO>(orow, |acc| {
+                for (xs, wblock) in xpix.chunks_exact(cb).zip(wtap.chunks_exact(cb * co)) {
+                    for (&xv, wrow) in xs.iter().zip(wblock.chunks_exact(co)) {
+                        for (a, &wv) in acc.iter_mut().zip(wrow) {
+                            *a += xv * wv;
                         }
                     }
                 }
+            });
+        }
+    }
+}
+
+/// Adds one tap's weight-gradient terms: each `CI × CO` block of the
+/// tap's gradients is held in registers while the tap sweeps its
+/// output pixels in order.
+fn conv_weight_grads_tap<const CI: usize, const CO: usize>(
+    gwtap: &mut [f32],
+    go: &[f32],
+    x: &[f32],
+    tap: &Tap,
+    cin: usize,
+) {
+    let (cb, co) = (width::<CI>(cin), width::<CO>(gwtap.len() / cin));
+    let (n, s) = (tap.cols.len(), tap.stride);
+    for (c0, gwblock) in (0..cin).step_by(cb).zip(gwtap.chunks_exact_mut(cb * co)) {
+        accumulate::<CI, CO>(gwblock, |acc| {
+            for (p0, q0) in tap.runs() {
+                let grun = &go[p0 * co..][..n * co];
+                let xrun = &x[q0 * cin + c0..];
+                for (k, grow) in grun.chunks_exact(co).enumerate() {
+                    let xs = &xrun[k * s * cin..][..cb];
+                    for (&xv, arow) in xs.iter().zip(acc.chunks_exact_mut(co)) {
+                        for (a, &g) in arow.iter_mut().zip(grow) {
+                            *a += g * xv;
+                        }
+                    }
+                }
+            }
+        });
+    }
+}
+
+/// Adds one tap's input-gradient terms: per output pixel, each of a
+/// `CI`-channel block's dot products over the `CO` gradients is summed
+/// from +0 in ascending filter order, over the tap's transposed weights,
+/// and added as one term. `dots` (one per input channel) holds the sums
+/// when the widths are read at run time.
+fn conv_input_grads_tap<const CI: usize, const CO: usize>(
+    gi: &mut [f32],
+    go: &[f32],
+    wt: &[f32],
+    tap: &Tap,
+    dots: &mut [f32],
+) {
+    let cin = dots.len();
+    let (cb, co) = (width::<CI>(cin), width::<CO>(wt.len() / cin));
+    let (n, s) = (tap.cols.len(), tap.stride);
+    let dots = &mut dots[..cb];
+    for (p0, q0) in tap.runs() {
+        let grun = &go[p0 * co..][..n * co];
+        let girun = &mut gi[q0 * cin..];
+        for (k, grow) in grun.chunks_exact(co).enumerate() {
+            let gipix = girun[k * s * cin..][..cin].chunks_exact_mut(cb);
+            for (c0, gis) in (0..cin).step_by(cb).zip(gipix) {
+                accumulate::<1, CI>(dots, |sums| {
+                    sums.fill(0.0);
+                    for (&g, wrow) in grow.iter().zip(wt.chunks_exact(cin)) {
+                        for (d, &wv) in sums.iter_mut().zip(&wrow[c0..][..cb]) {
+                            *d += g * wv;
+                        }
+                    }
+                    for (giv, &d) in gis.iter_mut().zip(sums.iter()) {
+                        *giv += d;
+                    }
+                });
             }
         }
     }
@@ -621,8 +667,6 @@ pub struct DwConv2d {
     pub(crate) bias: Vec<f32>,
     pub(crate) grad_weights: Vec<f32>,
     pub(crate) grad_bias: Vec<f32>,
-    /// Backward scratch: which output pixels carry a nonzero gradient.
-    live: Vec<bool>,
 }
 
 impl DwConv2d {
@@ -647,7 +691,6 @@ impl DwConv2d {
             bias: vec![0.0; channels],
             grad_weights: vec![0.0; n],
             grad_bias: vec![0.0; channels],
-            live: Vec::new(),
         }
     }
 
@@ -684,49 +727,28 @@ impl DwConv2d {
         &self.grad_bias
     }
 
-    /// Forward pass, tap-outer and pixel-inner: for one tap and one output
-    /// row, the reached pixels form a run of output and (at stride 1) a
-    /// contiguous run of input, so a single-channel map is one flat
-    /// multiply-add over the run. Each output element receives its `(i, j)`
-    /// terms in row-major order after the bias: bit-exact against
-    /// [`crate::reference::dwconv2d_forward`].
+    /// Forward pass, tap-outer and pixel-inner ([`dw_forward_tap`]). Each
+    /// output element receives its `(i, j)` terms in row-major order after
+    /// the bias: bit-exact against [`crate::reference::dwconv2d_forward`].
     pub fn forward_into(&self, input: &Tensor, out: &mut Tensor) {
         let [h, w, _] = dims3(input);
         let at = self.window.place(h, w);
-        let (c_n, s) = (self.channels, self.window.stride);
-        out.reset(&[at.oh, at.ow, c_n]);
+        let c = self.channels;
+        out.reset(&[at.oh, at.ow, c]);
         let o = out.data_mut();
-        for orow in o.chunks_exact_mut(c_n) {
+        for orow in o.chunks_exact_mut(c) {
             orow.copy_from_slice(&self.bias);
         }
-        let x = input.data();
+        let kernel: fn(&mut [f32], &[f32], &[f32], &Tap) = by_widths!(c => dw_forward_tap);
         for tap in self.window.taps(at, h, w, false) {
-            let wrow = &self.weights[tap.index * c_n..][..c_n];
-            let run = tap.cols.len();
-            for (p0, q0) in tap.runs(at.ow, w, s) {
-                let orun = &mut o[p0 * c_n..][..run * c_n];
-                let xrun = &x[q0 * c_n..];
-                if c_n == 1 && s == 1 {
-                    let wv = wrow[0];
-                    for (ov, &xv) in orun.iter_mut().zip(xrun) {
-                        *ov += xv * wv;
-                    }
-                } else {
-                    let xpixels = xrun.chunks(c_n).step_by(s);
-                    for (opix, xpix) in orun.chunks_exact_mut(c_n).zip(xpixels) {
-                        for ((ov, &xv), &wv) in opix.iter_mut().zip(xpix).zip(wrow) {
-                            *ov += xv * wv;
-                        }
-                    }
-                }
-            }
+            kernel(o, input.data(), &self.weights[tap.index * c..][..c], &tap);
         }
     }
 
     /// Backward pass: per element the same terms in the same order as
     /// [`crate::reference::dwconv2d_backward`] — weight and bias gradients
     /// in output-pixel order, input gradients in output-pixel order by
-    /// walking the taps in reverse. All-zero gradient rows are skipped.
+    /// walking the taps in reverse.
     pub fn backward_into(
         &mut self,
         input: &Tensor,
@@ -735,42 +757,81 @@ impl DwConv2d {
     ) {
         let [h, w, _] = dims3(input);
         let at = self.window.place(h, w);
-        let (c_n, s) = (self.channels, self.window.stride);
+        let c = self.channels;
         let (x, go) = (input.data(), grad_out.data());
-        mark_live_rows(&mut self.live, go, c_n);
-        for (grow, _) in go.chunks_exact(c_n).zip(&self.live).filter(|(_, &l)| l) {
+        for grow in go.chunks_exact(c) {
             for (gb, &g) in self.grad_bias.iter_mut().zip(grow) {
                 *gb += g;
             }
         }
+        let kernel: DwBackwardKernel = by_widths!(c => dw_backward_tap);
         let mut gi = grad_in.map(|t| {
-            t.reset(&[h, w, c_n]);
+            t.reset(&[h, w, c]);
             t.fill_zero();
             t.data_mut()
         });
         for tap in self.window.taps(at, h, w, true) {
-            let wrow = &self.weights[tap.index * c_n..][..c_n];
-            let gwrow = &mut self.grad_weights[tap.index * c_n..][..c_n];
-            let n = tap.cols.len();
-            for (p0, q0) in tap.runs(at.ow, w, s) {
-                let grows = go[p0 * c_n..][..n * c_n].chunks_exact(c_n);
-                let xpixels = x[q0 * c_n..].chunks_exact(c_n).step_by(s);
-                let pixels = grows.zip(&self.live[p0..][..n]).zip(xpixels);
-                let live_pixels = pixels.clone().filter(|((_, &live), _)| live);
-                by_width!(
-                    c_n,
-                    add_products(gwrow, live_pixels.map(|((g, _), x)| (g, x)))
-                );
-                if let Some(gi) = gi.as_deref_mut() {
-                    let gipixels = gi[q0 * c_n..].chunks_exact_mut(c_n).step_by(s);
-                    for (((grow, _), _), gipix) in
-                        pixels.zip(gipixels).filter(|(((_, &live), _), _)| live)
-                    {
-                        for ((giv, &g), &wv) in gipix.iter_mut().zip(grow).zip(wrow) {
-                            *giv += g * wv;
-                        }
-                    }
+            kernel(self, gi.as_deref_mut(), go, x, &tap);
+        }
+    }
+}
+
+/// Adds one depthwise tap's terms to the output pixels it reaches (`C`
+/// channels each; 0: read at run time). A single-channel map at stride 1
+/// reads a contiguous run of input, so each run is one flat multiply-add.
+fn dw_forward_tap<const C: usize>(o: &mut [f32], x: &[f32], wrow: &[f32], tap: &Tap) {
+    let c = width::<C>(wrow.len());
+    let (n, s) = (tap.cols.len(), tap.stride);
+    for (p0, q0) in tap.runs() {
+        let orun = &mut o[p0 * c..][..n * c];
+        if c == 1 && s == 1 {
+            let wv = wrow[0];
+            for (ov, &xv) in orun.iter_mut().zip(&x[q0..][..n]) {
+                *ov += xv * wv;
+            }
+            continue;
+        }
+        for (k, orow) in orun.chunks_exact_mut(c).enumerate() {
+            let xs = &x[(q0 + k * s) * c..][..c];
+            for ((ov, &xv), &wv) in orow.iter_mut().zip(xs).zip(wrow) {
+                *ov += xv * wv;
+            }
+        }
+    }
+}
+
+/// Adds one depthwise tap's weight-gradient terms, the tap's row of
+/// gradients held in registers while the tap sweeps its output pixels
+/// in order, then its input-gradient terms when `gi` is given.
+fn dw_backward_tap<const C: usize>(
+    dw: &mut DwConv2d,
+    gi: Option<&mut [f32]>,
+    go: &[f32],
+    x: &[f32],
+    tap: &Tap,
+) {
+    let c = width::<C>(dw.channels);
+    let (n, s) = (tap.cols.len(), tap.stride);
+    let row = tap.index * c..(tap.index + 1) * c;
+    accumulate::<1, C>(&mut dw.grad_weights[row.clone()], |acc| {
+        for (p0, q0) in tap.runs() {
+            for (k, grow) in go[p0 * c..][..n * c].chunks_exact(c).enumerate() {
+                let xs = &x[(q0 + k * s) * c..][..c];
+                for ((a, &g), &xv) in acc.iter_mut().zip(grow).zip(xs) {
+                    *a += g * xv;
                 }
+            }
+        }
+    });
+    let Some(gi) = gi else {
+        return;
+    };
+    let wrow = &dw.weights[row];
+    for (p0, q0) in tap.runs() {
+        for (k, grow) in go[p0 * c..][..n * c].chunks_exact(c).enumerate() {
+            let gis = &mut gi[(q0 + k * s) * c..][..c];
+            for ((giv, &g), &wv) in gis.iter_mut().zip(grow).zip(wrow) {
+                *giv += g * wv;
             }
         }
     }
@@ -824,71 +885,28 @@ impl Pool2d {
         ([oh, ow], windows)
     }
 
-    /// Forward pass over contiguous channel stripes: each window's cells
-    /// are visited in row-major order and every channel of a cell at once.
-    /// Max pooling keeps the first strict maximum per channel and starts
-    /// from the window's first cell, so a window without a finite maximum
-    /// (all NaN or −∞) still routes its gradient inside itself.
-    /// Bit-exact against [`crate::reference::pool2d_forward`].
+    /// Forward pass over contiguous channel stripes ([`pool_forward`]):
+    /// each window's cells are visited in row-major order and every channel
+    /// of a cell at once. Max pooling keeps the first strict maximum per
+    /// channel and starts from the window's first cell, so a window without
+    /// a finite maximum (all NaN or −∞) still routes its gradient inside
+    /// itself. Bit-exact against [`crate::reference::pool2d_forward`].
     fn forward_into(&mut self, input: &Tensor, out: &mut Tensor) {
         let [h, w, c] = dims3(input);
-        let ([oh, ow], windows) = self.windows(h, w);
+        let ([oh, ow], _) = self.windows(h, w);
         out.reset(&[oh, ow, c]);
-        let (x, o) = (input.data(), out.data_mut());
-        match self.kind {
-            PoolKind::Max => {
-                self.argmax.clear();
-                self.argmax.resize(oh * ow * c, 0);
-                for win in windows {
-                    let orow = &mut o[win.out_pixel * c..][..c];
-                    let arow = &mut self.argmax[win.out_pixel * c..][..c];
-                    orow.fill(f32::NEG_INFINITY);
-                    let first = (win.rows.start * w + win.cols.start) * c;
-                    for (ch, a) in arow.iter_mut().enumerate() {
-                        *a = first + ch;
-                    }
-                    for iy in win.rows.clone() {
-                        for ix in win.cols.clone() {
-                            let off = (iy * w + ix) * c;
-                            for (ch, ((best, a), &v)) in orow
-                                .iter_mut()
-                                .zip(arow.iter_mut())
-                                .zip(&x[off..][..c])
-                                .enumerate()
-                            {
-                                // Selects rather than branches: which
-                                // cell wins is data-dependent.
-                                let wins = v > *best;
-                                *best = if wins { v } else { *best };
-                                *a = if wins { off + ch } else { *a };
-                            }
-                        }
-                    }
-                }
-            }
-            PoolKind::Avg => {
-                for win in windows {
-                    let orow = &mut o[win.out_pixel * c..][..c];
-                    orow.fill(0.0);
-                    for iy in win.rows.clone() {
-                        for ix in win.cols.clone() {
-                            for (acc, &v) in orow.iter_mut().zip(&x[(iy * w + ix) * c..][..c]) {
-                                *acc += v;
-                            }
-                        }
-                    }
-                    let n = win.cells().max(1) as f32;
-                    for acc in orow.iter_mut() {
-                        *acc /= n;
-                    }
-                }
-            }
+        if self.kind == PoolKind::Max {
+            self.argmax.clear();
+            self.argmax.resize(oh * ow * c, 0);
         }
+        let kernel: fn(&mut Self, &[f32], &mut [f32], [usize; 3]) = by_widths!(c => pool_forward);
+        kernel(self, input.data(), out.data_mut(), [h, w, c]);
     }
 
     /// Backward pass: max pooling adds each gradient at its window's
-    /// argmax, avg pooling adds `g / cells` to every cell of the window.
-    /// Bit-exact against [`crate::reference::pool2d_backward`].
+    /// argmax, avg pooling adds `g / cells` to every cell of the window
+    /// ([`avg_pool_backward`]). Bit-exact against
+    /// [`crate::reference::pool2d_backward`].
     fn backward_into(&mut self, input: &Tensor, grad_out: &Tensor, grad_in: Option<&mut Tensor>) {
         let Some(gi) = grad_in else {
             return;
@@ -904,18 +922,81 @@ impl Pool2d {
                 }
             }
             PoolKind::Avg => {
-                let (_, windows) = self.windows(h, w);
-                for win in windows {
-                    let grow = &go[win.out_pixel * c..][..c];
-                    let n = win.cells().max(1) as f32;
+                let kernel: fn(&Self, &[f32], &mut [f32], [usize; 3]) =
+                    by_widths!(c => avg_pool_backward);
+                kernel(self, go, gi, [h, w, c]);
+            }
+        }
+    }
+}
+
+/// [`Pool2d::forward_into`] over a `C`-wide channel stripe (0: read at run
+/// time), each window's running maxima, or its sums, held in registers
+/// across the window's cells.
+fn pool_forward<const C: usize>(pool: &mut Pool2d, x: &[f32], o: &mut [f32], dims: [usize; 3]) {
+    let [h, w, c] = dims;
+    let c = width::<C>(c);
+    let (_, windows) = pool.windows(h, w);
+    for win in windows {
+        let orow = &mut o[win.out_pixel * c..][..c];
+        match pool.kind {
+            PoolKind::Max => {
+                let arow = &mut pool.argmax[win.out_pixel * c..][..c];
+                let first = (win.rows.start * w + win.cols.start) * c;
+                for (ch, a) in arow.iter_mut().enumerate() {
+                    *a = first + ch;
+                }
+                accumulate::<1, C>(orow, |best| {
+                    best.fill(f32::NEG_INFINITY);
                     for iy in win.rows.clone() {
                         for ix in win.cols.clone() {
-                            let girow = &mut gi[(iy * w + ix) * c..][..c];
-                            for (giv, &g) in girow.iter_mut().zip(grow) {
-                                *giv += g / n;
+                            let off = (iy * w + ix) * c;
+                            let cell = best.iter_mut().zip(arow.iter_mut()).zip(&x[off..][..c]);
+                            for (ch, ((b, a), &v)) in cell.enumerate() {
+                                // Selects rather than branches: which cell
+                                // wins is data-dependent.
+                                let wins = v > *b;
+                                *b = if wins { v } else { *b };
+                                *a = if wins { off + ch } else { *a };
                             }
                         }
                     }
+                });
+            }
+            PoolKind::Avg => {
+                accumulate::<1, C>(orow, |acc| {
+                    acc.fill(0.0);
+                    for iy in win.rows.clone() {
+                        for ix in win.cols.clone() {
+                            for (a, &v) in acc.iter_mut().zip(&x[(iy * w + ix) * c..][..c]) {
+                                *a += v;
+                            }
+                        }
+                    }
+                    let n = win.cells().max(1) as f32;
+                    for a in acc.iter_mut() {
+                        *a /= n;
+                    }
+                });
+            }
+        }
+    }
+}
+
+/// Avg pooling's input gradient over a `C`-wide channel stripe (0: read at
+/// run time): every cell of a window takes `g / cells`.
+fn avg_pool_backward<const C: usize>(pool: &Pool2d, go: &[f32], gi: &mut [f32], dims: [usize; 3]) {
+    let [h, w, c] = dims;
+    let c = width::<C>(c);
+    let (_, windows) = pool.windows(h, w);
+    for win in windows {
+        let grow = &go[win.out_pixel * c..][..c];
+        let n = win.cells().max(1) as f32;
+        for iy in win.rows.clone() {
+            for ix in win.cols.clone() {
+                let girow = &mut gi[(iy * w + ix) * c..][..c];
+                for (giv, &g) in girow.iter_mut().zip(grow) {
+                    *giv += g / n;
                 }
             }
         }
@@ -1220,7 +1301,12 @@ impl Dense {
             gi.reset(&[self.inputs]);
             gi.fill_zero();
             transpose_blocks(&self.weights, self.inputs, self.units, &mut self.weights_t);
-            mac_rows::<0>(gi.data_mut(), go, &self.weights_t);
+            let gi = gi.data_mut();
+            for (&g, row) in go.iter().zip(self.weights_t.chunks_exact(self.inputs)) {
+                for (giv, &wv) in gi.iter_mut().zip(row) {
+                    *giv += g * wv;
+                }
+            }
         }
     }
 }
@@ -1496,6 +1582,68 @@ mod tests {
                 .map(|k| VALUES[picks[k % picks.len()] as usize % 8])
                 .collect(),
         )
+    }
+
+    /// Channel stripes the pooling kernels are compiled for, then widths
+    /// that take the run-time-width kernel.
+    const POOL_WIDTHS: [usize; 8] = [1, 4, 6, 8, 12, 16, 3, 24];
+
+    /// Pools `x` forward and backward and checks both bit for bit against
+    /// the reference.
+    fn check_pool(kind: PoolKind, size: usize, x: &Tensor, grads: &[f32]) -> Result<(), String> {
+        let [h, w, c] = dims3(x);
+        let mut layer = Layer::Pool(Pool2d::new(kind, size, size.min(w)));
+        let y = forward(&mut layer, x);
+        let (want_y, argmax) = crate::reference::pool2d_forward(x, kind, size, size.min(w));
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let label = format!("{kind:?} {size} on [{h}, {w}, {c}]");
+        if y.shape() != want_y.shape() || bits(&y) != bits(&want_y) {
+            return Err(format!("{label}: forward"));
+        }
+        let g = Tensor::from_vec(
+            y.shape().to_vec(),
+            (0..y.len()).map(|k| grads[k % grads.len()]).collect(),
+        );
+        let mut gi = Tensor::zeros([1]);
+        layer.backward_into(x, &y, &g, Some(&mut gi));
+        let want_gi =
+            crate::reference::pool2d_backward([h, w, c], &g, kind, size, size.min(w), &argmax);
+        if bits(&gi) != bits(&want_gi) {
+            return Err(format!("{label}: input gradient"));
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn pooling_matches_the_reference_at_every_channel_width() {
+        let picks: Vec<u8> = (0..61u8).map(|k| k.wrapping_mul(37) % 8).collect();
+        let grads = [0.5f32, -1.25, 2.0, 0.0, -0.75];
+        for c in POOL_WIDTHS {
+            for kind in [PoolKind::Max, PoolKind::Avg] {
+                for (h, w, size) in [(6, 5, 2), (5, 4, 3), (4, 1, 2)] {
+                    let x = pool_input([h, w, c], &picks);
+                    check_pool(kind, size, &x, &grads).unwrap_or_else(|e| panic!("{e}"));
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn pooling_matches_the_reference_at_sampled_widths(
+            h in 1usize..9,
+            w in 1usize..9,
+            width in 0usize..8,
+            size in 1usize..5,
+            kind in 0u8..2,
+            picks in proptest::collection::vec(0u8..8, 1..64),
+            grads in proptest::collection::vec(-2.0f32..2.0, 1..32),
+        ) {
+            let kind = if kind == 0 { PoolKind::Max } else { PoolKind::Avg };
+            let x = pool_input([h, w, POOL_WIDTHS[width]], &picks);
+            let checked = check_pool(kind, size.min(h), &x, &grads);
+            proptest::prop_assert!(checked.is_ok(), "{:?}", checked);
+        }
     }
 
     proptest::proptest! {

@@ -227,3 +227,129 @@ fn conv_kernels_match_naive_reference_on_edge_cases() {
         check_dwconv(case, &mut rng, &label);
     }
 }
+
+/// The input-channel counts that reach every block width the conv kernels
+/// are compiled for (1, 4 and 6, one block and several), and the filter
+/// counts they are compiled for.
+const DISPATCH_CIN: [usize; 6] = [1, 5, 4, 8, 6, 12];
+const DISPATCH_COUT: [usize; 5] = [4, 6, 8, 12, 16];
+
+/// Pairs outside the compiled set, which run the run-time-width kernels.
+const FALLBACK_PAIRS: [(usize, usize); 3] = [(3, 5), (8, 24), (1, 32)];
+
+/// Conv backward with `grad_in` absent (a first layer) must leave the same
+/// parameter gradients as the reference.
+fn check_conv_without_grad_in(case: &ConvCase, rng: &mut impl Rng, label: &str) {
+    let ConvCase {
+        h,
+        w,
+        cin,
+        cout,
+        kh,
+        kw,
+        stride,
+        padding,
+    } = *case;
+    let mut layer = Conv2d::standalone(cin, cout, kh, kw, stride, padding, rng);
+    let input = random_input(rng, h, w, cin);
+    let weights = layer.weights().to_vec();
+    let mut out = Tensor::zeros([1]);
+    layer.forward_into(&input, &mut out);
+    let grad_out = random_grad(rng, out.shape());
+    layer.backward_into(&input, &grad_out, None);
+    let (_, want_gw, want_gb) = reference::conv2d_backward(
+        &input, &grad_out, &weights, kh, kw, cin, cout, stride, padding,
+    );
+    assert_eq!(
+        bits(layer.grad_weights()),
+        bits(&want_gw),
+        "{label}: grad_weights without grad_in"
+    );
+    assert_eq!(
+        bits(layer.grad_bias()),
+        bits(&want_gb),
+        "{label}: grad_bias without grad_in"
+    );
+}
+
+/// Depthwise backward with `grad_in` absent.
+fn check_dwconv_without_grad_in(case: &ConvCase, rng: &mut impl Rng, label: &str) {
+    let ConvCase {
+        h,
+        w,
+        cin: c,
+        kh,
+        kw,
+        stride,
+        padding,
+        ..
+    } = *case;
+    let mut layer = DwConv2d::standalone(c, kh, kw, stride, padding, rng);
+    let input = random_input(rng, h, w, c);
+    let weights = layer.weights().to_vec();
+    let mut out = Tensor::zeros([1]);
+    layer.forward_into(&input, &mut out);
+    let grad_out = random_grad(rng, out.shape());
+    layer.backward_into(&input, &grad_out, None);
+    let (_, want_gw, want_gb) =
+        reference::dwconv2d_backward(&input, &grad_out, &weights, kh, kw, c, stride, padding);
+    assert_eq!(
+        bits(layer.grad_weights()),
+        bits(&want_gw),
+        "{label}: grad_weights without grad_in"
+    );
+    assert_eq!(
+        bits(layer.grad_bias()),
+        bits(&want_gb),
+        "{label}: grad_bias without grad_in"
+    );
+}
+
+/// One case per stride and padding for a `[7, 6, cin]` map under a 3×3
+/// kernel.
+fn geometry_cases(cin: usize, cout: usize) -> Vec<ConvCase> {
+    let mut cases = Vec::new();
+    for stride in [1, 2] {
+        for padding in [Padding::Same, Padding::Valid] {
+            cases.push(ConvCase {
+                h: 7,
+                w: 6,
+                cin,
+                cout,
+                kh: 3,
+                kw: 3,
+                stride,
+                padding,
+            });
+        }
+    }
+    cases
+}
+
+#[test]
+fn conv_matches_naive_reference_at_every_dispatched_width_pair() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xD15);
+    let pairs = DISPATCH_CIN
+        .iter()
+        .flat_map(|&cin| DISPATCH_COUT.iter().map(move |&cout| (cin, cout)))
+        .chain(FALLBACK_PAIRS);
+    for (cin, cout) in pairs {
+        for case in geometry_cases(cin, cout) {
+            let label = format!("cin {cin} cout {cout} s{} {:?}", case.stride, case.padding);
+            check_conv(&case, &mut rng, &label);
+            check_conv_without_grad_in(&case, &mut rng, &label);
+        }
+    }
+}
+
+#[test]
+fn dwconv_matches_naive_reference_at_every_channel_width() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xD16);
+    for c in [1, 4, 6, 8, 12, 16, 3, 24] {
+        for case in geometry_cases(c, c) {
+            let label = format!("c {c} s{} {:?}", case.stride, case.padding);
+            check_dwconv(&case, &mut rng, &label);
+            check_dwconv_without_grad_in(&case, &mut rng, &label);
+        }
+    }
+}
