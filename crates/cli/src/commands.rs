@@ -114,6 +114,7 @@ pub fn search(opts: &Options) -> Result<(), String> {
     );
     let outcome = run_enas(&ctx, &config);
     println!("evaluated {} candidates", outcome.history.len());
+    println!("{}", group_summary(&outcome.groups));
     println!("winner: {}", outcome.best.candidate);
     println!(
         "  accuracy {:.1}%  estimated {}  true {}",
@@ -127,6 +128,18 @@ pub fn search(opts: &Options) -> Result<(), String> {
         println!("history written to {path}");
     }
     Ok(())
+}
+
+/// How aging evolution grouped its phase-2 evaluations: each group is the
+/// cycles planned ahead of one another and trained together.
+fn group_summary(groups: &[usize]) -> String {
+    let trained: usize = groups.iter().sum();
+    let largest = groups.iter().copied().max().unwrap_or(0);
+    let mean = trained as f64 / groups.len().max(1) as f64;
+    format!(
+        "phase 2: {trained} trained cycles in {} evaluation groups (mean {mean:.2}, largest {largest})",
+        groups.len()
+    )
 }
 
 /// `solarml harvest`.

@@ -17,14 +17,16 @@
 
 use rand::seq::SliceRandom;
 
-use crate::candidate::Evaluated;
-use crate::evolution::{aging_evolution, best_by, envelope, most_accurate, random_batch, resensed};
+use crate::candidate::{Candidate, Evaluated};
+use crate::evolution::{
+    aging_evolution, best_by, envelope, most_accurate, random_batch, resensed, Aging,
+};
 use crate::munas::MunasConfig;
 use crate::parallel::EvalEngine;
 use crate::task::{SearchOutcome, TaskContext};
 
 /// The HarvNet-style ratio objective `A / E` (estimated energy, µJ).
-fn ratio_objective(e: &Evaluated) -> f64 {
+pub(crate) fn ratio_objective(e: &Evaluated) -> f64 {
     let uj = e.estimated_energy.as_micro_joules().max(1e-6);
     let base = e.accuracy / uj;
     if e.meets_accuracy {
@@ -50,11 +52,16 @@ pub fn run_harvnet_style(ctx: &TaskContext, config: &MunasConfig) -> SearchOutco
 
     // Phase 1: sample sequentially (RNG order), train in parallel.
     let population = random_batch(ctx, &engine, &mut rng, vec![0; config.population]);
-    let (_, history) = aging_evolution(
+    let aging = Aging {
+        engine: &engine,
+        estimate: |c: &Candidate| ctx.estimated_energy(c),
+        cycles: config.cycles,
+        sample_size: config.sample_size,
+    };
+    let evolved = aging_evolution(
+        &aging,
         &mut rng,
         population,
-        config.cycles,
-        config.sample_size,
         |_, _| ratio_objective,
         |parent, cycle, rng| {
             // Mostly model morphisms; occasionally step the sensing space too.
@@ -63,18 +70,18 @@ pub fn run_harvnet_style(ctx: &TaskContext, config: &MunasConfig) -> SearchOutco
             } else {
                 None
             };
-            let child = match neighbor {
+            vec![match neighbor {
                 Some(sensing) => resensed(ctx, parent, sensing, rng),
                 None => ctx.mutate_model(parent, rng),
-            };
-            engine.evaluate_one(child, cycle)
+            }]
         },
     );
 
     SearchOutcome {
-        best: best_by(&history, ratio_objective).clone(),
-        energy_envelope: envelope(&history),
-        history,
+        best: best_by(&evolved.history, ratio_objective).clone(),
+        energy_envelope: envelope(&evolved.history),
+        history: evolved.history,
+        groups: evolved.groups,
     }
 }
 
@@ -91,6 +98,7 @@ pub fn run_random_search(ctx: &TaskContext, config: &MunasConfig) -> SearchOutco
         best: most_accurate(&history),
         energy_envelope: envelope(&history),
         history,
+        groups: Vec::new(),
     }
 }
 

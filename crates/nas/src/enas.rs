@@ -13,9 +13,9 @@ use rand::Rng;
 
 use crate::candidate::{Candidate, Evaluated};
 use crate::evolution::{
-    aging_evolution, best_by, envelope, random_batch, resensed, total_mac_proxy,
+    aging_evolution, best_by, envelope, random_batch, reestimated, resensed, Aging,
 };
-use crate::parallel::{EvalEngine, EvalRequest};
+use crate::parallel::EvalEngine;
 use crate::task::{SearchOutcome, TaskContext};
 
 /// Which energy estimator the search consults — the paper's layer-wise
@@ -95,9 +95,9 @@ pub fn run_enas(ctx: &TaskContext, config: &EnasConfig) -> SearchOutcome {
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
     let engine = EvalEngine::new(ctx, config.seed, config.workers);
-    let proxy = |eval: Evaluated| match config.energy_proxy {
-        EnergyProxy::Layerwise => eval,
-        EnergyProxy::TotalMacs => total_mac_proxy(ctx, eval),
+    let estimate = |c: &Candidate| match config.energy_proxy {
+        EnergyProxy::Layerwise => ctx.estimated_energy(c),
+        EnergyProxy::TotalMacs => ctx.munas_estimated_energy(c),
     };
 
     // ---- Phase 1: broad exploration with random permutations. ----
@@ -107,61 +107,50 @@ pub fn run_enas(ctx: &TaskContext, config: &EnasConfig) -> SearchOutcome {
     let population: Vec<Evaluated> =
         random_batch(ctx, &engine, &mut rng, vec![0; config.population])
             .into_iter()
-            .map(proxy)
+            .map(|eval| reestimated(eval, estimate))
             .collect();
     let (e_min, e_max) = envelope(&population);
     let objective = |e: &Evaluated| e.objective(config.lambda, e_min, e_max);
 
     // ---- Phase 2: optimal exploration with mutations. ----
-    let (_, history) = aging_evolution(
+    let aging = Aging {
+        engine: &engine,
+        estimate,
+        cycles: config.cycles,
+        sample_size: config.sample_size,
+    };
+    let evolved = aging_evolution(
+        &aging,
         &mut rng,
         population,
-        config.cycles,
-        config.sample_size,
         |_, _| objective,
         |parent, cycle, rng| {
             if config.grid_period > 0 && cycle % config.grid_period == 0 {
-                // The best neighbour by objective, the first of equals.
-                grid_mutate(ctx, &engine, parent, cycle, rng)
-                    .into_iter()
-                    .map(proxy)
-                    .reduce(|a, b| if objective(&b) > objective(&a) { b } else { a })
+                grid_mutate(ctx, parent, rng)
             } else {
-                let child = ctx.mutate_model(parent, rng);
-                engine.evaluate_one(child, cycle).map(proxy)
+                vec![ctx.mutate_model(parent, rng)]
             }
         },
     );
 
     SearchOutcome {
-        best: best_by(&history, objective).clone(),
-        history,
+        best: best_by(&evolved.history, objective).clone(),
+        history: evolved.history,
         energy_envelope: (e_min, e_max),
+        groups: evolved.groups,
     }
 }
 
-/// The paper's `GRIDMUTATE`: evaluates every single-step sensing neighbour
-/// of the parent (model half fixed, revalidated against the new input
-/// shape), from which the caller keeps the best child by objective.
+/// The paper's `GRIDMUTATE`: every single-step sensing neighbour of the
+/// parent (model half fixed, revalidated against the new input shape). The
+/// cycle keeps the best-scoring one.
 ///
 /// Spec re-derivation consumes the search RNG sequentially; the neighbour
-/// evaluations then run as one parallel batch.
-fn grid_mutate(
-    ctx: &TaskContext,
-    engine: &EvalEngine<'_>,
-    parent: &Candidate,
-    cycle: usize,
-    rng: &mut impl Rng,
-) -> Vec<Evaluated> {
-    let requests: Vec<EvalRequest> = ctx
-        .sensing_neighbors(parent.sensing)
+/// evaluations then train alongside the other planned cycles' jobs.
+fn grid_mutate(ctx: &TaskContext, parent: &Candidate, rng: &mut impl Rng) -> Vec<Candidate> {
+    ctx.sensing_neighbors(parent.sensing)
         .into_iter()
-        .map(|sensing| EvalRequest::new(resensed(ctx, parent, sensing, rng), cycle))
-        .collect();
-    engine
-        .evaluate_batch(&requests)
-        .into_iter()
-        .flatten()
+        .map(|sensing| resensed(ctx, parent, sensing, rng))
         .collect()
 }
 

@@ -7,7 +7,10 @@
 //! needed to evaluate one: the synthetic corpus, the fitted energy
 //! estimators, and the constraint set. Every GA search runs one private
 //! aging-evolution loop (`evolution::aging_evolution`: tournament, child
-//! step, drop the oldest) and differs only in its score and its child step.
+//! step, drop the oldest) and differs only in its score, its child step and
+//! its energy estimate. The loop plans cycles ahead while their tournaments
+//! are decided and trains the planned children together, bit-identical to
+//! one cycle at a time.
 //! Four search drivers are provided:
 //!
 //! * [`run_enas`] — Algorithm 1: a broad random phase establishes
@@ -46,7 +49,7 @@ pub use baselines::{run_harvnet_style, run_random_search};
 pub use candidate::{Candidate, Evaluated, SensingConfig};
 pub use enas::{run_enas, EnasConfig, EnergyProxy};
 pub use munas::{run_munas, MunasConfig};
-pub use parallel::{available_workers, derive_seed, EvalEngine, EvalRequest};
+pub use parallel::{available_workers, derive_seed, EvalBackend, EvalEngine, EvalRequest};
 pub use pareto::pareto_front;
 pub use report::{render_report, SearchSummary};
 pub use task::{Constraints, SearchOutcome, TaskContext, TaskKind};

@@ -10,7 +10,7 @@ use rand::Rng;
 use solarml_units::Energy;
 
 use crate::candidate::{Candidate, Evaluated, SensingConfig};
-use crate::evolution::{aging_evolution, envelope, most_accurate, total_mac_proxy};
+use crate::evolution::{aging_evolution, envelope, most_accurate, reestimated, Aging, Energies};
 use crate::parallel::{EvalEngine, EvalRequest};
 use crate::task::{SearchOutcome, TaskContext, MAX_SAMPLE_ATTEMPTS};
 
@@ -73,6 +73,7 @@ pub fn run_munas(ctx: &TaskContext, sensing: SensingConfig, config: &MunasConfig
     let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
     let engine = EvalEngine::new(ctx, config.seed, config.workers);
     let sampler = ctx.sampler(sensing);
+    let estimate = |c: &Candidate| ctx.munas_estimated_energy(c);
 
     // Phase 1 in parallel rounds: sampled specs may violate the static
     // constraints (unlike `random_candidate`, the sampler does not retry),
@@ -90,7 +91,7 @@ pub fn run_munas(ctx: &TaskContext, sensing: SensingConfig, config: &MunasConfig
         for slot in engine.evaluate_batch(&requests) {
             if let Some(eval) = slot {
                 empty_slots = 0;
-                population.push(total_mac_proxy(ctx, eval));
+                population.push(reestimated(eval, estimate));
             } else {
                 empty_slots += 1;
                 assert!(
@@ -101,50 +102,54 @@ pub fn run_munas(ctx: &TaskContext, sensing: SensingConfig, config: &MunasConfig
         }
     }
 
-    let (population, history) = aging_evolution(
+    let aging = Aging {
+        engine: &engine,
+        estimate,
+        cycles: config.cycles,
+        sample_size: config.sample_size,
+    };
+    let evolved = aging_evolution(
+        &aging,
         &mut rng,
         population,
-        config.cycles,
-        config.sample_size,
-        |population, rng| {
-            // Random scalarization: fresh weight every cycle.
-            let w: f64 = rng.gen_range(0.0..1.0);
-            let (e_lo, e_hi) = proxy_envelope(population);
-            move |e: &Evaluated| {
-                let span = (e_hi - e_lo).max(1e-12);
-                let norm = ((e.estimated_energy.as_micro_joules() - e_lo) / span).clamp(0.0, 1.0);
-                let base = w * e.accuracy - (1.0 - w) * norm;
-                if e.meets_accuracy {
-                    base
-                } else {
-                    base - 10.0
-                }
-            }
-        },
-        |parent, cycle, rng| {
-            let child = ctx.mutate_model(parent, rng);
-            engine
-                .evaluate_one(child, cycle)
-                .map(|eval| total_mac_proxy(ctx, eval))
-        },
+        scalarized,
+        |parent, _, rng| vec![ctx.mutate_model(parent, rng)],
     );
 
-    let (e_lo, e_hi) = proxy_envelope(&population);
+    let (e_lo, e_hi) = micro_joules(envelope(&evolved.population));
     SearchOutcome {
-        best: most_accurate(&history),
-        history,
+        best: most_accurate(&evolved.history),
+        history: evolved.history,
         energy_envelope: (
             Energy::from_micro_joules(e_lo),
             Energy::from_micro_joules(e_hi),
         ),
+        groups: evolved.groups,
     }
 }
 
-/// The population's estimated-energy envelope in µJ, the unit µNAS scores
-/// in (and reports through, so the reported bits stay those of the µJ
-/// values).
-fn proxy_envelope(population: &[Evaluated]) -> (f64, f64) {
-    let (lo, hi) = envelope(population);
+/// µNAS's random scalarization: a fresh weight `w ~ U(0,1)` each cycle,
+/// ranking by `w·A − (1−w)·Ê_norm` with `Ê` normalized by the population's
+/// running envelope, and candidates missing the accuracy constraint pushed
+/// far down.
+pub(crate) fn scalarized(population: &Energies, rng: &mut impl Rng) -> impl Fn(&Evaluated) -> f64 {
+    let w: f64 = rng.gen_range(0.0..1.0);
+    let (e_lo, e_hi) = micro_joules(population.envelope());
+    move |e: &Evaluated| {
+        let span = (e_hi - e_lo).max(1e-12);
+        let norm = ((e.estimated_energy.as_micro_joules() - e_lo) / span).clamp(0.0, 1.0);
+        let base = w * e.accuracy - (1.0 - w) * norm;
+        if e.meets_accuracy {
+            base
+        } else {
+            base - 10.0
+        }
+    }
+}
+
+/// An energy envelope in µJ, the unit µNAS scores in (and reports through,
+/// so the reported bits stay those of the µJ values).
+fn micro_joules((lo, hi): (Energy, Energy)) -> (f64, f64) {
     (lo.as_micro_joules(), hi.as_micro_joules())
 }
 

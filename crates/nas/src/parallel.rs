@@ -14,15 +14,20 @@
 //!    candidates never retrain. Cache resolution happens *sequentially*
 //!    before the parallel fan-out — duplicates inside one batch are deduped
 //!    to the first occurrence — so memoization cannot introduce
-//!    worker-count-dependent results.
+//!    worker-count-dependent results. Results reach the memo only when
+//!    published: aging evolution publishes its jobs' results cycle by
+//!    cycle as it commits them, and never those of cycles it drops.
 //! 3. **No external dependencies.** The pool ([`ordered_pool`]) is one
 //!    `std::thread::scope`, an atomic work index and an in-order reorder
 //!    buffer; the workspace builds offline. The fleet campaign runs on the
-//!    same pool, and [`parallel_map`] is a thin wrapper over it.
+//!    same pool, and [`parallel_map`] and `job_stream` (jobs issued while
+//!    earlier ones run) are thin wrappers over it.
 
+use std::cmp::Reverse;
 use std::collections::{HashMap, VecDeque};
 use std::convert::Infallible;
 use std::hash::{Hash, Hasher};
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, RwLock};
@@ -384,34 +389,145 @@ impl EvalRequest {
     }
 }
 
+/// What an [`EvalEngine`] needs of a task: the static constraints, seeded
+/// training and the memo. [`TaskContext`] is the production backend; the
+/// aging-evolution tests drive the engine with a stub.
+pub trait EvalBackend: Sync {
+    /// Whether the static constraints admit `cand`. Nothing trains if not.
+    fn satisfies_static(&self, cand: &Candidate) -> bool;
+    /// Trains and scores `cand` with an RNG seeded from `seed`.
+    fn evaluate_seeded(&self, cand: &Candidate, cycle: usize, seed: u64) -> Option<Evaluated>;
+    /// The memoized evaluation of `cand`, if one has been stored.
+    fn cached_evaluation(&self, cand: &Candidate) -> Option<Evaluated>;
+    /// Memoizes `eval` for `cand`. The first write wins.
+    fn store_evaluation(&self, cand: &Candidate, eval: &Evaluated);
+}
+
+impl EvalBackend for TaskContext {
+    fn satisfies_static(&self, cand: &Candidate) -> bool {
+        TaskContext::satisfies_static(self, cand)
+    }
+
+    fn evaluate_seeded(&self, cand: &Candidate, cycle: usize, seed: u64) -> Option<Evaluated> {
+        TaskContext::evaluate_seeded(self, cand, cycle, seed)
+    }
+
+    fn cached_evaluation(&self, cand: &Candidate) -> Option<Evaluated> {
+        TaskContext::cached_evaluation(self, cand)
+    }
+
+    fn store_evaluation(&self, cand: &Candidate, eval: &Evaluated) {
+        TaskContext::store_evaluation(self, cand, eval);
+    }
+}
+
 /// Batch evaluator: cache resolution + deterministic seeding + fan-out.
 ///
 /// Borrow a [`TaskContext`] and call [`EvalEngine::evaluate_batch`] with the
 /// cycle's candidates. Results come back in request order, `None` where the
 /// static constraints reject a candidate.
 #[derive(Debug)]
-pub struct EvalEngine<'a> {
-    ctx: &'a TaskContext,
+pub struct EvalEngine<'a, B: ?Sized = TaskContext> {
+    backend: &'a B,
     base_seed: u64,
     workers: usize,
 }
 
-/// How one request in a batch resolves before the parallel phase.
-enum Slot {
+/// How one request resolves before anything trains.
+pub(crate) enum Slot {
     /// Static constraints reject the candidate; nothing is trained.
     Infeasible,
     /// Served from the memo cache (cycle already rewritten).
     Hit(Evaluated),
-    /// Needs training; index into the deduped work list.
+    /// Needs training: the index of its [`Job`].
     Pending(usize),
 }
 
-impl<'a> EvalEngine<'a> {
-    /// Creates an engine over `ctx`. `workers == 0` selects the machine's
-    /// available parallelism.
-    pub fn new(ctx: &'a TaskContext, base_seed: u64, workers: usize) -> Self {
+/// One training job: a candidate, the cycle that first requested it and
+/// its seed.
+#[derive(Clone)]
+pub(crate) struct Job {
+    pub candidate: Candidate,
+    pub cycle: usize,
+    pub seed: u64,
+}
+
+/// What a job's training produced: `Ok(None)` if the static constraints
+/// rejected it after all.
+pub(crate) type Outcome = Result<Option<Evaluated>, EvalPanic>;
+
+/// `outcome` recorded at `cycle`.
+pub(crate) fn at_cycle(outcome: &Outcome, cycle: usize) -> Result<Option<Evaluated>, &EvalPanic> {
+    match outcome {
+        Ok(eval) => Ok(eval.clone().map(|mut eval| {
+            eval.cycle = cycle;
+            eval
+        })),
+        Err(panic) => Err(panic),
+    }
+}
+
+/// Requests being resolved into jobs. Each is resolved as it is added: a
+/// static rejection, a memo hit, or a training job, where a repeat of a
+/// queued candidate shares the first occurrence's job and seed.
+pub(crate) struct Batch<'e, B: ?Sized> {
+    engine: &'e EvalEngine<'e, B>,
+    first_of: HashMap<Candidate, usize>,
+    jobs: Vec<Job>,
+}
+
+impl<B: EvalBackend + ?Sized> Batch<'_, B> {
+    /// Resolves `candidate`, the `index`-th request of `cycle`. A new job
+    /// trains with the seed [`derive_seed`]`(base_seed, cycle, index)`.
+    pub(crate) fn resolve(&mut self, candidate: &Candidate, cycle: usize, index: usize) -> Slot {
+        let backend = self.engine.backend;
+        if !backend.satisfies_static(candidate) {
+            return Slot::Infeasible;
+        }
+        if let Some(mut hit) = backend.cached_evaluation(candidate) {
+            hit.cycle = cycle;
+            return Slot::Hit(hit);
+        }
+        if let Some(&job) = self.first_of.get(candidate) {
+            return Slot::Pending(job);
+        }
+        let job = self.jobs.len();
+        self.first_of.insert(candidate.clone(), job);
+        self.jobs.push(Job {
+            candidate: candidate.clone(),
+            cycle,
+            seed: derive_seed(self.engine.base_seed, cycle, index),
+        });
+        Slot::Pending(job)
+    }
+
+    /// Every job queued so far, in order.
+    pub(crate) fn jobs(&self) -> &[Job] {
+        &self.jobs
+    }
+
+    /// Stops later requests from sharing any job queued so far; they
+    /// resolve from the memo or queue afresh.
+    pub(crate) fn forget_jobs(&mut self) {
+        self.first_of.clear();
+    }
+
+    /// Memoizes `outcome`, job `job`'s result, unless it panicked or was
+    /// rejected.
+    pub(crate) fn publish(&self, job: usize, outcome: &Outcome) {
+        if let Ok(Some(eval)) = outcome {
+            let candidate = &self.jobs[job].candidate;
+            self.engine.backend.store_evaluation(candidate, eval);
+        }
+    }
+}
+
+impl<'a, B: EvalBackend + ?Sized> EvalEngine<'a, B> {
+    /// Creates an engine over `backend`. `workers == 0` selects the
+    /// machine's available parallelism.
+    pub fn new(backend: &'a B, base_seed: u64, workers: usize) -> Self {
         Self {
-            ctx,
+            backend,
             base_seed,
             workers: effective_workers(workers),
         }
@@ -420,6 +536,27 @@ impl<'a> EvalEngine<'a> {
     /// The resolved worker count.
     pub fn workers(&self) -> usize {
         self.workers
+    }
+
+    /// An empty [`Batch`] on this engine.
+    pub(crate) fn batch(&self) -> Batch<'_, B> {
+        Batch {
+            engine: self,
+            first_of: HashMap::new(),
+            jobs: Vec::new(),
+        }
+    }
+
+    /// Trains job `index`, turning a panic into an [`EvalPanic`].
+    pub(crate) fn train(&self, index: usize, job: &Job) -> Outcome {
+        catch_unwind(AssertUnwindSafe(|| {
+            self.backend
+                .evaluate_seeded(&job.candidate, job.cycle, job.seed)
+        }))
+        .map_err(|payload| EvalPanic {
+            index,
+            message: panic_message(payload),
+        })
     }
 
     /// Evaluates a batch of candidates, in parallel, with memoization.
@@ -447,41 +584,26 @@ impl<'a> EvalEngine<'a> {
         &self,
         requests: &[EvalRequest],
     ) -> Vec<Result<Option<Evaluated>, EvalPanic>> {
-        // Sequential pass: resolve cache hits and dedupe remaining work.
-        let mut first_of: HashMap<&Candidate, usize> = HashMap::new();
-        let mut work: Vec<(&EvalRequest, u64)> = Vec::new();
+        let mut batch = self.batch();
         let slots: Vec<Slot> = requests
             .iter()
             .enumerate()
-            .map(|(i, req)| {
-                if !self.ctx.satisfies_static(&req.candidate) {
-                    return Slot::Infeasible;
-                }
-                if let Some(mut hit) = self.ctx.cached_evaluation(&req.candidate) {
-                    hit.cycle = req.cycle;
-                    return Slot::Hit(hit);
-                }
-                if let Some(&w) = first_of.get(&req.candidate) {
-                    return Slot::Pending(w);
-                }
-                let w = work.len();
-                first_of.insert(&req.candidate, w);
-                work.push((req, derive_seed(self.base_seed, req.cycle, i)));
-                Slot::Pending(w)
-            })
+            .map(|(i, req)| batch.resolve(&req.candidate, req.cycle, i))
             .collect();
-
-        // Parallel pass: train the deduped misses, isolating panics.
-        let trained: Vec<Result<Option<Evaluated>, EvalPanic>> =
-            try_parallel_map(self.workers, &work, |_, (req, seed)| {
-                self.ctx.evaluate_seeded(&req.candidate, req.cycle, *seed)
-            });
-
-        // Publish to the memo cache, then assemble in request order.
-        for ((req, _), eval) in work.iter().zip(&trained) {
-            if let Ok(Some(eval)) = eval {
-                self.ctx.store_evaluation(&req.candidate, eval);
-            }
+        // Largest models first: a job's training time grows with its MACs,
+        // and a long job started last would leave the other workers idle.
+        // The order changes when a job runs, not what it computes.
+        let jobs = batch.jobs();
+        let mut order: Vec<usize> = (0..jobs.len()).collect();
+        order.sort_by_key(|&j| Reverse(jobs[j].candidate.spec.mac_summary().total()));
+        let mut trained: Vec<Option<Outcome>> = vec![None; jobs.len()];
+        let ran = parallel_map(self.workers, &order, |_, &j| self.train(j, &jobs[j]));
+        for (&j, outcome) in order.iter().zip(ran) {
+            trained[j] = Some(outcome);
+        }
+        let trained: Vec<Outcome> = trained.into_iter().flatten().collect();
+        for (job, outcome) in trained.iter().enumerate() {
+            batch.publish(job, outcome);
         }
         slots
             .into_iter()
@@ -490,27 +612,90 @@ impl<'a> EvalEngine<'a> {
             .map(|(i, (slot, req))| match slot {
                 Slot::Infeasible => Ok(None),
                 Slot::Hit(eval) => Ok(Some(eval)),
-                Slot::Pending(w) => match &trained[w] {
-                    Ok(eval) => Ok(eval.clone().map(|mut eval| {
-                        eval.cycle = req.cycle;
-                        eval
-                    })),
-                    Err(panic) => Err(EvalPanic {
+                Slot::Pending(job) => {
+                    at_cycle(&trained[job], req.cycle).map_err(|panic| EvalPanic {
                         index: i,
                         message: panic.message.clone(),
-                    }),
-                },
+                    })
+                }
             })
             .collect()
     }
+}
 
-    /// Evaluates a single candidate through the same cache + seeding path
-    /// as a one-element batch.
-    pub fn evaluate_one(&self, candidate: Candidate, cycle: usize) -> Option<Evaluated> {
-        self.evaluate_batch(&[EvalRequest::new(candidate, cycle)])
-            .pop()
-            .flatten()
+/// The jobs of a [`job_stream`], behind its one lock.
+struct Queue<J> {
+    jobs: Vec<J>,
+    /// Set when the stream ends: workers waiting for a job return.
+    done: bool,
+}
+
+/// Runs jobs that are issued while earlier ones run, on the
+/// [`ordered_pool`]. `run` takes the jobs in issue order on up to `workers`
+/// threads, the caller among them. `on_result` gets each result in issue
+/// order, serially, and may issue more jobs by pushing them; the stream
+/// ends when it returns [`ControlFlow::Break`].
+///
+/// `on_result` must issue a job or end the stream whenever every issued
+/// job has returned; the stream panics otherwise rather than wait forever.
+/// A panic in `on_result` is re-raised on the caller once the workers have
+/// stopped.
+pub(crate) fn job_stream<J, R>(
+    workers: usize,
+    jobs: Vec<J>,
+    run: impl Fn(usize, &J) -> R + Sync,
+    mut on_result: impl FnMut(R, &mut Vec<J>) -> ControlFlow<()> + Send,
+) where
+    J: Clone + Send,
+    R: Send,
+{
+    if jobs.is_empty() {
+        return;
     }
+    let queue = Mutex::new(Queue { jobs, done: false });
+    let issued = Condvar::new();
+    let end = |q: &mut Queue<J>| {
+        q.done = true;
+        issued.notify_all();
+    };
+    let work = |i: usize| -> Option<R> {
+        let job = {
+            let mut q = lock(&queue);
+            loop {
+                if let Some(job) = q.jobs.get(i) {
+                    break job.clone();
+                }
+                if q.done {
+                    return None;
+                }
+                q = issued.wait(q).unwrap_or_else(PoisonError::into_inner);
+            }
+        };
+        Some(run(i, &job))
+    };
+    let commit = |i: usize, result: Option<R>| -> Result<(), ()> {
+        let Some(result) = result else {
+            return Err(());
+        };
+        let mut fresh = Vec::new();
+        let flow = catch_unwind(AssertUnwindSafe(|| on_result(result, &mut fresh)));
+        let mut q = lock(&queue);
+        q.jobs.append(&mut fresh);
+        let stalled = matches!(flow, Ok(ControlFlow::Continue(()))) && q.jobs.len() == i + 1;
+        if !matches!(flow, Ok(ControlFlow::Continue(()))) || stalled {
+            end(&mut q);
+        } else {
+            issued.notify_all();
+        }
+        drop(q);
+        match flow {
+            Err(payload) => resume_unwind(payload),
+            Ok(_) if stalled => panic!("job stream stalled: no job issued after every result"),
+            Ok(ControlFlow::Continue(())) => Ok(()),
+            Ok(ControlFlow::Break(())) => Err(()),
+        }
+    };
+    let _ = ordered_pool(workers, usize::MAX, usize::MAX, work, commit);
 }
 
 #[cfg(test)]
@@ -676,6 +861,54 @@ mod tests {
                 message.contains("item 40 exploded"),
                 "workers={workers}: {message}"
             );
+        }
+    }
+
+    #[test]
+    fn job_stream_delivers_in_issue_order_while_jobs_are_issued() {
+        for workers in [1, 2, 4] {
+            let mut delivered = Vec::new();
+            let mut next = 3;
+            job_stream(
+                workers,
+                vec![0, 1, 2],
+                |i, &job: &usize| {
+                    assert_eq!(i, job);
+                    // Early jobs finish last, so results arrive out of order.
+                    std::thread::sleep(std::time::Duration::from_micros(200 / (job as u64 + 1)));
+                    job * 2
+                },
+                |result, issue| {
+                    delivered.push(result);
+                    if next < 40 {
+                        issue.push(next);
+                        next += 1;
+                    }
+                    if delivered.len() == 40 {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                },
+            );
+            let expected: Vec<usize> = (0..40).map(|j| j * 2).collect();
+            assert_eq!(delivered, expected, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn a_job_stream_that_issues_nothing_more_panics_instead_of_hanging() {
+        for workers in [1, 2] {
+            let caught = catch_unwind(|| {
+                job_stream(
+                    workers,
+                    vec![0, 1],
+                    |_, &j: &u32| j,
+                    |_, _| ControlFlow::Continue(()),
+                );
+            });
+            let message = panic_message(caught.expect_err("a stalled stream panics"));
+            assert!(message.contains("stalled"), "workers={workers}: {message}");
         }
     }
 

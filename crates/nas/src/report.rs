@@ -182,6 +182,7 @@ mod tests {
             history,
             best,
             energy_envelope: (Energy::ZERO, Energy::new(1.0)),
+            groups: Vec::new(),
         }
     }
 

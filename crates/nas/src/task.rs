@@ -78,6 +78,11 @@ pub struct SearchOutcome {
     pub best: Evaluated,
     /// Observed energy envelope from phase 1 (`E_min`, `E_max`).
     pub energy_envelope: (Energy, Energy),
+    /// Aging evolution's evaluation groups, in order: how many cycles that
+    /// trained each group planned ahead and sent to the workers together.
+    /// A function of the inputs, never of the worker count; empty for
+    /// random search.
+    pub groups: Vec<usize>,
 }
 
 impl SearchOutcome {
@@ -650,6 +655,7 @@ mod tests {
             history: vec![eval.clone()],
             best: eval,
             energy_envelope: (Energy::ZERO, Energy::new(1.0)),
+            groups: Vec::new(),
         };
         let csv = outcome.to_csv();
         let mut lines = csv.lines();
