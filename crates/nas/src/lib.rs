@@ -49,7 +49,7 @@ pub use baselines::{run_harvnet_style, run_random_search};
 pub use candidate::{Candidate, Evaluated, SensingConfig};
 pub use enas::{run_enas, EnasConfig, EnergyProxy};
 pub use munas::{run_munas, MunasConfig};
-pub use parallel::{available_workers, derive_seed, EvalBackend, EvalEngine, EvalRequest};
+pub use parallel::{available_workers, derive_seed, EvalEngine, EvalRequest};
 pub use pareto::pareto_front;
 pub use report::{render_report, SearchSummary};
 pub use task::{Constraints, SearchOutcome, TaskContext, TaskKind};

@@ -654,10 +654,6 @@ pub(crate) fn job_stream<J, R>(
     }
     let queue = Mutex::new(Queue { jobs, done: false });
     let issued = Condvar::new();
-    let end = |q: &mut Queue<J>| {
-        q.done = true;
-        issued.notify_all();
-    };
     let work = |i: usize| -> Option<R> {
         let job = {
             let mut q = lock(&queue);
@@ -674,6 +670,7 @@ pub(crate) fn job_stream<J, R>(
         Some(run(i, &job))
     };
     let commit = |i: usize, result: Option<R>| -> Result<(), ()> {
+        // `None` only once the stream has ended.
         let Some(result) = result else {
             return Err(());
         };
@@ -681,12 +678,10 @@ pub(crate) fn job_stream<J, R>(
         let flow = catch_unwind(AssertUnwindSafe(|| on_result(result, &mut fresh)));
         let mut q = lock(&queue);
         q.jobs.append(&mut fresh);
-        let stalled = matches!(flow, Ok(ControlFlow::Continue(()))) && q.jobs.len() == i + 1;
-        if !matches!(flow, Ok(ControlFlow::Continue(()))) || stalled {
-            end(&mut q);
-        } else {
-            issued.notify_all();
-        }
+        let go_on = matches!(flow, Ok(ControlFlow::Continue(())));
+        let stalled = go_on && q.jobs.len() == i + 1;
+        q.done = !go_on || stalled;
+        issued.notify_all();
         drop(q);
         match flow {
             Err(payload) => resume_unwind(payload),
