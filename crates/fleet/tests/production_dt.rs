@@ -13,23 +13,33 @@
 
 use solarml_fleet::{CampaignConfig, PopulationSpec, FLEET_SEED_CYCLE};
 use solarml_nas::parallel::derive_seed;
-use solarml_platform::{simulate_faulted_day, IntermittentConfig};
+use solarml_platform::{simulate_faulted_day, IntermittentConfig, STEP_BANDS};
 use solarml_scenario::registry;
 use solarml_sim::DtPolicy;
 
 /// Total rail steps of the representative 64-node, seed-7 campaign.
 const REPRESENTATIVE_64N_SEED7_STEPS: usize = 509_693;
 
+/// The same steps by width (`STEP_BANDS`: < 0.1, 0.1–1, 1–10, 10–100 and
+/// ≥ 100 s); DESIGN.md §4e copies this table.
+const REPRESENTATIVE_64N_SEED7_BANDS: [usize; 5] = [76_668, 42_215, 295_517, 91_645, 3_648];
+
 #[test]
 fn representative_campaign_rail_step_count_is_pinned() {
     let spec = CampaignConfig::new(64, 7).population;
-    let steps: usize = (0..64)
-        .map(|node| {
-            let seed = derive_seed(7, FLEET_SEED_CYCLE, node);
-            simulate_faulted_day(&spec.node_blueprint(seed).config).steps
-        })
-        .sum();
+    let mut steps = 0;
+    let mut bands = [0; STEP_BANDS.len()];
+    for node in 0..64 {
+        let seed = derive_seed(7, FLEET_SEED_CYCLE, node);
+        let day = simulate_faulted_day(&spec.node_blueprint(seed).config);
+        steps += day.steps;
+        for (band, n) in bands.iter_mut().zip(day.step_bands) {
+            *band += n;
+        }
+    }
     assert_eq!(steps, REPRESENTATIVE_64N_SEED7_STEPS);
+    assert_eq!(bands, REPRESENTATIVE_64N_SEED7_BANDS);
+    assert_eq!(bands.iter().sum::<usize>(), steps);
 }
 
 // Per-node bounds on the production policy's deviation from the fixed-dt

@@ -387,6 +387,21 @@ pub struct DayFaultReport {
     /// Rail steps the day's scheduler took: a deterministic cost count,
     /// not an outcome, so [`DayFaultReport::to_json`] leaves it out.
     pub steps: usize,
+    /// The same steps by width, one count per [`STEP_BANDS`] band. A cost
+    /// count like `steps`, and likewise left out of the JSON.
+    pub step_bands: [usize; STEP_BANDS.len()],
+}
+
+/// The step-width bands of [`DayFaultReport::step_bands`], by their lower
+/// edge in seconds: `< 0.1`, `0.1–1`, `1–10`, `10–100` and `≥ 100` s.
+pub const STEP_BANDS: [f64; 5] = [0.0, 0.1, 1.0, 10.0, 100.0];
+
+/// The [`STEP_BANDS`] index of a step of width `dt`.
+fn step_band(dt: Seconds) -> usize {
+    STEP_BANDS
+        .iter()
+        .rposition(|&lo| dt.as_seconds() >= lo)
+        .unwrap_or(0)
 }
 
 impl DayFaultReport {
@@ -465,6 +480,7 @@ struct Rail<'a> {
     brownouts: usize,
     recoveries: usize,
     steps: usize,
+    step_bands: [usize; STEP_BANDS.len()],
     /// The pinned stride granted by the previous step, if any.
     stride: Option<PinnedStride>,
 }
@@ -522,6 +538,7 @@ impl Rail<'_> {
 impl Clocked for Rail<'_> {
     fn step(&mut self, t: Seconds, dt: Seconds, bus: &mut SimBus) -> StepOutcome {
         self.steps += 1;
+        self.step_bands[step_band(dt)] += 1;
         let lux = self.cfg.base.profile.lux_at(t) * self.cfg.faults.lux_factor(t);
         let mut charge = if self.cfg.faults.harvester_connected(t) {
             self.array
@@ -643,6 +660,7 @@ impl<'a> Engine<'a> {
                 brownouts: 0,
                 recoveries: 0,
                 steps: 0,
+                step_bands: [0; STEP_BANDS.len()],
                 stride: None,
             },
             attempted: 0,
@@ -1098,6 +1116,7 @@ impl<'a> Engine<'a> {
             min_voltage: self.rail.min_voltage,
             audit,
             steps: self.rail.steps,
+            step_bands: self.rail.step_bands,
         }
     }
 }
