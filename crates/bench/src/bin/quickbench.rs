@@ -521,7 +521,7 @@ fn timed_sweep(nodes: usize, workers: usize) -> SweepBench {
 
 /// Cold→warm sweep pairs per run, each on a fresh store. The warm gate
 /// reads the median ratio, so one slow pass on a shared box cannot fail it.
-const SWEEP_PAIRS: usize = 3;
+const SWEEP_PAIRS: usize = 7;
 
 /// Representative nodes per `fleet_resolve` rep.
 const RESOLVE_NODES: usize = 10_000;

@@ -204,11 +204,14 @@ impl Supercap {
     /// Largest timestep for which one Euler step moves the voltage by at
     /// most `eps_v` under the given charge/load conditions: `dt ≤ ε·C/|I|`.
     ///
-    /// This is the adaptive-timestep hint the co-simulation scheduler uses
-    /// to stretch steps through quiescent windows. The *ledger* stays exact
-    /// at any dt (the trapezoidal flows in [`Supercap::step`] balance by
-    /// construction); this bound limits the trajectory error of the voltage
-    /// itself. Capped at one hour so a fully quiescent hint stays finite.
+    /// The circuit-level [`crate::sim::CircuitSim`] and the fault-free day
+    /// harvester hint their adaptive steps with it. The fleet's faulted-day
+    /// rail no longer does: it sizes steps by [`Supercap::error_dt`] and
+    /// keeps this bound only as a coarse cap on ΔV. The *ledger* stays
+    /// exact at any dt (the trapezoidal flows in [`Supercap::step`] balance
+    /// by construction); this bound limits the trajectory error of the
+    /// voltage itself. Capped at one hour so a fully quiescent hint stays
+    /// finite.
     pub fn stable_dt(&self, charge_in: Amps, power_out: Power, eps_v: Volts) -> Seconds {
         let (i_out, i_leak) = self.drain_currents(power_out);
         let net = (charge_in.as_amps() - i_out - i_leak).abs();
@@ -217,6 +220,27 @@ impl Supercap {
             return Seconds::new(cap);
         }
         let dt = eps_v.as_volts().max(0.0) * self.capacitance.as_farads() / net;
+        Seconds::new(dt.min(cap))
+    }
+
+    /// The net current into the cell: `charge_in` minus the load current
+    /// (`power_out` at the present voltage) and the leakage.
+    pub fn net_current(&self, charge_in: Amps, power_out: Power) -> Amps {
+        let (i_out, i_leak) = self.drain_currents(power_out);
+        Amps::new(charge_in.as_amps() - i_out - i_leak)
+    }
+
+    /// Longest Euler step whose local truncation error `½·dt²·|dI/dt|/C`
+    /// stays within `tol`, with the net current's slope `dI/dt` estimated
+    /// as `(i1 − i0)/span` from two net currents `span` apart. Capped at
+    /// one hour, like [`Supercap::stable_dt`], when the current is flat.
+    pub fn error_dt(&self, i0: Amps, i1: Amps, span: Seconds, tol: Volts) -> Seconds {
+        let slope = (i1.as_amps() - i0.as_amps()).abs() / span.as_seconds();
+        let cap = 3600.0;
+        if slope <= 0.0 {
+            return Seconds::new(cap);
+        }
+        let dt = (2.0 * tol.as_volts().max(0.0) * self.capacitance.as_farads() / slope).sqrt();
         Seconds::new(dt.min(cap))
     }
 

@@ -227,21 +227,34 @@ impl FaultPlan {
 
     /// Whether no cloud or outage window covers `t`: the light is the
     /// profile's own (`lux_factor` is exactly 1) and the harvester is
-    /// connected. Until [`FaultPlan::next_edge_after`] it stays that way.
+    /// connected. It stays that way until the next of the plan's
+    /// [`FaultPlan::knots`], which is then a window's start.
     pub fn quiet_at(&self, t: Seconds) -> bool {
         !self.clouds.iter().any(|c| c.covers(t)) && self.harvester_connected(t)
     }
 
-    /// The first cloud or outage window edge (a start or an end) strictly
-    /// after `t`, `None` when no window opens or closes later.
-    pub fn next_edge_after(&self, t: Seconds) -> Option<Seconds> {
-        let clouds = self.clouds.iter().map(|c| (c.at, c.duration));
-        let outages = self.outages.iter().map(|o| (o.at, o.duration));
-        clouds
-            .chain(outages)
-            .flat_map(|(at, duration)| [at, at + duration])
-            .filter(|&edge| edge > t)
-            .min_by(|a, b| a.as_seconds().total_cmp(&b.as_seconds()))
+    /// Every time the fault envelope steps or bends: each cloud and
+    /// outage window's start and end, and each cloud's ramp corners
+    /// `at + ramp` and `at + duration − ramp`. Ascending, without
+    /// duplicates. Between consecutive knots `harvester_connected` is
+    /// constant and every cloud's attenuation is linear, so `lux_factor`
+    /// is linear there unless two clouds ramp at once.
+    pub fn knots(&self) -> Vec<Seconds> {
+        let clouds = self.clouds.iter().flat_map(|c| {
+            let duration = c.duration.as_seconds().max(0.0);
+            let ramp = Seconds::new(c.ramp.as_seconds().max(0.0).min(duration * 0.5));
+            [
+                c.at,
+                c.at + ramp,
+                c.at + Seconds::new(duration) - ramp,
+                c.at + c.duration,
+            ]
+        });
+        let outages = self.outages.iter().flat_map(|o| [o.at, o.at + o.duration]);
+        let mut knots: Vec<Seconds> = clouds.chain(outages).collect();
+        knots.sort_by(|a, b| a.as_seconds().total_cmp(&b.as_seconds()));
+        knots.dedup();
+        knots
     }
 
     /// Builds the physical (possibly degraded) supercap for this plan.
@@ -533,12 +546,11 @@ mod tests {
             }],
             degradation: SupercapDegradation::fresh(),
         };
-        let edge = |t: f64| {
-            plan.next_edge_after(Seconds::new(t))
-                .map(|e| e.as_seconds())
-        };
+        let knots: Vec<f64> = plan.knots().iter().map(|k| k.as_seconds()).collect();
+        assert_eq!(knots, [100.0, 110.0, 140.0, 150.0, 300.0, 320.0]);
+        let edge = |t: f64| knots.iter().copied().find(|&k| k > t);
         assert_eq!(edge(0.0), Some(100.0));
-        assert_eq!(edge(100.0), Some(150.0), "strictly after");
+        assert_eq!(edge(100.0), Some(110.0), "strictly after");
         assert_eq!(edge(200.0), Some(300.0));
         assert_eq!(edge(310.0), Some(320.0));
         assert_eq!(edge(320.0), None);
@@ -550,7 +562,7 @@ mod tests {
         assert!(plan.quiet_at(Seconds::new(150.0)));
         assert!(!plan.quiet_at(Seconds::new(300.0)));
         assert!(FaultPlan::none().quiet_at(Seconds::new(5.0)));
-        assert_eq!(FaultPlan::none().next_edge_after(Seconds::ZERO), None);
+        assert!(FaultPlan::none().knots().is_empty());
     }
 
     proptest! {
@@ -619,11 +631,62 @@ mod tests {
         ) {
             let plan = FaultPlan::seeded_cloudy_day(seed);
             let t = Seconds::new(t);
-            let end = plan.next_edge_after(t).unwrap_or(Seconds::new(86_400.0));
+            let end = plan
+                .knots()
+                .into_iter()
+                .find(|&k| k > t)
+                .unwrap_or(Seconds::new(86_400.0));
             let s = t + (end - t) * frac;
             if plan.quiet_at(t) && s < end {
                 prop_assert_eq!(plan.lux_factor(s).get(), 1.0);
                 prop_assert!(plan.harvester_connected(s));
+            }
+        }
+
+        /// Between consecutive knots the lux factor is linear, ramp
+        /// corners included, and the harvester's connection constant, on
+        /// plans whose clouds do not overlap (two clouds ramping at once
+        /// multiply into a quadratic). Mirrors
+        /// `endtoend::lux_is_linear_between_consecutive_knots`.
+        #[test]
+        fn lux_factor_is_linear_between_consecutive_knots(seed in 0u64..10_000) {
+            let mut state = seed ^ FAULT_STREAM_TAG;
+            let mut end = 0.0;
+            let n_clouds = 1 + splitmix64(&mut state) % 5;
+            let clouds: Vec<CloudTransient> = (0..n_clouds)
+                .map(|_| {
+                    let at = end + uniform(&mut state, 1.0, 600.0);
+                    let duration = uniform(&mut state, 10.0, 1500.0);
+                    end = at + duration;
+                    CloudTransient {
+                        at: Seconds::new(at),
+                        duration: Seconds::new(duration),
+                        depth: Ratio::new(uniform(&mut state, 0.0, 1.0)),
+                        // Past half the duration the ramp is clipped.
+                        ramp: Seconds::new(uniform(&mut state, 0.0, 0.6 * duration)),
+                    }
+                })
+                .collect();
+            let outages = vec![OutageWindow {
+                at: Seconds::new(uniform(&mut state, 0.0, end)),
+                duration: Seconds::new(uniform(&mut state, 10.0, 600.0)),
+            }];
+            let plan = FaultPlan {
+                clouds,
+                outages,
+                degradation: SupercapDegradation::fresh(),
+            };
+            let knots = plan.knots();
+            prop_assert!(knots.windows(2).all(|w| w[0] < w[1]), "ascending, no duplicates");
+            for w in knots.windows(2) {
+                let at = |x: f64| w[0] + (w[1] - w[0]) * x;
+                let f = |x: f64| plan.lux_factor(at(x)).get();
+                let bend = f(0.5) - 0.5 * (f(0.25) + f(0.75));
+                prop_assert!(bend.abs() < 1e-9, "bends by {} between {:?}", bend, w);
+                prop_assert_eq!(
+                    plan.harvester_connected(at(0.25)),
+                    plan.harvester_connected(at(0.75))
+                );
             }
         }
 

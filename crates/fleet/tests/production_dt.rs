@@ -18,11 +18,11 @@ use solarml_scenario::registry;
 use solarml_sim::DtPolicy;
 
 /// Total rail steps of the representative 64-node, seed-7 campaign.
-const REPRESENTATIVE_64N_SEED7_STEPS: usize = 509_693;
+const REPRESENTATIVE_64N_SEED7_STEPS: usize = 220_555;
 
 /// The same steps by width (`STEP_BANDS`: < 0.1, 0.1–1, 1–10, 10–100 and
 /// ≥ 100 s); DESIGN.md §4e copies this table.
-const REPRESENTATIVE_64N_SEED7_BANDS: [usize; 5] = [76_668, 42_215, 295_517, 91_645, 3_648];
+const REPRESENTATIVE_64N_SEED7_BANDS: [usize; 5] = [45_769, 17_048, 46_259, 101_943, 9_536];
 
 #[test]
 fn representative_campaign_rail_step_count_is_pinned() {

@@ -67,27 +67,27 @@ const PINNED_RUNS: [(usize, &[(&str, u64)]); 3] = [
     (
         1,
         &[
-            ("ckpt-000000000032.bin", 0xBAAD_83EE_9773_3090),
-            ("ckpt-000000000048.bin", 0xB828_328E_32E4_8500),
-            ("ckpt-000000000080.bin", 0x8541_BE27_21ED_7991),
-            ("ckpt-000000000096.bin", 0x886E_2109_7A17_4F1C),
-            ("ckpt-000000000100.bin", 0x7AD7_26B0_DD50_0E48),
+            ("ckpt-000000000032.bin", 0xDF6D_E435_6931_2854),
+            ("ckpt-000000000048.bin", 0x7049_0019_C1BD_50FF),
+            ("ckpt-000000000080.bin", 0xAB82_B95A_2F6D_99F1),
+            ("ckpt-000000000096.bin", 0x13A1_EE4F_05C2_80A7),
+            ("ckpt-000000000100.bin", 0x1AAE_5066_6A48_AECB),
         ],
     ),
     (
         2,
         &[
-            ("ckpt-000000000032.bin", 0xBAAD_83EE_9773_3090),
-            ("ckpt-000000000064.bin", 0x45F2_BE48_120B_0658),
-            ("ckpt-000000000096.bin", 0x886E_2109_7A17_4F1C),
-            ("ckpt-000000000100.bin", 0x7AD7_26B0_DD50_0E48),
+            ("ckpt-000000000032.bin", 0xDF6D_E435_6931_2854),
+            ("ckpt-000000000064.bin", 0xAF02_43C4_D8C9_9B23),
+            ("ckpt-000000000096.bin", 0x13A1_EE4F_05C2_80A7),
+            ("ckpt-000000000100.bin", 0x1AAE_5066_6A48_AECB),
         ],
     ),
     (
         4,
         &[
-            ("ckpt-000000000064.bin", 0x45F2_BE48_120B_0658),
-            ("ckpt-000000000100.bin", 0x7AD7_26B0_DD50_0E48),
+            ("ckpt-000000000064.bin", 0xAF02_43C4_D8C9_9B23),
+            ("ckpt-000000000100.bin", 0x1AAE_5066_6A48_AECB),
         ],
     ),
 ];
@@ -95,10 +95,10 @@ const PINNED_RUNS: [(usize, &[(&str, u64)]); 3] = [
 /// Snapshots of a 2-worker run killed at node 37, then resumed on 2
 /// workers: the resumed run's windows start at 37, not at 0.
 const PINNED_KILL_RESUME: &[(&str, u64)] = &[
-    ("ckpt-000000000032.bin", 0xBAAD_83EE_9773_3090),
-    ("ckpt-000000000037.bin", 0xF6D5_F6B3_7AFF_0E6D),
-    ("ckpt-000000000069.bin", 0x8B47_3BA0_21D7_3159),
-    ("ckpt-000000000100.bin", 0xB94C_983D_1F5F_2441),
+    ("ckpt-000000000032.bin", 0xDF6D_E435_6931_2854),
+    ("ckpt-000000000037.bin", 0x2B34_FBA2_1EE4_328D),
+    ("ckpt-000000000069.bin", 0x2B70_8287_C0B9_8422),
+    ("ckpt-000000000100.bin", 0xE9C0_0512_F19D_8BD8),
 ];
 
 #[test]

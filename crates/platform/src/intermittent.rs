@@ -33,9 +33,11 @@
 //! is seeded and wall-clock free — identical configs yield bit-identical
 //! [`DayFaultReport`]s.
 
-use solarml_circuit::fault::{BrownoutComparator, BrownoutThresholds, FaultPlan, PowerEvent};
+use solarml_circuit::fault::{
+    BrownoutComparator, BrownoutThresholds, ComparatorState, FaultPlan, PowerEvent,
+};
 use solarml_circuit::harvest::HarvestingArray;
-use solarml_circuit::sim::{EnergyAudit, ADAPTIVE_EPS_V};
+use solarml_circuit::sim::EnergyAudit;
 use solarml_circuit::Supercap;
 use solarml_mcu::{Mcu, McuPowerModel, PowerState};
 use solarml_sim::{Clocked, DtPolicy, Scheduler, SimBus, SimEvent, StepControl, StepOutcome};
@@ -454,6 +456,26 @@ enum AttemptEnd {
     Interrupted(LifecycleError),
 }
 
+/// Bound on one adaptive rail step's local truncation error,
+/// `½·dt²·|dI_net/dt|/C` (DESIGN.md §4e).
+const STEP_ERROR_V: Volts = Volts::new(1e-5);
+
+/// Cap on the voltage one adaptive rail step may move, however flat the
+/// net current.
+const STEP_MAX_DV: Volts = Volts::new(0.05);
+
+/// How far past the comparator threshold it heads for one adaptive rail
+/// step may carry the terminal voltage.
+const THRESHOLD_OVERSHOOT_V: Volts = Volts::new(3e-4);
+
+/// The light and charging current the rail saw at `t`.
+#[derive(Debug, Clone, Copy)]
+struct Sample {
+    t: Seconds,
+    lux: Lux,
+    charge: Amps,
+}
+
 /// The electrical side of the faulted day as one [`Clocked`] component:
 /// fault-modulated harvesting, the (possibly degraded) supercap, standby /
 /// retention / checkpoint-overhead loads and the brownout comparator.
@@ -461,7 +483,8 @@ enum AttemptEnd {
 /// Each step it reads the MCU's pre-advance draw and metered energy off
 /// the bus (the MCU component must be listed first), pushes every flow
 /// through [`Supercap::step`] into the bus ledger, and republishes rail
-/// state plus any comparator event.
+/// state plus any comparator event. Under an adaptive policy it then hints
+/// the next step ([`Rail::hint`]).
 struct Rail<'a> {
     cfg: &'a IntermittentConfig,
     array: HarvestingArray,
@@ -481,6 +504,15 @@ struct Rail<'a> {
     recoveries: usize,
     steps: usize,
     step_bands: [usize; STEP_BANDS.len()],
+    /// The fault plan's knots ([`FaultPlan::knots`]) and the index of the
+    /// first one after the clock.
+    fault_knots: Vec<Seconds>,
+    next_fault_knot: usize,
+    /// The knot the running step was hinted up to.
+    knot: Seconds,
+    /// The light and charge at the end of the previous adaptive step,
+    /// where the next step starts.
+    ahead: Option<Sample>,
     /// The pinned stride granted by the previous step, if any.
     stride: Option<PinnedStride>,
 }
@@ -498,6 +530,24 @@ struct PinnedStride {
 }
 
 impl Rail<'_> {
+    /// The light and charging current at `t` into the cell at its present
+    /// voltage.
+    fn sample(&self, t: Seconds) -> Sample {
+        self.sample_at(t, self.cap.voltage())
+    }
+
+    /// The light at `t` and the charging current it drives into the cell
+    /// at `v`.
+    fn sample_at(&self, t: Seconds, v: Volts) -> Sample {
+        let lux = self.cfg.base.profile.lux_at(t) * self.cfg.faults.lux_factor(t);
+        let charge = if self.cfg.faults.harvester_connected(t) {
+            self.array.charging_current(lux, v, |_| Ratio::ZERO)
+        } else {
+            Amps::ZERO
+        };
+        Sample { t, lux, charge }
+    }
+
     /// Charging current at `t` into the cell at its rating, under the
     /// profile's light with no fault window active.
     fn clear_sky_charge(&self, t: Seconds) -> Amps {
@@ -506,32 +556,93 @@ impl Rail<'_> {
             .charging_current(lux, self.cap.max_voltage, |_| Ratio::ZERO)
     }
 
-    /// The pinned stride from `t` under `load`, if one holds: the policy is
-    /// adaptive, the cell is pinned now, no fault window is active, and
-    /// the cell is still pinned under the light at the next knot (the
-    /// next profile hour or fault-window edge). Lux is linear between
-    /// knots and the charging current monotone in lux, so the net current
-    /// stays `≥ 0` and the voltage at `max_voltage` across the stride.
-    fn pinned_stride(&self, t: Seconds, load: Power) -> Option<PinnedStride> {
-        let faults = &self.cfg.faults;
-        if !self.cfg.dt_policy.adaptive
-            || self.cap.voltage() != self.cap.max_voltage
-            || !faults.quiet_at(t)
+    /// The next adaptive step's width, from the end `t` of a step of `dt`
+    /// whose load was `load` and whose net current at its start was `net`.
+    /// The step runs to the earliest of:
+    ///
+    /// * the next knot: a profile hour or a fault knot, where the light's
+    ///   slope or the harvester's connection changes;
+    /// * the width whose Euler truncation error reaches [`STEP_ERROR_V`],
+    ///   with the net current's slope taken from this step's two ends. A
+    ///   step that ended on a knot, where the light bends, takes the slope
+    ///   from a probe one candidate step ahead instead;
+    /// * a ΔV of [`STEP_MAX_DV`];
+    /// * the predicted crossing of the next comparator threshold, plus
+    ///   [`THRESHOLD_OVERSHOOT_V`].
+    ///
+    /// A pinned cell is the zero-error case: its voltage cannot leave the
+    /// rating, so it strides to the knot when no fault window is active
+    /// and the light at the knot still holds it pinned ([`PinnedStride`]).
+    /// Lux is linear between knots and the charging current monotone in
+    /// lux, so the net current stays `≥ 0` across the stride.
+    fn hint(&mut self, t: Seconds, dt: Seconds, net: Amps, load: Power) -> Seconds {
+        let landed = t >= self.knot;
+        while self
+            .fault_knots
+            .get(self.next_fault_knot)
+            .is_some_and(|&k| k <= t)
         {
-            return None;
+            self.next_fault_knot += 1;
         }
         let hour = self.cfg.base.profile.next_knot_after(t);
-        let knot = faults
-            .next_edge_after(t)
-            .map_or(hour, |edge| edge.min(hour));
-        let charge_at_knot = self.clear_sky_charge(knot);
-        let pinned = self.cap.is_pinned(self.clear_sky_charge(t), load)
-            && self.cap.is_pinned(charge_at_knot, load);
-        pinned.then(|| PinnedStride {
-            from: t,
-            len: knot - t,
-            charge_at_knot,
-        })
+        self.knot = self
+            .fault_knots
+            .get(self.next_fault_knot)
+            .map_or(hour, |&k| k.min(hour));
+        let next = self.sample(t);
+        self.ahead = Some(next);
+        let to_knot = self.knot - t;
+        if self.cap.is_pinned(next.charge, load) && self.cfg.faults.quiet_at(t) {
+            let charge_at_knot = self.clear_sky_charge(self.knot);
+            if self.cap.is_pinned(charge_at_knot, load) {
+                self.stride = Some(PinnedStride {
+                    from: t,
+                    len: to_knot,
+                    charge_at_knot,
+                });
+                return to_knot;
+            }
+        }
+        let to = self.cap.net_current(next.charge, load);
+        let bound = to_knot
+            .min(self.cap.stable_dt(next.charge, load, STEP_MAX_DV))
+            .min(self.threshold_dt(to, load));
+        // The net current's slope: across this step, or, when the step
+        // ended on a knot where the light bends, across a probe one
+        // candidate step ahead from the Euler-predicted voltage.
+        let (from, span) = if landed {
+            let mut probe = self.cap;
+            let _ = probe.step(bound, next.charge, load);
+            let ahead = self.sample_at(t + bound, probe.voltage());
+            (probe.net_current(ahead.charge, load), bound)
+        } else {
+            (net, dt)
+        };
+        bound.min(self.cap.error_dt(from, to, span, STEP_ERROR_V))
+    }
+
+    /// How long the terminal voltage, moving at the rate the net current
+    /// `net` drives, takes to pass the next comparator threshold it heads
+    /// for by [`THRESHOLD_OVERSHOOT_V`]; one hour when it heads for none.
+    fn threshold_dt(&self, net: Amps, load: Power) -> Seconds {
+        let never = Seconds::new(3600.0);
+        let v = self.cap.voltage().as_volts();
+        if v <= 0.0 {
+            return never;
+        }
+        // d(v − P·ESR/v)/dt for a constant-power load behind the ESR.
+        let sag = 1.0 + load.as_watts() * self.cap.esr.as_ohms() / (v * v);
+        let rate = net.as_amps() / self.cap.capacitance().as_farads() * sag;
+        let th = self.comparator.thresholds();
+        let target = match (self.comparator.state(), rate < 0.0) {
+            (ComparatorState::Nominal, true) => th.warn,
+            (ComparatorState::Warned, true) => th.brownout,
+            (ComparatorState::Warned | ComparatorState::Browned, false) => th.recovery(),
+            _ => return never,
+        };
+        let gap = (target - self.cap.terminal_voltage(load)).as_volts();
+        let reach = (gap / rate).max(0.0) + THRESHOLD_OVERSHOOT_V.as_volts() / rate.abs();
+        Seconds::new(reach.min(never.as_seconds()))
     }
 }
 
@@ -539,12 +650,11 @@ impl Clocked for Rail<'_> {
     fn step(&mut self, t: Seconds, dt: Seconds, bus: &mut SimBus) -> StepOutcome {
         self.steps += 1;
         self.step_bands[step_band(dt)] += 1;
-        let lux = self.cfg.base.profile.lux_at(t) * self.cfg.faults.lux_factor(t);
-        let mut charge = if self.cfg.faults.harvester_connected(t) {
-            self.array
-                .charging_current(lux, self.cap.voltage(), |_| Ratio::ZERO)
-        } else {
-            Amps::ZERO
+        let Sample {
+            lux, mut charge, ..
+        } = match self.ahead.take() {
+            Some(ahead) if ahead.t == t => ahead,
+            _ => self.sample(t),
         };
         // While browned out the supervisor latches the whole rail off (the
         // Fig. 5 MOSFET network physically disconnects the load), so only
@@ -562,6 +672,7 @@ impl Clocked for Rail<'_> {
             Power::ZERO
         };
         let load = bus.mcu_load + standby + retention + self.extra;
+        let net = self.cap.net_current(charge, load);
         // Inside a granted stride the voltage cannot leave the rating, so
         // only the ledger's quadrature changes: the trapezoid of the two
         // endpoint currents, provided this step's load keeps both pinned.
@@ -602,12 +713,12 @@ impl Clocked for Rail<'_> {
         bus.rail_voltage = self.cap.voltage();
         bus.rail_connected = rail_up;
         bus.load_power = load;
-        self.stride = self.pinned_stride(t + dt, load);
-        let hint = match self.stride {
-            Some(stride) => stride.len,
-            None => self.cap.stable_dt(charge, load, ADAPTIVE_EPS_V),
+        let outcome = if self.cfg.dt_policy.adaptive {
+            StepOutcome::hint(self.hint(t + dt, dt, net, load))
+        } else {
+            StepOutcome::quiescent()
         };
-        StepOutcome::hint(hint).with_edge(event.is_some())
+        outcome.with_edge(event.is_some())
     }
 }
 
@@ -661,6 +772,10 @@ impl<'a> Engine<'a> {
                 recoveries: 0,
                 steps: 0,
                 step_bands: [0; STEP_BANDS.len()],
+                fault_knots: cfg.faults.knots(),
+                next_fault_knot: 0,
+                knot: Seconds::ZERO,
+                ahead: None,
                 stride: None,
             },
             attempted: 0,
@@ -1331,6 +1446,140 @@ mod tests {
             (booked / expected - 1.0).abs() < 1e-12,
             "{booked} vs {expected} C"
         );
+    }
+
+    /// A rail on a dark-free office day whose 09:00–10:00 light ramps
+    /// linearly from `lux0` to `lux1`, under the constant standby load
+    /// `load`, at the adaptive production policy.
+    fn ramp_config(lux0: f64, lux1: f64, load: Power, farads: f64, v0: f64) -> IntermittentConfig {
+        let mut base = DaySimConfig::office_day(Energy::from_milli_joules(30.0));
+        base.interactions.clear();
+        base.profile.lux_by_hour[9] = lux0;
+        base.profile.lux_by_hour[10] = lux1;
+        base.standby_power = load;
+        base.capacitance = Farads::new(farads);
+        base.initial_voltage = Volts::new(v0);
+        let mut cfg =
+            IntermittentConfig::naive(base, FaultPlan::none(), PhasePlan::representative_gesture());
+        cfg.dt_policy = DtPolicy::adaptive(Seconds::from_millis(50.0), Seconds::new(3600.0));
+        cfg
+    }
+
+    /// The comparator threshold a transition from `from` to `to` crossed.
+    fn crossed(th: &BrownoutThresholds, from: ComparatorState, to: ComparatorState) -> Volts {
+        match (from, to) {
+            (ComparatorState::Nominal, ComparatorState::Warned) => th.warn,
+            (ComparatorState::Warned, ComparatorState::Browned) => th.brownout,
+            _ => th.recovery(),
+        }
+    }
+
+    proptest::proptest! {
+        /// One hinted step lands within twice the step tolerance of a
+        /// fine fixed-step reference (1 ms, or 1/20,000 of a longer step;
+        /// the tolerance bounds the error estimated from a slope one step
+        /// old, and the light's curvature moves it by up to ~1.3× here).
+        /// The warm-up steps give the rail a slope to go by: a fresh rail
+        /// counts as standing on a knot, so a probe sizes the second step,
+        /// and the checked step is hinted from the previous step's two
+        /// ends.
+        #[test]
+        fn a_hinted_step_tracks_a_fine_reference(
+            lux0 in 0.0f64..1500.0,
+            lux1 in 0.0f64..1500.0,
+            load_uw in 1.0f64..3000.0,
+            farads in 0.02f64..1.0,
+            v0 in 2.1f64..5.4,
+            offset in 0.0f64..3000.0,
+        ) {
+            let cfg = ramp_config(lux0, lux1, Power::from_micro_watts(load_uw), farads, v0);
+            let mut engine = Engine::new(&cfg);
+            let rail = &mut engine.rail;
+            let mut bus = SimBus::new();
+            let mut t = Seconds::new(9.0 * 3600.0 + offset);
+            let mut dt = Seconds::new(1.0);
+            // The scheduler holds the floor after a comparator edge, whose
+            // load change no hint foresees; warm up past any edges.
+            let mut quiet = 0;
+            while quiet < 2 {
+                let outcome = rail.step(t, dt, &mut bus);
+                quiet = if outcome.edge { 0 } else { quiet + 1 };
+                t += dt;
+                dt = outcome.max_dt.unwrap_or(dt).max(Seconds::from_millis(1.0));
+            }
+            let cap = rail.cap;
+            let load = if rail.comparator.is_browned_out() {
+                Power::ZERO
+            } else {
+                cfg.base.standby_power
+            };
+            rail.step(t, dt, &mut bus);
+            let substeps = (dt.as_seconds() / 1e-3).ceil().clamp(1.0, 20_000.0);
+            let fine = dt / substeps;
+            let mut reference = cap;
+            for k in 0..substeps as usize {
+                let at = t + fine * k as f64;
+                let lux = cfg.base.profile.lux_at(at);
+                let charge = rail.array.charging_current(lux, reference.voltage(), |_| Ratio::ZERO);
+                reference.step(fine, charge, load);
+            }
+            let error = (rail.cap.voltage() - reference.voltage()).as_volts().abs();
+            proptest::prop_assert!(
+                error <= 2.0 * STEP_ERROR_V.as_volts(),
+                "{} s step off the reference by {} V", dt.as_seconds(), error
+            );
+        }
+
+        /// Hinted steps around the comparator band never carry the
+        /// terminal voltage more than 1 mV past a threshold they cross.
+        /// A step right after a comparator edge runs under a load its hint
+        /// did not see (the scheduler holds its floor there), so it is
+        /// taken at 1 ms and not checked.
+        #[test]
+        fn hinted_steps_stop_within_a_millivolt_past_each_threshold(
+            lux0 in 0.0f64..1500.0,
+            lux1 in 0.0f64..1500.0,
+            load_uw in 1.0f64..3000.0,
+            farads in 0.02f64..1.0,
+            v0 in 2.16f64..2.45,
+            offset in 0.0f64..3000.0,
+        ) {
+            let cfg = ramp_config(lux0, lux1, Power::from_micro_watts(load_uw), farads, v0);
+            let mut engine = Engine::new(&cfg);
+            let rail = &mut engine.rail;
+            let mut bus = SimBus::new();
+            let mut t = Seconds::new(9.0 * 3600.0 + offset);
+            let end_of_hour = Seconds::new(10.0 * 3600.0);
+            let mut dt = Seconds::from_millis(1.0);
+            let mut hinted = false;
+            while t + dt < end_of_hour {
+                let state = rail.comparator.state();
+                let load = if rail.comparator.is_browned_out() {
+                    Power::ZERO
+                } else {
+                    cfg.base.standby_power
+                };
+                let before = rail.cap.terminal_voltage(load);
+                let outcome = rail.step(t, dt, &mut bus);
+                let after = rail.comparator.state();
+                if hinted && after != state {
+                    let threshold = crossed(rail.comparator.thresholds(), state, after);
+                    let end = rail.cap.terminal_voltage(load);
+                    let across = (before - threshold).as_volts() * (end - threshold).as_volts() < 0.0;
+                    proptest::prop_assert!(
+                        !across || (end - threshold).as_volts().abs() <= 1e-3,
+                        "{} s step carried the terminal voltage from {} to {} across {}",
+                        dt.as_seconds(), before.as_volts(), end.as_volts(), threshold.as_volts()
+                    );
+                }
+                t += dt;
+                hinted = !outcome.edge;
+                dt = match outcome.max_dt {
+                    Some(hint) if hinted => hint.max(Seconds::from_millis(1.0)),
+                    _ => Seconds::from_millis(1.0),
+                };
+            }
+        }
     }
 
     #[test]
