@@ -530,15 +530,9 @@ struct PinnedStride {
 }
 
 impl Rail<'_> {
-    /// The light and charging current at `t` into the cell at its present
-    /// voltage.
-    fn sample(&self, t: Seconds) -> Sample {
-        self.sample_at(t, self.cap.voltage())
-    }
-
     /// The light at `t` and the charging current it drives into the cell
     /// at `v`.
-    fn sample_at(&self, t: Seconds, v: Volts) -> Sample {
+    fn sample(&self, t: Seconds, v: Volts) -> Sample {
         let lux = self.cfg.base.profile.lux_at(t) * self.cfg.faults.lux_factor(t);
         let charge = if self.cfg.faults.harvester_connected(t) {
             self.array.charging_current(lux, v, |_| Ratio::ZERO)
@@ -589,7 +583,7 @@ impl Rail<'_> {
             .fault_knots
             .get(self.next_fault_knot)
             .map_or(hour, |&k| k.min(hour));
-        let next = self.sample(t);
+        let next = self.sample(t, self.cap.voltage());
         self.ahead = Some(next);
         let to_knot = self.knot - t;
         if self.cap.is_pinned(next.charge, load) && self.cfg.faults.quiet_at(t) {
@@ -613,7 +607,7 @@ impl Rail<'_> {
         let (from, span) = if landed {
             let mut probe = self.cap;
             let _ = probe.step(bound, next.charge, load);
-            let ahead = self.sample_at(t + bound, probe.voltage());
+            let ahead = self.sample(t + bound, probe.voltage());
             (probe.net_current(ahead.charge, load), bound)
         } else {
             (net, dt)
@@ -654,7 +648,7 @@ impl Clocked for Rail<'_> {
             lux, mut charge, ..
         } = match self.ahead.take() {
             Some(ahead) if ahead.t == t => ahead,
-            _ => self.sample(t),
+            _ => self.sample(t, self.cap.voltage()),
         };
         // While browned out the supervisor latches the whole rail off (the
         // Fig. 5 MOSFET network physically disconnects the load), so only
@@ -1448,9 +1442,9 @@ mod tests {
         );
     }
 
-    /// A rail on a dark-free office day whose 09:00–10:00 light ramps
+    /// An office day without interactions whose 09:00–10:00 light ramps
     /// linearly from `lux0` to `lux1`, under the constant standby load
-    /// `load`, at the adaptive production policy.
+    /// `load`, at the fleet's adaptive policy.
     fn ramp_config(lux0: f64, lux1: f64, load: Power, farads: f64, v0: f64) -> IntermittentConfig {
         let mut base = DaySimConfig::office_day(Energy::from_milli_joules(30.0));
         base.interactions.clear();
