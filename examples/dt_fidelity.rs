@@ -9,8 +9,9 @@
 //!   scenarios at seed 7.
 //!
 //! For each population it prints the production policy's rail steps by
-//! width band, and the worst and mean |Δharvested|/fixed, |Δcompleted| and
-//! |Δmin voltage| against the reference. Every node more than 30 mV off
+//! width band; the worst and mean |Δharvested|/fixed, |Δcompleted| and
+//! |Δmin voltage| against the reference; and the mean signed shift of the
+//! day-end and minimum voltages. Every node more than 30 mV off
 //! is listed with its minimum at a uniform 20 ms grid as well, which
 //! tells a drifting policy from a minimum that is chaotic in the step
 //! grid. Deterministic; the output is a Markdown table. Usage:
@@ -49,7 +50,15 @@ impl NodePair {
     }
 
     fn min_voltage_delta(&self) -> f64 {
-        (self.adaptive.min_voltage.as_volts() - self.fixed.min_voltage.as_volts()).abs()
+        self.min_voltage_shift().abs()
+    }
+
+    fn min_voltage_shift(&self) -> f64 {
+        self.adaptive.min_voltage.as_volts() - self.fixed.min_voltage.as_volts()
+    }
+
+    fn final_voltage_shift(&self) -> f64 {
+        self.adaptive.final_voltage.as_volts() - self.fixed.final_voltage.as_volts()
     }
 }
 
@@ -130,6 +139,21 @@ fn main() {
                 .iter()
                 .filter(|p| p.min_voltage_delta() > LIST_PAST_V)
                 .count(),
+        );
+    }
+
+    // Signed means show drift that piles up one way over a day.
+    println!();
+    println!("| population | mean day-end shift | mean \\|day-end shift\\| | mean min V shift |");
+    println!("|---|---|---|---|");
+    for (name, pairs) in &populations {
+        let n = pairs.len() as f64;
+        let mean = |f: &dyn Fn(&NodePair) -> f64| pairs.iter().map(f).sum::<f64>() / n;
+        println!(
+            "| {name} | {:+.2} mV | {:.2} mV | {:+.2} mV |",
+            1e3 * mean(&NodePair::final_voltage_shift),
+            1e3 * mean(&|p| p.final_voltage_shift().abs()),
+            1e3 * mean(&NodePair::min_voltage_shift),
         );
     }
 
