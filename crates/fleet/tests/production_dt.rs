@@ -4,9 +4,11 @@
 //! (`PopulationSpec::node_blueprint`). This suite pins two things:
 //!
 //! * what that policy costs: the total rail step count of the CLI-default
-//!   campaign (`solarml-cli fleet --nodes 64 --seed 7`), a pure function
-//!   of the inputs. Node-day host time is steps × ns per step, so a change
-//!   that moves the step count shows up here as an exact number;
+//!   campaign (`solarml-cli fleet --nodes 64 --seed 7`) and its steps per
+//!   width band, and the bands of the 512-node campaign `solarbench`'s
+//!   `fleet_cold` runs, pure functions of the inputs. Node-day host time
+//!   is steps × ns per step, so a change that moves the step count shows
+//!   up here as an exact number;
 //! * what it gives up: sampled nodes from every env × policy bucket and
 //!   from four stress scenarios run at both the production policy and
 //!   `DtPolicy::fixed()`, with per-node bounds on the difference.
@@ -24,12 +26,20 @@ const REPRESENTATIVE_64N_SEED7_STEPS: usize = 220_555;
 /// ≥ 100 s); DESIGN.md §4e copies this table.
 const REPRESENTATIVE_64N_SEED7_BANDS: [usize; 5] = [45_769, 17_048, 46_259, 101_943, 9_536];
 
-#[test]
-fn representative_campaign_rail_step_count_is_pinned() {
-    let spec = CampaignConfig::new(64, 7).population;
+/// Steps by width of the 512-node, seed-7 campaign `solarbench`'s
+/// `fleet_cold` workload runs; DESIGN.md §4e copies this table too.
+const REPRESENTATIVE_512N_SEED7_BANDS: [usize; 5] = [351_971, 130_167, 388_781, 775_695, 77_923];
+
+/// The rail's target for that campaign (ROADMAP.md item 5).
+const MAX_512N_STEPS: usize = 2_000_000;
+
+/// Total rail steps and steps per `STEP_BANDS` band of the representative
+/// campaign of `nodes` nodes at seed 7.
+fn campaign_steps(nodes: usize) -> (usize, [usize; 5]) {
+    let spec = CampaignConfig::new(nodes, 7).population;
     let mut steps = 0;
     let mut bands = [0; STEP_BANDS.len()];
-    for node in 0..64 {
+    for node in 0..nodes {
         let seed = derive_seed(7, FLEET_SEED_CYCLE, node);
         let day = simulate_faulted_day(&spec.node_blueprint(seed).config);
         steps += day.steps;
@@ -37,9 +47,22 @@ fn representative_campaign_rail_step_count_is_pinned() {
             *band += n;
         }
     }
+    assert_eq!(bands.iter().sum::<usize>(), steps);
+    (steps, bands)
+}
+
+#[test]
+fn representative_campaign_rail_step_count_is_pinned() {
+    let (steps, bands) = campaign_steps(64);
     assert_eq!(steps, REPRESENTATIVE_64N_SEED7_STEPS);
     assert_eq!(bands, REPRESENTATIVE_64N_SEED7_BANDS);
-    assert_eq!(bands.iter().sum::<usize>(), steps);
+}
+
+#[test]
+fn fleet_cold_campaign_meets_the_step_target() {
+    let (steps, bands) = campaign_steps(512);
+    assert_eq!(bands, REPRESENTATIVE_512N_SEED7_BANDS);
+    assert!(steps <= MAX_512N_STEPS, "{steps} rail steps");
 }
 
 // Per-node bounds on the production policy's deviation from the fixed-dt
