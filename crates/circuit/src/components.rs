@@ -207,14 +207,19 @@ impl Supercap {
     /// The circuit-level [`crate::sim::CircuitSim`] and the fault-free day
     /// harvester hint their adaptive steps with it. The fleet's faulted-day
     /// rail no longer does: it sizes steps by [`Supercap::error_dt`] and
-    /// keeps this bound only as a coarse cap on ΔV. The *ledger* stays
-    /// exact at any dt (the trapezoidal flows in [`Supercap::step`] balance
-    /// by construction); this bound limits the trajectory error of the
-    /// voltage itself. Capped at one hour so a fully quiescent hint stays
-    /// finite.
+    /// keeps [`Supercap::dv_span`] only as a coarse cap on ΔV. The
+    /// *ledger* stays exact at any dt (the trapezoidal flows in
+    /// [`Supercap::step`] balance by construction); this bound limits the
+    /// trajectory error of the voltage itself. Capped at one hour so a
+    /// fully quiescent hint stays finite.
     pub fn stable_dt(&self, charge_in: Amps, power_out: Power, eps_v: Volts) -> Seconds {
-        let (i_out, i_leak) = self.drain_currents(power_out);
-        let net = (charge_in.as_amps() - i_out - i_leak).abs();
+        self.dv_span(self.net_current(charge_in, power_out), eps_v)
+    }
+
+    /// How long the net current `net` takes to move the voltage by
+    /// `eps_v`: `ε·C/|I|`, capped at one hour.
+    pub fn dv_span(&self, net: Amps, eps_v: Volts) -> Seconds {
+        let net = net.as_amps().abs();
         let cap = 3600.0;
         if net <= 0.0 {
             return Seconds::new(cap);
@@ -249,8 +254,7 @@ impl Supercap {
     /// then clamps back to exactly `max_voltage` whatever its `dt`, so the
     /// ε·C/|I| bound of [`Supercap::stable_dt`] protects nothing.
     pub fn is_pinned(&self, charge_in: Amps, power_out: Power) -> bool {
-        let (i_out, i_leak) = self.drain_currents(power_out);
-        self.voltage == self.max_voltage && charge_in.as_amps() - i_out - i_leak >= 0.0
+        self.voltage == self.max_voltage && self.net_current(charge_in, power_out).as_amps() >= 0.0
     }
 
     /// Load current (`power_out` at the present voltage, floored at 1 mV)

@@ -1,9 +1,9 @@
 //! The CLI subcommands.
 
 use solarml::fleet::{
-    resume_campaign_verbose, run_campaign_durable_with, run_campaign_with, run_sweep,
-    simulate_node, CacheStats, CampaignCheckpoints, CampaignConfig, NodeDayStore, PopulationSpec,
-    StoreGc, SweepVariant, POPULATION_PARAMS,
+    resume_campaign_verbose, run_campaign_cached, run_campaign_durable_with, run_campaign_with,
+    run_sweep, simulate_node, CacheStats, CampaignCheckpoints, CampaignConfig, NodeDayStore,
+    PopulationSpec, StoreGc, SweepVariant, POPULATION_PARAMS,
 };
 use solarml::mcu::McuPowerModel;
 use solarml::nas::{run_enas, EnasConfig, TaskContext};
@@ -273,7 +273,10 @@ pub fn fleet(opts: &Options) -> Result<(), String> {
     };
     let start = std::time::Instant::now();
     let report = match (&checkpoints, opts.resume) {
-        (None, _) => run_campaign_with(&cfg, &sim),
+        (None, _) => match &store {
+            Some(store) => run_campaign_cached(&cfg, store),
+            None => run_campaign_with(&cfg, &sim),
+        },
         (Some(ckpt), false) => run_campaign_durable_with(&cfg, ckpt, &sim)
             .map_err(|e| format!("fleet campaign: {e}"))?,
         (Some(ckpt), true) => {

@@ -384,6 +384,47 @@ where
     }
 }
 
+/// Replayed node-days a pool helper must take over to pay for its spawn:
+/// on a 2-vCPU box a thread spawn costs ~30–50 µs and a replay (resolve,
+/// key, store lookup) ~1.5–2.5 µs.
+const REPLAYS_PER_SPAWN: usize = 20;
+
+/// [`run_campaign_with`] behind a serial prefix. When the campaign is too
+/// small for pool helpers to pay for their spawn on replays
+/// ([`REPLAYS_PER_SPAWN`] nodes per worker), `replay` answers nodes `0, 1,
+/// …` on the calling thread until it returns `None`, and the pool runs
+/// `sim` from that node on, so a small campaign `replay` answers whole
+/// spawns no threads. The prefix is one flat fold pushed as the tree's
+/// first partial, so the report is bit-identical to
+/// [`run_campaign_with`]'s.
+pub(crate) fn run_campaign_replaying<R, F>(cfg: &CampaignConfig, replay: R, sim: &F) -> FleetReport
+where
+    R: Fn(&PopulationSpec, usize, u64) -> Option<NodeSummary>,
+    F: Fn(&PopulationSpec, usize, u64) -> NodeSummary + Sync,
+{
+    let inline = cfg.nodes <= effective_workers(cfg.workers).saturating_mul(REPLAYS_PER_SPAWN);
+    let mut state = fresh_state(cfg);
+    let mut prefix = FleetAggregate::new();
+    let mut done = 0;
+    while inline && done < cfg.nodes {
+        let seed = derive_seed(cfg.seed, FLEET_SEED_CYCLE, done);
+        // A panic ends the prefix; the pool then quarantines the node.
+        match catch_unwind(AssertUnwindSafe(|| replay(&cfg.population, done, seed))) {
+            Ok(Some(summary)) => prefix.record(&summary),
+            Ok(None) | Err(_) => break,
+        }
+        done += 1;
+    }
+    if done > 0 {
+        state.tree.push(prefix);
+        state.nodes_done = done as u64;
+    }
+    match run_streaming(cfg, sim, None, state) {
+        Ok(report) => report,
+        Err(_) => unreachable!("in-memory campaigns have no failure channel"),
+    }
+}
+
 /// Runs a fresh campaign of `sim` with durable checkpoints.
 ///
 /// Refuses (with [`CheckpointError::DirNotEmpty`]) to start over a
@@ -502,6 +543,45 @@ mod tests {
         let mut wide = cfg.clone();
         wide.workers = 4;
         assert_eq!(run_campaign_with(&wide, &poison), report);
+    }
+
+    #[test]
+    fn a_replayed_prefix_folds_like_the_pool() {
+        let mut cfg = CampaignConfig::smoke(9, 0xBEEF);
+        cfg.chunk = 2;
+        cfg.workers = 3;
+        let cold = run_campaign(&cfg);
+        // `(answered, faulty)`: replay answers nodes below `answered` and
+        // panics at `faulty`; a panic ends the prefix like a `None` does.
+        for (answered, faulty) in [(0, 9), (4, 9), (9, 9), (9, 6)] {
+            let prefix = answered.min(faulty);
+            let report = run_campaign_replaying(
+                &cfg,
+                |spec, node, seed| {
+                    assert!(node != faulty, "replay fault at node {node}");
+                    (node < answered).then(|| simulate_node(spec, node, seed))
+                },
+                &|spec, node, seed| {
+                    assert!(node >= prefix, "node {node} simulated after its replay");
+                    simulate_node(spec, node, seed)
+                },
+            );
+            assert_eq!(report, cold, "{prefix} nodes replayed");
+        }
+        // Past `REPLAYS_PER_SPAWN` nodes per worker the pool runs it all.
+        cfg.nodes = REPLAYS_PER_SPAWN + 1;
+        cfg.workers = 1;
+        let asked = std::cell::Cell::new(false);
+        let report = run_campaign_replaying(
+            &cfg,
+            |spec, node, seed| {
+                asked.set(true);
+                Some(simulate_node(spec, node, seed))
+            },
+            &simulate_node,
+        );
+        assert!(!asked.get(), "a campaign past the inline bound replayed");
+        assert_eq!(report, run_campaign(&cfg));
     }
 
     #[test]

@@ -33,7 +33,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use solarml_trace::{write_atomic, Envelope, EnvelopeError};
 
-use crate::campaign::{run_campaign_with, CampaignConfig, NodeSummary};
+use crate::campaign::{run_campaign_replaying, CampaignConfig, NodeSummary};
 use crate::population::PopulationSpec;
 use crate::report::FleetReport;
 use crate::task::{NodeDayOutcome, NodeDayTask};
@@ -343,27 +343,19 @@ impl NodeDayStore {
     /// of currency.
     pub fn require(&self, task: &NodeDayTask) -> NodeDayOutcome {
         let key = task.key();
+        if let Some(outcome) = self.replay(key) {
+            return outcome;
+        }
         {
             let mut guard = lock(&self.state);
             let state = &mut *guard;
-            let now = state.tick();
-            match state.entries.get_mut(&key) {
-                Some(Entry {
-                    outcome: Ok(outcome),
-                    seq,
-                }) => {
-                    *seq = Some(now);
-                    state.stats.hits += 1;
-                    return outcome.clone();
-                }
-                Some(Entry {
-                    outcome: Err(reason),
-                    ..
-                }) => {
-                    state.stats.corrupt += 1;
-                    state.corrupt_reasons.push(reason.to_string());
-                }
-                None => {}
+            if let Some(Entry {
+                outcome: Err(reason),
+                ..
+            }) = state.entries.get(&key)
+            {
+                state.stats.corrupt += 1;
+                state.corrupt_reasons.push(reason.to_string());
             }
             state.stats.misses += 1;
         }
@@ -371,6 +363,24 @@ impl NodeDayStore {
         // Never fails: the write happens at the next flush.
         let _ = self.persist(key, &outcome);
         outcome
+    }
+
+    /// The valid entry for `key`, counted as a hit and marked accessed;
+    /// `None` counts nothing, leaving the miss to [`Self::require`].
+    fn replay(&self, key: u64) -> Option<NodeDayOutcome> {
+        let mut guard = lock(&self.state);
+        let state = &mut *guard;
+        let now = state.tick();
+        let Some(Entry {
+            outcome: Ok(outcome),
+            seq,
+        }) = state.entries.get_mut(&key)
+        else {
+            return None;
+        };
+        *seq = Some(now);
+        state.stats.hits += 1;
+        Some(outcome.clone())
     }
 
     /// [`crate::simulate_node`] through [`Self::require`]: same signature,
@@ -508,12 +518,21 @@ impl Drop for NodeDayStore {
 /// always executed. The report is byte-identical to [`crate::run_campaign`]
 /// of the same config at any hit pattern, worker count, or chunk size:
 /// replayed outcomes are bit-equal to recomputed ones, and the merge tree
-/// is exactly associative. It returns with the campaign's entries written
-/// to the pack.
+/// is exactly associative. In a campaign too small to pay for pool
+/// threads on replays, nodes up to the first one the store cannot answer
+/// replay on the calling thread, so an all-hit one starts no worker
+/// threads. It returns with the campaign's entries written to the pack.
 pub fn run_campaign_cached(cfg: &CampaignConfig, store: &NodeDayStore) -> FleetReport {
-    let report = run_campaign_with(cfg, &|spec, node, seed| {
-        store.simulate_node(spec, node, seed)
-    });
+    let report = run_campaign_replaying(
+        cfg,
+        |spec, node, seed| {
+            let task = NodeDayTask::resolve(spec, node, seed);
+            store
+                .replay(task.key())
+                .map(|outcome| task.summary(&outcome))
+        },
+        &|spec, node, seed| store.simulate_node(spec, node, seed),
+    );
     // Best-effort, like every write inside a campaign: a failed write
     // stays pending for the caller's `flush` to report.
     let _ = store.flush();

@@ -599,7 +599,7 @@ impl Rail<'_> {
         }
         let to = self.cap.net_current(next.charge, load);
         let bound = to_knot
-            .min(self.cap.stable_dt(next.charge, load, STEP_MAX_DV))
+            .min(self.cap.dv_span(to, STEP_MAX_DV))
             .min(self.threshold_dt(to, load));
         // The net current's slope: across this step, or, when the step
         // ended on a knot where the light bends, across a probe one
