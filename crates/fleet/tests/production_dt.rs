@@ -5,7 +5,8 @@
 //!
 //! * what that policy costs: the total rail step count of the CLI-default
 //!   campaign (`solarml-cli fleet --nodes 64 --seed 7`) and its steps per
-//!   width band, and the bands of the 512-node campaign `solarbench`'s
+//!   width band and per bound that set the step (`STEP_LIMITS`), and the
+//!   same two tables for the 512-node campaign `solarbench`'s
 //!   `fleet_cold` runs, pure functions of the inputs. Node-day host time
 //!   is steps × ns per step, so a change that moves the step count shows
 //!   up here as an exact number;
@@ -15,7 +16,7 @@
 
 use solarml_fleet::{CampaignConfig, PopulationSpec, FLEET_SEED_CYCLE};
 use solarml_nas::parallel::derive_seed;
-use solarml_platform::{simulate_faulted_day, IntermittentConfig, STEP_BANDS};
+use solarml_platform::{simulate_faulted_day, IntermittentConfig, STEP_BANDS, STEP_LIMITS};
 use solarml_scenario::registry;
 use solarml_sim::DtPolicy;
 
@@ -26,19 +27,26 @@ const REPRESENTATIVE_64N_SEED7_STEPS: usize = 220_555;
 /// ≥ 100 s); DESIGN.md §4e copies this table.
 const REPRESENTATIVE_64N_SEED7_BANDS: [usize; 5] = [45_769, 17_048, 46_259, 101_943, 9_536];
 
+/// The same steps by the bound that set them (`STEP_LIMITS`: error, ΔV
+/// cap, threshold, knot, pinned stride); DESIGN.md §4e copies this table.
+const REPRESENTATIVE_64N_SEED7_LIMITS: [usize; 5] = [214_296, 364, 994, 2_852, 2_049];
+
 /// Steps by width of the 512-node, seed-7 campaign `solarbench`'s
 /// `fleet_cold` workload runs; DESIGN.md §4e copies this table too.
 const REPRESENTATIVE_512N_SEED7_BANDS: [usize; 5] = [351_971, 130_167, 388_781, 775_695, 77_923];
+const REPRESENTATIVE_512N_SEED7_LIMITS: [usize; 5] = [1_674_649, 3_249, 7_871, 21_579, 17_189];
 
 /// The rail's target for that campaign (ROADMAP.md item 5).
 const MAX_512N_STEPS: usize = 2_000_000;
 
-/// Total rail steps and steps per `STEP_BANDS` band of the representative
-/// campaign of `nodes` nodes at seed 7.
-fn campaign_steps(nodes: usize) -> (usize, [usize; 5]) {
+/// Total rail steps, steps per `STEP_BANDS` band and steps per
+/// `STEP_LIMITS` bound of the representative campaign of `nodes` nodes at
+/// seed 7.
+fn campaign_steps(nodes: usize) -> (usize, [usize; 5], [usize; 5]) {
     let spec = CampaignConfig::new(nodes, 7).population;
     let mut steps = 0;
     let mut bands = [0; STEP_BANDS.len()];
+    let mut limits = [0; STEP_LIMITS.len()];
     for node in 0..nodes {
         let seed = derive_seed(7, FLEET_SEED_CYCLE, node);
         let day = simulate_faulted_day(&spec.node_blueprint(seed).config);
@@ -46,22 +54,29 @@ fn campaign_steps(nodes: usize) -> (usize, [usize; 5]) {
         for (band, n) in bands.iter_mut().zip(day.step_bands) {
             *band += n;
         }
+        for (limit, n) in limits.iter_mut().zip(day.step_limits) {
+            *limit += n;
+        }
     }
     assert_eq!(bands.iter().sum::<usize>(), steps);
-    (steps, bands)
+    // Every adaptive step hints the next, the day's last one included.
+    assert_eq!(limits.iter().sum::<usize>(), steps);
+    (steps, bands, limits)
 }
 
 #[test]
 fn representative_campaign_rail_step_count_is_pinned() {
-    let (steps, bands) = campaign_steps(64);
+    let (steps, bands, limits) = campaign_steps(64);
     assert_eq!(steps, REPRESENTATIVE_64N_SEED7_STEPS);
     assert_eq!(bands, REPRESENTATIVE_64N_SEED7_BANDS);
+    assert_eq!(limits, REPRESENTATIVE_64N_SEED7_LIMITS);
 }
 
 #[test]
 fn fleet_cold_campaign_meets_the_step_target() {
-    let (steps, bands) = campaign_steps(512);
+    let (steps, bands, limits) = campaign_steps(512);
     assert_eq!(bands, REPRESENTATIVE_512N_SEED7_BANDS);
+    assert_eq!(limits, REPRESENTATIVE_512N_SEED7_LIMITS);
     assert!(steps <= MAX_512N_STEPS, "{steps} rail steps");
 }
 

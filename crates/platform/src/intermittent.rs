@@ -392,6 +392,33 @@ pub struct DayFaultReport {
     /// The same steps by width, one count per [`STEP_BANDS`] band. A cost
     /// count like `steps`, and likewise left out of the JSON.
     pub step_bands: [usize; STEP_BANDS.len()],
+    /// Which bound set each adaptive step hint, one count per
+    /// [`STEP_LIMITS`] entry. A cost count like `steps`, and likewise left
+    /// out of the JSON; all zero under [`DtPolicy::fixed`].
+    pub step_limits: [usize; STEP_LIMITS.len()],
+}
+
+/// The bounds an adaptive rail step hint takes the least of, by name, in
+/// the index order of [`DayFaultReport::step_limits`]: the local error
+/// bound, the ΔV cap, the comparator threshold, the next knot and a
+/// pinned stride.
+pub const STEP_LIMITS: [&str; 5] = ["error", "ΔV cap", "threshold", "knot", "pinned"];
+
+/// [`STEP_LIMITS`] indices.
+const LIMIT_ERROR: usize = 0;
+const LIMIT_DV: usize = 1;
+const LIMIT_THRESHOLD: usize = 2;
+const LIMIT_KNOT: usize = 3;
+const LIMIT_PINNED: usize = 4;
+
+/// The step width bound `b` names when it is tighter than `a`, else `a`:
+/// ties keep the earlier bound.
+fn tighter(a: (Seconds, usize), b: (Seconds, usize)) -> (Seconds, usize) {
+    if b.0 < a.0 {
+        b
+    } else {
+        a
+    }
 }
 
 /// The step-width bands of [`DayFaultReport::step_bands`], by their lower
@@ -504,6 +531,7 @@ struct Rail<'a> {
     recoveries: usize,
     steps: usize,
     step_bands: [usize; STEP_BANDS.len()],
+    step_limits: [usize; STEP_LIMITS.len()],
     /// The fault plan's knots ([`FaultPlan::knots`]) and the index of the
     /// first one after the clock.
     fault_knots: Vec<Seconds>,
@@ -594,25 +622,32 @@ impl Rail<'_> {
                     len: to_knot,
                     charge_at_knot,
                 });
+                self.step_limits[LIMIT_PINNED] += 1;
                 return to_knot;
             }
         }
         let to = self.cap.net_current(next.charge, load);
-        let bound = to_knot
-            .min(self.cap.dv_span(to, STEP_MAX_DV))
-            .min(self.threshold_dt(to, load));
+        let bound = [
+            (self.cap.dv_span(to, STEP_MAX_DV), LIMIT_DV),
+            (self.threshold_dt(to, load), LIMIT_THRESHOLD),
+        ]
+        .into_iter()
+        .fold((to_knot, LIMIT_KNOT), tighter);
         // The net current's slope: across this step, or, when the step
         // ended on a knot where the light bends, across a probe one
         // candidate step ahead from the Euler-predicted voltage.
         let (from, span) = if landed {
             let mut probe = self.cap;
-            let _ = probe.step(bound, next.charge, load);
-            let ahead = self.sample(t + bound, probe.voltage());
-            (probe.net_current(ahead.charge, load), bound)
+            let _ = probe.step(bound.0, next.charge, load);
+            let ahead = self.sample(t + bound.0, probe.voltage());
+            (probe.net_current(ahead.charge, load), bound.0)
         } else {
             (net, dt)
         };
-        bound.min(self.cap.error_dt(from, to, span, STEP_ERROR_V))
+        let error = self.cap.error_dt(from, to, span, STEP_ERROR_V);
+        let (width, limit) = tighter(bound, (error, LIMIT_ERROR));
+        self.step_limits[limit] += 1;
+        width
     }
 
     /// How long the terminal voltage, moving at the rate the net current
@@ -766,6 +801,7 @@ impl<'a> Engine<'a> {
                 recoveries: 0,
                 steps: 0,
                 step_bands: [0; STEP_BANDS.len()],
+                step_limits: [0; STEP_LIMITS.len()],
                 fault_knots: cfg.faults.knots(),
                 next_fault_knot: 0,
                 knot: Seconds::ZERO,
@@ -1226,6 +1262,7 @@ impl<'a> Engine<'a> {
             audit,
             steps: self.rail.steps,
             step_bands: self.rail.step_bands,
+            step_limits: self.rail.step_limits,
         }
     }
 }

@@ -29,6 +29,7 @@ pub use endtoend::{
 pub use intermittent::{
     simulate_faulted_day, stressed_office_day, CheckpointCostModel, CheckpointPolicy,
     DayFaultReport, DegradationLadder, DegradationRung, IntermittentConfig, PhasePlan, STEP_BANDS,
+    STEP_LIMITS,
 };
 pub use lifecycle::{DutyCycleConfig, EnergyBreakdown, InteractionConfig, TaskPhase, TaskProfile};
 pub use replay::{replay_gesture, GestureReplay, ReplayOutput};

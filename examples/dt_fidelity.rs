@@ -9,20 +9,33 @@
 //!   scenarios at seed 7.
 //!
 //! For each population it prints the production policy's rail steps by
-//! width band; the worst and mean |Δharvested|/fixed, |Δcompleted| and
-//! |Δmin voltage| against the reference; and the mean signed shift of the
-//! day-end and minimum voltages. Every node more than 30 mV off
-//! is listed with its minimum at a uniform 20 ms grid as well, which
-//! tells a drifting policy from a minimum that is chaotic in the step
-//! grid. Deterministic; the output is a Markdown table. Usage:
+//! width band and by the bound that set them; the worst and mean
+//! |Δharvested|/fixed, |Δcompleted| and |Δmin voltage| against the
+//! reference; and the mean signed shift of the day-end and minimum
+//! voltages. Every node more than 30 mV off is listed with its minimum at
+//! a uniform 20 ms grid as well, which tells a drifting policy from a
+//! minimum that is chaotic in the step grid.
+//!
+//! `dt_fidelity_baseline.csv` holds every node's production-policy
+//! minimum voltage and completions under an earlier `SIM_FINGERPRINT`
+//! (named on its first line). Each node whose |Δmin voltage| or
+//! |Δcompleted| against fixed dt is worse now than under that baseline
+//! is listed with its figures on a uniform 5 ms grid, which tells an
+//! error in the fixed-dt reference from an error in the step rule.
+//! `--write-baseline PATH` writes the present figures in that format.
+//! Deterministic; the output is Markdown tables. Usage:
 //!
 //! ```sh
-//! cargo run --release --example dt_fidelity
+//! cargo run --release --example dt_fidelity [-- --write-baseline PATH]
 //! ```
 
-use solarml::fleet::{PopulationSpec, FLEET_SEED_CYCLE};
+use std::fmt::Write as _;
+
+use solarml::fleet::{PopulationSpec, FLEET_SEED_CYCLE, SIM_FINGERPRINT};
 use solarml::nas::parallel::{available_workers, derive_seed, parallel_map};
-use solarml::platform::{simulate_faulted_day, DayFaultReport, IntermittentConfig, STEP_BANDS};
+use solarml::platform::{
+    simulate_faulted_day, DayFaultReport, IntermittentConfig, STEP_BANDS, STEP_LIMITS,
+};
 use solarml::scenario::registry;
 use solarml::sim::DtPolicy;
 use solarml::units::Seconds;
@@ -30,6 +43,39 @@ use solarml::units::Seconds;
 const SEED: u64 = 7;
 /// A node whose minimum voltage moved further than this is listed.
 const LIST_PAST_V: f64 = 0.030;
+
+/// Every node's production-policy minimum voltage and completions under
+/// the fingerprint on the first line: `population,node,min_voltage_v,completed`.
+const BASELINE: &str = include_str!("dt_fidelity_baseline.csv");
+
+/// One node's production-policy figures in [`BASELINE`].
+struct BaselineNode {
+    min_voltage: f64,
+    completed: usize,
+}
+
+/// The baseline's fingerprint and its figures for `(population, node)`.
+fn baseline() -> (&'static str, Vec<(String, usize, BaselineNode)>) {
+    let mut lines = BASELINE.lines();
+    let fingerprint = lines.next().unwrap_or_default().trim_start_matches("# ");
+    let nodes = lines
+        .filter(|l| !l.is_empty())
+        .map(|l| {
+            let f: Vec<&str> = l.split(',').collect();
+            let parse = |i: usize| -> f64 {
+                f.get(i)
+                    .and_then(|x| x.parse().ok())
+                    .unwrap_or_else(|| panic!("malformed baseline line {l:?}"))
+            };
+            let node = BaselineNode {
+                min_voltage: parse(2),
+                completed: parse(3) as usize,
+            };
+            (f[0].to_string(), parse(1) as usize, node)
+        })
+        .collect();
+    (fingerprint, nodes)
+}
 
 /// One node at the production policy and at the fixed-dt reference.
 struct NodePair {
@@ -81,6 +127,12 @@ fn run_population(spec: &PopulationSpec, nodes: usize) -> Vec<NodePair> {
 }
 
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let write_baseline = match args.as_slice() {
+        [] => None,
+        [flag, path] if flag == "--write-baseline" => Some(path.clone()),
+        _ => panic!("usage: dt_fidelity [--write-baseline PATH]"),
+    };
     let mut populations = vec![(
         "representative".to_string(),
         run_population(&PopulationSpec::representative(), 512),
@@ -112,6 +164,24 @@ fn main() {
             bands.iter().sum::<usize>(),
             cells.join(" | ")
         );
+    }
+
+    println!();
+    println!("| population | {} |", STEP_LIMITS.join(" | "));
+    println!("|---|{}", "---|".repeat(STEP_LIMITS.len()));
+    for (name, pairs) in &populations {
+        let mut limits = [0usize; STEP_LIMITS.len()];
+        for p in pairs {
+            for (limit, n) in limits.iter_mut().zip(p.adaptive.step_limits) {
+                *limit += n;
+            }
+        }
+        let total = limits.iter().sum::<usize>().max(1) as f64;
+        let cells: Vec<String> = limits
+            .iter()
+            .map(|&n| format!("{n} ({:.1} %)", 100.0 * n as f64 / total))
+            .collect();
+        println!("| {name} | {} |", cells.join(" | "));
     }
 
     println!();
@@ -174,5 +244,65 @@ fn main() {
                 grid.min_voltage.as_volts(),
             );
         }
+    }
+
+    // Nodes that drift further from fixed dt than under the baseline, with
+    // a uniform 5 ms grid as the arbiter.
+    let (fingerprint, base) = baseline();
+    println!();
+    println!(
+        "| node worse than {fingerprint} | fixed min V | {fingerprint} min V | min V | \
+         uniform 5 ms min V | fixed / {fingerprint} / now / 5 ms completed |"
+    );
+    println!("|---|---|---|---|---|---|");
+    let mut worse = Vec::new();
+    for (name, pairs) in &populations {
+        for p in pairs {
+            let Some((_, _, b)) = base.iter().find(|(n, i, _)| n == name && *i == p.node) else {
+                continue;
+            };
+            let fixed_v = p.fixed.min_voltage.as_volts();
+            let was_v = (b.min_voltage - fixed_v).abs();
+            let was_completed = b.completed.abs_diff(p.fixed.completed);
+            if p.min_voltage_delta() > was_v + 1e-9 || p.completed_delta() > was_completed {
+                worse.push((name.clone(), p, b));
+            }
+        }
+    }
+    let fine = DtPolicy::adaptive(Seconds::from_millis(5.0), Seconds::from_millis(5.0));
+    let grids = parallel_map(available_workers(), &worse, |_, (_, p, _)| {
+        let mut uniform = p.config.clone();
+        uniform.dt_policy = fine;
+        simulate_faulted_day(&uniform)
+    });
+    for ((name, p, b), grid) in worse.iter().zip(&grids) {
+        println!(
+            "| {name} {} | {:.4} V | {:.4} V | {:.4} V | {:.4} V | {} / {} / {} / {} |",
+            p.node,
+            p.fixed.min_voltage.as_volts(),
+            b.min_voltage,
+            p.adaptive.min_voltage.as_volts(),
+            grid.min_voltage.as_volts(),
+            p.fixed.completed,
+            b.completed,
+            p.adaptive.completed,
+            grid.completed,
+        );
+    }
+
+    if let Some(path) = write_baseline {
+        let mut out = format!("# {SIM_FINGERPRINT}\n");
+        for (name, pairs) in &populations {
+            for p in pairs {
+                let _ = writeln!(
+                    out,
+                    "{name},{},{:?},{}",
+                    p.node,
+                    p.adaptive.min_voltage.as_volts(),
+                    p.adaptive.completed
+                );
+            }
+        }
+        std::fs::write(&path, out).unwrap_or_else(|e| panic!("{path}: {e}"));
     }
 }
