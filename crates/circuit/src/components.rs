@@ -177,9 +177,60 @@ impl Supercap {
     /// `delta_stored = harvested - load - leaked - clamped` holds to
     /// floating-point round-off (the basis of [`crate::sim::EnergyAudit`]).
     pub fn step(&mut self, dt: Seconds, charge_in: Amps, power_out: Power) -> CapStepEnergy {
-        let v0 = self.voltage.as_volts();
         let (i_out, i_leak) = self.drain_currents(power_out);
-        let net = charge_in.as_amps() - i_out - i_leak;
+        self.advance(dt, charge_in.as_amps(), i_out, i_leak)
+    }
+
+    /// The currents through the cell were it at voltage `v` with
+    /// `charge_in` flowing in and `power_out` drawn: the load current
+    /// (`power_out` at `v`, floored at 1 mV) and the leakage.
+    pub fn currents_at(&self, v: Volts, charge_in: Amps, power_out: Power) -> CellCurrents {
+        let (load, leak) = self.drain_currents_at(v, power_out);
+        CellCurrents {
+            charge: charge_in,
+            load: Amps::new(load),
+            leak: Amps::new(leak),
+        }
+    }
+
+    /// The voltage an Euler step of `dt` at the net current `net` would
+    /// reach, clipped to `[0, max_voltage]`: the predictor of
+    /// [`Supercap::step_trapezoid`]. At the present voltage's net current
+    /// it is the voltage [`Supercap::step`] would reach, bit for bit.
+    pub fn predict(&self, dt: Seconds, net: Amps) -> Volts {
+        let dv = net.as_amps() * dt.as_seconds() / self.capacitance.as_farads();
+        Volts::new((self.voltage.as_volts() + dv).clamp(0.0, self.max_voltage.as_volts()))
+    }
+
+    /// Integrates one timestep by the trapezoid rule (Heun's method):
+    /// every current is the mean of its value at the step's start
+    /// (`start`, at the present voltage) and at its end (`end`, at the
+    /// predictor's voltage, [`Supercap::predict`]). Voltage clips to
+    /// `[0, max_voltage]`.
+    ///
+    /// The flows are computed from the same averaged currents as the
+    /// voltage update, so they balance to round-off exactly as
+    /// [`Supercap::step`]'s do.
+    pub fn step_trapezoid(
+        &mut self,
+        dt: Seconds,
+        start: CellCurrents,
+        end: CellCurrents,
+    ) -> CapStepEnergy {
+        let mean = |a: Amps, b: Amps| 0.5 * (a.as_amps() + b.as_amps());
+        self.advance(
+            dt,
+            mean(start.charge, end.charge),
+            mean(start.load, end.load),
+            mean(start.leak, end.leak),
+        )
+    }
+
+    /// Moves the voltage by `dt` at the charge, load and leakage currents
+    /// given, and returns the flows from the same intermediates.
+    fn advance(&mut self, dt: Seconds, charge_in: f64, i_out: f64, i_leak: f64) -> CapStepEnergy {
+        let v0 = self.voltage.as_volts();
+        let net = charge_in - i_out - i_leak;
         let dv = net * dt.as_seconds() / self.capacitance.as_farads();
         let next = (v0 + dv).clamp(0.0, self.max_voltage.as_volts());
         self.voltage = Volts::new(next);
@@ -188,13 +239,13 @@ impl Supercap {
             "supercap voltage out of bounds after step"
         );
         // Trapezoidal mid-voltage makes the discrete energy flows consistent
-        // with the Euler voltage update: ½C(v1²-v0²) = C·(v1-v0)·(v1+v0)/2.
+        // with the voltage update: ½C(v1²-v0²) = C·(v1-v0)·(v1+v0)/2.
         let c = self.capacitance.as_farads();
         let v_mid = 0.5 * (v0 + next);
         let dt_s = dt.as_seconds();
         CapStepEnergy {
             delta_stored: Energy::new(c * (next - v0) * v_mid),
-            harvested: Energy::new(charge_in.as_amps() * v_mid * dt_s),
+            harvested: Energy::new(charge_in * v_mid * dt_s),
             load: Energy::new(i_out * v_mid * dt_s),
             leaked: Energy::new(i_leak * v_mid * dt_s),
             clamped: Energy::new(c * (v0 + dv - next) * v_mid),
@@ -206,8 +257,9 @@ impl Supercap {
     ///
     /// The circuit-level [`crate::sim::CircuitSim`] and the fault-free day
     /// harvester hint their adaptive steps with it. The fleet's faulted-day
-    /// rail no longer does: it sizes steps by [`Supercap::error_dt`] and
-    /// keeps [`Supercap::dv_span`] only as a coarse cap on ΔV. The
+    /// rail no longer does: it sizes steps by
+    /// [`Supercap::trapezoid_error_dt`] and [`Supercap::error_dt`] and keeps
+    /// [`Supercap::dv_span`] only as a coarse cap on ΔV. The
     /// *ledger* stays exact at any dt (the trapezoidal flows in
     /// [`Supercap::step`] balance by construction); this bound limits the
     /// trajectory error of the voltage itself. Capped at one hour so a
@@ -231,21 +283,48 @@ impl Supercap {
     /// The net current into the cell: `charge_in` minus the load current
     /// (`power_out` at the present voltage) and the leakage.
     pub fn net_current(&self, charge_in: Amps, power_out: Power) -> Amps {
-        let (i_out, i_leak) = self.drain_currents(power_out);
-        Amps::new(charge_in.as_amps() - i_out - i_leak)
+        self.net_current_at(self.voltage, charge_in, power_out)
+    }
+
+    /// The net current into the cell were it at voltage `v`.
+    pub fn net_current_at(&self, v: Volts, charge_in: Amps, power_out: Power) -> Amps {
+        self.currents_at(v, charge_in, power_out).net()
     }
 
     /// Longest Euler step whose local truncation error `½·dt²·|dI/dt|/C`
-    /// stays within `tol`, with the net current's slope `dI/dt` estimated
-    /// as `(i1 − i0)/span` from two net currents `span` apart. Capped at
-    /// one hour, like [`Supercap::stable_dt`], when the current is flat.
-    pub fn error_dt(&self, i0: Amps, i1: Amps, span: Seconds, tol: Volts) -> Seconds {
-        let slope = (i1.as_amps() - i0.as_amps()).abs() / span.as_seconds();
+    /// stays within `tol`, for a net current that changes by `rise` over
+    /// `span`. Capped at one hour, like [`Supercap::stable_dt`], when the
+    /// current is flat.
+    pub fn error_dt(&self, rise: Amps, span: Seconds, tol: Volts) -> Seconds {
+        let slope = rise.as_amps().abs() / span.as_seconds();
         let cap = 3600.0;
-        if slope <= 0.0 {
+        if slope.is_nan() || slope <= 0.0 {
             return Seconds::new(cap);
         }
         let dt = (2.0 * tol.as_volts().max(0.0) * self.capacitance.as_farads() / slope).sqrt();
+        Seconds::new(dt.min(cap))
+    }
+
+    /// Longest trapezoidal step ([`Supercap::step_trapezoid`]) whose local
+    /// error `dt³·|d²I/dt²|/(12·C)` stays within `tol`. The net current's
+    /// curvature comes from two consecutive steps: it rose by
+    /// `earlier.0` over the `earlier.1` seconds of the first and by
+    /// `later.0` over the `later.1` of the second. Capped at one hour when
+    /// the current is straight.
+    pub fn trapezoid_error_dt(
+        &self,
+        earlier: (Amps, Seconds),
+        later: (Amps, Seconds),
+        tol: Volts,
+    ) -> Seconds {
+        let slope = |(rise, span): (Amps, Seconds)| rise.as_amps() / span.as_seconds();
+        let between = 0.5 * (earlier.1 + later.1).as_seconds();
+        let curvature = ((slope(later) - slope(earlier)) / between).abs();
+        let cap = 3600.0;
+        if curvature.is_nan() || curvature <= 0.0 {
+            return Seconds::new(cap);
+        }
+        let dt = (12.0 * tol.as_volts().max(0.0) * self.capacitance.as_farads() / curvature).cbrt();
         Seconds::new(dt.min(cap))
     }
 
@@ -260,10 +339,15 @@ impl Supercap {
     /// Load current (`power_out` at the present voltage, floored at 1 mV)
     /// and leakage current: the two drains every step integrates.
     fn drain_currents(&self, power_out: Power) -> (f64, f64) {
-        let v0 = self.voltage.as_volts();
+        self.drain_currents_at(self.voltage, power_out)
+    }
+
+    /// The two drains were the cell at voltage `v`.
+    fn drain_currents_at(&self, v: Volts, power_out: Power) -> (f64, f64) {
+        let v = v.as_volts();
         (
-            power_out.as_watts() / v0.max(1e-3),
-            v0 / self.leakage.as_ohms(),
+            power_out.as_watts() / v.max(1e-3),
+            v / self.leakage.as_ohms(),
         )
     }
 
@@ -278,6 +362,25 @@ impl Supercap {
             self.stored_energy() >= Energy::ZERO,
             "supercap stored energy went negative in drain_energy"
         );
+    }
+}
+
+/// The currents through a [`Supercap`] at one instant: the charging
+/// current in, and the load and leakage currents out.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CellCurrents {
+    /// Charging current into the cell.
+    pub charge: Amps,
+    /// Current drawn by the external load.
+    pub load: Amps,
+    /// Current through the internal leakage path.
+    pub leak: Amps,
+}
+
+impl CellCurrents {
+    /// The net current into the cell: charge minus load minus leakage.
+    pub fn net(&self) -> Amps {
+        Amps::new(self.charge.as_amps() - self.load.as_amps() - self.leak.as_amps())
     }
 }
 
@@ -649,6 +752,63 @@ mod tests {
                 prop_assert!(cap.voltage().as_volts() >= 0.0);
                 prop_assert!(cap.voltage() <= cap.max_voltage);
             }
+        }
+
+        /// The trapezoid step's flows balance to round-off for any step,
+        /// currents and load, clamps at 0 V and at the rating included.
+        #[test]
+        fn trapezoid_step_flows_balance(
+            v0 in 0.0f64..5.5,
+            dt in 1e-4f64..3600.0,
+            currents in proptest::collection::vec(0.0f64..0.5, 6),
+            farads in 0.01f64..2.0,
+        ) {
+            let mut cap = Supercap::new(Farads::new(farads), Volts::new(v0));
+            let at = |i: usize| CellCurrents {
+                charge: Amps::new(currents[i]),
+                load: Amps::new(currents[i + 1]),
+                leak: Amps::new(currents[i + 2] * 1e-3),
+            };
+            let before = cap.stored_energy();
+            let flows = cap.step_trapezoid(Seconds::new(dt), at(0), at(3));
+            prop_assert!(cap.voltage() >= Volts::ZERO && cap.voltage() <= cap.max_voltage);
+            let lhs = flows.delta_stored.as_joules();
+            let rhs = flows.harvested.as_joules()
+                - flows.load.as_joules()
+                - flows.leaked.as_joules()
+                - flows.clamped.as_joules();
+            let scale = [flows.harvested, flows.load, flows.leaked, flows.clamped, flows.delta_stored]
+                .iter()
+                .map(|e| e.as_joules().abs())
+                .fold(1e-12, f64::max);
+            prop_assert!((lhs - rhs).abs() <= 1e-12 * scale, "{} vs {}", lhs, rhs);
+            // ½C(v1² − v0²) is the stored-energy change.
+            let after = cap.stored_energy();
+            let stored = (after - before).as_joules();
+            let tol = 1e-12 * (scale + before.as_joules() + after.as_joules());
+            prop_assert!((stored - lhs).abs() <= tol, "{} vs {}", stored, lhs);
+        }
+
+        /// With equal start and end currents the trapezoid step is the
+        /// Euler step, bit for bit, and the predictor reaches where both
+        /// land.
+        #[test]
+        fn trapezoid_step_with_equal_ends_is_euler(
+            v0 in 0.0f64..5.5,
+            dt in 1e-4f64..3600.0,
+            charge in 0.0f64..0.01,
+            load in 0.0f64..0.01,
+        ) {
+            let (dt, charge, load) = (Seconds::new(dt), Amps::new(charge), Power::new(load));
+            let mut euler = Supercap::new(Farads::new(0.047), Volts::new(v0));
+            let mut trapezoid = euler;
+            let now = euler.currents_at(euler.voltage(), charge, load);
+            let predicted = euler.predict(dt, now.net());
+            let a = euler.step(dt, charge, load);
+            let b = trapezoid.step_trapezoid(dt, now, now);
+            prop_assert_eq!(euler, trapezoid);
+            prop_assert_eq!(a, b);
+            prop_assert_eq!(predicted, euler.voltage());
         }
 
         #[test]

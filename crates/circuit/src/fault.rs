@@ -57,6 +57,21 @@ impl CloudTransient {
         if rel <= 0.0 || rel >= dur {
             return Ratio::ZERO;
         }
+        self.envelope(rel, dur)
+    }
+
+    /// The attenuation at `t` of a cloud taken to cover it: its envelope
+    /// evaluated at `t`, clamped into the window. Equals
+    /// [`CloudTransient::attenuation`] inside the window; at an edge it
+    /// is the limit from inside.
+    pub fn attenuation_inside(&self, t: Seconds) -> Ratio {
+        let dur = self.duration.as_seconds().max(0.0);
+        let rel = (t.as_seconds() - self.at.as_seconds()).clamp(0.0, dur);
+        self.envelope(rel, dur)
+    }
+
+    /// The trapezoidal envelope `rel` seconds into a window of `dur`.
+    fn envelope(&self, rel: f64, dur: f64) -> Ratio {
         let ramp = self.ramp.as_seconds().max(0.0).min(dur * 0.5);
         let envelope = if ramp <= 0.0 {
             1.0
@@ -223,6 +238,23 @@ impl FaultPlan {
     /// Whether the harvester is electrically connected at `t`.
     pub fn harvester_connected(&self, t: Seconds) -> bool {
         !self.outages.iter().any(|o| o.covers(t))
+    }
+
+    /// The illuminance factor at `t` under the clouds that cover
+    /// `windows_at`, each evaluated at `t` ([`CloudTransient::attenuation_inside`]).
+    ///
+    /// A step from `t0` to `t1` with no knot inside passes through one set
+    /// of windows, the set covering its midpoint. Evaluated with that set,
+    /// both ends see the light the step saw, also where they sit on a
+    /// window's edge, which `lux_factor` assigns to one side by its
+    /// `[at, at + duration)` convention. With no knot between `t` and
+    /// `windows_at` this equals `lux_factor(t)` bit for bit.
+    pub fn lux_factor_under(&self, t: Seconds, windows_at: Seconds) -> Ratio {
+        let mut factor = 1.0;
+        for cloud in self.clouds.iter().filter(|c| c.covers(windows_at)) {
+            factor *= 1.0 - cloud.attenuation_inside(t).get();
+        }
+        Ratio::new(factor.clamp(0.0, 1.0))
     }
 
     /// Whether no cloud or outage window covers `t`: the light is the
@@ -496,6 +528,32 @@ mod tests {
         assert!(plan.harvester_connected(Seconds::new(9.9)));
         assert!(!plan.harvester_connected(Seconds::new(12.0)));
         assert!(plan.harvester_connected(Seconds::new(15.0)));
+    }
+
+    #[test]
+    fn windows_at_a_steps_midpoint_light_both_its_ends() {
+        let plan = FaultPlan {
+            clouds: vec![CloudTransient {
+                at: Seconds::new(100.0),
+                duration: Seconds::new(50.0),
+                depth: Ratio::new(0.5),
+                ramp: Seconds::ZERO,
+            }],
+            outages: Vec::new(),
+            degradation: SupercapDegradation::fresh(),
+        };
+        // A step from 90 to 100 s ends where the cloud begins, but passed
+        // under clear sky; one from 100 to 150 s ran under the cloud,
+        // both its ends included.
+        let at = Seconds::new;
+        assert_eq!(plan.lux_factor_under(at(100.0), at(95.0)), Ratio::ONE);
+        assert_eq!(plan.lux_factor_under(at(100.0), at(125.0)), Ratio::new(0.5));
+        assert_eq!(plan.lux_factor_under(at(150.0), at(125.0)), Ratio::new(0.5));
+        assert_eq!(plan.lux_factor(at(150.0)), Ratio::ONE);
+        // Away from the edges it is the plain factor.
+        for t in [50.0, 120.0, 149.0, 200.0] {
+            assert_eq!(plan.lux_factor_under(at(t), at(t)), plan.lux_factor(at(t)));
+        }
     }
 
     #[test]

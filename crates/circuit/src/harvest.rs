@@ -160,24 +160,41 @@ impl HarvestingArray {
     }
 
     /// Net charging current into the supercap at `v_cap`, under ambient
-    /// `lux` with per-cell shading `shading(cell_index)` clamped to `[0,1]`.
+    /// `lux` with per-cell shading `shading(cell_index)` clamped to `[0,1]`:
+    /// the [`HarvestingArray::output_power`] at `v_cap`
+    /// ([`HarvestingArray::current_into`]).
     ///
-    /// Every cell not diverted onto the sensing dividers adds its MPP power;
-    /// event cells first lose `I_sc·V_f` to their blocking diode (floored at
-    /// zero). No cell is cut off by `v_cap`: the harvester's boost stage
-    /// decouples cell voltage from supercap voltage, so the summed power is
+    /// No cell is cut off by `v_cap`: the harvester's boost stage decouples
+    /// cell voltage from supercap voltage, so the summed power is
     /// converted, `I = η·P_raw / V_cap`, with `V_cap` floored at 0.5 V.
-    ///
-    /// The cell model is evaluated once per run of equal clamped shading
-    /// values rather than once per cell. Each cell still adds its own term
-    /// in layout order, and equal inputs give equal bits, so the sum is
-    /// bit-identical to evaluating every cell.
     pub fn charging_current(
         &self,
         lux: Lux,
         v_cap: Volts,
         shading: impl Fn(usize) -> Ratio,
     ) -> Amps {
+        Self::current_into(self.output_power(lux, shading), v_cap)
+    }
+
+    /// The charging current the harvester's output `power` drives into the
+    /// supercap at `v_cap`: `P / max(V_cap, 0.5 V)`. A caller holding the
+    /// power re-evaluates the current at another voltage for one division.
+    pub fn current_into(power: Power, v_cap: Volts) -> Amps {
+        Amps::new(power.as_watts() / v_cap.as_volts().max(0.5))
+    }
+
+    /// Power the harvester delivers towards the supercap under ambient
+    /// `lux` with per-cell shading `shading(cell_index)` clamped to `[0,1]`.
+    ///
+    /// Every cell not diverted onto the sensing dividers adds its MPP power;
+    /// event cells first lose `I_sc·V_f` to their blocking diode (floored at
+    /// zero). The sum goes through the boost converter's efficiency curve.
+    ///
+    /// The cell model is evaluated once per run of equal clamped shading
+    /// values rather than once per cell. Each cell still adds its own term
+    /// in layout order, and equal inputs give equal bits, so the sum is
+    /// bit-identical to evaluating every cell.
+    pub fn output_power(&self, lux: Lux, shading: impl Fn(usize) -> Ratio) -> Power {
         let cell = &self.layout.cell;
         // The last shading value's bits, plain-cell and event-cell power.
         let mut memo: Option<(u64, Power, Power)> = None;
@@ -205,9 +222,7 @@ impl HarvestingArray {
                 plain
             };
         }
-        let out = self.harvester.output(raw);
-        let v = v_cap.as_volts().max(0.5);
-        Amps::new(out.as_watts() / v)
+        self.harvester.output(raw)
     }
 
     /// Sensing-channel voltages (9 taps, row-major over the 3×3 block) for
@@ -418,6 +433,27 @@ mod tests {
             prop_assert_eq!(got.as_amps().to_bits(), want.as_amps().to_bits());
             let live = if sensing == 1 { 25 - 9 } else { 25 };
             prop_assert_eq!(calls.get(), live);
+        }
+
+        /// The current is the output power over `max(v, 0.5 V)`, bit for
+        /// bit, so a caller holding the power can re-evaluate the current
+        /// at a new voltage without re-running the cell model.
+        #[test]
+        fn charging_current_is_output_power_over_the_floored_voltage(
+            lux in 0.0f64..3000.0,
+            v in -1.0f64..6.0,
+            shade in 0.0f64..1.0,
+            sensing in 0u8..2,
+        ) {
+            let mut array = HarvestingArray::new();
+            if sensing == 1 {
+                array.set_mode(HarvestMode::Sensing);
+            }
+            let shading = |i: usize| Ratio::new(if i % 3 == 0 { shade } else { 0.0 });
+            let got = array.charging_current(Lux::new(lux), Volts::new(v), shading);
+            let power = array.output_power(Lux::new(lux), shading).as_watts();
+            let want = power / v.max(0.5);
+            prop_assert_eq!(got.as_amps().to_bits(), want.to_bits());
         }
 
         #[test]

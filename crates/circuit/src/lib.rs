@@ -50,7 +50,8 @@ pub mod mppt;
 pub mod sim;
 
 pub use components::{
-    CapStepEnergy, Mosfet, MosfetPolarity, ResistorDivider, SchottkyDiode, SolarCell, Supercap,
+    CapStepEnergy, CellCurrents, Mosfet, MosfetPolarity, ResistorDivider, SchottkyDiode, SolarCell,
+    Supercap,
 };
 pub use env::{HoverSchedule, Illumination, LightChange, LightEnvironment};
 pub use event::{DetectorOutput, DetectorState, EventDetector};

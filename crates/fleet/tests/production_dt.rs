@@ -21,23 +21,23 @@ use solarml_scenario::registry;
 use solarml_sim::DtPolicy;
 
 /// Total rail steps of the representative 64-node, seed-7 campaign.
-const REPRESENTATIVE_64N_SEED7_STEPS: usize = 220_555;
+const REPRESENTATIVE_64N_SEED7_STEPS: usize = 93_564;
 
 /// The same steps by width (`STEP_BANDS`: < 0.1, 0.1–1, 1–10, 10–100 and
 /// ≥ 100 s); DESIGN.md §4e copies this table.
-const REPRESENTATIVE_64N_SEED7_BANDS: [usize; 5] = [45_769, 17_048, 46_259, 101_943, 9_536];
+const REPRESENTATIVE_64N_SEED7_BANDS: [usize; 5] = [16_491, 18_117, 5_974, 42_102, 10_880];
 
 /// The same steps by the bound that set them (`STEP_LIMITS`: error, ΔV
 /// cap, threshold, knot, pinned stride); DESIGN.md §4e copies this table.
-const REPRESENTATIVE_64N_SEED7_LIMITS: [usize; 5] = [214_296, 364, 994, 2_852, 2_049];
+const REPRESENTATIVE_64N_SEED7_LIMITS: [usize; 5] = [71_584, 16_633, 1_032, 2_283, 2_032];
 
 /// Steps by width of the 512-node, seed-7 campaign `solarbench`'s
 /// `fleet_cold` workload runs; DESIGN.md §4e copies this table too.
-const REPRESENTATIVE_512N_SEED7_BANDS: [usize; 5] = [351_971, 130_167, 388_781, 775_695, 77_923];
-const REPRESENTATIVE_512N_SEED7_LIMITS: [usize; 5] = [1_674_649, 3_249, 7_871, 21_579, 17_189];
+const REPRESENTATIVE_512N_SEED7_BANDS: [usize; 5] = [125_679, 146_106, 46_400, 328_225, 86_749];
+const REPRESENTATIVE_512N_SEED7_LIMITS: [usize; 5] = [555_167, 135_162, 8_500, 17_390, 16_940];
 
 /// The rail's target for that campaign (ROADMAP.md item 5).
-const MAX_512N_STEPS: usize = 2_000_000;
+const MAX_512N_STEPS: usize = 1_000_000;
 
 /// Total rail steps, steps per `STEP_BANDS` band and steps per
 /// `STEP_LIMITS` bound of the representative campaign of `nodes` nodes at
@@ -82,9 +82,10 @@ fn fleet_cold_campaign_meets_the_step_target() {
 
 // Per-node bounds on the production policy's deviation from the fixed-dt
 // reference (1 s idle, 10 ms active). Set from the worst node of the
-// sample below with headroom (measured: 3 completions, 3.04 % harvested,
-// 23.6 mV); published in DESIGN.md §4e. The circuit-level 10 mV parity
-// bound holds at a 1 ms floor, not at the fleet's 50 ms one.
+// sample below with headroom (measured under SIM_FINGERPRINT v4: 2
+// completions, 0.10 % harvested, 1.1 mV); published in DESIGN.md §4e.
+// The circuit-level 10 mV parity bound holds at a 1 ms floor, not at the
+// fleet's 50 ms one.
 const MAX_COMPLETED_DELTA: usize = 4;
 const MAX_HARVESTED_REL: f64 = 0.04;
 const MAX_MIN_VOLTAGE_DELTA_V: f64 = 0.030;

@@ -67,27 +67,27 @@ const PINNED_RUNS: [(usize, &[(&str, u64)]); 3] = [
     (
         1,
         &[
-            ("ckpt-000000000032.bin", 0xDF6D_E435_6931_2854),
-            ("ckpt-000000000048.bin", 0x7049_0019_C1BD_50FF),
-            ("ckpt-000000000080.bin", 0xAB82_B95A_2F6D_99F1),
-            ("ckpt-000000000096.bin", 0x13A1_EE4F_05C2_80A7),
-            ("ckpt-000000000100.bin", 0x1AAE_5066_6A48_AECB),
+            ("ckpt-000000000032.bin", 0x930B_9A08_2664_E6A6),
+            ("ckpt-000000000048.bin", 0xAB96_3004_61D9_4DAA),
+            ("ckpt-000000000080.bin", 0x0EE8_AF23_00EC_E1B4),
+            ("ckpt-000000000096.bin", 0xF325_AF5E_F77F_8660),
+            ("ckpt-000000000100.bin", 0x42C4_E63E_01EF_86BD),
         ],
     ),
     (
         2,
         &[
-            ("ckpt-000000000032.bin", 0xDF6D_E435_6931_2854),
-            ("ckpt-000000000064.bin", 0xAF02_43C4_D8C9_9B23),
-            ("ckpt-000000000096.bin", 0x13A1_EE4F_05C2_80A7),
-            ("ckpt-000000000100.bin", 0x1AAE_5066_6A48_AECB),
+            ("ckpt-000000000032.bin", 0x930B_9A08_2664_E6A6),
+            ("ckpt-000000000064.bin", 0x8833_5C43_3E28_36EA),
+            ("ckpt-000000000096.bin", 0xF325_AF5E_F77F_8660),
+            ("ckpt-000000000100.bin", 0x42C4_E63E_01EF_86BD),
         ],
     ),
     (
         4,
         &[
-            ("ckpt-000000000064.bin", 0xAF02_43C4_D8C9_9B23),
-            ("ckpt-000000000100.bin", 0x1AAE_5066_6A48_AECB),
+            ("ckpt-000000000064.bin", 0x8833_5C43_3E28_36EA),
+            ("ckpt-000000000100.bin", 0x42C4_E63E_01EF_86BD),
         ],
     ),
 ];
@@ -95,10 +95,10 @@ const PINNED_RUNS: [(usize, &[(&str, u64)]); 3] = [
 /// Snapshots of a 2-worker run killed at node 37, then resumed on 2
 /// workers: the resumed run's windows start at 37, not at 0.
 const PINNED_KILL_RESUME: &[(&str, u64)] = &[
-    ("ckpt-000000000032.bin", 0xDF6D_E435_6931_2854),
-    ("ckpt-000000000037.bin", 0x2B34_FBA2_1EE4_328D),
-    ("ckpt-000000000069.bin", 0x2B70_8287_C0B9_8422),
-    ("ckpt-000000000100.bin", 0xE9C0_0512_F19D_8BD8),
+    ("ckpt-000000000032.bin", 0x930B_9A08_2664_E6A6),
+    ("ckpt-000000000037.bin", 0x2E5A_C28A_52F8_0308),
+    ("ckpt-000000000069.bin", 0x72B4_128B_8C12_5940),
+    ("ckpt-000000000100.bin", 0xAE72_0C8B_047D_E60D),
 ];
 
 #[test]

@@ -483,8 +483,9 @@ enum AttemptEnd {
     Interrupted(LifecycleError),
 }
 
-/// Bound on one adaptive rail step's local truncation error,
-/// `½·dt²·|dI_net/dt|/C` (DESIGN.md §4e).
+/// Bound on one adaptive rail step's local error: the trapezoid's
+/// `dt³·|d²I_net/dt²|/(12·C)`, or Euler's `½·dt²·|dI_net/dt|/C` where the
+/// curvature is not known yet (DESIGN.md §4e).
 const STEP_ERROR_V: Volts = Volts::new(1e-5);
 
 /// Cap on the voltage one adaptive rail step may move, however flat the
@@ -495,12 +496,29 @@ const STEP_MAX_DV: Volts = Volts::new(0.05);
 /// step may carry the terminal voltage.
 const THRESHOLD_OVERSHOOT_V: Volts = Volts::new(3e-4);
 
-/// The light and charging current the rail saw at `t`.
+/// The light at `t` and the power the harvester delivers under it (zero
+/// while it is disconnected).
 #[derive(Debug, Clone, Copy)]
 struct Sample {
     t: Seconds,
     lux: Lux,
-    charge: Amps,
+    power: Power,
+}
+
+impl Sample {
+    /// The charging current the sample's power drives into the cell at `v`.
+    fn charge(&self, v: Volts) -> Amps {
+        HarvestingArray::current_into(self.power, v)
+    }
+}
+
+/// How much the net current rose across one adaptive step of `dt`, under
+/// its load.
+#[derive(Debug, Clone, Copy)]
+struct Slope {
+    rise: Amps,
+    dt: Seconds,
+    load: Power,
 }
 
 /// The electrical side of the faulted day as one [`Clocked`] component:
@@ -509,9 +527,10 @@ struct Sample {
 ///
 /// Each step it reads the MCU's pre-advance draw and metered energy off
 /// the bus (the MCU component must be listed first), pushes every flow
-/// through [`Supercap::step`] into the bus ledger, and republishes rail
-/// state plus any comparator event. Under an adaptive policy it then hints
-/// the next step ([`Rail::hint`]).
+/// through the supercap into the bus ledger, and republishes rail state
+/// plus any comparator event. Under an adaptive policy the cell advances
+/// by the trapezoid rule and the rail then hints the next step
+/// ([`Rail::hint`]).
 struct Rail<'a> {
     cfg: &'a IntermittentConfig,
     array: HarvestingArray,
@@ -538,36 +557,33 @@ struct Rail<'a> {
     next_fault_knot: usize,
     /// The knot the running step was hinted up to.
     knot: Seconds,
-    /// The light and charge at the end of the previous adaptive step,
-    /// where the next step starts.
+    /// The light and harvester output where the next adaptive step starts.
     ahead: Option<Sample>,
-    /// The pinned stride granted by the previous step, if any.
-    stride: Option<PinnedStride>,
-}
-
-/// A stride the rail granted itself while pinned at `max_voltage`: the
-/// step starting at `from` may run up to the light knot `from + len`, and
-/// integrates the charging current by the trapezoid of its endpoints.
-#[derive(Debug, Clone, Copy)]
-struct PinnedStride {
-    from: Seconds,
-    /// The hinted step width, `knot - from`.
-    len: Seconds,
-    /// Charging current at the knot, under the profile's light alone.
-    charge_at_knot: Amps,
+    /// The previous adaptive step's slope, while the light segment lasts.
+    slope: Option<Slope>,
 }
 
 impl Rail<'_> {
-    /// The light at `t` and the charging current it drives into the cell
-    /// at `v`.
-    fn sample(&self, t: Seconds, v: Volts) -> Sample {
-        let lux = self.cfg.base.profile.lux_at(t) * self.cfg.faults.lux_factor(t);
-        let charge = if self.cfg.faults.harvester_connected(t) {
-            self.array.charging_current(lux, v, |_| Ratio::ZERO)
-        } else {
-            Amps::ZERO
+    /// The light at `t` and the harvester's output under it. An adaptive
+    /// step passes `windows_at`, its midpoint, so that both its ends see
+    /// the fault windows active over it ([`FaultPlan::lux_factor_under`]);
+    /// a fixed-dt step passes `None` and sees the windows at `t`.
+    fn sample(&self, t: Seconds, windows_at: Option<Seconds>) -> Sample {
+        let faults = &self.cfg.faults;
+        let (factor, connected) = match windows_at {
+            Some(at) => (
+                faults.lux_factor_under(t, at),
+                faults.harvester_connected(at),
+            ),
+            None => (faults.lux_factor(t), faults.harvester_connected(t)),
         };
-        Sample { t, lux, charge }
+        let lux = self.cfg.base.profile.lux_at(t) * factor;
+        let power = if connected {
+            self.array.output_power(lux, |_| Ratio::ZERO)
+        } else {
+            Power::ZERO
+        };
+        Sample { t, lux, power }
     }
 
     /// Charging current at `t` into the cell at its rating, under the
@@ -578,26 +594,31 @@ impl Rail<'_> {
             .charging_current(lux, self.cap.max_voltage, |_| Ratio::ZERO)
     }
 
-    /// The next adaptive step's width, from the end `t` of a step of `dt`
-    /// whose load was `load` and whose net current at its start was `net`.
-    /// The step runs to the earliest of:
+    /// The next adaptive step, from the end `t` of a step whose light and
+    /// harvester output at its end were `end` and whose net current had
+    /// the slope `slope`. The step runs to the earliest of:
     ///
     /// * the next knot: a profile hour or a fault knot, where the light's
     ///   slope or the harvester's connection changes;
-    /// * the width whose Euler truncation error reaches [`STEP_ERROR_V`],
-    ///   with the net current's slope taken from this step's two ends. A
-    ///   step that ended on a knot, where the light bends, takes the slope
-    ///   from a probe one candidate step ahead instead;
+    /// * the width whose trapezoid error reaches [`STEP_ERROR_V`], with
+    ///   the net current's curvature taken from this step's slope and the
+    ///   previous one's, and no wider than those two steps together: the
+    ///   curvature is not known beyond the span it was measured over.
+    ///   Right after a knot or a load change, where there is no such pair,
+    ///   the width whose Euler error reaches it instead, with the slope
+    ///   taken from this step, or, when the step ended on a knot where the
+    ///   light bends, from a probe one candidate step ahead;
     /// * a ΔV of [`STEP_MAX_DV`];
     /// * the predicted crossing of the next comparator threshold, plus
-    ///   [`THRESHOLD_OVERSHOOT_V`].
+    ///   [`THRESHOLD_OVERSHOOT_V`] ([`Rail::threshold_dt`]). The scheduler's
+    ///   `min_dt` does not floor this one ([`StepOutcome::event_dt`]).
     ///
     /// A pinned cell is the zero-error case: its voltage cannot leave the
     /// rating, so it strides to the knot when no fault window is active
-    /// and the light at the knot still holds it pinned ([`PinnedStride`]).
-    /// Lux is linear between knots and the charging current monotone in
-    /// lux, so the net current stays `≥ 0` across the stride.
-    fn hint(&mut self, t: Seconds, dt: Seconds, net: Amps, load: Power) -> Seconds {
+    /// and the light at the knot still holds it pinned. Lux is linear
+    /// between knots and the charging current monotone in lux, so the net
+    /// current stays `≥ 0` across the stride.
+    fn hint(&mut self, t: Seconds, end: Sample, slope: Slope) -> StepOutcome {
         let landed = t >= self.knot;
         while self
             .fault_knots
@@ -611,67 +632,103 @@ impl Rail<'_> {
             .fault_knots
             .get(self.next_fault_knot)
             .map_or(hour, |&k| k.min(hour));
-        let next = self.sample(t, self.cap.voltage());
+        // The next step starts where this one ended, unless this one
+        // ended on a knot, past which other fault windows may be active.
+        let next = if landed {
+            self.sample(t, Some(t + (self.knot - t) * 0.5))
+        } else {
+            end
+        };
         self.ahead = Some(next);
+        let load = slope.load;
+        let charge = next.charge(self.cap.voltage());
         let to_knot = self.knot - t;
-        if self.cap.is_pinned(next.charge, load) && self.cfg.faults.quiet_at(t) {
-            let charge_at_knot = self.clear_sky_charge(self.knot);
-            if self.cap.is_pinned(charge_at_knot, load) {
-                self.stride = Some(PinnedStride {
-                    from: t,
-                    len: to_knot,
-                    charge_at_knot,
-                });
-                self.step_limits[LIMIT_PINNED] += 1;
-                return to_knot;
-            }
+        // Two slopes under one load inside one light segment give the
+        // curvature.
+        let previous = if landed {
+            None
+        } else {
+            self.slope.filter(|p| p.load == load)
+        };
+        self.slope = (!landed).then_some(slope);
+        if self.cap.is_pinned(charge, load)
+            && self.cfg.faults.quiet_at(t)
+            && self.cap.is_pinned(self.clear_sky_charge(self.knot), load)
+        {
+            self.step_limits[LIMIT_PINNED] += 1;
+            return StepOutcome::hint(to_knot);
         }
-        let to = self.cap.net_current(next.charge, load);
+        let to = self.cap.net_current(charge, load);
+        let threshold = self.threshold_dt(to, slope, load);
         let bound = [
             (self.cap.dv_span(to, STEP_MAX_DV), LIMIT_DV),
-            (self.threshold_dt(to, load), LIMIT_THRESHOLD),
+            (threshold, LIMIT_THRESHOLD),
         ]
         .into_iter()
         .fold((to_knot, LIMIT_KNOT), tighter);
-        // The net current's slope: across this step, or, when the step
-        // ended on a knot where the light bends, across a probe one
-        // candidate step ahead from the Euler-predicted voltage.
-        let (from, span) = if landed {
-            let mut probe = self.cap;
-            let _ = probe.step(bound.0, next.charge, load);
-            let ahead = self.sample(t + bound.0, probe.voltage());
-            (probe.net_current(ahead.charge, load), bound.0)
-        } else {
-            (net, dt)
+        let error = match previous {
+            Some(p) => self
+                .cap
+                .trapezoid_error_dt((p.rise, p.dt), (slope.rise, slope.dt), STEP_ERROR_V)
+                .min(p.dt + slope.dt),
+            None if landed => {
+                // A probe from the predictor, one candidate step ahead.
+                let v = self.cap.predict(bound.0, to);
+                let ahead = self.sample(t + bound.0, Some(t + bound.0 * 0.5));
+                let probe = self.cap.net_current_at(v, ahead.charge(v), load);
+                self.cap.error_dt(probe - to, bound.0, STEP_ERROR_V)
+            }
+            None => self.cap.error_dt(slope.rise, slope.dt, STEP_ERROR_V),
         };
-        let error = self.cap.error_dt(from, to, span, STEP_ERROR_V);
         let (width, limit) = tighter(bound, (error, LIMIT_ERROR));
         self.step_limits[limit] += 1;
-        width
+        StepOutcome::hint(width).with_event_dt(threshold)
     }
 
-    /// How long the terminal voltage, moving at the rate the net current
-    /// `net` drives, takes to pass the next comparator threshold it heads
-    /// for by [`THRESHOLD_OVERSHOOT_V`]; one hour when it heads for none.
-    fn threshold_dt(&self, net: Amps, load: Power) -> Seconds {
-        let never = Seconds::new(3600.0);
+    /// How long the terminal voltage takes to pass the next comparator
+    /// threshold it heads for by [`THRESHOLD_OVERSHOOT_V`]; one hour when
+    /// it heads for none. The voltage moves at the rate the net current
+    /// `net` drives, changing at the rate the last step's `slope` drives,
+    /// so the step that crosses averages its start and end rates as the
+    /// trapezoid does.
+    fn threshold_dt(&self, net: Amps, slope: Slope, load: Power) -> Seconds {
+        let never = 3600.0;
         let v = self.cap.voltage().as_volts();
         if v <= 0.0 {
-            return never;
+            return Seconds::new(never);
         }
         // d(v − P·ESR/v)/dt for a constant-power load behind the ESR.
         let sag = 1.0 + load.as_watts() * self.cap.esr.as_ohms() / (v * v);
-        let rate = net.as_amps() / self.cap.capacitance().as_farads() * sag;
-        let th = self.comparator.thresholds();
-        let target = match (self.comparator.state(), rate < 0.0) {
-            (ComparatorState::Nominal, true) => th.warn,
-            (ComparatorState::Warned, true) => th.brownout,
-            (ComparatorState::Warned | ComparatorState::Browned, false) => th.recovery(),
-            _ => return never,
+        let per_amp = sag / self.cap.capacitance().as_farads();
+        let rate = net.as_amps() * per_amp;
+        let accel = slope.rise.as_amps() / slope.dt.as_seconds() * per_amp;
+        // The first time a voltage moving at `rate`, changing by `accel`,
+        // covers `distance > 0`: the root of rate·h + ½·accel·h² =
+        // distance in its cancellation-free form.
+        let reach = |distance: f64, rate: f64, accel: f64| {
+            let disc = rate * rate + 2.0 * accel * distance;
+            let den = rate + disc.max(0.0).sqrt();
+            if disc < 0.0 || den <= 0.0 {
+                never
+            } else {
+                2.0 * distance / den
+            }
         };
-        let gap = (target - self.cap.terminal_voltage(load)).as_volts();
-        let reach = (gap / rate).max(0.0) + THRESHOLD_OVERSHOOT_V.as_volts() / rate.abs();
-        Seconds::new(reach.min(never.as_seconds()))
+        let th = self.comparator.thresholds();
+        let (down, up) = match self.comparator.state() {
+            ComparatorState::Nominal => (Some(th.warn), None),
+            ComparatorState::Warned => (Some(th.brownout), Some(th.recovery())),
+            ComparatorState::Browned => (None, Some(th.recovery())),
+        };
+        let at = self.cap.terminal_voltage(load).as_volts();
+        let over = THRESHOLD_OVERSHOOT_V.as_volts();
+        let below = down.map_or(never, |th| {
+            reach((at - th.as_volts()).max(0.0) + over, -rate, -accel)
+        });
+        let above = up.map_or(never, |th| {
+            reach((th.as_volts() - at).max(0.0) + over, rate, accel)
+        });
+        Seconds::new(below.min(above).min(never))
     }
 }
 
@@ -679,12 +736,13 @@ impl Clocked for Rail<'_> {
     fn step(&mut self, t: Seconds, dt: Seconds, bus: &mut SimBus) -> StepOutcome {
         self.steps += 1;
         self.step_bands[step_band(dt)] += 1;
-        let Sample {
-            lux, mut charge, ..
-        } = match self.ahead.take() {
+        let adaptive = self.cfg.dt_policy.adaptive;
+        let windows_at = adaptive.then(|| t + dt * 0.5);
+        let start = match self.ahead.take() {
             Some(ahead) if ahead.t == t => ahead,
-            _ => self.sample(t, self.cap.voltage()),
+            _ => self.sample(t, windows_at),
         };
+        let charge = start.charge(self.cap.voltage());
         // While browned out the supervisor latches the whole rail off (the
         // Fig. 5 MOSFET network physically disconnects the load), so only
         // the cap's own leakage drains storage and recharge is possible.
@@ -701,21 +759,22 @@ impl Clocked for Rail<'_> {
             Power::ZERO
         };
         let load = bus.mcu_load + standby + retention + self.extra;
-        let net = self.cap.net_current(charge, load);
-        // Inside a granted stride the voltage cannot leave the rating, so
-        // only the ledger's quadrature changes: the trapezoid of the two
-        // endpoint currents, provided this step's load keeps both pinned.
-        if let Some(stride) = self.stride.take().filter(|s| s.from == t && dt <= s.len) {
-            let end = if dt == stride.len {
-                stride.charge_at_knot
-            } else {
-                self.clear_sky_charge(t + dt)
-            };
-            if self.cap.is_pinned(charge, load) && self.cap.is_pinned(end, load) {
-                charge = (charge + end) * 0.5;
-            }
-        }
-        let flows = self.cap.step(dt, charge, load);
+        // Under an adaptive policy the cell advances by the trapezoid rule:
+        // an Euler predictor, the currents at the step's end under the
+        // step's own load and fault windows, and their mean with the
+        // start's. Fixed dt keeps the Euler step.
+        let mut end = None;
+        let flows = if adaptive {
+            let now = self.cap.currents_at(self.cap.voltage(), charge, load);
+            let v = self.cap.predict(dt, now.net());
+            let at_end = self.sample(t + dt, windows_at);
+            let then = self.cap.currents_at(v, at_end.charge(v), load);
+            let rise = then.net() - now.net();
+            end = Some((at_end, Slope { rise, dt, load }));
+            self.cap.step_trapezoid(dt, now, then)
+        } else {
+            self.cap.step(dt, charge, load)
+        };
         bus.record(flows.into());
         // physics-lint: allow(ledger-coverage): unsaved-work meter, not an energy ledger — the joules themselves flow through bus.record above
         self.unsaved += bus.mcu_spent + self.extra * dt;
@@ -738,14 +797,13 @@ impl Clocked for Rail<'_> {
             }
             None => {}
         }
-        bus.illuminance = lux;
+        bus.illuminance = start.lux;
         bus.rail_voltage = self.cap.voltage();
         bus.rail_connected = rail_up;
         bus.load_power = load;
-        let outcome = if self.cfg.dt_policy.adaptive {
-            StepOutcome::hint(self.hint(t + dt, dt, net, load))
-        } else {
-            StepOutcome::quiescent()
+        let outcome = match end {
+            Some((at_end, slope)) => self.hint(t + dt, at_end, slope),
+            None => StepOutcome::quiescent(),
         };
         outcome.with_edge(event.is_some())
     }
@@ -806,7 +864,7 @@ impl<'a> Engine<'a> {
                 next_fault_knot: 0,
                 knot: Seconds::ZERO,
                 ahead: None,
-                stride: None,
+                slope: None,
             },
             attempted: 0,
             completed: 0,
@@ -1313,6 +1371,7 @@ pub fn simulate_faulted_day(cfg: &IntermittentConfig) -> DayFaultReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use solarml_circuit::fault::OutageWindow;
     use solarml_units::Farads;
 
     /// A scenario sized so the fault plan actually bites: a small supercap,
@@ -1459,7 +1518,8 @@ mod tests {
         assert_eq!(ends[1..], hours[..], "steps ended at {ends:?}");
         let audit = engine.bus.audit();
         assert!(audit.discrepancy.as_joules() <= 1e-9, "ledger: {audit:?}");
-        // Each stride books the trapezoid of its endpoint currents.
+        // Every step, the warm-up one included, books the trapezoid of its
+        // endpoint currents.
         let charge = |t: f64| {
             let lux = cfg.base.profile.lux_at(Seconds::new(t));
             engine
@@ -1468,9 +1528,11 @@ mod tests {
                 .charging_current(lux, max, |_| Ratio::ZERO)
                 .as_amps()
         };
-        let mut expected = charge(ends[0] - 0.05) * 0.05;
-        for (&from, &to) in ends.iter().zip(&ends[1..]) {
+        let mut expected = 0.0;
+        let mut from = start.as_seconds();
+        for &to in &ends {
             expected += 0.5 * (charge(from) + charge(to)) * (to - from);
+            from = to;
         }
         let booked = audit.harvested.as_joules() / max.as_volts();
         assert!(
@@ -1494,6 +1556,35 @@ mod tests {
             IntermittentConfig::naive(base, FaultPlan::none(), PhasePlan::representative_gesture());
         cfg.dt_policy = DtPolicy::adaptive(Seconds::from_millis(50.0), Seconds::new(3600.0));
         cfg
+    }
+
+    /// Each adaptive step sees the fault windows active over it at both
+    /// its ends: one that ends where an outage starts harvests as if there
+    /// were no outage, and one that ends where it stops harvests nothing.
+    #[test]
+    fn a_step_ending_on_an_outage_start_integrates_the_connected_harvester() {
+        let clear = ramp_config(300.0, 700.0, Power::from_micro_watts(5.0), 0.047, 3.0);
+        let mut outage = clear.clone();
+        let start = Seconds::new(9.5 * 3600.0);
+        let length = Seconds::new(300.0);
+        outage.faults.outages = vec![OutageWindow {
+            at: start,
+            duration: length,
+        }];
+        let harvested = |cfg: &IntermittentConfig, t: Seconds| {
+            let mut engine = Engine::new(cfg);
+            let mut bus = SimBus::new();
+            engine.rail.step(t, Seconds::new(20.0), &mut bus);
+            bus.audit().harvested
+        };
+        let before = start - Seconds::new(20.0);
+        assert!(harvested(&outage, before) > Energy::ZERO);
+        assert_eq!(harvested(&outage, before), harvested(&clear, before));
+        for during in [start, start + length - Seconds::new(20.0)] {
+            assert_eq!(harvested(&outage, during), Energy::ZERO);
+        }
+        let after = start + length;
+        assert_eq!(harvested(&outage, after), harvested(&clear, after));
     }
 
     /// The comparator threshold a transition from `from` to `to` crossed.
@@ -1553,6 +1644,63 @@ mod tests {
                 let lux = cfg.base.profile.lux_at(at);
                 let charge = rail.array.charging_current(lux, reference.voltage(), |_| Ratio::ZERO);
                 reference.step(fine, charge, load);
+            }
+            let error = (rail.cap.voltage() - reference.voltage()).as_volts().abs();
+            proptest::prop_assert!(
+                error <= 2.0 * STEP_ERROR_V.as_volts(),
+                "{} s step off the reference by {} V", dt.as_seconds(), error
+            );
+        }
+
+        /// Once the rail holds two slopes under one load, the step it
+        /// hints from their curvature lands within twice the step
+        /// tolerance of a fine trapezoid reference (1 ms, or 1/20,000 of a
+        /// longer step) from the same state.
+        #[test]
+        fn a_curvature_hinted_step_tracks_a_fine_trapezoid_reference(
+            lux0 in 0.0f64..1500.0,
+            lux1 in 0.0f64..1500.0,
+            load_uw in 1.0f64..3000.0,
+            farads in 0.02f64..1.0,
+            v0 in 2.1f64..5.4,
+            offset in 0.0f64..3000.0,
+        ) {
+            let cfg = ramp_config(lux0, lux1, Power::from_micro_watts(load_uw), farads, v0);
+            let mut engine = Engine::new(&cfg);
+            let rail = &mut engine.rail;
+            let mut bus = SimBus::new();
+            let mut t = Seconds::new(9.0 * 3600.0 + offset);
+            let mut dt = Seconds::new(1.0);
+            // A fresh rail stands on a knot; two steps later it has a pair
+            // of slopes. Warm up past comparator edges as well.
+            let mut quiet = 0;
+            while quiet < 3 {
+                let outcome = rail.step(t, dt, &mut bus);
+                quiet = if outcome.edge { 0 } else { quiet + 1 };
+                t += dt;
+                dt = outcome.max_dt.unwrap_or(dt).max(Seconds::from_millis(1.0));
+            }
+            let cap = rail.cap;
+            let load = if rail.comparator.is_browned_out() {
+                Power::ZERO
+            } else {
+                cfg.base.standby_power
+            };
+            rail.step(t, dt, &mut bus);
+            let substeps = (dt.as_seconds() / 1e-3).ceil().clamp(1.0, 20_000.0);
+            let fine = dt / substeps;
+            let currents = |cell: &Supercap, at: Seconds, v: Volts| {
+                let lux = cfg.base.profile.lux_at(at);
+                let charge = rail.array.charging_current(lux, v, |_| Ratio::ZERO);
+                cell.currents_at(v, charge, load)
+            };
+            let mut reference = cap;
+            for k in 0..substeps as usize {
+                let at = t + fine * k as f64;
+                let start = currents(&reference, at, reference.voltage());
+                let v = reference.predict(fine, start.net());
+                let end = currents(&reference, at + fine, v);
+                reference.step_trapezoid(fine, start, end);
             }
             let error = (rail.cap.voltage() - reference.voltage()).as_volts().abs();
             proptest::prop_assert!(

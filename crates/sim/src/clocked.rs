@@ -16,12 +16,19 @@ use crate::bus::SimBus;
 /// (a comparator fired, the detector switched). The scheduler reacts by
 /// pinning the next steps to `min_dt` for the policy's `edge_hold` window,
 /// so post-event dynamics are resolved finely.
+///
+/// `event_dt` is the time until a discontinuity the component predicts
+/// (a comparator threshold crossing). Unlike `max_dt` the policy's
+/// `min_dt` does not floor it, and it cuts the `edge_hold` steps too, so
+/// the step that crosses ends just past the event.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StepOutcome {
     /// Largest next-step dt this component can tolerate; `None` means "any".
     pub max_dt: Option<Seconds>,
     /// Whether a discontinuity occurred during this step.
     pub edge: bool,
+    /// Time until a predicted discontinuity; `None` means none is due.
+    pub event_dt: Option<Seconds>,
 }
 
 impl StepOutcome {
@@ -34,16 +41,22 @@ impl StepOutcome {
     pub fn hint(dt: Seconds) -> Self {
         Self {
             max_dt: Some(dt),
-            edge: false,
+            ..Self::default()
         }
     }
 
     /// Marks a discontinuity inside this step.
     pub fn edge() -> Self {
         Self {
-            max_dt: None,
             edge: true,
+            ..Self::default()
         }
+    }
+
+    /// Adds a predicted discontinuity `dt` ahead.
+    pub fn with_event_dt(mut self, dt: Seconds) -> Self {
+        self.event_dt = min_hint(self.event_dt, Some(dt));
+        self
     }
 
     /// Adds the edge mark to an existing outcome.
@@ -55,14 +68,19 @@ impl StepOutcome {
     /// Merges another component's outcome into this one: hints combine by
     /// minimum, edges by OR.
     pub fn merge(self, other: Self) -> Self {
-        let max_dt = match (self.max_dt, other.max_dt) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
         Self {
-            max_dt,
+            max_dt: min_hint(self.max_dt, other.max_dt),
             edge: self.edge || other.edge,
+            event_dt: min_hint(self.event_dt, other.event_dt),
         }
+    }
+}
+
+/// The lesser of two optional widths, `None` standing for no bound.
+fn min_hint(a: Option<Seconds>, b: Option<Seconds>) -> Option<Seconds> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
     }
 }
 
@@ -91,5 +109,10 @@ mod tests {
         let n = StepOutcome::quiescent().merge(a);
         assert_eq!(n.max_dt, Some(Seconds::new(0.5)));
         assert!(!n.edge);
+        assert_eq!(n.event_dt, None);
+        let e = a.with_event_dt(Seconds::new(0.01));
+        let f = b.with_event_dt(Seconds::new(0.02));
+        assert_eq!(e.merge(f).event_dt, Some(Seconds::new(0.01)));
+        assert_eq!(e.merge(b).event_dt, Some(Seconds::new(0.01)));
     }
 }

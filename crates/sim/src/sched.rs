@@ -82,6 +82,9 @@ pub struct Scheduler {
     /// The merged component hint from the previous step, applied to the
     /// next one.
     pending_hint: Option<Seconds>,
+    /// The merged predicted-event width from the previous step, which the
+    /// next one may not pass ([`StepOutcome::event_dt`]).
+    pending_event: Option<Seconds>,
 }
 
 impl Scheduler {
@@ -100,6 +103,7 @@ impl Scheduler {
             policy,
             edge_until: t + policy.edge_hold,
             pending_hint: None,
+            pending_event: None,
         }
     }
 
@@ -130,6 +134,7 @@ impl Scheduler {
         }
         self.time += dt;
         self.pending_hint = outcome.max_dt;
+        self.pending_event = outcome.event_dt;
         if outcome.edge {
             self.edge_until = self.time + self.policy.edge_hold;
         }
@@ -145,7 +150,10 @@ impl Scheduler {
             if self.time < self.edge_until {
                 dt = self.policy.min_dt;
             }
-            dt
+            match self.pending_event {
+                Some(event) => dt.min(event),
+                None => dt,
+            }
         } else {
             slice
         };
@@ -418,6 +426,51 @@ mod tests {
         // Immediately after the edge-containing step the hold pins min_dt.
         let after_edge = dts[edge_idx + 2];
         assert_eq!(after_edge, Seconds::new(0.001));
+    }
+
+    /// Hints `hint` and predicts an event `event` ahead, every step.
+    struct Predictor {
+        hint: Seconds,
+        event: Seconds,
+    }
+
+    impl Clocked for Predictor {
+        fn step(&mut self, _t: Seconds, _dt: Seconds, _bus: &mut SimBus) -> StepOutcome {
+            StepOutcome::hint(self.hint).with_event_dt(self.event)
+        }
+    }
+
+    #[test]
+    fn predicted_events_cut_steps_below_the_floor() {
+        let run = |policy: DtPolicy, event: f64| {
+            let mut sched = Scheduler::new(policy);
+            let mut comp = Predictor {
+                hint: Seconds::new(2.0),
+                event: Seconds::new(event),
+            };
+            let mut bus = SimBus::new();
+            let mut dts = Vec::new();
+            sched.run_until(
+                Seconds::new(1.0),
+                Seconds::new(0.5),
+                &mut [&mut comp],
+                &mut bus,
+                |_, dt, _| {
+                    dts.push(dt.as_seconds());
+                    StepControl::Continue
+                },
+            );
+            dts
+        };
+        let policy = DtPolicy::adaptive(Seconds::new(0.05), Seconds::new(10.0));
+        // The event bound goes below the 50 ms floor; the first step has
+        // no prediction yet.
+        let dts = run(policy, 0.01);
+        assert_eq!(dts[..3], [0.05, 0.01, 0.01]);
+        // An event further off than the hint changes nothing.
+        assert_eq!(run(policy, 5.0), [0.05, 0.95]);
+        // Fixed dt ignores it.
+        assert_eq!(run(DtPolicy::fixed(), 0.01), [0.5, 0.5]);
     }
 
     #[test]
