@@ -177,7 +177,7 @@ impl Supercap {
     /// `delta_stored = harvested - load - leaked - clamped` holds to
     /// floating-point round-off (the basis of [`crate::sim::EnergyAudit`]).
     pub fn step(&mut self, dt: Seconds, charge_in: Amps, power_out: Power) -> CapStepEnergy {
-        let (i_out, i_leak) = self.drain_currents(power_out);
+        let (i_out, i_leak) = self.drain_currents(self.voltage, power_out);
         self.advance(dt, charge_in.as_amps(), i_out, i_leak)
     }
 
@@ -185,7 +185,7 @@ impl Supercap {
     /// `charge_in` flowing in and `power_out` drawn: the load current
     /// (`power_out` at `v`, floored at 1 mV) and the leakage.
     pub fn currents_at(&self, v: Volts, charge_in: Amps, power_out: Power) -> CellCurrents {
-        let (load, leak) = self.drain_currents_at(v, power_out);
+        let (load, leak) = self.drain_currents(v, power_out);
         CellCurrents {
             charge: charge_in,
             load: Amps::new(load),
@@ -283,12 +283,7 @@ impl Supercap {
     /// The net current into the cell: `charge_in` minus the load current
     /// (`power_out` at the present voltage) and the leakage.
     pub fn net_current(&self, charge_in: Amps, power_out: Power) -> Amps {
-        self.net_current_at(self.voltage, charge_in, power_out)
-    }
-
-    /// The net current into the cell were it at voltage `v`.
-    pub fn net_current_at(&self, v: Volts, charge_in: Amps, power_out: Power) -> Amps {
-        self.currents_at(v, charge_in, power_out).net()
+        self.currents_at(self.voltage, charge_in, power_out).net()
     }
 
     /// Longest Euler step whose local truncation error `½·dt²·|dI/dt|/C`
@@ -298,7 +293,7 @@ impl Supercap {
     pub fn error_dt(&self, rise: Amps, span: Seconds, tol: Volts) -> Seconds {
         let slope = rise.as_amps().abs() / span.as_seconds();
         let cap = 3600.0;
-        if slope.is_nan() || slope <= 0.0 {
+        if slope <= 0.0 {
             return Seconds::new(cap);
         }
         let dt = (2.0 * tol.as_volts().max(0.0) * self.capacitance.as_farads() / slope).sqrt();
@@ -321,7 +316,7 @@ impl Supercap {
         let between = 0.5 * (earlier.1 + later.1).as_seconds();
         let curvature = ((slope(later) - slope(earlier)) / between).abs();
         let cap = 3600.0;
-        if curvature.is_nan() || curvature <= 0.0 {
+        if curvature <= 0.0 {
             return Seconds::new(cap);
         }
         let dt = (12.0 * tol.as_volts().max(0.0) * self.capacitance.as_farads() / curvature).cbrt();
@@ -336,14 +331,9 @@ impl Supercap {
         self.voltage == self.max_voltage && self.net_current(charge_in, power_out).as_amps() >= 0.0
     }
 
-    /// Load current (`power_out` at the present voltage, floored at 1 mV)
-    /// and leakage current: the two drains every step integrates.
-    fn drain_currents(&self, power_out: Power) -> (f64, f64) {
-        self.drain_currents_at(self.voltage, power_out)
-    }
-
-    /// The two drains were the cell at voltage `v`.
-    fn drain_currents_at(&self, v: Volts, power_out: Power) -> (f64, f64) {
+    /// Load current (`power_out` at `v`, floored at 1 mV) and leakage
+    /// current: the two drains every step integrates.
+    fn drain_currents(&self, v: Volts, power_out: Power) -> (f64, f64) {
         let v = v.as_volts();
         (
             power_out.as_watts() / v.max(1e-3),

@@ -675,7 +675,7 @@ impl Rail<'_> {
                 // A probe from the predictor, one candidate step ahead.
                 let v = self.cap.predict(bound.0, to);
                 let ahead = self.sample(t + bound.0, Some(t + bound.0 * 0.5));
-                let probe = self.cap.net_current_at(v, ahead.charge(v), load);
+                let probe = self.cap.currents_at(v, ahead.charge(v), load).net();
                 self.cap.error_dt(probe - to, bound.0, STEP_ERROR_V)
             }
             None => self.cap.error_dt(slope.rise, slope.dt, STEP_ERROR_V),
