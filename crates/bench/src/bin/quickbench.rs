@@ -211,17 +211,19 @@ fn timed_charging_current(reps: usize, iters: usize) -> u128 {
     })
 }
 
-/// Total rail steps of the CLI-default fleet campaign (representative
-/// population, 64 nodes, seed 7). A deterministic count, pinned by the
-/// fleet's `production_dt` test; node-day host time is steps × ns/step.
-fn fleet_rail_steps_64n() -> usize {
+/// Total rail steps and energy-gate polls of the CLI-default fleet
+/// campaign (representative population, 64 nodes, seed 7). Deterministic
+/// counts, pinned by the fleet's `production_dt` test; node-day host time
+/// is steps × ns/step.
+fn fleet_day_counts_64n() -> (usize, usize) {
     let spec = CampaignConfig::new(64, 7).population;
     (0..64)
         .map(|node| {
             let seed = derive_seed(7, FLEET_SEED_CYCLE, node);
-            simulate_faulted_day(&spec.node_blueprint(seed).config).steps
+            let day = simulate_faulted_day(&spec.node_blueprint(seed).config);
+            (day.steps, day.energy_polls)
         })
-        .sum()
+        .fold((0, 0), |(steps, polls), (s, p)| (steps + s, polls + p))
 }
 
 /// Digest of the `nn_fit_candidate` stage's training run, pinned from the
@@ -686,7 +688,7 @@ fn main() {
     let fleet_reports_identical = fleet_1w.to_json() == fleet_4w.to_json();
     let fleet_nodes_per_sec = 64.0 / (fleet_4w_ns.min(fleet_1w_ns) as f64 / 1e9).max(1e-9);
     let fleet_max_residual_nj = fleet_1w.aggregate.residual_nj_stat.max_or_zero();
-    let fleet_rail_steps = fleet_rail_steps_64n();
+    let (fleet_rail_steps, fleet_energy_polls) = fleet_day_counts_64n();
 
     // The streaming stage stands in for the million-node campaign the
     // engine is built for, scaled to bench time: same code path
@@ -873,6 +875,9 @@ fn main() {
     ));
     json.push_str(&format!(
         "    \"fleet_rail_steps_64n\": {fleet_rail_steps},\n"
+    ));
+    json.push_str(&format!(
+        "    \"fleet_energy_polls_64n\": {fleet_energy_polls},\n"
     ));
     json.push_str(&format!("    \"fleet_stream_nodes\": {stream_nodes},\n"));
     json.push_str(&format!(

@@ -73,20 +73,33 @@ impl SolarCell {
 
     /// Open-circuit voltage for a given short-circuit current.
     pub fn open_circuit_voltage(&self, isc: Amps) -> Volts {
+        self.open_circuit_voltage_under(isc, self.voc_norm())
+    }
+
+    /// `ln(1 + I_ref/I_dark)`, the denominator of `V_oc`. It does not
+    /// depend on the light, so a caller evaluating the cell many times
+    /// works it out once.
+    pub(crate) fn voc_norm(&self) -> f64 {
+        (1.0 + self.isc_ref.as_amps() / self.dark_current.as_amps()).ln()
+    }
+
+    /// [`SolarCell::open_circuit_voltage`] with its denominator `voc_norm`
+    /// ([`SolarCell::voc_norm`]) given.
+    fn open_circuit_voltage_under(&self, isc: Amps, voc_norm: f64) -> Volts {
         let i = isc.as_amps().max(0.0);
         let i0 = self.dark_current.as_amps();
-        let norm = (1.0 + self.isc_ref.as_amps() / i0).ln();
-        Volts::new(self.voc_ref.as_volts() * (1.0 + i / i0).ln() / norm)
+        Volts::new(self.voc_ref.as_volts() * (1.0 + i / i0).ln() / voc_norm)
     }
 
     /// Power at the maximum power point under the given conditions.
     pub fn mpp_power(&self, lux: Lux, shading: Ratio) -> Power {
-        self.mpp_power_at(self.short_circuit_current(lux, shading))
+        self.mpp_power_at(self.short_circuit_current(lux, shading), self.voc_norm())
     }
 
-    /// Power at the maximum power point for a known short-circuit current.
-    pub(crate) fn mpp_power_at(&self, isc: Amps) -> Power {
-        let voc = self.open_circuit_voltage(isc);
+    /// Power at the maximum power point for a known short-circuit current,
+    /// with the `V_oc` denominator [`SolarCell::voc_norm`] given.
+    pub(crate) fn mpp_power_at(&self, isc: Amps, voc_norm: f64) -> Power {
+        let voc = self.open_circuit_voltage_under(isc, voc_norm);
         voc * isc * self.fill_factor
     }
 

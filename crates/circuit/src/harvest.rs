@@ -195,23 +195,20 @@ impl HarvestingArray {
     /// in layout order, and equal inputs give equal bits, so the sum is
     /// bit-identical to evaluating every cell.
     pub fn output_power(&self, lux: Lux, shading: impl Fn(usize) -> Ratio) -> Power {
-        let cell = &self.layout.cell;
+        let voc_norm = self.layout.cell.voc_norm();
         // The last shading value's bits, plain-cell and event-cell power.
         let mut memo: Option<(u64, Power, Power)> = None;
         let mut raw = Power::ZERO;
         for (i, &role) in self.layout.roles.iter().enumerate() {
-            if role == CellRole::Sensing && self.mode == HarvestMode::Sensing {
-                continue; // diverted onto the sensing dividers
+            if self.diverted(role) {
+                continue;
             }
             let s = shading(i).clamp01();
             let key = s.get().to_bits();
             let (plain, event) = match memo {
                 Some((k, plain, event)) if k == key => (plain, event),
                 _ => {
-                    let isc = cell.short_circuit_current(lux, s);
-                    let plain = cell.mpp_power_at(isc);
-                    // The Schottky diode eats its forward drop's share of power.
-                    let event = (plain - isc * self.blocking_diode.forward_drop).max(Power::ZERO);
+                    let (plain, event) = self.cell_powers(lux, s, voc_norm);
                     memo = Some((key, plain, event));
                     (plain, event)
                 }
@@ -223,6 +220,33 @@ impl HarvestingArray {
             };
         }
         self.harvester.output(raw)
+    }
+
+    /// Whether a cell of `role` is diverted onto the sensing dividers.
+    fn diverted(&self, role: CellRole) -> bool {
+        role == CellRole::Sensing && self.mode == HarvestMode::Sensing
+    }
+
+    /// The MPP power of one plain cell and of one diode-fed event cell
+    /// under `lux` with `shading` covered, the `V_oc` denominator
+    /// `voc_norm` given.
+    fn cell_powers(&self, lux: Lux, shading: Ratio, voc_norm: f64) -> (Power, Power) {
+        let cell = &self.layout.cell;
+        let isc = cell.short_circuit_current(lux, shading);
+        let plain = cell.mpp_power_at(isc, voc_norm);
+        // The Schottky diode eats its forward drop's share of power.
+        let event = (plain - isc * self.blocking_diode.forward_drop).max(Power::ZERO);
+        (plain, event)
+    }
+
+    /// The array as a function of lux alone, with no cell shaded
+    /// ([`UnshadedArray`]).
+    pub fn unshaded(self) -> UnshadedArray {
+        let voc_norm = self.layout.cell.voc_norm();
+        UnshadedArray {
+            array: self,
+            voc_norm,
+        }
     }
 
     /// Sensing-channel voltages (9 taps, row-major over the 3×3 block) for
@@ -263,6 +287,51 @@ impl HarvestingArray {
                 self.sensing_divider.dissipation(v_cell)
             })
             .sum()
+    }
+}
+
+/// A [`HarvestingArray`] with no cell shaded, the case of a rail that
+/// samples the light many times a day: the cell model's light-independent
+/// `V_oc` denominator is worked out once, when it is built
+/// ([`HarvestingArray::unshaded`]), and each call evaluates the cell model
+/// once and adds every non-diverted cell's term in layout order. So
+/// [`UnshadedArray::output_power`] equals the array's
+/// `output_power(lux, |_| Ratio::ZERO)` bit for bit. It owns its array,
+/// which it lends out read-only, so the two cannot drift apart.
+#[derive(Debug, Clone, PartialEq)]
+pub struct UnshadedArray {
+    array: HarvestingArray,
+    voc_norm: f64,
+}
+
+impl UnshadedArray {
+    /// The array this evaluates.
+    pub fn array(&self) -> &HarvestingArray {
+        &self.array
+    }
+
+    /// [`HarvestingArray::output_power`] under `lux` with no cell shaded.
+    pub fn output_power(&self, lux: Lux) -> Power {
+        let array = &self.array;
+        let (plain, event) = array.cell_powers(lux, Ratio::ZERO, self.voc_norm);
+        let mut raw = Power::ZERO;
+        for &role in &array.layout.roles {
+            if array.diverted(role) {
+                continue;
+            }
+            raw += if role == CellRole::EventDetection {
+                event
+            } else {
+                plain
+            };
+        }
+        array.harvester.output(raw)
+    }
+
+    /// [`HarvestingArray::charging_current`] into the supercap at `v_cap`
+    /// under `lux` with no cell shaded.
+    pub fn charging_current(&self, lux: Lux, v_cap: Volts) -> Amps {
+        HarvestingArray::current_into(self.output_power(lux), v_cap)
     }
 }
 
@@ -454,6 +523,29 @@ mod tests {
             let power = array.output_power(Lux::new(lux), shading).as_watts();
             let want = power / v.max(0.5);
             prop_assert_eq!(got.as_amps().to_bits(), want.to_bits());
+        }
+
+        /// The unshaded path is the shaded one under `|_| Ratio::ZERO`,
+        /// bit for bit, in both modes, from darkness to direct sun.
+        #[test]
+        fn unshaded_output_power_matches_the_shaded_path_bitwise(
+            lux in 0.0f64..1e5,
+            v in 0.0f64..6.0,
+            sensing in 0u8..2,
+        ) {
+            let mut array = HarvestingArray::new();
+            if sensing == 1 {
+                array.set_mode(HarvestMode::Sensing);
+            }
+            let lux = Lux::new(lux);
+            let want = array.output_power(lux, no_shade);
+            let want_current = array.charging_current(lux, Volts::new(v), no_shade);
+            let unshaded = array.unshaded();
+            prop_assert_eq!(unshaded.output_power(lux).as_watts().to_bits(), want.as_watts().to_bits());
+            prop_assert_eq!(
+                unshaded.charging_current(lux, Volts::new(v)).as_amps().to_bits(),
+                want_current.as_amps().to_bits()
+            );
         }
 
         #[test]

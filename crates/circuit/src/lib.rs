@@ -59,6 +59,6 @@ pub use fault::{
     BrownoutComparator, BrownoutThresholds, CloudTransient, ComparatorState, FaultPlan,
     OutageWindow, PowerEvent, SupercapDegradation,
 };
-pub use harvest::{ArrayLayout, CellRole, HarvestMode, Harvester, HarvestingArray};
+pub use harvest::{ArrayLayout, CellRole, HarvestMode, Harvester, HarvestingArray, UnshadedArray};
 pub use mppt::{iv_sweep, FractionalVoc, IvPoint, PerturbObserve};
 pub use sim::{CircuitSim, EnergyAudit, EnergyFlows, SimConfig, SimStep};

@@ -41,7 +41,7 @@ use crate::population::{NodeBlueprint, PopulationSpec};
 /// behavior changes (physics, scheduler stepping, ledger accounting…):
 /// every existing store entry then misses and recomputes, which is the
 /// *only* correct response to new semantics.
-pub const SIM_FINGERPRINT: &str = "solarml-node-day-sim/v4";
+pub const SIM_FINGERPRINT: &str = "solarml-node-day-sim/v5";
 
 /// One node's simulated day, as a task: resolve the node out of the
 /// population once, then carry everything `execute` needs.

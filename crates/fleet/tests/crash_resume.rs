@@ -249,18 +249,18 @@ fn file_hashes(dir: &Path, keep: impl Fn(&str) -> bool) -> Vec<(String, u64)> {
 /// Checkpoint files of the pinned durable campaign. The framing has not
 /// moved since the snapshots went onto the shared envelope; the bytes were
 /// re-pinned when `SIM_FINGERPRINT` went to `v2` (new outcomes, new keys),
-/// and again at `v3` and `v4`.
-const PINNED_CHECKPOINTS: &[(&str, u64)] = &[("ckpt-000000000008.bin", 0xD9E2_9F8E_DB91_CC53)];
+/// and again at `v3`, `v4` and `v5`.
+const PINNED_CHECKPOINTS: &[(&str, u64)] = &[("ckpt-000000000008.bin", 0xD90B_B6BB_87D6_F178)];
 
 /// Store files (`store.meta` and `store.pack`) of the pinned campaign.
 /// Re-pinned when `STORE_VERSION` went to 2 (one sorted pack instead of
 /// one file per entry), and again at 3 (word-at-a-time content keys: the
 /// same eight outcomes under new keys, so in a new order). `store.pack`
-/// moved again with `SIM_FINGERPRINT` `v3` and `v4` (new outcomes, new
-/// keys).
+/// moved again with `SIM_FINGERPRINT` `v3`, `v4` and `v5` (new outcomes,
+/// new keys).
 const PINNED_STORE: &[(&str, u64)] = &[
     ("store.meta", 0x2510_2CF7_EF1F_D29C),
-    ("store.pack", 0x712D_3A4F_E9BE_A077),
+    ("store.pack", 0x1235_A7D8_1BE3_C6BE),
 ];
 
 #[test]

@@ -14,8 +14,8 @@ use solarml_trace::seed::derive_seed;
 /// FNV-1a over the little-endian keys of representative nodes `0..1024`
 /// at campaign seed 7, in node order. Re-pinned when `STORE_VERSION` went
 /// to 3 (word-at-a-time content keys), and when `SIM_FINGERPRINT`, which
-/// every key folds, went to `v3` and to `v4`.
-const REPRESENTATIVE_KEY_DIGEST: u64 = 0xc998_5b82_8eaa_0a12;
+/// every key folds, went to `v3`, `v4` and `v5`.
+const REPRESENTATIVE_KEY_DIGEST: u64 = 0x5d9b_651a_d93c_d069;
 
 /// Per `(script, seed)`: FNV-1a over the profile's 24 `lux_by_hour` bit
 /// patterns.

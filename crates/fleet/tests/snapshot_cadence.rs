@@ -67,27 +67,27 @@ const PINNED_RUNS: [(usize, &[(&str, u64)]); 3] = [
     (
         1,
         &[
-            ("ckpt-000000000032.bin", 0x930B_9A08_2664_E6A6),
-            ("ckpt-000000000048.bin", 0xAB96_3004_61D9_4DAA),
-            ("ckpt-000000000080.bin", 0x0EE8_AF23_00EC_E1B4),
-            ("ckpt-000000000096.bin", 0xF325_AF5E_F77F_8660),
-            ("ckpt-000000000100.bin", 0x42C4_E63E_01EF_86BD),
+            ("ckpt-000000000032.bin", 0x8999_9426_601A_33E5),
+            ("ckpt-000000000048.bin", 0x565A_4AFA_F870_A3B1),
+            ("ckpt-000000000080.bin", 0x889C_614B_6531_AB31),
+            ("ckpt-000000000096.bin", 0x5C8E_72B4_5C45_CE3A),
+            ("ckpt-000000000100.bin", 0x3C11_C61C_8BBE_EDCE),
         ],
     ),
     (
         2,
         &[
-            ("ckpt-000000000032.bin", 0x930B_9A08_2664_E6A6),
-            ("ckpt-000000000064.bin", 0x8833_5C43_3E28_36EA),
-            ("ckpt-000000000096.bin", 0xF325_AF5E_F77F_8660),
-            ("ckpt-000000000100.bin", 0x42C4_E63E_01EF_86BD),
+            ("ckpt-000000000032.bin", 0x8999_9426_601A_33E5),
+            ("ckpt-000000000064.bin", 0xA629_066C_0C7B_0A1D),
+            ("ckpt-000000000096.bin", 0x5C8E_72B4_5C45_CE3A),
+            ("ckpt-000000000100.bin", 0x3C11_C61C_8BBE_EDCE),
         ],
     ),
     (
         4,
         &[
-            ("ckpt-000000000064.bin", 0x8833_5C43_3E28_36EA),
-            ("ckpt-000000000100.bin", 0x42C4_E63E_01EF_86BD),
+            ("ckpt-000000000064.bin", 0xA629_066C_0C7B_0A1D),
+            ("ckpt-000000000100.bin", 0x3C11_C61C_8BBE_EDCE),
         ],
     ),
 ];
@@ -95,10 +95,10 @@ const PINNED_RUNS: [(usize, &[(&str, u64)]); 3] = [
 /// Snapshots of a 2-worker run killed at node 37, then resumed on 2
 /// workers: the resumed run's windows start at 37, not at 0.
 const PINNED_KILL_RESUME: &[(&str, u64)] = &[
-    ("ckpt-000000000032.bin", 0x930B_9A08_2664_E6A6),
-    ("ckpt-000000000037.bin", 0x2E5A_C28A_52F8_0308),
-    ("ckpt-000000000069.bin", 0x72B4_128B_8C12_5940),
-    ("ckpt-000000000100.bin", 0xAE72_0C8B_047D_E60D),
+    ("ckpt-000000000032.bin", 0x8999_9426_601A_33E5),
+    ("ckpt-000000000037.bin", 0x1737_3552_0A4F_38CA),
+    ("ckpt-000000000069.bin", 0x2AA0_7CB7_44E9_BD6A),
+    ("ckpt-000000000100.bin", 0x7A91_B1A6_8C0D_749D),
 ];
 
 #[test]

@@ -36,7 +36,7 @@
 use solarml_circuit::fault::{
     BrownoutComparator, BrownoutThresholds, ComparatorState, FaultPlan, PowerEvent,
 };
-use solarml_circuit::harvest::HarvestingArray;
+use solarml_circuit::harvest::{HarvestingArray, UnshadedArray};
 use solarml_circuit::sim::EnergyAudit;
 use solarml_circuit::Supercap;
 use solarml_mcu::{Mcu, McuPowerModel, PowerState};
@@ -297,6 +297,8 @@ pub struct IntermittentConfig {
     pub max_retries: usize,
     /// Idle wait between energy-gate checks (wait-for-energy backoff), and
     /// the longest a warned task will stay suspended hoping for recovery.
+    /// Must be positive: a wait polls at the wait's start plus whole
+    /// multiples of it.
     pub retry_backoff: Seconds,
     /// Fine timestep while the MCU is running a task.
     pub active_dt: Seconds,
@@ -396,6 +398,18 @@ pub struct DayFaultReport {
     /// [`STEP_LIMITS`] entry. A cost count like `steps`, and likewise left
     /// out of the JSON; all zero under [`DtPolicy::fixed`].
     pub step_limits: [usize; STEP_LIMITS.len()],
+    /// Energy-gate checks the runtime made while waiting for energy, one
+    /// per poll. A cost count like `steps`, and likewise left out of the
+    /// JSON.
+    pub energy_polls: usize,
+    /// Scheduler runs that idled past polls which could not pass (a
+    /// wait's strides). A cost count, left out of the JSON.
+    pub wait_strides: usize,
+    /// Stride steps that began with the rail up and ended with the cell at
+    /// or above the voltage the cheapest rung needs: each one may have
+    /// skipped a poll that would have passed. The wait's exactness
+    /// argument says there are none; left out of the JSON.
+    pub stride_overshoots: usize,
 }
 
 /// The bounds an adaptive rail step hint takes the least of, by name, in
@@ -533,7 +547,7 @@ struct Slope {
 /// ([`Rail::hint`]).
 struct Rail<'a> {
     cfg: &'a IntermittentConfig,
-    array: HarvestingArray,
+    array: UnshadedArray,
     cap: Supercap,
     comparator: BrownoutComparator,
     /// Extra load of an in-flight checkpoint save/restore window.
@@ -579,7 +593,7 @@ impl Rail<'_> {
         };
         let lux = self.cfg.base.profile.lux_at(t) * factor;
         let power = if connected {
-            self.array.output_power(lux, |_| Ratio::ZERO)
+            self.array.output_power(lux)
         } else {
             Power::ZERO
         };
@@ -590,8 +604,7 @@ impl Rail<'_> {
     /// profile's light with no fault window active.
     fn clear_sky_charge(&self, t: Seconds) -> Amps {
         let lux = self.cfg.base.profile.lux_at(t);
-        self.array
-            .charging_current(lux, self.cap.max_voltage, |_| Ratio::ZERO)
+        self.array.charging_current(lux, self.cap.max_voltage)
     }
 
     /// The next adaptive step, from the end `t` of a step whose light and
@@ -832,6 +845,9 @@ struct Engine<'a> {
     /// Energy banked behind retained checkpoints of the current cycle
     /// (lost only if the whole cycle is abandoned).
     banked: Energy,
+    energy_polls: usize,
+    wait_strides: usize,
+    stride_overshoots: usize,
 }
 
 impl<'a> Engine<'a> {
@@ -846,7 +862,7 @@ impl<'a> Engine<'a> {
             mcu: Mcu::new(cfg.mcu),
             rail: Rail {
                 cfg,
-                array: HarvestingArray::new(),
+                array: HarvestingArray::new().unshaded(),
                 cap,
                 comparator: BrownoutComparator::new(cfg.thresholds),
                 extra: Power::ZERO,
@@ -876,6 +892,9 @@ impl<'a> Engine<'a> {
             accuracy_sum: 0.0,
             wasted: Energy::ZERO,
             banked: Energy::ZERO,
+            energy_polls: 0,
+            wait_strides: 0,
+            stride_overshoots: 0,
         }
     }
 
@@ -885,9 +904,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Runs the `[mcu, rail]` pair until `until` at one-second slices,
-    /// stopping early when the rail raises any event in `stop_on`.
-    /// Returns the stopping event, `None` when the deadline was reached.
-    fn drive_until(&mut self, until: Seconds, stop_on: &[SimEvent]) -> Option<SimEvent> {
+    /// stopping early after the first step whose bus `stop` accepts.
+    fn drive_until(&mut self, until: Seconds, mut stop: impl FnMut(&SimBus) -> bool) {
         let Self {
             sched,
             bus,
@@ -895,23 +913,19 @@ impl<'a> Engine<'a> {
             rail,
             ..
         } = self;
-        let mut hit = None;
         sched.run_until(
             until,
             Seconds::new(1.0),
             &mut [&mut *mcu as &mut dyn Clocked, &mut *rail],
             bus,
             |_, _, bus| {
-                for &ev in stop_on {
-                    if bus.saw(ev) {
-                        hit = Some(ev);
-                        return StepControl::Stop;
-                    }
+                if stop(bus) {
+                    StepControl::Stop
+                } else {
+                    StepControl::Continue
                 }
-                StepControl::Continue
             },
         );
-        hit
     }
 
     /// Runs the `[mcu, rail]` pair through a span of `duration` at the
@@ -956,7 +970,7 @@ impl<'a> Engine<'a> {
 
     /// Idles (MCU off or browned out) until `until`, at one-second steps.
     fn idle_until(&mut self, until: Seconds) {
-        self.drive_until(until, &[]);
+        self.drive_until(until, |_| false);
     }
 
     /// The runtime's belief about usable energy: *nominal* capacitance at
@@ -1008,24 +1022,95 @@ impl<'a> Engine<'a> {
             .map(|(i, _)| i)
     }
 
-    /// Wait-for-energy: idles in `retry_backoff` slices until a rung fits
-    /// or `deadline` passes. Returns the selected rung index.
+    /// The open-circuit voltage the runtime believes the cheapest rung at
+    /// or below `min_rung` needs. Its belief is monotone in the voltage, so
+    /// below this no rung fits ([`Engine::affordable_rung`]); infinite when
+    /// there is no such rung.
+    fn required_voltage(&self, from_phase: usize, min_rung: usize) -> Volts {
+        let cheapest = self
+            .cfg
+            .ladder
+            .rungs()
+            .iter()
+            .skip(min_rung)
+            .map(|rung| self.remaining_cost(from_phase, rung).as_joules())
+            .fold(f64::INFINITY, f64::min);
+        let v_th = self.cfg.base.inference_threshold.as_volts();
+        let c = self.cfg.base.capacitance.as_farads();
+        Volts::new((v_th * v_th + 2.0 * cheapest / c).sqrt())
+    }
+
+    /// Wait-for-energy: polls the energy gate at the wait's start `t0` and
+    /// at `t0 + k·retry_backoff` (one addition per poll) until a rung fits,
+    /// and once more at `deadline`. Returns the selected rung index.
+    ///
+    /// Polls that cannot pass are not stepped to. While the supervisor
+    /// holds the rail cut, or the cell sits more than two ΔV caps
+    /// ([`STEP_MAX_DV`]) below [`Engine::required_voltage`], one scheduler
+    /// run strides on until the rail is up with the cell inside that band:
+    /// no adaptive step moves the cell much past one ΔV cap, so every poll
+    /// the stride passes would have failed. Polling resumes at the first
+    /// poll instant at or after the stride's end. `stride_overshoots`
+    /// counts the stride steps that break that premise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `retry_backoff` is not positive: the polls would never
+    /// advance the clock.
     fn wait_for_energy(
         &mut self,
         from_phase: usize,
         min_rung: usize,
         deadline: Seconds,
     ) -> Option<usize> {
+        let backoff = self.cfg.retry_backoff;
+        assert!(
+            backoff > Seconds::ZERO,
+            "IntermittentConfig::retry_backoff must be positive, got {} s",
+            backoff.as_seconds()
+        );
+        let v_req = self.required_voltage(from_phase, min_rung);
+        let band = v_req - STEP_MAX_DV * 2.0;
+        let mut poll = self.time();
         loop {
+            self.energy_polls += 1;
             if let Some(r) = self.affordable_rung(from_phase, min_rung) {
                 return Some(r);
             }
             if self.time() >= deadline {
                 return None;
             }
-            let until = (self.time() + self.cfg.retry_backoff).min(deadline);
-            self.idle_until(until);
+            if self.rail.comparator.is_browned_out() || self.rail.cap.voltage() < band {
+                self.stride(deadline, band, v_req);
+                while poll < self.time() {
+                    poll += backoff;
+                }
+            } else {
+                poll += backoff;
+            }
+            self.idle_until(poll.min(deadline));
         }
+    }
+
+    /// One wait stride: idles until `deadline`, stopping after the first
+    /// step that leaves the rail up with the cell at or above `band`.
+    fn stride(&mut self, deadline: Seconds, band: Volts, v_req: Volts) {
+        self.wait_strides += 1;
+        let mut cut = self.rail.comparator.is_browned_out();
+        let mut overshoots = 0;
+        self.drive_until(deadline, |bus| {
+            // `rail_connected` is the rail's state at the step's start.
+            if bus.rail_connected && bus.rail_voltage >= v_req {
+                overshoots += 1;
+            }
+            if bus.saw(SimEvent::Recovered) {
+                cut = false;
+            } else if bus.saw(SimEvent::Brownout) {
+                cut = true;
+            }
+            !cut && bus.rail_voltage >= band
+        });
+        self.stride_overshoots += overshoots;
     }
 
     /// Books the loss of this attempt's unsaved progress. Retained
@@ -1067,10 +1152,12 @@ impl<'a> Engine<'a> {
             .enter(PowerState::Standby)
             .map_err(LifecycleError::Transition)?;
         let until = (self.time() + self.cfg.retry_backoff).min(deadline);
-        match self.drive_until(until, &[SimEvent::Recovered, SimEvent::Brownout]) {
-            Some(SimEvent::Recovered) => Ok(true),
-            _ => Ok(false),
-        }
+        let mut recovered = false;
+        self.drive_until(until, |bus| {
+            recovered = bus.saw(SimEvent::Recovered);
+            recovered || bus.saw(SimEvent::Brownout)
+        });
+        Ok(recovered)
     }
 
     /// Runs a checkpoint save/restore window of `duration` at the extra
@@ -1321,6 +1408,9 @@ impl<'a> Engine<'a> {
             steps: self.rail.steps,
             step_bands: self.rail.step_bands,
             step_limits: self.rail.step_limits,
+            energy_polls: self.energy_polls,
+            wait_strides: self.wait_strides,
+            stride_overshoots: self.stride_overshoots,
         }
     }
 }
@@ -1522,11 +1612,7 @@ mod tests {
         // endpoint currents.
         let charge = |t: f64| {
             let lux = cfg.base.profile.lux_at(Seconds::new(t));
-            engine
-                .rail
-                .array
-                .charging_current(lux, max, |_| Ratio::ZERO)
-                .as_amps()
+            engine.rail.array.charging_current(lux, max).as_amps()
         };
         let mut expected = 0.0;
         let mut from = start.as_seconds();
@@ -1642,7 +1728,7 @@ mod tests {
             for k in 0..substeps as usize {
                 let at = t + fine * k as f64;
                 let lux = cfg.base.profile.lux_at(at);
-                let charge = rail.array.charging_current(lux, reference.voltage(), |_| Ratio::ZERO);
+                let charge = rail.array.charging_current(lux, reference.voltage());
                 reference.step(fine, charge, load);
             }
             let error = (rail.cap.voltage() - reference.voltage()).as_volts().abs();
@@ -1691,7 +1777,7 @@ mod tests {
             let fine = dt / substeps;
             let currents = |cell: &Supercap, at: Seconds, v: Volts| {
                 let lux = cfg.base.profile.lux_at(at);
-                let charge = rail.array.charging_current(lux, v, |_| Ratio::ZERO);
+                let charge = rail.array.charging_current(lux, v);
                 cell.currents_at(v, charge, load)
             };
             let mut reference = cap;
@@ -1759,6 +1845,16 @@ mod tests {
                 };
             }
         }
+    }
+
+    /// A poll that never advances the clock would wait forever.
+    #[test]
+    #[should_panic(expected = "IntermittentConfig::retry_backoff must be positive")]
+    fn a_zero_retry_backoff_is_refused() {
+        let (base, faults, plan) = scenario(42);
+        let mut cfg = IntermittentConfig::naive(base, faults, plan);
+        cfg.retry_backoff = Seconds::ZERO;
+        simulate_faulted_day(&cfg);
     }
 
     #[test]
