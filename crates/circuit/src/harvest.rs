@@ -297,7 +297,7 @@ impl HarvestingArray {
 /// once and adds every non-diverted cell's term in layout order. So
 /// [`UnshadedArray::output_power`] equals the array's
 /// `output_power(lux, |_| Ratio::ZERO)` bit for bit. It owns its array,
-/// which it lends out read-only, so the two cannot drift apart.
+/// so the two cannot drift apart.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UnshadedArray {
     array: HarvestingArray,
@@ -305,11 +305,6 @@ pub struct UnshadedArray {
 }
 
 impl UnshadedArray {
-    /// The array this evaluates.
-    pub fn array(&self) -> &HarvestingArray {
-        &self.array
-    }
-
     /// [`HarvestingArray::output_power`] under `lux` with no cell shaded.
     pub fn output_power(&self, lux: Lux) -> Power {
         let array = &self.array;
