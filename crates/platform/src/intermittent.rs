@@ -503,7 +503,8 @@ enum AttemptEnd {
 const STEP_ERROR_V: Volts = Volts::new(1e-5);
 
 /// Cap on the voltage one adaptive rail step may move, however flat the
-/// net current.
+/// net current. An energy wait strides while the cell sits more than two
+/// of these below the voltage it waits for ([`Engine::wait_for_energy`]).
 const STEP_MAX_DV: Volts = Volts::new(0.05);
 
 /// How far past the comparator threshold it heads for one adaptive rail
