@@ -468,6 +468,32 @@ mod tests {
         assert!(macs[0] > 0);
     }
 
+    /// Exit budgets of the doc-example backbone and of [`backbone`], by
+    /// hand: a head costs its flat input length × classes.
+    #[test]
+    fn exit_macs_are_pinned() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let doc = ModelSpec::new(
+            [8, 8, 1],
+            vec![
+                LayerSpec::conv(4, 3, 1, Padding::Same),
+                LayerSpec::relu(),
+                LayerSpec::conv(8, 3, 1, Padding::Same),
+                LayerSpec::relu(),
+                LayerSpec::flatten(),
+                LayerSpec::dense(4),
+            ],
+        )
+        .expect("valid backbone");
+        let m = MultiExitModel::new(&doc, &[2], 4, &mut rng).expect("valid");
+        // conv 2304 + head 256·4; conv 2304 + conv 18432 + dense 512·4.
+        assert_eq!(m.exit_macs(), [3_328, 22_784]);
+        let m = MultiExitModel::new(&backbone(), &[2, 5], 4, &mut rng).expect("valid");
+        // conv 3456 + head 384·4; + conv 41472 + pool 768 + head 192·4;
+        // the same again through the backbone's own dense(4).
+        assert_eq!(m.exit_macs(), [4_992, 46_464, 46_464]);
+    }
+
     #[test]
     fn threshold_one_never_exits_early_and_zero_point_two_often_does() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
