@@ -401,12 +401,20 @@ impl ModelSpec {
 
     /// Per-class MAC totals.
     pub fn mac_summary(&self) -> MacSummary {
-        let shapes = self.shapes().expect("validated spec");
         let mut summary = MacSummary::default();
-        for (i, layer) in self.layers.iter().enumerate() {
-            summary.add(layer.class(), layer_macs(shapes[i], shapes[i + 1], layer));
+        for (class, macs) in self.per_layer_macs() {
+            summary.add(class, macs);
         }
         summary
+    }
+
+    /// Each layer's class and MACs, in layer order.
+    pub(crate) fn per_layer_macs(&self) -> impl Iterator<Item = (LayerClass, u64)> + '_ {
+        let shapes = self.shapes().expect("validated spec");
+        self.layers
+            .iter()
+            .enumerate()
+            .map(move |(i, layer)| (layer.class(), layer_macs(shapes[i], shapes[i + 1], layer)))
     }
 
     /// Total trainable parameters.

@@ -11,7 +11,7 @@
 
 use rand::Rng;
 
-use crate::arch::{ArchError, LayerSpec, MacSummary, ModelSpec};
+use crate::arch::{ArchError, LayerSpec, ModelSpec};
 use crate::dataset::ClassDataset;
 use crate::layers::Layer;
 use crate::loss::softmax_cross_entropy;
@@ -52,7 +52,9 @@ pub struct MultiExitModel {
     /// `(position, head)` pairs: the head consumes the activation *after*
     /// backbone layer `position − 1` (i.e. `position` layers have run).
     heads: Vec<(usize, Vec<Layer>)>,
-    num_classes: usize,
+    /// MACs of each exit, earliest to final: the backbone prefix plus the
+    /// head taken there.
+    exit_macs: Vec<u64>,
 }
 
 /// The result of an early-exit inference.
@@ -107,6 +109,18 @@ impl MultiExitModel {
             heads.push((pos, head));
         }
         heads.sort_by_key(|(p, _)| *p);
+        let mut prefix = vec![0u64];
+        for (_, macs) in backbone.per_layer_macs() {
+            prefix.push(prefix[prefix.len() - 1] + macs);
+        }
+        // A head is flatten + dense: its flat input length × classes.
+        let exit_macs = heads
+            .iter()
+            .map(|&(pos, _)| {
+                prefix[pos] + (backbone.shape_before(pos).elements() * num_classes) as u64
+            })
+            .chain(prefix.last().copied())
+            .collect();
         let backbone_layers = backbone
             .layers()
             .iter()
@@ -117,7 +131,7 @@ impl MultiExitModel {
             backbone_spec: backbone.clone(),
             backbone: backbone_layers,
             heads,
-            num_classes,
+            exit_macs,
         })
     }
 
@@ -129,40 +143,6 @@ impl MultiExitModel {
     /// The backbone architecture.
     pub fn backbone_spec(&self) -> &ModelSpec {
         &self.backbone_spec
-    }
-
-    /// MACs of the backbone prefix up to (exclusive) layer `pos`, plus the
-    /// MACs of the head attached there.
-    fn macs_at_exit(&self, exit_index: usize) -> u64 {
-        let cumulative = self.cumulative_backbone_macs();
-        if exit_index < self.heads.len() {
-            let (pos, _) = &self.heads[exit_index];
-            let head_macs = self.head_macs(exit_index);
-            cumulative[*pos] + head_macs
-        } else {
-            *cumulative.last().expect("non-empty backbone")
-        }
-    }
-
-    fn cumulative_backbone_macs(&self) -> Vec<u64> {
-        // Per-layer MACs from successive prefix summaries.
-        let mut out = vec![0u64];
-        for pos in 1..=self.backbone_spec.layers().len() {
-            let summary = prefix_macs(&self.backbone_spec, pos);
-            out.push(summary.total());
-        }
-        out
-    }
-
-    fn head_macs(&self, exit_index: usize) -> u64 {
-        let (pos, _) = &self.heads[exit_index];
-        let mut layers: Vec<LayerSpec> = self.backbone_spec.layers()[..*pos].to_vec();
-        layers.push(LayerSpec::flatten());
-        layers.push(LayerSpec::dense(self.num_classes));
-        let spec = ModelSpec::new(self.backbone_spec.input_shape(), layers)
-            .expect("validated at construction");
-        let full = spec.mac_summary().total();
-        full - prefix_macs(&self.backbone_spec, *pos).total()
     }
 
     /// Runs inference with confidence-threshold early exit.
@@ -178,15 +158,12 @@ impl MultiExitModel {
         let mut x = input.clone();
         let mut scratch = Tensor::zeros([1]);
         let mut layer_idx = 0usize;
-        let mut macs = 0u64;
-        let cumulative = self.cumulative_backbone_macs();
         for (exit_index, (pos, head)) in self.heads.iter_mut().enumerate() {
             // Advance the backbone to this exit's position.
             while layer_idx < *pos {
                 advance(&mut self.backbone[layer_idx], &mut x, &mut scratch);
                 layer_idx += 1;
             }
-            macs = cumulative[*pos];
             // Evaluate the head.
             let mut h = x.clone();
             for layer in head.iter_mut() {
@@ -197,8 +174,7 @@ impl MultiExitModel {
                 return ExitDecision {
                     scores: h,
                     exit_index,
-                    macs_spent: macs
-                        + head_macs_static(&self.backbone_spec, *pos, self.num_classes),
+                    macs_spent: self.exit_macs[exit_index],
                     confidence,
                 };
             }
@@ -209,11 +185,10 @@ impl MultiExitModel {
             layer_idx += 1;
         }
         let confidence = softmax_peak(&x);
-        let _ = macs;
         ExitDecision {
             scores: x,
             exit_index: self.num_exits() - 1,
-            macs_spent: *cumulative.last().expect("non-empty"),
+            macs_spent: self.exit_macs[self.heads.len()],
             confidence,
         }
     }
@@ -324,52 +299,8 @@ impl MultiExitModel {
 
     /// The MAC budget of each exit, earliest to final.
     pub fn exit_macs(&self) -> Vec<u64> {
-        (0..self.num_exits())
-            .map(|e| self.macs_at_exit(e))
-            .collect()
+        self.exit_macs.clone()
     }
-}
-
-/// MACs of the first `pos` layers of `spec` — computed by capping the
-/// prefix with `flatten + dense(1)` (so it validates as a model) and
-/// subtracting the cap's dense MACs.
-fn prefix_macs(spec: &ModelSpec, pos: usize) -> MacSummary {
-    let mut layers: Vec<LayerSpec> = spec.layers()[..pos].to_vec();
-    layers.push(LayerSpec::flatten());
-    layers.push(LayerSpec::dense(1));
-    let capped = ModelSpec::new(spec.input_shape(), layers).expect("prefix of a valid spec");
-    let summary = capped.mac_summary();
-    let cap = dense_cap_macs(spec, pos);
-    let mut out = MacSummary::default();
-    for class in crate::arch::LayerClass::ALL {
-        let macs = summary.class(class);
-        if class == crate::arch::LayerClass::Dense {
-            out.add(class, macs - cap);
-        } else {
-            out.add(class, macs);
-        }
-    }
-    out
-}
-
-/// MACs of a `flatten + dense(1)` cap at prefix position `pos`.
-fn dense_cap_macs(spec: &ModelSpec, pos: usize) -> u64 {
-    let mut one = spec.layers()[..pos].to_vec();
-    one.push(LayerSpec::flatten());
-    one.push(LayerSpec::dense(1));
-    let s1 = ModelSpec::new(spec.input_shape(), one).expect("valid prefix");
-    let mut two = spec.layers()[..pos].to_vec();
-    two.push(LayerSpec::flatten());
-    two.push(LayerSpec::dense(2));
-    let s2 = ModelSpec::new(spec.input_shape(), two).expect("valid prefix");
-    // dense(2) − dense(1) = flattened size; dense(1) = flattened size × 1.
-    s2.mac_summary().class(crate::arch::LayerClass::Dense)
-        - s1.mac_summary().class(crate::arch::LayerClass::Dense)
-}
-
-/// MACs of the dense head (flatten + dense(classes)) at `pos`.
-fn head_macs_static(spec: &ModelSpec, pos: usize, classes: usize) -> u64 {
-    dense_cap_macs(spec, pos) * classes as u64
 }
 
 /// Inference-mode step: replaces `x` with `layer`'s output, using
