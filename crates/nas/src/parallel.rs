@@ -26,94 +26,13 @@
 use std::cmp::Reverse;
 use std::collections::{HashMap, VecDeque};
 use std::convert::Infallible;
-use std::hash::{Hash, Hasher};
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::candidate::{Candidate, Evaluated};
 use crate::task::TaskContext;
-
-/// Number of shards in a [`ShardedMap`]. A small power of two keeps the
-/// modulo cheap while making write contention between a handful of worker
-/// threads unlikely.
-const SHARD_COUNT: usize = 16;
-
-/// A concurrent hash map sharded across independent `RwLock`s.
-///
-/// Reads take a shared lock on one shard; writes take an exclusive lock on
-/// one shard. Values are cloned out, so `V` should be cheap to clone (an
-/// `Arc`, or a small struct).
-#[derive(Debug)]
-pub struct ShardedMap<K, V> {
-    shards: [RwLock<HashMap<K, V>>; SHARD_COUNT],
-}
-
-impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
-    /// Creates an empty map.
-    pub fn new() -> Self {
-        Self {
-            shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-        }
-    }
-
-    fn shard(&self, key: &K) -> &RwLock<HashMap<K, V>> {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % SHARD_COUNT]
-    }
-
-    /// Clones the value for `key`, if present.
-    pub fn get(&self, key: &K) -> Option<V> {
-        self.shard(key)
-            .read()
-            .expect("shard lock poisoned")
-            .get(key)
-            .cloned()
-    }
-
-    /// Inserts `value` under `key`. An existing entry is kept (first writer
-    /// wins), so concurrent duplicate computations converge on one value.
-    pub fn insert_if_absent(&self, key: K, value: V) {
-        self.shard(&key)
-            .write()
-            .expect("shard lock poisoned")
-            .entry(key)
-            .or_insert(value);
-    }
-
-    /// Returns the cached value for `key`, computing and caching it with
-    /// `make` on a miss. `make` may run concurrently on racing threads; the
-    /// first insert wins and all callers observe that value.
-    pub fn get_or_insert_with(&self, key: &K, make: impl FnOnce() -> V) -> V {
-        if let Some(hit) = self.get(key) {
-            return hit;
-        }
-        let value = make();
-        let mut shard = self.shard(key).write().expect("shard lock poisoned");
-        shard.entry(key.clone()).or_insert(value).clone()
-    }
-
-    /// Total number of entries across all shards.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("shard lock poisoned").len())
-            .sum()
-    }
-
-    /// Whether the map holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<K: Hash + Eq + Clone, V: Clone> Default for ShardedMap<K, V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// The machine's available parallelism (≥ 1).
 pub fn available_workers() -> usize {
@@ -696,27 +615,6 @@ pub(crate) fn job_stream<J, R>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sharded_map_round_trips() {
-        let map: ShardedMap<u64, String> = ShardedMap::new();
-        assert!(map.is_empty());
-        for k in 0..100u64 {
-            map.insert_if_absent(k, format!("v{k}"));
-        }
-        assert_eq!(map.len(), 100);
-        assert_eq!(map.get(&42), Some("v42".to_string()));
-        assert_eq!(map.get(&1000), None);
-        // First writer wins.
-        map.insert_if_absent(42, "other".to_string());
-        assert_eq!(map.get(&42), Some("v42".to_string()));
-        assert_eq!(map.get_or_insert_with(&42, || unreachable!()), "v42");
-        assert_eq!(
-            map.get_or_insert_with(&500, || "fresh".to_string()),
-            "fresh"
-        );
-        assert_eq!(map.get(&500), Some("fresh".to_string()));
-    }
 
     #[test]
     fn parallel_map_preserves_order_at_any_worker_count() {

@@ -1,6 +1,7 @@
 //! Task contexts: everything needed to evaluate a candidate end to end.
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use rand::Rng;
 use solarml_datasets::{GestureDataset, GestureDatasetBuilder, KwsDataset, KwsDatasetBuilder};
@@ -17,7 +18,6 @@ use solarml_nn::{evaluate, fit, ArchSampler, ClassDataset, Model, TrainConfig};
 use solarml_units::Energy;
 
 use crate::candidate::{Candidate, Evaluated, SensingConfig};
-use crate::parallel::ShardedMap;
 
 /// How many consecutive constraint-violating samples a search draws before
 /// concluding the constraints reject the entire candidate space.
@@ -120,15 +120,17 @@ pub type CachedDatasets = Arc<(ClassDataset, ClassDataset)>;
 /// corpora (the paper's 300-measurement protocol), so the search consults
 /// *estimates* while reported results use the noise-free ground truth.
 ///
-/// The context is `Send + Sync`: both internal caches are sharded
-/// `RwLock` maps, so worker threads in [`crate::parallel::EvalEngine`] can
-/// evaluate candidates against one shared `&TaskContext`.
+/// The context is `Send + Sync`: both internal caches sit behind a
+/// `Mutex`, so worker threads in [`crate::parallel::EvalEngine`] can
+/// evaluate candidates against one shared `&TaskContext`. Neither lock is
+/// contended: the evaluation memo is read and written only on the serial
+/// control path, and the dataset cache is looked up once per training.
 pub struct TaskContext {
     kind: TaskKind,
     gesture_corpus: Option<(GestureDataset, GestureDataset)>,
     kws_corpus: Option<(KwsDataset, KwsDataset)>,
-    dataset_cache: ShardedMap<SensingConfig, CachedDatasets>,
-    eval_cache: ShardedMap<Candidate, Evaluated>,
+    dataset_cache: Mutex<HashMap<SensingConfig, CachedDatasets>>,
+    eval_cache: Mutex<HashMap<Candidate, Evaluated>>,
     inference_model: LayerwiseMacModel,
     total_mac_model: TotalMacModel,
     gesture_model: Option<GestureSensingModel>,
@@ -173,8 +175,8 @@ impl TaskContext {
             kind: TaskKind::GestureDigits,
             gesture_corpus: Some((train, test)),
             kws_corpus: None,
-            dataset_cache: ShardedMap::new(),
-            eval_cache: ShardedMap::new(),
+            dataset_cache: Mutex::default(),
+            eval_cache: Mutex::default(),
             inference_model,
             total_mac_model,
             gesture_model: Some(gesture_model),
@@ -207,8 +209,8 @@ impl TaskContext {
             kind: TaskKind::Kws,
             gesture_corpus: None,
             kws_corpus: Some((train, test)),
-            dataset_cache: ShardedMap::new(),
-            eval_cache: ShardedMap::new(),
+            dataset_cache: Mutex::default(),
+            eval_cache: Mutex::default(),
             inference_model,
             total_mac_model,
             gesture_model: None,
@@ -358,9 +360,14 @@ impl TaskContext {
     ///
     /// The dataset transform is a pure function of the sensing parameters,
     /// so racing threads that compute the same pair concurrently converge
-    /// on identical data; the first insert wins and later callers share it.
+    /// on identical data. The pair is built outside the lock; the first
+    /// insert wins and later callers share it.
     pub fn datasets(&self, s: SensingConfig) -> CachedDatasets {
-        self.dataset_cache.get_or_insert_with(&s, || match s {
+        let hit = lock(&self.dataset_cache).get(&s).cloned();
+        if let Some(hit) = hit {
+            return hit;
+        }
+        let built = match s {
             SensingConfig::Gesture(p) => {
                 let (train, test) = self
                     .gesture_corpus
@@ -372,7 +379,8 @@ impl TaskContext {
                 let (train, test) = self.kws_corpus.as_ref().expect("kws context has a corpus");
                 Arc::new((train.to_class_dataset(&p), test.to_class_dataset(&p)))
             }
-        })
+        };
+        Arc::clone(lock(&self.dataset_cache).entry(s).or_insert(built))
     }
 
     /// Trains and evaluates a candidate. Returns `None` if the static
@@ -418,20 +426,27 @@ impl TaskContext {
     /// `cycle` is whatever the first evaluation recorded; callers rewrite
     /// it to their own cycle.
     pub fn cached_evaluation(&self, cand: &Candidate) -> Option<Evaluated> {
-        self.eval_cache.get(cand)
+        lock(&self.eval_cache).get(cand).cloned()
     }
 
     /// Stores `eval` as the memoized result for `cand`. First write wins,
     /// so a duplicate computed by a racing worker cannot replace the value
     /// other threads already observed.
     pub fn store_evaluation(&self, cand: &Candidate, eval: &Evaluated) {
-        self.eval_cache.insert_if_absent(cand.clone(), eval.clone());
+        lock(&self.eval_cache)
+            .entry(cand.clone())
+            .or_insert_with(|| eval.clone());
     }
 
     /// Number of memoized evaluations (for tests and bench reporting).
     pub fn eval_cache_len(&self) -> usize {
-        self.eval_cache.len()
+        lock(&self.eval_cache).len()
     }
+}
+
+/// Locks one of [`TaskContext`]'s caches.
+fn lock<K, V>(cache: &Mutex<HashMap<K, V>>) -> MutexGuard<'_, HashMap<K, V>> {
+    cache.lock().expect("cache lock poisoned")
 }
 
 fn fit_inference_models(rng: &mut impl Rng) -> (LayerwiseMacModel, TotalMacModel) {

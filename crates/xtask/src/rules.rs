@@ -384,7 +384,7 @@ fn scan_float_eq(cx: &mut Cx) {
 /// Flags `Rc<` and `RefCell<` in non-test library code. Single-threaded
 /// shared state in `nas`/`nn` would make `TaskContext` `!Send`/`!Sync`
 /// again and silently break the parallel evaluation engine; use
-/// `Arc`/`RwLock`/`Mutex` (or the `ShardedMap` in `nas::parallel`) instead.
+/// `Arc`/`RwLock`/`Mutex` instead (as `TaskContext`'s caches do).
 fn scan_rc_refcell(cx: &mut Cx) {
     let f = cx.file;
     for (i, t) in f.code.iter().enumerate() {
@@ -398,8 +398,8 @@ fn scan_rc_refcell(cx: &mut Cx) {
             K::RcRefCell,
             t.start,
             format!(
-                "`{name}<…` is not Send/Sync — use Arc/RwLock (or \
-                 nas::parallel::ShardedMap), or add \
+                "`{name}<…` is not Send/Sync — use Arc/Mutex (as \
+                 nas::TaskContext's caches do), or add \
                  `// physics-lint: allow(rc-refcell)` with a reason"
             ),
         );
