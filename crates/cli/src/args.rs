@@ -134,8 +134,10 @@ const FLAGS: &[Flag] = &[
         kind: Value("<n>", |o, v| int(v).map(|n| o.nodes = Some(n))) },
     Flag { name: "--seed", commands: &[Search, Fleet, FleetSweep, ScenarioRun], requires: None, help: "RNG seed [search 0xE7A5, campaigns 0xF1EE7]",
         kind: Value("<n>", |o, v| int(v).map(|s| o.seed = Some(s))) },
-    Flag { name: "--workers", commands: &[Search, Fleet, FleetSweep, ScenarioRun], requires: None, help: "worker threads, 0=auto [auto]",
-        kind: Value("<n>", |o, v| int(v).map(|w| o.workers = Some(w))) },
+    Flag { name: "--workers", commands: &[Search, Fleet, FleetSweep, ScenarioRun], requires: None, help: "worker threads, 0=auto, at most 256 [auto]",
+        kind: Value("<n>", |o, v| {
+            int(v).and_then(|w| within(w <= 256, w, "at most 256")).map(|w| o.workers = Some(w))
+        }) },
     Flag { name: "--out", commands: CAMPAIGNS, requires: None, help: "write the FleetReport JSON (fleet sweep: one line per variant)",
         kind: Value("<file>", |o, v| text(v).map(|p| o.out = Some(p))) },
     Flag { name: "--checkpoint-dir", commands: CAMPAIGN, requires: None, help: "crash-safe snapshots into <d>",
@@ -366,6 +368,14 @@ mod tests {
         assert!(search(&["--task", "audio"]).is_err());
         assert!(search(&["--workers", "-1"]).is_err());
         assert!(search(&["--workers", "two"]).is_err());
+        // Each worker past the jobs would be a thread parked for nothing.
+        let err = search(&["--workers", "257"]).expect_err("above the bound");
+        assert!(err.contains("at most 256"), "{err}");
+        assert!(parse(Command::Fleet, &["--workers", "1000000"]).is_err());
+        assert_eq!(
+            search(&["--workers", "256"]).expect("valid").workers,
+            Some(256)
+        );
     }
 
     #[test]
