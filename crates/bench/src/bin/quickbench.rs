@@ -41,7 +41,9 @@ use solarml::nas::parallel::{available_workers, derive_seed};
 use solarml::nn::layers::Conv2d;
 use solarml::nn::reference;
 use solarml::nn::{fit, LayerSpec, Model, ModelSpec, Padding, Tensor, TrainConfig, TrainReport};
-use solarml::platform::{simulate_day_with, simulate_faulted_day, DayReport, DaySimConfig};
+use solarml::platform::{
+    simulate_day_with, simulate_faulted_day, DayCost, DayReport, DaySimConfig,
+};
 use solarml::scenario::{registry, Scenario};
 use solarml::sim::DtPolicy;
 use solarml::units::{Lux, Ratio, Seconds, Volts};
@@ -217,13 +219,12 @@ fn timed_charging_current(reps: usize, iters: usize) -> u128 {
 /// is steps × ns/step.
 fn fleet_day_counts_64n() -> (usize, usize) {
     let spec = CampaignConfig::new(64, 7).population;
-    (0..64)
-        .map(|node| {
-            let seed = derive_seed(7, FLEET_SEED_CYCLE, node);
-            let day = simulate_faulted_day(&spec.node_blueprint(seed).config);
-            (day.steps, day.energy_polls)
-        })
-        .fold((0, 0), |(steps, polls), (s, p)| (steps + s, polls + p))
+    let mut cost = DayCost::default();
+    for node in 0..64 {
+        let seed = derive_seed(7, FLEET_SEED_CYCLE, node);
+        cost += simulate_faulted_day(&spec.node_blueprint(seed).config).cost;
+    }
+    (cost.steps(), cost.energy_polls)
 }
 
 /// Digest of the `nn_fit_candidate` stage's training run, pinned from the

@@ -18,7 +18,7 @@
 
 use solarml_fleet::{CampaignConfig, PopulationSpec, FLEET_SEED_CYCLE};
 use solarml_nas::parallel::derive_seed;
-use solarml_platform::{simulate_faulted_day, IntermittentConfig, STEP_BANDS, STEP_LIMITS};
+use solarml_platform::{simulate_faulted_day, DayCost, IntermittentConfig};
 use solarml_scenario::registry;
 use solarml_sim::DtPolicy;
 
@@ -34,7 +34,7 @@ const REPRESENTATIVE_64N_SEED7_BANDS: [usize; 5] = [16_442, 18_087, 5_585, 23_70
 const REPRESENTATIVE_64N_SEED7_LIMITS: [usize; 5] = [54_177, 16_820, 910, 2_141, 2_032];
 
 /// Energy-gate polls and wait strides of the same campaign
-/// (`DayFaultReport::energy_polls`, `wait_strides`).
+/// (`DayCost::energy_polls`, `wait_strides`).
 const REPRESENTATIVE_64N_SEED7_WAITS: (usize, usize) = (7_331, 463);
 
 /// Steps by width of the 512-node, seed-7 campaign `solarbench`'s
@@ -48,65 +48,46 @@ const MAX_512N_STEPS: usize = 620_000;
 
 /// What the representative campaign of some nodes at seed 7 cost, summed
 /// over its node-days.
-struct CampaignCost {
-    steps: usize,
-    /// Steps per `STEP_BANDS` band.
-    bands: [usize; 5],
-    /// Steps per `STEP_LIMITS` bound.
-    limits: [usize; 5],
-    /// Energy-gate polls and wait strides.
-    waits: (usize, usize),
-    /// Wait-stride steps that ended where a poll could have passed.
-    stride_overshoots: usize,
-}
-
-fn campaign_cost(nodes: usize) -> CampaignCost {
+fn campaign_cost(nodes: usize) -> DayCost {
     let spec = CampaignConfig::new(nodes, 7).population;
-    let mut cost = CampaignCost {
-        steps: 0,
-        bands: [0; STEP_BANDS.len()],
-        limits: [0; STEP_LIMITS.len()],
-        waits: (0, 0),
-        stride_overshoots: 0,
-    };
+    let mut cost = DayCost::default();
     for node in 0..nodes {
         let seed = derive_seed(7, FLEET_SEED_CYCLE, node);
-        let day = simulate_faulted_day(&spec.node_blueprint(seed).config);
-        cost.steps += day.steps;
-        for (band, n) in cost.bands.iter_mut().zip(day.step_bands) {
-            *band += n;
-        }
-        for (limit, n) in cost.limits.iter_mut().zip(day.step_limits) {
-            *limit += n;
-        }
-        cost.waits.0 += day.energy_polls;
-        cost.waits.1 += day.wait_strides;
-        cost.stride_overshoots += day.stride_overshoots;
+        cost += simulate_faulted_day(&spec.node_blueprint(seed).config).cost;
     }
-    assert_eq!(cost.bands.iter().sum::<usize>(), cost.steps);
     // Every adaptive step hints the next, the day's last one included.
-    assert_eq!(cost.limits.iter().sum::<usize>(), cost.steps);
+    assert_eq!(cost.step_limits.iter().sum::<usize>(), cost.steps());
     cost
 }
 
 #[test]
 fn representative_campaign_rail_step_count_is_pinned() {
     let cost = campaign_cost(64);
-    assert_eq!(cost.steps, REPRESENTATIVE_64N_SEED7_STEPS);
-    assert_eq!(cost.bands, REPRESENTATIVE_64N_SEED7_BANDS);
-    assert_eq!(cost.limits, REPRESENTATIVE_64N_SEED7_LIMITS);
-    assert_eq!(cost.waits, REPRESENTATIVE_64N_SEED7_WAITS);
+    assert_eq!(cost.steps(), REPRESENTATIVE_64N_SEED7_STEPS);
+    assert_eq!(cost.step_bands, REPRESENTATIVE_64N_SEED7_BANDS);
+    assert_eq!(cost.step_limits, REPRESENTATIVE_64N_SEED7_LIMITS);
+    assert_eq!(
+        (cost.energy_polls, cost.wait_strides),
+        REPRESENTATIVE_64N_SEED7_WAITS
+    );
     assert_eq!(cost.stride_overshoots, 0);
 }
 
 #[test]
 fn fleet_cold_campaign_meets_the_step_target() {
     let cost = campaign_cost(512);
-    assert_eq!(cost.bands, REPRESENTATIVE_512N_SEED7_BANDS);
-    assert_eq!(cost.limits, REPRESENTATIVE_512N_SEED7_LIMITS);
-    assert_eq!(cost.waits, REPRESENTATIVE_512N_SEED7_WAITS);
+    assert_eq!(cost.step_bands, REPRESENTATIVE_512N_SEED7_BANDS);
+    assert_eq!(cost.step_limits, REPRESENTATIVE_512N_SEED7_LIMITS);
+    assert_eq!(
+        (cost.energy_polls, cost.wait_strides),
+        REPRESENTATIVE_512N_SEED7_WAITS
+    );
     assert_eq!(cost.stride_overshoots, 0);
-    assert!(cost.steps <= MAX_512N_STEPS, "{} rail steps", cost.steps);
+    assert!(
+        cost.steps() <= MAX_512N_STEPS,
+        "{} rail steps",
+        cost.steps()
+    );
 }
 
 // Per-node bounds on the production policy's deviation from the fixed-dt

@@ -33,6 +33,8 @@
 //! is seeded and wall-clock free — identical configs yield bit-identical
 //! [`DayFaultReport`]s.
 
+use std::ops::AddAssign;
+
 use solarml_circuit::fault::{
     BrownoutComparator, BrownoutThresholds, ComparatorState, FaultPlan, PowerEvent,
 };
@@ -388,32 +390,63 @@ pub struct DayFaultReport {
     pub min_voltage: Volts,
     /// The conservation ledger for the whole day.
     pub audit: EnergyAudit,
-    /// Rail steps the day's scheduler took: a deterministic cost count,
-    /// not an outcome, so [`DayFaultReport::to_json`] leaves it out.
-    pub steps: usize,
-    /// The same steps by width, one count per [`STEP_BANDS`] band. A cost
-    /// count like `steps`, and likewise left out of the JSON.
+    /// What the day cost the simulator: deterministic counts, not
+    /// outcomes, so [`DayFaultReport::to_json`] leaves them out.
+    pub cost: DayCost,
+}
+
+/// The simulator's cost counts for one day, or for many folded together
+/// with `+=`. Each count is a pure function of the config.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DayCost {
+    /// Rail steps by width, one count per [`STEP_BANDS`] band.
     pub step_bands: [usize; STEP_BANDS.len()],
     /// Which bound set each adaptive step hint, one count per
-    /// [`STEP_LIMITS`] entry. A cost count like `steps`, and likewise left
-    /// out of the JSON; all zero under [`DtPolicy::fixed`].
+    /// [`STEP_LIMITS`] entry; all zero under [`DtPolicy::fixed`].
     pub step_limits: [usize; STEP_LIMITS.len()],
     /// Energy-gate checks the runtime made while waiting for energy, one
-    /// per poll. A cost count like `steps`, and likewise left out of the
-    /// JSON.
+    /// per poll.
     pub energy_polls: usize,
     /// Scheduler runs that idled past polls which could not pass (a
-    /// wait's strides). A cost count, left out of the JSON.
+    /// wait's strides).
     pub wait_strides: usize,
     /// Stride steps that began with the rail up and ended with the cell at
     /// or above the voltage the cheapest rung needs: each one may have
     /// skipped a poll that would have passed. The wait's exactness
-    /// argument says there are none; left out of the JSON.
+    /// argument says there are none.
     pub stride_overshoots: usize,
 }
 
+impl DayCost {
+    /// Rail steps the scheduler took.
+    pub fn steps(&self) -> usize {
+        self.step_bands.iter().sum()
+    }
+}
+
+impl AddAssign for DayCost {
+    fn add_assign(&mut self, other: Self) {
+        let DayCost {
+            step_bands,
+            step_limits,
+            energy_polls,
+            wait_strides,
+            stride_overshoots,
+        } = other;
+        for (n, more) in self.step_bands.iter_mut().zip(step_bands) {
+            *n += more;
+        }
+        for (n, more) in self.step_limits.iter_mut().zip(step_limits) {
+            *n += more;
+        }
+        self.energy_polls += energy_polls;
+        self.wait_strides += wait_strides;
+        self.stride_overshoots += stride_overshoots;
+    }
+}
+
 /// The bounds an adaptive rail step hint takes the least of, by name, in
-/// the index order of [`DayFaultReport::step_limits`]: the local error
+/// the index order of [`DayCost::step_limits`]: the local error
 /// bound, the ΔV cap, the comparator threshold, the next knot and a
 /// pinned stride.
 pub const STEP_LIMITS: [&str; 5] = ["error", "ΔV cap", "threshold", "knot", "pinned"];
@@ -435,7 +468,7 @@ fn tighter(a: (Seconds, usize), b: (Seconds, usize)) -> (Seconds, usize) {
     }
 }
 
-/// The step-width bands of [`DayFaultReport::step_bands`], by their lower
+/// The step-width bands of [`DayCost::step_bands`], by their lower
 /// edge in seconds: `< 0.1`, `0.1–1`, `1–10`, `10–100` and `≥ 100` s.
 pub const STEP_BANDS: [f64; 5] = [0.0, 0.1, 1.0, 10.0, 100.0];
 
@@ -563,9 +596,7 @@ struct Rail<'a> {
     warns: usize,
     brownouts: usize,
     recoveries: usize,
-    steps: usize,
-    step_bands: [usize; STEP_BANDS.len()],
-    step_limits: [usize; STEP_LIMITS.len()],
+    cost: DayCost,
     /// The fault plan's knots ([`FaultPlan::knots`]) and the index of the
     /// first one after the clock.
     fault_knots: Vec<Seconds>,
@@ -669,7 +700,7 @@ impl Rail<'_> {
             && self.cfg.faults.quiet_at(t)
             && self.cap.is_pinned(self.clear_sky_charge(self.knot), load)
         {
-            self.step_limits[LIMIT_PINNED] += 1;
+            self.cost.step_limits[LIMIT_PINNED] += 1;
             return StepOutcome::hint(to_knot);
         }
         let to = self.cap.net_current(charge, load);
@@ -695,7 +726,7 @@ impl Rail<'_> {
             None => self.cap.error_dt(slope.rise, slope.dt, STEP_ERROR_V),
         };
         let (width, limit) = tighter(bound, (error, LIMIT_ERROR));
-        self.step_limits[limit] += 1;
+        self.cost.step_limits[limit] += 1;
         StepOutcome::hint(width).with_event_dt(threshold)
     }
 
@@ -748,8 +779,7 @@ impl Rail<'_> {
 
 impl Clocked for Rail<'_> {
     fn step(&mut self, t: Seconds, dt: Seconds, bus: &mut SimBus) -> StepOutcome {
-        self.steps += 1;
-        self.step_bands[step_band(dt)] += 1;
+        self.cost.step_bands[step_band(dt)] += 1;
         let adaptive = self.cfg.dt_policy.adaptive;
         let windows_at = adaptive.then(|| t + dt * 0.5);
         let start = match self.ahead.take() {
@@ -846,9 +876,6 @@ struct Engine<'a> {
     /// Energy banked behind retained checkpoints of the current cycle
     /// (lost only if the whole cycle is abandoned).
     banked: Energy,
-    energy_polls: usize,
-    wait_strides: usize,
-    stride_overshoots: usize,
 }
 
 impl<'a> Engine<'a> {
@@ -874,9 +901,7 @@ impl<'a> Engine<'a> {
                 warns: 0,
                 brownouts: 0,
                 recoveries: 0,
-                steps: 0,
-                step_bands: [0; STEP_BANDS.len()],
-                step_limits: [0; STEP_LIMITS.len()],
+                cost: DayCost::default(),
                 fault_knots: cfg.faults.knots(),
                 next_fault_knot: 0,
                 knot: Seconds::ZERO,
@@ -893,9 +918,6 @@ impl<'a> Engine<'a> {
             accuracy_sum: 0.0,
             wasted: Energy::ZERO,
             banked: Energy::ZERO,
-            energy_polls: 0,
-            wait_strides: 0,
-            stride_overshoots: 0,
         }
     }
 
@@ -1051,8 +1073,9 @@ impl<'a> Engine<'a> {
     /// run strides on until the rail is up with the cell inside that band:
     /// no adaptive step moves the cell much past one ΔV cap, so every poll
     /// the stride passes would have failed. Polling resumes at the first
-    /// poll instant at or after the stride's end. `stride_overshoots`
-    /// counts the stride steps that break that premise.
+    /// poll instant at or after the stride's end.
+    /// [`DayCost::stride_overshoots`] counts the stride steps that break
+    /// that premise.
     ///
     /// # Panics
     ///
@@ -1074,7 +1097,7 @@ impl<'a> Engine<'a> {
         let band = v_req - STEP_MAX_DV * 2.0;
         let mut poll = self.time();
         loop {
-            self.energy_polls += 1;
+            self.rail.cost.energy_polls += 1;
             if let Some(r) = self.affordable_rung(from_phase, min_rung) {
                 return Some(r);
             }
@@ -1096,7 +1119,7 @@ impl<'a> Engine<'a> {
     /// One wait stride: idles until `deadline`, stopping after the first
     /// step that leaves the rail up with the cell at or above `band`.
     fn stride(&mut self, deadline: Seconds, band: Volts, v_req: Volts) {
-        self.wait_strides += 1;
+        self.rail.cost.wait_strides += 1;
         let mut cut = self.rail.comparator.is_browned_out();
         let mut overshoots = 0;
         self.drive_until(deadline, |bus| {
@@ -1111,7 +1134,7 @@ impl<'a> Engine<'a> {
             }
             !cut && bus.rail_voltage >= band
         });
-        self.stride_overshoots += overshoots;
+        self.rail.cost.stride_overshoots += overshoots;
     }
 
     /// Books the loss of this attempt's unsaved progress. Retained
@@ -1406,12 +1429,7 @@ impl<'a> Engine<'a> {
             final_voltage: self.rail.cap.voltage(),
             min_voltage: self.rail.min_voltage,
             audit,
-            steps: self.rail.steps,
-            step_bands: self.rail.step_bands,
-            step_limits: self.rail.step_limits,
-            energy_polls: self.energy_polls,
-            wait_strides: self.wait_strides,
-            stride_overshoots: self.stride_overshoots,
+            cost: self.rail.cost,
         }
     }
 }
@@ -1845,6 +1863,35 @@ mod tests {
                     _ => Seconds::from_millis(1.0),
                 };
             }
+        }
+    }
+
+    /// Only adaptive steps are hinted, and each one hints the next, the
+    /// day's last included.
+    #[test]
+    fn step_limits_count_every_adaptive_step_and_no_fixed_one() {
+        for seed in [3, 7, 42] {
+            let (base, faults, plan) = scenario(seed);
+            let mut cfg = if seed == 3 {
+                IntermittentConfig::naive(base, faults, plan)
+            } else {
+                IntermittentConfig::resilient(
+                    base,
+                    faults,
+                    plan,
+                    DegradationLadder::representative(),
+                )
+            };
+            let fixed = simulate_faulted_day(&cfg).cost;
+            assert!(fixed.steps() > 0);
+            assert_eq!(fixed.step_limits, [0; STEP_LIMITS.len()], "seed {seed}");
+            cfg.dt_policy = DtPolicy::adaptive(Seconds::from_millis(50.0), Seconds::new(3600.0));
+            let adaptive = simulate_faulted_day(&cfg).cost;
+            assert_eq!(
+                adaptive.step_limits.iter().sum::<usize>(),
+                adaptive.steps(),
+                "seed {seed}"
+            );
         }
     }
 

@@ -27,7 +27,7 @@ pub use endtoend::{
     EndToEndBudget, HarvestScenario,
 };
 pub use intermittent::{
-    simulate_faulted_day, stressed_office_day, CheckpointCostModel, CheckpointPolicy,
+    simulate_faulted_day, stressed_office_day, CheckpointCostModel, CheckpointPolicy, DayCost,
     DayFaultReport, DegradationLadder, DegradationRung, IntermittentConfig, PhasePlan, STEP_BANDS,
     STEP_LIMITS,
 };

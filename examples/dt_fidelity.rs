@@ -34,7 +34,7 @@ use std::fmt::Write as _;
 use solarml::fleet::{PopulationSpec, FLEET_SEED_CYCLE, SIM_FINGERPRINT};
 use solarml::nas::parallel::{available_workers, derive_seed, parallel_map};
 use solarml::platform::{
-    simulate_faulted_day, DayFaultReport, IntermittentConfig, STEP_BANDS, STEP_LIMITS,
+    simulate_faulted_day, DayCost, DayFaultReport, IntermittentConfig, STEP_LIMITS,
 };
 use solarml::scenario::registry;
 use solarml::sim::DtPolicy;
@@ -150,18 +150,22 @@ fn main() {
         "| population | nodes | rail steps | < 0.1 s | 0.1–1 s | 1–10 s | 10–100 s | ≥ 100 s |"
     );
     println!("|---|---|---|---|---|---|---|---|");
-    for (name, pairs) in &populations {
-        let mut bands = [0usize; STEP_BANDS.len()];
-        for p in pairs {
-            for (band, n) in bands.iter_mut().zip(p.adaptive.step_bands) {
-                *band += n;
+    let costs: Vec<DayCost> = populations
+        .iter()
+        .map(|(_, pairs)| {
+            let mut cost = DayCost::default();
+            for p in pairs {
+                cost += p.adaptive.cost;
             }
-        }
-        let cells: Vec<String> = bands.iter().map(usize::to_string).collect();
+            cost
+        })
+        .collect();
+    for ((name, pairs), cost) in populations.iter().zip(&costs) {
+        let cells: Vec<String> = cost.step_bands.iter().map(usize::to_string).collect();
         println!(
             "| {name} | {} | {} | {} |",
             pairs.len(),
-            bands.iter().sum::<usize>(),
+            cost.steps(),
             cells.join(" | ")
         );
     }
@@ -169,15 +173,10 @@ fn main() {
     println!();
     println!("| population | {} |", STEP_LIMITS.join(" | "));
     println!("|---|{}", "---|".repeat(STEP_LIMITS.len()));
-    for (name, pairs) in &populations {
-        let mut limits = [0usize; STEP_LIMITS.len()];
-        for p in pairs {
-            for (limit, n) in limits.iter_mut().zip(p.adaptive.step_limits) {
-                *limit += n;
-            }
-        }
-        let total = limits.iter().sum::<usize>().max(1) as f64;
-        let cells: Vec<String> = limits
+    for ((name, _), cost) in populations.iter().zip(&costs) {
+        let total = cost.step_limits.iter().sum::<usize>().max(1) as f64;
+        let cells: Vec<String> = cost
+            .step_limits
             .iter()
             .map(|&n| format!("{n} ({:.1} %)", 100.0 * n as f64 / total))
             .collect();
