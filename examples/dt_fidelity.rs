@@ -174,7 +174,7 @@ fn main() {
     println!("| population | {} |", STEP_LIMITS.join(" | "));
     println!("|---|{}", "---|".repeat(STEP_LIMITS.len()));
     for ((name, _), cost) in populations.iter().zip(&costs) {
-        let total = cost.step_limits.iter().sum::<usize>().max(1) as f64;
+        let total = cost.steps().max(1) as f64;
         let cells: Vec<String> = cost
             .step_limits
             .iter()
