@@ -6,7 +6,7 @@
 //! power and hold-pin state as inputs each step and returns everything the
 //! platform layer needs (rail state, sensing taps, supercap voltage).
 
-use solarml_sim::{Clocked, DtPolicy, Scheduler, SimBus, SimEvent, StepControl, StepOutcome};
+use solarml_sim::{Clocked, SimBus, StepOutcome};
 use solarml_units::{Farads, Power, Ratio, Seconds, Volts};
 
 use crate::components::{CapStepEnergy, Supercap};
@@ -244,14 +244,15 @@ impl CircuitSim {
         };
         (step, flows)
     }
+}
 
+impl Clocked for CircuitSim {
     /// One scheduled step: reads the MCU's published load/hold-pin and any
     /// gesture shading off the bus, advances the circuit, publishes the rail
     /// observables back, and folds the supercap flows into the bus ledger.
-    ///
-    /// Returns the full [`SimStep`] alongside the scheduler outcome so
-    /// wrappers (like the `run_until` probe) can inspect the observables.
-    fn step_on_bus(&mut self, dt: Seconds, bus: &mut SimBus) -> (SimStep, StepOutcome) {
+    /// A change of the rail's connection is an edge; the next-step hint is
+    /// the supercap's voltage-error bound.
+    fn step(&mut self, _t: Seconds, dt: Seconds, bus: &mut SimBus) -> StepOutcome {
         let mut shade = [Ratio::ZERO; 25];
         for (cell, s) in shade.iter_mut().zip(&bus.shading) {
             *cell = *s;
@@ -270,9 +271,6 @@ impl CircuitSim {
         bus.sensing_taps.extend_from_slice(&step.sensing_taps);
 
         let edge = step.detector.mcu_connected != was_connected;
-        if edge && step.detector.mcu_connected {
-            bus.emit(SimEvent::DetectorConnected);
-        }
         // Next-step hint: the supercap's voltage-error bound, clipped to the
         // next scripted environment discontinuity (and held short mid-ramp).
         let v = step.supercap_voltage.as_volts();
@@ -290,59 +288,7 @@ impl CircuitSim {
         if self.env.is_ramping_at(self.time) {
             hint = hint.min(RAMP_DT_CAP);
         }
-        (step, StepOutcome::hint(hint).with_edge(edge))
-    }
-
-    /// Runs until `pred` returns `true` or `limit` elapses; returns the first
-    /// satisfying step, or `None` on timeout. The MCU is held unloaded.
-    ///
-    /// Ported onto the co-simulation scheduler: a probe wrapper steps the
-    /// circuit at the configured fixed dt and halts the run when the
-    /// predicate matches, reproducing the legacy loop's step sequence
-    /// exactly.
-    pub fn run_until(
-        &mut self,
-        limit: Seconds,
-        pred: impl FnMut(&SimStep) -> bool,
-    ) -> Option<SimStep> {
-        let deadline = self.time + limit;
-        let slice = self.config.dt;
-        let mut sched = Scheduler::starting_at(self.time, DtPolicy::fixed());
-        let mut bus = SimBus::new();
-        let mut probe = Probe {
-            sim: self,
-            pred,
-            hit: None,
-        };
-        sched.run_free(deadline, slice, &mut [&mut probe], &mut bus, |_, _, _| {
-            StepControl::Continue
-        });
-        probe.hit
-    }
-}
-
-impl Clocked for CircuitSim {
-    fn step(&mut self, _t: Seconds, dt: Seconds, bus: &mut SimBus) -> StepOutcome {
-        self.step_on_bus(dt, bus).1
-    }
-}
-
-/// A [`Clocked`] wrapper that steps a [`CircuitSim`] and halts the scheduler
-/// run at the first step satisfying a predicate.
-struct Probe<'a, P> {
-    sim: &'a mut CircuitSim,
-    pred: P,
-    hit: Option<SimStep>,
-}
-
-impl<P: FnMut(&SimStep) -> bool> Clocked for Probe<'_, P> {
-    fn step(&mut self, _t: Seconds, dt: Seconds, bus: &mut SimBus) -> StepOutcome {
-        let (step, outcome) = self.sim.step_on_bus(dt, bus);
-        if self.hit.is_none() && (self.pred)(&step) {
-            self.hit = Some(step);
-            bus.halt = true;
-        }
-        outcome
+        StepOutcome::hint(hint).with_edge(edge)
     }
 }
 
@@ -350,10 +296,36 @@ impl<P: FnMut(&SimStep) -> bool> Clocked for Probe<'_, P> {
 mod tests {
     use super::*;
     use crate::env::HoverSchedule;
+    use solarml_sim::{DtPolicy, Scheduler, StepControl};
     use solarml_units::{Energy, Lux};
 
     fn quiet_env(lux: f64) -> LightEnvironment {
         LightEnvironment::constant(Lux::new(lux))
+    }
+
+    /// Steps `sim` unloaded on the scheduler at its configured dt for up to
+    /// `limit`; returns the clock after the first step that leaves the MCU
+    /// rail connected, or `None` if none does.
+    fn wake_time(sim: &mut CircuitSim, limit: Seconds) -> Option<Seconds> {
+        let deadline = sim.time() + limit;
+        let slice = sim.config().dt;
+        let mut sched = Scheduler::starting_at(sim.time(), DtPolicy::fixed());
+        let mut woke = None;
+        sched.run_until(
+            deadline,
+            slice,
+            &mut [sim],
+            &mut SimBus::new(),
+            |t, _, bus| {
+                if bus.rail_connected {
+                    woke = Some(t);
+                    StepControl::Stop
+                } else {
+                    StepControl::Continue
+                }
+            },
+        );
+        woke
     }
 
     #[test]
@@ -376,10 +348,9 @@ mod tests {
             HoverSchedule::from_hovers([(Seconds::new(0.5), Seconds::new(0.3))]),
         );
         let mut sim = CircuitSim::new(SimConfig::default(), env);
-        let hit = sim.run_until(Seconds::new(2.0), |s| s.detector.mcu_connected);
-        let step = hit.expect("hover must connect the MCU");
-        assert!(step.time > Seconds::new(0.5));
-        assert!(step.time < Seconds::new(0.55), "connected at {}", step.time);
+        let at = wake_time(&mut sim, Seconds::new(2.0)).expect("hover must connect the MCU");
+        assert!(at > Seconds::new(0.5));
+        assert!(at < Seconds::new(0.55), "connected at {at}");
     }
 
     #[test]
@@ -414,8 +385,7 @@ mod tests {
             HoverSchedule::from_hovers([(Seconds::ZERO, Seconds::new(0.2))]),
         );
         sim.env = env;
-        sim.run_until(Seconds::new(0.3), |s| s.detector.mcu_connected)
-            .expect("rail connects");
+        wake_time(&mut sim, Seconds::new(0.3)).expect("rail connects");
         let v0 = sim.supercap().voltage();
         for _ in 0..1000 {
             sim.step(Power::from_milli_watts(20.0), Volts::new(3.3), |_| {
@@ -428,8 +398,7 @@ mod tests {
     #[test]
     fn run_until_times_out_without_event() {
         let mut sim = CircuitSim::new(SimConfig::default(), quiet_env(500.0));
-        let hit = sim.run_until(Seconds::new(0.5), |s| s.detector.mcu_connected);
-        assert!(hit.is_none());
+        assert!(wake_time(&mut sim, Seconds::new(0.5)).is_none());
     }
 
     #[test]
@@ -444,7 +413,7 @@ mod tests {
             ramp: Seconds::ZERO,
         }]);
         let mut sim = CircuitSim::new(SimConfig::default(), env);
-        let woke = sim.run_until(Seconds::new(5.0), |s| s.detector.mcu_connected);
+        let woke = wake_time(&mut sim, Seconds::new(5.0));
         assert!(woke.is_none(), "lights-off must not power the MCU");
     }
 
@@ -466,7 +435,7 @@ mod tests {
             },
         ]);
         let mut sim = CircuitSim::new(SimConfig::default(), env);
-        let woke = sim.run_until(Seconds::new(7.0), |s| s.detector.mcu_connected);
+        let woke = wake_time(&mut sim, Seconds::new(7.0));
         assert!(woke.is_none(), "a passing cloud must not power the MCU");
     }
 
@@ -483,7 +452,7 @@ mod tests {
             ramp: Seconds::new(1.0),
         }]);
         let mut sim = CircuitSim::new(SimConfig::default(), env);
-        let woke = sim.run_until(Seconds::new(6.0), |s| s.detector.mcu_connected);
+        let woke = wake_time(&mut sim, Seconds::new(6.0));
         assert!(woke.is_some(), "a real hover must still wake at 200 lux");
     }
 

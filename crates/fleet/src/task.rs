@@ -286,7 +286,7 @@ fn hash_config(h: &mut KeyHasher, cfg: &IntermittentConfig) {
     h.write_u64(u64::from(cfg.dt_policy.adaptive));
     h.write_f64_bits(cfg.dt_policy.min_dt.value().to_bits());
     h.write_f64_bits(cfg.dt_policy.max_dt.value().to_bits());
-    h.write_f64_bits(cfg.dt_policy.edge_hold.value().to_bits());
+    h.write_f64_bits(cfg.dt_policy.edge_hold().value().to_bits());
 }
 
 #[cfg(test)]

@@ -55,6 +55,8 @@ pub struct MultiExitModel {
     /// MACs of each exit, earliest to final: the backbone prefix plus the
     /// head taken there.
     exit_macs: Vec<u64>,
+    /// MACs of each head alone (flatten + dense), earliest first.
+    head_macs: Vec<u64>,
 }
 
 /// The result of an early-exit inference.
@@ -114,11 +116,14 @@ impl MultiExitModel {
             prefix.push(prefix[prefix.len() - 1] + macs);
         }
         // A head is flatten + dense: its flat input length × classes.
+        let head_macs: Vec<u64> = heads
+            .iter()
+            .map(|&(pos, _)| (backbone.shape_before(pos).elements() * num_classes) as u64)
+            .collect();
         let exit_macs = heads
             .iter()
-            .map(|&(pos, _)| {
-                prefix[pos] + (backbone.shape_before(pos).elements() * num_classes) as u64
-            })
+            .zip(&head_macs)
+            .map(|(&(pos, _), head)| prefix[pos] + head)
             .chain(prefix.last().copied())
             .collect();
         let backbone_layers = backbone
@@ -132,6 +137,7 @@ impl MultiExitModel {
             backbone: backbone_layers,
             heads,
             exit_macs,
+            head_macs,
         })
     }
 
@@ -158,6 +164,8 @@ impl MultiExitModel {
         let mut x = input.clone();
         let mut scratch = Tensor::zeros([1]);
         let mut layer_idx = 0usize;
+        // MACs of the heads that ran and missed the threshold.
+        let mut missed_heads = 0u64;
         for (exit_index, (pos, head)) in self.heads.iter_mut().enumerate() {
             // Advance the backbone to this exit's position.
             while layer_idx < *pos {
@@ -174,10 +182,11 @@ impl MultiExitModel {
                 return ExitDecision {
                     scores: h,
                     exit_index,
-                    macs_spent: self.exit_macs[exit_index],
+                    macs_spent: self.exit_macs[exit_index] + missed_heads,
                     confidence,
                 };
             }
+            missed_heads += self.head_macs[exit_index];
         }
         // Fall through to the final output.
         while layer_idx < self.backbone.len() {
@@ -188,7 +197,7 @@ impl MultiExitModel {
         ExitDecision {
             scores: x,
             exit_index: self.num_exits() - 1,
-            macs_spent: self.exit_macs[self.heads.len()],
+            macs_spent: self.exit_macs[self.heads.len()] + missed_heads,
             confidence,
         }
     }
@@ -423,6 +432,16 @@ mod tests {
         // conv 3456 + head 384·4; + conv 41472 + pool 768 + head 192·4;
         // the same again through the backbone's own dense(4).
         assert_eq!(m.exit_macs(), [4_992, 46_464, 46_464]);
+    }
+
+    #[test]
+    fn final_exit_pays_for_every_head_it_ran() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        let mut m = MultiExitModel::new(&backbone(), &[2, 5], 4, &mut rng).expect("valid");
+        let d = m.infer_early_exit(&Tensor::zeros([8, 8, 1]), 1.0);
+        assert_eq!(d.exit_index, 2, "an untrained model never reaches 1.0");
+        // The whole backbone plus heads of 384·4 and 192·4 MACs.
+        assert_eq!(d.macs_spent, 46_464 + 1_536 + 768);
     }
 
     #[test]

@@ -449,17 +449,15 @@ impl InteractionConfig {
         // draws nothing and holds V4 low).
         trace.begin_segment("off");
         let deadline = self.wait_before + Seconds::new(1.0);
-        let mut connected = false;
-        sched.run_free(deadline, dt, &mut [&mut sim], &mut bus, |_, _, bus| {
+        let timed_out = sched.run_until(deadline, dt, &mut [&mut sim], &mut bus, |_, _, bus| {
             trace.push(bus.load_power);
             if bus.rail_connected {
-                connected = true;
                 StepControl::Stop
             } else {
                 StepControl::Continue
             }
         });
-        if !connected {
+        if timed_out {
             return Err(LifecycleError::DetectorNeverTriggered);
         }
 
@@ -504,7 +502,7 @@ impl InteractionConfig {
                 // Arm on the end hover: V5 must first recover (start hover
                 // released), then drop again.
                 let mut armed = false;
-                sched.run_span_free(
+                sched.run_span(
                     timeout,
                     dt,
                     &mut elapsed,
@@ -725,6 +723,43 @@ mod tests {
         assert!(
             (0.8..1.8).contains(&secs),
             "sampling should track the ~1.3 s hover-to-hover span, got {secs:.2}"
+        );
+    }
+
+    #[test]
+    fn weak_light_never_wakes_the_platform() {
+        // At 2 lux the detector's weak-light lockout holds the rail off
+        // through the whole off-phase wait, hover included.
+        let config = InteractionConfig {
+            ambient: Lux::new(2.0),
+            ..InteractionConfig::standard(TaskProfile::reference_gesture())
+        };
+        assert_eq!(
+            config.run().err(),
+            Some(LifecycleError::DetectorNeverTriggered)
+        );
+    }
+
+    #[test]
+    fn gesture_sampling_times_out_at_twice_the_window() {
+        // The end hover comes 10 s after the start one, well past the
+        // 2 × 2 s sampling timeout, so sampling ends at the timeout.
+        let config = InteractionConfig {
+            gesture: Seconds::new(10.0),
+            ..InteractionConfig::standard(TaskProfile::reference_gesture())
+        };
+        let (trace, _) = config.run().expect("interaction runs");
+        let sampling = trace
+            .summarize_segment("sampling")
+            .expect("sampling segment exists");
+        let period = config.trace_rate.period();
+        let samples = |span: Seconds| (span / period).round() as usize;
+        let timeout = config.task.sampling_duration() * 2.0;
+        assert!(
+            samples(sampling.duration).abs_diff(samples(timeout)) <= 1,
+            "sampling ran {} samples against a {}-sample timeout",
+            samples(sampling.duration),
+            samples(timeout)
         );
     }
 

@@ -7,9 +7,8 @@ use crate::ledger::{EnergyAudit, EnergyFlows};
 /// A discrete event published on the bus during a step.
 ///
 /// Components raise these when something edge-like happened inside the step
-/// (a comparator transition, the detector connecting the MCU rail); the
-/// driving loop's observer reads them after the step to make control-flow
-/// decisions, and the scheduler narrows the timestep around them.
+/// (a brownout comparator transition); the driving loop's observer reads
+/// them after the step to make control-flow decisions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimEvent {
     /// The brownout comparator warned that the rail is sagging.
@@ -18,8 +17,6 @@ pub enum SimEvent {
     Brownout,
     /// The brownout comparator re-armed the rail after recovery.
     Recovered,
-    /// The event detector connected the MCU rail.
-    DetectorConnected,
 }
 
 /// The shared bus: per-step signals components publish for each other and
@@ -56,9 +53,6 @@ pub struct SimBus {
     /// Events raised during this step (cleared by the scheduler before
     /// each step).
     pub events: Vec<SimEvent>,
-    /// Set by a component to stop the current scheduler run after this
-    /// step (e.g. a probe whose predicate matched).
-    pub halt: bool,
     /// The run-wide conservation ledger.
     audit: EnergyAudit,
 }

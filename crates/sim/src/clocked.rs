@@ -14,12 +14,13 @@ use crate::bus::SimBus;
 ///
 /// `edge` marks that something discontinuous happened *inside* this step
 /// (a comparator fired, the detector switched). The scheduler reacts by
-/// pinning the next steps to `min_dt` for the policy's `edge_hold` window,
-/// so post-event dynamics are resolved finely.
+/// pinning the next steps to `min_dt` for the policy's
+/// [`edge_hold`](crate::DtPolicy::edge_hold) window, so post-event
+/// dynamics are resolved finely.
 ///
 /// `event_dt` is the time until a discontinuity the component predicts
 /// (a comparator threshold crossing). Unlike `max_dt` the policy's
-/// `min_dt` does not floor it, and it cuts the `edge_hold` steps too, so
+/// `min_dt` does not floor it, and it cuts the edge-hold steps too, so
 /// the step that crosses ends just past the event.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StepOutcome {
@@ -41,14 +42,6 @@ impl StepOutcome {
     pub fn hint(dt: Seconds) -> Self {
         Self {
             max_dt: Some(dt),
-            ..Self::default()
-        }
-    }
-
-    /// Marks a discontinuity inside this step.
-    pub fn edge() -> Self {
-        Self {
-            edge: true,
             ..Self::default()
         }
     }

@@ -5,12 +5,15 @@
 //!
 //! * [`Clocked`] is the component contract: one `step(t, dt, bus)` per
 //!   timestep, publishing outputs and constraints on the shared [`SimBus`].
-//! * [`Scheduler`] owns the monotonic clock and reproduces the legacy
-//!   stepping disciplines (deadline-clipped, resumable spans, free-running,
-//!   fixed-count) so ports are bit-exact at fixed dt.
+//! * [`Scheduler`] owns the monotonic clock and steps it through one loop,
+//!   a clipped, resumable span; a deadline-clipped run is a span over a
+//!   copy of the clock, and a fixed-count runner serves sample-indexed
+//!   replays. Ports are bit-exact at fixed dt, and a run's observer is the
+//!   one way to stop it early.
 //! * [`DtPolicy`] optionally makes timesteps adaptive: stretched through
 //!   quiescent standby/deep-sleep windows, shrunk to the policy minimum
-//!   around detector edges, brownout transitions, and MOSFET switching.
+//!   for a fixed 50 ms hold around detector edges, brownout transitions,
+//!   and MOSFET switching.
 //! * [`EnergyAudit`] is the one conservation ledger, owned by the bus;
 //!   components fold [`EnergyFlows`] into it each step. Because flows are
 //!   computed trapezoidally from the same intermediates as the storage

@@ -14,15 +14,17 @@ pub enum StepControl {
     Stop,
 }
 
+/// How long after an edge adaptive steps stay pinned at `min_dt`.
+const EDGE_HOLD: Seconds = Seconds::new(0.05);
+
 /// Timestep policy for a [`Scheduler`].
 ///
 /// Fixed policy reproduces the legacy loops bit-for-bit: every step takes
-/// the caller's slice (clipped to the deadline/span where the legacy loop
-/// clipped). Adaptive policy instead derives each step from the components'
-/// [`StepOutcome`] hints, stretching through quiescent deep-sleep windows
-/// up to `max_dt` and shrinking to `min_dt` around edges (detector
-/// transitions, brownout events, MOSFET switching) for an `edge_hold`
-/// refractory window.
+/// the caller's slice, clipped to the deadline or span end. Adaptive policy
+/// instead derives each step from the components' [`StepOutcome`] hints,
+/// stretching through quiescent deep-sleep windows up to `max_dt` and
+/// shrinking to `min_dt` around edges (detector transitions, brownout
+/// events, MOSFET switching) for the [`edge_hold`](Self::edge_hold) window.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DtPolicy {
     /// Whether steps adapt to component hints instead of the fixed slice.
@@ -31,8 +33,6 @@ pub struct DtPolicy {
     pub min_dt: Seconds,
     /// Largest adaptive step through fully quiescent windows.
     pub max_dt: Seconds,
-    /// How long after an edge steps stay pinned at `min_dt`.
-    pub edge_hold: Seconds,
 }
 
 impl DtPolicy {
@@ -43,7 +43,6 @@ impl DtPolicy {
             adaptive: false,
             min_dt: Seconds::ZERO,
             max_dt: Seconds::ZERO,
-            edge_hold: Seconds::ZERO,
         }
     }
 
@@ -54,7 +53,16 @@ impl DtPolicy {
             adaptive: true,
             min_dt,
             max_dt,
-            edge_hold: Seconds::new(0.05),
+        }
+    }
+
+    /// How long after an edge steps stay pinned at `min_dt`: 50 ms under
+    /// the adaptive policy, zero under the fixed one.
+    pub fn edge_hold(&self) -> Seconds {
+        if self.adaptive {
+            EDGE_HOLD
+        } else {
+            Seconds::ZERO
         }
     }
 }
@@ -68,11 +76,13 @@ impl Default for DtPolicy {
 /// The single monotonic co-simulation clock.
 ///
 /// One scheduler drives every component of a simulation through the
-/// [`Clocked`] trait; its runners reproduce the stepping disciplines of the
-/// legacy loops (deadline-clipped, span-clipped resumable, free-running,
-/// fixed-count) so ports stay bit-exact at fixed dt, while the adaptive
-/// policy accelerates quiescent stretches without touching the ledger's
-/// error bound.
+/// [`Clocked`] trait. [`run_span`](Self::run_span) is its one stepping
+/// loop: deadline-clipped runs ([`run_until`](Self::run_until)) are spans
+/// over a copy of the clock, and [`run_steps`](Self::run_steps) takes a
+/// fixed count of steps for sample-indexed replays. The observer passed to
+/// each runner is the one way to stop a run early. Ports stay bit-exact at
+/// fixed dt, while the adaptive policy accelerates quiescent stretches
+/// without touching the ledger's error bound.
 #[derive(Debug, Clone)]
 pub struct Scheduler {
     time: Seconds,
@@ -101,7 +111,7 @@ impl Scheduler {
         Self {
             time: t,
             policy,
-            edge_until: t + policy.edge_hold,
+            edge_until: t + policy.edge_hold(),
             pending_hint: None,
             pending_event: None,
         }
@@ -112,20 +122,10 @@ impl Scheduler {
         self.time
     }
 
-    /// The active timestep policy.
-    pub fn policy(&self) -> &DtPolicy {
-        &self.policy
-    }
-
     /// Takes exactly one step of width `dt`: clears the bus events, steps
     /// every component in order, advances the clock, and folds the merged
     /// [`StepOutcome`] into the adaptive state.
-    pub fn step_once(
-        &mut self,
-        dt: Seconds,
-        comps: &mut [&mut dyn Clocked],
-        bus: &mut SimBus,
-    ) -> StepOutcome {
+    fn step_once(&mut self, dt: Seconds, comps: &mut [&mut dyn Clocked], bus: &mut SimBus) {
         bus.events.clear();
         let t = self.time;
         let mut outcome = StepOutcome::quiescent();
@@ -136,15 +136,14 @@ impl Scheduler {
         self.pending_hint = outcome.max_dt;
         self.pending_event = outcome.event_dt;
         if outcome.edge {
-            self.edge_until = self.time + self.policy.edge_hold;
+            self.edge_until = self.time + self.policy.edge_hold();
         }
-        outcome
     }
 
     /// Picks the next step width. `remaining` clips the step so it cannot
     /// overshoot a deadline or span end; `slice` is the fixed-policy step.
-    fn choose_dt(&self, remaining: Option<Seconds>, slice: Seconds) -> Seconds {
-        let mut dt = if self.policy.adaptive {
+    fn choose_dt(&self, remaining: Seconds, slice: Seconds) -> Seconds {
+        let dt = if self.policy.adaptive {
             let hinted = self.pending_hint.unwrap_or(self.policy.max_dt);
             let mut dt = hinted.clamp(self.policy.min_dt, self.policy.max_dt);
             if self.time < self.edge_until {
@@ -157,55 +156,27 @@ impl Scheduler {
         } else {
             slice
         };
-        if let Some(remaining) = remaining {
-            dt = dt.min(remaining);
-        }
-        dt
+        dt.min(remaining)
     }
 
     /// Runs until the clock reaches `deadline`, clipping the final step so
     /// the clock lands on the deadline exactly (the legacy `idle_until`
     /// discipline). Returns `true` if the deadline was reached, `false` if
-    /// the observer (or a component via `bus.halt`) stopped the run early.
+    /// the observer stopped the run early.
+    ///
+    /// This is [`run_span`](Self::run_span) over a copy of the clock: the
+    /// copy takes the same `+= dt` additions as the clock itself, so the
+    /// steps are those of a loop on the clock.
     pub fn run_until(
         &mut self,
         deadline: Seconds,
         slice: Seconds,
         comps: &mut [&mut dyn Clocked],
         bus: &mut SimBus,
-        mut observe: impl FnMut(Seconds, Seconds, &mut SimBus) -> StepControl,
+        observe: impl FnMut(Seconds, Seconds, &mut SimBus) -> StepControl,
     ) -> bool {
-        bus.halt = false;
-        while self.time < deadline {
-            let dt = self.choose_dt(Some(deadline - self.time), slice);
-            self.step_once(dt, comps, bus);
-            if observe(self.time, dt, bus) == StepControl::Stop || bus.halt {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Runs full slices until the clock passes `deadline`, overshooting by
-    /// up to one slice (the legacy `while time < deadline` discipline).
-    /// Returns `true` if the deadline was passed, `false` on early stop.
-    pub fn run_free(
-        &mut self,
-        deadline: Seconds,
-        slice: Seconds,
-        comps: &mut [&mut dyn Clocked],
-        bus: &mut SimBus,
-        mut observe: impl FnMut(Seconds, Seconds, &mut SimBus) -> StepControl,
-    ) -> bool {
-        bus.halt = false;
-        while self.time < deadline {
-            let dt = self.choose_dt(None, slice);
-            self.step_once(dt, comps, bus);
-            if observe(self.time, dt, bus) == StepControl::Stop || bus.halt {
-                return false;
-            }
-        }
-        true
+        let mut clock = self.time;
+        self.run_span(deadline, slice, &mut clock, comps, bus, observe)
     }
 
     /// Runs a span of `duration`, clipping the final step so the span
@@ -213,7 +184,7 @@ impl Scheduler {
     /// accumulator: a run stopped early can be *resumed* by calling again
     /// with the same accumulator, continuing the exact clipped-dt sequence
     /// (the legacy interruptible phase-window discipline). Returns `true`
-    /// if the span completed, `false` on early stop.
+    /// if the span completed, `false` if the observer stopped the run.
     pub fn run_span(
         &mut self,
         duration: Seconds,
@@ -223,36 +194,11 @@ impl Scheduler {
         bus: &mut SimBus,
         mut observe: impl FnMut(Seconds, Seconds, &mut SimBus) -> StepControl,
     ) -> bool {
-        bus.halt = false;
         while *elapsed < duration {
-            let dt = self.choose_dt(Some(duration - *elapsed), slice);
+            let dt = self.choose_dt(duration - *elapsed, slice);
             self.step_once(dt, comps, bus);
             *elapsed += dt;
-            if observe(self.time, dt, bus) == StepControl::Stop || bus.halt {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Runs full slices until `elapsed` passes `duration`, overshooting by
-    /// up to one slice (the legacy sampling-timeout discipline). Returns
-    /// `true` if the span was passed, `false` on early stop.
-    pub fn run_span_free(
-        &mut self,
-        duration: Seconds,
-        slice: Seconds,
-        elapsed: &mut Seconds,
-        comps: &mut [&mut dyn Clocked],
-        bus: &mut SimBus,
-        mut observe: impl FnMut(Seconds, Seconds, &mut SimBus) -> StepControl,
-    ) -> bool {
-        bus.halt = false;
-        while *elapsed < duration {
-            let dt = self.choose_dt(None, slice);
-            self.step_once(dt, comps, bus);
-            *elapsed += dt;
-            if observe(self.time, dt, bus) == StepControl::Stop || bus.halt {
+            if observe(self.time, dt, bus) == StepControl::Stop {
                 return false;
             }
         }
@@ -261,7 +207,7 @@ impl Scheduler {
 
     /// Takes exactly `steps` steps of width `dt` (the legacy rounded
     /// fixed-count discipline). Returns `true` if all steps ran, `false`
-    /// on early stop.
+    /// if the observer stopped the run.
     pub fn run_steps(
         &mut self,
         steps: usize,
@@ -270,10 +216,9 @@ impl Scheduler {
         bus: &mut SimBus,
         mut observe: impl FnMut(Seconds, Seconds, &mut SimBus) -> StepControl,
     ) -> bool {
-        bus.halt = false;
         for _ in 0..steps {
             self.step_once(dt, comps, bus);
-            if observe(self.time, dt, bus) == StepControl::Stop || bus.halt {
+            if observe(self.time, dt, bus) == StepControl::Stop {
                 return false;
             }
         }
@@ -340,22 +285,6 @@ mod tests {
         assert_eq!(comp.steps, 3);
         assert_eq!(comp.total, Seconds::new(1.05));
         assert_eq!(bus.audit().discrepancy, Energy::ZERO);
-    }
-
-    #[test]
-    fn run_free_overshoots_by_up_to_one_slice() {
-        let mut sched = Scheduler::new(DtPolicy::fixed());
-        let mut comp = Integrator::new();
-        let mut bus = SimBus::new();
-        sched.run_free(
-            Seconds::new(1.05),
-            Seconds::new(0.5),
-            &mut [&mut comp],
-            &mut bus,
-            |_, _, _| StepControl::Continue,
-        );
-        assert_eq!(comp.steps, 3);
-        assert_eq!(sched.time(), Seconds::new(1.5));
     }
 
     #[test]
