@@ -16,15 +16,15 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn a_version_two_store_is_refused_naming_both_versions() {
-    assert_eq!(STORE_VERSION, 3);
+fn a_version_three_store_is_refused_naming_both_versions() {
+    assert_eq!(STORE_VERSION, 4);
     for sweep in [false, true] {
-        let dir = scratch(&format!("v2-{sweep}"));
-        let v2 = Envelope {
+        let dir = scratch(&format!("v3-{sweep}"));
+        let v3 = Envelope {
             magic: STORE_MAGIC,
-            version: 2,
+            version: 3,
         };
-        std::fs::write(dir.join("store.meta"), v2.seal(|_| {})).expect("stamp v2");
+        std::fs::write(dir.join("store.meta"), v3.seal(|_| {})).expect("stamp v3");
 
         let store = dir.display().to_string();
         let mut args = vec!["fleet"];
@@ -39,7 +39,7 @@ fn a_version_two_store_is_refused_naming_both_versions() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "sweep {sweep}: {stderr}");
         let expected = format!(
-            "error: fleet store: {}: store format v2, this build reads v3",
+            "error: fleet store: {}: store format v3, this build reads v4",
             dir.join("store.meta").display()
         );
         assert!(stderr.starts_with(&expected), "sweep {sweep}: {stderr}");

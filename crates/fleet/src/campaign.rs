@@ -384,10 +384,16 @@ where
     }
 }
 
-/// Replayed node-days a pool helper must take over to pay for its spawn:
-/// on a 2-vCPU box a thread spawn costs ~30–50 µs and a replay (resolve,
-/// key, store lookup) ~1.5–2.5 µs.
-const REPLAYS_PER_SPAWN: usize = 20;
+/// Replayed node-days a pool helper must take over to pay for its spawn.
+/// On a shared 2-vCPU box a thread spawn costs ~33–39 µs and a replay
+/// (draw record, key, store lookup, summary fold) ~0.5–0.6 µs, and the
+/// helper starts and joins late: a two-worker pool runs replays only
+/// ~1.3× faster than one thread, so a helper saves about a quarter of the
+/// replay time it takes over and pays for its spawn only past ~130
+/// replays. An all-hit 256-node campaign at 2 workers (the CLI's size)
+/// thus replays on the caller: 300 such invocations took 0.075–0.081 s
+/// inline against 0.092–0.099 s through the pool.
+const REPLAYS_PER_SPAWN: usize = 128;
 
 /// [`run_campaign_with`] behind a serial prefix. When the campaign is too
 /// small for pool helpers to pay for their spawn on replays

@@ -15,7 +15,7 @@ use solarml_circuit::{CloudTransient, FaultPlan, OutageWindow, SupercapDegradati
 use solarml_platform::{
     CheckpointPolicy, DaySimConfig, DegradationLadder, IntermittentConfig, PhasePlan,
 };
-use solarml_scenario::{home, office, sky_markov, Scenario};
+use solarml_scenario::{home, office, sky_markov, Scenario, ScenarioDay};
 use solarml_sim::DtPolicy;
 use solarml_trace::seed::{pick_weighted, splitmix64, uniform};
 use solarml_units::{Energy, Farads, Power, Ratio, Seconds, Volts};
@@ -226,13 +226,12 @@ impl PopulationSpec {
     }
 
     /// Collapses one node out of the spec from its per-node seed,
-    /// including which environment and policy buckets it landed in.
+    /// including which environment and policy buckets it landed in:
+    /// [`Self::draw`], then (under [`Self::scenario`]) the scenario's day
+    /// on the node's profile seed, then [`NodeDraw::build`].
     ///
     /// Deterministic and order-fixed: the same `(spec, node_seed)` always
-    /// yields the same blueprint, bit for bit. All top-level draws happen
-    /// unconditionally in a fixed order before any branch, so every node
-    /// consumes the same prefix of its stream regardless of which
-    /// environment or policy it lands in.
+    /// yields the same blueprint, bit for bit.
     ///
     /// The draw program runs identically whether or not
     /// [`Self::scenario`] is set — the scenario replaces *values*
@@ -242,56 +241,140 @@ impl PopulationSpec {
     /// switching a campaign between scripted and sampled conditions
     /// perturbs exactly the fields the script declares.
     pub fn node_blueprint(&self, node_seed: u64) -> NodeBlueprint {
-        let mut state = node_seed ^ POPULATION_STREAM_TAG;
+        let draw = self.draw(node_seed);
+        let day = self.scenario.as_ref().map(|s| s.eval(draw.profile_seed));
+        draw.build(day.as_ref())
+    }
 
-        // Fixed draw program: every node consumes these in this order.
+    /// The node's draw record: every top-level draw, unconditionally and
+    /// in one fixed order before any branch, so every node consumes the
+    /// same prefix of its stream regardless of which environment or
+    /// policy it lands in. Each [`Dist`] consumes exactly one draw, so
+    /// `profile_seed` and the stream position the event times start from
+    /// are functions of the node seed alone.
+    pub(crate) fn draw(&self, node_seed: u64) -> NodeDraw {
+        let mut state = node_seed ^ POPULATION_STREAM_TAG;
         let env_pick = pick_weighted(
             &mut state,
             &[self.outdoor_share, self.office_share, self.home_share],
         );
-        let latitude = self.latitude_deg.sample(&mut state);
-        let office_peak = self.office_peak_lux.sample(&mut state);
-        let home_peak = self.home_peak_lux.sample(&mut state);
+        // A latitude drawn past a pole gets the pole's light: the solar
+        // formula is meaningless beyond ±90°.
+        let latitude_deg = self.latitude_deg.sample(&mut state).clamp(-90.0, 90.0);
+        let office_peak_lux = self.office_peak_lux.sample(&mut state);
+        let home_peak_lux = self.home_peak_lux.sample(&mut state);
         let panel_scale = self.panel_scale.sample(&mut state);
-        let capacitance = self.capacitance_f.sample(&mut state);
-        let initial_voltage = self.initial_voltage_v.sample(&mut state);
+        let capacitance_f = self.capacitance_f.sample(&mut state);
+        let initial_voltage_v = self.initial_voltage_v.sample(&mut state);
         let capacity_factor = self.capacity_factor.sample(&mut state).clamp(0.05, 1.0);
         let esr_scale = self.esr_scale.sample(&mut state).max(1.0);
-        let n_interactions = self.interaction_count.sample(&mut state).max(0.0) as usize;
-        let n_clouds = self.cloud_count.sample(&mut state).max(0.0) as usize;
-        let n_outages = self.outage_count.sample(&mut state).max(0.0) as usize;
+        let interactions = self.interaction_count.sample(&mut state).max(0.0) as usize;
+        let clouds = self.cloud_count.sample(&mut state).max(0.0) as usize;
+        let outages = self.outage_count.sample(&mut state).max(0.0) as usize;
         let policy_pick = pick_weighted(
             &mut state,
             &[self.retained_share, self.volatile_share, self.none_share],
         );
         let has_ladder = uniform(&mut state, 0.0, 1.0) < self.ladder_share;
         let profile_seed = splitmix64(&mut state);
+        NodeDraw {
+            env_pick,
+            latitude_deg,
+            day_of_year: self.day_of_year,
+            office_peak_lux,
+            home_peak_lux,
+            panel_scale,
+            capacitance_f,
+            initial_voltage_v,
+            capacity_factor,
+            esr_scale,
+            interactions,
+            clouds,
+            outages,
+            policy_pick,
+            has_ladder,
+            profile_seed,
+            stream: state,
+        }
+    }
+}
 
-        // The scenario (when present) is evaluated on the same profile
+/// One node's draw record: the scalars [`PopulationSpec::draw`] takes
+/// from the node's stream, clamped as the build uses them, plus the
+/// spec's day of year and the stream position the event times continue
+/// from. Small and `Copy`: it is all a store hit needs to name the node
+/// (see [`crate::task`]), and [`Self::build`] turns it into the config a
+/// miss simulates.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct NodeDraw {
+    /// Weighted environment pick: 0 = outdoor window, 1 = office, 2 = home.
+    pub env_pick: usize,
+    /// Site latitude after its clamp to ±90°; read by outdoor nodes.
+    pub latitude_deg: f64,
+    /// The spec's day of year; read by outdoor nodes.
+    pub day_of_year: u32,
+    /// Office midday peak (lux); read by office nodes.
+    pub office_peak_lux: f64,
+    /// Home evening peak (lux); read by home nodes.
+    pub home_peak_lux: f64,
+    /// Multiplier on the light profile.
+    pub panel_scale: f64,
+    /// Supercap nameplate capacitance (farads).
+    pub capacitance_f: f64,
+    /// Supercap voltage at midnight (volts).
+    pub initial_voltage_v: f64,
+    /// Capacity retention, clamped to `[0.05, 1]`.
+    pub capacity_factor: f64,
+    /// ESR multiplier, at least 1.
+    pub esr_scale: f64,
+    /// Interaction count.
+    pub interactions: usize,
+    /// Cloud-transient count; only outdoor nodes draw their times.
+    pub clouds: usize,
+    /// Harvester outage count.
+    pub outages: usize,
+    /// Weighted policy pick: 0 = retained, 1 = volatile, 2 = none.
+    pub policy_pick: usize,
+    /// Whether the node carries the multi-exit degradation ladder.
+    pub has_ladder: bool,
+    /// Seed of the light generator (or the scenario's evaluation).
+    pub profile_seed: u64,
+    /// Stream state after `profile_seed`: interaction, cloud and outage
+    /// times are drawn from here, in that order.
+    stream: u64,
+}
+
+impl NodeDraw {
+    /// The environment bucket the node reports under: the scenario's light
+    /// source when it has a `day`, else the drawn environment.
+    pub fn env_index(&self, day: Option<&ScenarioDay>) -> usize {
+        day.map_or(self.env_pick, |day| day.env_bucket)
+    }
+
+    /// Builds the node's blueprint from its draws and, under a scenario,
+    /// its evaluated `day` (evaluated on [`Self::profile_seed`]).
+    pub fn build(&self, day: Option<&ScenarioDay>) -> NodeBlueprint {
+        let mut state = self.stream;
+        // The scenario (when present) was evaluated on the same profile
         // seed the sampled environment would have used, then hardware
         // diversity (panel scale) applies on top either way.
-        let day = self.scenario.as_ref().map(|s| s.eval(profile_seed));
-        let mut profile = match &day {
+        let mut profile = match day {
             Some(day) => day.profile.clone(),
-            None => match env_pick {
-                // A latitude drawn past a pole gets the pole's light: the
-                // solar formula is meaningless beyond ±90°.
-                0 => sky_markov(latitude.clamp(-90.0, 90.0), self.day_of_year, profile_seed),
-                1 => office(office_peak, profile_seed),
-                _ => home(home_peak, profile_seed),
+            None => match self.env_pick {
+                0 => sky_markov(self.latitude_deg, self.day_of_year, self.profile_seed),
+                1 => office(self.office_peak_lux, self.profile_seed),
+                _ => home(self.home_peak_lux, self.profile_seed),
             },
         };
         for lux in &mut profile.lux_by_hour {
-            *lux *= panel_scale;
+            *lux *= self.panel_scale;
         }
 
         // Interaction times: sorted uniform draws over the waking window.
         // Every draw is positive, and positive floats' bit patterns order
         // exactly as `f64::total_cmp` orders the floats, so sorting the
-        // bits is the same sort. The integer sort of 40 draws takes about
-        // half the time of the float-comparator sort, which was a quarter
-        // of `NodeDayTask::resolve`.
-        let mut interactions: Vec<u64> = (0..n_interactions)
+        // bits is the same sort, at about half the float comparator's cost.
+        let mut interactions: Vec<u64> = (0..self.interactions)
             .map(|_| uniform(&mut state, 8.0 * 3600.0, 22.0 * 3600.0).to_bits())
             .collect();
         interactions.sort_unstable();
@@ -301,9 +384,9 @@ impl PopulationSpec {
             .collect();
 
         // Cloud transients only darken outdoor nodes — ceiling lights have
-        // no weather — but the count draw above happened for everyone.
-        let clouds = if env_pick == 0 {
-            (0..n_clouds)
+        // no weather — but the count draw happened for everyone.
+        let clouds = if self.env_pick == 0 {
+            (0..self.clouds)
                 .map(|_| {
                     let at = uniform(&mut state, 7.0 * 3600.0, 19.0 * 3600.0);
                     let duration = uniform(&mut state, 180.0, 1500.0);
@@ -320,7 +403,7 @@ impl PopulationSpec {
         } else {
             Vec::new()
         };
-        let outages = (0..n_outages)
+        let outages = (0..self.outages)
             .map(|_| {
                 let at = uniform(&mut state, 8.0 * 3600.0, 21.0 * 3600.0);
                 let duration = uniform(&mut state, 60.0, 600.0);
@@ -334,8 +417,8 @@ impl PopulationSpec {
             clouds,
             outages,
             degradation: SupercapDegradation {
-                capacity_factor: Ratio::new(capacity_factor),
-                esr_scale: Ratio::new(esr_scale),
+                capacity_factor: Ratio::new(self.capacity_factor),
+                esr_scale: Ratio::new(self.esr_scale),
             },
         };
         // Scenario overrides land here, after every draw has happened:
@@ -345,34 +428,29 @@ impl PopulationSpec {
         // declared supercap replaces the sampled capacitance. The
         // parameters whose draws a script overrides are the
         // `scenario_owned` rows of `POPULATION_PARAMS`, below.
-        let faults = match &day {
+        let faults = match day {
             Some(day) => day.fault_plan(&sampled_faults),
             None => sampled_faults,
         };
-        let interactions = match day.as_ref().and_then(|d| d.interactions.clone()) {
+        let interactions = match day.and_then(|d| d.interactions.clone()) {
             Some(times) => times,
             None => interactions,
         };
         let capacitance = day
-            .as_ref()
             .and_then(|d| d.capacitance)
-            .unwrap_or(Farads::new(capacitance));
-        let env_index = match &self.scenario {
-            Some(s) => s.env_bucket(),
-            None => env_pick,
-        };
+            .unwrap_or(Farads::new(self.capacitance_f));
 
         let base = DaySimConfig {
             profile,
             budget_per_inference: Energy::from_milli_joules(30.0),
             interactions,
             capacitance,
-            initial_voltage: Volts::new(initial_voltage),
+            initial_voltage: Volts::new(self.initial_voltage_v),
             inference_threshold: Volts::new(2.2),
             standby_power: Power::from_micro_watts(2.4),
         };
 
-        let ladder = if has_ladder {
+        let ladder = if self.has_ladder {
             DegradationLadder::representative()
         } else {
             DegradationLadder::full_only()
@@ -383,7 +461,7 @@ impl PopulationSpec {
             PhasePlan::representative_gesture(),
             ladder,
         );
-        cfg.checkpoint = match policy_pick {
+        cfg.checkpoint = match self.policy_pick {
             0 => CheckpointPolicy::Retained,
             1 => CheckpointPolicy::Volatile,
             _ => CheckpointPolicy::None,
@@ -395,8 +473,8 @@ impl PopulationSpec {
         // trapezoidal ledger flows hold the ≤ 1 nJ residual at any dt.
         cfg.dt_policy = DtPolicy::adaptive(Seconds::from_millis(50.0), Seconds::new(3600.0));
         NodeBlueprint {
-            env_index,
-            policy_index: policy_pick,
+            env_index: self.env_index(day),
+            policy_index: self.policy_pick,
             config: cfg,
         }
     }

@@ -5,8 +5,8 @@
 //! (see [`crate::task`]), a present entry is *proof* the cached outcome is
 //! current — there is no invalidation protocol, no timestamps to compare,
 //! nothing to go stale. A warm parameter sweep touches the store once per
-//! node and recomputes only the nodes whose resolved configuration
-//! actually changed.
+//! node and recomputes only the nodes whose drawn inputs actually
+//! changed; a hit never builds the node's config.
 //!
 //! A store directory holds two files, both framed by the shared
 //! [`solarml_trace::Envelope`] (magic `SLNDSTOR`, version, FNV trailer):
@@ -46,8 +46,10 @@ pub const STORE_MAGIC: [u8; 8] = *b"SLNDSTOR";
 /// misreading it. Version 1 kept one file per entry; version 2 keeps
 /// every entry in one sorted pack; version 3 keeps that layout under
 /// word-at-a-time content keys ([`solarml_trace::KeyHasher`]), so every
-/// v2 key names a different node-day.
-pub const STORE_VERSION: u32 = 3;
+/// v2 key names a different node-day; version 4 keeps it under keys over
+/// each node's draw record rather than its built config (see
+/// [`crate::task`]), so every v3 key names a different node-day.
+pub const STORE_VERSION: u32 = 4;
 
 /// The frame of `store.meta` (empty payload) and of every pack entry
 /// (content key and outcome).

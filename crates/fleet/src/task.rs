@@ -1,50 +1,68 @@
 //! Node-days as pure, content-keyed units of work.
 //!
 //! A [`NodeDayTask`] is one node's day, resolved out of the population
-//! once: [`NodeDayTask::execute`] simulates it from scratch and
-//! [`NodeDayTask::key`] names it, so the store in [`crate::store`] can
-//! replay a persisted outcome in place of an execution.
+//! once: [`NodeDayTask::key`] names it, so the store in [`crate::store`]
+//! can replay a persisted outcome in place of an execution, and
+//! [`NodeDayTask::execute`] builds the node's config and simulates it from
+//! scratch. Resolving holds only the node's draw record (and, under a
+//! scenario, its evaluated day): the config is built on a miss, never on
+//! a hit, as in PIE's `require`.
 //!
 //! A task's identity is its **content key** — a stable word-at-a-time
 //! hash ([`solarml_trace::KeyHasher`], one SplitMix64 round per 64-bit
 //! word; never `DefaultHasher`/`RandomState`, enforced by the
-//! `stable-store-key` lint) over every input that can change the outcome:
+//! `stable-store-key` lint) over the inputs of the node's build, not its
+//! output:
 //!
-//! * the *fully resolved* node parameters — the sampled
-//!   [`IntermittentConfig`] after all population draws, not the
-//!   [`PopulationSpec`] they were drawn from. This is what makes warm
-//!   sweeps incremental: PR 5's fixed-draw-order contract means editing
-//!   one spec distribution leaves unaffected nodes' resolved configs
-//!   bit-identical, so their keys — and their cached outcomes — survive;
-//! * the environment/policy buckets the node landed in;
-//! * the node's derived seed;
-//! * [`SIM_FINGERPRINT`], a simulator-version tag bumped whenever
-//!   `simulate_faulted_day`'s semantics change, so a stale binary can
-//!   never replay outputs produced by different physics.
+//! * [`SIM_FINGERPRINT`], the derived seed, the drawn environment and
+//!   policy buckets and the ladder flag;
+//! * the drawn hardware scalars (panel scale, capacitance, initial
+//!   voltage, clamped aging) and the interaction and outage counts;
+//! * only the light input the node's generator reads — latitude and day
+//!   of year outdoors, the office or home peak indoors — and the cloud
+//!   count for outdoor nodes only. Under a scenario the evaluated day's
+//!   outputs are walked by value instead, so a scenario edit moves only
+//!   the nodes whose day it reached;
+//! * one digest of the preset words every config shares (budget,
+//!   thresholds, phase plan, both ladders, checkpoint costs, MCU model,
+//!   dt policy), computed once per process.
 //!
-//! Staleness is impossible by construction: the key covers the complete
-//! closure of [`NodeDayTask::execute`]'s inputs (pinned by a mutation test
-//! that flips every spec field and watches the key set move), and the
-//! output [`NodeDayOutcome`] deliberately excludes the node index — it is
-//! a pure function of the key material, so a replayed outcome is
+//! This is the complete closure of [`NodeDayTask::execute`]'s inputs:
+//! every [`crate::Dist`] consumes exactly one draw, so the profile seed
+//! and every later stream position — the interaction, cloud and outage
+//! times — are functions of the seed and the counts. A spec edit that
+//! leaves a node's record words alone leaves its key, and its cached
+//! outcome, in place. What the key no longer walks is the code that turns
+//! those words into a config: the light generators and the draw-to-config
+//! build. [`SIM_FINGERPRINT`] discipline covers them, guarded by the
+//! config-digest pin in `tests/resolve_pin.rs`. The output
+//! [`NodeDayOutcome`] excludes the node index, so a replayed outcome is
 //! bit-identical to a recomputed one.
 
+use std::sync::OnceLock;
+
 use solarml_platform::{simulate_faulted_day, IntermittentConfig};
+use solarml_scenario::ScenarioDay;
 use solarml_trace::{ByteReader, ByteWriter, CodecError, KeyHasher};
 
 use crate::campaign::NodeSummary;
-use crate::population::{NodeBlueprint, PopulationSpec};
+use crate::population::{NodeDraw, PopulationSpec};
 
 /// Simulator-version fingerprint folded into every node-day content key.
 ///
 /// Bump the trailing version whenever the day simulator's observable
-/// behavior changes (physics, scheduler stepping, ledger accounting…):
-/// every existing store entry then misses and recomputes, which is the
-/// *only* correct response to new semantics.
+/// behavior changes (physics, scheduler stepping, ledger accounting…),
+/// and whenever a light generator, a preset or the draw-to-config build
+/// ([`PopulationSpec::node_blueprint`]) changes: content keys hash the
+/// draws, not the config built from them, so only this tag tells a config
+/// that new generator or build code makes from the old one. The
+/// config-digest pin in `tests/resolve_pin.rs` fails when a built config
+/// moves. Every existing store entry then misses and recomputes, which is
+/// the *only* correct response to new semantics.
 pub const SIM_FINGERPRINT: &str = "solarml-node-day-sim/v5";
 
-/// One node's simulated day, as a task: resolve the node out of the
-/// population once, then carry everything `execute` needs.
+/// One node's simulated day, as a task: resolve the node's draws out of
+/// the population once, then carry everything `execute` needs.
 #[derive(Debug, Clone)]
 pub struct NodeDayTask {
     /// Node index within the campaign (display/summary only — not key
@@ -52,38 +70,43 @@ pub struct NodeDayTask {
     pub node: usize,
     /// The node's derived seed.
     pub seed: u64,
-    blueprint: NodeBlueprint,
+    draw: NodeDraw,
+    /// The scenario's day on the node's profile seed, when the population
+    /// has a scenario.
+    day: Option<ScenarioDay>,
     key: u64,
 }
 
 impl NodeDayTask {
-    /// Resolves node `node` of `spec` from its derived seed: samples the
-    /// blueprint (cheap — microseconds against the day simulation's
-    /// milliseconds) and derives the content key from the result.
+    /// Resolves node `node` of `spec` from its derived seed: runs the draw
+    /// program (and the scenario, if any) and derives the content key from
+    /// the draws. A sampled node allocates nothing here.
     pub fn resolve(spec: &PopulationSpec, node: usize, seed: u64) -> Self {
-        let blueprint = spec.node_blueprint(seed);
-        let key = node_day_key(&blueprint, seed);
+        let draw = spec.draw(seed);
+        let day = spec.scenario.as_ref().map(|s| s.eval(draw.profile_seed));
+        let key = node_day_key(&draw, day.as_ref(), seed);
         Self {
             node,
             seed,
-            blueprint,
+            draw,
+            day,
             key,
         }
     }
 
     /// The content key this node-day is stored under: a pure function of
-    /// the resolved simulation inputs. Two specs that resolve a node to
-    /// identical inputs (a scenario edit that misses this node, say)
-    /// share the key — which is exactly what lets the incremental store
-    /// replay unaffected node-days across spec edits.
+    /// the simulation inputs. Two specs that resolve a node to identical
+    /// inputs (a scenario edit that misses this node, say) share the key —
+    /// which is exactly what lets the incremental store replay unaffected
+    /// node-days across spec edits.
     pub fn key(&self) -> u64 {
         self.key
     }
 
-    /// Simulates the day from scratch. Pure: equal tasks yield equal
-    /// outcomes, bit for bit.
+    /// Builds the node's config and simulates the day from scratch. Pure:
+    /// equal tasks yield equal outcomes, bit for bit.
     pub fn execute(&self) -> NodeDayOutcome {
-        let report = simulate_faulted_day(&self.blueprint.config);
+        let report = simulate_faulted_day(&self.draw.build(self.day.as_ref()).config);
         NodeDayOutcome {
             attempted: report.attempted,
             completed: report.completed,
@@ -105,8 +128,8 @@ impl NodeDayTask {
         NodeSummary {
             node: self.node,
             seed: self.seed,
-            env_index: self.blueprint.env_index,
-            policy_index: self.blueprint.policy_index,
+            env_index: self.draw.env_index(self.day.as_ref()),
+            policy_index: self.draw.policy_pick,
             attempted: outcome.attempted,
             completed: outcome.completed,
             abandoned: outcome.abandoned,
@@ -189,54 +212,105 @@ impl NodeDayOutcome {
     }
 }
 
-/// Content key of one resolved node-day: simulator fingerprint, derived
-/// seed, bucket indices, then the complete resolved simulation config. The
-/// hash walks *values*, not the spec — two specs that resolve a node to
-/// the same config produce the same key, which is exactly the cache-hit
-/// condition a parameter sweep needs.
-fn node_day_key(blueprint: &NodeBlueprint, seed: u64) -> u64 {
+/// Content key of one resolved node-day, in the word order the module
+/// doc lists. The hash walks the draw record's values, never the spec, so
+/// two specs that draw a node the same inputs produce the same key —
+/// which is exactly the cache-hit condition a parameter sweep needs.
+fn node_day_key(draw: &NodeDraw, day: Option<&ScenarioDay>, seed: u64) -> u64 {
     let mut h = KeyHasher::new();
     h.write_bytes(SIM_FINGERPRINT.as_bytes());
     h.write_u64(seed);
-    h.write_u64(blueprint.env_index as u64);
-    h.write_u64(blueprint.policy_index as u64);
-    hash_config(&mut h, &blueprint.config);
+    h.write_u64(draw.env_pick as u64);
+    h.write_u64(draw.policy_pick as u64);
+    h.write_u64(u64::from(draw.has_ladder));
+    h.write_f64_bits(draw.panel_scale.to_bits());
+    h.write_f64_bits(draw.capacitance_f.to_bits());
+    h.write_f64_bits(draw.initial_voltage_v.to_bits());
+    h.write_f64_bits(draw.capacity_factor.to_bits());
+    h.write_f64_bits(draw.esr_scale.to_bits());
+    h.write_u64(draw.interactions as u64);
+    h.write_u64(draw.outages as u64);
+    match day {
+        Some(day) => hash_day(&mut h, day),
+        None => match draw.env_pick {
+            0 => {
+                h.write_f64_bits(draw.latitude_deg.to_bits());
+                h.write_u64(u64::from(draw.day_of_year));
+            }
+            1 => h.write_f64_bits(draw.office_peak_lux.to_bits()),
+            _ => h.write_f64_bits(draw.home_peak_lux.to_bits()),
+        },
+    }
+    if draw.env_pick == 0 {
+        h.write_u64(draw.clouds as u64);
+    }
+    h.write_u64(preset_digest());
     h.finish()
 }
 
-/// Folds every field of a resolved [`IntermittentConfig`] into `h`, one
-/// word per field, in declaration order, floats by bit pattern,
-/// variable-length sequences length-prefixed (so `[a] ++ [b]` never
-/// aliases `[a, b]`).
-fn hash_config(h: &mut KeyHasher, cfg: &IntermittentConfig) {
-    // base: DaySimConfig
-    for lux in &cfg.base.profile.lux_by_hour {
+/// Folds an evaluated scenario day into `h` by value: its light bucket
+/// and profile, then each override with a presence word, floats by bit
+/// pattern, sequences length-prefixed (so `[a] ++ [b]` never aliases
+/// `[a, b]`).
+fn hash_day(h: &mut KeyHasher, day: &ScenarioDay) {
+    h.write_u64(day.env_bucket as u64);
+    for lux in &day.profile.lux_by_hour {
         h.write_f64_bits(lux.to_bits());
     }
-    h.write_f64_bits(cfg.base.budget_per_inference.value().to_bits());
-    h.write_u64(cfg.base.interactions.len() as u64);
-    for t in &cfg.base.interactions {
-        h.write_f64_bits(t.value().to_bits());
-    }
-    h.write_f64_bits(cfg.base.capacitance.value().to_bits());
-    h.write_f64_bits(cfg.base.initial_voltage.value().to_bits());
-    h.write_f64_bits(cfg.base.inference_threshold.value().to_bits());
-    h.write_f64_bits(cfg.base.standby_power.value().to_bits());
-    // faults: FaultPlan
-    h.write_u64(cfg.faults.clouds.len() as u64);
-    for c in &cfg.faults.clouds {
+    h.write_u64(u64::from(day.has_faults));
+    h.write_u64(day.clouds.len() as u64);
+    for c in &day.clouds {
         h.write_f64_bits(c.at.value().to_bits());
         h.write_f64_bits(c.duration.value().to_bits());
         h.write_f64_bits(c.depth.get().to_bits());
         h.write_f64_bits(c.ramp.value().to_bits());
     }
-    h.write_u64(cfg.faults.outages.len() as u64);
-    for o in &cfg.faults.outages {
+    h.write_u64(day.outages.len() as u64);
+    for o in &day.outages {
         h.write_f64_bits(o.at.value().to_bits());
         h.write_f64_bits(o.duration.value().to_bits());
     }
-    h.write_f64_bits(cfg.faults.degradation.capacity_factor.get().to_bits());
-    h.write_f64_bits(cfg.faults.degradation.esr_scale.get().to_bits());
+    h.write_u64(u64::from(day.degradation.is_some()));
+    if let Some(d) = day.degradation {
+        h.write_f64_bits(d.capacity_factor.get().to_bits());
+        h.write_f64_bits(d.esr_scale.get().to_bits());
+    }
+    h.write_u64(u64::from(day.interactions.is_some()));
+    if let Some(times) = &day.interactions {
+        h.write_u64(times.len() as u64);
+        for t in times {
+            h.write_f64_bits(t.value().to_bits());
+        }
+    }
+    h.write_u64(u64::from(day.capacitance.is_some()));
+    if let Some(c) = day.capacitance {
+        h.write_f64_bits(c.value().to_bits());
+    }
+}
+
+/// Digest of the words every built config takes from presets rather than
+/// draws, with and without the degradation ladder: computed once per
+/// process from two configs the build itself makes, so a preset edit
+/// moves every key.
+fn preset_digest() -> u64 {
+    static DIGEST: OnceLock<u64> = OnceLock::new();
+    *DIGEST.get_or_init(|| {
+        let mut h = KeyHasher::new();
+        let mut draw = PopulationSpec::representative().draw(0);
+        for has_ladder in [false, true] {
+            draw.has_ladder = has_ladder;
+            hash_presets(&mut h, &draw.build(None).config);
+        }
+        h.finish()
+    })
+}
+
+/// Folds the preset fields of `cfg` into `h`, one word per field, in
+/// declaration order, floats by bit pattern, the ladder length-prefixed.
+fn hash_presets(h: &mut KeyHasher, cfg: &IntermittentConfig) {
+    h.write_f64_bits(cfg.base.budget_per_inference.value().to_bits());
+    h.write_f64_bits(cfg.base.inference_threshold.value().to_bits());
+    h.write_f64_bits(cfg.base.standby_power.value().to_bits());
     // thresholds: BrownoutThresholds
     h.write_f64_bits(cfg.thresholds.warn.value().to_bits());
     h.write_f64_bits(cfg.thresholds.brownout.value().to_bits());
@@ -257,12 +331,7 @@ fn hash_config(h: &mut KeyHasher, cfg: &IntermittentConfig) {
         h.write_f64_bits(rung.infer_scale.get().to_bits());
         h.write_f64_bits(rung.accuracy_proxy.get().to_bits());
     }
-    // checkpoint policy + cost model
-    h.write_u64(match cfg.checkpoint {
-        solarml_platform::CheckpointPolicy::None => 0,
-        solarml_platform::CheckpointPolicy::Volatile => 1,
-        solarml_platform::CheckpointPolicy::Retained => 2,
-    });
+    // checkpoint cost model (the policy itself is the drawn policy pick)
     h.write_f64_bits(cfg.checkpoint_costs.save_energy.value().to_bits());
     h.write_f64_bits(cfg.checkpoint_costs.save_duration.value().to_bits());
     h.write_f64_bits(cfg.checkpoint_costs.restore_energy.value().to_bits());

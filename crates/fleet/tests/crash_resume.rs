@@ -257,10 +257,12 @@ const PINNED_CHECKPOINTS: &[(&str, u64)] = &[("ckpt-000000000008.bin", 0xD90B_B6
 /// one file per entry), and again at 3 (word-at-a-time content keys: the
 /// same eight outcomes under new keys, so in a new order). `store.pack`
 /// moved again with `SIM_FINGERPRINT` `v3`, `v4` and `v5` (new outcomes,
-/// new keys).
+/// new keys). Both files moved at `STORE_VERSION` 4 (the new version
+/// stamp, and keys over each node's draw record: the same eight outcomes
+/// under new keys).
 const PINNED_STORE: &[(&str, u64)] = &[
-    ("store.meta", 0x2510_2CF7_EF1F_D29C),
-    ("store.pack", 0x1235_A7D8_1BE3_C6BE),
+    ("store.meta", 0x99A1_E63D_1AE1_B31A),
+    ("store.pack", 0x487D_1709_790A_1095),
 ];
 
 #[test]

@@ -10,6 +10,7 @@
 //! interactions, clouds, outages) so each node-day costs microseconds;
 //! key-space properties never simulate at all.
 
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -17,10 +18,11 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 use solarml_fleet::campaign::FLEET_SEED_CYCLE;
 use solarml_fleet::{
-    run_campaign, run_campaign_cached, CampaignConfig, Dist, NodeDayOutcome, NodeDayStore,
-    NodeDayTask, PopulationSpec, StoreError, POPULATION_PARAMS,
+    run_campaign, run_campaign_cached, CampaignConfig, Dist, NodeBlueprint, NodeDayOutcome,
+    NodeDayStore, NodeDayTask, PopulationSpec, StoreError, POPULATION_PARAMS,
 };
 use solarml_nas::parallel::derive_seed;
+use solarml_scenario::Scenario;
 
 /// A population whose day simulations are nearly free: no interactions,
 /// no transients — the store machinery is what's under test, not the
@@ -119,6 +121,42 @@ fn env_of(spec: &PopulationSpec, seed: u64, nodes: usize) -> Vec<usize> {
         })
         .collect()
 }
+
+/// One edit per [`POPULATION_PARAMS`] row, in table order. Decisive: each
+/// lands well outside the representative range so no draw can round it
+/// away.
+const DECISIVE_EDITS: &[(&str, f64)] = &[
+    ("outdoor-share", 5.0),
+    ("office-share", 5.0),
+    ("home-share", 5.0),
+    ("retained-share", 5.0),
+    ("volatile-share", 5.0),
+    ("none-share", 5.0),
+    ("ladder-share", 0.0),
+    ("day-of-year", 20.0),
+    ("latitude-lo", 5.0),
+    ("latitude-hi", 85.0),
+    ("office-peak-lo", 50.0),
+    ("office-peak-hi", 2000.0),
+    ("home-peak-lo", 20.0),
+    ("home-peak-hi", 1500.0),
+    ("panel-scale-lo", 0.05),
+    ("panel-scale-hi", 10.0),
+    ("capacitance-lo", 0.001),
+    ("capacitance-hi", 1.0),
+    ("initial-voltage-lo", 1.0),
+    ("initial-voltage-hi", 3.3),
+    ("capacity-factor-lo", 0.06),
+    ("capacity-factor-hi", 0.5),
+    ("esr-scale-lo", 4.0),
+    ("esr-scale-hi", 9.0),
+    ("interactions-lo", 100.0),
+    ("interactions-hi", 200.0),
+    ("clouds-lo", 50.0),
+    ("clouds-hi", 80.0),
+    ("outages-lo", 40.0),
+    ("outages-hi", 60.0),
+];
 
 fn keys_of(spec: &PopulationSpec, seed: u64, nodes: usize) -> Vec<u64> {
     (0..nodes)
@@ -288,40 +326,7 @@ fn corrupted_store_recomputes_transparently_and_heals() {
 /// the test that fails.
 #[test]
 fn every_spec_parameter_flip_changes_the_key_set() {
-    // Decisive edits: each lands well outside the representative range so
-    // no draw can round it away.
-    let edits: &[(&str, f64)] = &[
-        ("outdoor-share", 5.0),
-        ("office-share", 5.0),
-        ("home-share", 5.0),
-        ("retained-share", 5.0),
-        ("volatile-share", 5.0),
-        ("none-share", 5.0),
-        ("ladder-share", 0.0),
-        ("day-of-year", 20.0),
-        ("latitude-lo", 5.0),
-        ("latitude-hi", 85.0),
-        ("office-peak-lo", 50.0),
-        ("office-peak-hi", 2000.0),
-        ("home-peak-lo", 20.0),
-        ("home-peak-hi", 1500.0),
-        ("panel-scale-lo", 0.05),
-        ("panel-scale-hi", 10.0),
-        ("capacitance-lo", 0.001),
-        ("capacitance-hi", 1.0),
-        ("initial-voltage-lo", 1.0),
-        ("initial-voltage-hi", 3.3),
-        ("capacity-factor-lo", 0.06),
-        ("capacity-factor-hi", 0.5),
-        ("esr-scale-lo", 4.0),
-        ("esr-scale-hi", 9.0),
-        ("interactions-lo", 100.0),
-        ("interactions-hi", 200.0),
-        ("clouds-lo", 50.0),
-        ("clouds-hi", 80.0),
-        ("outages-lo", 40.0),
-        ("outages-hi", 60.0),
-    ];
+    let edits = DECISIVE_EDITS;
     let nodes = 64;
     let seed = 0xF1EE7;
     let spec = PopulationSpec::representative();
@@ -338,4 +343,51 @@ fn every_spec_parameter_flip_changes_the_key_set() {
     let swept: Vec<&str> = edits.iter().map(|&(param, _)| param).collect();
     let table: Vec<&str> = POPULATION_PARAMS.iter().map(|p| p.name).collect();
     assert_eq!(swept, table, "the sweep covers the whole set_param surface");
+}
+
+proptest! {
+    /// Key soundness: content keys hash a node's draw record, not its built
+    /// config, so equal keys must still mean equal blueprints. Across the
+    /// representative population and one scenario population, each also
+    /// under every [`DECISIVE_EDITS`] edit, plus a one-token edit of the
+    /// scenario, any two node-days that share a key build the same
+    /// config, environment and policy index.
+    #[test]
+    fn equal_keys_build_equal_blueprints(seed in 0u64..=u64::MAX) {
+        let scripted = |p: &str| {
+            let mut spec = PopulationSpec::representative();
+            let src = format!("overlay(office_table(peak: 800 lux), markov_clouds(p: {p}))");
+            spec.scenario = Some(Scenario::parse(&src).expect("parses"));
+            spec
+        };
+        let mut specs = vec![scripted("0.35")];
+        for base in [PopulationSpec::representative(), scripted("0.3")] {
+            for &(param, value) in DECISIVE_EDITS {
+                let mut edited = base.clone();
+                edited.set_param(param, value).expect("known param");
+                specs.push(edited);
+            }
+            specs.push(base);
+        }
+        let mut seen: HashMap<u64, NodeBlueprint> = HashMap::new();
+        let mut shared = 0usize;
+        for spec in &specs {
+            for node in 0..6 {
+                let task = node_task(spec, seed, node);
+                let blueprint = spec.node_blueprint(task.seed);
+                match seen.get(&task.key()) {
+                    Some(first) => {
+                        prop_assert!(first == &blueprint, "node {node} shares a key: {first:?}");
+                        shared += 1;
+                    }
+                    None => {
+                        seen.insert(task.key(), blueprint);
+                    }
+                }
+            }
+        }
+        // Most edits leave most nodes' draws alone: the property is never
+        // vacuous.
+        prop_assert!(shared > 0);
+    }
 }

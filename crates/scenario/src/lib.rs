@@ -30,9 +30,9 @@
 //!    scripts embedded in the crate, each carrying a `# name: description`
 //!    header and a golden `FleetReport` fixture pinned in CI.
 //!
-//! Because evaluation output feeds the fleet's content-addressed node-day
-//! store through the fully-resolved `IntermittentConfig`, a script edit
-//! invalidates exactly the node-days whose resolved inputs it reaches —
+//! Because the fleet's content-addressed node-day store keys each node by
+//! its evaluated day, walked by value, a script edit invalidates exactly
+//! the node-days whose evaluated inputs it reaches —
 //! editing `p: 0.3` to `p: 0.4` re-runs only the nodes whose profile the
 //! cloud layer actually changed.
 
