@@ -46,6 +46,7 @@ use solarml::platform::{
 };
 use solarml::scenario::{registry, Scenario};
 use solarml::sim::DtPolicy;
+use solarml::trace::fnv1a64;
 use solarml::units::{Lux, Ratio, Seconds, Volts};
 use solarml::{run_enas, EnasConfig, Energy, Pipeline, SensingConfig, TaskContext, TaskSelection};
 
@@ -257,30 +258,26 @@ fn kws_candidate() -> ModelSpec {
 /// change to what corpus synthesis computes moves it.
 const KWS_CORPUS_DIGEST: u64 = 0xd5f8_0370_1ce4_5bd7;
 
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// FNV-1a over every clip's f32 bits, then the labels.
 fn corpus_digest(corpus: &KwsDataset) -> u64 {
     let clips = (0..corpus.len()).flat_map(|i| corpus.clip(i).0);
-    fnv1a(
-        clips.flat_map(|v| v.to_bits().to_le_bytes()).chain(
+    let bytes: Vec<u8> = clips
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .chain(
             corpus
                 .labels()
                 .iter()
                 .flat_map(|&l| (l as u64).to_le_bytes()),
-        ),
-    )
+        )
+        .collect();
+    fnv1a64(&bytes)
 }
 
 /// FNV-1a over the bits of a trained model's weights, its epoch losses and
 /// its train accuracy.
 fn fit_digest(model: &mut Model, report: &TrainReport) -> u64 {
     let weights = model.export_weights();
-    let bits = weights
+    let bytes: Vec<u8> = weights
         .iter()
         .flatten()
         .flat_map(|w| w.to_bits().to_le_bytes())
@@ -290,8 +287,9 @@ fn fit_digest(model: &mut Model, report: &TrainReport) -> u64 {
                 .iter()
                 .flat_map(|l| l.to_bits().to_le_bytes()),
         )
-        .chain(report.train_accuracy.to_bits().to_le_bytes());
-    fnv1a(bits)
+        .chain(report.train_accuracy.to_bits().to_le_bytes())
+        .collect();
+    fnv1a64(&bytes)
 }
 
 /// Trains the fixed KWS candidate from a fixed seed for the `Pipeline`'s 10
@@ -544,9 +542,10 @@ fn timed_resolve(reps: usize) -> u128 {
 }
 
 /// The store-scale stage: fills a fresh node-day store with `entries`
-/// synthetic outcomes through `persist` (untimed; dropping the store
-/// writes them), then times what a warm session pays before any resolve:
-/// a reopen plus a `load` of every key.
+/// synthetic outcomes through `persist` and writes them with `flush`
+/// (untimed; a failed write stops the bench with its error), then times
+/// what a warm session pays before any resolve: a reopen plus a `load` of
+/// every key.
 fn timed_store(entries: usize, reps: usize) -> u128 {
     let dir = std::env::temp_dir().join(format!("solarml-bench-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -571,6 +570,7 @@ fn timed_store(entries: usize, reps: usize) -> u128 {
             };
             store.persist(key, &outcome).expect("bench persist");
         }
+        store.flush().expect("bench store writes its pack");
     }
     let ns = time_stage(reps, 1, || {
         let store = NodeDayStore::open(&dir).expect("bench store reopens");

@@ -188,7 +188,7 @@ impl Supercap {
     /// Returns the per-step energy breakdown, computed from the *same*
     /// intermediates as the voltage update so that the conservation identity
     /// `delta_stored = harvested - load - leaked - clamped` holds to
-    /// floating-point round-off (the basis of [`crate::sim::EnergyAudit`]).
+    /// floating-point round-off (the basis of [`solarml_sim::EnergyAudit`]).
     pub fn step(&mut self, dt: Seconds, charge_in: Amps, power_out: Power) -> CapStepEnergy {
         let (i_out, i_leak) = self.drain_currents(self.voltage, power_out);
         self.advance(dt, charge_in.as_amps(), i_out, i_leak)

@@ -312,9 +312,9 @@ pub struct BrownoutThresholds {
 }
 
 impl Default for BrownoutThresholds {
-    /// Matched to the default 2.2 V inference threshold of
-    /// [`crate::SimConfig`]: warn at 2.30 V, brown out at 2.15 V, rearm
-    /// 50 mV above the warn level.
+    /// Matched to the platform's default 2.2 V inference threshold
+    /// (`V_θ`): warn at 2.30 V, brown out at 2.15 V, rearm 50 mV above the
+    /// warn level.
     fn default() -> Self {
         Self {
             warn: Volts::new(2.30),

@@ -11,11 +11,14 @@
 //!    that physically connects/disconnects the MCU from the supercap when a
 //!    user hovers over them.
 //!
-//! This crate reproduces that hardware as a fixed-timestep transient
+//! This crate reproduces that hardware as a discrete-time transient
 //! simulation. Components live in [`components`], the Fig. 5 detector in
 //! [`event`], the Fig. 4 harvest/sense network in [`harvest`], light and
-//! hover stimuli in [`env`], and the combined platform-level driver in
-//! [`sim`].
+//! hover stimuli in [`env`](mod@env), and the combined platform-level
+//! [`CircuitSim`] in [`sim`]. `CircuitSim` keeps no clock or energy ledger
+//! of its own: it is a `solarml_sim::Clocked` component, stepped by the
+//! co-simulation `Scheduler` at the caller's slice, and it folds its
+//! supercap flows into the ledger on the `SimBus`.
 //!
 //! # Examples
 //!
@@ -61,4 +64,4 @@ pub use fault::{
 };
 pub use harvest::{ArrayLayout, CellRole, HarvestMode, Harvester, HarvestingArray, UnshadedArray};
 pub use mppt::{iv_sweep, FractionalVoc, IvPoint, PerturbObserve};
-pub use sim::{CircuitSim, EnergyAudit, EnergyFlows, SimConfig, SimStep};
+pub use sim::CircuitSim;

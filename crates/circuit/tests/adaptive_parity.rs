@@ -18,12 +18,15 @@ use proptest::runner::rng_for;
 use proptest::Strategy;
 use rand::rngs::StdRng;
 use solarml_circuit::env::{HoverSchedule, LightChange, LightEnvironment};
-use solarml_circuit::{CircuitSim, SimConfig};
+use solarml_circuit::CircuitSim;
 use solarml_sim::{Clocked, DtPolicy, Scheduler, SimBus, StepControl};
 use solarml_units::{Lux, Seconds, Volts};
 
 /// Simulated window per case, in seconds.
 const WINDOW: f64 = 60.0;
+
+/// Fixed-policy step, the reference run's 1 ms.
+const SLICE: Seconds = Seconds::new(1e-3);
 
 /// Deterministic cases per property.
 const CASES: u32 = 24;
@@ -31,15 +34,13 @@ const CASES: u32 = 24;
 /// One scheduler-driven run; returns (final supercap voltage, ledger
 /// residual in joules, steps taken).
 fn run(env: &LightEnvironment, policy: DtPolicy) -> (Volts, f64, usize) {
-    let config = SimConfig::default();
-    let slice = config.dt;
-    let mut sim = CircuitSim::new(config, env.clone());
+    let mut sim = CircuitSim::new(env.clone());
     let mut sched = Scheduler::new(policy);
     let mut bus = SimBus::new();
     let mut steps = 0usize;
     sched.run_until(
         Seconds::new(WINDOW),
-        slice,
+        SLICE,
         &mut [&mut sim as &mut dyn Clocked],
         &mut bus,
         |_, _, _| {

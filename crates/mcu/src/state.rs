@@ -131,7 +131,6 @@ pub struct Mcu {
     /// between runs.
     energy_by_state: [Energy; PowerState::ALL.len()],
     time_by_state: [Seconds; PowerState::ALL.len()],
-    clock: Seconds,
 }
 
 impl Mcu {
@@ -144,7 +143,6 @@ impl Mcu {
             tickless_power: Power::ZERO,
             energy_by_state: [Energy::ZERO; PowerState::ALL.len()],
             time_by_state: [Seconds::ZERO; PowerState::ALL.len()],
-            clock: Seconds::ZERO,
         }
     }
 
@@ -160,11 +158,6 @@ impl Mcu {
         } else {
             self.state
         }
-    }
-
-    /// Total simulated time elapsed.
-    pub fn clock(&self) -> Seconds {
-        self.clock
     }
 
     /// Connects the rail: a cold boot into [`PowerState::Active`].
@@ -310,18 +303,10 @@ impl Mcu {
         self.energy_by_state.iter().copied().sum()
     }
 
-    /// Resets the energy/time accounting without changing the state.
-    pub fn reset_accounting(&mut self) {
-        self.energy_by_state = [Energy::ZERO; PowerState::ALL.len()];
-        self.time_by_state = [Seconds::ZERO; PowerState::ALL.len()];
-        self.clock = Seconds::ZERO;
-    }
-
     fn account(&mut self, state: PowerState, power: Power, dt: Seconds) -> Energy {
         let e = power * dt;
         self.energy_by_state[state.index()] += e;
         self.time_by_state[state.index()] += dt;
-        self.clock += dt;
         e
     }
 }
@@ -532,16 +517,5 @@ mod tests {
         mcu.enter(PowerState::Brownout).expect("supervisor trip");
         assert_eq!(mcu.state(), PowerState::Brownout);
         assert_eq!(mcu.power(), Power::ZERO);
-    }
-
-    #[test]
-    fn reset_accounting_clears_history() {
-        let mut mcu = powered_mcu();
-        mcu.advance(Seconds::new(1.0));
-        assert!(mcu.total_energy().as_joules() > 0.0);
-        mcu.reset_accounting();
-        assert_eq!(mcu.total_energy(), Energy::ZERO);
-        assert_eq!(mcu.clock(), Seconds::ZERO);
-        assert_eq!(mcu.state(), PowerState::Active, "state survives reset");
     }
 }

@@ -39,10 +39,11 @@ use solarml_circuit::fault::{
     BrownoutComparator, BrownoutThresholds, ComparatorState, FaultPlan, PowerEvent,
 };
 use solarml_circuit::harvest::{HarvestingArray, UnshadedArray};
-use solarml_circuit::sim::EnergyAudit;
 use solarml_circuit::Supercap;
 use solarml_mcu::{Mcu, McuPowerModel, PowerState};
-use solarml_sim::{Clocked, DtPolicy, Scheduler, SimBus, SimEvent, StepControl, StepOutcome};
+use solarml_sim::{
+    Clocked, DtPolicy, EnergyAudit, Scheduler, SimBus, SimEvent, StepControl, StepOutcome,
+};
 use solarml_trace::JsonObject;
 use solarml_units::{Amps, Energy, Farads, Lux, Power, Ratio, Seconds, Volts};
 

@@ -13,7 +13,7 @@
 
 use solarml_circuit::env::{HoverSchedule, LightEnvironment};
 use solarml_circuit::harvest::HarvestMode;
-use solarml_circuit::{CircuitSim, SimConfig};
+use solarml_circuit::CircuitSim;
 use solarml_dsp::{AudioFrontendParams, GestureSensingParams, Resolution};
 use solarml_energy::device::{AudioSensingGround, GestureSensingGround, InferenceGround};
 use solarml_mcu::{AdcConfig, Mcu, McuPowerModel, PdmConfig, PowerState, TransitionError};
@@ -432,13 +432,7 @@ impl InteractionConfig {
         let dt = self.trace_rate.period();
         let hovers = HoverSchedule::interaction(self.wait_before, self.gesture);
         let env = LightEnvironment::with_hovers(self.ambient, hovers);
-        let mut sim = CircuitSim::new(
-            SimConfig {
-                dt,
-                ..SimConfig::default()
-            },
-            env,
-        );
+        let mut sim = CircuitSim::new(env);
         let mut mcu = Mcu::new(self.mcu);
         let mut trace = PowerTrace::with_sample_rate(self.trace_rate);
         let mut sched = Scheduler::new(DtPolicy::fixed());

@@ -15,7 +15,7 @@
 
 use solarml_circuit::env::LightEnvironment;
 use solarml_circuit::harvest::{CellRole, HarvestMode};
-use solarml_circuit::{CircuitSim, SimConfig};
+use solarml_circuit::CircuitSim;
 use solarml_datasets::gesture::canonical_shading;
 use solarml_sim::{Clocked, DtPolicy, Scheduler, SimBus, StepControl, StepOutcome};
 use solarml_units::{Lux, Power, Ratio, Seconds, Volts};
@@ -108,13 +108,7 @@ pub fn replay_gesture(config: &GestureReplay) -> ReplayOutput {
     );
 
     let dt = Seconds::new(1.0 / config.rate_hz);
-    let mut sim = CircuitSim::new(
-        SimConfig {
-            dt,
-            ..SimConfig::default()
-        },
-        LightEnvironment::constant(config.ambient),
-    );
+    let mut sim = CircuitSim::new(LightEnvironment::constant(config.ambient));
     sim.set_mode(HarvestMode::Sensing);
 
     // Map 3×3 sensing-field indices onto the 5×5 grid positions of the
@@ -145,8 +139,8 @@ pub fn replay_gesture(config: &GestureReplay) -> ReplayOutput {
         },
     );
 
-    // Average divider power over the replay (recomputed analytically —
-    // SimStep folds it into load_power).
+    // Average divider power over the replay (recomputed analytically — the
+    // circuit folds it into the bus's load_power).
     let field = canonical_shading(config.digit, 0.5, config.hand_radius);
     let grid = sensing_grid.clone();
     let sensing_power = sim.array().sensing_power(config.ambient, move |cell| {

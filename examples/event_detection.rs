@@ -7,11 +7,11 @@
 //! ```
 
 use solarml::circuit::env::{HoverSchedule, LightEnvironment};
-use solarml::circuit::{CircuitSim, SimConfig};
+use solarml::circuit::CircuitSim;
 use solarml::platform::{solarml_detector_spec, REFERENCE_DETECTORS};
+use solarml::sim::{DtPolicy, Scheduler, SimBus, StepControl};
 use solarml::units::Lux;
-use solarml::units::{Ratio, Volts};
-use solarml::{Power, Seconds};
+use solarml::Seconds;
 
 fn main() {
     // A user hovers at t = 2 s for 300 ms.
@@ -19,7 +19,12 @@ fn main() {
         Lux::new(500.0),
         HoverSchedule::from_hovers([(Seconds::new(2.0), Seconds::from_millis(300.0))]),
     );
-    let mut sim = CircuitSim::new(SimConfig::default(), env);
+    let mut sim = CircuitSim::new(env);
+    // No MCU on the bus: it draws nothing and holds its pin low, so the
+    // rail's load is the detector's own draw.
+    let mut sched = Scheduler::new(DtPolicy::fixed());
+    let mut bus = SimBus::new();
+    let dt = Seconds::from_millis(1.0);
 
     println!("simulating 3 s at 500 lux with a hover at t = 2.0 s...\n");
     println!(
@@ -27,25 +32,25 @@ fn main() {
         "t", "V2", "V_cap", "detector", "MCU"
     );
     let mut woke_at = None;
-    while sim.time() < Seconds::new(3.0) {
-        let step = sim.step(Power::ZERO, Volts::ZERO, |_| Ratio::ZERO);
-        if woke_at.is_none() && step.detector.mcu_connected {
-            woke_at = Some(step.time);
+    // One scheduler step at a time, so each step's gate node can be read.
+    while sched.time() < Seconds::new(3.0) {
+        sched.run_steps(1, dt, &mut [&mut sim], &mut bus, |_, _, _| {
+            StepControl::Continue
+        });
+        let t = sched.time();
+        if woke_at.is_none() && bus.rail_connected {
+            woke_at = Some(t);
         }
         // Print a sparse sample of the trace.
-        let ms = (step.time.as_seconds() * 1000.0).round() as u64;
+        let ms = (t.as_seconds() * 1000.0).round() as u64;
         if ms % 250 == 0 || (1995..2030).contains(&ms) {
             println!(
                 "{:>8} {:>8} {:>10} {:>12} {:>6}",
-                step.time.to_string(),
-                step.detector.v2.to_string(),
-                step.supercap_voltage.to_string(),
-                step.detector.detector_power.to_string(),
-                if step.detector.mcu_connected {
-                    "ON"
-                } else {
-                    "off"
-                }
+                t.to_string(),
+                sim.detector().v2().to_string(),
+                bus.rail_voltage.to_string(),
+                bus.load_power.to_string(),
+                if bus.rail_connected { "ON" } else { "off" }
             );
         }
     }
