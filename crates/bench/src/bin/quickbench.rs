@@ -14,7 +14,9 @@
 //! builds one KWS MFCC dataset (verifying the pinned digest of the corpus
 //! under it), builds the default KWS task context, resolves and keys
 //! 10,000 representative node-days, reopens a node-day store of 10,000
-//! entries and loads each, and writes the medians to
+//! entries and loads each, splits a warm CLI-size invocation (store open,
+//! all-hit replay, report rendering) into its parts, and writes the
+//! medians to
 //! `BENCH_hotpaths.json` so future PRs have a trajectory to beat.
 //! Wall-clock timing with `std::time`; the JSON is hand-rendered because
 //! the workspace vendors no JSON crate.
@@ -584,6 +586,65 @@ fn timed_store(entries: usize, reps: usize) -> u128 {
     ns
 }
 
+/// Nodes of the warm-invocation stages: a CLI-size campaign.
+const WARM_NODES: usize = 256;
+
+/// The warm-invocation stages: fills a fresh store with a CLI-size
+/// campaign (representative population, [`WARM_NODES`] nodes, seed 7, two
+/// workers as solarbench's `fleet_warm` runs it; untimed), then makes
+/// `invocations` warm invocations as the CLI does — open the store, replay
+/// every node-day, render the report — timing the whole and each part on
+/// its own. Returns one median stage for the whole and one for each part,
+/// and whether every invocation hit every node-day and rendered the cold
+/// report.
+fn timed_warm_invocation(invocations: usize) -> (Vec<Stage>, bool) {
+    let mut cfg = CampaignConfig::new(WARM_NODES, 7);
+    cfg.workers = 2;
+    let dir = std::env::temp_dir().join(format!("solarml-bench-warm-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cold = {
+        let store = NodeDayStore::open(&dir).expect("bench store opens in temp dir");
+        run_campaign_cached(&cfg, &store).to_json()
+    };
+    let mut parts: [Vec<u128>; 4] = std::array::from_fn(|_| Vec::with_capacity(invocations));
+    let mut all_hit_identical = true;
+    for _ in 0..invocations {
+        let start = Instant::now();
+        let store = NodeDayStore::open(&dir).expect("bench store reopens");
+        let opened = Instant::now();
+        let report = run_campaign_cached(&cfg, &store);
+        let replayed = Instant::now();
+        let json = report.to_json();
+        let rendered = Instant::now();
+        for (samples, ns) in parts.iter_mut().zip([
+            rendered - start,
+            opened - start,
+            replayed - opened,
+            rendered - replayed,
+        ]) {
+            samples.push(ns.as_nanos());
+        }
+        all_hit_identical &= store.stats().hits == WARM_NODES as u64 && json == cold;
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let names = [
+        "fleet_warm_invocation",
+        "fleet_warm_open",
+        "fleet_warm_campaign",
+        "fleet_warm_to_json",
+    ];
+    let stages = names
+        .into_iter()
+        .zip(parts)
+        .map(|(name, mut samples)| Stage {
+            name,
+            median_ns: median_ns(&mut samples),
+            iters: 1,
+        })
+        .collect();
+    (stages, all_hit_identical)
+}
+
 /// The scenario-language stage: times one full parse + unit-check + eval
 /// round trip of the registry's most randomized shipped script (the shape
 /// a campaign pays once per node-day resolution), and gates on the
@@ -768,6 +829,14 @@ fn main() {
         iters: 1,
     });
 
+    let warm_invocations = if quick { 500 } else { 2_000 };
+    eprintln!(
+        "quickbench: {WARM_NODES}-node warm invocation, open + replay + to_json \
+         ({warm_invocations} invocations)…"
+    );
+    let (warm_stages, warm_identical) = timed_warm_invocation(warm_invocations);
+    stages.extend(warm_stages);
+
     // Last: run before the fleet stages, these training stages slowed the
     // warm sweep several-fold (12–37× over cold instead of ~80× on a
     // 2-vCPU box), so they run after them.
@@ -911,6 +980,9 @@ fn main() {
     ));
     json.push_str(&format!("    \"fleet_store_entries\": {store_entries},\n"));
     json.push_str(&format!(
+        "    \"fleet_warm_identical\": {warm_identical},\n"
+    ));
+    json.push_str(&format!(
         "    \"scenario_eval_identical\": {scenario_identical}\n"
     ));
     json.push_str("  }\n}\n");
@@ -977,6 +1049,13 @@ fn main() {
         eprintln!(
             "quickbench: ERROR — warm sweep only {sweep_warm_speedup:.1}x faster than cold \
              in the median of {SWEEP_PAIRS} pairs (floor: 50x)"
+        );
+        std::process::exit(1);
+    }
+    if !warm_identical {
+        eprintln!(
+            "quickbench: ERROR — a warm invocation missed a node-day or rendered a report \
+             other than the cold one"
         );
         std::process::exit(1);
     }

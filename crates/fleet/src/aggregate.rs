@@ -26,6 +26,10 @@ use crate::campaign::NodeSummary;
 /// ~10¹⁷ unit-years without overflow.
 const FIXED_SCALE: f64 = 1e12;
 
+/// 2⁶³, the magnitude of `i64::MIN`: whole numbers of smaller magnitude
+/// are exact `i64` values.
+const I64_BOUND: f64 = -(i64::MIN as f64);
+
 /// Ledger-residual tolerance per node-day, in nanojoules.
 pub const RESIDUAL_TOLERANCE_NJ: f64 = 1.0;
 
@@ -37,9 +41,18 @@ impl FixedPoint {
     /// Zero.
     pub const ZERO: Self = Self(0);
 
-    /// Quantizes `value` (in units) to the nearest 10⁻¹² count.
+    /// Quantizes `value` (in units) to the nearest 10⁻¹² count, as
+    /// `(value * FIXED_SCALE).round() as i128` does. A whole number below
+    /// 2⁶³ in magnitude converts through `i64`, one instruction where the
+    /// `i128` cast is a library call on x86-64; larger magnitudes, ±∞ and
+    /// NaN take the `i128` cast, which saturates and maps NaN to zero.
     pub fn from_units(value: f64) -> Self {
-        Self((value * FIXED_SCALE).round() as i128)
+        let counts = (value * FIXED_SCALE).round();
+        if counts.abs() < I64_BOUND {
+            Self(i128::from(counts as i64))
+        } else {
+            Self(counts as i128)
+        }
     }
 
     /// Exact integer addition.
@@ -853,5 +866,63 @@ mod tests {
             revived.push(partial);
         }
         assert_eq!(bits_of(&revived.finish()), bits_of(&uninterrupted.finish()));
+    }
+
+    /// The `from_units` specification: the `i128` cast of the rounded
+    /// product, bit for bit.
+    fn reference_counts(value: f64) -> i128 {
+        (value * FIXED_SCALE).round() as i128
+    }
+
+    proptest::proptest! {
+        /// Any `f64` bit pattern, NaN payloads and infinities included.
+        #[test]
+        fn from_units_matches_the_i128_cast_on_any_bits(bits in 0u64..=u64::MAX) {
+            let value = f64::from_bits(bits);
+            proptest::prop_assert_eq!(FixedPoint::from_units(value).0, reference_counts(value));
+        }
+
+        /// Values of the size node-day quantities take.
+        #[test]
+        fn from_units_matches_the_i128_cast_on_unit_values(value in -1.0e7f64..1.0e7) {
+            proptest::prop_assert_eq!(FixedPoint::from_units(value).0, reference_counts(value));
+        }
+    }
+
+    #[test]
+    fn from_units_matches_the_i128_cast_at_the_edges() {
+        let mut edges = vec![
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE,
+            0.5e-12,
+            1.5e-12,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        // Walk across the point where the product reaches 2⁶³ counts.
+        let mut up = I64_BOUND / FIXED_SCALE;
+        let mut down = up;
+        for _ in 0..64 {
+            edges.extend([up, down]);
+            up = up.next_up();
+            down = down.next_down();
+        }
+        for value in edges
+            .clone()
+            .into_iter()
+            .chain(edges.into_iter().map(|v| -v))
+        {
+            assert_eq!(
+                FixedPoint::from_units(value).0,
+                reference_counts(value),
+                "{value:e} ({:#018x})",
+                value.to_bits()
+            );
+        }
     }
 }

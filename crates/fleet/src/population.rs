@@ -227,8 +227,8 @@ impl PopulationSpec {
 
     /// Collapses one node out of the spec from its per-node seed,
     /// including which environment and policy buckets it landed in:
-    /// [`Self::draw`], then (under [`Self::scenario`]) the scenario's day
-    /// on the node's profile seed, then [`NodeDraw::build`].
+    /// `draw`, then (under [`Self::scenario`]) the scenario's day on the
+    /// node's profile seed, then `NodeDraw::build`.
     ///
     /// Deterministic and order-fixed: the same `(spec, node_seed)` always
     /// yields the same blueprint, bit for bit.

@@ -22,6 +22,14 @@
 //! pack. Every corrupt or foreign frame decodes to a typed [`StoreError`]
 //! and the engine recomputes — never panics, never silently trusts.
 //!
+//! `open` checks every frame before it answers anything. The frames'
+//! FNV-1a checksums are taken four frames at a time, as four independent
+//! chains ([`solarml_trace::fnv1a64_x4`]); a frame whose magic, version
+//! and checksum hold is read in place at fixed offsets, and only a frame
+//! that fails is unsealed through the [`Envelope`] for its typed error.
+//! The valid frames arrive in ascending key order, so the in-memory map
+//! is built from them in bulk; the error frames are inserted over it.
+//!
 //! Garbage collection is keep-LRU and size-bounded ([`StoreGc`]): entries
 //! touched this session rank by access order above untouched ones, which
 //! rank by key. Eviction is safe at any point: a missing entry is just a
@@ -31,12 +39,12 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use solarml_trace::{write_atomic, Envelope, EnvelopeError};
+use solarml_trace::{fnv1a64, fnv1a64_x4, write_atomic, Envelope, EnvelopeError};
 
 use crate::campaign::{run_campaign_replaying, CampaignConfig, NodeSummary};
 use crate::population::PopulationSpec;
 use crate::report::FleetReport;
-use crate::task::{NodeDayOutcome, NodeDayTask};
+use crate::task::{NodeDayOutcome, NodeDayTask, OUTCOME_LEN};
 
 /// Magic prefix of `store.meta` and of every pack frame.
 pub const STORE_MAGIC: [u8; 8] = *b"SLNDSTOR";
@@ -70,6 +78,12 @@ const FRAME_LEN: usize = 116;
 
 /// Offset of the content key inside a frame, after magic and version.
 const KEY_AT: usize = 12;
+
+/// Offset of the outcome inside a frame, after the key.
+const OUTCOME_AT: usize = KEY_AT + 8;
+
+/// Bytes of a frame the checksum trailer covers: all but the trailer.
+const CONTENT_LEN: usize = OUTCOME_AT + OUTCOME_LEN;
 
 /// Why a store operation failed. Every variant carries enough context to
 /// print a one-line diagnosis; none of them is ever promoted to a panic —
@@ -237,47 +251,95 @@ fn unseal_frame(frame: &[u8]) -> Result<(u64, NodeDayOutcome), EnvelopeError> {
     })
 }
 
-/// Reads every frame of the pack at `path`. A frame that fails — a bad
-/// envelope, a torn tail, or a key not above the last valid frame's — is
-/// kept as its typed error under the key its unverified key field names,
-/// and outranks a valid frame of the same key. A torn tail too short to
-/// name a key is dropped: its node is a plain miss.
+/// The key a frame's key field names, unverified; `None` for a torn frame
+/// too short to name one.
+fn named_key(frame: &[u8]) -> Option<u64> {
+    let field = frame.get(KEY_AT..OUTCOME_AT)?;
+    <[u8; 8]>::try_from(field).ok().map(u64::from_le_bytes)
+}
+
+/// The content of a whole frame: the bytes its trailer checksums.
+fn content(frame: &[u8; FRAME_LEN]) -> &[u8] {
+    &frame[..CONTENT_LEN]
+}
+
+/// The FNV-1a of each frame's content, four frames at a time
+/// ([`fnv1a64_x4`]), the last one to three one at a time.
+fn frame_checksums(frames: &[[u8; FRAME_LEN]]) -> impl Iterator<Item = u64> + '_ {
+    let (quads, rest) = frames.as_chunks::<4>();
+    quads
+        .iter()
+        .flat_map(|quad| fnv1a64_x4(quad.each_ref().map(content)))
+        .chain(rest.iter().map(|frame| fnv1a64(content(frame))))
+}
+
+/// The key and outcome of a whole frame whose content hashes to
+/// `checksum`, read in place at fixed offsets when magic, version and
+/// trailer all check out — exactly the frames [`unseal_frame`] accepts.
+fn sealed_entry(frame: &[u8; FRAME_LEN], checksum: u64) -> Option<(u64, NodeDayOutcome)> {
+    let sealed = frame.starts_with(&STORE_MAGIC)
+        && frame[STORE_MAGIC.len()..KEY_AT] == STORE_VERSION.to_le_bytes()
+        && frame[CONTENT_LEN..] == checksum.to_le_bytes();
+    if !sealed {
+        return None;
+    }
+    let outcome = <&[u8; OUTCOME_LEN]>::try_from(&frame[OUTCOME_AT..CONTENT_LEN]).ok()?;
+    Some((named_key(frame)?, NodeDayOutcome::from_le_bytes(outcome)))
+}
+
+/// Reads every frame of the pack at `path`. Whole frames are checked in
+/// place against checksums taken four frames at a time ([`sealed_entry`]);
+/// any other frame goes through [`unseal_frame`] for its typed error. A
+/// frame that fails — a bad envelope, a torn tail, or a key not above the
+/// last valid frame's — is kept as its typed error under the key its
+/// unverified key field names, and outranks a valid frame of the same key:
+/// the valid frames ascend, so the map is built from them in bulk, and the
+/// error frames are inserted over it in frame order. A torn tail too short
+/// to name a key is dropped: its node is a plain miss.
 fn read_pack(path: &Path, bytes: &[u8]) -> BTreeMap<u64, Entry> {
-    let mut entries = BTreeMap::new();
+    let (frames, torn) = bytes.as_chunks::<FRAME_LEN>();
+    let whole = frames
+        .iter()
+        .zip(frame_checksums(frames))
+        .map(|(frame, checksum)| (frame.as_slice(), sealed_entry(frame, checksum)));
+    let tail = (!torn.is_empty()).then_some((torn, None));
+    let mut valid = Vec::with_capacity(frames.len());
+    let mut failed = Vec::new();
     let mut last_valid: Option<u64> = None;
-    for (index, frame) in bytes.chunks(FRAME_LEN).enumerate() {
-        let Some(named) = frame
-            .get(KEY_AT..KEY_AT + 8)
-            .and_then(|b| <[u8; 8]>::try_from(b).ok())
-            .map(u64::from_le_bytes)
-        else {
+    for (index, (frame, sealed)) in whole.chain(tail).enumerate() {
+        let Some(named) = named_key(frame) else {
             continue;
         };
-        let checked = unseal_frame(frame).and_then(|(key, outcome)| match last_valid {
-            Some(previous) if key <= previous => Err(EnvelopeError::Malformed {
-                detail: format!("key {key:#018x} is not above the previous {previous:#018x}"),
-            }),
-            _ => {
-                last_valid = Some(key);
-                Ok(outcome)
-            }
-        });
+        let checked = sealed
+            .map_or_else(|| unseal_frame(frame), Ok)
+            .and_then(|(key, outcome)| match last_valid {
+                Some(previous) if key <= previous => Err(EnvelopeError::Malformed {
+                    detail: format!("key {key:#018x} is not above the previous {previous:#018x}"),
+                }),
+                _ => {
+                    last_valid = Some(key);
+                    Ok(outcome)
+                }
+            });
         match checked {
-            Ok(outcome) => {
-                entries.entry(named).or_insert(Entry {
+            Ok(outcome) => valid.push((
+                named,
+                Entry {
                     outcome: Ok(outcome),
                     seq: None,
-                });
-            }
+                },
+            )),
             Err(error) => {
                 let outcome = Err(StoreError::Envelope {
                     path: format!("{} frame {index}", path.display()),
                     error,
                 });
-                entries.insert(named, Entry { outcome, seq: None });
+                failed.push((named, Entry { outcome, seq: None }));
             }
         }
     }
+    let mut entries: BTreeMap<u64, Entry> = valid.into_iter().collect();
+    entries.extend(failed);
     entries
 }
 
@@ -762,6 +824,72 @@ mod tests {
         store.persist(20, &outcome(20)).expect("persist");
         drop(store);
         assert_eq!(std::fs::read(&pack).expect("pack"), frames(&[10, 20, 30]));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn four_frame_checksums_equal_one_frame_fnv() {
+        for n in 0..=9 {
+            let keys: Vec<u64> = (1..=n).collect();
+            let pack = frames(&keys);
+            let (whole, torn) = pack.as_chunks::<FRAME_LEN>();
+            assert!(torn.is_empty());
+            let batched: Vec<u64> = frame_checksums(whole).collect();
+            let single: Vec<u64> = whole.iter().map(|f| fnv1a64(&f[..CONTENT_LEN])).collect();
+            assert_eq!(batched, single, "{n} frames");
+            for (frame, sum) in whole.iter().zip(&batched) {
+                assert_eq!(frame[CONTENT_LEN..], sum.to_le_bytes(), "{n} frames");
+            }
+        }
+    }
+
+    #[test]
+    fn batched_frame_trouble_is_reported_per_frame() {
+        let dir = tmp_dir("batched");
+        drop(NodeDayStore::open(&dir).expect("open"));
+        // Frames 0–3 and 4–7 are checked as two four-frame batches, frames
+        // 8 and 9 one at a time, and frame 10 is a torn tail.
+        let mut bytes = frames(&[10, 20, 30, 40, 50, 60, 70, 70, 65, 90]);
+        bytes[FRAME_LEN + OUTCOME_AT + 3] ^= 0x10; // frame 1: checksum
+        bytes[5 * FRAME_LEN] ^= 0x20; // frame 5: magic
+        bytes.extend_from_slice(&frames(&[100])[..OUTCOME_AT + 9]);
+        std::fs::write(dir.join(PACK_FILE), &bytes).expect("write pack");
+        let store = NodeDayStore::open(&dir).expect("open");
+
+        for key in [10, 30, 40, 50, 90] {
+            assert_eq!(store.load(key).expect("load"), Some(outcome(key as usize)));
+        }
+        let frame =
+            |index: usize| &bytes[index * FRAME_LEN..bytes.len().min((index + 1) * FRAME_LEN)];
+        let not_above = |key: u64| EnvelopeError::Malformed {
+            detail: format!("key {key:#018x} is not above the previous {:#018x}", 70u64),
+        };
+        for (key, index, error) in [
+            (20, 1, unseal_frame(frame(1)).expect_err("flipped")),
+            (60, 5, EnvelopeError::BadMagic),
+            (70, 7, not_above(70)),
+            (65, 8, not_above(65)),
+            (100, 10, unseal_frame(frame(10)).expect_err("torn")),
+        ] {
+            match store.load(key) {
+                Err(StoreError::Envelope { path, error: found }) => {
+                    assert!(
+                        path.ends_with(&format!("store.pack frame {index}")),
+                        "key {key}: {path}"
+                    );
+                    assert_eq!(found, error, "key {key}");
+                }
+                other => panic!("key {key}: expected frame {index}'s error, got {other:?}"),
+            }
+        }
+        assert!(matches!(
+            store.load(20),
+            Err(StoreError::Envelope {
+                error: EnvelopeError::ChecksumMismatch { .. },
+                ..
+            })
+        ));
+        assert_eq!(store.entry_count().expect("count"), 10);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

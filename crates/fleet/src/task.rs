@@ -196,29 +196,48 @@ impl NodeDayOutcome {
 
     /// Reads one outcome back; the exact inverse of [`Self::encode_into`].
     pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            attempted: r.read_u64()? as usize,
-            completed: r.read_u64()? as usize,
-            abandoned: r.read_u64()? as usize,
-            degraded: r.read_u64()? as usize,
-            brownouts: r.read_u64()? as usize,
-            dead_window_s: f64::from_bits(r.read_f64_bits()?),
-            harvested_j: f64::from_bits(r.read_f64_bits()?),
-            consumed_j: f64::from_bits(r.read_f64_bits()?),
-            wasted_j: f64::from_bits(r.read_f64_bits()?),
-            residual_j: f64::from_bits(r.read_f64_bits()?),
-            mean_accuracy: f64::from_bits(r.read_f64_bits()?),
-        })
+        Ok(Self::from_le_bytes(&r.read_array()?))
+    }
+
+    /// Decodes the [`OUTCOME_LEN`] bytes [`Self::encode_into`] wrote, at
+    /// their fixed offsets. Total: every bit pattern is some outcome.
+    pub(crate) fn from_le_bytes(bytes: &[u8; OUTCOME_LEN]) -> Self {
+        let (words, _) = bytes.as_chunks::<8>();
+        let word = |i: usize| u64::from_le_bytes(words[i]);
+        Self {
+            attempted: word(0) as usize,
+            completed: word(1) as usize,
+            abandoned: word(2) as usize,
+            degraded: word(3) as usize,
+            brownouts: word(4) as usize,
+            dead_window_s: f64::from_bits(word(5)),
+            harvested_j: f64::from_bits(word(6)),
+            consumed_j: f64::from_bits(word(7)),
+            wasted_j: f64::from_bits(word(8)),
+            residual_j: f64::from_bits(word(9)),
+            mean_accuracy: f64::from_bits(word(10)),
+        }
     }
 }
+
+/// Bytes of a [`NodeDayOutcome`]'s encoding: five counters and six floats,
+/// eight bytes each.
+pub(crate) const OUTCOME_LEN: usize = 88;
+
+/// The key hasher after [`SIM_FINGERPRINT`], the words every content key
+/// starts with, folded once at compile time.
+const FINGERPRINTED: KeyHasher = {
+    let mut h = KeyHasher::new();
+    h.write_bytes(SIM_FINGERPRINT.as_bytes());
+    h
+};
 
 /// Content key of one resolved node-day, in the word order the module
 /// doc lists. The hash walks the draw record's values, never the spec, so
 /// two specs that draw a node the same inputs produce the same key —
 /// which is exactly the cache-hit condition a parameter sweep needs.
 fn node_day_key(draw: &NodeDraw, day: Option<&ScenarioDay>, seed: u64) -> u64 {
-    let mut h = KeyHasher::new();
-    h.write_bytes(SIM_FINGERPRINT.as_bytes());
+    let mut h = FINGERPRINTED;
     h.write_u64(seed);
     h.write_u64(draw.env_pick as u64);
     h.write_u64(draw.policy_pick as u64);

@@ -55,17 +55,32 @@ fn node_task(spec: &PopulationSpec, seed: u64, node: usize) -> NodeDayTask {
     NodeDayTask::resolve(spec, node, derive_seed(seed, FLEET_SEED_CYCLE, node))
 }
 
-/// A master store holding all [`PROP_NODES`] outcomes, built once; cases
-/// seed their per-case store with a prefix of its pack's frames.
-fn master_store() -> &'static (PathBuf, String) {
-    static MASTER: OnceLock<(PathBuf, String)> = OnceLock::new();
+/// A master store holding all [`PROP_NODES`] outcomes, built once: its
+/// meta stamp, its pack and its cold report.
+struct Master {
+    meta: Vec<u8>,
+    pack: Vec<u8>,
+    cold_json: String,
+}
+
+/// The [`Master`] store, kept as bytes so no directory outlives the run;
+/// cases seed their per-case store with a prefix of its pack's frames.
+fn master_store() -> &'static Master {
+    static MASTER: OnceLock<Master> = OnceLock::new();
     MASTER.get_or_init(|| {
-        let dir = std::env::temp_dir().join(format!("solarml-prop-master-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = fresh_dir("master");
         let cfg = cheap_cfg(PROP_NODES);
         let store = NodeDayStore::open(&dir).expect("open master store");
         let cold = run_campaign_cached(&cfg, &store);
-        (dir, cold.to_json())
+        drop(store);
+        let read = |name: &str| std::fs::read(dir.join(name)).expect("read master store");
+        let master = Master {
+            meta: read("store.meta"),
+            pack: read("store.pack"),
+            cold_json: cold.to_json(),
+        };
+        let _ = std::fs::remove_dir_all(&dir);
+        master
     })
 }
 
@@ -174,14 +189,14 @@ proptest! {
         workers in 1usize..4,
         chunk in 1usize..5,
     ) {
-        let (master_dir, cold_json) = master_store();
+        let master = master_store();
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let split = ((PROP_NODES as f64) * split_frac) as usize % (PROP_NODES + 1);
 
         let dir = fresh_dir("prefix");
         std::fs::create_dir_all(&dir).expect("mkdir");
-        std::fs::copy(master_dir.join("store.meta"), dir.join("store.meta")).expect("copy meta");
-        let pack = std::fs::read(master_dir.join("store.pack")).expect("read master pack");
+        std::fs::write(dir.join("store.meta"), &master.meta).expect("write meta");
+        let pack = &master.pack;
         prop_assert_eq!(pack.len(), PROP_NODES * FRAME_LEN);
         std::fs::write(dir.join("store.pack"), &pack[..split * FRAME_LEN]).expect("write prefix");
         let store = NodeDayStore::open(&dir).expect("open");
@@ -190,7 +205,7 @@ proptest! {
         cfg.workers = workers;
         cfg.chunk = chunk;
         let warm = run_campaign_cached(&cfg, &store);
-        prop_assert_eq!(warm.to_json(), cold_json.clone());
+        prop_assert_eq!(warm.to_json(), master.cold_json.clone());
         let stats = store.stats();
         prop_assert_eq!(stats.hits as usize, split);
         prop_assert_eq!(stats.misses as usize, PROP_NODES - split);

@@ -457,7 +457,7 @@ impl Conv2d {
     }
 
     /// Builds a free-standing conv layer (benches and golden tests; model
-    /// construction goes through [`Layer::instantiate`]).
+    /// construction goes through `Layer::instantiate`).
     pub fn standalone(
         in_channels: usize,
         filters: usize,
@@ -492,7 +492,7 @@ impl Conv2d {
 
     /// Forward pass, tap-outer and pixel-inner: each kernel tap sweeps the
     /// output pixels it reaches one row run at a time
-    /// ([`conv_forward_tap`]). Each output element still receives its
+    /// (`conv_forward_tap`). Each output element still receives its
     /// `(i, j, ci)` terms in row-major order after the bias, so the result
     /// is bit-exact against [`crate::reference::conv2d_forward`].
     pub fn forward_into(&self, input: &Tensor, out: &mut Tensor) {
@@ -727,7 +727,7 @@ impl DwConv2d {
         &self.grad_bias
     }
 
-    /// Forward pass, tap-outer and pixel-inner ([`dw_forward_tap`]). Each
+    /// Forward pass, tap-outer and pixel-inner (`dw_forward_tap`). Each
     /// output element receives its `(i, j)` terms in row-major order after
     /// the bias: bit-exact against [`crate::reference::dwconv2d_forward`].
     pub fn forward_into(&self, input: &Tensor, out: &mut Tensor) {

@@ -8,7 +8,7 @@
 //! the harvesting branch switched off during the gesture. The integration
 //! tests check the two pipelines agree structurally.
 //!
-//! The replay runs on the co-simulation [`Scheduler`]: a [`ShadingDriver`]
+//! The replay runs on the co-simulation [`Scheduler`]: a `ShadingDriver`
 //! stimulus component writes each sample's hand-shadow field onto the
 //! [`SimBus`], and the [`CircuitSim`] consumes it as an ordinary clocked
 //! component.

@@ -33,15 +33,41 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// One FNV-1a round: folds `byte` into `hash`.
+#[inline]
+fn fnv_round(hash: u64, byte: u8) -> u64 {
+    (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME)
+}
+
 /// FNV-1a 64-bit hash of `bytes`. Deterministic, dependency-free, and good
 /// enough to detect corruption (truncation, bit flips, editor mangling) in
 /// checkpoint payloads — this is an integrity check, not a cryptographic
 /// one.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
+    bytes.iter().fold(FNV_OFFSET, |hash, &b| fnv_round(hash, b))
+}
+
+/// [`fnv1a64`] of four byte strings at once. Each FNV-1a round waits on
+/// the multiply before it, so one string hashes at the multiplier's
+/// latency; four independent chains interleaved byte by byte keep four
+/// multiplies in flight. Lanes of unequal length are allowed: each lane
+/// finishes its own tail after the common prefix.
+pub fn fnv1a64_x4(lanes: [&[u8]; 4]) -> [u64; 4] {
+    let common = lanes.iter().map(|lane| lane.len()).min().unwrap_or(0);
+    let [a, b, c, d] = lanes.map(|lane| &lane[..common]);
+    let mut hash = [FNV_OFFSET; 4];
+    for (((&a, &b), &c), &d) in a.iter().zip(b).zip(c).zip(d) {
+        hash = [
+            fnv_round(hash[0], a),
+            fnv_round(hash[1], b),
+            fnv_round(hash[2], c),
+            fnv_round(hash[3], d),
+        ];
+    }
+    for (hash, lane) in hash.iter_mut().zip(lanes) {
+        *hash = lane[common..]
+            .iter()
+            .fold(*hash, |h, &byte| fnv_round(h, byte));
     }
     hash
 }
@@ -73,25 +99,32 @@ impl KeyHasher {
 
     /// Folds one word in.
     #[inline]
-    pub fn write_u64(&mut self, word: u64) {
+    pub const fn write_u64(&mut self, word: u64) {
         self.state = mix64(self.state ^ word);
     }
 
     /// Folds one `f64` in by IEEE-754 bit pattern — `-0.0` and `0.0` hash
     /// differently, NaN payloads are preserved, no epsilon ambiguity.
     #[inline]
-    pub fn write_f64_bits(&mut self, bits: u64) {
+    pub const fn write_f64_bits(&mut self, bits: u64) {
         self.write_u64(bits);
     }
 
     /// Folds a byte string in: its length, then its bytes packed into
     /// little-endian words, the last one zero-padded. The length prefix
     /// keeps `"a" ++ "b"` from aliasing `"ab"` or a padded `"a\0"`.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
+    /// A `const fn`, so a constant prefix can be folded at compile time.
+    pub const fn write_bytes(&mut self, bytes: &[u8]) {
         self.write_u64(bytes.len() as u64);
-        for chunk in bytes.chunks(8) {
+        let (words, tail) = bytes.as_chunks::<8>();
+        let mut i = 0;
+        while i < words.len() {
+            self.write_u64(u64::from_le_bytes(words[i]));
+            i += 1;
+        }
+        if !tail.is_empty() {
             let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
+            word.split_at_mut(tail.len()).0.copy_from_slice(tail);
             self.write_u64(u64::from_le_bytes(word));
         }
     }
@@ -276,6 +309,13 @@ impl<'a> ByteReader<'a> {
         Ok(out)
     }
 
+    /// Reads `N` bytes as an array, for a fixed-width field.
+    pub fn read_array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let mut arr = [0u8; N];
+        arr.copy_from_slice(self.take(N)?);
+        Ok(arr)
+    }
+
     /// Reads one byte.
     pub fn read_u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
@@ -283,26 +323,17 @@ impl<'a> ByteReader<'a> {
 
     /// Reads a little-endian `u32`.
     pub fn read_u32(&mut self) -> Result<u32, CodecError> {
-        let raw = self.take(4)?;
-        let mut arr = [0u8; 4];
-        arr.copy_from_slice(raw);
-        Ok(u32::from_le_bytes(arr))
+        Ok(u32::from_le_bytes(self.read_array()?))
     }
 
     /// Reads a little-endian `u64`.
     pub fn read_u64(&mut self) -> Result<u64, CodecError> {
-        let raw = self.take(8)?;
-        let mut arr = [0u8; 8];
-        arr.copy_from_slice(raw);
-        Ok(u64::from_le_bytes(arr))
+        Ok(u64::from_le_bytes(self.read_array()?))
     }
 
     /// Reads a little-endian `i128`.
     pub fn read_i128(&mut self) -> Result<i128, CodecError> {
-        let raw = self.take(16)?;
-        let mut arr = [0u8; 16];
-        arr.copy_from_slice(raw);
-        Ok(i128::from_le_bytes(arr))
+        Ok(i128::from_le_bytes(self.read_array()?))
     }
 
     /// Reads an IEEE-754 bit pattern written by
@@ -630,6 +661,23 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.read_str(), Err(CodecError::BadUtf8 { offset: 8 }));
+    }
+
+    #[test]
+    fn four_lane_fnv_equals_one_lane_fnv() {
+        let bytes: Vec<u8> = (0..64u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in 0..20 {
+            // Equal lanes, then lanes of four different lengths.
+            for spread in [0, 1, 5] {
+                let lanes: [&[u8]; 4] =
+                    std::array::from_fn(|i| &bytes[i * 9..i * 9 + len + i * spread]);
+                assert_eq!(
+                    fnv1a64_x4(lanes),
+                    lanes.map(fnv1a64),
+                    "len {len}, spread {spread}"
+                );
+            }
+        }
     }
 
     #[test]

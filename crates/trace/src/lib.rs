@@ -36,7 +36,8 @@ mod trace;
 
 pub use analysis::{detect_phases, downsample, energy_between, Phase};
 pub use bytes::{
-    fnv1a64, write_atomic, ByteReader, ByteWriter, CodecError, Envelope, EnvelopeError, KeyHasher,
+    fnv1a64, fnv1a64_x4, write_atomic, ByteReader, ByteWriter, CodecError, Envelope, EnvelopeError,
+    KeyHasher,
 };
 pub use json::JsonObject;
 pub use stats::{

@@ -14,7 +14,7 @@
 /// SplitMix64 step: advances `state` by the golden-ratio increment and
 /// returns the mixed 64-bit output.
 #[inline]
-pub fn splitmix64(state: &mut u64) -> u64 {
+pub const fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -24,7 +24,7 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 
 /// Stateless SplitMix64 mix of `z`: one [`splitmix64`] step on a copy.
 #[inline]
-pub fn mix64(z: u64) -> u64 {
+pub const fn mix64(z: u64) -> u64 {
     let mut state = z;
     splitmix64(&mut state)
 }
