@@ -268,7 +268,8 @@ where
 
 /// The streaming core shared by every entry point: fold nodes
 /// `resumed.nodes_done .. cfg.nodes` into `resumed`'s tree on one
-/// [`ordered_pool`] for the whole campaign.
+/// [`ordered_pool`] of `workers` threads (`cfg.workers` resolved by
+/// [`effective_workers`]) for the whole campaign.
 ///
 /// Chunks start at the resume point plus multiples of `chunk`; the chunk
 /// holding the kill point is cut short at it. The pool commits partials in
@@ -276,6 +277,7 @@ where
 /// snapshots fire as the committed prefix reaches each snapshot point.
 fn run_streaming<F>(
     cfg: &CampaignConfig,
+    workers: usize,
     sim: &F,
     ckpt: Option<&CampaignCheckpoints>,
     resumed: CampaignSnapshot,
@@ -284,7 +286,6 @@ where
     F: Fn(&PopulationSpec, usize, u64) -> NodeSummary + Sync,
 {
     let chunk = cfg.chunk.max(1);
-    let workers = effective_workers(cfg.workers);
     let window = workers.saturating_mul(WINDOW_CHUNKS_PER_WORKER);
     // Snapshot points are counted in whole windows of nodes.
     let span = chunk.saturating_mul(window);
@@ -377,7 +378,13 @@ pub fn run_campaign_with<F>(cfg: &CampaignConfig, sim: &F) -> FleetReport
 where
     F: Fn(&PopulationSpec, usize, u64) -> NodeSummary + Sync,
 {
-    match run_streaming(cfg, sim, None, fresh_state(cfg)) {
+    match run_streaming(
+        cfg,
+        effective_workers(cfg.workers),
+        sim,
+        None,
+        fresh_state(cfg),
+    ) {
         Ok(report) => report,
         // No checkpointing, no kill hook: neither error source exists.
         Err(_) => unreachable!("in-memory campaigns have no failure channel"),
@@ -408,7 +415,8 @@ where
     R: Fn(&PopulationSpec, usize, u64) -> Option<NodeSummary>,
     F: Fn(&PopulationSpec, usize, u64) -> NodeSummary + Sync,
 {
-    let inline = cfg.nodes <= effective_workers(cfg.workers).saturating_mul(REPLAYS_PER_SPAWN);
+    let workers = effective_workers(cfg.workers);
+    let inline = cfg.nodes <= workers.saturating_mul(REPLAYS_PER_SPAWN);
     let mut state = fresh_state(cfg);
     let mut prefix = FleetAggregate::new();
     let mut done = 0;
@@ -425,7 +433,7 @@ where
         state.tree.push(prefix);
         state.nodes_done = done as u64;
     }
-    match run_streaming(cfg, sim, None, state) {
+    match run_streaming(cfg, workers, sim, None, state) {
         Ok(report) => report,
         Err(_) => unreachable!("in-memory campaigns have no failure channel"),
     }
@@ -450,7 +458,13 @@ where
         }
         .into());
     }
-    run_streaming(cfg, sim, Some(ckpt), fresh_state(cfg))
+    run_streaming(
+        cfg,
+        effective_workers(cfg.workers),
+        sim,
+        Some(ckpt),
+        fresh_state(cfg),
+    )
 }
 
 /// Resumes an interrupted campaign from the newest valid snapshot in
@@ -484,7 +498,13 @@ where
     F: Fn(&PopulationSpec, usize, u64) -> NodeSummary + Sync,
 {
     let resumed = load_latest(&ckpt.dir, campaign_fingerprint(cfg))?;
-    let report = run_streaming(cfg, sim, Some(ckpt), resumed.snapshot.clone())?;
+    let report = run_streaming(
+        cfg,
+        effective_workers(cfg.workers),
+        sim,
+        Some(ckpt),
+        resumed.snapshot.clone(),
+    )?;
     Ok((report, resumed))
 }
 

@@ -59,7 +59,7 @@ use crate::population::{NodeDraw, PopulationSpec};
 /// config-digest pin in `tests/resolve_pin.rs` fails when a built config
 /// moves. Every existing store entry then misses and recomputes, which is
 /// the *only* correct response to new semantics.
-pub const SIM_FINGERPRINT: &str = "solarml-node-day-sim/v5";
+pub const SIM_FINGERPRINT: &str = "solarml-node-day-sim/v6";
 
 /// One node's simulated day, as a task: resolve the node's draws out of
 /// the population once, then carry everything `execute` needs.

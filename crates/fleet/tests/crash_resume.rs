@@ -249,20 +249,20 @@ fn file_hashes(dir: &Path, keep: impl Fn(&str) -> bool) -> Vec<(String, u64)> {
 /// Checkpoint files of the pinned durable campaign. The framing has not
 /// moved since the snapshots went onto the shared envelope; the bytes were
 /// re-pinned when `SIM_FINGERPRINT` went to `v2` (new outcomes, new keys),
-/// and again at `v3`, `v4` and `v5`.
-const PINNED_CHECKPOINTS: &[(&str, u64)] = &[("ckpt-000000000008.bin", 0xD90B_B6BB_87D6_F178)];
+/// and again at `v3`, `v4`, `v5` and `v6`.
+const PINNED_CHECKPOINTS: &[(&str, u64)] = &[("ckpt-000000000008.bin", 0x82D0_AC3E_91DB_AD36)];
 
 /// Store files (`store.meta` and `store.pack`) of the pinned campaign.
 /// Re-pinned when `STORE_VERSION` went to 2 (one sorted pack instead of
 /// one file per entry), and again at 3 (word-at-a-time content keys: the
 /// same eight outcomes under new keys, so in a new order). `store.pack`
-/// moved again with `SIM_FINGERPRINT` `v3`, `v4` and `v5` (new outcomes,
-/// new keys). Both files moved at `STORE_VERSION` 4 (the new version
-/// stamp, and keys over each node's draw record: the same eight outcomes
-/// under new keys).
+/// moved again with `SIM_FINGERPRINT` `v3`, `v4`, `v5` and `v6` (new
+/// outcomes, new keys). Both files moved at `STORE_VERSION` 4 (the new
+/// version stamp, and keys over each node's draw record: the same eight
+/// outcomes under new keys).
 const PINNED_STORE: &[(&str, u64)] = &[
     ("store.meta", 0x99A1_E63D_1AE1_B31A),
-    ("store.pack", 0x487D_1709_790A_1095),
+    ("store.pack", 0x2DAF_16D8_B15D_906C),
 ];
 
 #[test]

@@ -23,28 +23,28 @@ use solarml_scenario::registry;
 use solarml_sim::DtPolicy;
 
 /// Total rail steps of the representative 64-node, seed-7 campaign.
-const REPRESENTATIVE_64N_SEED7_STEPS: usize = 76_080;
+const REPRESENTATIVE_64N_SEED7_STEPS: usize = 60_014;
 
 /// The same steps by width (`STEP_BANDS`: < 0.1, 0.1–1, 1–10, 10–100 and
 /// ≥ 100 s); DESIGN.md §4e copies this table.
-const REPRESENTATIVE_64N_SEED7_BANDS: [usize; 5] = [16_442, 18_087, 5_585, 23_701, 12_265];
+const REPRESENTATIVE_64N_SEED7_BANDS: [usize; 5] = [15_701, 14_159, 4_954, 12_434, 12_766];
 
 /// The same steps by the bound that set them (`STEP_LIMITS`: error, ΔV
 /// cap, threshold, knot, pinned stride); DESIGN.md §4e copies this table.
-const REPRESENTATIVE_64N_SEED7_LIMITS: [usize; 5] = [54_177, 16_820, 910, 2_141, 2_032];
+const REPRESENTATIVE_64N_SEED7_LIMITS: [usize; 5] = [49_030, 5_519, 1_163, 2_296, 2_006];
 
 /// Energy-gate polls and wait strides of the same campaign
 /// (`DayCost::energy_polls`, `wait_strides`).
-const REPRESENTATIVE_64N_SEED7_WAITS: (usize, usize) = (7_331, 463);
+const REPRESENTATIVE_64N_SEED7_WAITS: (usize, usize) = (5_053, 524);
 
 /// Steps by width of the 512-node, seed-7 campaign `solarbench`'s
 /// `fleet_cold` workload runs; DESIGN.md §4e copies this table too.
-const REPRESENTATIVE_512N_SEED7_BANDS: [usize; 5] = [125_268, 145_844, 43_322, 178_553, 98_452];
-const REPRESENTATIVE_512N_SEED7_LIMITS: [usize; 5] = [414_057, 136_766, 7_463, 16_213, 16_940];
-const REPRESENTATIVE_512N_SEED7_WAITS: (usize, usize) = (47_623, 4_003);
+const REPRESENTATIVE_512N_SEED7_BANDS: [usize; 5] = [120_377, 113_810, 39_273, 100_708, 98_676];
+const REPRESENTATIVE_512N_SEED7_LIMITS: [usize; 5] = [381_806, 47_127, 9_524, 17_637, 16_750];
+const REPRESENTATIVE_512N_SEED7_WAITS: (usize, usize) = (39_794, 4_305);
 
-/// The rail's target for that campaign (ROADMAP.md item 5).
-const MAX_512N_STEPS: usize = 620_000;
+/// The rail's target for that campaign (ROADMAP.md item 4).
+const MAX_512N_STEPS: usize = 475_000;
 
 /// What the representative campaign of some nodes at seed 7 cost, summed
 /// over its node-days.

@@ -16,9 +16,10 @@ use solarml_trace::{fnv1a64, KeyHasher};
 /// FNV-1a over the little-endian keys of representative nodes `0..1024`
 /// at campaign seed 7, in node order. Re-pinned when `STORE_VERSION` went
 /// to 3 (word-at-a-time content keys), when `SIM_FINGERPRINT`, which
-/// every key folds, went to `v3`, `v4` and `v5`, and when `STORE_VERSION`
-/// went to 4 (keys over each node's draw record, not its built config).
-const REPRESENTATIVE_KEY_DIGEST: u64 = 0x10a7_8512_2dc7_7e07;
+/// every key folds, went to `v3`, `v4`, `v5` and `v6`, and when
+/// `STORE_VERSION` went to 4 (keys over each node's draw record, not its
+/// built config).
+const REPRESENTATIVE_KEY_DIGEST: u64 = 0x8ae1_6110_7c05_05d3;
 
 /// [`KeyHasher`] over the env index, policy index and every config word
 /// ([`hash_config`]) of representative nodes `0..1024` at campaign seed 7,

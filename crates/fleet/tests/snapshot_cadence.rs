@@ -67,27 +67,27 @@ const PINNED_RUNS: [(usize, &[(&str, u64)]); 3] = [
     (
         1,
         &[
-            ("ckpt-000000000032.bin", 0x8999_9426_601A_33E5),
-            ("ckpt-000000000048.bin", 0x565A_4AFA_F870_A3B1),
-            ("ckpt-000000000080.bin", 0x889C_614B_6531_AB31),
-            ("ckpt-000000000096.bin", 0x5C8E_72B4_5C45_CE3A),
-            ("ckpt-000000000100.bin", 0x3C11_C61C_8BBE_EDCE),
+            ("ckpt-000000000032.bin", 0x669B_7D40_5714_7E7E),
+            ("ckpt-000000000048.bin", 0x3ED1_E2FB_0695_F759),
+            ("ckpt-000000000080.bin", 0xB1BB_71FD_3B28_E3DE),
+            ("ckpt-000000000096.bin", 0x6212_4F8E_02BF_6EF2),
+            ("ckpt-000000000100.bin", 0xA4CC_42E5_EDC7_0A35),
         ],
     ),
     (
         2,
         &[
-            ("ckpt-000000000032.bin", 0x8999_9426_601A_33E5),
-            ("ckpt-000000000064.bin", 0xA629_066C_0C7B_0A1D),
-            ("ckpt-000000000096.bin", 0x5C8E_72B4_5C45_CE3A),
-            ("ckpt-000000000100.bin", 0x3C11_C61C_8BBE_EDCE),
+            ("ckpt-000000000032.bin", 0x669B_7D40_5714_7E7E),
+            ("ckpt-000000000064.bin", 0x91F2_160D_3195_52FB),
+            ("ckpt-000000000096.bin", 0x6212_4F8E_02BF_6EF2),
+            ("ckpt-000000000100.bin", 0xA4CC_42E5_EDC7_0A35),
         ],
     ),
     (
         4,
         &[
-            ("ckpt-000000000064.bin", 0xA629_066C_0C7B_0A1D),
-            ("ckpt-000000000100.bin", 0x3C11_C61C_8BBE_EDCE),
+            ("ckpt-000000000064.bin", 0x91F2_160D_3195_52FB),
+            ("ckpt-000000000100.bin", 0xA4CC_42E5_EDC7_0A35),
         ],
     ),
 ];
@@ -95,10 +95,10 @@ const PINNED_RUNS: [(usize, &[(&str, u64)]); 3] = [
 /// Snapshots of a 2-worker run killed at node 37, then resumed on 2
 /// workers: the resumed run's windows start at 37, not at 0.
 const PINNED_KILL_RESUME: &[(&str, u64)] = &[
-    ("ckpt-000000000032.bin", 0x8999_9426_601A_33E5),
-    ("ckpt-000000000037.bin", 0x1737_3552_0A4F_38CA),
-    ("ckpt-000000000069.bin", 0x2AA0_7CB7_44E9_BD6A),
-    ("ckpt-000000000100.bin", 0x7A91_B1A6_8C0D_749D),
+    ("ckpt-000000000032.bin", 0x669B_7D40_5714_7E7E),
+    ("ckpt-000000000037.bin", 0xC7A8_DF4A_BF98_3E57),
+    ("ckpt-000000000069.bin", 0x0BD7_3EE9_96EB_0C3C),
+    ("ckpt-000000000100.bin", 0x1198_7C9C_6BDA_887C),
 ];
 
 #[test]

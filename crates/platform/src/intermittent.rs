@@ -537,9 +537,21 @@ enum AttemptEnd {
 const STEP_ERROR_V: Volts = Volts::new(1e-5);
 
 /// Cap on the voltage one adaptive rail step may move, however flat the
-/// net current. An energy wait strides while the cell sits more than two
-/// of these below the voltage it waits for ([`Engine::wait_for_energy`]).
-const STEP_MAX_DV: Volts = Volts::new(0.05);
+/// net current.
+const STEP_MAX_DV: Volts = Volts::new(0.1);
+
+/// How much wider than the step before it a trapezoid-bounded step may
+/// be: the curvature is measured over the last two steps and is not known
+/// far beyond them. At 4 and above the hinted-step proptests below fail
+/// within 20,000 cases (DESIGN.md §4e).
+const STEP_GROWTH: f64 = 3.5;
+
+/// An energy wait strides while the cell sits more than this below the
+/// voltage it waits for ([`Engine::wait_for_energy`]).
+const STRIDE_BAND_V: Volts = Volts::new(0.05);
+
+/// The longest predicted-event width, in seconds: an hour.
+const NEVER_S: f64 = 3600.0;
 
 /// How far past the comparator threshold it heads for one adaptive rail
 /// step may carry the terminal voltage.
@@ -608,9 +620,53 @@ struct Rail<'a> {
     ahead: Option<Sample>,
     /// The previous adaptive step's slope, while the light segment lasts.
     slope: Option<Slope>,
+    /// The cell voltage a running energy-wait stride stops at.
+    band: Option<Volts>,
 }
 
 impl Rail<'_> {
+    /// The retention draw and the whole load on the cell while the MCU
+    /// draws `mcu`. While browned out the supervisor latches the whole
+    /// rail off (the Fig. 5 MOSFET network physically disconnects the
+    /// load), so only the cap's own leakage drains storage and recharge is
+    /// possible. Retained checkpoints are FRAM-like: they persist
+    /// unpowered.
+    fn loads(&self, mcu: Power) -> (Power, Power) {
+        let rail_up = !self.comparator.is_browned_out();
+        let retention = if self.retained_live && rail_up {
+            self.cfg.checkpoint_costs.retention_power
+        } else {
+            Power::ZERO
+        };
+        let standby = if rail_up {
+            self.cfg.base.standby_power
+        } else {
+            Power::ZERO
+        };
+        (retention, mcu + standby + retention + self.extra)
+    }
+
+    /// Starts an energy-wait stride that stops at `band`, and returns how
+    /// far its first step may run ([`Rail::band_dt`]); `None` before the
+    /// first adaptive step. The last hint saw the load of the step before,
+    /// so the net current is taken afresh under the load the stride draws,
+    /// with the MCU drawing `mcu`.
+    fn start_stride(&mut self, band: Volts, mcu: Power) -> Option<Seconds> {
+        self.band = Some(band);
+        let ahead = self.ahead?;
+        let v = self.cap.voltage();
+        let net = self.cap.net_current(ahead.charge(v), self.loads(mcu).1);
+        self.band_dt(self.drift(net, self.slope))
+    }
+
+    /// The cell voltage's rate under the net current `net` and its rate
+    /// of change under a step's `slope`, in V/s and V/s².
+    fn drift(&self, net: Amps, slope: Option<Slope>) -> (f64, f64) {
+        let c = self.cap.capacitance().as_farads();
+        let accel = slope.map_or(0.0, |s| s.rise.as_amps() / s.dt.as_seconds());
+        (net.as_amps() / c, accel / c)
+    }
+
     /// The light at `t` and the harvester's output under it. An adaptive
     /// step passes `windows_at`, its midpoint, so that both its ends see
     /// the fault windows active over it ([`FaultPlan::lux_factor_under`]);
@@ -648,16 +704,16 @@ impl Rail<'_> {
     ///   slope or the harvester's connection changes;
     /// * the width whose trapezoid error reaches [`STEP_ERROR_V`], with
     ///   the net current's curvature taken from this step's slope and the
-    ///   previous one's, and no wider than those two steps together: the
-    ///   curvature is not known beyond the span it was measured over.
+    ///   previous one's, and no wider than [`STEP_GROWTH`] times this step.
     ///   Right after a knot or a load change, where there is no such pair,
     ///   the width whose Euler error reaches it instead, with the slope
     ///   taken from this step, or, when the step ended on a knot where the
     ///   light bends, from a probe one candidate step ahead;
     /// * a ΔV of [`STEP_MAX_DV`];
-    /// * the predicted crossing of the next comparator threshold, plus
-    ///   [`THRESHOLD_OVERSHOOT_V`] ([`Rail::threshold_dt`]). The scheduler's
-    ///   `min_dt` does not floor this one ([`StepOutcome::event_dt`]).
+    /// * the predicted crossing of the next comparator threshold, or of a
+    ///   running stride's band, plus [`THRESHOLD_OVERSHOOT_V`]
+    ///   ([`Rail::event_dt`]). The scheduler's `min_dt` does not floor this
+    ///   one ([`StepOutcome::event_dt`]).
     ///
     /// A pinned cell is the zero-error case: its voltage cannot leave the
     /// rating, so it strides to the knot when no fault window is active
@@ -705,10 +761,10 @@ impl Rail<'_> {
             return StepOutcome::hint(to_knot);
         }
         let to = self.cap.net_current(charge, load);
-        let threshold = self.threshold_dt(to, slope, load);
+        let event = self.event_dt(to, slope, load);
         let bound = [
             (self.cap.dv_span(to, STEP_MAX_DV), LIMIT_DV),
-            (threshold, LIMIT_THRESHOLD),
+            (event, LIMIT_THRESHOLD),
         ]
         .into_iter()
         .fold((to_knot, LIMIT_KNOT), tighter);
@@ -716,7 +772,7 @@ impl Rail<'_> {
             Some(p) => self
                 .cap
                 .trapezoid_error_dt((p.rise, p.dt), (slope.rise, slope.dt), STEP_ERROR_V)
-                .min(p.dt + slope.dt),
+                .min(slope.dt * STEP_GROWTH),
             None if landed => {
                 // A probe from the predictor, one candidate step ahead.
                 let v = self.cap.predict(bound.0, to);
@@ -728,38 +784,32 @@ impl Rail<'_> {
         };
         let (width, limit) = tighter(bound, (error, LIMIT_ERROR));
         self.cost.step_limits[limit] += 1;
-        StepOutcome::hint(width).with_event_dt(threshold)
+        StepOutcome::hint(width).with_event_dt(event)
+    }
+
+    /// The width of the next step's first predicted event: the terminal
+    /// voltage passing the next comparator threshold it heads for, or the
+    /// cell passing a running stride's band, by [`THRESHOLD_OVERSHOOT_V`].
+    /// The cell moves at the rate the net current `net` drives, changing
+    /// at the rate the last step's `slope` drives, so the step that
+    /// crosses averages its start and end rates as the trapezoid does.
+    fn event_dt(&self, net: Amps, slope: Slope, load: Power) -> Seconds {
+        let drift = self.drift(net, Some(slope));
+        self.threshold_dt(drift, load)
+            .min(self.band_dt(drift).unwrap_or(Seconds::new(NEVER_S)))
     }
 
     /// How long the terminal voltage takes to pass the next comparator
-    /// threshold it heads for by [`THRESHOLD_OVERSHOOT_V`]; one hour when
-    /// it heads for none. The voltage moves at the rate the net current
-    /// `net` drives, changing at the rate the last step's `slope` drives,
-    /// so the step that crosses averages its start and end rates as the
-    /// trapezoid does.
-    fn threshold_dt(&self, net: Amps, slope: Slope, load: Power) -> Seconds {
-        let never = 3600.0;
+    /// threshold it heads for, for a cell whose voltage `drift`s at
+    /// (rate, rate of change).
+    fn threshold_dt(&self, (rate, accel): (f64, f64), load: Power) -> Seconds {
         let v = self.cap.voltage().as_volts();
         if v <= 0.0 {
-            return Seconds::new(never);
+            return Seconds::new(NEVER_S);
         }
-        // d(v − P·ESR/v)/dt for a constant-power load behind the ESR.
+        // d(v − P·ESR/v)/dv for a constant-power load behind the ESR.
         let sag = 1.0 + load.as_watts() * self.cap.esr.as_ohms() / (v * v);
-        let per_amp = sag / self.cap.capacitance().as_farads();
-        let rate = net.as_amps() * per_amp;
-        let accel = slope.rise.as_amps() / slope.dt.as_seconds() * per_amp;
-        // The first time a voltage moving at `rate`, changing by `accel`,
-        // covers `distance > 0`: the root of rate·h + ½·accel·h² =
-        // distance in its cancellation-free form.
-        let reach = |distance: f64, rate: f64, accel: f64| {
-            let disc = rate * rate + 2.0 * accel * distance;
-            let den = rate + disc.max(0.0).sqrt();
-            if disc < 0.0 || den <= 0.0 {
-                never
-            } else {
-                2.0 * distance / den
-            }
-        };
+        let (rate, accel) = (rate * sag, accel * sag);
         let th = self.comparator.thresholds();
         let (down, up) = match self.comparator.state() {
             ComparatorState::Nominal => (Some(th.warn), None),
@@ -768,13 +818,36 @@ impl Rail<'_> {
         };
         let at = self.cap.terminal_voltage(load).as_volts();
         let over = THRESHOLD_OVERSHOOT_V.as_volts();
-        let below = down.map_or(never, |th| {
+        let below = down.map_or(NEVER_S, |th| {
             reach((at - th.as_volts()).max(0.0) + over, -rate, -accel)
         });
-        let above = up.map_or(never, |th| {
+        let above = up.map_or(NEVER_S, |th| {
             reach((th.as_volts() - at).max(0.0) + over, rate, accel)
         });
-        Seconds::new(below.min(above).min(never))
+        Seconds::new(below.min(above))
+    }
+
+    /// How long the cell, its voltage `drift`ing at (rate, rate of
+    /// change), takes to pass a running stride's band by
+    /// [`THRESHOLD_OVERSHOOT_V`]; `None` with no stride running or the
+    /// cell at or above the band.
+    fn band_dt(&self, (rate, accel): (f64, f64)) -> Option<Seconds> {
+        let below = (self.band? - self.cap.voltage()).as_volts();
+        (below > 0.0)
+            .then(|| Seconds::new(reach(below + THRESHOLD_OVERSHOOT_V.as_volts(), rate, accel)))
+    }
+}
+
+/// The first time a voltage moving at `rate`, changing by `accel`, covers
+/// `distance > 0`, in seconds: the root of rate·h + ½·accel·h² = distance
+/// in its cancellation-free form, at most [`NEVER_S`].
+fn reach(distance: f64, rate: f64, accel: f64) -> f64 {
+    let disc = rate * rate + 2.0 * accel * distance;
+    let den = rate + disc.max(0.0).sqrt();
+    if disc < 0.0 || den <= 0.0 {
+        NEVER_S
+    } else {
+        (2.0 * distance / den).min(NEVER_S)
     }
 }
 
@@ -788,22 +861,8 @@ impl Clocked for Rail<'_> {
             _ => self.sample(t, windows_at),
         };
         let charge = start.charge(self.cap.voltage());
-        // While browned out the supervisor latches the whole rail off (the
-        // Fig. 5 MOSFET network physically disconnects the load), so only
-        // the cap's own leakage drains storage and recharge is possible.
-        // Retained checkpoints are FRAM-like: they persist unpowered.
         let rail_up = !self.comparator.is_browned_out();
-        let retention = if self.retained_live && rail_up {
-            self.cfg.checkpoint_costs.retention_power
-        } else {
-            Power::ZERO
-        };
-        let standby = if rail_up {
-            self.cfg.base.standby_power
-        } else {
-            Power::ZERO
-        };
-        let load = bus.mcu_load + standby + retention + self.extra;
+        let (retention, load) = self.loads(bus.mcu_load);
         // Under an adaptive policy the cell advances by the trapezoid rule:
         // an Euler predictor, the currents at the step's end under the
         // step's own load and fault windows, and their mean with the
@@ -908,6 +967,7 @@ impl<'a> Engine<'a> {
                 knot: Seconds::ZERO,
                 ahead: None,
                 slope: None,
+                band: None,
             },
             attempted: 0,
             completed: 0,
@@ -1069,14 +1129,11 @@ impl<'a> Engine<'a> {
     /// and once more at `deadline`. Returns the selected rung index.
     ///
     /// Polls that cannot pass are not stepped to. While the supervisor
-    /// holds the rail cut, or the cell sits more than two ΔV caps
-    /// ([`STEP_MAX_DV`]) below [`Engine::required_voltage`], one scheduler
-    /// run strides on until the rail is up with the cell inside that band:
-    /// no adaptive step moves the cell much past one ΔV cap, so every poll
-    /// the stride passes would have failed. Polling resumes at the first
-    /// poll instant at or after the stride's end.
-    /// [`DayCost::stride_overshoots`] counts the stride steps that break
-    /// that premise.
+    /// holds the rail cut, or the cell sits more than [`STRIDE_BAND_V`]
+    /// below [`Engine::required_voltage`], one scheduler run strides on
+    /// until the rail is up with the cell inside that band
+    /// ([`Engine::stride`]). Polling resumes at the first poll instant at
+    /// or after the stride's end.
     ///
     /// # Panics
     ///
@@ -1095,7 +1152,7 @@ impl<'a> Engine<'a> {
             backoff.as_seconds()
         );
         let v_req = self.required_voltage(from_phase, min_rung);
-        let band = v_req - STEP_MAX_DV * 2.0;
+        let band = v_req - STRIDE_BAND_V;
         let mut poll = self.time();
         loop {
             self.rail.cost.energy_polls += 1;
@@ -1119,8 +1176,18 @@ impl<'a> Engine<'a> {
 
     /// One wait stride: idles until `deadline`, stopping after the first
     /// step that leaves the rail up with the cell at or above `band`.
+    ///
+    /// The band's crossing is a predicted event of the rail
+    /// ([`Rail::band_dt`]), which bounds the step that carries the cell
+    /// into the band, the stride's first included, to end just past it: so
+    /// every poll the stride passes would have failed, whatever the ΔV
+    /// cap. [`DayCost::stride_overshoots`] counts the stride steps that
+    /// break that premise.
     fn stride(&mut self, deadline: Seconds, band: Volts, v_req: Volts) {
         self.rail.cost.wait_strides += 1;
+        if let Some(dt) = self.rail.start_stride(band, self.mcu.power()) {
+            self.sched.bound_next(dt);
+        }
         let mut cut = self.rail.comparator.is_browned_out();
         let mut overshoots = 0;
         self.drive_until(deadline, |bus| {
@@ -1135,6 +1202,7 @@ impl<'a> Engine<'a> {
             }
             !cut && bus.rail_voltage >= band
         });
+        self.rail.band = None;
         self.rail.cost.stride_overshoots += overshoots;
     }
 
@@ -1894,6 +1962,54 @@ mod tests {
                 "seed {seed}"
             );
         }
+    }
+
+    /// A bright light on a small cell: the ΔV cap alone lets one hinted
+    /// step carry the cell from below a wait's band past the voltage the
+    /// wait needs, which would skip a poll that passes. The band's
+    /// predicted crossing stops every stride just inside the band instead.
+    #[test]
+    fn a_wait_stride_stops_inside_its_band_under_a_bright_light() {
+        let deadline = Seconds::new(10.0 * 3600.0);
+        let probe = ramp_config(1500.0, 1500.0, Power::from_micro_watts(5.0), 0.02, 2.2);
+        let v_req = Engine::new(&probe).required_voltage(0, 0);
+        let band = v_req - STRIDE_BAND_V;
+        let mut blind_overshoots = 0;
+        for k in 0..10 {
+            let v0 = band.as_volts() - 0.3 - 0.01 * f64::from(k);
+            let cfg = ramp_config(1500.0, 1500.0, Power::from_micro_watts(5.0), 0.02, v0);
+            let warmed = || {
+                let mut engine = Engine::new(&cfg);
+                engine.sched = Scheduler::starting_at(Seconds::new(9.0 * 3600.0), cfg.dt_policy);
+                engine.idle_until(Seconds::new(9.0 * 3600.0 + 1.0));
+                engine
+            };
+            // The stride as it ran without the band's event.
+            let mut blind = warmed();
+            let mut from = blind.rail.cap.voltage();
+            blind.drive_until(deadline, |bus| {
+                if from < band && bus.rail_voltage >= v_req {
+                    blind_overshoots += 1;
+                }
+                from = bus.rail_voltage;
+                bus.rail_voltage >= band
+            });
+            let mut engine = warmed();
+            engine.stride(deadline, band, v_req);
+            let v = engine.rail.cap.voltage();
+            assert_eq!(engine.rail.cost.stride_overshoots, 0, "from {v0} V");
+            assert!(
+                v >= band && v < band + Volts::new(1e-3),
+                "from {v0} V the stride stopped at {} V, band {} V",
+                v.as_volts(),
+                band.as_volts()
+            );
+        }
+        assert!(
+            blind_overshoots > 0,
+            "no step would have passed {} V",
+            v_req.as_volts()
+        );
     }
 
     /// A poll that never advances the clock would wait forever.

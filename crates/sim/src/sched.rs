@@ -122,6 +122,14 @@ impl Scheduler {
         self.time
     }
 
+    /// Bounds the next step by a discontinuity predicted `dt` ahead, as a
+    /// component's [`StepOutcome::event_dt`] does: for an event a
+    /// component learns of between two runs, after it published its last
+    /// outcome. Fixed policies ignore it.
+    pub fn bound_next(&mut self, dt: Seconds) {
+        self.pending_event = Some(self.pending_event.map_or(dt, |e| e.min(dt)));
+    }
+
     /// Takes exactly one step of width `dt`: clears the bus events, steps
     /// every component in order, advances the clock, and folds the merged
     /// [`StepOutcome`] into the adaptive state.
@@ -400,6 +408,35 @@ mod tests {
         assert_eq!(run(policy, 5.0), [0.05, 0.95]);
         // Fixed dt ignores it.
         assert_eq!(run(DtPolicy::fixed(), 0.01), [0.5, 0.5]);
+    }
+
+    #[test]
+    fn a_bound_set_between_runs_cuts_the_next_step_only() {
+        let run = |sched: &mut Scheduler, until: f64| {
+            let mut comp = Predictor {
+                hint: Seconds::new(2.0),
+                event: Seconds::new(5.0),
+            };
+            let mut dts = Vec::new();
+            sched.run_until(
+                Seconds::new(until),
+                Seconds::new(0.5),
+                &mut [&mut comp],
+                &mut SimBus::new(),
+                |_, dt, _| {
+                    dts.push(dt.as_seconds());
+                    StepControl::Continue
+                },
+            );
+            dts
+        };
+        let mut sched = Scheduler::new(DtPolicy::adaptive(Seconds::new(0.25), Seconds::new(10.0)));
+        assert_eq!(run(&mut sched, 2.25), [0.25, 2.0]);
+        sched.bound_next(Seconds::new(0.125));
+        assert_eq!(run(&mut sched, 4.375), [0.125, 2.0]);
+        let mut fixed = Scheduler::new(DtPolicy::fixed());
+        fixed.bound_next(Seconds::new(0.125));
+        assert_eq!(run(&mut fixed, 1.0), [0.5, 0.5]);
     }
 
     #[test]

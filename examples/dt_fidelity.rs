@@ -18,15 +18,23 @@
 //!
 //! `dt_fidelity_baseline.csv` holds every node's production-policy
 //! minimum voltage and completions under an earlier `SIM_FINGERPRINT`
-//! (named on its first line). Each node whose |Δmin voltage| or
-//! |Δcompleted| against fixed dt is worse now than under that baseline
-//! is listed with its figures on a uniform 5 ms grid, which tells an
-//! error in the fixed-dt reference from an error in the step rule.
+//! (named on its first line). Each node whose |Δcompleted| against fixed
+//! dt is worse now than under that baseline, or whose |Δmin voltage| is
+//! worse by more than the printed 0.1 mV, is listed with its figures on a
+//! uniform 5 ms grid, which tells an error in the fixed-dt reference from
+//! an error in the step rule.
 //! `--write-baseline PATH` writes the present figures in that format.
-//! Deterministic; the output is Markdown tables. Usage:
+//!
+//! `--check` makes the run a gate: it exits 1 when any population's mean
+//! |Δmin voltage| passes [`CHECK_MEAN_MIN_V`], its mean signed min-voltage
+//! shift passes [`CHECK_MEAN_SHIFT_V`] either way, or its worst
+//! |Δcompleted| or worst |Δmin voltage| passes the baseline's own worst
+//! by more than [`CHECK_WORST_COMPLETED_SLACK`] or
+//! [`CHECK_WORST_MIN_V_SLACK`]. Deterministic; the output is Markdown
+//! tables. Usage:
 //!
 //! ```sh
-//! cargo run --release --example dt_fidelity [-- --write-baseline PATH]
+//! cargo run --release --example dt_fidelity [-- [--check] [--write-baseline PATH]]
 //! ```
 
 use std::fmt::Write as _;
@@ -43,6 +51,19 @@ use solarml::units::Seconds;
 const SEED: u64 = 7;
 /// A node whose minimum voltage moved further than this is listed.
 const LIST_PAST_V: f64 = 0.030;
+/// A node whose |Δmin voltage| grew past the baseline's by more than
+/// this, the tables' printed precision, is listed against the baseline.
+const LIST_WORSE_PAST_V: f64 = 1e-4;
+
+/// `--check`: the most a population's mean |Δmin voltage| may read.
+const CHECK_MEAN_MIN_V: f64 = 1e-3;
+/// `--check`: the most a population's mean signed min-voltage shift may
+/// read either way; a step rule that drifts one way shows here first.
+const CHECK_MEAN_SHIFT_V: f64 = 0.5e-3;
+/// `--check`: how far a population's worst |Δcompleted| and worst
+/// |Δmin voltage| may pass the baseline's worst over the same nodes.
+const CHECK_WORST_COMPLETED_SLACK: usize = 1;
+const CHECK_WORST_MIN_V_SLACK: f64 = 1e-3;
 
 /// Every node's production-policy minimum voltage and completions under
 /// the fingerprint on the first line: `population,node,min_voltage_v,completed`.
@@ -127,12 +148,17 @@ fn run_population(spec: &PopulationSpec, nodes: usize) -> Vec<NodePair> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let write_baseline = match args.as_slice() {
-        [] => None,
-        [flag, path] if flag == "--write-baseline" => Some(path.clone()),
-        _ => panic!("usage: dt_fidelity [--write-baseline PATH]"),
-    };
+    let mut check = false;
+    let mut write_baseline = None;
+    let mut args = std::env::args().skip(1);
+    let usage = "usage: dt_fidelity [--check] [--write-baseline PATH]";
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--check" => check = true,
+            "--write-baseline" => write_baseline = Some(args.next().expect(usage)),
+            _ => panic!("{usage}"),
+        }
+    }
     let mut populations = vec![(
         "representative".to_string(),
         run_population(&PopulationSpec::representative(), 512),
@@ -263,7 +289,9 @@ fn main() {
             let fixed_v = p.fixed.min_voltage.as_volts();
             let was_v = (b.min_voltage - fixed_v).abs();
             let was_completed = b.completed.abs_diff(p.fixed.completed);
-            if p.min_voltage_delta() > was_v + 1e-9 || p.completed_delta() > was_completed {
+            if p.min_voltage_delta() > was_v + LIST_WORSE_PAST_V
+                || p.completed_delta() > was_completed
+            {
                 worse.push((name.clone(), p, b));
             }
         }
@@ -304,4 +332,82 @@ fn main() {
         }
         std::fs::write(&path, out).unwrap_or_else(|e| panic!("{path}: {e}"));
     }
+
+    if check {
+        let misses = check_against(&populations, fingerprint, &base);
+        for miss in &misses {
+            eprintln!("dt_fidelity --check: {miss}");
+        }
+        if !misses.is_empty() {
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Prints each population's `--check` figures beside their limits and
+/// returns one line per limit passed.
+fn check_against(
+    populations: &[(String, Vec<NodePair>)],
+    fingerprint: &str,
+    base: &[(String, usize, BaselineNode)],
+) -> Vec<String> {
+    println!();
+    println!(
+        "| check | mean \\|Δmin V\\| | mean min V shift | worst completions \
+         ({fingerprint} + {CHECK_WORST_COMPLETED_SLACK}) | worst min V \
+         ({fingerprint} + {:.0} mV) |",
+        1e3 * CHECK_WORST_MIN_V_SLACK
+    );
+    println!("|---|---|---|---|---|");
+    let mut misses = Vec::new();
+    for (name, pairs) in populations {
+        let n = pairs.len().max(1) as f64;
+        let mean_dv = pairs.iter().map(NodePair::min_voltage_delta).sum::<f64>() / n;
+        let shift = pairs.iter().map(NodePair::min_voltage_shift).sum::<f64>() / n;
+        let worst_c = pairs
+            .iter()
+            .map(NodePair::completed_delta)
+            .max()
+            .unwrap_or(0);
+        let worst_v = pairs
+            .iter()
+            .map(NodePair::min_voltage_delta)
+            .fold(0.0, f64::max);
+        let (mut was_c, mut was_v) = (0, 0.0f64);
+        for p in pairs {
+            if let Some((_, _, b)) = base.iter().find(|(m, i, _)| m == name && *i == p.node) {
+                was_c = was_c.max(b.completed.abs_diff(p.fixed.completed));
+                was_v = was_v.max((b.min_voltage - p.fixed.min_voltage.as_volts()).abs());
+            }
+        }
+        let max_c = was_c + CHECK_WORST_COMPLETED_SLACK;
+        let max_v = was_v + CHECK_WORST_MIN_V_SLACK;
+        println!(
+            "| {name} | {:.2} mV (≤ {:.2}) | {:+.2} mV (± {:.2}) | {worst_c} (≤ {max_c}) | \
+             {:.1} mV (≤ {:.1}) |",
+            1e3 * mean_dv,
+            1e3 * CHECK_MEAN_MIN_V,
+            1e3 * shift,
+            1e3 * CHECK_MEAN_SHIFT_V,
+            1e3 * worst_v,
+            1e3 * max_v,
+        );
+        if mean_dv > CHECK_MEAN_MIN_V {
+            misses.push(format!("{name}: mean |Δmin V| {:.2} mV", 1e3 * mean_dv));
+        }
+        if shift.abs() > CHECK_MEAN_SHIFT_V {
+            misses.push(format!("{name}: mean min V shift {:+.2} mV", 1e3 * shift));
+        }
+        if worst_c > max_c {
+            misses.push(format!("{name}: worst |Δcompleted| {worst_c} > {max_c}"));
+        }
+        if worst_v > max_v {
+            misses.push(format!(
+                "{name}: worst |Δmin V| {:.1} mV > {:.1} mV",
+                1e3 * worst_v,
+                1e3 * max_v
+            ));
+        }
+    }
+    misses
 }
