@@ -83,7 +83,7 @@ impl ArrayLayout {
     }
 }
 
-/// An SPV1050-like boost harvester with MPPT.
+/// An SPV1050-like boost harvester, run at the analytic maximum power point.
 ///
 /// Conversion efficiency falls off at very low input power (cold-start and
 /// quiescent losses dominate): `η(P) = η_max · (1 − e^(−P/P_knee))`. With the

@@ -49,7 +49,6 @@ pub mod env;
 pub mod event;
 pub mod fault;
 pub mod harvest;
-pub mod mppt;
 pub mod sim;
 
 pub use components::{
@@ -63,5 +62,4 @@ pub use fault::{
     OutageWindow, PowerEvent, SupercapDegradation,
 };
 pub use harvest::{ArrayLayout, CellRole, HarvestMode, Harvester, HarvestingArray, UnshadedArray};
-pub use mppt::{iv_sweep, FractionalVoc, IvPoint, PerturbObserve};
 pub use sim::CircuitSim;

@@ -171,32 +171,6 @@ impl FftPlan {
     }
 }
 
-/// In-place iterative radix-2 Cooley–Tukey FFT.
-///
-/// Plans the transform on every call; hold an [`FftPlan`] to transform
-/// many buffers of one length.
-///
-/// # Panics
-///
-/// Panics if the length is not a power of two (or is zero).
-pub fn fft_in_place(buf: &mut [Complex]) {
-    FftPlan::new(buf.len()).transform(buf);
-}
-
-/// One-sided power spectrum of a real signal, zero-padded to the next power
-/// of two. Returns `n_fft/2 + 1` bins.
-///
-/// # Panics
-///
-/// Panics if `signal` is empty.
-pub fn power_spectrum(signal: &[f32]) -> Vec<f32> {
-    assert!(!signal.is_empty(), "power spectrum of empty signal");
-    let plan = FftPlan::new(signal.len().next_power_of_two());
-    let mut out = vec![0.0; plan.len() / 2 + 1];
-    plan.power_spectrum_into(signal, None, &mut Vec::new(), &mut out);
-    out
-}
-
 /// Cycle estimate for one `n`-point FFT on a Cortex-M4-class core:
 /// ≈ `12·n·log2(n)` cycles (CMSIS-DSP radix-2 with float math).
 pub fn fft_cycles(n: usize) -> f64 {
@@ -211,6 +185,19 @@ pub fn fft_cycles(n: usize) -> f64 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Plans and runs one transform.
+    fn fft_in_place(buf: &mut [Complex]) {
+        FftPlan::new(buf.len()).transform(buf);
+    }
+
+    /// The rectangular-window power spectrum of `signal` on an `n`-point
+    /// plan.
+    fn spectrum(signal: &[f32], n: usize) -> Vec<f32> {
+        let mut out = vec![0.0; n / 2 + 1];
+        FftPlan::new(n).power_spectrum_into(signal, None, &mut Vec::new(), &mut out);
+        out
+    }
 
     fn naive_dft(signal: &[f32]) -> Vec<Complex> {
         let n = signal.len();
@@ -312,7 +299,7 @@ mod tests {
                 (2.0 * std::f64::consts::PI * freq_bin as f64 * i as f64 / n as f64).sin() as f32
             })
             .collect();
-        let spec = power_spectrum(&signal);
+        let spec = spectrum(&signal, n);
         let peak = spec
             .iter()
             .enumerate()
@@ -331,9 +318,15 @@ mod tests {
 
     #[test]
     fn power_spectrum_pads_to_power_of_two() {
-        let spec = power_spectrum(&[1.0; 400]);
-        // 400 → 512-point FFT → 257 bins.
-        assert_eq!(spec.len(), 257);
+        // 400 samples on a 512-point plan read as the explicitly padded
+        // signal.
+        let mut padded = vec![1.0; 400];
+        padded.resize(512, 0.0);
+        let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(spectrum(&[1.0; 400], 512)),
+            bits(spectrum(&padded, 512))
+        );
     }
 
     #[test]

@@ -21,9 +21,9 @@ pub mod params;
 pub mod quantize;
 pub mod window;
 
-pub use fft::{fft_cycles, fft_in_place, power_spectrum, Complex, FftPlan};
+pub use fft::{fft_cycles, Complex, FftPlan};
 pub use gesture::{preprocess_gesture, GesturePreprocessOutput};
-pub use mfcc::{mfcc_cycles, standardize, MelFilterbank, MfccExtractor, MfccOptions, MfccScratch};
+pub use mfcc::{mfcc_cycles, standardize, MelFilterbank, MfccExtractor, MfccScratch};
 pub use params::{AudioFrontendParams, GestureSensingParams, Resolution};
-pub use quantize::{dequantize, quantization_levels, quantize_signal, quantize_value};
+pub use quantize::{quantization_levels, quantize_value};
 pub use window::{hamming, FrameSpec};

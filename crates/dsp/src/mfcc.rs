@@ -86,19 +86,8 @@ impl MelFilterbank {
         self.filters.is_empty()
     }
 
-    /// Applies the bank to a one-sided power spectrum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spectrum.len()` differs from the bank's bin count.
-    pub fn apply(&self, spectrum: &[f32]) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.len());
-        self.apply_into(spectrum, &mut out);
-        out
-    }
-
-    /// [`MelFilterbank::apply`] into a reused buffer (its contents are
-    /// replaced).
+    /// Applies the bank to a one-sided power spectrum, into a reused
+    /// buffer (its contents are replaced).
     ///
     /// # Panics
     ///
@@ -167,38 +156,21 @@ pub fn standardize(features: &mut [f32]) {
     }
 }
 
-/// Optional MFCC front-end stages beyond the searchable Table II knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MfccOptions {
-    /// Pre-emphasis coefficient (`0.0` disables; speech standard ≈ 0.97).
-    pub pre_emphasis: f32,
-    /// Append first-order delta coefficients (doubles the feature width).
-    pub deltas: bool,
-}
-
-impl Default for MfccOptions {
-    fn default() -> Self {
-        Self {
-            pre_emphasis: 0.0,
-            deltas: false,
-        }
-    }
-}
-
 /// The complete MFCC extractor for a given front-end parameterization.
 ///
 /// # Examples
 ///
 /// ```
-/// use solarml_dsp::{AudioFrontendParams, MfccExtractor};
+/// use solarml_dsp::{AudioFrontendParams, MfccExtractor, MfccScratch};
 ///
 /// # fn main() -> Result<(), String> {
 /// let params = AudioFrontendParams::new(20, 25, 13)?;
 /// let extractor = MfccExtractor::new(params, 16_000.0);
 /// let clip = vec![0.1f32; 16_000]; // 1 s of audio
-/// let features = extractor.extract(&clip);
-/// assert_eq!(features.len(), 49);         // frames
-/// assert_eq!(features[0].len(), 13);      // coefficients per frame
+/// let mut features = Vec::new();
+/// extractor.extract_into(&clip, &mut MfccScratch::default(), &mut features);
+/// assert_eq!(extractor.feature_width(), 13); // coefficients per frame
+/// assert_eq!(features.len(), 49 * 13);       // 49 frames
 /// # Ok(())
 /// # }
 /// ```
@@ -211,18 +183,15 @@ pub struct MfccExtractor {
     fft: FftPlan,
     bank: MelFilterbank,
     dct: DctTable,
-    options: MfccOptions,
 }
 
 /// Reusable buffers for [`MfccExtractor::extract_into`]: one set serves
 /// every frame of every clip an extractor processes.
 #[derive(Debug, Clone, Default)]
 pub struct MfccScratch {
-    emphasized: Vec<f32>,
     fft: Vec<Complex>,
     spectrum: Vec<f32>,
     mel: Vec<f32>,
-    plain: Vec<f32>,
 }
 
 impl MfccExtractor {
@@ -248,25 +217,7 @@ impl MfccExtractor {
             fft: FftPlan::new(n_fft),
             dct: DctTable::new(bank.len(), features),
             bank,
-            options: MfccOptions::default(),
         }
-    }
-
-    /// Builds an extractor with explicit optional stages.
-    pub fn with_options(
-        params: AudioFrontendParams,
-        sample_rate: f64,
-        options: MfccOptions,
-    ) -> Self {
-        Self {
-            options,
-            ..Self::new(params, sample_rate)
-        }
-    }
-
-    /// The optional-stage configuration.
-    pub fn options(&self) -> MfccOptions {
-        self.options
     }
 
     /// The front-end parameters.
@@ -279,55 +230,22 @@ impl MfccExtractor {
         self.sample_rate
     }
 
-    /// Coefficients per frame: `f`, or `2f` with delta features.
+    /// Coefficients per frame: `f`.
     pub fn feature_width(&self) -> usize {
-        let f = self.dct.cos.len() / self.dct.n;
-        if self.options.deltas {
-            2 * f
-        } else {
-            f
-        }
+        self.dct.cos.len() / self.dct.n
     }
 
-    /// Extracts MFCC features: one row of `f` coefficients per frame
-    /// (`2f` when delta features are enabled).
-    pub fn extract(&self, clip: &[f32]) -> Vec<Vec<f32>> {
-        let mut flat = Vec::new();
-        self.extract_into(clip, &mut MfccScratch::default(), &mut flat);
-        flat.chunks_exact(self.feature_width())
-            .map(<[f32]>::to_vec)
-            .collect()
-    }
-
-    /// [`MfccExtractor::extract`] into one flat row-major buffer (its
-    /// contents are replaced: [`MfccExtractor::feature_width`] values per
+    /// Extracts MFCC features into one flat row-major buffer (its contents
+    /// are replaced: [`MfccExtractor::feature_width`] coefficients per
     /// frame), with every intermediate buffer taken from `scratch`.
     pub fn extract_into(&self, clip: &[f32], scratch: &mut MfccScratch, out: &mut Vec<f32>) {
-        let MfccScratch {
-            emphasized,
-            fft,
-            spectrum,
-            mel,
-            plain,
-        } = scratch;
-        // Pre-emphasis: y[t] = x[t] − α·x[t−1].
-        let signal: &[f32] = if self.options.pre_emphasis > 0.0 {
-            let a = self.options.pre_emphasis;
-            emphasized.clear();
-            emphasized.extend(
-                std::iter::once(clip.first().copied().unwrap_or(0.0))
-                    .chain(clip.windows(2).map(|w| w[1] - a * w[0])),
-            );
-            emphasized
-        } else {
-            clip
-        };
-        let frames = self.spec.frame_count(signal.len());
+        let MfccScratch { fft, spectrum, mel } = scratch;
+        let frames = self.spec.frame_count(clip.len());
         out.clear();
         out.reserve(frames * self.feature_width());
         spectrum.resize(self.fft.len() / 2 + 1, 0.0);
         for k in 0..frames {
-            let frame = &signal[k * self.spec.hop..][..self.spec.window];
+            let frame = &clip[k * self.spec.hop..][..self.spec.window];
             self.fft
                 .power_spectrum_into(frame, Some(&self.window_fn), fft, spectrum);
             self.bank.apply_into(spectrum, mel);
@@ -335,18 +253,6 @@ impl MfccExtractor {
                 *e = e.max(1e-10).ln();
             }
             self.dct.apply(mel, out);
-        }
-        if self.options.deltas && frames > 0 {
-            // First-order deltas via central differences (clamped ends).
-            let f = out.len() / frames;
-            plain.clear();
-            plain.append(out);
-            let row = |t: usize| &plain[t * f..][..f];
-            for t in 0..frames {
-                let (prev, next) = (row(t.saturating_sub(1)), row((t + 1).min(frames - 1)));
-                out.extend_from_slice(row(t));
-                out.extend(next.iter().zip(prev).map(|(n, p)| (n - p) * 0.5));
-            }
         }
     }
 
@@ -380,6 +286,21 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// One row of coefficients per frame.
+    fn extract(ex: &MfccExtractor, clip: &[f32]) -> Vec<Vec<f32>> {
+        let mut flat = Vec::new();
+        ex.extract_into(clip, &mut MfccScratch::default(), &mut flat);
+        flat.chunks_exact(ex.feature_width())
+            .map(<[f32]>::to_vec)
+            .collect()
+    }
+
+    fn apply(bank: &MelFilterbank, spectrum: &[f32]) -> Vec<f32> {
+        let mut out = Vec::new();
+        bank.apply_into(spectrum, &mut out);
+        out
+    }
+
     #[test]
     fn mel_scale_roundtrip() {
         for hz in [100.0, 440.0, 1000.0, 4000.0, 8000.0] {
@@ -393,7 +314,7 @@ mod tests {
         let bank = MelFilterbank::new(13, 257, 16_000.0, 20.0, 8000.0);
         assert_eq!(bank.len(), 13);
         let flat = vec![1.0f32; 257];
-        let out = bank.apply(&flat);
+        let out = apply(&bank, &flat);
         assert!(out.iter().all(|&e| e > 0.0), "every filter has taps");
     }
 
@@ -402,7 +323,7 @@ mod tests {
         // 40 filters over a small FFT: narrow filters must not vanish.
         let bank = MelFilterbank::new(40, 129, 16_000.0, 20.0, 8000.0);
         let flat = vec![1.0f32; 129];
-        let out = bank.apply(&flat);
+        let out = apply(&bank, &flat);
         assert_eq!(out.len(), 40);
         assert!(out.iter().all(|&e| e > 0.0));
     }
@@ -411,7 +332,7 @@ mod tests {
     #[should_panic(expected = "spectrum size mismatch")]
     fn wrong_spectrum_size_panics() {
         let bank = MelFilterbank::new(13, 257, 16_000.0, 20.0, 8000.0);
-        let _ = bank.apply(&[0.0; 100]);
+        let _ = apply(&bank, &[0.0; 100]);
     }
 
     /// The per-call-cosine DCT-II the table replaced.
@@ -461,7 +382,7 @@ mod tests {
         let params = AudioFrontendParams::new(10, 30, 20).expect("valid");
         let ex = MfccExtractor::new(params, 16_000.0);
         let clip = vec![0.0f32; 16_000];
-        let feats = ex.extract(&clip);
+        let feats = extract(&ex, &clip);
         assert_eq!(feats.len(), params.frames_for_clip(1000));
         assert_eq!(feats[0].len(), 20);
     }
@@ -475,56 +396,14 @@ mod tests {
                 .map(|i| (2.0 * std::f64::consts::PI * freq * i as f64 / 16_000.0).sin() as f32)
                 .collect()
         };
-        let low = ex.extract(&tone(300.0));
-        let high = ex.extract(&tone(3000.0));
+        let low = extract(&ex, &tone(300.0));
+        let high = extract(&ex, &tone(3000.0));
         let dist: f32 = low[10]
             .iter()
             .zip(&high[10])
             .map(|(a, b)| (a - b).powi(2))
             .sum();
         assert!(dist > 1.0, "distinct tones must separate in MFCC space");
-    }
-
-    #[test]
-    fn pre_emphasis_boosts_high_frequencies() {
-        let params = AudioFrontendParams::standard();
-        let plain = MfccExtractor::new(params, 16_000.0);
-        let emphasized = MfccExtractor::with_options(
-            params,
-            16_000.0,
-            MfccOptions {
-                pre_emphasis: 0.97,
-                deltas: false,
-            },
-        );
-        // A low-frequency tone loses energy under pre-emphasis.
-        let tone: Vec<f32> = (0..8000)
-            .map(|i| (2.0 * std::f64::consts::PI * 200.0 * i as f64 / 16_000.0).sin() as f32)
-            .collect();
-        let e = |feats: Vec<Vec<f32>>| feats[5][0]; // log-energy-ish C0
-        assert!(e(emphasized.extract(&tone)) < e(plain.extract(&tone)));
-    }
-
-    #[test]
-    fn deltas_double_the_feature_width() {
-        let params = AudioFrontendParams::new(20, 25, 13).expect("valid");
-        let ex = MfccExtractor::with_options(
-            params,
-            16_000.0,
-            MfccOptions {
-                pre_emphasis: 0.0,
-                deltas: true,
-            },
-        );
-        let clip = vec![0.1f32; 8000];
-        let feats = ex.extract(&clip);
-        assert_eq!(feats[0].len(), 26);
-        // A stationary clip has near-zero deltas.
-        for row in &feats[1..feats.len() - 1] {
-            for &d in &row[13..] {
-                assert!(d.abs() < 1e-3, "stationary deltas should vanish, got {d}");
-            }
-        }
     }
 
     #[test]
@@ -573,7 +452,7 @@ mod tests {
                     ((state >> 33) as f32 / (1u64 << 31) as f32) - 1.0
                 })
                 .collect();
-            let feats = ex.extract(&clip);
+            let feats = extract(&ex, &clip);
             prop_assert_eq!(feats.len(), params.frames_for_clip(500));
             for row in &feats {
                 prop_assert_eq!(row.len(), f as usize);

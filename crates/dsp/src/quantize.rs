@@ -30,27 +30,6 @@ pub fn quantize_value(x: f32, bits: u8) -> f32 {
     q / (levels - 1.0)
 }
 
-/// Reconstructs a value from a level index.
-///
-/// # Panics
-///
-/// Panics if `level` exceeds the maximum for `bits` (for `bits < 32`).
-pub fn dequantize(level: u64, bits: u8) -> f32 {
-    let levels = quantization_levels(bits);
-    assert!(level < levels, "level {level} out of range for {bits} bits");
-    if levels <= 1 {
-        return 0.0;
-    }
-    level as f32 / (levels - 1) as f32
-}
-
-/// Quantizes a whole signal in place.
-pub fn quantize_signal(signal: &mut [f32], bits: u8) {
-    for s in signal.iter_mut() {
-        *s = quantize_value(*s, bits);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,31 +67,6 @@ mod tests {
         assert_eq!(quantization_levels(1), 2);
         assert_eq!(quantization_levels(8), 256);
         assert_eq!(quantization_levels(16), 65536);
-    }
-
-    #[test]
-    fn dequantize_roundtrips_levels() {
-        for bits in [1u8, 4, 8] {
-            let levels = quantization_levels(bits);
-            for level in 0..levels {
-                let v = dequantize(level, bits);
-                let back = quantize_value(v, bits);
-                assert!((v - back).abs() < 1e-6);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn dequantize_rejects_bad_level() {
-        let _ = dequantize(256, 8);
-    }
-
-    #[test]
-    fn signal_quantization_in_place() {
-        let mut s = vec![0.1, 0.4, 0.6, 0.9];
-        quantize_signal(&mut s, 1);
-        assert_eq!(s, vec![0.0, 0.0, 1.0, 1.0]);
     }
 
     proptest! {

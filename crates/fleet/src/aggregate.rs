@@ -184,7 +184,7 @@ pub struct Histogram {
     bins: Vec<u64>,
     /// Samples below `lo`.
     underflow: u64,
-    /// Samples at or above `hi`.
+    /// Samples at or above `hi`, and NaN samples.
     overflow: u64,
 }
 
@@ -206,7 +206,7 @@ impl Histogram {
     pub fn record(&mut self, value: f64) {
         if value < self.lo {
             self.underflow += 1;
-        } else if value >= self.hi {
+        } else if value >= self.hi || value.is_nan() {
             self.overflow += 1;
         } else {
             let frac = (value - self.lo) / (self.hi - self.lo);
@@ -270,7 +270,8 @@ impl Histogram {
         self.underflow
     }
 
-    /// Samples that fell at or above the range.
+    /// Samples that fell at or above the range. A NaN sample counts here
+    /// too: it fails both range tests, and no bin holds it.
     pub fn overflow(&self) -> u64 {
         self.overflow
     }
@@ -694,9 +695,11 @@ mod tests {
         h.record(-0.1);
         h.record(1.0);
         h.record(0.5);
+        h.record(f64::NAN);
         assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.count(), 3);
+        assert_eq!(h.overflow(), 2);
+        assert_eq!(h.bins(), &[0, 0, 1, 0]);
+        assert_eq!(h.count(), 4);
     }
 
     #[test]

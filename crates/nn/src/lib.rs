@@ -12,7 +12,7 @@
 //! * [`layers`] — Conv2D, depthwise Conv2D, Dense, max/avg pooling, channel
 //!   norm, ReLU, flatten — each with forward and backward passes;
 //! * [`Model`] — an instantiated network supporting training and inference;
-//! * [`Sgd`]/[`Adam`] optimizers and a [`fit`]/[`evaluate`] loop over
+//! * the [`Adam`] optimizer and a [`fit`]/[`evaluate`] loop over
 //!   [`ClassDataset`]s.
 //!
 //! # Examples
@@ -60,11 +60,9 @@ pub mod arch;
 pub mod dataset;
 pub mod layers;
 pub mod loss;
-pub mod metrics;
 pub mod model;
 pub mod multi_exit;
 pub mod optimizer;
-pub mod quantized;
 pub mod reference;
 pub mod sampler;
 pub mod tensor;
@@ -73,11 +71,9 @@ pub mod train;
 pub use arch::{ArchError, LayerClass, LayerSpec, MacSummary, ModelSpec, Padding, PoolKind};
 pub use dataset::ClassDataset;
 pub use loss::softmax_cross_entropy;
-pub use metrics::{top_k_accuracy, ConfusionMatrix};
 pub use model::Model;
 pub use multi_exit::{ExitDecision, MultiExitModel};
-pub use optimizer::{Adam, Optimizer, Sgd};
-pub use quantized::{quantize_weights_int8, QuantizationReport};
+pub use optimizer::Adam;
 pub use sampler::ArchSampler;
 pub use tensor::Tensor;
 pub use train::{evaluate, fit, TrainConfig, TrainReport};

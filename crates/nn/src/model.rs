@@ -112,54 +112,18 @@ impl Model {
             .collect()
     }
 
-    /// Total number of scalar parameters.
-    pub fn num_params(&mut self) -> usize {
-        self.params_and_grads().iter().map(|(p, _)| p.len()).sum()
-    }
-
     /// Predicted class for an input.
     pub fn predict(&mut self, input: &Tensor) -> usize {
         self.infer(input).argmax()
     }
 
-    /// Snapshots all trainable parameters in a stable order (for
-    /// checkpointing or transferring weights between models of the same
-    /// spec).
+    /// Snapshots all trainable parameters in a stable order (what the
+    /// training goldens and benchmarks digest).
     pub fn export_weights(&mut self) -> Vec<Vec<f32>> {
         self.params_and_grads()
             .into_iter()
             .map(|(p, _)| p.clone())
             .collect()
-    }
-
-    /// Restores parameters from a snapshot taken by [`Model::export_weights`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if the snapshot's tensor count or any tensor length
-    /// does not match this model.
-    pub fn import_weights(&mut self, weights: &[Vec<f32>]) -> Result<(), String> {
-        let mut pairs = self.params_and_grads();
-        if pairs.len() != weights.len() {
-            return Err(format!(
-                "snapshot has {} tensors, model has {}",
-                weights.len(),
-                pairs.len()
-            ));
-        }
-        for (i, ((p, _), w)) in pairs.iter_mut().zip(weights).enumerate() {
-            if p.len() != w.len() {
-                return Err(format!(
-                    "tensor {i} length mismatch: snapshot {} vs model {}",
-                    w.len(),
-                    p.len()
-                ));
-            }
-        }
-        for ((p, _), w) in pairs.iter_mut().zip(weights) {
-            p.copy_from_slice(w);
-        }
-        Ok(())
     }
 }
 
@@ -188,7 +152,8 @@ mod tests {
         let s = spec();
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let mut model = Model::from_spec(&s, &mut rng);
-        assert_eq!(model.num_params(), s.param_count());
+        let params: usize = model.params_and_grads().iter().map(|(p, _)| p.len()).sum();
+        assert_eq!(params, s.param_count());
     }
 
     #[test]
@@ -219,34 +184,6 @@ mod tests {
             .iter()
             .all(|(_, g)| g.iter().all(|&v| v == 0.0));
         assert!(all_zero);
-    }
-
-    #[test]
-    fn weight_snapshot_roundtrips() {
-        let s = spec();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let mut a = Model::from_spec(&s, &mut rng);
-        let mut b = Model::from_spec(&s, &mut rng);
-        let x = Tensor::from_vec([6, 6, 1], (0..36).map(|i| i as f32 / 36.0).collect());
-        assert_ne!(a.infer(&x).clone(), *b.infer(&x));
-        let snap = a.export_weights();
-        b.import_weights(&snap).expect("shapes match");
-        assert_eq!(a.infer(&x).clone(), *b.infer(&x));
-    }
-
-    #[test]
-    fn import_rejects_wrong_shapes() {
-        let s = spec();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let mut model = Model::from_spec(&s, &mut rng);
-        let err = model
-            .import_weights(&[vec![0.0; 3]])
-            .expect_err("count mismatch");
-        assert!(err.contains("tensors"));
-        let mut snap = model.export_weights();
-        snap[0].push(0.0);
-        let err = model.import_weights(&snap).expect_err("length mismatch");
-        assert!(err.contains("length mismatch"));
     }
 
     #[test]

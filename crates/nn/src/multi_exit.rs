@@ -47,7 +47,6 @@ use crate::tensor::Tensor;
 /// ```
 #[derive(Debug, Clone)]
 pub struct MultiExitModel {
-    backbone_spec: ModelSpec,
     backbone: Vec<Layer>,
     /// `(position, head)` pairs: the head consumes the activation *after*
     /// backbone layer `position − 1` (i.e. `position` layers have run).
@@ -133,7 +132,6 @@ impl MultiExitModel {
             .map(|(i, l)| Layer::instantiate(l, backbone.shape_before(i), rng))
             .collect();
         Ok(Self {
-            backbone_spec: backbone.clone(),
             backbone: backbone_layers,
             heads,
             exit_macs,
@@ -144,11 +142,6 @@ impl MultiExitModel {
     /// Number of exits, counting the backbone's final output.
     pub fn num_exits(&self) -> usize {
         self.heads.len() + 1
-    }
-
-    /// The backbone architecture.
-    pub fn backbone_spec(&self) -> &ModelSpec {
-        &self.backbone_spec
     }
 
     /// Runs inference with confidence-threshold early exit.
@@ -211,7 +204,7 @@ impl MultiExitModel {
         learning_rate: f32,
         rng: &mut impl Rng,
     ) {
-        use crate::optimizer::{Adam, Optimizer};
+        use crate::optimizer::Adam;
         use rand::seq::SliceRandom;
         let mut opt = Adam::new(learning_rate);
         let mut order: Vec<usize> = (0..data.len()).collect();

@@ -1,87 +1,38 @@
-//! First-order optimizers.
+//! The Adam optimizer every training run uses.
 
-/// An optimizer updates parameters from accumulated gradients.
-///
-/// `step` receives the model's `(params, grads)` pairs in a stable order;
-/// stateful optimizers (momentum, Adam) key their slots by position.
-pub trait Optimizer {
-    /// Applies one update and leaves gradients untouched (call
-    /// [`Model::zero_grads`](crate::Model::zero_grads) afterwards).
-    fn step(&mut self, params_and_grads: &mut [(&mut Vec<f32>, &mut Vec<f32>)]);
-}
+/// First-moment decay.
+const BETA1: f32 = 0.9;
+/// Second-moment decay.
+const BETA2: f32 = 0.999;
+/// Numerical floor.
+const EPS: f32 = 1e-8;
 
-/// Stochastic gradient descent with classical momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum coefficient (0 disables momentum).
-    pub momentum: f32,
-    velocity: Vec<Vec<f32>>,
-}
-
-impl Sgd {
-    /// Creates SGD with the given learning rate and momentum.
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        Self {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params_and_grads: &mut [(&mut Vec<f32>, &mut Vec<f32>)]) {
-        if self.velocity.len() != params_and_grads.len() {
-            self.velocity = params_and_grads
-                .iter()
-                .map(|(p, _)| vec![0.0; p.len()])
-                .collect();
-        }
-        for (slot, (params, grads)) in params_and_grads.iter_mut().enumerate() {
-            let vel = &mut self.velocity[slot];
-            for ((p, g), v) in params.iter_mut().zip(grads.iter()).zip(vel.iter_mut()) {
-                *v = self.momentum * *v - self.lr * g;
-                *p += *v;
-            }
-        }
-    }
-}
-
-/// Adam with bias correction.
+/// Adam with bias correction and the standard betas (0.9, 0.999).
 #[derive(Debug, Clone)]
 pub struct Adam {
-    /// Learning rate.
-    pub lr: f32,
-    /// First-moment decay.
-    pub beta1: f32,
-    /// Second-moment decay.
-    pub beta2: f32,
-    /// Numerical floor.
-    pub eps: f32,
+    lr: f32,
     t: u32,
     m: Vec<Vec<f32>>,
     v: Vec<Vec<f32>>,
 }
 
 impl Adam {
-    /// Creates Adam with standard betas (0.9, 0.999).
+    /// Creates Adam with learning rate `lr`.
     pub fn new(lr: f32) -> Self {
         Self {
             lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
         }
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, params_and_grads: &mut [(&mut Vec<f32>, &mut Vec<f32>)]) {
+    /// Applies one update and leaves gradients untouched (call
+    /// [`Model::zero_grads`](crate::Model::zero_grads) afterwards).
+    ///
+    /// `params_and_grads` holds the model's `(params, grads)` pairs in a
+    /// stable order; the moment slots are keyed by position.
+    pub fn step(&mut self, params_and_grads: &mut [(&mut Vec<f32>, &mut Vec<f32>)]) {
         if self.m.len() != params_and_grads.len() {
             self.m = params_and_grads
                 .iter()
@@ -90,18 +41,18 @@ impl Optimizer for Adam {
             self.v = self.m.clone();
         }
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let bc1 = 1.0 - BETA1.powi(self.t as i32);
+        let bc2 = 1.0 - BETA2.powi(self.t as i32);
         for (slot, (params, grads)) in params_and_grads.iter_mut().enumerate() {
             let m = &mut self.m[slot];
             let v = &mut self.v[slot];
             for i in 0..params.len() {
                 let g = grads[i];
-                m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * g;
-                v[i] = self.beta2 * v[i] + (1.0 - self.beta2) * g * g;
+                m[i] = BETA1 * m[i] + (1.0 - BETA1) * g;
+                v[i] = BETA2 * v[i] + (1.0 - BETA2) * g * g;
                 let mhat = m[i] / bc1;
                 let vhat = v[i] / bc2;
-                params[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
+                params[i] -= self.lr * mhat / (vhat.sqrt() + EPS);
             }
         }
     }
@@ -111,39 +62,17 @@ impl Optimizer for Adam {
 mod tests {
     use super::*;
 
-    /// Minimizes f(x) = (x - 3)^2 with an optimizer; grad = 2(x - 3).
-    fn minimize(opt: &mut dyn Optimizer, steps: usize) -> f32 {
-        let mut x = vec![0.0f32];
-        let mut g = vec![0.0f32];
-        for _ in 0..steps {
-            g[0] = 2.0 * (x[0] - 3.0);
-            let mut pairs = [(&mut x, &mut g)];
-            opt.step(&mut pairs);
-        }
-        x[0]
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1, 0.0);
-        let x = minimize(&mut opt, 100);
-        assert!((x - 3.0).abs() < 1e-3, "got {x}");
-    }
-
-    #[test]
-    fn momentum_accelerates() {
-        let mut plain = Sgd::new(0.01, 0.0);
-        let mut momentum = Sgd::new(0.01, 0.9);
-        let slow = minimize(&mut plain, 30);
-        let fast = minimize(&mut momentum, 30);
-        assert!((fast - 3.0).abs() < (slow - 3.0).abs());
-    }
-
     #[test]
     fn adam_converges_on_quadratic() {
+        // Minimizes f(x) = (x - 3)^2; grad = 2(x - 3).
         let mut opt = Adam::new(0.3);
-        let x = minimize(&mut opt, 200);
-        assert!((x - 3.0).abs() < 1e-2, "got {x}");
+        let mut x = vec![0.0f32];
+        let mut g = vec![0.0f32];
+        for _ in 0..200 {
+            g[0] = 2.0 * (x[0] - 3.0);
+            opt.step(&mut [(&mut x, &mut g)]);
+        }
+        assert!((x[0] - 3.0).abs() < 1e-2, "got {}", x[0]);
     }
 
     #[test]
@@ -157,15 +86,5 @@ mod tests {
         opt.step(&mut pairs);
         assert!(a.iter().all(|&v| v < 0.0));
         assert!(b.iter().all(|&v| v > 0.0));
-    }
-
-    #[test]
-    fn zero_gradient_is_a_fixed_point_for_sgd() {
-        let mut opt = Sgd::new(0.5, 0.0);
-        let mut x = vec![1.5f32];
-        let mut g = vec![0.0f32];
-        let mut pairs = [(&mut x, &mut g)];
-        opt.step(&mut pairs);
-        assert_eq!(x[0], 1.5);
     }
 }

@@ -10,23 +10,24 @@ use rand::Rng;
 
 use crate::arch::{LayerSpec, ModelSpec, Padding};
 
-/// Configuration of the architecture space to sample from.
+/// Configuration of the architecture space to sample from: one of two
+/// presets, [`ArchSampler::for_task`] and [`ArchSampler::for_measurement`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArchSampler {
     /// Input feature-map shape `[h, w, c]`.
-    pub input_shape: [usize; 3],
+    input_shape: [usize; 3],
     /// Output classes (the final dense layer's units).
-    pub num_classes: usize,
+    num_classes: usize,
     /// Maximum number of conv blocks (conv \[+ pool\]).
-    pub max_conv_blocks: usize,
+    max_conv_blocks: usize,
     /// Maximum hidden dense layers before the classifier.
-    pub max_hidden_dense: usize,
+    max_hidden_dense: usize,
     /// Conv filter count choices.
-    pub filter_choices: Vec<usize>,
+    filter_choices: Vec<usize>,
     /// Conv kernel size choices.
-    pub kernel_choices: Vec<usize>,
+    kernel_choices: Vec<usize>,
     /// Hidden dense width choices.
-    pub dense_choices: Vec<usize>,
+    dense_choices: Vec<usize>,
 }
 
 impl ArchSampler {

@@ -99,15 +99,6 @@ impl Tensor {
         &mut self.data[(h * ww + w) * cc + c]
     }
 
-    /// Returns a tensor with the same data and a new shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element counts differ.
-    pub fn reshaped(&self, shape: impl Into<Vec<usize>>) -> Self {
-        Self::from_vec(shape, self.data.clone())
-    }
-
     /// Index of the maximum element (first on ties).
     ///
     /// # Panics
@@ -197,14 +188,6 @@ mod tests {
         *t.at3_mut(1, 0, 0) = 5.0;
         assert_eq!(t.at3(1, 0, 0), 5.0);
         assert_eq!(t.data()[2], 5.0);
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec([2, 3], (0..6).map(|i| i as f32).collect());
-        let r = t.reshaped([6]);
-        assert_eq!(r.shape(), &[6]);
-        assert_eq!(r.data(), t.data());
     }
 
     #[test]

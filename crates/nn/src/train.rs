@@ -6,7 +6,7 @@ use rand::Rng;
 use crate::dataset::ClassDataset;
 use crate::loss::softmax_cross_entropy;
 use crate::model::Model;
-use crate::optimizer::{Adam, Optimizer};
+use crate::optimizer::Adam;
 
 /// Training hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]

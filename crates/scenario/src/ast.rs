@@ -13,7 +13,7 @@ use std::fmt::Write as _;
 /// A unit suffix attached to a number literal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UnitSuffix {
-    /// `deg` — geographic degrees ([`solarml_units::Degrees`]).
+    /// `deg` — geographic degrees of latitude.
     Deg,
     /// `lux` — illuminance ([`solarml_units::Lux`]).
     Lux,

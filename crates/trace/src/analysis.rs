@@ -1,5 +1,4 @@
-//! Analysis of *unlabelled* power traces: automatic phase segmentation,
-//! downsampling and windowed energy queries.
+//! Analysis of *unlabelled* power traces: automatic phase segmentation.
 //!
 //! A real power analyzer records one long waveform; reconstructing the
 //! `E_E`/`E_S`/`E_M` decomposition requires detecting the phase boundaries
@@ -8,7 +7,7 @@
 //! can be decomposed *without* using its labels — and the result
 //! cross-checked against them (see the integration tests).
 
-use solarml_units::{Energy, Frequency, Power, Seconds};
+use solarml_units::{Energy, Power, Seconds};
 
 use crate::trace::PowerTrace;
 
@@ -98,40 +97,10 @@ pub fn detect_phases(trace: &PowerTrace, threshold_db: f64, min_samples: usize) 
         .collect()
 }
 
-/// Downsamples a trace by an integer factor, averaging each bucket (what a
-/// slower power analyzer would have recorded).
-///
-/// # Panics
-///
-/// Panics if `factor` is zero.
-pub fn downsample(trace: &PowerTrace, factor: usize) -> PowerTrace {
-    assert!(factor > 0, "factor must be positive");
-    let new_rate = Frequency::new(1.0 / (trace.sample_period().as_seconds() * factor as f64));
-    let mut out = PowerTrace::with_sample_rate(new_rate);
-    for chunk in trace.powers().chunks(factor) {
-        let mean = chunk.iter().map(|p| p.as_watts()).sum::<f64>() / chunk.len() as f64;
-        out.push(Power::new(mean));
-    }
-    out
-}
-
-/// Energy of the trace between two timestamps (clamped to the recording).
-pub fn energy_between(trace: &PowerTrace, from: Seconds, to: Seconds) -> Energy {
-    let period = trace.sample_period().as_seconds();
-    let a = ((from.as_seconds() / period).floor().max(0.0) as usize).min(trace.len());
-    let b = ((to.as_seconds() / period).ceil().max(0.0) as usize).min(trace.len());
-    if b <= a {
-        return Energy::ZERO;
-    }
-    trace.powers()[a..b]
-        .iter()
-        .map(|&p| p * trace.sample_period())
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use solarml_units::Frequency;
 
     fn staircase() -> PowerTrace {
         // 1 s at 10 µW, 0.5 s at 5 mW, 1 s at 100 µW @ 1 kHz.
@@ -203,38 +172,5 @@ mod tests {
     fn empty_trace_panics() {
         let t = PowerTrace::with_sample_rate(Frequency::new(100.0));
         let _ = detect_phases(&t, 3.0, 5);
-    }
-
-    #[test]
-    fn downsample_preserves_energy() {
-        let trace = staircase();
-        let down = downsample(&trace, 10);
-        assert_eq!(down.len(), 250);
-        let rel = (down.total_energy().as_joules() - trace.total_energy().as_joules()).abs()
-            / trace.total_energy().as_joules();
-        assert!(rel < 1e-9, "bucket averaging preserves energy");
-    }
-
-    #[test]
-    fn downsample_factor_one_is_identity() {
-        let trace = staircase();
-        let same = downsample(&trace, 1);
-        assert_eq!(same.len(), trace.len());
-        assert_eq!(same.total_energy(), trace.total_energy());
-    }
-
-    #[test]
-    fn energy_between_windows() {
-        let trace = staircase();
-        // The 5 mW burst occupies [1.0, 1.5) s → 2.5 mJ.
-        let e = energy_between(&trace, Seconds::new(1.0), Seconds::new(1.5));
-        assert!((e.as_milli_joules() - 2.5).abs() < 0.05, "got {e}");
-        // Degenerate and out-of-range windows.
-        assert_eq!(
-            energy_between(&trace, Seconds::new(2.0), Seconds::new(1.0)),
-            Energy::ZERO
-        );
-        let all = energy_between(&trace, Seconds::ZERO, Seconds::new(100.0));
-        assert!((all.as_joules() - trace.total_energy().as_joules()).abs() < 1e-12);
     }
 }

@@ -96,16 +96,6 @@ impl JsonObject {
         self.push(key, JsonValue::Raw(format!("[{items}]")))
     }
 
-    /// Adds an inline array of floats.
-    pub fn numbers(&mut self, key: &str, values: &[f64]) -> &mut Self {
-        let items = values
-            .iter()
-            .map(|&v| float_repr(v))
-            .collect::<Vec<_>>()
-            .join(", ");
-        self.push(key, JsonValue::Raw(format!("[{items}]")))
-    }
-
     /// Adds an inline array of escaped strings (`["a", "b"]`).
     pub fn strings(&mut self, key: &str, values: &[&str]) -> &mut Self {
         let mut rendered = String::from("[");
@@ -261,14 +251,13 @@ mod tests {
         let mut obj = JsonObject::new();
         obj.counts("empty", &[])
             .counts("multi", &[1, 2, 3])
-            .numbers("floats", &[0.5, 2.0])
             .flag("ok", true)
             .raw("big", u64::MAX.to_string())
             .strings("msgs", &["plain", "needs \"quotes\""]);
         assert_eq!(
             obj.render(),
-            "{\n  \"empty\": [],\n  \"multi\": [1, 2, 3],\n  \"floats\": [0.5, 2],\n  \
-             \"ok\": true,\n  \"big\": 18446744073709551615,\n  \
+            "{\n  \"empty\": [],\n  \"multi\": [1, 2, 3],\n  \"ok\": true,\n  \
+             \"big\": 18446744073709551615,\n  \
              \"msgs\": [\"plain\", \"needs \\\"quotes\\\"\"]\n}"
         );
     }

@@ -34,13 +34,11 @@ pub mod seed;
 mod stats;
 mod trace;
 
-pub use analysis::{detect_phases, downsample, energy_between, Phase};
+pub use analysis::{detect_phases, Phase};
 pub use bytes::{
     fnv1a64, fnv1a64_x4, write_atomic, ByteReader, ByteWriter, CodecError, Envelope, EnvelopeError,
     KeyHasher,
 };
 pub use json::JsonObject;
-pub use stats::{
-    error_cdf, mean, mean_absolute_percent_error, median, percentile, r_squared, rmse, std_dev,
-};
+pub use stats::{error_cdf, mean, mean_absolute_percent_error, median, percentile, r_squared};
 pub use trace::{PowerTrace, Sample, Segment, SegmentSummary};

@@ -12,17 +12,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Sample standard deviation (n−1 denominator); zero when fewer than two
-/// values are supplied.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    let var = xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
-    var.sqrt()
-}
-
 /// Coefficient of determination of predictions against observations.
 ///
 /// `R² = 1 − SS_res / SS_tot`. Degenerate inputs (length mismatch handled by
@@ -127,29 +116,6 @@ pub fn median(xs: &[f64]) -> f64 {
     percentile(xs, 50.0)
 }
 
-/// Root-mean-square error of predictions against observations.
-///
-/// # Panics
-///
-/// Panics if the two slices have different lengths.
-pub fn rmse(observed: &[f64], predicted: &[f64]) -> f64 {
-    assert_eq!(
-        observed.len(),
-        predicted.len(),
-        "observed and predicted lengths must match"
-    );
-    if observed.is_empty() {
-        return 0.0;
-    }
-    let mse = observed
-        .iter()
-        .zip(predicted)
-        .map(|(o, p)| (o - p).powi(2))
-        .sum::<f64>()
-        / observed.len() as f64;
-    mse.sqrt()
-}
-
 /// Linear-interpolated percentile (`p` in `[0, 100]`) of a sample.
 ///
 /// # Panics
@@ -183,11 +149,9 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn mean_and_std_basic() {
+    fn mean_basic() {
         assert_eq!(mean(&[]), 0.0);
         assert!((mean(&[1.0, 2.0, 3.0]) - 2.0).abs() < 1e-12);
-        assert!((std_dev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]) - 2.138089935).abs() < 1e-6);
-        assert_eq!(std_dev(&[1.0]), 0.0);
     }
 
     #[test]
@@ -262,19 +226,6 @@ mod tests {
     fn median_is_the_middle() {
         assert!((median(&[3.0, 1.0, 2.0]) - 2.0).abs() < 1e-12);
         assert!((median(&[4.0, 1.0, 3.0, 2.0]) - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rmse_basic() {
-        assert_eq!(rmse(&[], &[]), 0.0);
-        assert!((rmse(&[1.0, 2.0], &[1.0, 2.0])).abs() < 1e-12);
-        assert!((rmse(&[0.0, 0.0], &[3.0, 4.0]) - (12.5f64).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "lengths must match")]
-    fn rmse_length_mismatch_panics() {
-        let _ = rmse(&[1.0], &[1.0, 2.0]);
     }
 
     #[test]

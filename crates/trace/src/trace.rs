@@ -1,6 +1,6 @@
 //! The [`PowerTrace`] recorder.
 
-use solarml_units::{Energy, Frequency, Power, Ratio, Seconds};
+use solarml_units::{Energy, Frequency, Power, Seconds};
 
 /// One timestamped power sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -185,17 +185,6 @@ impl PowerTrace {
             .collect()
     }
 
-    /// Fraction of total energy consumed by all segments with `label`.
-    ///
-    /// Returns zero for an empty trace.
-    pub fn energy_fraction(&self, label: &str) -> Ratio {
-        let total = self.total_energy();
-        if total.as_joules() <= 0.0 {
-            return Ratio::ZERO;
-        }
-        Ratio::new(self.labelled_energy(label) / total)
-    }
-
     /// Renders the trace as CSV with `time_s,power_w,segment` columns.
     pub fn to_csv(&self) -> String {
         let mut out = String::from("time_s,power_w,segment\n");
@@ -221,52 +210,6 @@ impl PowerTrace {
             ));
         }
         out
-    }
-
-    /// Parses a trace from the CSV format produced by [`PowerTrace::to_csv`]
-    /// (`time_s,power_w,segment`). Sample timing is taken from `rate`;
-    /// the time column is ignored beyond ordering. Consecutive rows with the
-    /// same non-empty segment label are grouped into segments.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending line on malformed input.
-    pub fn from_csv(csv: &str, rate: Frequency) -> Result<Self, String> {
-        let mut lines = csv.lines();
-        match lines.next() {
-            Some(header) if header.trim() == "time_s,power_w,segment" => {}
-            other => return Err(format!("unexpected header: {other:?}")),
-        }
-        let mut trace = PowerTrace::with_sample_rate(rate);
-        let mut current_label: Option<String> = None;
-        for (i, line) in lines.enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let mut parts = line.splitn(3, ',');
-            let _time = parts
-                .next()
-                .ok_or_else(|| format!("line {}: missing time", i + 2))?;
-            let power: f64 = parts
-                .next()
-                .ok_or_else(|| format!("line {}: missing power", i + 2))?
-                .trim()
-                .parse()
-                .map_err(|e| format!("line {}: bad power ({e})", i + 2))?;
-            let label = parts.next().unwrap_or("").trim().to_string();
-            let label_opt = if label.is_empty() { None } else { Some(label) };
-            if current_label != label_opt {
-                // A change of label opens a new segment; unlabelled spans
-                // following a labelled one get an anonymous segment so they
-                // are not attributed to the previous label.
-                if label_opt.is_some() || current_label.is_some() {
-                    trace.begin_segment(label_opt.clone().unwrap_or_default());
-                }
-                current_label = label_opt;
-            }
-            trace.push(Power::new(power));
-        }
-        Ok(trace)
     }
 
     fn summarize(&self, seg: &Segment) -> SegmentSummary {
@@ -370,19 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn energy_fraction_sums_to_one_over_labels() {
-        let mut t = PowerTrace::with_sample_rate(Frequency::new(10.0));
-        t.begin_segment("x");
-        t.push(Power::new(3.0));
-        t.begin_segment("y");
-        t.push(Power::new(1.0));
-        let fx = t.energy_fraction("x").get();
-        let fy = t.energy_fraction("y").get();
-        assert!((fx - 0.75).abs() < 1e-12);
-        assert!((fx + fy - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn summaries_report_duration_and_peak() {
         let mut t = PowerTrace::with_sample_rate(Frequency::new(1000.0));
         t.begin_segment("burst");
@@ -398,52 +328,19 @@ mod tests {
     fn csv_has_header_and_rows() {
         let mut t = PowerTrace::with_sample_rate(Frequency::new(10.0));
         t.begin_segment("s");
-        t.push(Power::new(0.5));
+        t.push(Power::new(0.123_456_789));
         let csv = t.to_csv();
         let mut lines = csv.lines();
         assert_eq!(lines.next(), Some("time_s,power_w,segment"));
         let row = lines.next().expect("one data row");
         assert!(row.ends_with(",s"), "row should carry segment label: {row}");
-    }
-
-    #[test]
-    fn csv_roundtrip_preserves_powers_and_labels() {
-        let mut t = PowerTrace::with_sample_rate(Frequency::new(100.0));
-        t.push(Power::new(0.25)); // unlabelled lead-in
-        t.begin_segment("sleep");
-        for _ in 0..5 {
-            t.push(Power::from_micro_watts(30.0));
-        }
-        t.begin_segment("active");
-        for _ in 0..3 {
-            t.push(Power::from_milli_watts(20.0));
-        }
-        let csv = t.to_csv();
-        let back = PowerTrace::from_csv(&csv, Frequency::new(100.0)).expect("well-formed");
-        assert_eq!(back.len(), t.len());
-        for (a, b) in t.powers().iter().zip(back.powers()) {
-            assert!((a.as_watts() - b.as_watts()).abs() < 1e-12);
-        }
-        for label in ["sleep", "active"] {
-            let (ea, eb) = (t.labelled_energy(label), back.labelled_energy(label));
-            assert!((ea.as_joules() - eb.as_joules()).abs() < 1e-12, "{label}");
-        }
-    }
-
-    #[test]
-    fn from_csv_rejects_malformed_input() {
-        assert!(PowerTrace::from_csv("bogus\n", Frequency::new(10.0)).is_err());
-        let bad_power = "time_s,power_w,segment\n0.0,notanumber,x\n";
-        let err = PowerTrace::from_csv(bad_power, Frequency::new(10.0)).expect_err("bad power");
-        assert!(err.contains("line 2"));
-    }
-
-    #[test]
-    fn from_csv_separates_trailing_unlabelled_rows() {
-        let csv = "time_s,power_w,segment\n0.0,1.0,work\n0.1,1.0,work\n0.2,5.0,\n";
-        let t = PowerTrace::from_csv(csv, Frequency::new(10.0)).expect("well-formed");
-        // The 5 W row must not be billed to "work".
-        assert!((t.labelled_energy("work").as_joules() - 0.2).abs() < 1e-12);
+        let power: f64 = row
+            .split(',')
+            .nth(1)
+            .expect("power column")
+            .parse()
+            .expect("a float");
+        assert_eq!(power.to_bits(), 0.123_456_789f64.to_bits(), "{row}");
     }
 
     #[test]

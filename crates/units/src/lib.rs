@@ -25,8 +25,8 @@ mod quantities;
 pub use display::SiValue;
 pub use error::UnitError;
 pub use quantities::{
-    Amps, Capacitance, Charge, Cycles, Degrees, Energy, Farads, Frequency, Hertz, Joules, Lux,
-    Ohms, Power, Ratio, Resistance, Seconds, Volts, Watts,
+    Amps, Capacitance, Charge, Cycles, Energy, Farads, Frequency, Hertz, Lux, Ohms, Power, Ratio,
+    Resistance, Seconds, Volts,
 };
 
 #[cfg(test)]
@@ -41,7 +41,7 @@ mod tests {
 
     #[test]
     fn energy_over_time_is_power() {
-        let p = Joules::new(6.0) / Seconds::new(2.0);
+        let p = Energy::new(6.0) / Seconds::new(2.0);
         assert!((p.as_watts() - 3.0).abs() < 1e-12);
     }
 

@@ -258,12 +258,6 @@ quantity!(
     /// Physically non-negative.
     Cycles, "cy", from_cycles, as_cycles, nonneg
 );
-quantity!(
-    /// A geographic angle, stored in degrees (latitude: positive north).
-    /// Carried as its own quantity so the scenario language can reject a
-    /// lux value where a latitude is expected at load time.
-    Degrees, "deg", from_degrees, as_degrees
-);
 
 /// A dimensionless ratio: shading factors, efficiencies, duty cycles,
 /// energy fractions.
@@ -416,10 +410,6 @@ impl fmt::Display for Ratio {
     }
 }
 
-/// Alias: energy in joules.
-pub type Joules = Energy;
-/// Alias: power in watts.
-pub type Watts = Power;
 /// Alias: capacitance in farads.
 pub type Farads = Capacitance;
 /// Alias: resistance in ohms.

@@ -31,6 +31,8 @@ pub mod scan;
 use std::fmt;
 use std::path::PathBuf;
 
+use scan::LineCounts;
+
 /// One finding from any lint pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
@@ -149,10 +151,11 @@ impl fmt::Display for Violation {
 
 /// Renders the machine-readable report behind `cargo xtask lint --json`.
 /// Hand-rolled (xtask has no dependencies by design): stable field order,
-/// violations in the scanner's deterministic file/line order, plus the
-/// pass/fail status of each subprocess gate that ran. CI uploads this file
-/// as an artifact so downstream tooling never has to parse human output.
-pub fn json_report(violations: &[Violation], gates: &[(&str, bool)]) -> String {
+/// violations in the scanner's deterministic file/line order, the
+/// pass/fail status of each subprocess gate that ran, and the workspace's
+/// line counts. CI uploads this file as an artifact so downstream tooling
+/// never has to parse human output.
+pub fn json_report(violations: &[Violation], gates: &[(&str, bool)], lines: LineCounts) -> String {
     let mut s = String::from("{\n  \"violations\": [");
     for (i, v) in violations.iter().enumerate() {
         if i > 0 {
@@ -190,6 +193,10 @@ pub fn json_report(violations: &[Violation], gates: &[(&str, bool)]) -> String {
     s.push_str("],\n  \"clean\": ");
     let clean = violations.is_empty() && gates.iter().all(|(_, ok)| *ok);
     s.push_str(if clean { "true" } else { "false" });
+    s.push_str(",\n  \"rs_lines\": ");
+    s.push_str(&lines.rs_lines.to_string());
+    s.push_str(",\n  \"non_test_lines\": ");
+    s.push_str(&lines.non_test_lines.to_string());
     s.push_str("\n}\n");
     s
 }
@@ -222,12 +229,18 @@ mod tests {
             kind: ViolationKind::Determinism,
             detail: "iteration over `map` — \"unordered\"".to_string(),
         }];
-        let out = json_report(&vs, &[("cargo fmt --check", true), ("cargo clippy", false)]);
+        let lines = LineCounts {
+            rs_lines: 12,
+            non_test_lines: 5,
+        };
+        let gates = [("cargo fmt --check", true), ("cargo clippy", false)];
+        let out = json_report(&vs, &gates, lines);
         assert!(out.contains("\"rule\": \"determinism\""));
         assert!(out.contains("\\\"unordered\\\""), "quotes escaped: {out}");
         assert!(out.contains("\"violation_count\": 1"));
         assert!(out.contains("\"clean\": false"));
-        let empty = json_report(&[], &[("cargo fmt --check", true)]);
+        assert!(out.contains("\"rs_lines\": 12,\n  \"non_test_lines\": 5\n}"));
+        let empty = json_report(&[], &[("cargo fmt --check", true)], lines);
         assert!(empty.contains("\"violations\": []"));
         assert!(empty.contains("\"clean\": true"));
     }

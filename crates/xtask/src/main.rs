@@ -14,7 +14,9 @@
 //! `--json` switches the report to a machine-readable JSON document on
 //! stdout; `--out PATH` additionally writes that document to `PATH`
 //! (written even when the lint fails, so CI can upload it as an artifact
-//! from a red job). Exit status semantics are unchanged.
+//! from a red job). Exit status semantics are unchanged. The document also
+//! carries the workspace's size: `rs_lines` (every `.rs` line under
+//! `crates/`) and `non_test_lines` (see [`xtask::scan::LineCounts`]).
 //!
 //! `cargo xtask bench [--quick]` builds and runs the `quickbench` binary
 //! (crate `solarml-bench`), which times the conv kernels and the quick
@@ -23,7 +25,7 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
-use xtask::scan::{scan_workspace, AllowList};
+use xtask::scan::{count_lines, scan_workspace, AllowList, LineCounts};
 use xtask::{json_report, manifest, Violation};
 
 fn main() -> ExitCode {
@@ -175,7 +177,12 @@ fn run_lint(fast: bool, json: bool, out: Option<&Path>) -> ExitCode {
     }
 
     if json || out.is_some() {
-        let report = json_report(&violations, &gates);
+        let lines = count_lines(&root).unwrap_or_else(|e| {
+            eprintln!("xtask: cannot count workspace lines: {e}");
+            driver_failed = true;
+            LineCounts::default()
+        });
+        let report = json_report(&violations, &gates, lines);
         if json {
             println!("{report}");
         }

@@ -388,6 +388,45 @@ pub fn scan_scenario_scripts(root: &Path) -> io::Result<Vec<Violation>> {
     Ok(out)
 }
 
+/// The workspace's two size figures, reported by `cargo xtask lint --json`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LineCounts {
+    /// Every line of every `.rs` file under `crates/`.
+    pub rs_lines: usize,
+    /// Lines before each file's first line that opens with `#[cfg(test)]`,
+    /// leaving out the integration tests under `crates/*/tests`.
+    pub non_test_lines: usize,
+}
+
+impl LineCounts {
+    /// Folds in one file, `rel` relative to `crates/`.
+    fn add_file(&mut self, rel: &Path, src: &str) {
+        self.rs_lines += src.lines().count();
+        if rel
+            .components()
+            .nth(1)
+            .is_some_and(|c| c.as_os_str() == "tests")
+        {
+            return;
+        }
+        self.non_test_lines += src
+            .lines()
+            .take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"))
+            .count();
+    }
+}
+
+/// Counts the `.rs` lines under `root/crates` (see [`LineCounts`]).
+pub fn count_lines(root: &Path) -> io::Result<LineCounts> {
+    let crates = root.join("crates");
+    let mut counts = LineCounts::default();
+    for path in rs_files(crates.clone())? {
+        let rel = path.strip_prefix(&crates).unwrap_or(&path);
+        counts.add_file(rel, &std::fs::read_to_string(&path)?);
+    }
+    Ok(counts)
+}
+
 fn rs_files(dir: PathBuf) -> io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let mut stack = vec![dir];
@@ -422,6 +461,21 @@ mod tests {
 
     fn kinds(vs: &[Violation]) -> Vec<ViolationKind> {
         vs.iter().map(|v| v.kind).collect()
+    }
+
+    #[test]
+    fn line_counts_stop_at_the_first_test_item() {
+        let src = "//! Docs.\nfn a() {}\n// #[cfg(test)] in a comment\n\
+                   #[cfg(test)]\nmod tests {\n    #[cfg(test)]\n}\n";
+        let mut counts = LineCounts::default();
+        counts.add_file(Path::new("nn/src/lib.rs"), src);
+        counts.add_file(Path::new("nn/tests/golden.rs"), src);
+        counts.add_file(Path::new("nn/src/tests/mod.rs"), "fn b() {}\n");
+        let want = LineCounts {
+            rs_lines: 15,
+            non_test_lines: 4,
+        };
+        assert_eq!(counts, want);
     }
 
     #[test]
