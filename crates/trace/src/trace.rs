@@ -344,6 +344,43 @@ mod tests {
     }
 
     #[test]
+    fn csv_roundtrip_preserves_powers_and_labels() {
+        let mut t = PowerTrace::with_sample_rate(Frequency::new(100.0));
+        t.push(Power::new(0.25)); // unlabelled lead-in
+        t.begin_segment("sleep");
+        for _ in 0..5 {
+            t.push(Power::from_micro_watts(30.0));
+        }
+        t.begin_segment("active");
+        for _ in 0..3 {
+            t.push(Power::from_milli_watts(20.0));
+        }
+        let csv = t.to_csv();
+        let rows: Vec<(f64, &str)> = csv
+            .lines()
+            .skip(1)
+            .map(|row| {
+                let mut cols = row.splitn(3, ',');
+                let _time = cols.next().expect("time column");
+                let power = cols.next().expect("power column").parse().expect("a float");
+                (power, cols.next().expect("segment column"))
+            })
+            .collect();
+        assert_eq!(rows.len(), t.len());
+        for (a, (b, _)) in t.powers().iter().zip(&rows) {
+            assert!((a.as_watts() - b).abs() < 1e-12);
+        }
+        let labels: Vec<&str> = rows.iter().map(|&(_, label)| label).collect();
+        assert_eq!(labels[0], "", "the lead-in carries no label");
+        for label in ["sleep", "active"] {
+            let watts: f64 = rows.iter().filter(|r| r.1 == label).map(|r| r.0).sum();
+            let parsed = watts * t.sample_period().as_seconds();
+            let ea = t.labelled_energy(label).as_joules();
+            assert!((ea - parsed).abs() < 1e-12, "{label}");
+        }
+    }
+
+    #[test]
     fn empty_segment_summarizes_to_zero() {
         let mut t = PowerTrace::with_sample_rate(Frequency::new(10.0));
         t.begin_segment("empty");
